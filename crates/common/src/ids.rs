@@ -87,6 +87,19 @@ impl PageId {
     pub fn index(table: TableId, index_no: u8, page_no: u32) -> Self {
         PageId { table, space: PageSpace::Index(index_no), page_no }
     }
+
+    /// Fibonacci-hashes the id onto one of `shards` lock shards
+    /// (`shards` must be a power of two). All three id components
+    /// participate, so heap and index pages of one table spread out.
+    pub fn shard(self, shards: usize) -> usize {
+        debug_assert!(shards.is_power_of_two() && shards > 1);
+        let space = match self.space {
+            PageSpace::Heap => 0u64,
+            PageSpace::Index(n) => 1 + n as u64,
+        };
+        let key = (self.table.0 as u64) << 48 | space << 40 | self.page_no as u64;
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - shards.trailing_zeros())) as usize
+    }
 }
 
 impl fmt::Display for PageId {
@@ -193,6 +206,16 @@ mod tests {
             }
         }
         assert_eq!(set.len(), 48);
+    }
+
+    #[test]
+    fn page_shards_stay_in_range_and_spread() {
+        let hit: HashSet<usize> =
+            (0..200u32).map(|n| PageId::heap(TableId(0), n).shard(64)).collect();
+        assert!(hit.iter().all(|&s| s < 64));
+        assert!(hit.len() > 16, "200 pages concentrated on {} of 64 shards", hit.len());
+        let heap = PageId::heap(TableId(3), 9).shard(16);
+        assert!(heap < 16 && PageId::index(TableId(3), 0, 9).shard(16) < 16);
     }
 
     #[test]

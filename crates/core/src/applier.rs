@@ -9,18 +9,17 @@
 //! replica, when needed by an in-progress read-only transaction".
 //!
 //! A page that has already been upgraded past `V[table]` (by a reader
-//! with a newer tag) is *rewound* through a bounded per-page history of
-//! reverse diffs: every applied write-set records, at apply time, the
-//! inverse step that restores the page's previous image, and a tagged
-//! read past whose tag the page has moved re-materializes its version
-//! from the newest steps ([`PendingApplier::read_version_at`]). This is
-//! the "multiversion" in multiversion replication — without it, any two
-//! in-flight reads with different tags that share a slave force an
-//! abort, and §6.1's < 2.5 % bound is unreachable under load. Only when
-//! the history is exhausted (more than [`HISTORY_LIMIT`] newer steps, a
-//! GC-pruned step, or a migration image with no recorded transitions)
-//! does the read abort with `VersionConflict`; the scheduler keeps even
-//! those rare by same-version routing.
+//! with a newer tag) is *rewound*: every applied diff pushes its reverse
+//! step onto the page's [`VersionChain`] — the chain a master's snapshot
+//! readers walk too — and a tagged read past whose tag the page has
+//! moved re-materializes its version from it
+//! ([`ReadGate::read_version_at`]). This is the "multiversion" in
+//! multiversion replication — without it, any two in-flight reads with
+//! different tags that share a slave force an abort, and §6.1's < 2.5 %
+//! bound is unreachable under load. Only when the chain does not reach
+//! the tag (see [`VersionChain::image_at`]) does the read abort with
+//! `VersionConflict`; the scheduler keeps even those rare by
+//! same-version routing.
 //!
 //! # Hot-path structure
 //!
@@ -32,9 +31,10 @@
 //! * queued entries are `(version, Arc<WriteSet>, index)` — the diff
 //!   bytes live once, in the write-set allocation shared with the
 //!   network layer, no matter how many pages or replicas are involved;
-//! * the page-queue map is split into [`SHARD_COUNT`] independently
-//!   locked shards keyed by a page-id hash, so readers materializing
-//!   different pages don't contend on one map lock;
+//! * a page's pending queue and its chain sit together in one
+//!   [`PageSlot`], and the slot map is split into [`SHARD_COUNT`]
+//!   independently locked shards keyed by a page-id hash, so readers
+//!   materializing different pages don't contend on one map lock;
 //! * the received-version vector is an [`AtomicVersionVector`]: tag
 //!   checks are lock-free loads, and the condvar (with its mutex) is
 //!   touched only when a reader actually has to wait for in-flight
@@ -43,11 +43,13 @@
 use crate::messages::WriteSet;
 use crate::trace::{SharedTap, TraceEvent};
 use dmv_common::error::{DmvError, DmvResult};
-use dmv_common::ids::{NodeId, PageId, PageSpace};
+use dmv_common::ids::{NodeId, PageId};
 use dmv_common::version::{AtomicVersionVector, VersionVector};
 use dmv_memdb::ReadGate;
 use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::store::{PageCell, PageStore};
+use dmv_pagestore::versions::VersionChain;
+use dmv_pagestore::Page;
 // Shimmed primitives: parking_lot/std in normal builds, model-checked
 // under `--cfg dmv_check` (see crates/check).
 use dmv_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -57,7 +59,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Number of independently locked page-queue shards. Power of two so
+/// Number of independently locked slot-map shards. Power of two so
 /// the hash can mask; 64 is comfortably past the core counts this
 /// simulation runs on.
 const SHARD_COUNT: usize = 64;
@@ -68,15 +70,6 @@ const SHARD_COUNT: usize = 64;
 /// page; a read needing to rewind further than the cap aborts exactly as
 /// it did before history existed.
 const HISTORY_LIMIT: usize = 16;
-
-/// One retained reverse step: applying `rev` to the page's image at
-/// version `from` yields its image at version `to` (`to < from`, the
-/// page's version immediately before the forward diff was applied).
-struct HistStep {
-    from: u64,
-    to: u64,
-    rev: PageDiff,
-}
 
 /// One queued page modification: the version this diff raises the page
 /// to, plus a handle into the shared write-set that carries the bytes.
@@ -90,49 +83,67 @@ impl PendingDiff {
     fn diff(&self) -> &PageDiff {
         &self.ws.pages[self.idx].1
     }
+}
 
-    /// Encoded size of this entry's diff — the unit of pending-byte
-    /// accounting (the `Arc<WriteSet>` bytes are shared, so the encoded
-    /// diff length is the honest per-entry footprint).
-    fn byte_len(&self) -> u64 {
-        self.diff().encoded_len() as u64
+/// What the applier holds for one page, inline in its shard's map. A
+/// slot left with neither queue nor steps is removed in the critical
+/// section that emptied it, so the map tracks the pages with something
+/// outstanding rather than every page ever written.
+#[derive(Default)]
+struct PageSlot {
+    /// Received, unapplied diffs in stream order.
+    pending: VecDeque<PendingDiff>,
+    /// Reverse steps of the applied diffs, stamped with table versions.
+    past: VersionChain,
+}
+
+impl PageSlot {
+    fn is_empty(&self) -> bool {
+        self.pending.is_empty() && self.past.is_empty()
+    }
+
+    fn has_pending_up_to(&self, want: u64) -> bool {
+        self.pending.front().is_some_and(|f| f.version <= want)
+    }
+
+    /// Applies the pending diffs with version `≤ want` to `page`, each
+    /// leaving its reverse step on `past`; returns the pending bytes
+    /// released. The caller holds the slot's shard lock and the page's
+    /// write latch, so a rewinder never observes an upgraded page whose
+    /// step isn't recorded yet.
+    fn apply_up_to(&mut self, page: &mut Page, want: u64) -> u64 {
+        let n = self.pending.iter().take_while(|e| e.version <= want).count();
+        let mut applied_bytes = 0;
+        for entry in self.pending.drain(..n) {
+            applied_bytes += entry.diff().encoded_len() as u64;
+            // Idempotence across migration: a page image received
+            // during data migration may already include this diff.
+            if entry.version > page.version {
+                let rev = entry.diff().reverse_of(page.data());
+                self.past.push(entry.version, page.version, rev, HISTORY_LIMIT);
+                entry.diff().apply(page.data_mut());
+                page.version = entry.version;
+            }
+        }
+        applied_bytes
     }
 }
 
-/// A page's pending queue plus its reap flag. `dead` is set (under both
-/// the shard-map and queue locks) when the reclaim sweep removes a
-/// drained entry from the map: an enqueuer that captured the `Arc`
-/// before removal re-checks the flag under the queue lock and
-/// re-inserts through the map instead of pushing into a limbo queue no
-/// reader can ever find.
-#[derive(Default)]
-struct PageQueueSlot {
-    q: VecDeque<PendingDiff>,
-    dead: bool,
-}
-
-type PageQueue = Arc<Mutex<PageQueueSlot>>;
-
-/// Fibonacci-hash a page id onto a shard index. All three id
-/// components participate so heap/index pages of one table spread out.
-fn shard_of(id: PageId) -> usize {
-    let space = match id.space {
-        PageSpace::Heap => 0u64,
-        PageSpace::Index(n) => 1 + n as u64,
-    };
-    let key = (id.table.0 as u64) << 48 | space << 40 | id.page_no as u64;
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_COUNT.trailing_zeros())) as usize
+fn version_check(id: PageId, want: u64, found: u64) -> DmvResult<()> {
+    if found > want {
+        return Err(DmvError::VersionConflict { page: id, wanted: want, found });
+    }
+    Ok(())
 }
 
 /// Per-replica pending-update state implementing [`ReadGate`].
 pub struct PendingApplier {
     store: Arc<PageStore>,
-    queues: [Mutex<HashMap<PageId, PageQueue>>; SHARD_COUNT],
-    /// Bounded per-page reverse-step history (newest last). Sharded like
-    /// the queues; the shard lock is held for the whole push/walk, which
-    /// is a handful of entries. Lock order: queue slot → history shard →
-    /// page latch (apply path); history shard → page latch (read path).
-    history: [Mutex<HashMap<PageId, VecDeque<HistStep>>>; SHARD_COUNT],
+    /// Every page's [`PageSlot`], sharded by [`PageId::shard`]. A shard
+    /// lock is held for a whole apply, rewind walk or sweep of its
+    /// pages — each a handful of entries. Lock order: slot shard → page
+    /// latch.
+    slots: [Mutex<HashMap<PageId, PageSlot>>; SHARD_COUNT],
     received: AtomicVersionVector,
     /// Readers blocked on versions still in flight. Enqueue only takes
     /// `wait_lock` when this is non-zero.
@@ -145,7 +156,9 @@ pub struct PendingApplier {
     enqueued_writesets: AtomicU64,
     /// Encoded bytes of all queued (unapplied, undiscarded) diffs —
     /// the replica's pending-memory figure fed to the bounded-memory
-    /// oracle and the bench high-water tracking.
+    /// oracle and the bench high-water tracking. The write-set
+    /// allocation is shared, so a diff's encoded length is the honest
+    /// per-entry footprint.
     pending_diff_bytes: AtomicU64,
     /// Optional history tap and the node id to attribute events to.
     trace: RwLock<Option<(NodeId, SharedTap)>>,
@@ -156,8 +169,7 @@ impl PendingApplier {
     pub fn new(store: Arc<PageStore>, n_tables: usize, wait_timeout: Duration) -> Self {
         let applier = PendingApplier {
             store,
-            queues: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            history: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            slots: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             received: AtomicVersionVector::new(n_tables),
             waiters: AtomicUsize::new(0),
             wait_lock: Mutex::new(()),
@@ -167,11 +179,8 @@ impl PendingApplier {
             pending_diff_bytes: AtomicU64::new(0),
             trace: RwLock::new(None),
         };
-        for shard in &applier.queues {
-            dmv_check::race::label(shard, "queues");
-        }
-        for shard in &applier.history {
-            dmv_check::race::label(shard, "history");
+        for shard in &applier.slots {
+            dmv_check::race::label(shard, "slots");
         }
         dmv_check::race::label(&applier.wait_lock, "wait_lock");
         dmv_check::race::label(&applier.received_cv, "applier.received_cv");
@@ -190,27 +199,6 @@ impl PendingApplier {
         }
     }
 
-    /// Looks up a page's queue without inserting one. The apply path
-    /// must use this (not an `entry().or_default()`): every tagged read
-    /// consults the queue, and inserting on lookup would grow the shard
-    /// maps by one entry per page ever read, with nothing to reap them.
-    fn lookup_queue(&self, id: PageId) -> Option<PageQueue> {
-        self.queues[shard_of(id)].lock().get(&id).map(Arc::clone)
-    }
-
-    /// Slow-path insert used when an enqueuer's captured queue turned
-    /// out dead. Holding the shard-map lock while locking the slot
-    /// guarantees liveness: the reaper marks a slot dead and removes it
-    /// from the map in one map-locked critical section, so any `Arc`
-    /// obtained from the map under the map lock is not dead.
-    fn push_via_map(&self, id: PageId, diff: PendingDiff) {
-        let mut map = self.queues[shard_of(id)].lock();
-        let q = Arc::clone(map.entry(id).or_default());
-        let mut slot = q.lock();
-        debug_assert!(!slot.dead, "a mapped slot cannot be dead under the map lock");
-        slot.q.push_back(diff);
-    }
-
     /// Enqueues a received write-set: each page's entry points into the
     /// shared allocation (no diff is copied), and the received-version
     /// vector advances by atomic maximum.
@@ -220,47 +208,38 @@ impl PendingApplier {
 
     /// Enqueues a group-commit batch of write-sets (in `seq` order) with
     /// one pass over the shard locks: entries are bucketed per shard
-    /// first, so a shard's map lock is taken once per batch instead of
-    /// once per page. The received vector advances to the *last*
-    /// write-set's versions — a master stream's vectors are monotone, so
-    /// the last one dominates the whole batch.
+    /// first, so a shard's lock is taken once per batch instead of once
+    /// per page. The received vector advances to the *last* write-set's
+    /// versions — a master stream's vectors are monotone, so the last
+    /// one dominates the whole batch.
     pub fn enqueue_batch(&self, sets: &[Arc<WriteSet>]) {
         let Some(last) = sets.last() else { return };
         let mut buckets: [Vec<(PageId, PendingDiff)>; SHARD_COUNT] =
             std::array::from_fn(|_| Vec::new());
+        let mut queued_bytes = 0u64;
         for ws in sets {
-            for (idx, (id, _)) in ws.pages.iter().enumerate() {
+            for (idx, (id, diff)) in ws.pages.iter().enumerate() {
                 // Ensure the page exists so later reads/scans can see it.
                 let _ = self.store.get_or_create(*id);
-                buckets[shard_of(*id)].push((
+                queued_bytes += diff.encoded_len() as u64;
+                buckets[id.shard(SHARD_COUNT)].push((
                     *id,
                     PendingDiff { version: ws.versions.get(id.table), ws: Arc::clone(ws), idx },
                 ));
             }
         }
-        let mut queued_bytes = 0u64;
-        for (shard, entries) in buckets.into_iter().enumerate() {
+        // Counted before the diffs become applicable, so a racing apply's
+        // release can never take the gauge below zero.
+        self.pending_diff_bytes.fetch_add(queued_bytes, Ordering::Relaxed); // relaxed-ok: diagnostics gauge
+        for (shard, entries) in self.slots.iter().zip(buckets) {
             if entries.is_empty() {
                 continue;
             }
-            let queues: Vec<PageQueue> = {
-                let mut map = self.queues[shard].lock();
-                entries.iter().map(|(id, _)| Arc::clone(map.entry(*id).or_default())).collect()
-            };
-            for (q, (id, diff)) in queues.into_iter().zip(entries) {
-                queued_bytes += diff.byte_len();
-                let mut slot = q.lock();
-                if slot.dead {
-                    // A reclaim sweep reaped this slot between our map
-                    // pass and this push; re-insert through the map.
-                    drop(slot);
-                    self.push_via_map(id, diff);
-                } else {
-                    slot.q.push_back(diff);
-                }
+            let mut map = shard.lock();
+            for (id, diff) in entries {
+                map.entry(id).or_default().pending.push_back(diff);
             }
         }
-        self.pending_diff_bytes.fetch_add(queued_bytes, Ordering::Relaxed); // relaxed-ok: diagnostics gauge
         self.received.merge(&last.versions);
         self.notify_waiters();
         self.enqueued_writesets.fetch_add(sets.len() as u64, Ordering::Relaxed); // relaxed-ok: diagnostics counter; stream order is carried by received + wait_lock
@@ -347,121 +326,56 @@ impl PendingApplier {
 
     /// Applies queued diffs of `cell` up to `want` (one table entry),
     /// recording one reverse step per applied diff so a later read with
-    /// an older tag can rewind the page ([`Self::read_version_at`]).
+    /// an older tag can rewind the page ([`ReadGate::read_version_at`]).
     fn apply_up_to(&self, id: PageId, cell: &PageCell, want: u64) -> DmvResult<()> {
-        let q = self.lookup_queue(id);
-        let mut slot = q.as_ref().map(|q| q.lock());
-        // Nothing applicable queued (drained-but-unreaped slot, or only
-        // newer versions pending): resolve under the shared read latch
-        // without touching the history shard or the write latch.
-        let applicable =
-            slot.as_ref().is_some_and(|s| s.q.front().is_some_and(|f| f.version <= want));
-        if !applicable {
-            drop(slot);
-            let page = cell.latch.read();
-            if page.version > want {
-                return Err(DmvError::VersionConflict {
-                    page: id,
-                    wanted: want,
-                    found: page.version,
-                });
-            }
-            return Ok(());
-        }
-        // History shard before page latch — the read path takes them in
-        // the same order, and holding the shard here means a rewinder
-        // never observes an upgraded page whose step isn't recorded yet.
-        let mut hist = self.history[shard_of(id)].lock();
+        let mut shard = self.slots[id.shard(SHARD_COUNT)].lock();
+        let Some(slot) = shard.get_mut(&id).filter(|s| s.has_pending_up_to(want)) else {
+            // Nothing applicable queued (no slot, history only, or only
+            // newer versions pending): resolve under the shared read
+            // latch, off the shard lock and the write latch.
+            drop(shard);
+            return version_check(id, want, cell.latch.read().version);
+        };
         let mut page = cell.latch.write();
-        let mut applied_bytes = 0u64;
-        if let Some(slot) = slot.as_mut() {
-            while let Some(front) = slot.q.front() {
-                if front.version > want {
-                    break;
-                }
-                let entry = slot.q.pop_front().expect("front checked"); // unwrap-ok: front() returned Some under the same queue lock
-                applied_bytes += entry.byte_len();
-                // Idempotence across migration: a page image received
-                // during data migration may already include this diff.
-                if entry.version > page.version {
-                    let step = HistStep {
-                        from: entry.version,
-                        to: page.version,
-                        rev: entry.diff().reverse_of(page.data()),
-                    };
-                    let steps = hist.entry(id).or_default();
-                    if steps.len() == HISTORY_LIMIT {
-                        steps.pop_front();
-                    }
-                    steps.push_back(step);
-                    entry.diff().apply(page.data_mut());
-                    page.version = entry.version;
-                }
-            }
+        let applied_bytes = slot.apply_up_to(&mut page, want);
+        if slot.is_empty() {
+            shard.remove(&id);
         }
-        if applied_bytes > 0 {
-            // relaxed-ok: diagnostics gauge
-            self.pending_diff_bytes.fetch_sub(applied_bytes, Ordering::Relaxed);
-        }
-        if page.version > want {
-            return Err(DmvError::VersionConflict { page: id, wanted: want, found: page.version });
-        }
-        Ok(())
+        self.pending_diff_bytes.fetch_sub(applied_bytes, Ordering::Relaxed); // relaxed-ok: diagnostics gauge
+        version_check(id, want, page.version)
     }
 
-    /// Materializes the image `cell` had at table-version `want` from the
-    /// retained reverse steps — the multiversion read path behind
-    /// [`ReadGate::read_version_at`]. Walks newest-first from the page's
-    /// current image, applying inverse diffs while the materialized
-    /// version still exceeds `want`; a page with no modifications between
-    /// two versions is by definition the same image at both, so landing
-    /// *at or below* `want` is exact. Returns `None` when the chain
-    /// doesn't reach `want` (capped, GC-pruned, or a migration image with
-    /// no recorded transitions) — the caller aborts as it always did.
-    pub fn read_version_at(&self, id: PageId, cell: &PageCell, want: u64) -> Option<Vec<u8>> {
-        let hist = self.history[shard_of(id)].lock();
-        let (mut bytes, mut cur) = {
-            let page = cell.latch.read();
-            if page.version <= want {
-                // Raced with a rewind-free serve: the current image is
-                // again (still) old enough.
-                return Some(page.data().to_vec());
-            }
-            (page.data().to_vec(), page.version)
-        };
-        let steps = hist.get(&id)?;
-        for step in steps.iter().rev() {
-            if cur <= want {
-                break;
-            }
-            if step.from != cur {
-                return None;
-            }
-            step.rev.apply(&mut bytes);
-            cur = step.to;
+    /// One pass over every slot, each shard in one critical section:
+    /// with a watermark, [`Self::reclaim_up_to`]; without, applies
+    /// everything and prunes nothing. Returns the slots removed.
+    fn sweep(&self, wm: Option<&VersionVector>) -> usize {
+        let (mut removed, mut applied_bytes) = (0usize, 0u64);
+        for shard in &self.slots {
+            shard.lock().retain(|id, slot| {
+                let upto = wm.map_or(u64::MAX, |wm| wm.get(id.table));
+                if slot.has_pending_up_to(upto) {
+                    if let Some(cell) = self.store.get(*id) {
+                        applied_bytes += slot.apply_up_to(&mut cell.latch.write(), upto);
+                    }
+                }
+                if wm.is_some() {
+                    slot.past.prune(upto);
+                }
+                removed += usize::from(slot.is_empty());
+                !slot.is_empty()
+            });
         }
-        (cur <= want).then_some(bytes)
+        self.pending_diff_bytes.fetch_sub(applied_bytes, Ordering::Relaxed); // relaxed-ok: diagnostics gauge
+        removed
+    }
+
+    fn sum_slots(&self, f: impl Fn(&PageSlot) -> usize) -> usize {
+        self.slots.iter().map(|s| s.lock().values().map(&f).sum::<usize>()).sum()
     }
 
     /// Retained reverse steps across all pages (diagnostics).
     pub fn history_len(&self) -> usize {
-        self.history.iter().map(|s| s.lock().values().map(VecDeque::len).sum::<usize>()).sum()
-    }
-
-    /// Drops reverse steps no pinned reader can need: every pinned tag
-    /// dominates the watermark `wm`, and a rewind for `want ≥ wm` only
-    /// applies steps with `from > want ≥ wm`, so steps at or below the
-    /// watermark are dead. Pruning removes a contiguous oldest suffix
-    /// (versions are monotone), leaving the newest-first walk intact.
-    fn prune_history(&self, wm: &VersionVector) {
-        for shard in &self.history {
-            let mut map = shard.lock();
-            map.retain(|id, steps| {
-                let keep = wm.get(id.table);
-                steps.retain(|s| s.from > keep);
-                !steps.is_empty()
-            });
-        }
+        self.sum_slots(|slot| slot.past.len())
     }
 
     /// Applies *all* pending diffs of every page (used when promoting a
@@ -469,64 +383,21 @@ impl PendingApplier {
     /// joining node). Afterwards each page is at the replica's received
     /// version for its table.
     pub fn apply_all(&self) {
-        for shard in &self.queues {
-            let ids: Vec<PageId> = shard.lock().keys().copied().collect();
-            for id in ids {
-                if let Some(cell) = self.store.get(id) {
-                    let _ = self.apply_up_to(id, &cell, u64::MAX);
-                }
-            }
-        }
-        self.reap_empty();
+        self.sweep(None);
     }
 
     /// Eagerly applies every queued diff at or below the reclamation
-    /// watermark `wm`, then reaps the queues left empty. This is the
-    /// GC half of epoch-based reclamation: the epoch manager guarantees
-    /// `wm` is dominated by every pinned reader tag, so applying up to
-    /// it can never rob a pinned reader of a version it still needs —
-    /// a reader ahead of `wm` materializes later diffs on demand, and a
-    /// page already *past* `wm` (upgraded by a newer-tagged read) is
-    /// left alone, exactly as [`ReadGate::prepare_read`] would find it.
-    ///
-    /// Returns the number of page-queue map entries reaped.
+    /// watermark `wm`, prunes the reverse steps it has passed and
+    /// removes the slots left empty, returning how many went. This is
+    /// the GC half of epoch-based reclamation: the epoch manager
+    /// guarantees `wm` is dominated by every pinned reader tag, so
+    /// applying up to it can never rob a pinned reader of a version it
+    /// still needs — a reader ahead of `wm` materializes later diffs on
+    /// demand, a page already *past* `wm` is left alone, exactly as
+    /// [`ReadGate::prepare_read`] would find it, and a rewind for
+    /// `want ≥ wm` never walks a step at or below `wm`.
     pub fn reclaim_up_to(&self, wm: &VersionVector) -> usize {
-        for shard in &self.queues {
-            let ids: Vec<PageId> = shard.lock().keys().copied().collect();
-            for id in ids {
-                if let Some(cell) = self.store.get(id) {
-                    // VersionConflict just means the page is already
-                    // ahead of the watermark; the queue was still
-                    // drained up to `wm`, which is all GC needs.
-                    let _ = self.apply_up_to(id, &cell, wm.get(id.table));
-                }
-            }
-        }
-        self.prune_history(wm);
-        self.reap_empty()
-    }
-
-    /// Removes shard-map entries whose queues are drained, releasing
-    /// the `Arc<WriteSet>` allocations they pinned. A slot is marked
-    /// dead and unmapped in one map-locked critical section, so a
-    /// concurrent enqueue that captured the `Arc` earlier re-checks
-    /// `dead` under the queue lock and re-inserts through the map.
-    fn reap_empty(&self) -> usize {
-        let mut reaped = 0usize;
-        for shard in &self.queues {
-            let mut map = shard.lock();
-            map.retain(|_, q| {
-                let mut slot = q.lock();
-                if slot.q.is_empty() {
-                    slot.dead = true;
-                    reaped += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        reaped
+        self.sweep(Some(wm))
     }
 
     /// Fully applies one page's queue (support-slave side of migration).
@@ -542,25 +413,19 @@ impl PendingApplier {
     /// clamps the received vector so later waits don't trust ghosts.
     pub fn discard_above(&self, versions: &VersionVector) {
         let mut dropped_bytes = 0u64;
-        for shard in &self.queues {
-            let shard = shard.lock();
-            for (id, q) in shard.iter() {
+        for shard in &self.slots {
+            shard.lock().retain(|id, slot| {
                 let keep = versions.get(id.table);
-                q.lock().q.retain(|e| {
-                    if e.version <= keep {
-                        true
-                    } else {
-                        dropped_bytes += e.byte_len();
-                        false
+                slot.pending.retain(|e| {
+                    if e.version > keep {
+                        dropped_bytes += e.diff().encoded_len() as u64;
                     }
+                    e.version <= keep
                 });
-            }
+                !slot.is_empty()
+            });
         }
-        if dropped_bytes > 0 {
-            // relaxed-ok: diagnostics gauge
-            self.pending_diff_bytes.fetch_sub(dropped_bytes, Ordering::Relaxed);
-        }
-        self.reap_empty();
+        self.pending_diff_bytes.fetch_sub(dropped_bytes, Ordering::Relaxed); // relaxed-ok: diagnostics gauge
         self.received.clamp(versions);
         self.emit(|node| TraceEvent::DiscardedAbove { node, keep: versions.clone() });
     }
@@ -577,7 +442,7 @@ impl PendingApplier {
 
     /// Total queued (unapplied) diffs across all pages (diagnostics).
     pub fn pending_count(&self) -> usize {
-        self.queues.iter().map(|s| s.lock().values().map(|q| q.lock().q.len()).sum::<usize>()).sum()
+        self.sum_slots(|slot| slot.pending.len())
     }
 
     /// Encoded bytes of all queued diffs — the pending-memory gauge
@@ -586,46 +451,45 @@ impl PendingApplier {
         self.pending_diff_bytes.load(Ordering::Relaxed) // relaxed-ok: diagnostics gauge; stream order is carried by received + wait_lock
     }
 
-    /// Number of pages holding a shard-map entry (drained or not).
-    /// [`Self::reclaim_up_to`] and [`Self::apply_all`] reap drained
-    /// entries, so on an idle replica this tracks the pages with
-    /// genuinely outstanding diffs rather than every page ever written.
-    pub fn queue_map_len(&self) -> usize {
-        self.queues.iter().map(|s| s.lock().len()).sum()
+    /// Number of pages holding a slot: those with diffs still queued or
+    /// reverse steps the watermark has not passed yet.
+    pub fn slot_count(&self) -> usize {
+        self.sum_slots(|_| 1)
     }
 }
 
 impl ReadGate for PendingApplier {
+    /// Materializes the image `cell` had at table-version `want` from
+    /// the page's reverse steps; `None` (the reader aborts) when they
+    /// don't reach that far. A page at or below `want` is its own answer
+    /// (raced with a rewind-free serve).
     fn read_version_at(&self, id: PageId, cell: &PageCell, want: u64) -> Option<Vec<u8>> {
-        PendingApplier::read_version_at(self, id, cell, want)
+        let shard = self.slots[id.shard(SHARD_COUNT)].lock();
+        let page = cell.latch.read();
+        let none = VersionChain::default();
+        let past = shard.get(&id).map_or(&none, |slot| &slot.past);
+        past.image_at(page.data(), page.version, want)
     }
 
     fn prepare_read(&self, id: PageId, cell: &PageCell, tag: &VersionVector) -> DmvResult<()> {
         let want = tag.get(id.table);
-        // Fast path: nothing pending and the page is current enough.
-        {
-            let page = cell.latch.read();
-            if page.version == want {
-                return Ok(());
-            }
-            if page.version > want {
-                return Err(DmvError::VersionConflict {
-                    page: id,
-                    wanted: want,
-                    found: page.version,
-                });
-            }
+        // Fast path: the page is current enough, no lock but its latch.
+        let found = cell.latch.read().version;
+        if found >= want {
+            return version_check(id, want, found);
         }
         // The page is older than the tag. If every write-set at or below
-        // `want` has been received (diffs enter the queues *before*
-        // `received` advances, both ends SeqCst) and this page has no
-        // pending queue, none of those write-sets touch it: the current
-        // image already is the image at `want`. This is the common case
-        // — most pages of a hot table are untouched by any given version
-        // — and it serves with no queue-slot, history-shard, or
-        // write-latch acquisition, which is what keeps tagged reads off
-        // the appliers' locks at saturation.
-        if self.received.get(id.table) >= want && self.lookup_queue(id).is_none() {
+        // `want` has been received (diffs enter the slots *before*
+        // `received` advances, both ends SeqCst) and this page has
+        // nothing pending, none of them touches it: the current image
+        // already is the image at `want`. This is the common case — most
+        // pages of a hot table are untouched by any given version — and
+        // it serves with one shard-lock probe and no latch, which is what
+        // keeps tagged reads off the appliers' locks at saturation.
+        let quiet = |slot: &PageSlot| slot.pending.is_empty();
+        if self.received.get(id.table) >= want
+            && self.slots[id.shard(SHARD_COUNT)].lock().get(&id).is_none_or(quiet)
+        {
             return Ok(());
         }
         // The tag may reference versions still in flight.
@@ -916,37 +780,41 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_is_reaped_after_drain() {
-        // Regression: `queue_of`'s entry().or_default() used to insert
-        // one map entry per page ever written and nothing removed them,
-        // so the shard maps (and the Arc<WriteSet>s their queues held)
-        // grew without bound on a long-lived replica.
+    fn slots_leave_the_map_once_drained_and_pruned() {
+        // Regression: the map used to keep one entry per page ever
+        // written, so it (and the Arc<WriteSet>s the queues held) grew
+        // without bound on a long-lived replica.
         let (_store, a) = applier();
         const N: u64 = 128;
         for n in 0..N {
             a.enqueue(&ws(n + 1, 0, n + 1, n as u32, 10));
         }
-        assert_eq!(a.queue_map_len(), N as usize);
+        assert_eq!(a.slot_count(), N as usize);
         assert!(a.pending_bytes() > 0);
         a.apply_all();
         assert_eq!(a.pending_count(), 0);
-        assert_eq!(a.queue_map_len(), 0, "drained queues must leave the map");
         assert_eq!(a.pending_bytes(), 0);
+        assert_eq!(a.slot_count(), N as usize, "each page still holds its reverse step");
+        let mut wm = VersionVector::new(2);
+        wm.set(TableId(0), N);
+        assert_eq!(a.reclaim_up_to(&wm), N as usize);
+        assert_eq!(a.slot_count(), 0, "drained and pruned slots must leave the map");
     }
 
     #[test]
-    fn reads_do_not_grow_the_queue_map() {
+    fn reads_do_not_create_slots() {
         let (store, a) = applier();
         let id = PageId::heap(TableId(0), 7);
         store.get_or_create(id);
         let cell = store.get(id).unwrap();
         let tag = VersionVector::new(2);
         a.prepare_read(id, &cell, &tag).unwrap();
-        assert_eq!(a.queue_map_len(), 0, "a tagged read of a quiet page must not insert a queue");
+        assert!(a.read_version_at(id, &cell, 0).is_some());
+        assert_eq!(a.slot_count(), 0, "a tagged read of a quiet page must not insert a slot");
     }
 
     #[test]
-    fn reclaim_applies_up_to_the_watermark_and_reaps() {
+    fn reclaim_applies_up_to_the_watermark_and_removes_slots() {
         let (store, a) = applier();
         let w1 = ws(1, 0, 1, 0, 10);
         let w2 = ws(2, 0, 2, 0, 20);
@@ -956,10 +824,10 @@ mod tests {
         a.enqueue(&w3);
         let mut wm = VersionVector::new(2);
         wm.set(TableId(0), 2);
-        let reaped = a.reclaim_up_to(&wm);
-        assert_eq!(reaped, 1, "page 0's queue drained; page 1 still holds v3");
+        let removed = a.reclaim_up_to(&wm);
+        assert_eq!(removed, 1, "page 0 drained and pruned; page 1 still holds v3");
         assert_eq!(a.pending_count(), 1);
-        assert_eq!(a.queue_map_len(), 1);
+        assert_eq!(a.slot_count(), 1);
         assert_eq!(Arc::strong_count(&w1), 1, "reclaim released the write-set handle");
         assert_eq!(Arc::strong_count(&w2), 1);
         assert_eq!(Arc::strong_count(&w3), 2, "v3 is above the watermark and stays queued");
@@ -979,27 +847,188 @@ mod tests {
         let mut tag = VersionVector::new(2);
         tag.set(TableId(0), 2);
         a.prepare_read(id, &cell, &tag).unwrap();
-        // The cluster watermark lags at 1; reclaim must still reap.
+        // The cluster watermark lags at 1: a reader pinned there can
+        // still need the step back from 2, so the slot keeps exactly it.
         let mut wm = VersionVector::new(2);
         wm.set(TableId(0), 1);
-        a.reclaim_up_to(&wm);
-        assert_eq!(a.queue_map_len(), 0);
+        assert_eq!(a.reclaim_up_to(&wm), 0);
+        assert_eq!(a.history_len(), 1);
+        assert_eq!(a.read_version_at(id, &cell, 1).unwrap()[0], 10);
         assert_eq!(cell.latch.read().version, 2, "the newer materialization is untouched");
+        wm.set(TableId(0), 2);
+        assert_eq!(a.reclaim_up_to(&wm), 1);
+        assert_eq!(a.slot_count(), 0);
     }
 
     #[test]
-    fn enqueue_after_reap_lands_in_a_fresh_queue() {
+    fn enqueue_after_removal_lands_in_a_fresh_slot() {
         let (store, a) = applier();
         a.enqueue(&ws(1, 0, 1, 0, 10));
-        a.apply_all();
-        assert_eq!(a.queue_map_len(), 0);
+        a.reclaim_up_to(&a.received());
+        assert_eq!(a.slot_count(), 0);
         a.enqueue(&ws(2, 0, 2, 0, 20));
-        assert_eq!(a.queue_map_len(), 1);
+        assert_eq!(a.slot_count(), 1);
         assert_eq!(a.pending_count(), 1);
         a.apply_all();
         let cell = store.get(PageId::heap(TableId(0), 0)).unwrap();
         assert_eq!(cell.latch.read().version, 2);
         assert_eq!(cell.latch.read().data()[0], 20);
+    }
+
+    #[test]
+    fn discard_removes_slots_it_empties() {
+        let (_store, a) = applier();
+        let w = ws(1, 0, 1, 0, 10);
+        a.enqueue(&w);
+        a.discard_above(&VersionVector::new(2));
+        assert_eq!(a.slot_count(), 0);
+        assert_eq!(Arc::strong_count(&w), 1, "the discarded entry released its handle");
+    }
+
+    /// Real threads on the pages of one shard: the receiver enqueues, the
+    /// GC sweep applies, prunes and removes slots, and tagged readers
+    /// apply forward and rewind — all through the one shard lock. Readers
+    /// publish the oldest tag they may still use (the epoch pin) and the
+    /// sweep stays at or below every pin; the receiver stays fewer than
+    /// `HISTORY_LIMIT` versions ahead of the slowest pin. Under those two
+    /// rules no read may abort and every image must be exact, no matter
+    /// how slot removal and re-creation interleave with the reads.
+    #[test]
+    fn enqueue_reclaim_and_tagged_reads_race_on_one_shard() {
+        use dmv_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        const PAGES: usize = 4;
+        const VERSIONS: u64 = 240;
+        const READERS: usize = 2;
+        const BATCH: usize = 3;
+        const WINDOW: u64 = HISTORY_LIMIT as u64 - BATCH as u64 - 1;
+
+        let store = Arc::new(PageStore::new_free());
+        let a = Arc::new(PendingApplier::new(Arc::clone(&store), 1, Duration::from_secs(5)));
+        let shard = PageId::heap(TableId(0), 0).shard(SHARD_COUNT);
+        let pages: Vec<PageId> = (0u32..)
+            .map(|n| PageId::heap(TableId(0), n))
+            .filter(|id| id.shard(SHARD_COUNT) == shard)
+            .take(PAGES)
+            .collect();
+        // Version v sets byte 0 of every page to v, so the image at tag t
+        // is the one whose byte 0 is t.
+        let sets: Vec<Arc<WriteSet>> = (1..=VERSIONS)
+            .map(|v| {
+                let (mut before, mut after) = (vec![0u8; PAGE_SIZE], vec![0u8; PAGE_SIZE]);
+                (before[0], after[0]) = ((v - 1) as u8, v as u8);
+                let diff = PageDiff::compute(&before, &after);
+                Arc::new(WriteSet {
+                    txn: TxnId::new(NodeId(0), v),
+                    seq: v,
+                    versions: VersionVector::from_entries(vec![v]),
+                    pages: pages.iter().map(|id| (*id, diff.clone())).collect(),
+                })
+            })
+            .collect();
+        let pins: Arc<Vec<AtomicU64>> = Arc::new((0..READERS).map(|_| AtomicU64::new(0)).collect());
+        let min_pin = |pins: &[AtomicU64]| {
+            pins.iter().map(|p| p.load(Ordering::SeqCst)).min().expect("readers exist")
+        };
+        let readers_done = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(std::sync::Barrier::new(READERS + 2));
+
+        let receiver = {
+            let (a, pins, start, sets) =
+                (Arc::clone(&a), Arc::clone(&pins), Arc::clone(&start), sets.clone());
+            dmv_check::thread::spawn(move || {
+                start.wait();
+                for batch in sets.chunks(BATCH) {
+                    while batch[0].seq > min_pin(&pins) + WINDOW {
+                        std::thread::yield_now();
+                    }
+                    a.enqueue_batch(batch);
+                }
+            })
+        };
+        let sweeper = {
+            let (a, pins, start, done) =
+                (Arc::clone(&a), Arc::clone(&pins), Arc::clone(&start), Arc::clone(&readers_done));
+            dmv_check::thread::spawn(move || {
+                start.wait();
+                while !done.load(Ordering::SeqCst) {
+                    a.reclaim_up_to(&VersionVector::from_entries(vec![min_pin(&pins)]));
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let (a, store, pins, start, pages) = (
+                    Arc::clone(&a),
+                    Arc::clone(&store),
+                    Arc::clone(&pins),
+                    Arc::clone(&start),
+                    pages.clone(),
+                );
+                dmv_check::thread::spawn(move || {
+                    // The tagged-read protocol of `Txn::read_page`.
+                    let read = |id: PageId, want: u64| -> Option<u8> {
+                        let cell = store.get(id).expect("enqueue created the page");
+                        let tag = VersionVector::from_entries(vec![want]);
+                        match a.prepare_read(id, &cell, &tag) {
+                            Ok(()) => {
+                                let page = cell.latch.read();
+                                if page.version <= want {
+                                    return Some(page.data()[0]);
+                                }
+                            }
+                            Err(DmvError::VersionConflict { .. }) => {}
+                            Err(_) => return None,
+                        }
+                        a.read_version_at(id, &cell, want).map(|image| image[0])
+                    };
+                    start.wait();
+                    // Mismatches are returned, not asserted here: a reader
+                    // that died would strand the receiver behind its pin.
+                    let (mut wrong, mut pin) = (Vec::new(), 0u64);
+                    while pin < VERSIONS {
+                        let newest = a.received().get(TableId(0));
+                        if newest == pin {
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        // Newest first forces an apply, the pin a full
+                        // rewind, the midpoint a partial one.
+                        for want in [newest, pin, (pin + newest) / 2] {
+                            for &id in &pages {
+                                let got = read(id, want);
+                                if got != Some(want as u8) {
+                                    wrong.push(format!("{id} at tag {want}: {got:?}"));
+                                }
+                            }
+                        }
+                        pin = newest;
+                        pins[r].store(pin, Ordering::SeqCst);
+                    }
+                    wrong
+                })
+            })
+            .collect();
+
+        receiver.join().expect("receiver");
+        for r in readers {
+            assert_eq!(r.join().expect("reader"), Vec::<String>::new());
+        }
+        readers_done.store(true, Ordering::SeqCst);
+        sweeper.join().expect("sweeper");
+
+        a.reclaim_up_to(&a.received());
+        assert_eq!(a.received().get(TableId(0)), VERSIONS);
+        assert_eq!((a.pending_count(), a.pending_bytes()), (0, 0));
+        assert_eq!((a.slot_count(), a.history_len()), (0, 0));
+        for ws in &sets {
+            assert_eq!(Arc::strong_count(ws), 1, "write-set {} still pinned after drain", ws.seq);
+        }
+        for id in &pages {
+            let cell = store.get(*id).unwrap();
+            let page = cell.latch.read();
+            assert_eq!((page.version, page.data()[0]), (VERSIONS, VERSIONS as u8));
+        }
     }
 
     #[test]
@@ -1034,7 +1063,7 @@ mod tests {
         assert_eq!(a.pending_count(), 200);
         // Shards that never saw a page must stay empty; with 200 pages
         // over 64 shards, several must be occupied.
-        let occupied = a.queues.iter().filter(|s| !s.lock().is_empty()).count();
+        let occupied = a.slots.iter().filter(|s| !s.lock().is_empty()).count();
         assert!(occupied > 16, "pages concentrated on {occupied} shards");
         a.apply_all();
         assert_eq!(a.pending_count(), 0);

@@ -94,14 +94,15 @@ pub enum TraceEvent {
         keep: VersionVector,
     },
     /// A replica ran an epoch reclamation pass: queued diffs at or
-    /// below `watermark` were eagerly applied and `reaped` drained page
-    /// queues left the shard maps.
+    /// below `watermark` were eagerly applied, reverse steps it has
+    /// passed were pruned, and `reaped` emptied page slots left the
+    /// applier's slot map.
     Reclaimed {
         /// Replica that reclaimed.
         node: NodeId,
         /// The reclamation watermark applied up to.
         watermark: VersionVector,
-        /// Page-queue map entries reaped.
+        /// Page slots removed.
         reaped: usize,
     },
     /// A slave was promoted to master, continuing from `from`.

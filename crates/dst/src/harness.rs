@@ -414,11 +414,11 @@ impl Harness<'_> {
             }
             Event::HealAll => self.heal_all(),
             Event::LatencySpike { micros } => {
-                self.sim.network().set_extra_delay(Duration::from_micros(*micros));
+                self.sim.set_extra_delay(Duration::from_micros(*micros));
                 "-".to_string()
             }
             Event::LatencyNormal => {
-                self.sim.network().set_extra_delay(Duration::ZERO);
+                self.sim.set_extra_delay(Duration::ZERO);
                 "-".to_string()
             }
             Event::BackendStall => {
@@ -1017,7 +1017,7 @@ impl Harness<'_> {
     /// backends, detect everything — the cluster must now converge.
     fn drain(&mut self) -> String {
         self.fault.clear_triggers();
-        self.sim.network().set_extra_delay(Duration::ZERO);
+        self.sim.set_extra_delay(Duration::ZERO);
         for b in self.cluster.backends() {
             b.set_stalled(false);
         }

@@ -168,10 +168,11 @@ impl MemDb {
         self.concurrency
     }
 
-    /// Prunes MVCC version chains under the epoch reclamation watermark
-    /// (no-op under 2PL, which keeps no chains). Returns entries freed.
-    pub fn mvcc_prune(&self, wm: &VersionVector) -> usize {
-        self.mvcc.prune(wm)
+    /// Prunes the MVCC chain steps no local snapshot can reach (no-op
+    /// under 2PL, which keeps no chains). Returns steps freed.
+    pub fn mvcc_prune(&self) -> usize {
+        // The manager's signature keeps a watermark slot it ignores.
+        self.mvcc.prune(&VersionVector::new(0))
     }
 
     /// The engine's clock.

@@ -15,16 +15,16 @@
 //!    read it; any mismatch aborts the committer with a retryable
 //!    [`DmvError::VersionConflict`] (the earlier committer already won);
 //! 3. **install**: a fresh commit stamp is drawn from the global
-//!    counter, the superseded committed image of every written page is
-//!    pushed onto that page's version chain, and the private copy
-//!    becomes the page's committed image.
+//!    counter, the reverse diff restoring every written page's
+//!    superseded image is pushed onto that page's [`VersionChain`], and
+//!    the private copy becomes the page's committed image.
 //!
 //! Snapshot readers never block writers and never abort: they register
-//! a snapshot stamp and read, per page, the newest image whose stamp is
-//! `<=` the snapshot — from the page cell if its stamp qualifies,
-//! otherwise from the version chain (step 3 pushes the superseded image
-//! *before* overwriting the cell, under the page's shard lock, so a
-//! snapshot never observes a torn hand-off). Snapshots begin at the
+//! a snapshot stamp and read, per page, the image as of that stamp —
+//! the page cell if its stamp qualifies, otherwise walked back from it
+//! through the chain (step 3 pushes the reverse step and overwrites the
+//! cell under one hold of the page's shard lock, so a snapshot never
+//! observes a torn hand-off). Snapshots begin at the
 //! **visible** stamp — the highest stamp up to which *every* commit has
 //! finished installing all of its pages — not at the raw CSN counter,
 //! so a snapshot can never land in the middle of a multi-page install
@@ -33,47 +33,23 @@
 //! a commit that finishes while an earlier stamp is still installing
 //! parks its stamp until the gap closes.
 //!
-//! Version chains are pruned by [`MvccManager::prune`] under the
-//! cluster's epoch reclamation watermark: an entry is reclaimed only
-//! once no registered snapshot can reach it **and** the epoch watermark
-//! (the meet of reader pins and peer floors, see `crates/epoch`) has
-//! passed the table version it carries — closing the page-version-GC
-//! gap left open by the epoch PR.
+//! Chains are pruned by [`MvccManager::prune`] on the epoch GC sweep,
+//! bounded by the snapshot floor alone: only local snapshot reads walk
+//! them — tagged reads go through the replication layer's `ReadGate`.
 
 use dmv_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dmv_check::sync::{Mutex, MutexGuard};
 use dmv_common::error::{DmvError, DmvResult};
-use dmv_common::ids::{PageId, PageSpace};
+use dmv_common::ids::PageId;
 use dmv_common::version::VersionVector;
+use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::store::PageCell;
+use dmv_pagestore::versions::VersionChain;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Number of sequencer/page-state shards. Power of two so the
 /// Fibonacci hash can use a shift.
 pub const MVCC_SHARDS: usize = 16;
-
-/// Fibonacci-hash a page id onto a shard index (same spreading trick as
-/// the applier's queue shards: all three id components participate).
-fn shard_of(id: PageId) -> usize {
-    let space = match id.space {
-        PageSpace::Heap => 0u64,
-        PageSpace::Index(n) => 1 + n as u64,
-    };
-    let key = (id.table.0 as u64) << 48 | space << 40 | id.page_no as u64;
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MVCC_SHARDS.trailing_zeros())) as usize
-}
-
-/// One superseded committed image on a page's version chain.
-struct VersionEntry {
-    /// Commit stamp at which this image became the committed image
-    /// (`0` for the load-time image).
-    stamp: u64,
-    /// The owning table's version carried by this image — the epoch
-    /// watermark must pass it before the entry can be pruned.
-    table_version: u64,
-    /// Full page image.
-    image: Box<[u8]>,
-}
 
 /// Per-page MVCC state.
 #[derive(Default)]
@@ -81,18 +57,16 @@ struct PageMvcc {
     /// Commit stamp of the current committed image in the page cell
     /// (`0` if the page has never been MVCC-committed).
     last_stamp: u64,
-    /// Superseded images, oldest first. Entry `i` was the committed
-    /// image from `chain[i].stamp` until `chain[i+1].stamp` (or until
-    /// `last_stamp` for the newest entry).
-    chain: Vec<VersionEntry>,
+    /// Reverse steps back from the cell's image, stamped with the
+    /// commit stamps they lead between (`0` is the load-time image).
+    chain: VersionChain,
 }
 
 /// The page read-set of a transaction at validation time: page id plus
 /// the commit stamp observed when the transaction first read it.
 pub type ReadStamp = (PageId, u64);
 
-/// A page install request: the page, its cell, the new image, and the
-/// owning table's post-commit version.
+/// A page install request: the page, its cell and the new image.
 pub struct Install<'a> {
     /// Page being installed.
     pub id: PageId,
@@ -170,8 +144,10 @@ impl MvccManager {
     /// at, copying the bytes out under the page's shard lock so the
     /// stamp and the image are consistent.
     pub fn read_latest(&self, id: PageId, cell: &PageCell) -> (u64, Vec<u8>) {
-        let st = self.pages[shard_of(id)].lock();
+        let st = self.pages[id.shard(MVCC_SHARDS)].lock();
         let stamp = st.get(&id).map_or(0, |e| e.last_stamp);
+        // The latch is a real lock even under the model checker: its
+        // guard must die before the shard unlock, a scheduling point.
         let image = cell.latch.read().data().to_vec();
         drop(st);
         (stamp, image)
@@ -179,7 +155,7 @@ impl MvccManager {
 
     /// The current commit stamp of `id` (`0` if never MVCC-committed).
     pub fn stamp_of(&self, id: PageId) -> u64 {
-        self.pages[shard_of(id)].lock().get(&id).map_or(0, |e| e.last_stamp)
+        self.pages[id.shard(MVCC_SHARDS)].lock().get(&id).map_or(0, |e| e.last_stamp)
     }
 
     /// Registers a snapshot at the newest fully-installed commit stamp;
@@ -209,26 +185,21 @@ impl MvccManager {
         }
     }
 
-    /// Reads the image of `id` as of snapshot `snap`: the page cell if
-    /// its stamp qualifies, else the newest chain entry at or below the
-    /// snapshot, else the zeroed pre-creation image.
+    /// Reads the image of `id` as of the registered snapshot `snap`: the
+    /// page cell's image walked back through the page's chain until its
+    /// stamp is at or below the snapshot. A page first committed after
+    /// the snapshot walks back to the image it was created over.
     pub fn read_at(&self, id: PageId, cell: &PageCell, snap: u64) -> Vec<u8> {
-        let st = self.pages[shard_of(id)].lock();
-        match st.get(&id) {
-            Some(e) if e.last_stamp > snap => {
-                match e.chain.iter().rev().find(|v| v.stamp <= snap) {
-                    Some(v) => v.image.to_vec(),
-                    // Page created (first committed) after the snapshot:
-                    // it reads as the zeroed page it was.
-                    None => vec![0u8; cell.latch.read().data().len()],
-                }
-            }
-            _ => cell.latch.read().data().to_vec(),
-        }
+        let st = self.pages[id.shard(MVCC_SHARDS)].lock();
+        let page = cell.latch.read();
+        let never_committed = PageMvcc::default();
+        let e = st.get(&id).unwrap_or(&never_committed);
+        // unwrap-ok: prune's cutoff keeps every step a registered snapshot can reach (model-checked in crates/check/tests/mvcc.rs)
+        e.chain.image_at(page.data(), e.last_stamp, snap).expect("snapshot outlived its steps")
     }
 
     /// Validates and installs one transaction's writes: first-committer-
-    /// wins over the read set, then chain push + cell overwrite per
+    /// wins over the read set, then reverse-step push + cell overwrite per
     /// written page, all under the sequencer shards covering the
     /// transaction's page set. Returns the new commit stamp.
     ///
@@ -249,17 +220,14 @@ impl MvccManager {
         }
         let stamp = self.csn.fetch_add(1, Ordering::AcqRel) + 1;
         for w in writes {
-            let mut st = self.pages[shard_of(w.id)].lock();
+            let mut st = self.pages[w.id.shard(MVCC_SHARDS)].lock();
             let e = st.entry(w.id).or_default();
             let mut page = w.cell.latch.write();
-            // Push the superseded image *before* overwriting the cell so
-            // a concurrent snapshot reader (who takes this shard lock)
-            // always finds its version on one side of the hand-off.
-            e.chain.push(VersionEntry {
-                stamp: e.last_stamp,
-                table_version: page.version,
-                image: page.data().into(),
-            });
+            // The step back to the superseded image and the overwrite
+            // happen under one hold of the shard lock, which snapshot
+            // readers take too: they see both or neither.
+            let rev = PageDiff::compute(w.image, page.data());
+            e.chain.push(stamp, e.last_stamp, rev, usize::MAX);
             page.data_mut().copy_from_slice(w.image);
             drop(page);
             e.last_stamp = stamp;
@@ -268,14 +236,10 @@ impl MvccManager {
             // ([`MvccManager::clear_dirty_if_current`]) and this set
             // can't interleave the wrong way round.
             w.cell.set_dirty(true);
-            drop(st);
         }
-        // Publish visibility. Stamps are drawn in order but commits
-        // holding disjoint sequencer shards finish in any order, so
-        // `visible` advances only over the contiguous prefix of fully-
-        // installed stamps; later stamps park in `installed` until the
-        // gap closes. A snapshot therefore sees every commit `<=` its
-        // stamp complete on all pages — never half of one transaction.
+        // Publish visibility: commits holding disjoint sequencer shards
+        // finish in any order, so `visible` advances only over the
+        // contiguous prefix of fully-installed stamps (module docs).
         let mut done = self.installed.lock();
         done.insert(stamp);
         let mut vis = self.visible.load(Ordering::Acquire);
@@ -283,7 +247,6 @@ impl MvccManager {
             vis += 1;
         }
         self.visible.store(vis, Ordering::Release);
-        drop(done);
         Ok(stamp)
     }
 
@@ -293,7 +256,7 @@ impl MvccManager {
     /// bookkeeping must not un-dirty a later install that has not been
     /// checkpointed yet.
     pub fn clear_dirty_if_current(&self, id: PageId, cell: &PageCell, stamp: u64) {
-        let st = self.pages[shard_of(id)].lock();
+        let st = self.pages[id.shard(MVCC_SHARDS)].lock();
         if st.get(&id).map_or(0, |e| e.last_stamp) == stamp {
             cell.set_dirty(false);
         }
@@ -304,54 +267,35 @@ impl MvccManager {
     /// both the static lock-order lint and the `dmv_race` detector see
     /// only same-rank `mvcc_seq` → `mvcc_seq` nesting).
     fn lock_sequencer(&self, ids: impl Iterator<Item = PageId>) -> Vec<MutexGuard<'_, ()>> {
-        let mut shards: Vec<usize> = ids.map(shard_of).collect();
+        let mut shards: Vec<usize> = ids.map(|id| id.shard(MVCC_SHARDS)).collect();
         shards.sort_unstable();
         shards.dedup();
         shards.into_iter().map(|s| self.seq[s].lock()).collect()
     }
 
-    /// Prunes version-chain entries no snapshot can reach and the epoch
-    /// reclamation watermark has passed, returning how many were freed.
-    ///
-    /// An entry is reclaimable once (a) the stamp that superseded it is
-    /// `<=` every registered snapshot *and* `<=` the visible stamp
-    /// (future snapshots start at `visible`, so an entry superseded by
-    /// a not-yet-published commit may still be needed), and (b) its
-    /// table version is `<=` the watermark component for its table — so
-    /// epoch-pinned readers (scheduler reads in flight) keep the
-    /// versions their tags may still need.
-    pub fn prune(&self, wm: &VersionVector) -> usize {
-        // Floor read under the `snaps` lock: `begin_snapshot` chooses
-        // its stamp and registers under one hold of the same lock, so
-        // any snapshot missing from the map here will start at a stamp
-        // `>=` the `visible` we read — above everything we reclaim.
+    /// Prunes the chain steps no snapshot can reach, returning how many
+    /// were freed: a step goes once the stamp it leads back *from* is
+    /// `<=` every registered snapshot and `<=` the visible stamp (future
+    /// snapshots start at `visible`, so a step under a not-yet-published
+    /// commit may still be needed). The GC sweep's epoch watermark is
+    /// not consulted: it bounds what *tagged* readers need, and those
+    /// never read these chains.
+    pub fn prune(&self, _watermark: &VersionVector) -> usize {
+        // Floor read under the `snaps` lock (see `begin_snapshot`): a
+        // snapshot missing from the map here will start at a stamp `>=`
+        // the `visible` we read — above everything we reclaim.
         let cutoff = {
             let snaps = self.snaps.lock();
             let min_snap = snaps.keys().next().copied().unwrap_or(u64::MAX);
             min_snap.min(self.visible.load(Ordering::Acquire))
         };
-        let mut freed = 0;
-        for shard in &self.pages {
-            let mut st = shard.lock();
-            for (id, e) in st.iter_mut() {
-                while !e.chain.is_empty() {
-                    let superseded_at =
-                        if e.chain.len() >= 2 { e.chain[1].stamp } else { e.last_stamp };
-                    if superseded_at <= cutoff && e.chain[0].table_version <= wm.get(id.table) {
-                        e.chain.remove(0);
-                        freed += 1;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            st.retain(|_, e| e.last_stamp != 0 || !e.chain.is_empty());
-        }
-        freed
+        self.pages
+            .iter()
+            .map(|shard| shard.lock().values_mut().map(|e| e.chain.prune(cutoff)).sum::<usize>())
+            .sum()
     }
 
-    /// Total version-chain entries currently retained (diagnostics and
-    /// pruning tests).
+    /// Total chain steps currently retained (diagnostics, pruning tests).
     pub fn chain_entries(&self) -> usize {
         self.pages.iter().map(|s| s.lock().values().map(|e| e.chain.len()).sum::<usize>()).sum()
     }
@@ -387,7 +331,7 @@ impl std::fmt::Debug for MvccManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmv_common::ids::TableId;
+    use dmv_common::ids::{PageSpace, TableId};
     use dmv_pagestore::store::{PageStore, Residency};
     use std::sync::Arc;
 
@@ -477,28 +421,36 @@ mod tests {
     }
 
     #[test]
-    fn prune_respects_snapshots_and_watermark() {
+    fn page_created_after_the_snapshot_reads_as_its_pre_creation_image() {
+        let m = MvccManager::new();
+        let s = store();
+        let (other, oc) = s.allocate(TableId(0), PageSpace::Heap);
+        poke(&m, other, &oc, 1).unwrap();
+        let snap = m.begin_snapshot();
+        let (p, c) = s.allocate(TableId(0), PageSpace::Heap);
+        poke(&m, p, &c, 8).unwrap();
+        poke(&m, p, &c, 9).unwrap();
+        assert!(m.read_at(p, &c, snap).iter().all(|&b| b == 0), "walked back past creation");
+        m.end_snapshot(snap);
+    }
+
+    #[test]
+    fn prune_respects_snapshots() {
         let m = MvccManager::new();
         let s = store();
         let (p, c) = s.allocate(TableId(0), PageSpace::Heap);
         poke(&m, p, &c, 1).unwrap();
         let snap = m.begin_snapshot();
         poke(&m, p, &c, 2).unwrap();
-        assert_eq!(m.chain_entries(), 2);
-        // Snapshot pins the image committed at stamp 1.
-        let high = VersionVector::from_entries(vec![u64::MAX]);
-        let freed = m.prune(&high);
-        assert_eq!(m.chain_entries(), 2 - freed);
+        poke(&m, p, &c, 3).unwrap();
+        assert_eq!(m.chain_entries(), 3);
+        // The snapshot at stamp 1 pins the two steps above it; the step
+        // back to the load-time image is free.
+        let any = VersionVector::new(1);
+        assert_eq!(m.prune(&any), 1);
         assert_eq!(m.read_at(p, &c, snap)[0], 1, "pinned image survives pruning");
         m.end_snapshot(snap);
-        m.prune(&high);
+        assert_eq!(m.prune(&any), 2);
         assert_eq!(m.chain_entries(), 0, "everything reclaimable once snapshots close");
-        // A watermark below the superseded image's table version blocks
-        // pruning: an epoch-pinned tagged reader may still need it.
-        c.latch.write().version = 5;
-        poke(&m, p, &c, 3).unwrap();
-        assert_eq!(m.chain_entries(), 1);
-        assert_eq!(m.prune(&VersionVector::new(1)), 0);
-        assert_eq!(m.prune(&high), 1);
     }
 }

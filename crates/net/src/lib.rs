@@ -9,9 +9,9 @@
 //! * [`transport`] — the [`Transport`]/[`Endpoint`] traits that
 //!   `dmv-core` is generic over (send, broadcast, receive, kill, and
 //!   the partition fault hooks the fail-over machinery tests against);
-//! * [`sim`] — [`SimnetTransport`], the adapter presenting
-//!   `dmv-simnet`'s in-process network through the trait, semantics
-//!   unchanged;
+//! * [`sim`] — [`SimnetTransport`], the in-process simulated network:
+//!   typed channels with modeled latency, serialization charge,
+//!   partitions and node kill;
 //! * [`fault`] — [`FaultTransport`], a decorator injecting crash
 //!   faults at exact send counts (kill-mid-broadcast scenarios for
 //!   deterministic simulation testing);

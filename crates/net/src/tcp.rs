@@ -9,7 +9,7 @@
 //! messages into the target node's inbox. One connection per directed
 //! link keeps delivery FIFO per link, like the simulated network.
 //!
-//! Fault semantics mirror `dmv-simnet` (see [`crate::transport`]):
+//! Fault semantics mirror `SimnetTransport` (see [`crate::transport`]):
 //! partitioned links drop silently at the sender (and, defensively, at
 //! the receiver — for cross-process use where only one side injected
 //! the fault), sends to dead or unknown nodes fail with `NoSuchNode`,

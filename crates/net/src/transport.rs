@@ -1,8 +1,8 @@
 //! The transport abstraction `dmv-core` is generic over.
 //!
-//! Semantics are those the cluster machinery was built against (they
-//! match `dmv-simnet` exactly; `TcpTransport` reproduces them over real
-//! sockets):
+//! Semantics are those the cluster machinery was built against
+//! (`SimnetTransport` defines them; `TcpTransport` reproduces them over
+//! real sockets):
 //!
 //! * **Send to a partitioned destination** succeeds silently and drops
 //!   the message — a sender on a real network cannot tell.

@@ -16,7 +16,10 @@
 //!   with a **residency model** (mmap page-fault simulation) driving the
 //!   buffer-cache warmup behaviour of the fail-over experiments;
 //! * [`checkpoint`] — the fuzzy checkpoint used for stale-node
-//!   reintegration (paper §4.4).
+//!   reintegration (paper §4.4);
+//! * [`versions::VersionChain`] — the one representation of page
+//!   history: stamped reverse diffs under a page's current image, walked
+//!   by master snapshot reads and slave rewinds alike.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -26,7 +29,9 @@ pub mod diff;
 pub mod page;
 pub mod slotted;
 pub mod store;
+pub mod versions;
 
 pub use diff::PageDiff;
 pub use page::{Page, PAGE_SIZE};
 pub use store::{PageCell, PageStore, Residency, ResidencyCounters};
+pub use versions::VersionChain;

@@ -26,6 +26,5 @@ pub use dmv_memdb as memdb;
 pub use dmv_net as net;
 pub use dmv_ondisk as ondisk;
 pub use dmv_pagestore as pagestore;
-pub use dmv_simnet as simnet;
 pub use dmv_sql as sql;
 pub use dmv_tpcw as tpcw;
