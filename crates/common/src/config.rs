@@ -162,125 +162,6 @@ impl Default for TcpConfig {
     }
 }
 
-/// Knobs for the contention-management tier
-/// (`ClusterSpec.contention`, shared by the schedulers and masters).
-///
-/// Three mechanisms hang off these values:
-///
-/// * **Conflict-heat tracking** — every MVCC first-committer-wins
-///   validation failure and every 2PL lock timeout deposits one unit of
-///   heat on the pages/tables it conflicted on; heat decays
-///   exponentially with half-life [`heat_half_life`](Self::heat_half_life)
-///   (paper time), so the tracker measures the *current* conflict rate,
-///   not history.
-/// * **Hot-class serialization** — update transactions whose declared
-///   table set carries at least [`hot_threshold`](Self::hot_threshold)
-///   heat are serialized through one of
-///   [`n_classes`](Self::n_classes) per-heat-class queues instead of
-///   racing each other to commit validation (racing guarantees all but
-///   one abort; queueing converts the aborts into short waits).
-/// * **Admission control** — when total heat reaches
-///   [`admission_threshold`](Self::admission_threshold), updates must
-///   take one of [`admission_permits`](Self::admission_permits) permits
-///   on their master's gate; up to
-///   [`admission_queue`](Self::admission_queue) callers park (at most
-///   [`admission_wait`](Self::admission_wait) wall time) and the rest
-///   are shed as retryable `Overloaded` aborts, to be retried under the
-///   client's equal-jitter backoff
-///   ([`backoff_base`](Self::backoff_base) /
-///   [`backoff_cap`](Self::backoff_cap), jitter drawn from
-///   [`seed`](Self::seed) via `rng::seeded`, so deterministic
-///   simulation runs replay identically).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ContentionConfig {
-    /// Exponential-decay half-life of conflict heat (paper time).
-    pub heat_half_life: Duration,
-    /// Table heat at which updates over that table serialize through a
-    /// heat-class queue.
-    pub hot_threshold: f64,
-    /// Total heat at which the master admission gate engages.
-    pub admission_threshold: f64,
-    /// Concurrent update slots per master while the gate is engaged.
-    pub admission_permits: usize,
-    /// Parked waiters allowed per master gate before shedding.
-    pub admission_queue: usize,
-    /// Longest a caller parks on the gate before giving up (wall time).
-    pub admission_wait: Duration,
-    /// Lower bound of every retry backoff delay (paper time).
-    pub backoff_base: Duration,
-    /// Upper bound of every retry backoff delay (paper time).
-    pub backoff_cap: Duration,
-    /// Heat-class queues for hot-update serialization.
-    pub n_classes: usize,
-    /// Seed for the backoff jitter stream.
-    pub seed: u64,
-}
-
-impl Default for ContentionConfig {
-    /// Thresholds are calibrated against the decay math: with half-life
-    /// `T`, a sustained conflict rate of `r`/s settles at heat
-    /// `r·T/ln 2 ≈ 2.89·r` for `T = 2 s`. The brake must only engage at
-    /// genuine pathology — serializing updates or gating admission at
-    /// the heat a healthy cell emits (a few conflicts/s under MVCC
-    /// first-committer-wins) forfeits the multi-writer master's
-    /// parallelism and shows up directly as lost saturation-sweep
-    /// throughput. Defaults therefore sit at ≈ 8 sustained conflicts/s
-    /// on one table (hot) and ≈ 16/s cluster-wide (admission).
-    fn default() -> Self {
-        ContentionConfig {
-            heat_half_life: Duration::from_secs(2),
-            hot_threshold: 24.0,
-            admission_threshold: 48.0,
-            admission_permits: 8,
-            admission_queue: 16,
-            admission_wait: Duration::from_millis(50),
-            backoff_base: Duration::from_micros(300),
-            backoff_cap: Duration::from_millis(8),
-            n_classes: 8,
-            seed: 0xB0FF,
-        }
-    }
-}
-
-/// Group-commit knobs for the master's write-set batcher
-/// (`ClusterSpec.group_commit`, plumbed into every replica).
-///
-/// The master coalesces the write-sets of commits that arrive while the
-/// previous broadcast is still in flight and flushes them as one
-/// `WriteSetBatch` frame. There are **no timer ticks**: a commit that
-/// finds no broadcast in flight flushes itself immediately (so a lone
-/// writer pays exactly the unbatched latency), and an in-flight flush
-/// drains whatever accumulated the moment it completes. These two
-/// bounds only cap how much one flush may carry:
-///
-/// * [`max_batch_count`](Self::max_batch_count) — the most write-sets
-///   one `WriteSetBatch` frame may carry. Larger batches amortize the
-///   per-message network latency over more commits but delay every
-///   commit in the batch until the whole frame is serialized; past
-///   ~64 the amortization is already >98% of the asymptote.
-/// * [`max_batch_bytes`](Self::max_batch_bytes) — a soft cap on the
-///   encoded payload of one flush. A batch closes at the first
-///   write-set that would push it past this bound (a single oversized
-///   write-set still ships alone — the cap never blocks progress).
-///   Bounds the head-of-line blocking a huge batch would impose on the
-///   serialization pipe and the burst a slave must buffer.
-///
-/// Queued commits above either bound simply wait for the next flush,
-/// which starts as soon as the current one completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupCommitConfig {
-    /// Maximum write-sets per flushed batch frame.
-    pub max_batch_count: usize,
-    /// Soft cap on the encoded bytes of one batch frame.
-    pub max_batch_bytes: usize,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig { max_batch_count: 64, max_batch_bytes: 1 << 20 }
-    }
-}
-
 /// Concurrency-control protocol for a master's update transactions.
 ///
 /// The paper's master runs per-page two-phase locking; the `MvccCow`
@@ -359,13 +240,6 @@ mod tests {
     fn concurrency_mode_defaults_to_two_phase() {
         assert_eq!(ConcurrencyMode::default(), ConcurrencyMode::TwoPhase);
         assert_ne!(ConcurrencyMode::MvccCow, ConcurrencyMode::TwoPhase);
-    }
-
-    #[test]
-    fn group_commit_defaults_sane() {
-        let g = GroupCommitConfig::default();
-        assert!(g.max_batch_count >= 1);
-        assert!(g.max_batch_bytes >= 4096);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-pub mod admission;
 pub mod clock;
 pub mod config;
 pub mod error;

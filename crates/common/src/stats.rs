@@ -266,11 +266,7 @@ pub struct TxnStats {
     /// Transactions that exhausted their whole retry budget and
     /// surfaced the abort to the caller.
     pub retry_exhausted: Counter,
-    /// Update attempts shed by an engaged admission gate (full wait
-    /// queue or admission-wait timeout). Like
-    /// [`TxnStats::update_version_aborts`], counted in addition to the
-    /// outcome counters, never into [`TxnStats::attempts`]: a shed
-    /// transaction never reached the master's concurrency control.
+    /// Nothing increments this; the next `benchmark` PR removes it with its `core.admission.sheds` row.
     pub admission_sheds: Counter,
 }
 

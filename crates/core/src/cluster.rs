@@ -10,10 +10,7 @@ use crate::trace::SharedTap;
 use dmv_check::sync::atomic::{AtomicBool, Ordering};
 use dmv_check::sync::{Mutex, RwLock};
 use dmv_common::clock::{SimClock, TimeScale};
-use dmv_common::config::{
-    BufferBudget, ConcurrencyMode, ContentionConfig, CpuProfile, DiskProfile, GroupCommitConfig,
-    NetProfile,
-};
+use dmv_common::config::{BufferBudget, ConcurrencyMode, CpuProfile, DiskProfile, NetProfile};
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{NodeId, ReplicaRole, TableId};
 use dmv_common::stats::TxnStats;
@@ -32,6 +29,9 @@ use std::time::Duration;
 
 /// Pages per migration batch message.
 const MIGRATION_BATCH_PAGES: usize = 64;
+
+/// Buffer pool pages per on-disk backend.
+const BACKEND_BUFFER_PAGES: usize = 512;
 
 /// Cluster construction parameters. All durations are paper time.
 #[derive(Debug, Clone)]
@@ -57,8 +57,6 @@ pub struct ClusterSpec {
     pub disk: DiskProfile,
     /// CPU cost model for query execution.
     pub cpu: CpuProfile,
-    /// Buffer pool pages per backend.
-    pub backend_buffer_pages: usize,
     /// Page-in latency for a non-resident page of an in-memory replica
     /// (the mmap fault behind the cache-warmup effects).
     pub fault_latency: Duration,
@@ -68,11 +66,6 @@ pub struct ClusterSpec {
     /// dead or unreachable target is abandoned after this long; the
     /// failure detector reconfigures it away.
     pub ack_timeout: Duration,
-    /// Group-commit batching bounds for masters (see
-    /// [`GroupCommitConfig`]). The defaults suit the paper's workloads;
-    /// lower `max_batch_count` to bound per-frame latency skew, raise
-    /// it on high-fan-out clusters where broadcast cost dominates.
-    pub group_commit: GroupCommitConfig,
     /// Spare warmup strategy.
     pub warmup: WarmupStrategy,
     /// Fuzzy checkpoint period, if any.
@@ -81,8 +74,6 @@ pub struct ClusterSpec {
     pub detect_interval: Duration,
     /// Commit-path query-logging cost (§4.6).
     pub log_latency: Duration,
-    /// Automatically activate a spare when an active node dies.
-    pub auto_activate_spares: bool,
     /// Version-aware read routing (ablation toggle; paper default on).
     pub same_version_routing: bool,
     /// Resident-byte budget per in-memory replica (see
@@ -96,10 +87,6 @@ pub struct ClusterSpec {
     /// the paper's per-page 2PL, or copy-on-write page MVCC with
     /// first-committer-wins validation (`dmv_memdb::mvcc`).
     pub concurrency: ConcurrencyMode,
-    /// Contention-tier knobs: conflict-heat decay, hot-class update
-    /// serialization, master admission control and the deterministic
-    /// client retry backoff (see [`ContentionConfig`]).
-    pub contention: ContentionConfig,
 }
 
 impl ClusterSpec {
@@ -116,21 +103,17 @@ impl ClusterSpec {
             net: NetProfile::lan_2007(),
             disk: DiskProfile::commodity_2007(),
             cpu: CpuProfile::athlon_2007(),
-            backend_buffer_pages: 512,
             fault_latency: Duration::from_micros(8000),
             lock_timeout: Duration::from_millis(300),
             ack_timeout: Duration::from_secs(2),
-            group_commit: GroupCommitConfig::default(),
             warmup: WarmupStrategy::None,
             checkpoint_period: None,
             detect_interval: Duration::from_secs(1),
             log_latency: Duration::from_micros(500),
-            auto_activate_spares: true,
             same_version_routing: true,
             buffer_budget: BufferBudget::unbounded(),
             gc_interval: Some(Duration::from_millis(500)),
             concurrency: ConcurrencyMode::TwoPhase,
-            contention: ContentionConfig::default(),
         }
     }
 
@@ -180,7 +163,7 @@ pub struct DmvCluster {
     /// reclamation watermark.
     epoch: Arc<EpochManager>,
     /// Cluster-wide contention manager: conflict heat, hot-class
-    /// serialization, admission gates, deterministic retry backoff.
+    /// serialization, deterministic retry backoff.
     contention: Arc<ContentionManager>,
 }
 
@@ -219,7 +202,6 @@ impl DmvCluster {
             fault_latency: spec.fault_latency,
             lock_timeout: spec.lock_timeout,
             ack_timeout: spec.ack_timeout,
-            group_commit: spec.group_commit,
             buffer_budget: spec.buffer_budget,
             concurrency: spec.concurrency,
         };
@@ -272,13 +254,13 @@ impl DmvCluster {
                         disk: spec.disk,
                         cpu: spec.cpu,
                         clock,
-                        buffer_pages: spec.backend_buffer_pages,
+                        buffer_pages: BACKEND_BUFFER_PAGES,
                         lock_timeout: spec.lock_timeout,
                     },
                 ))
             })
             .collect();
-        let contention = ContentionManager::new(spec.contention, clock);
+        let contention = ContentionManager::new(clock);
         for node in replicas.values() {
             node.set_epoch_manager(Arc::clone(&epoch));
             node.set_contention(Arc::clone(&contention));
@@ -295,18 +277,15 @@ impl DmvCluster {
             .map(|i| {
                 Scheduler::new(
                     NodeId(100 + i as u32),
-                    n_tables,
                     topo.clone(),
                     backends.clone(),
                     Arc::clone(&net),
                     sched_cfg.clone(),
+                    Arc::clone(&epoch),
+                    Arc::clone(&contention),
                 )
             })
             .collect();
-        for s in &schedulers {
-            s.set_epoch_manager(Arc::clone(&epoch));
-            s.set_contention(Arc::clone(&contention));
-        }
         Arc::new(DmvCluster {
             clock,
             net,
@@ -559,17 +538,12 @@ impl DmvCluster {
                     s.handle_slave_failure(node.id());
                 }
             }
-            if self.spec.auto_activate_spares {
-                let spare_id = self.schedulers[0]
-                    .topology()
-                    .spares
-                    .iter()
-                    .find(|s| s.is_alive())
-                    .map(|s| s.id());
-                if let Some(id) = spare_id {
-                    for s in &self.schedulers {
-                        s.activate_spare(id);
-                    }
+            // A live spare takes the dead node's place.
+            let spare_id =
+                self.schedulers[0].topology().spares.iter().find(|s| s.is_alive()).map(|s| s.id());
+            if let Some(id) = spare_id {
+                for s in &self.schedulers {
+                    s.activate_spare(id);
                 }
             }
         }
@@ -669,24 +643,9 @@ impl DmvCluster {
         }
     }
 
-    /// The cluster-wide contention manager (heat, admission, backoff).
-    pub fn contention(&self) -> &Arc<ContentionManager> {
-        &self.contention
-    }
-
-    /// Total client retry pauses taken across schedulers.
-    pub fn retries_total(&self) -> u64 {
-        self.schedulers.iter().map(|s| s.stats.retries.get()).sum()
-    }
-
     /// Transactions that exhausted their retry budget, across schedulers.
     pub fn retry_exhausted_total(&self) -> u64 {
         self.schedulers.iter().map(|s| s.stats.retry_exhausted.get()).sum()
-    }
-
-    /// Updates shed by admission control, across schedulers.
-    pub fn admission_sheds_total(&self) -> u64 {
-        self.schedulers.iter().map(|s| s.stats.admission_sheds.get()).sum()
     }
 
     /// Pauses before retry number `attempt` (1-based): the cluster's
@@ -753,7 +712,6 @@ impl DmvCluster {
             fault_latency: self.spec.fault_latency,
             lock_timeout: self.spec.lock_timeout,
             ack_timeout: self.spec.ack_timeout,
-            group_commit: self.spec.group_commit,
             buffer_budget: self.spec.buffer_budget,
             concurrency: self.spec.concurrency,
         };
@@ -793,7 +751,6 @@ impl DmvCluster {
             fault_latency: self.spec.fault_latency,
             lock_timeout: self.spec.lock_timeout,
             ack_timeout: self.spec.ack_timeout,
-            group_commit: self.spec.group_commit,
             buffer_budget: self.spec.buffer_budget,
             concurrency: self.spec.concurrency,
         };
@@ -971,19 +928,7 @@ impl Session {
         f: &mut dyn FnMut(&mut dyn dmv_sql::StatementRunner) -> DmvResult<()>,
         retries: usize,
     ) -> DmvResult<()> {
-        let mut last = None;
-        for attempt in 0..=retries {
-            if attempt > 0 {
-                self.cluster.retry_pause(attempt);
-            }
-            match self.update_with(tables, f) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        self.cluster.note_retry_exhausted();
-        Err(last.expect("at least one attempt")) // unwrap-ok: the retry loop always records an error before falling through
+        self.retry(retries, || self.update_with(tables, f))
     }
 
     /// Closure form of [`Session::read_retry`].
@@ -996,19 +941,7 @@ impl Session {
         f: &mut dyn FnMut(&mut dyn dmv_sql::StatementRunner) -> DmvResult<()>,
         retries: usize,
     ) -> DmvResult<()> {
-        let mut last = None;
-        for attempt in 0..=retries {
-            if attempt > 0 {
-                self.cluster.retry_pause(attempt);
-            }
-            match self.read_with(f) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        self.cluster.note_retry_exhausted();
-        Err(last.expect("at least one attempt")) // unwrap-ok: the retry loop always records an error before falling through
+        self.retry(retries, || self.read_with(f))
     }
 
     /// Runs an update, retrying retryable aborts up to `retries` times.
@@ -1017,19 +950,7 @@ impl Session {
     ///
     /// The last error if retries are exhausted.
     pub fn update_retry(&self, queries: &[Query], retries: usize) -> DmvResult<Vec<ResultSet>> {
-        let mut last = None;
-        for attempt in 0..=retries {
-            if attempt > 0 {
-                self.cluster.retry_pause(attempt);
-            }
-            match self.update(queries) {
-                Ok(r) => return Ok(r),
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        self.cluster.note_retry_exhausted();
-        Err(last.expect("at least one attempt")) // unwrap-ok: the retry loop always records an error before falling through
+        self.retry(retries, || self.update(queries))
     }
 
     /// Runs a read, retrying retryable aborts up to `retries` times.
@@ -1038,19 +959,27 @@ impl Session {
     ///
     /// The last error if retries are exhausted.
     pub fn read_retry(&self, queries: &[Query], retries: usize) -> DmvResult<Vec<ResultSet>> {
-        let mut last = None;
-        for attempt in 0..=retries {
-            if attempt > 0 {
-                self.cluster.retry_pause(attempt);
-            }
-            match self.read(queries) {
-                Ok(r) => return Ok(r),
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
+        self.retry(retries, || self.read(queries))
+    }
+
+    /// The one retry loop: backoff pause before every retry, stop at the
+    /// first success or fatal error, and count the transaction as
+    /// exhausted when its last allowed attempt aborts retryably too.
+    fn retry<T>(&self, retries: usize, mut attempt: impl FnMut() -> DmvResult<T>) -> DmvResult<T> {
+        let mut n = 0;
+        loop {
+            match attempt() {
+                Err(e) if e.is_retryable() && n < retries => {
+                    n += 1;
+                    self.cluster.retry_pause(n);
+                }
+                Err(e) if e.is_retryable() => {
+                    self.cluster.note_retry_exhausted();
+                    return Err(e);
+                }
+                done => return done,
             }
         }
-        self.cluster.note_retry_exhausted();
-        Err(last.expect("at least one attempt")) // unwrap-ok: the retry loop always records an error before falling through
     }
 
     /// The owning cluster.

@@ -1,49 +1,62 @@
 //! Contention management: conflict-heat tracking, hot-class update
-//! serialization and master admission control.
+//! serialization and the deterministic retry backoff.
 //!
-//! PR 9's copy-on-write MVCC master removed the 2PL lock-timeout
-//! collapse, but at saturation its first-committer-wins validation
-//! turns every hot-page race into an abort and a blind retry — wasted
-//! work that climbs with offered load. This module is the feedback loop
-//! that keeps the high-load cells monotone:
+//! The copy-on-write MVCC master has no lock-timeout collapse, but at
+//! saturation its first-committer-wins validation turns every hot-page
+//! race into an abort and a blind retry — wasted work that climbs with
+//! offered load. This module is the feedback loop that keeps the
+//! high-load cells monotone (EXPERIMENTS.md "Overload ablation": with
+//! it off, 64-client aborts go from 4 % to 15 %):
 //!
 //! 1. **Conflict-heat tracker** — every MVCC validation failure and
 //!    every 2PL lock timeout deposits one unit of heat on the conflicted
-//!    page's table; heat decays exponentially (half-life
-//!    `ContentionConfig::heat_half_life`, *paper* time, so decay is
-//!    identical at every `TimeScale`). Heat therefore approximates the
-//!    current conflict *rate*, not cumulative history.
+//!    table; heat decays exponentially with half-life
+//!    [`HEAT_HALF_LIFE`] in *paper* time, so decay is identical at
+//!    every `TimeScale`. Heat therefore approximates the current
+//!    conflict *rate*, not cumulative history.
 //! 2. **Hot-class serialization** — an update whose declared table set
-//!    is hot is funneled through one of a small number of heat-class
-//!    queues (plain mutexes) before it executes, so conflicting writers
-//!    take turns instead of racing to validation where all but one must
+//!    is hot is funneled through one of [`N_CLASSES`] heat-class queues
+//!    (plain mutexes) before it executes, so conflicting writers take
+//!    turns instead of racing to validation where all but one must
 //!    abort. Cold updates pay one decayed heat lookup and proceed
 //!    unserialized.
-//! 3. **Admission gate** — when total heat crosses
-//!    `admission_threshold`, updates must take a permit on their
-//!    master's [`AdmissionGate`] (bounded concurrency, bounded wait
-//!    queue, shed beyond that). Sheds surface as retryable
-//!    [`DmvError::Overloaded`] aborts that clients space out with the
-//!    deterministic equal-jitter [`Backoff`] this manager also hosts.
+//! 3. **Retry backoff** — clients space retries of retryable aborts with
+//!    one seeded equal-jitter [`Backoff`] stream.
+//!
+//! None of the values below is configurable: no caller ever needed a
+//! second setting, so they are constants rather than a config struct.
 //!
 //! Determinism: heat timestamps come from the cluster [`SimClock`]
-//! (paper time) and backoff jitter from one seeded
-//! [`dmv_common::rng::Backoff`] stream, so a single-threaded
-//! deterministic-simulation schedule observes identical heat values,
-//! identical delays and an identical trace on every run.
+//! (paper time) and backoff jitter from the seeded stream, so a
+//! single-threaded deterministic-simulation schedule observes identical
+//! heat values, identical delays and an identical trace on every run.
 
-use dmv_common::admission::{Admission, AdmissionGate, AdmissionPermit};
-use dmv_common::clock::{wall_deadline, SimClock};
-use dmv_common::config::ContentionConfig;
-use dmv_common::error::{DmvError, DmvResult};
-use dmv_common::ids::{NodeId, PageId, TableId};
+use dmv_common::clock::SimClock;
+use dmv_common::ids::TableId;
 use dmv_common::rng::Backoff;
 // Shimmed primitives: parking_lot/std in normal builds, model-checked
 // under `--cfg dmv_check` (see crates/check).
-use dmv_check::sync::{Mutex, MutexGuard, RwLock};
+use dmv_check::sync::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Exponential-decay half-life of conflict heat (paper time). A
+/// sustained conflict rate of `r`/s settles at heat
+/// `r·T/ln 2 ≈ 2.89·r` for this `T`.
+const HEAT_HALF_LIFE: Duration = Duration::from_secs(2);
+/// Table heat at which updates over that table take turns: ≈ 8
+/// sustained conflicts/s on one table. The brake must only engage at
+/// genuine pathology — serializing at the heat a healthy cell emits (a
+/// few conflicts/s) forfeits the multi-writer master's parallelism.
+const HOT_THRESHOLD: f64 = 24.0;
+/// Heat-class queues for hot-update serialization.
+const N_CLASSES: usize = 8;
+/// Bounds of every retry backoff delay (paper time).
+const BACKOFF_BASE: Duration = Duration::from_micros(300);
+const BACKOFF_CAP: Duration = Duration::from_millis(8);
+/// Seed of the backoff jitter stream.
+const BACKOFF_SEED: u64 = 0xB0FF;
 
 /// One decaying heat accumulator: `value` as of `at` (paper time).
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,117 +66,69 @@ struct Heat {
 }
 
 impl Heat {
-    /// The value decayed to `now` with the given half-life.
-    fn decayed(&self, now: Duration, half_life: Duration) -> f64 {
-        if self.value == 0.0 || half_life.is_zero() {
-            return self.value;
-        }
+    /// The value decayed to `now`.
+    fn decayed(&self, now: Duration) -> f64 {
         let dt = now.saturating_sub(self.at).as_secs_f64();
-        self.value * 0.5f64.powf(dt / half_life.as_secs_f64())
+        self.value * 0.5f64.powf(dt / HEAT_HALF_LIFE.as_secs_f64())
     }
 
     /// Decays to `now`, then deposits one unit.
-    fn record(&mut self, now: Duration, half_life: Duration) {
-        self.value = self.decayed(now, half_life) + 1.0;
+    fn record(&mut self, now: Duration) {
+        self.value = self.decayed(now) + 1.0;
         self.at = now;
     }
 }
 
-/// Per-table heat map plus the cluster-wide aggregate.
-#[derive(Debug, Default)]
-struct HeatMap {
-    tables: HashMap<TableId, Heat>,
-    total: Heat,
-}
-
 /// The shared contention manager: one per cluster, consulted by every
-/// scheduler (routing, hot-class serialization, backoff delays) and fed
-/// by every master (validation failures, lock timeouts).
+/// scheduler (hot-class serialization, backoff delays) and fed by every
+/// master (validation failures) and scheduler (lock timeouts).
 pub struct ContentionManager {
-    cfg: ContentionConfig,
     clock: SimClock,
-    heat: Mutex<HeatMap>,
+    heat: Mutex<HashMap<TableId, Heat>>,
     /// Heat-class serialization queues: hot updates lock
-    /// `class_queues[hash(tables) % n]` for their whole execution, so
-    /// same-class writers take turns. Plain mutexes — FIFO enough under
-    /// parking_lot, and exactly one serialization point per class.
-    class_queues: Vec<Mutex<()>>,
-    /// One admission gate per master, created on first use.
-    gates: RwLock<HashMap<NodeId, AdmissionGate>>,
+    /// `class_queues[hash(tables) % N_CLASSES]` for their whole
+    /// execution, so same-class writers take turns. Plain mutexes — FIFO
+    /// enough under parking_lot, and exactly one serialization point
+    /// per class.
+    class_queues: [Mutex<()>; N_CLASSES],
     /// The deterministic equal-jitter delay stream shared by every
     /// session of this cluster.
     backoff: Mutex<Backoff>,
 }
 
 impl ContentionManager {
-    /// A manager over the given knobs and cluster clock.
-    pub fn new(cfg: ContentionConfig, clock: SimClock) -> Arc<Self> {
-        let n = cfg.n_classes.max(1);
+    /// A manager whose heat decays on the given cluster clock.
+    pub fn new(clock: SimClock) -> Arc<Self> {
         let mgr = Arc::new(ContentionManager {
-            backoff: Mutex::new(Backoff::new(cfg.backoff_base, cfg.backoff_cap, cfg.seed)),
-            cfg,
             clock,
-            heat: Mutex::new(HeatMap::default()),
-            class_queues: (0..n).map(|_| Mutex::new(())).collect(),
-            gates: RwLock::new(HashMap::new()),
+            heat: Mutex::new(HashMap::new()),
+            class_queues: std::array::from_fn(|_| Mutex::new(())),
+            backoff: Mutex::new(Backoff::new(BACKOFF_BASE, BACKOFF_CAP, BACKOFF_SEED)),
         });
         dmv_check::race::label(&mgr.heat, "contention.heat");
-        dmv_check::race::label(&mgr.gates, "contention.gates");
         dmv_check::race::label(&mgr.backoff, "contention.backoff");
         mgr
     }
 
-    /// The configured knobs.
-    pub fn config(&self) -> &ContentionConfig {
-        &self.cfg
-    }
-
-    /// Records a conflict on `page` (MVCC first-committer-wins
-    /// validation failure): one unit of heat on the page's table and on
-    /// the cluster total.
-    pub fn record_page_conflict(&self, page: PageId) {
-        self.record_table_conflict(page.table);
-    }
-
-    /// Records a conflict attributed to `table` (2PL lock timeouts are
-    /// reported per conflict-class table by the scheduler, which knows
-    /// the transaction's declared table set).
+    /// Records one conflict on `table`: an MVCC first-committer-wins
+    /// validation failure on one of its pages (reported by the master),
+    /// or a 2PL lock timeout of a transaction that declared it (reported
+    /// by the scheduler, since lock timeouts carry no page id).
     pub fn record_table_conflict(&self, table: TableId) {
         let now = self.clock.now_paper();
-        let mut heat = self.heat.lock();
-        heat.tables.entry(table).or_default().record(now, self.cfg.heat_half_life);
-        heat.total.record(now, self.cfg.heat_half_life);
-    }
-
-    /// Current (decayed) heat of one table.
-    pub fn table_heat(&self, table: TableId) -> f64 {
-        let now = self.clock.now_paper();
-        let heat = self.heat.lock();
-        heat.tables.get(&table).map_or(0.0, |h| h.decayed(now, self.cfg.heat_half_life))
-    }
-
-    /// Current (decayed) cluster-wide heat.
-    pub fn total_heat(&self) -> f64 {
-        let now = self.clock.now_paper();
-        self.heat.lock().total.decayed(now, self.cfg.heat_half_life)
-    }
-
-    /// Hottest (decayed) heat over the given tables.
-    fn hottest(&self, tables: &[TableId]) -> f64 {
-        let now = self.clock.now_paper();
-        let heat = self.heat.lock();
-        tables
-            .iter()
-            .filter_map(|t| heat.tables.get(t))
-            .map(|h| h.decayed(now, self.cfg.heat_half_life))
-            .fold(0.0, f64::max)
+        self.heat.lock().entry(table).or_default().record(now);
     }
 
     /// If the update's table set is hot, locks its heat-class queue for
     /// the update's whole execution (serializing same-class writers);
     /// cold updates get `None` and race as before.
     pub fn serialize_if_hot(&self, tables: &[TableId]) -> Option<MutexGuard<'_, ()>> {
-        if tables.is_empty() || self.hottest(tables) < self.cfg.hot_threshold {
+        let now = self.clock.now_paper();
+        let hottest = {
+            let heat = self.heat.lock();
+            tables.iter().filter_map(|t| heat.get(t)).map(|h| h.decayed(now)).fold(0.0, f64::max)
+        };
+        if hottest < HOT_THRESHOLD {
             return None;
         }
         // Stable class assignment: same table set → same queue, across
@@ -174,53 +139,7 @@ impl ContentionManager {
         for t in tables {
             hash = (hash ^ u64::from(t.0)).wrapping_mul(0x0000_0100_0000_01B3);
         }
-        let idx = (hash % self.class_queues.len() as u64) as usize;
-        Some(self.class_queues[idx].lock())
-    }
-
-    /// Takes an admission permit on `master`'s gate if the gate is
-    /// engaged (total heat at/above the threshold); disengaged gates
-    /// admit everyone for free.
-    ///
-    /// # Errors
-    ///
-    /// [`DmvError::Overloaded`] (retryable) when the wait queue is full
-    /// or no permit freed up within the admission wait.
-    pub fn admit(&self, master: NodeId) -> DmvResult<Option<AdmissionPermit>> {
-        if self.total_heat() < self.cfg.admission_threshold {
-            return Ok(None);
-        }
-        let gate = self.gate(master);
-        match gate.admit_until(wall_deadline(self.cfg.admission_wait)) {
-            Admission::Admitted(p) => Ok(Some(p)),
-            Admission::Shed | Admission::TimedOut => Err(DmvError::Overloaded(master)),
-        }
-    }
-
-    /// The admission gate of one master, created on first use.
-    fn gate(&self, master: NodeId) -> AdmissionGate {
-        if let Some(g) = self.gates.read().get(&master) {
-            return g.clone();
-        }
-        self.gates
-            .write()
-            .entry(master)
-            .or_insert_with(|| {
-                AdmissionGate::new(self.cfg.admission_permits.max(1), self.cfg.admission_queue)
-            })
-            .clone()
-    }
-
-    /// Callers currently parked across every master gate (the DST
-    /// queue-drain oracle checks this returns to zero after a surge).
-    pub fn queued_total(&self) -> usize {
-        self.gates.read().values().map(AdmissionGate::queued).sum()
-    }
-
-    /// Permits currently held across every master gate (zero when the
-    /// cluster is quiescent: every admitted update has released).
-    pub fn permits_held_total(&self) -> usize {
-        self.gates.read().values().map(|g| g.permits() - g.available()).sum()
+        Some(self.class_queues[(hash % N_CLASSES as u64) as usize].lock())
     }
 
     /// The next equal-jitter backoff delay for retry number `attempt`
@@ -229,18 +148,12 @@ impl ContentionManager {
     pub fn backoff_delay(&self, attempt: usize) -> Duration {
         self.backoff.lock().delay(attempt)
     }
-
-    /// The cluster clock the heat decay runs on.
-    pub fn clock(&self) -> SimClock {
-        self.clock
-    }
 }
 
 impl std::fmt::Debug for ContentionManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ContentionManager")
-            .field("total_heat", &self.total_heat())
-            .field("gates", &self.gates.read().len())
+            .field("tracked_tables", &self.heat.lock().len())
             .finish()
     }
 }
@@ -249,86 +162,87 @@ impl std::fmt::Debug for ContentionManager {
 mod tests {
     use super::*;
     use dmv_common::clock::TimeScale;
+    use std::sync::mpsc;
 
-    fn mgr(cfg: ContentionConfig) -> Arc<ContentionManager> {
-        // Real-time scale: now_paper == wall elapsed; tests only rely
-        // on heat at "the same instant" vs "much later".
-        ContentionManager::new(cfg, SimClock::new(TimeScale::realtime()))
+    /// A manager on a clock so compressed (1 wall second = 1 paper µs)
+    /// that every conflict of a test lands at one paper instant: no
+    /// assertion depends on how fast the test thread runs.
+    fn mgr() -> Arc<ContentionManager> {
+        ContentionManager::new(SimClock::new(TimeScale::new(1e6)))
     }
 
     #[test]
     fn heat_accumulates_and_decays() {
-        let cfg = ContentionConfig {
-            heat_half_life: Duration::from_millis(20),
-            ..ContentionConfig::default()
-        };
-        let m = mgr(cfg);
-        let t = TableId(3);
+        let t0 = Duration::from_secs(10);
+        let mut h = Heat::default();
+        assert_eq!(h.decayed(t0), 0.0, "untouched table is cold");
         for _ in 0..4 {
-            m.record_table_conflict(t);
+            h.record(t0);
         }
-        let hot = m.table_heat(t);
-        assert!(hot > 3.0, "4 immediate conflicts ≈ 4 heat, got {hot}");
-        assert!((m.total_heat() - hot).abs() < 0.5);
-        std::thread::sleep(Duration::from_millis(120)); // 6 half-lives
-        let cooled = m.table_heat(t);
-        assert!(cooled < 0.5, "heat must decay, got {cooled}");
-        assert_eq!(m.table_heat(TableId(9)), 0.0, "untouched table is cold");
+        assert_eq!(h.decayed(t0), 4.0, "4 conflicts at one instant are 4 heat");
+        assert_eq!(h.decayed(t0 + HEAT_HALF_LIFE), 2.0);
+        let cooled = h.decayed(t0 + 6 * HEAT_HALF_LIFE);
+        assert!(cooled < 0.5, "6 half-lives must cool 4 heat below 0.5, got {cooled}");
+        h.record(t0 + HEAT_HALF_LIFE);
+        assert_eq!(h.decayed(t0 + HEAT_HALF_LIFE), 3.0, "record decays first, then deposits");
+        assert_eq!(h.decayed(Duration::ZERO), 3.0, "a clock reading before `at` does not heat");
     }
 
     #[test]
     fn hot_tables_serialize_cold_tables_race() {
-        let cfg = ContentionConfig { hot_threshold: 2.0, ..ContentionConfig::default() };
-        let m = mgr(cfg);
+        let m = mgr();
         let hot = TableId(1);
         assert!(m.serialize_if_hot(&[hot]).is_none(), "cold table must not queue");
-        for _ in 0..3 {
+        for _ in 0..23 {
             m.record_table_conflict(hot);
         }
+        assert!(m.serialize_if_hot(&[hot]).is_none(), "23 conflicts sit below HOT_THRESHOLD");
+        m.record_table_conflict(hot);
+        m.record_table_conflict(hot);
         let guard = m.serialize_if_hot(&[hot]);
-        assert!(guard.is_some(), "hot table must serialize");
+        assert!(guard.is_some(), "25 conflicts at one instant cross HOT_THRESHOLD");
         // A disjoint cold set is unaffected even while the hot class is
-        // held.
+        // held, and an empty set is never hot.
         assert!(m.serialize_if_hot(&[TableId(7)]).is_none());
+        assert!(m.serialize_if_hot(&[]).is_none());
     }
 
     #[test]
-    fn gate_engages_only_above_threshold_and_sheds_bounded() {
-        let cfg = ContentionConfig {
-            admission_threshold: 2.0,
-            admission_permits: 1,
-            admission_queue: 0,
-            admission_wait: Duration::from_millis(5),
-            ..ContentionConfig::default()
+    fn same_class_writers_take_turns() {
+        let m = mgr();
+        let hot = TableId(1);
+        for _ in 0..25 {
+            m.record_table_conflict(hot);
+        }
+        let first = m.serialize_if_hot(&[hot]).expect("hot");
+        let (started, entered) = (mpsc::channel(), mpsc::channel());
+        let second = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                started.0.send(()).expect("main is listening");
+                let _turn = m.serialize_if_hot(&[hot]).expect("still hot");
+                entered.0.send(()).expect("main is listening");
+            })
         };
-        let m = mgr(cfg);
-        let master = NodeId(0);
-        // Cold: gate disengaged, free admission.
-        assert!(m.admit(master).expect("cold admit").is_none());
-        for _ in 0..3 {
-            m.record_table_conflict(TableId(0));
-        }
-        let p = m.admit(master).expect("first hot admit");
-        assert!(p.is_some(), "engaged gate must hand out a real permit");
-        assert_eq!(m.permits_held_total(), 1);
-        // Sole permit held, zero queue slots: next caller is shed.
-        match m.admit(master) {
-            Err(DmvError::Overloaded(n)) => assert_eq!(n, master),
-            other => panic!("expected Overloaded shed, got {other:?}"),
-        }
-        drop(p);
-        assert_eq!(m.permits_held_total(), 0);
-        assert!(m.admit(master).expect("post-release admit").is_some());
+        started.1.recv().expect("second thread runs");
+        // In correct code this wait always times out, whatever the
+        // host's speed: the second caller sends only once it owns the
+        // class queue. The timeout only bounds how long a broken gate
+        // gets to show itself.
+        let early = entered.1.recv_timeout(Duration::from_millis(50));
+        assert!(early.is_err(), "second writer entered beside the first");
+        drop(first);
+        entered.1.recv().expect("second writer enters once the first guard drops");
+        second.join().expect("second thread");
     }
 
     #[test]
     fn backoff_stream_is_deterministic_and_bounded() {
-        let cfg = ContentionConfig::default();
-        let (a, b) = (mgr(cfg), mgr(cfg));
+        let (a, b) = (mgr(), mgr());
         for attempt in 1..=10 {
             let d = a.backoff_delay(attempt);
             assert_eq!(d, b.backoff_delay(attempt), "same seed, same stream");
-            assert!(d >= cfg.backoff_base && d <= cfg.backoff_cap);
+            assert!((BACKOFF_BASE..=BACKOFF_CAP).contains(&d));
         }
     }
 }

@@ -11,10 +11,9 @@
 //! (a lightweight insert) and fed asynchronously to the on-disk
 //! backend(s), so the commit path never waits for a disk database.
 //!
-//! When a [`ContentionManager`] is installed, updates additionally pass
-//! the contention tier before reaching their master: hot-table-set
-//! serialization and, above a heat threshold, bounded admission with
-//! shedding (see [`crate::contention`]).
+//! Updates additionally pass the contention tier before reaching their
+//! master: writers over a hot table set take turns (see
+//! [`crate::contention`]).
 
 use crate::contention::ContentionManager;
 use crate::messages::Msg;
@@ -165,30 +164,31 @@ pub struct Scheduler {
     tap: RwLock<Option<SharedTap>>,
     /// Cluster epoch manager: every tagged read pins its snapshot
     /// epoch for its whole execution, holding the reclamation
-    /// watermark at or below its tag. `None` disables pinning
-    /// (standalone schedulers; reclamation is then not in play).
-    epoch: RwLock<Option<Arc<EpochManager>>>,
-    /// Cluster contention manager: conflict-heat accounting, hot-class
-    /// update serialization and master admission control. `None`
-    /// disables the tier (standalone schedulers: updates race to the
-    /// master unthrottled, as before PR 10).
-    contention: RwLock<Option<Arc<ContentionManager>>>,
+    /// watermark at or below its tag.
+    epoch: Arc<EpochManager>,
+    /// Cluster contention manager: conflict-heat accounting and
+    /// hot-class update serialization.
+    contention: Arc<ContentionManager>,
 }
 
 impl Scheduler {
     /// Creates a scheduler over `topo`, feeding `backends` asynchronously.
+    /// `epoch` and `contention` are the cluster-wide managers every
+    /// scheduler and replica of one cluster shares.
     pub fn new(
         id: NodeId,
-        n_tables: usize,
         topo: Topology,
         backends: Vec<Arc<DiskDb>>,
         net: DynTransport<Msg>,
         cfg: SchedulerConfig,
+        epoch: Arc<EpochManager>,
+        contention: Arc<ContentionManager>,
     ) -> Arc<Self> {
         let sched = Arc::new(Scheduler {
             id,
             topo: RwLock::new(topo),
-            latest: AtomicVersionVector::new(n_tables),
+            // Tags are pinned in `epoch`, which insists on its own width.
+            latest: AtomicVersionVector::new(epoch.n_tables()),
             slave_loads: RwLock::new(HashMap::new()),
             cfg,
             net,
@@ -200,8 +200,8 @@ impl Scheduler {
             alive: AtomicBool::new(true),
             backends: backends.clone(),
             tap: RwLock::new(None),
-            epoch: RwLock::new(None),
-            contention: RwLock::new(None),
+            epoch,
+            contention,
         });
         dmv_check::race::label(&sched.topo, "topo");
         dmv_check::race::label(&sched.slave_loads, "slave_loads");
@@ -255,19 +255,6 @@ impl Scheduler {
     /// [`crate::trace`].
     pub fn set_trace_tap(&self, tap: SharedTap) {
         *self.tap.write() = Some(tap);
-    }
-
-    /// Installs the cluster's epoch manager; tagged reads pin their
-    /// epoch in it for the duration of their execution.
-    pub fn set_epoch_manager(&self, epoch: Arc<EpochManager>) {
-        *self.epoch.write() = Some(epoch);
-    }
-
-    /// Installs the cluster's contention manager; update transactions
-    /// then pass hot-class serialization and admission control before
-    /// reaching their master, and 2PL lock timeouts feed its heat map.
-    pub fn set_contention(&self, contention: Arc<ContentionManager>) {
-        *self.contention.write() = Some(contention);
     }
 
     fn emit(&self, f: impl FnOnce() -> TraceEvent) {
@@ -326,25 +313,10 @@ impl Scheduler {
         f: &mut dyn FnMut(&mut dyn StatementRunner) -> DmvResult<()>,
     ) -> DmvResult<()> {
         let master = self.master_for_tables(tables)?;
-        // Contention tier, resolved before the request hop so shed
-        // transactions never cost a master round-trip. Both guards are
-        // held across the whole master execution: the class guard
-        // serializes hot-set writers (turn-taking beats racing to
-        // first-committer-wins validation), the permit bounds how many
-        // updates the master runs at once when conflict heat is high.
-        let contention = self.contention.read().clone();
-        let _class_guard = contention.as_ref().and_then(|c| c.serialize_if_hot(tables));
-        let _permit = match contention.as_ref().map(|c| c.admit(master.id())).transpose() {
-            Ok(p) => p.flatten(),
-            Err(e) => {
-                self.count_abort(&e);
-                self.emit(|| TraceEvent::UpdateAborted {
-                    scheduler: self.id,
-                    reason: e.to_string(),
-                });
-                return Err(e);
-            }
-        };
+        // Contention tier: the class guard is held across the whole
+        // master execution, so hot-set writers take turns (which beats
+        // racing to first-committer-wins validation).
+        let _class_guard = self.contention.serialize_if_hot(tables);
         self.charge_hop(256); // client → scheduler → master request hop
         let mut writes: Vec<Query> = Vec::new();
         let res = master.execute_update_with(&mut |r| {
@@ -383,12 +355,12 @@ impl Scheduler {
                     // total.
                     self.stats.update_version_aborts.inc();
                 }
-                if let (Some(c), DmvError::Deadlock(_)) = (contention.as_ref(), &e) {
+                if matches!(e, DmvError::Deadlock(_)) {
                     // 2PL lock timeouts carry no page id; attribute the
                     // heat to the transaction's declared conflict-class
                     // tables (the lock it timed out on is one of them).
                     for t in tables {
-                        c.record_table_conflict(*t);
+                        self.contention.record_table_conflict(*t);
                     }
                 }
                 self.count_abort(&e);
@@ -431,9 +403,6 @@ impl Scheduler {
             }
             DmvError::NodeFailed(_) | DmvError::NoSuchNode(_) => {
                 self.stats.failure_aborts.inc();
-            }
-            DmvError::Overloaded(_) => {
-                self.stats.admission_sheds.inc();
             }
             _ => {}
         }
@@ -528,7 +497,7 @@ impl Scheduler {
         // guard drops (end of this call), the reclamation watermark
         // cannot pass `tag`, so eager GC application can never upgrade
         // a page past what this read may still materialize.
-        let _epoch_guard = self.epoch.read().clone().map(|e| e.pin(&tag));
+        let _epoch_guard = self.epoch.pin(&tag);
         let slave = self.pick_slave(&tag)?;
         let n = self.read_counter.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: warmup pacing heuristic; exact interleaving immaterial
                                                                        // Warmup strategy B: periodic page-id transfer to spares.

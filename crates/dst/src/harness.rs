@@ -444,9 +444,7 @@ impl Harness<'_> {
 
     /// Burst of `n` conflicting counter updates under a small retry
     /// budget, then the contention-tier oracle: no transaction may
-    /// exceed its budget (the retry-exhausted counter must not move)
-    /// and the admission tier must drain — nobody left parked on a
-    /// gate, no permit still held — once the burst returns.
+    /// exceed its budget (the retry-exhausted counter must not move).
     fn surge(&mut self, ctr: i64, n: u32) -> String {
         const SURGE_RETRIES: usize = 5;
         let exhausted_before = self.cluster.retry_exhausted_total();
@@ -466,11 +464,6 @@ impl Harness<'_> {
             self.fail(format!(
                 "surge: {exhausted} transaction(s) exceeded the {SURGE_RETRIES}-retry budget"
             ));
-        }
-        let contention = self.cluster.contention();
-        let (queued, held) = (contention.queued_total(), contention.permits_held_total());
-        if queued != 0 || held != 0 {
-            self.fail(format!("surge: admission tier not drained (queued={queued} held={held})"));
         }
         format!("n={n} committed={committed}")
     }

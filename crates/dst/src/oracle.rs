@@ -159,7 +159,6 @@ pub fn err_label(e: &DmvError) -> &'static str {
         DmvError::VersionConflict { .. } => "VersionConflict",
         DmvError::Deadlock(_) => "Deadlock",
         DmvError::NodeFailed(_) => "NodeFailed",
-        DmvError::Overloaded(_) => "Overloaded",
         DmvError::NoSuchNode(_) => "NoSuchNode",
         DmvError::NoReplicaAvailable => "NoReplicaAvailable",
         DmvError::Schema(_) => "Schema",

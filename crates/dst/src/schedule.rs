@@ -150,10 +150,8 @@ pub enum Event {
     /// Burst of `n` conflicting counter updates from one client, each
     /// run under a small retry budget, followed by the contention-tier
     /// oracle: no transaction may exceed its retry budget (every burst
-    /// update eventually commits) and the admission tier must be fully
-    /// drained — no parked waiter, no held permit — once the burst
-    /// returns. Hand-written schedules only (not generated), so adding
-    /// it reshuffles no existing corpus seed.
+    /// update eventually commits). Hand-written schedules only (not
+    /// generated), so adding it reshuffles no existing corpus seed.
     Surge { client: u64, ctr: i64, n: u32 },
 }
 

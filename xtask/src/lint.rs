@@ -34,6 +34,11 @@
 //!   (`crates/core/src/messages.rs`) must appear in the round-trip
 //!   suite `crates/core/tests/wire_roundtrip.rs`; a codec case that is
 //!   never round-tripped is exactly the one that breaks on the wire.
+//! * **design-inventory** — every `pub mod` of a `crates/<dir>/src/lib.rs`
+//!   is named on the `modules:` list of `<dir>/`'s entry in DESIGN.md's
+//!   "Workspace inventory", and the list names no module that is gone:
+//!   the inventory is the map a newcomer reads first, and a stale line
+//!   in it (a module deleted long ago, say) outlives every grep.
 //!
 //! Most rules apply only to `crates/*/src` library code, and within a
 //! src file everything from the first `#[cfg(test)]` line onward is
@@ -91,6 +96,11 @@ const RELAXED_CORPUS_EXEMPT: &[&str] =
 /// the suite that must cover them.
 const WIRE_ENUM_FILE: &str = "crates/core/src/messages.rs";
 const WIRE_ROUNDTRIP_FILE: &str = "crates/core/tests/wire_roundtrip.rs";
+
+/// The document, and the section of it, that must name every public
+/// module of every workspace crate.
+const DESIGN_FILE: &str = "DESIGN.md";
+const INVENTORY_HEADING: &str = "## Workspace inventory";
 
 #[derive(Debug)]
 struct Violation {
@@ -177,6 +187,7 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 
     check_wire_exhaustive(&root, &mut violations);
+    check_design_inventory(&root, &mut violations);
 
     if violations.is_empty() {
         println!("lint: {scanned} files clean");
@@ -439,6 +450,82 @@ fn check_wire_exhaustive(root: &Path, out: &mut Vec<Violation>) {
                 }
                 _ => {}
             }
+        }
+    }
+}
+
+// ------------------------------------------------------ design inventory
+
+fn first_token(line: &str) -> &str {
+    line.split_whitespace().next().unwrap_or("")
+}
+
+/// The `pub mod` names of each `crates/<dir>/src/lib.rs` and the names
+/// on the `modules:` list of `<dir>/`'s inventory entry must be the same
+/// set. An entry runs from the line whose first token is `<dir>/` to the
+/// next line whose first token ends in `/` (or the closing code fence);
+/// its `modules:` list runs to the end of the entry.
+fn check_design_inventory(root: &Path, out: &mut Vec<Violation>) {
+    let design = std::fs::read_to_string(root.join(DESIGN_FILE)).unwrap_or_default();
+    let inventory: Vec<(usize, &str)> = design
+        .lines()
+        .enumerate()
+        .skip_while(|(_, l)| l.trim_end() != INVENTORY_HEADING)
+        .skip(1)
+        .take_while(|(_, l)| !l.starts_with("## "))
+        .collect();
+    let Ok(entries) = std::fs::read_dir(root.join("crates")) else { return };
+    let mut dirs: Vec<String> =
+        entries.flatten().filter_map(|e| e.file_name().into_string().ok()).collect();
+    dirs.sort();
+    for dir in dirs {
+        let lib = format!("crates/{dir}/src/lib.rs");
+        let Ok(text) = std::fs::read_to_string(root.join(&lib)) else { continue };
+        let declared: Vec<(usize, &str)> = text
+            .lines()
+            .enumerate()
+            .filter_map(|(i, l)| Some((i, l.trim().strip_prefix("pub mod ")?.strip_suffix(';')?)))
+            .collect();
+
+        let entry: Vec<(usize, &str)> = inventory
+            .iter()
+            .skip_while(|(_, l)| first_token(l).strip_suffix('/') != Some(dir.as_str()))
+            .enumerate()
+            .take_while(|(n, (_, l))| {
+                *n == 0 || !(first_token(l).ends_with('/') || first_token(l) == "```")
+            })
+            .map(|(_, e)| *e)
+            .collect();
+        let entry_text = entry.iter().map(|(_, l)| *l).collect::<Vec<_>>().join(" ");
+        let listed: Vec<&str> = entry_text
+            .split_once("modules:")
+            .map(|(_, names)| names.split([' ', ',', '`']).filter(|w| !w.is_empty()).collect())
+            .unwrap_or_default();
+        let list_line = entry.iter().find(|(_, l)| l.contains("modules:")).map_or(0, |(ln, _)| *ln);
+
+        for (i, name) in &declared {
+            if !listed.contains(name) {
+                out.push(Violation {
+                    file: lib.clone(),
+                    line: i + 1,
+                    rule: "design-inventory",
+                    message: format!(
+                        "`pub mod {name}` is not on the `modules:` list of `{dir}/` in \
+                         {DESIGN_FILE}'s \"{INVENTORY_HEADING}\" — name it there"
+                    ),
+                });
+            }
+        }
+        for name in listed.iter().filter(|n| !declared.iter().any(|(_, d)| d == *n)) {
+            out.push(Violation {
+                file: DESIGN_FILE.to_string(),
+                line: list_line + 1,
+                rule: "design-inventory",
+                message: format!(
+                    "the inventory lists module `{name}` under `{dir}/`, but {lib} declares \
+                     no such `pub mod` — drop the stale name"
+                ),
+            });
         }
     }
 }

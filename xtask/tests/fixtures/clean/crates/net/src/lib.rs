@@ -10,3 +10,6 @@ fn dial(addr: std::net::SocketAddr) -> std::io::Result<std::net::TcpStream> {
 fn bind_loopback() -> std::io::Result<std::net::TcpListener> {
     std::net::TcpListener::bind("127.0.0.1:0")
 }
+
+pub mod frame;
+pub mod tcp;

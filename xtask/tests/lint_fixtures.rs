@@ -26,6 +26,7 @@ fn bad_fixture_trips_every_rule() {
         "wire-boundary",
         "lock-order",
         "wire-exhaustive",
+        "design-inventory",
     ] {
         assert!(
             stderr.contains(&format!("[{rule}]")),
@@ -48,6 +49,19 @@ fn bad_fixture_skips_test_code() {
             .unwrap_or_else(|| panic!("unparseable violation line: {line}"));
         assert!(lineno < 26, "violation reported inside test code: {line}");
     }
+}
+
+#[test]
+fn bad_fixture_reports_the_unlisted_and_the_stale_module() {
+    let out = run_lint("bad");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let inventory: Vec<&str> =
+        stderr.lines().filter(|l| l.contains("[design-inventory]")).collect();
+    assert_eq!(inventory.len(), 2, "one unlisted + one stale module expected; stderr:\n{stderr}");
+    assert!(inventory.iter().any(|l| {
+        l.starts_with("crates/common/src/lib.rs:5:") && l.contains("`pub mod stats`")
+    }));
+    assert!(inventory.iter().any(|l| l.starts_with("DESIGN.md:8:") && l.contains("`gate`")));
 }
 
 #[test]
