@@ -118,7 +118,7 @@ fn bench_btree(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 37) % 10_000;
             let mut txn = db.begin_read_local();
-            black_box(txn.index_lookup(TableId(0), 0, &[Value::Int(i)]).unwrap());
+            black_box(txn.index_lookup(TableId(0), 0, &[Value::Int(i)], &[0, 1]).unwrap());
         })
     });
     g.bench_function("range_scan_100", |b| {
@@ -132,6 +132,7 @@ fn bench_btree(c: &mut Criterion) {
                     Some((&[Value::Int(5099)], true)),
                     false,
                     None,
+                    &[0, 1],
                 )
                 .unwrap(),
             );
@@ -171,7 +172,7 @@ fn bench_writeset(c: &mut Criterion) {
         b.iter(|| {
             k = (k + 1) % 1000;
             let mut txn = db.begin_update();
-            let hit = txn.index_lookup(TableId(0), 0, &[Value::Int(k)]).unwrap();
+            let hit = txn.index_lookup(TableId(0), 0, &[Value::Int(k)], &[0, 1]).unwrap();
             let (rid, mut row) = hit.into_iter().next().unwrap();
             row[1] = "updated".into();
             txn.update(TableId(0), rid, row).unwrap();

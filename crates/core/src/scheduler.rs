@@ -155,7 +155,6 @@ pub struct Scheduler {
     /// Aggregate transaction statistics for this scheduler.
     pub stats: Arc<TxnStats>,
     read_counter: AtomicU64,
-    query_log: Mutex<Vec<Vec<Query>>>,
     backend_tx: Mutex<Option<crossbeam::channel::Sender<Vec<Query>>>>,
     feed_thread: Mutex<Option<dmv_check::thread::JoinHandle<()>>>,
     alive: AtomicBool,
@@ -194,7 +193,6 @@ impl Scheduler {
             net,
             stats: Arc::new(TxnStats::new()),
             read_counter: AtomicU64::new(0),
-            query_log: Mutex::new(Vec::new()),
             backend_tx: Mutex::new(None),
             feed_thread: Mutex::new(None),
             alive: AtomicBool::new(true),
@@ -273,11 +271,6 @@ impl Scheduler {
         *self.topo.write() = topo;
     }
 
-    /// The persisted query log (for recovery tests).
-    pub fn query_log_len(&self) -> usize {
-        self.query_log.lock().len()
-    }
-
     fn charge_hop(&self, bytes: usize) {
         let t = self.cfg.net.transfer_time(bytes);
         if !t.is_zero() {
@@ -302,7 +295,8 @@ impl Scheduler {
     /// Runs an update transaction driven by a statement closure. The
     /// scheduler is pre-configured with the tables each transaction type
     /// accesses (`tables`, the paper's conflict-class information);
-    /// committed write statements are recorded for the persistence log.
+    /// committed write statements are recorded and fed to the on-disk
+    /// backends (the persistence log of §4.6).
     ///
     /// # Errors
     ///
@@ -333,11 +327,12 @@ impl Scheduler {
                     version: version.clone(),
                 });
                 // §4.6: log, then return; backends apply asynchronously.
+                // The log write is its latency; the logged statements
+                // live on in the backends' WALs, not in this process.
                 if !self.cfg.log_latency.is_zero() {
                     self.cfg.clock.sleep_paper(self.cfg.log_latency);
                 }
                 if !writes.is_empty() {
-                    self.query_log.lock().push(writes.clone());
                     if let Some(tx) = self.backend_tx.lock().as_ref() {
                         let _ = tx.send(writes);
                     }

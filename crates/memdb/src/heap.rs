@@ -16,7 +16,7 @@ use crate::txn::Txn;
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{PageId, PageSpace, RowId, TableId};
 use dmv_pagestore::slotted;
-use dmv_sql::row::{decode_row, encode_row, Row};
+use dmv_sql::row::{decode_cols, decode_row, encode_row, Row};
 
 /// Inserts `row` into the table's heap, returning its new id.
 ///
@@ -86,18 +86,49 @@ pub fn insert(txn: &mut Txn<'_>, table: TableId, row: &Row) -> DmvResult<RowId> 
 /// suffices.
 const FRESH_PAGE_RACES: usize = 16;
 
-/// Reads the row at `rid`, or `None` if the slot is dead.
+/// Reads the whole row at `rid`, or `None` if the slot is dead.
 ///
 /// # Errors
 ///
 /// Propagates lock/version errors and decode failures.
 pub fn read(txn: &mut Txn<'_>, table: TableId, rid: RowId) -> DmvResult<Option<Row>> {
     let id = PageId::heap(table, rid.page_no);
-    let bytes = txn.read_page(id, |d| slotted::read(d, rid.slot).map(<[u8]>::to_vec))?;
-    match bytes {
-        Some(b) => Ok(Some(decode_row(&b)?)),
-        None => Ok(None),
+    txn.read_page(id, |d| slotted::read(d, rid.slot).map(decode_row).transpose())?
+}
+
+/// Columns `cols` (strictly ascending) of the rows at `rids`, in `rids`
+/// order; dead slots are skipped. The row ids are grouped by page and
+/// every page is visited once — one pass through the transaction's read
+/// protocol per page, not per row — decoding the requested columns
+/// straight from the page bytes.
+///
+/// # Errors
+///
+/// Propagates lock/version errors and decode failures.
+pub fn read_many(
+    txn: &mut Txn<'_>,
+    table: TableId,
+    rids: &[RowId],
+    cols: &[usize],
+) -> DmvResult<Vec<(RowId, Row)>> {
+    // Positions in `rids`, grouped by page (a stable sort, and a no-op for
+    // an index range over rows that were inserted in key order).
+    let mut by_page: Vec<usize> = (0..rids.len()).collect();
+    by_page.sort_by_key(|&i| rids[i].page_no);
+    let mut found = Vec::with_capacity(rids.len());
+    for on_page in by_page.chunk_by(|&a, &b| rids[a].page_no == rids[b].page_no) {
+        let id = PageId::heap(table, rids[on_page[0]].page_no);
+        txn.read_page(id, |d| {
+            for &i in on_page {
+                if let Some(rec) = slotted::read(d, rids[i].slot) {
+                    found.push((i, rids[i], decode_cols(rec, cols)?));
+                }
+            }
+            Ok::<(), DmvError>(())
+        })??;
     }
+    found.sort_by_key(|&(i, ..)| i); // back into `rids` order
+    Ok(found.into_iter().map(|(_, rid, row)| (rid, row)).collect())
 }
 
 /// Replaces the row at `rid`, relocating it if it no longer fits its
@@ -142,24 +173,23 @@ pub fn delete(txn: &mut Txn<'_>, table: TableId, rid: RowId) -> DmvResult<()> {
     }
 }
 
-/// All live rows of the table, page by page.
+/// Columns `cols` (strictly ascending) of all live rows of the table,
+/// page by page.
 ///
 /// # Errors
 ///
 /// Propagates lock/version errors and decode failures.
-pub fn scan(txn: &mut Txn<'_>, table: TableId) -> DmvResult<Vec<(RowId, Row)>> {
-    let count = txn.heap_page_count(table);
+pub fn scan(txn: &mut Txn<'_>, table: TableId, cols: &[usize]) -> DmvResult<Vec<(RowId, Row)>> {
     let mut out = Vec::new();
-    for page_no in 0..count {
-        let id = PageId::heap(table, page_no);
-        let recs: Vec<(u16, Vec<u8>)> = txn.read_page(id, |d| {
-            slotted::live_slots(d)
-                .map(|s| (s, slotted::read(d, s).expect("live slot").to_vec())) // unwrap-ok: slot ids come from live_slots over the same page bytes
-                .collect()
-        })?;
-        for (slot, bytes) in recs {
-            out.push((RowId::new(page_no, slot), decode_row(&bytes)?));
-        }
+    for page_no in 0..txn.heap_page_count(table) {
+        txn.read_page(PageId::heap(table, page_no), |d| {
+            for slot in slotted::live_slots(d) {
+                if let Some(rec) = slotted::read(d, slot) {
+                    out.push((RowId::new(page_no, slot), decode_cols(rec, cols)?));
+                }
+            }
+            Ok::<(), DmvError>(())
+        })??;
     }
     Ok(out)
 }

@@ -178,7 +178,6 @@ impl<'db> Txn<'db> {
                 if let Some((_, img)) = self.bases.get(&id) {
                     return Ok(f(img));
                 }
-                let tag = tag.clone();
                 let want = tag.get(id.table);
                 let cell = self.db.store().get_or_create(id);
                 self.db.store().fault_in(&cell);
@@ -196,7 +195,7 @@ impl<'db> Txn<'db> {
                         None => Err(DmvError::VersionConflict { page: id, wanted: want, found }),
                     }
                 };
-                if let Err(e) = gate.prepare_read(id, &cell, &tag) {
+                if let Err(e) = gate.prepare_read(id, &cell, tag) {
                     if let DmvError::VersionConflict { found, .. } = e {
                         rewind(found)?;
                         return Ok(f(&self.bases[&id].1));
@@ -569,8 +568,8 @@ impl ExecContext for Txn<'_> {
         self.db.schema()
     }
 
-    fn scan(&mut self, table: TableId) -> DmvResult<Vec<(RowId, Row)>> {
-        let rows = heap::scan(self, table)?;
+    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<Vec<(RowId, Row)>> {
+        let rows = heap::scan(self, table, cols)?;
         self.owe(self.db.cost_scan(rows.len()));
         Ok(rows)
     }
@@ -580,18 +579,9 @@ impl ExecContext for Txn<'_> {
         table: TableId,
         index_no: u8,
         key: &[Value],
+        cols: &[usize],
     ) -> DmvResult<Vec<(RowId, Row)>> {
-        self.owe(self.db.cost_probe());
-        let ix = BTreeIndex::new(table, index_no);
-        let rids = ix.lookup_eq(self, key)?;
-        let mut out = Vec::with_capacity(rids.len());
-        for rid in rids {
-            if let Some(row) = heap::read(self, table, rid)? {
-                out.push((rid, row));
-            }
-        }
-        self.owe(self.db.cost_scan(out.len()));
-        Ok(out)
+        self.index_range(table, index_no, Some((key, true)), Some((key, true)), false, None, cols)
     }
 
     fn index_range(
@@ -602,18 +592,13 @@ impl ExecContext for Txn<'_> {
         hi: Option<(&[Value], bool)>,
         rev: bool,
         limit: Option<usize>,
+        cols: &[usize],
     ) -> DmvResult<Vec<(RowId, Row)>> {
         self.owe(self.db.cost_probe());
-        let ix = BTreeIndex::new(table, index_no);
-        let entries = ix.range(self, lo, hi, rev, limit)?;
-        let mut out = Vec::with_capacity(entries.len());
-        for (_, rid) in entries {
-            if let Some(row) = heap::read(self, table, rid)? {
-                out.push((rid, row));
-            }
-        }
-        self.owe(self.db.cost_scan(out.len()));
-        Ok(out)
+        let rids = BTreeIndex::new(table, index_no).range(self, lo, hi, rev, limit)?;
+        let rows = heap::read_many(self, table, &rids, cols)?;
+        self.owe(self.db.cost_scan(rows.len()));
+        Ok(rows)
     }
 
     fn insert(&mut self, table: TableId, row: Row) -> DmvResult<RowId> {
@@ -654,7 +639,7 @@ impl ExecContext for Txn<'_> {
 
 impl Txn<'_> {
     fn insert_inner(&mut self, table: TableId, row: Row) -> DmvResult<RowId> {
-        let ts = self.db.schema().table(table)?.clone();
+        let ts = self.db.schema().table(table)?;
         // Unique checks before any mutation, so a duplicate leaves no
         // trace even within this transaction.
         for (ix_no, ix) in ts.indexes.iter().enumerate() {
@@ -675,7 +660,7 @@ impl Txn<'_> {
     }
 
     fn update_inner(&mut self, table: TableId, rid: RowId, row: Row) -> DmvResult<()> {
-        let ts = self.db.schema().table(table)?.clone();
+        let ts = self.db.schema().table(table)?;
         let old = heap::read(self, table, rid)?
             .ok_or_else(|| DmvError::NotFound(format!("row {rid} in {}", ts.name)))?;
         // Unique checks for keys that change.
@@ -705,7 +690,7 @@ impl Txn<'_> {
     }
 
     fn delete_inner(&mut self, table: TableId, rid: RowId) -> DmvResult<()> {
-        let ts = self.db.schema().table(table)?.clone();
+        let ts = self.db.schema().table(table)?;
         let old = heap::read(self, table, rid)?
             .ok_or_else(|| DmvError::NotFound(format!("row {rid} in {}", ts.name)))?;
         heap::delete(self, table, rid)?;

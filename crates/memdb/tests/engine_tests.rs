@@ -16,6 +16,9 @@ use dmv_sql::value::Value;
 use rand::prelude::*;
 use std::sync::Arc;
 
+/// Every column of the `kv` table, for reads that want whole rows.
+const KV_COLS: &[usize] = &[0, 1, 2];
+
 fn kv_schema() -> Schema {
     Schema::new(vec![TableSchema::new(
         TableId(0),
@@ -173,8 +176,8 @@ fn update_maintains_secondary_index() {
     txn.commit(None);
     let mut r = db.begin_read_local();
     // lookup via secondary index must reflect the move
-    let hits10 = r.index_lookup(TableId(0), 1, &[Value::Int(10)]).unwrap();
-    let hits99 = r.index_lookup(TableId(0), 1, &[Value::Int(99)]).unwrap();
+    let hits10 = r.index_lookup(TableId(0), 1, &[Value::Int(10)], KV_COLS).unwrap();
+    let hits99 = r.index_lookup(TableId(0), 1, &[Value::Int(99)], KV_COLS).unwrap();
     assert_eq!(hits10.len(), 1);
     assert_eq!(hits99.len(), 1);
     assert_eq!(hits99[0].1[0], Value::Int(1));
@@ -194,7 +197,7 @@ fn delete_removes_from_indexes() {
     .unwrap();
     txn.commit(None);
     let mut r = db.begin_read_local();
-    assert_eq!(r.index_lookup(TableId(0), 1, &[Value::Int(0)]).unwrap().len(), 0);
+    assert_eq!(r.index_lookup(TableId(0), 1, &[Value::Int(0)], KV_COLS).unwrap().len(), 0);
     let rs = execute(&mut r, &Query::Select(Select::scan(TableId(0)))).unwrap();
     assert_eq!(rs.rows.len(), 6);
 }
@@ -217,7 +220,7 @@ fn btree_survives_many_inserts_with_splits() {
     let mut r = db.begin_read_local();
     // every key findable
     for k in [0i64, 1, n / 2, n - 1] {
-        let hits = r.index_lookup(TableId(0), 0, &[Value::Int(k)]).unwrap();
+        let hits = r.index_lookup(TableId(0), 0, &[Value::Int(k)], KV_COLS).unwrap();
         assert_eq!(hits.len(), 1, "key {k}");
     }
     // range scan ordered
@@ -229,6 +232,7 @@ fn btree_survives_many_inserts_with_splits() {
             Some((&[Value::Int(200)], true)),
             false,
             None,
+            KV_COLS,
         )
         .unwrap();
     assert_eq!(rows.len(), 101);
@@ -236,11 +240,11 @@ fn btree_survives_many_inserts_with_splits() {
     let want: Vec<i64> = (100..=200).collect();
     assert_eq!(got, want);
     // reverse with limit
-    let rows = r.index_range(TableId(0), 0, None, None, true, Some(5)).unwrap();
+    let rows = r.index_range(TableId(0), 0, None, None, true, Some(5), KV_COLS).unwrap();
     let got: Vec<i64> = rows.iter().map(|(_, r)| r[0].as_int().unwrap()).collect();
     assert_eq!(got, vec![n - 1, n - 2, n - 3, n - 4, n - 5]);
     // secondary index group counts
-    let hits = r.index_lookup(TableId(0), 1, &[Value::Int(3)]).unwrap();
+    let hits = r.index_lookup(TableId(0), 1, &[Value::Int(3)], KV_COLS).unwrap();
     assert_eq!(hits.len() as i64, (0..n).filter(|k| k % 17 == 3).count() as i64);
 }
 
@@ -253,7 +257,7 @@ fn non_unique_index_handles_duplicate_keys() {
     }
     txn.commit(None);
     let mut r = db.begin_read_local();
-    let hits = r.index_lookup(TableId(0), 1, &[Value::Int(7)]).unwrap();
+    let hits = r.index_lookup(TableId(0), 1, &[Value::Int(7)], KV_COLS).unwrap();
     assert_eq!(hits.len(), 500);
 }
 
@@ -303,14 +307,14 @@ fn write_set_application_converges_bitwise() {
                     );
                 }
                 1 => {
-                    let hit = txn.index_lookup(TableId(0), 0, &[Value::Int(k)]).unwrap();
+                    let hit = txn.index_lookup(TableId(0), 0, &[Value::Int(k)], KV_COLS).unwrap();
                     if let Some((rid, mut row)) = hit.into_iter().next() {
                         row[1] = format!("upd{round}").into();
                         txn.update(TableId(0), rid, row).unwrap();
                     }
                 }
                 _ => {
-                    let hit = txn.index_lookup(TableId(0), 0, &[Value::Int(k)]).unwrap();
+                    let hit = txn.index_lookup(TableId(0), 0, &[Value::Int(k)], KV_COLS).unwrap();
                     if let Some((rid, _)) = hit.into_iter().next() {
                         txn.delete(TableId(0), rid).unwrap();
                     }

@@ -1,18 +1,29 @@
 //! Query executor over a pluggable storage context.
 //!
-//! Both database engines (`dmv-memdb`, `dmv-ondisk`) implement
-//! [`ExecContext`]; the executor contains all the relational logic
-//! (access-path resolution, joins, aggregation, ordering) exactly once,
-//! so the in-memory tier and the on-disk baseline answer queries
-//! identically — a property the integration tests check directly.
+//! `dmv-memdb`'s `Txn` implements [`ExecContext`] (the on-disk baseline
+//! `dmv-ondisk` wraps a `MemDb`, so it runs the same transactions); the
+//! executor contains all the relational logic (access-path resolution,
+//! joins, aggregation, ordering) exactly once, so the in-memory tier and
+//! the on-disk baseline answer queries identically — a property the
+//! integration tests check directly.
+//!
+//! A select is one depth-first pass: the [`Layout`] derived from the
+//! statement tells every table which columns to supply, each base row is
+//! filtered as soon as the columns of a conjunct are bound, joined rows
+//! are never concatenated (a joined row is one index per table into the
+//! rows read so far), and whatever consumes the pass — hash aggregate,
+//! sort, or plain output — clones only the values it returns.
 
-use crate::query::{Access, AggFn, Expr, Query, Select, SetExpr};
+use crate::query::{Access, AggFn, Expr, GroupBy, Query, Select, SetExpr};
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{RowId, TableId};
+use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Storage interface the executor runs against, bound to one open
 /// transaction on one engine.
@@ -20,18 +31,24 @@ use std::collections::HashMap;
 /// Index scans return rows in key order; all methods perform the
 /// engine's own concurrency control (page locks, version application)
 /// internally and may fail with retryable errors.
+///
+/// Every read names the columns it wants: `cols` holds strictly
+/// ascending column positions of the table, and each returned row has
+/// exactly one value per entry of `cols`, in that order (a column the
+/// stored row does not have reads as NULL). An engine decodes nothing
+/// else, so a caller that wants whole rows passes every position.
 pub trait ExecContext {
     /// The database schema.
     fn schema(&self) -> &Schema;
 
-    /// All live rows of a table (in unspecified order).
+    /// Columns `cols` of all live rows of a table (in unspecified order).
     ///
     /// # Errors
     ///
     /// Propagates engine errors (lock conflicts, version conflicts, I/O).
-    fn scan(&mut self, table: TableId) -> DmvResult<Vec<(RowId, Row)>>;
+    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<Vec<(RowId, Row)>>;
 
-    /// Rows whose index key equals `key` exactly.
+    /// Columns `cols` of the rows whose index key equals `key` exactly.
     ///
     /// # Errors
     ///
@@ -41,13 +58,16 @@ pub trait ExecContext {
         table: TableId,
         index_no: u8,
         key: &[Value],
+        cols: &[usize],
     ) -> DmvResult<Vec<(RowId, Row)>>;
 
-    /// Rows in key order between the bounds (each `(prefix, inclusive)`).
+    /// Columns `cols` of the rows between the bounds (each `(prefix,
+    /// inclusive)`), in key order.
     ///
     /// # Errors
     ///
     /// Propagates engine errors.
+    #[allow(clippy::too_many_arguments)] // the index range's five parts plus the column set
     fn index_range(
         &mut self,
         table: TableId,
@@ -56,6 +76,7 @@ pub trait ExecContext {
         hi: Option<(&[Value], bool)>,
         rev: bool,
         limit: Option<usize>,
+        cols: &[usize],
     ) -> DmvResult<Vec<(RowId, Row)>>;
 
     /// Inserts a validated row; the engine maintains all indexes.
@@ -178,7 +199,7 @@ pub fn execute(ctx: &mut dyn ExecContext, q: &Query) -> DmvResult<ResultSet> {
     match q {
         Query::Select(s) => run_select(ctx, s),
         Query::Insert { table, rows } => {
-            let schema = ctx.schema().table(*table)?.clone();
+            let schema = ctx.schema().table(*table)?;
             for row in rows {
                 schema.validate(row)?;
             }
@@ -190,31 +211,21 @@ pub fn execute(ctx: &mut dyn ExecContext, q: &Query) -> DmvResult<ResultSet> {
             Ok(ResultSet { rows: Vec::new(), affected: n })
         }
         Query::Update { table, access, filter, set } => {
-            ctx.set_write_intent(true);
-            let matches = base_rows(ctx, *table, access, filter);
-            ctx.set_write_intent(false);
-            let matches = matches?;
-            let schema = ctx.schema().table(*table)?.clone();
             let mut n = 0;
-            for (rid, old) in matches {
+            for (rid, old) in rows_to_modify(ctx, *table, access, filter)? {
                 let mut new = old.clone();
                 for (col, sx) in set {
-                    let cur = &old[*col];
-                    new[*col] = apply_set(cur, sx)?;
+                    new[*col] = apply_set(&old[*col], sx)?;
                 }
-                schema.validate(&new)?;
+                ctx.schema().table(*table)?.validate(&new)?;
                 ctx.update(*table, rid, new)?;
                 n += 1;
             }
             Ok(ResultSet { rows: Vec::new(), affected: n })
         }
         Query::Delete { table, access, filter } => {
-            ctx.set_write_intent(true);
-            let matches = base_rows(ctx, *table, access, filter);
-            ctx.set_write_intent(false);
-            let matches = matches?;
             let mut n = 0;
-            for (rid, _) in matches {
+            for (rid, _) in rows_to_modify(ctx, *table, access, filter)? {
                 ctx.delete(*table, rid)?;
                 n += 1;
             }
@@ -260,20 +271,27 @@ fn resolve_auto(schema: &Schema, table: TableId, filter: &Option<Expr>) -> DmvRe
     Ok(Access::FullScan)
 }
 
-fn base_rows(
+/// Reads `cols` of the rows of `table` that `access` reaches
+/// (`Access::Auto` resolved against `filter` first).
+fn read_base(
     ctx: &mut dyn ExecContext,
     table: TableId,
     access: &Access,
     filter: &Option<Expr>,
+    cols: &[usize],
 ) -> DmvResult<Vec<(RowId, Row)>> {
+    let resolved;
     let access = match access {
-        Access::Auto => resolve_auto(ctx.schema(), table, filter)?,
-        other => other.clone(),
+        Access::Auto => {
+            resolved = resolve_auto(ctx.schema(), table, filter)?;
+            &resolved
+        }
+        other => other,
     };
-    let rows = match &access {
+    match access {
         Access::Auto => unreachable!("auto was resolved above"),
-        Access::FullScan => ctx.scan(table)?,
-        Access::IndexEq { index_no, key } => ctx.index_lookup(table, *index_no, key)?,
+        Access::FullScan => ctx.scan(table, cols),
+        Access::IndexEq { index_no, key } => ctx.index_lookup(table, *index_no, key, cols),
         Access::IndexRange { index_no, lo, hi, rev, scan_limit } => ctx.index_range(
             table,
             *index_no,
@@ -281,595 +299,420 @@ fn base_rows(
             hi.as_ref().map(|(k, inc)| (k.as_slice(), *inc)),
             *rev,
             *scan_limit,
-        )?,
-    };
-    match filter {
-        Some(f) => Ok(rows.into_iter().filter(|(_, r)| f.truthy(r)).collect()),
-        None => Ok(rows),
+            cols,
+        ),
+    }
+}
+
+/// The whole rows an UPDATE or DELETE applies to, located under write
+/// intent.
+fn rows_to_modify(
+    ctx: &mut dyn ExecContext,
+    table: TableId,
+    access: &Access,
+    filter: &Option<Expr>,
+) -> DmvResult<Vec<(RowId, Row)>> {
+    let all: Vec<usize> = (0..ctx.schema().table(table)?.columns.len()).collect();
+    ctx.set_write_intent(true);
+    let rows = read_base(ctx, table, access, filter, &all);
+    ctx.set_write_intent(false);
+    let mut rows = rows?;
+    if let Some(f) = filter {
+        rows.retain(|(_, r)| f.truthy(&|c| ValueRef::at(r, c)));
+    }
+    Ok(rows)
+}
+
+/// Where the columns of a select's joined row come from. Column
+/// references in a [`Select`] are flat indexes into the concatenation of
+/// the base table's columns and each join's; the executor never builds
+/// that concatenation. *Source* `0` is the base table and source `i` the
+/// table of join `i - 1`, each read narrowed to the columns the statement
+/// uses, and a joined row is a *tuple*: one row number per source.
+struct Layout {
+    /// Per source its first flat column, then the joined row's width.
+    offsets: Vec<usize>,
+    /// Per source, the table columns it must supply (ascending) — the
+    /// `cols` of every read of that table.
+    needs: Vec<Vec<usize>>,
+    /// Flat column → `(source, position in the source's narrowed row)`;
+    /// `None` for a column the statement never looks at.
+    slots: Vec<Option<(usize, usize)>>,
+}
+
+impl Layout {
+    /// Derives the layout from everything in `s` that names a column:
+    /// join keys, the filter, and either grouping columns and aggregate
+    /// arguments (ordering and projection then refer to the aggregated
+    /// row) or sort keys and projection — every column when a select
+    /// without grouping has no projection.
+    fn of(schema: &Schema, s: &Select) -> DmvResult<Layout> {
+        let mut offsets = vec![0, schema.table(s.table)?.columns.len()];
+        for j in &s.joins {
+            offsets.push(offsets[offsets.len() - 1] + schema.table(j.table)?.columns.len());
+        }
+        let mut layout = Layout { offsets, needs: Vec::new(), slots: Vec::new() };
+        let mut used = vec![false; layout.offsets[layout.offsets.len() - 1]];
+        // A reference past the joined row reads as NULL; nothing to fetch.
+        let mut mark = |c: usize| {
+            if let Some(u) = used.get_mut(c) {
+                *u = true;
+            }
+        };
+        for (i, j) in s.joins.iter().enumerate() {
+            mark(j.left_col);
+            if let (None, Some(right)) = (j.right_index, layout.flat(i + 1, j.right_col)) {
+                mark(right);
+            }
+        }
+        if let Some(f) = &s.filter {
+            f.for_each_col(&mut mark);
+        }
+        match (&s.group_by, &s.project) {
+            (Some(g), _) => {
+                g.cols.iter().copied().for_each(&mut mark);
+                for agg in &g.aggs {
+                    match agg {
+                        AggFn::Count => {}
+                        AggFn::Sum(c) | AggFn::Avg(c) | AggFn::Min(c) | AggFn::Max(c) => mark(*c),
+                    }
+                }
+            }
+            (None, Some(cols)) => {
+                cols.iter().copied().for_each(&mut mark);
+                s.order_by.iter().for_each(|&(c, _)| mark(c));
+            }
+            (None, None) => used.fill(true),
+        }
+        for (source, from_to) in layout.offsets.windows(2).enumerate() {
+            let mut cols = Vec::new();
+            for (local, &used) in used[from_to[0]..from_to[1]].iter().enumerate() {
+                layout.slots.push(used.then_some((source, cols.len())));
+                if used {
+                    cols.push(local);
+                }
+            }
+            layout.needs.push(cols);
+        }
+        Ok(layout)
+    }
+
+    /// The flat index of column `local` of `source`, if it has one.
+    fn flat(&self, source: usize, local: usize) -> Option<usize> {
+        let flat = self.offsets[source] + local;
+        (flat < self.offsets[source + 1]).then_some(flat)
+    }
+
+    /// The last source a conjunct reads: it can be applied as soon as a
+    /// tuple reaches that source.
+    fn stage_of(&self, e: &Expr) -> usize {
+        let mut stage = 0;
+        e.for_each_col(&mut |c| {
+            if let Some(&Some((source, _))) = self.slots.get(c) {
+                stage = stage.max(source);
+            }
+        });
+        stage
+    }
+}
+
+/// One select in flight: the rows read so far and how to read more.
+struct Pipeline<'a> {
+    ctx: &'a mut dyn ExecContext,
+    s: &'a Select,
+    layout: Layout,
+    /// `conjuncts[i]`: the filter conjuncts decidable once a tuple has
+    /// sources `0..=i` (base-only conjuncts run before the first probe).
+    conjuncts: Vec<Vec<&'a Expr>>,
+    /// Per source, the narrowed rows read so far; tuples index into these.
+    rows: Vec<Vec<Row>>,
+    /// Per indexed join, probe key → its matches' range in the joined
+    /// source's rows. Within one statement the snapshot is fixed, so a
+    /// repeated probe must return the same rows, and TPC-W's hot joins
+    /// (order lines → items → authors) repeat a few keys thousands of
+    /// times. (A join without an index scans its table once, up front.)
+    probed: Vec<HashMap<Value, (usize, usize)>>,
+}
+
+impl<'a> Pipeline<'a> {
+    fn new(ctx: &'a mut dyn ExecContext, s: &'a Select) -> DmvResult<Self> {
+        let layout = Layout::of(ctx.schema(), s)?;
+        let sources = s.joins.len() + 1;
+        let mut conjuncts = vec![Vec::new(); sources];
+        for e in s.filter.iter().flat_map(Expr::conjuncts) {
+            conjuncts[layout.stage_of(e)].push(e);
+        }
+        Ok(Pipeline {
+            ctx,
+            s,
+            layout,
+            conjuncts,
+            rows: vec![Vec::new(); sources],
+            probed: vec![HashMap::new(); s.joins.len()],
+        })
+    }
+
+    /// Flat column `c` of `tuple`; `None` where the joined row has no
+    /// such column, or not yet (it reads as NULL).
+    fn col(&self, tuple: &[usize], c: usize) -> Option<&Value> {
+        let (source, pos) = (*self.layout.slots.get(c)?)?;
+        self.rows[source][*tuple.get(source)?].get(pos)
+    }
+
+    fn col_ref(&self, tuple: &[usize], c: usize) -> ValueRef<'_> {
+        self.col(tuple, c).map_or(ValueRef::Null, ValueRef::from)
+    }
+
+    /// Runs the select depth first — base row, its matches in the first
+    /// join, their matches in the second, … — handing every joined tuple
+    /// that passes the filter to `sink`, in the order the reference
+    /// pipeline (join everything, then filter) would produce them, until
+    /// `sink` returns `false`. Unless `sink` `keeps` tuples to look at
+    /// after the pass, a base row is freed as soon as its tuples are
+    /// consumed, so a large scan is never held twice — once as read,
+    /// once as returned.
+    fn run(&mut self, keeps: bool, sink: &mut dyn FnMut(&Self, &[usize]) -> bool) -> DmvResult<()> {
+        let s = self.s;
+        let base = read_base(self.ctx, s.table, &s.access, &s.filter, &self.layout.needs[0])?;
+        self.rows[0] = base.into_iter().map(|(_, r)| r).collect();
+        for (i, j) in s.joins.iter().enumerate().filter(|(_, j)| j.right_index.is_none()) {
+            let all = self.ctx.scan(j.table, &self.layout.needs[i + 1])?;
+            self.rows[i + 1] = all.into_iter().map(|(_, r)| r).collect();
+        }
+        let mut tuple = Vec::with_capacity(self.rows.len());
+        for b in 0..self.rows[0].len() {
+            tuple.push(b);
+            let more = self.extend(&mut tuple, sink)?;
+            tuple.pop();
+            if !more {
+                break;
+            }
+            if !keeps {
+                self.rows[0][b] = Row::new();
+            }
+        }
+        Ok(())
+    }
+
+    /// Extends a tuple that has sources `0..tuple.len()` through the
+    /// remaining joins. Returns whether `sink` wants more.
+    fn extend(
+        &mut self,
+        tuple: &mut Vec<usize>,
+        sink: &mut dyn FnMut(&Self, &[usize]) -> bool,
+    ) -> DmvResult<bool> {
+        let stage = tuple.len() - 1;
+        if !self.conjuncts[stage].iter().all(|e| e.truthy(&|c| self.col_ref(tuple, c))) {
+            return Ok(true);
+        }
+        let Some(join) = self.s.joins.get(stage) else { return Ok(sink(self, tuple)) };
+        let key = match self.col(tuple, join.left_col) {
+            Some(key) if !key.is_null() => key,
+            _ => return Ok(true),
+        };
+        // An indexed join's matches are the probe's rows; without an
+        // index they are the rows of the scanned table whose join column
+        // equals the key.
+        let (matches, unindexed) = match join.right_index {
+            Some(ix) => match self.probed[stage].get(key) {
+                Some(&(from, to)) => (from..to, None),
+                None => {
+                    let key = key.clone();
+                    let found = self.ctx.index_lookup(
+                        join.table,
+                        ix,
+                        std::slice::from_ref(&key),
+                        &self.layout.needs[stage + 1],
+                    )?;
+                    let rows = &mut self.rows[stage + 1];
+                    let from = rows.len();
+                    rows.extend(found.into_iter().map(|(_, r)| r));
+                    self.probed[stage].insert(key, (from, rows.len()));
+                    (from..self.rows[stage + 1].len(), None)
+                }
+            },
+            None => match self.layout.flat(stage + 1, join.right_col) {
+                Some(right) => (0..self.rows[stage + 1].len(), Some((right, key.clone()))),
+                None => return Ok(true),
+            },
+        };
+        for r in matches {
+            tuple.push(r);
+            let joins = unindexed.as_ref().is_none_or(|(c, key)| self.col(tuple, *c) == Some(key));
+            let more = !joins || self.extend(tuple, sink)?;
+            tuple.pop();
+            if !more {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The output row of `tuple`: `cols` of the joined row.
+    fn output(&self, tuple: &[usize], cols: &[usize]) -> Row {
+        cols.iter().map(|&c| self.col(tuple, c).cloned().unwrap_or(Value::Null)).collect()
     }
 }
 
 fn run_select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
-    // 1. Base access (note: the residual filter may reference joined
-    //    columns, so it is applied after joins, not here).
-    let access = match &s.access {
-        Access::Auto => resolve_auto(ctx.schema(), s.table, &s.filter)?,
-        other => other.clone(),
+    let mut p = Pipeline::new(ctx, s)?;
+    let limit = s.limit.unwrap_or(usize::MAX);
+    let all: Vec<usize>;
+    let cols = match &s.project {
+        Some(cols) => cols,
+        None => {
+            all = (0..p.layout.slots.len()).collect();
+            &all
+        }
     };
-    let base: Vec<(RowId, Row)> = match &access {
-        Access::Auto => unreachable!(),
-        Access::FullScan => ctx.scan(s.table)?,
-        Access::IndexEq { index_no, key } => ctx.index_lookup(s.table, *index_no, key)?,
-        Access::IndexRange { index_no, lo, hi, rev, scan_limit } => ctx.index_range(
-            s.table,
-            *index_no,
-            lo.as_ref().map(|(k, inc)| (k.as_slice(), *inc)),
-            hi.as_ref().map(|(k, inc)| (k.as_slice(), *inc)),
-            *rev,
-            *scan_limit,
-        )?,
-    };
-    let mut acc: Vec<Row> = base.into_iter().map(|(_, r)| r).collect();
-
-    // 2. Joins (left-deep nested loop; index inner when available).
-    for join in &s.joins {
-        let mut next = Vec::with_capacity(acc.len());
-        // Fallback path scans the right table once.
-        let scanned: Option<Vec<Row>> = if join.right_index.is_none() {
-            Some(ctx.scan(join.table)?.into_iter().map(|(_, r)| r).collect())
-        } else {
-            None
-        };
-        // Index inner: memoize probes per distinct key. TPC-W's hot
-        // joins (order lines → items, items → authors) repeat a few
-        // skewed keys thousands of times per query, and every probe is
-        // a full B-tree descent through the read gate; within one
-        // query the snapshot is fixed, so a repeated probe must return
-        // the same rows. (BTreeMap because Value is Ord but not Hash.)
-        let mut probe_cache: std::collections::BTreeMap<Value, Vec<Row>> =
-            std::collections::BTreeMap::new();
-        for left in acc {
-            let key = left.get(join.left_col).cloned().unwrap_or(Value::Null);
-            if key.is_null() {
-                continue;
-            }
-            let rights: Vec<Row> = match (&join.right_index, &scanned) {
-                (Some(ix), _) => match probe_cache.entry(key.clone()) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.get().clone(),
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        let rows: Vec<Row> = ctx
-                            .index_lookup(join.table, *ix, std::slice::from_ref(&key))?
-                            .into_iter()
-                            .map(|(_, r)| r)
-                            .collect();
-                        e.insert(rows).clone()
-                    }
-                },
-                (None, Some(all)) => {
-                    all.iter().filter(|r| r.get(join.right_col) == Some(&key)).cloned().collect()
+    let mut rows: Vec<Row> = Vec::new();
+    match &s.group_by {
+        _ if limit == 0 => {}
+        // Pipeline order: … → group → order → limit → project.
+        Some(g) => {
+            let mut groups = Groups::new(g);
+            p.run(false, &mut |p, tuple| {
+                groups.add(|c| p.col(tuple, c));
+                true
+            })?;
+            rows = groups.finish();
+            rows.sort_by(|a, b| {
+                cmp_keys(&s.order_by, |c| ValueRef::at(a, c), |c| ValueRef::at(b, c))
+            });
+            rows.truncate(limit);
+            if let Some(cols) = &s.project {
+                for row in &mut rows {
+                    *row = cols.iter().map(|&c| ValueRef::at(row, c).to_value()).collect();
                 }
-                (None, None) => unreachable!(),
-            };
-            for right in rights {
-                let mut combined = left.clone();
-                combined.extend(right);
-                next.push(combined);
             }
         }
-        acc = next;
+        // Nothing reorders the tuples: emit them as they come and stop
+        // reading as soon as the limit is full.
+        None if s.order_by.is_empty() => p.run(false, &mut |p, tuple| {
+            rows.push(p.output(tuple, cols));
+            rows.len() < limit
+        })?,
+        // Sort the tuples, not the rows: only the survivors of the limit
+        // are materialized.
+        None => {
+            let mut tuples: Vec<usize> = Vec::new();
+            p.run(true, &mut |_, tuple| {
+                tuples.extend_from_slice(tuple);
+                true
+            })?;
+            let mut order: Vec<&[usize]> = tuples.chunks_exact(p.rows.len()).collect();
+            order.sort_by(|a, b| cmp_keys(&s.order_by, |c| p.col_ref(a, c), |c| p.col_ref(b, c)));
+            rows.extend(order.into_iter().take(limit).map(|tuple| p.output(tuple, cols)));
+        }
     }
-
-    // 3. Residual filter.
-    if let Some(f) = &s.filter {
-        acc.retain(|r| f.truthy(r));
-    }
-
-    // 4. Grouped aggregation.
-    if let Some(g) = &s.group_by {
-        acc = aggregate(acc, &g.cols, &g.aggs);
-    }
-
-    // 5. Order.
-    if !s.order_by.is_empty() {
-        acc.sort_by(|a, b| {
-            for &(col, desc) in &s.order_by {
-                let va = a.get(col).cloned().unwrap_or(Value::Null);
-                let vb = b.get(col).cloned().unwrap_or(Value::Null);
-                let ord = if desc { vb.cmp(&va) } else { va.cmp(&vb) };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    // 6. Limit.
-    if let Some(n) = s.limit {
-        acc.truncate(n);
-    }
-
-    // 7. Project.
-    if let Some(cols) = &s.project {
-        acc = acc
-            .into_iter()
-            .map(|r| cols.iter().map(|&c| r.get(c).cloned().unwrap_or(Value::Null)).collect())
-            .collect();
-    }
-
-    Ok(ResultSet { rows: acc, affected: 0 })
+    Ok(ResultSet { rows, affected: 0 })
 }
 
-fn aggregate(rows: Vec<Row>, cols: &[usize], aggs: &[AggFn]) -> Vec<Row> {
-    #[derive(Clone)]
-    struct AggState {
-        count: u64,
-        sum: f64,
-        all_int: bool,
-        min: Option<Value>,
-        max: Option<Value>,
+/// `ORDER BY` comparison of two rows given by their column accessors
+/// (the sorts using it are stable, so ties keep pipeline order).
+fn cmp_keys<'a>(
+    order_by: &[(usize, bool)],
+    a: impl Fn(usize) -> ValueRef<'a>,
+    b: impl Fn(usize) -> ValueRef<'a>,
+) -> Ordering {
+    for &(col, desc) in order_by {
+        let ord = if desc { b(col).cmp(&a(col)) } else { a(col).cmp(&b(col)) };
+        if ord != Ordering::Equal {
+            return ord;
+        }
     }
-    let fresh = AggState { count: 0, sum: 0.0, all_int: true, min: None, max: None };
+    Ordering::Equal
+}
 
-    // group key -> (representative group values, per-agg state)
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for row in rows {
-        let key: Vec<Value> =
-            cols.iter().map(|&c| row.get(c).cloned().unwrap_or(Value::Null)).collect();
-        let states = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key.clone());
-            vec![fresh.clone(); aggs.len()]
+/// One aggregate's running state within one group.
+#[derive(Clone, Default)]
+struct AggState {
+    /// Rows (`Count`) or numeric values (`Sum`, `Avg`) seen.
+    count: u64,
+    sum: f64,
+    any_float: bool,
+    /// The smallest (`Min`) or largest (`Max`) non-NULL value seen.
+    best: Option<Value>,
+}
+
+/// Streaming hash aggregate: groups in order of first appearance, each
+/// group's key cloned once, when the group is created.
+struct Groups<'a> {
+    by: &'a GroupBy,
+    /// `(group key, one state per aggregate)`, in first-appearance order.
+    groups: Vec<(Vec<Value>, Vec<AggState>)>,
+    /// Hash of a group key → the groups with that hash. Keyed by hash so
+    /// that a row finds its group from borrowed column values; the hash
+    /// state is random per statement, as a `HashMap` of the keys' would be.
+    index: HashMap<u64, Vec<usize>>,
+    hasher: RandomState,
+}
+
+impl<'a> Groups<'a> {
+    fn new(by: &'a GroupBy) -> Self {
+        Groups { by, groups: Vec::new(), index: HashMap::new(), hasher: RandomState::new() }
+    }
+
+    /// Accumulates one joined row, given by its column accessor.
+    fn add<'r>(&mut self, col: impl Fn(usize) -> Option<&'r Value>) {
+        let key = |c: &usize| col(*c).unwrap_or(&Value::Null);
+        let mut h = self.hasher.build_hasher();
+        self.by.cols.iter().for_each(|c| key(c).hash(&mut h));
+        let same_hash = self.index.entry(h.finish()).or_default();
+        let groups = &mut self.groups;
+        let found = same_hash
+            .iter()
+            .copied()
+            .find(|&g| groups[g].0.iter().eq(self.by.cols.iter().map(key)));
+        let g = found.unwrap_or_else(|| {
+            same_hash.push(groups.len());
+            let key = self.by.cols.iter().map(|c| key(c).clone()).collect();
+            groups.push((key, vec![AggState::default(); self.by.aggs.len()]));
+            groups.len() - 1
         });
-        for (st, agg) in states.iter_mut().zip(aggs) {
+        for (st, agg) in groups[g].1.iter_mut().zip(&self.by.aggs) {
             match agg {
                 AggFn::Count => st.count += 1,
                 AggFn::Sum(c) | AggFn::Avg(c) => {
-                    let v = row.get(*c).cloned().unwrap_or(Value::Null);
-                    if let Some(f) = v.as_float() {
+                    let v = col(*c);
+                    if let Some(f) = v.and_then(Value::as_float) {
                         st.count += 1;
                         st.sum += f;
-                        if !matches!(v, Value::Int(_)) {
-                            st.all_int = false;
-                        }
+                        st.any_float |= !matches!(v, Some(Value::Int(_)));
                     }
                 }
                 AggFn::Min(c) | AggFn::Max(c) => {
-                    let v = row.get(*c).cloned().unwrap_or(Value::Null);
-                    if !v.is_null() {
-                        match agg {
-                            AggFn::Min(_) => {
-                                if st.min.as_ref().is_none_or(|m| v < *m) {
-                                    st.min = Some(v);
-                                }
-                            }
-                            _ => {
-                                if st.max.as_ref().is_none_or(|m| v > *m) {
-                                    st.max = Some(v);
-                                }
-                            }
+                    let better = if matches!(agg, AggFn::Min(_)) {
+                        Ordering::Less
+                    } else {
+                        Ordering::Greater
+                    };
+                    if let Some(v) = col(*c).filter(|v| !v.is_null()) {
+                        if st.best.as_ref().is_none_or(|best| v.cmp(best) == better) {
+                            st.best = Some(v.clone());
                         }
                     }
                 }
             }
         }
     }
-    order
-        .into_iter()
-        .map(|key| {
-            let states = &groups[&key];
-            let mut out = key.clone();
-            for (st, agg) in states.iter().zip(aggs) {
-                let v = match agg {
+
+    /// The aggregated rows: group columns, then one value per aggregate.
+    fn finish(self) -> Vec<Row> {
+        let aggs = &self.by.aggs;
+        self.groups
+            .into_iter()
+            .map(|(mut row, states)| {
+                row.extend(states.into_iter().zip(aggs).map(|(st, agg)| match agg {
                     AggFn::Count => Value::Int(st.count as i64),
-                    AggFn::Sum(_) => {
-                        if st.count == 0 {
-                            Value::Null
-                        } else if st.all_int {
-                            Value::Int(st.sum as i64)
-                        } else {
-                            Value::Float(st.sum)
-                        }
-                    }
-                    AggFn::Avg(_) => {
-                        if st.count == 0 {
-                            Value::Null
-                        } else {
-                            Value::Float(st.sum / st.count as f64)
-                        }
-                    }
-                    AggFn::Min(_) => st.min.clone().unwrap_or(Value::Null),
-                    AggFn::Max(_) => st.max.clone().unwrap_or(Value::Null),
-                };
-                out.push(v);
-            }
-            out
-        })
-        .collect()
-}
-
-#[cfg(test)]
-pub(crate) mod mock {
-    //! A reference in-memory context used to test the executor (and, by
-    //! the engine crates, as a behavioural oracle).
-
-    use super::*;
-
-    /// Trivially correct `ExecContext` backed by `Vec<Option<Row>>`.
-    pub struct MockContext {
-        schema: Schema,
-        tables: Vec<Vec<Option<Row>>>,
-    }
-
-    impl MockContext {
-        pub fn new(schema: Schema) -> Self {
-            let n = schema.len();
-            MockContext { schema, tables: (0..n).map(|_| Vec::new()).collect() }
-        }
-
-        fn live(&self, table: TableId) -> Vec<(RowId, Row)> {
-            self.tables[table.0 as usize]
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.clone().map(|r| (RowId::new(i as u32, 0), r)))
-                .collect()
-        }
-
-        fn key_cmp(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
-            // compare on the shorter prefix (range bounds may be prefixes)
-            let n = a.len().min(b.len());
-            a[..n].cmp(&b[..n])
-        }
-    }
-
-    impl ExecContext for MockContext {
-        fn schema(&self) -> &Schema {
-            &self.schema
-        }
-
-        fn scan(&mut self, table: TableId) -> DmvResult<Vec<(RowId, Row)>> {
-            Ok(self.live(table))
-        }
-
-        fn index_lookup(
-            &mut self,
-            table: TableId,
-            index_no: u8,
-            key: &[Value],
-        ) -> DmvResult<Vec<(RowId, Row)>> {
-            let ix = self.schema.table(table)?.indexes[index_no as usize].clone();
-            Ok(self.live(table).into_iter().filter(|(_, r)| ix.key_of(r) == key).collect())
-        }
-
-        fn index_range(
-            &mut self,
-            table: TableId,
-            index_no: u8,
-            lo: Option<(&[Value], bool)>,
-            hi: Option<(&[Value], bool)>,
-            rev: bool,
-            limit: Option<usize>,
-        ) -> DmvResult<Vec<(RowId, Row)>> {
-            let ix = self.schema.table(table)?.indexes[index_no as usize].clone();
-            let mut rows: Vec<(Vec<Value>, (RowId, Row))> =
-                self.live(table).into_iter().map(|p| (ix.key_of(&p.1), p)).collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            if rev {
-                rows.reverse();
-            }
-            let mut out = Vec::new();
-            for (k, p) in rows {
-                if let Some((lo_k, inc)) = lo {
-                    let c = Self::key_cmp(&k, lo_k);
-                    if c == std::cmp::Ordering::Less || (!inc && c == std::cmp::Ordering::Equal) {
-                        continue;
-                    }
-                }
-                if let Some((hi_k, inc)) = hi {
-                    let c = Self::key_cmp(&k, hi_k);
-                    if c == std::cmp::Ordering::Greater || (!inc && c == std::cmp::Ordering::Equal)
-                    {
-                        continue;
-                    }
-                }
-                out.push(p);
-                if let Some(n) = limit {
-                    if out.len() >= n {
-                        break;
-                    }
-                }
-            }
-            Ok(out)
-        }
-
-        fn insert(&mut self, table: TableId, row: Row) -> DmvResult<RowId> {
-            let ts = self.schema.table(table)?.clone();
-            for ix in &ts.indexes {
-                if ix.unique {
-                    let key = ix.key_of(&row);
-                    if self.live(table).iter().any(|(_, r)| ix.key_of(r) == key) {
-                        return Err(DmvError::DuplicateKey(format!("{} on {}", ix.name, ts.name)));
-                    }
-                }
-            }
-            let t = &mut self.tables[table.0 as usize];
-            t.push(Some(row));
-            Ok(RowId::new((t.len() - 1) as u32, 0))
-        }
-
-        fn update(&mut self, table: TableId, rid: RowId, row: Row) -> DmvResult<()> {
-            self.tables[table.0 as usize][rid.page_no as usize] = Some(row);
-            Ok(())
-        }
-
-        fn delete(&mut self, table: TableId, rid: RowId) -> DmvResult<()> {
-            self.tables[table.0 as usize][rid.page_no as usize] = None;
-            Ok(())
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::mock::MockContext;
-    use super::*;
-    use crate::query::{CmpOp, Join};
-    use crate::schema::{ColType, Column, IndexDef, TableSchema};
-
-    fn schema() -> Schema {
-        Schema::new(vec![
-            TableSchema::new(
-                TableId(0),
-                "item",
-                vec![
-                    Column::new("i_id", ColType::Int),
-                    Column::new("i_title", ColType::Str),
-                    Column::new("i_a_id", ColType::Int),
-                    Column::new("i_stock", ColType::Int),
-                ],
-                vec![IndexDef::unique("pk", vec![0]), IndexDef::non_unique("by_author", vec![2])],
-            ),
-            TableSchema::new(
-                TableId(1),
-                "author",
-                vec![Column::new("a_id", ColType::Int), Column::new("a_name", ColType::Str)],
-                vec![IndexDef::unique("pk", vec![0])],
-            ),
-            TableSchema::new(
-                TableId(2),
-                "order_line",
-                vec![
-                    Column::new("ol_id", ColType::Int),
-                    Column::new("ol_o_id", ColType::Int),
-                    Column::new("ol_i_id", ColType::Int),
-                    Column::new("ol_qty", ColType::Int),
-                ],
-                vec![IndexDef::unique("pk", vec![0]), IndexDef::non_unique("by_order", vec![1])],
-            ),
-        ])
-    }
-
-    fn ctx_with_data() -> MockContext {
-        let mut ctx = MockContext::new(schema());
-        let items: Vec<Row> = vec![
-            vec![1.into(), "alpha book".into(), 10.into(), 5.into()],
-            vec![2.into(), "beta book".into(), 10.into(), 3.into()],
-            vec![3.into(), "gamma tome".into(), 11.into(), 0.into()],
-        ];
-        for r in items {
-            ctx.insert(TableId(0), r).unwrap();
-        }
-        ctx.insert(TableId(1), vec![10.into(), "Knuth".into()]).unwrap();
-        ctx.insert(TableId(1), vec![11.into(), "Lamport".into()]).unwrap();
-        // order lines: order 1 has items 1x2, 2x1; order 2 has item 1x4, 3x7
-        let ols: Vec<Row> = vec![
-            vec![100.into(), 1.into(), 1.into(), 2.into()],
-            vec![101.into(), 1.into(), 2.into(), 1.into()],
-            vec![102.into(), 2.into(), 1.into(), 4.into()],
-            vec![103.into(), 2.into(), 3.into(), 7.into()],
-        ];
-        for r in ols {
-            ctx.insert(TableId(2), r).unwrap();
-        }
-        ctx
-    }
-
-    #[test]
-    fn point_select_by_pk() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Select(Select::by_pk(TableId(0), vec![2.into()]));
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.rows.len(), 1);
-        assert_eq!(rs.rows[0][1], Value::from("beta book"));
-    }
-
-    #[test]
-    fn auto_access_picks_index() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Select(Select::scan(TableId(0)).access(Access::Auto).filter(Expr::eq(0, 3)));
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.rows.len(), 1);
-        assert_eq!(rs.rows[0][0], Value::Int(3));
-    }
-
-    #[test]
-    fn like_filter_scan() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Select(Select::scan(TableId(0)).filter(Expr::like(1, "%book%")));
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.rows.len(), 2);
-    }
-
-    #[test]
-    fn join_with_index() {
-        let mut ctx = ctx_with_data();
-        // item join author on i_a_id = a_id
-        let q = Query::Select(
-            Select::scan(TableId(0))
-                .join(Join { table: TableId(1), left_col: 2, right_col: 0, right_index: Some(0) })
-                .project(vec![1, 5]), // title, author name
-        );
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.rows.len(), 3);
-        assert!(rs
-            .rows
-            .iter()
-            .any(|r| r[0] == Value::from("gamma tome") && r[1] == Value::from("Lamport")));
-    }
-
-    #[test]
-    fn join_without_index_falls_back_to_scan() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Select(Select::scan(TableId(0)).join(Join {
-            table: TableId(1),
-            left_col: 2,
-            right_col: 0,
-            right_index: None,
-        }));
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.rows.len(), 3);
-        assert_eq!(rs.rows[0].len(), 6);
-    }
-
-    #[test]
-    fn bestsellers_shape_group_sum_order_limit() {
-        let mut ctx = ctx_with_data();
-        // order_line (ol_o_id >= 1) join item, group by i_id+title, sum qty,
-        // order by sum desc limit 2
-        let q = Query::Select(
-            Select::scan(TableId(2))
-                .access(Access::IndexRange {
-                    index_no: 1,
-                    lo: Some((vec![1.into()], true)),
-                    hi: None,
-                    rev: false,
-                    scan_limit: None,
-                })
-                .join(Join { table: TableId(0), left_col: 2, right_col: 0, right_index: Some(0) })
-                // joined row: ol(4 cols) ++ item(4 cols) -> i_id=4, i_title=5
-                .group(vec![4, 5], vec![AggFn::Sum(3)])
-                .order_by(2, true)
-                .limit(2),
-        );
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.rows.len(), 2);
-        // item 3 sold 7, item 1 sold 6, item 2 sold 1
-        assert_eq!(rs.rows[0][0], Value::Int(3));
-        assert_eq!(rs.rows[0][2], Value::Int(7));
-        assert_eq!(rs.rows[1][0], Value::Int(1));
-        assert_eq!(rs.rows[1][2], Value::Int(6));
-    }
-
-    #[test]
-    fn aggregates_count_avg_min_max() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Select(
-            Select::scan(TableId(2))
-                .group(vec![], vec![AggFn::Count, AggFn::Avg(3), AggFn::Min(3), AggFn::Max(3)]),
-        );
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.rows.len(), 1);
-        assert_eq!(rs.rows[0][0], Value::Int(4));
-        assert_eq!(rs.rows[0][1], Value::Float(3.5));
-        assert_eq!(rs.rows[0][2], Value::Int(1));
-        assert_eq!(rs.rows[0][3], Value::Int(7));
-    }
-
-    #[test]
-    fn index_range_desc_with_scan_limit() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Select(Select::scan(TableId(0)).access(Access::IndexRange {
-            index_no: 0,
-            lo: None,
-            hi: None,
-            rev: true,
-            scan_limit: Some(2),
-        }));
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.rows.len(), 2);
-        assert_eq!(rs.rows[0][0], Value::Int(3));
-        assert_eq!(rs.rows[1][0], Value::Int(2));
-    }
-
-    #[test]
-    fn update_with_add_int() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Update {
-            table: TableId(0),
-            access: Access::Auto,
-            filter: Some(Expr::eq(0, 1)),
-            set: vec![(3, SetExpr::AddInt(-2))],
-        };
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.affected, 1);
-        let check =
-            execute(&mut ctx, &Query::Select(Select::by_pk(TableId(0), vec![1.into()]))).unwrap();
-        assert_eq!(check.rows[0][3], Value::Int(3));
-    }
-
-    #[test]
-    fn update_set_value_and_float_add() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Update {
-            table: TableId(0),
-            access: Access::Auto,
-            filter: Some(Expr::eq(0, 2)),
-            set: vec![(1, SetExpr::Value("renamed".into()))],
-        };
-        assert_eq!(execute(&mut ctx, &q).unwrap().affected, 1);
-        let bad = Query::Update {
-            table: TableId(0),
-            access: Access::Auto,
-            filter: Some(Expr::eq(0, 2)),
-            set: vec![(1, SetExpr::AddInt(1))],
-        };
-        assert!(execute(&mut ctx, &bad).is_err(), "AddInt on a string must fail");
-    }
-
-    #[test]
-    fn delete_with_filter() {
-        let mut ctx = ctx_with_data();
-        let q =
-            Query::Delete { table: TableId(2), access: Access::Auto, filter: Some(Expr::eq(1, 1)) };
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.affected, 2);
-        let left = execute(&mut ctx, &Query::Select(Select::scan(TableId(2)))).unwrap();
-        assert_eq!(left.rows.len(), 2);
-    }
-
-    #[test]
-    fn insert_validates_and_detects_duplicates() {
-        let mut ctx = ctx_with_data();
-        let bad_arity = Query::Insert { table: TableId(1), rows: vec![vec![Value::Int(1)]] };
-        assert!(matches!(execute(&mut ctx, &bad_arity), Err(DmvError::Schema(_))));
-        let dup = Query::Insert { table: TableId(1), rows: vec![vec![10.into(), "Dup".into()]] };
-        assert!(matches!(execute(&mut ctx, &dup), Err(DmvError::DuplicateKey(_))));
-    }
-
-    #[test]
-    fn order_by_multiple_keys() {
-        let mut ctx = ctx_with_data();
-        // order items by author asc, stock desc
-        let q = Query::Select(Select::scan(TableId(0)).order_by(2, false).order_by(3, true));
-        let rs = execute(&mut ctx, &q).unwrap();
-        let ids: Vec<i64> = rs.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
-        assert_eq!(ids, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn scalar_helper() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Select(Select::by_pk(TableId(1), vec![10.into()]).project(vec![1]));
-        let rs = execute(&mut ctx, &q).unwrap();
-        assert_eq!(rs.scalar(), Some(&Value::from("Knuth")));
-    }
-
-    #[test]
-    fn filter_comparison_ops() {
-        let mut ctx = ctx_with_data();
-        let q = Query::Select(Select::scan(TableId(0)).filter(Expr::cmp(3, CmpOp::Ge, 3)));
-        assert_eq!(execute(&mut ctx, &q).unwrap().rows.len(), 2);
-        let q = Query::Select(Select::scan(TableId(0)).filter(Expr::cmp(3, CmpOp::Lt, 3)));
-        assert_eq!(execute(&mut ctx, &q).unwrap().rows.len(), 1);
+                    AggFn::Sum(_) | AggFn::Avg(_) if st.count == 0 => Value::Null,
+                    AggFn::Sum(_) if st.any_float => Value::Float(st.sum),
+                    AggFn::Sum(_) => Value::Int(st.sum as i64),
+                    AggFn::Avg(_) => Value::Float(st.sum / st.count as f64),
+                    AggFn::Min(_) | AggFn::Max(_) => st.best.unwrap_or(Value::Null),
+                }));
+                row
+            })
+            .collect()
     }
 }

@@ -27,4 +27,4 @@ pub use exec::{execute, ExecContext, ExecRunner, RecordingRunner, ResultSet, Sta
 pub use query::{Access, AggFn, CmpOp, Expr, Join, Query, Select, SetExpr};
 pub use row::{decode_row, encode_row, Row};
 pub use schema::{ColType, Column, IndexDef, Schema, TableSchema};
-pub use value::Value;
+pub use value::{Value, ValueRef};

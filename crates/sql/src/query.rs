@@ -7,7 +7,7 @@
 //! limits, and write statements.
 
 use crate::row::Row;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use dmv_common::ids::TableId;
 use serde::{Deserialize, Serialize};
 
@@ -97,37 +97,48 @@ impl Expr {
         Expr::Like(Box::new(Expr::Col(col)), pattern.to_owned())
     }
 
-    /// Evaluates to a scalar value over `row`.
+    /// Evaluates to a scalar value over the row whose columns `col`
+    /// supplies, borrowing column values and literals instead of cloning
+    /// them.
     ///
-    /// Boolean results are `Value::Bool`; comparisons involving NULL are
-    /// false (SQL three-valued logic collapsed to two values, which is
-    /// sufficient for the benchmark's queries).
-    pub fn eval(&self, row: &[Value]) -> Value {
-        match self {
-            Expr::Col(i) => row.get(*i).cloned().unwrap_or(Value::Null),
-            Expr::Lit(v) => v.clone(),
+    /// Boolean results are `ValueRef::Bool`; comparisons involving NULL
+    /// are false (SQL three-valued logic collapsed to two values, which
+    /// is sufficient for the benchmark's queries).
+    pub fn eval<'a, F: Fn(usize) -> ValueRef<'a>>(&'a self, col: &F) -> ValueRef<'a> {
+        ValueRef::Bool(match self {
+            Expr::Col(i) => return col(*i),
+            Expr::Lit(v) => return ValueRef::from(v),
             Expr::Cmp(op, a, b) => {
-                let va = a.eval(row);
-                let vb = b.eval(row);
-                if va.is_null() || vb.is_null() {
-                    return Value::Bool(false);
-                }
-                Value::Bool(op.test(va.cmp(&vb)))
+                let (va, vb) = (a.eval(col), b.eval(col));
+                !va.is_null() && !vb.is_null() && op.test(va.cmp(&vb))
             }
-            Expr::And(a, b) => Value::Bool(a.truthy(row) && b.truthy(row)),
-            Expr::Or(a, b) => Value::Bool(a.truthy(row) || b.truthy(row)),
-            Expr::Not(a) => Value::Bool(!a.truthy(row)),
-            Expr::Like(e, p) => Value::Bool(e.eval(row).like(p)),
+            Expr::And(a, b) => a.truthy(col) && b.truthy(col),
+            Expr::Or(a, b) => a.truthy(col) || b.truthy(col),
+            Expr::Not(a) => !a.truthy(col),
+            Expr::Like(e, p) => e.eval(col).like(p),
             Expr::InList(e, list) => {
-                let v = e.eval(row);
-                Value::Bool(!v.is_null() && list.contains(&v))
+                let v = e.eval(col);
+                !v.is_null() && list.iter().any(|l| ValueRef::from(l) == v)
             }
-        }
+        })
     }
 
     /// Evaluates as a boolean predicate.
-    pub fn truthy(&self, row: &[Value]) -> bool {
-        matches!(self.eval(row), Value::Bool(true))
+    pub fn truthy<'a, F: Fn(usize) -> ValueRef<'a>>(&'a self, col: &F) -> bool {
+        matches!(self.eval(col), ValueRef::Bool(true))
+    }
+
+    /// Calls `f` with every column the expression references.
+    pub fn for_each_col(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Expr::Col(i) => f(*i),
+            Expr::Lit(_) => {}
+            Expr::Cmp(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                a.for_each_col(f);
+                b.for_each_col(f);
+            }
+            Expr::Not(e) | Expr::Like(e, _) | Expr::InList(e, _) => e.for_each_col(f),
+        }
     }
 
     /// Collects `AND`-connected conjuncts.
@@ -383,40 +394,41 @@ mod tests {
         assert!(CmpOp::Ge.test(Equal) && CmpOp::Ge.test(Greater));
     }
 
+    fn holds(e: Expr, row: &[Value]) -> bool {
+        e.truthy(&|i| ValueRef::at(row, i))
+    }
+
     #[test]
     fn expr_eval_basics() {
         let row = vec![Value::Int(5), Value::from("abc"), Value::Null];
-        assert!(Expr::eq(0, 5).truthy(&row));
-        assert!(!Expr::eq(0, 6).truthy(&row));
-        assert!(Expr::cmp(0, CmpOp::Gt, 4).truthy(&row));
-        assert!(Expr::like(1, "%b%").truthy(&row));
-        assert!(Expr::eq(0, 5).and(Expr::like(1, "a%")).truthy(&row));
-        assert!(Expr::eq(0, 9).or(Expr::eq(0, 5)).truthy(&row));
-        assert!(Expr::Not(Box::new(Expr::eq(0, 9))).truthy(&row));
+        assert!(holds(Expr::eq(0, 5), &row));
+        assert!(!holds(Expr::eq(0, 6), &row));
+        assert!(holds(Expr::cmp(0, CmpOp::Gt, 4), &row));
+        assert!(holds(Expr::like(1, "%b%"), &row));
+        assert!(holds(Expr::eq(0, 5).and(Expr::like(1, "a%")), &row));
+        assert!(holds(Expr::eq(0, 9).or(Expr::eq(0, 5)), &row));
+        assert!(holds(Expr::Not(Box::new(Expr::eq(0, 9))), &row));
+        assert_eq!(Expr::Col(1).eval(&|i| ValueRef::at(&row, i)), ValueRef::Str("abc"));
     }
 
     #[test]
     fn null_comparisons_are_false() {
         let row = vec![Value::Null];
-        assert!(!Expr::eq(0, 5).truthy(&row));
-        assert!(!Expr::cmp(0, CmpOp::Ne, 5).truthy(&row));
-        let in_list = Expr::InList(Box::new(Expr::Col(0)), vec![Value::Null]);
-        assert!(!in_list.truthy(&row));
+        assert!(!holds(Expr::eq(0, 5), &row));
+        assert!(!holds(Expr::cmp(0, CmpOp::Ne, 5), &row));
+        assert!(!holds(Expr::InList(Box::new(Expr::Col(0)), vec![Value::Null]), &row));
     }
 
     #[test]
     fn out_of_range_col_is_null() {
-        let row = vec![Value::Int(1)];
-        assert!(!Expr::eq(7, 1).truthy(&row));
+        assert!(!holds(Expr::eq(7, 1), &[Value::Int(1)]));
     }
 
     #[test]
     fn in_list() {
         let row = vec![Value::Int(3)];
-        let e = Expr::InList(Box::new(Expr::Col(0)), vec![1.into(), 3.into()]);
-        assert!(e.truthy(&row));
-        let e2 = Expr::InList(Box::new(Expr::Col(0)), vec![9.into()]);
-        assert!(!e2.truthy(&row));
+        assert!(holds(Expr::InList(Box::new(Expr::Col(0)), vec![1.into(), 3.into()]), &row));
+        assert!(!holds(Expr::InList(Box::new(Expr::Col(0)), vec![9.into()]), &row));
     }
 
     #[test]
@@ -424,6 +436,16 @@ mod tests {
         let e = Expr::eq(0, 1).and(Expr::eq(1, 2)).and(Expr::eq(2, 3));
         assert_eq!(e.conjuncts().len(), 3);
         assert_eq!(Expr::eq(0, 1).conjuncts().len(), 1);
+    }
+
+    #[test]
+    fn referenced_columns() {
+        let e = Expr::eq(4, 1)
+            .and(Expr::like(2, "x%").or(Expr::Not(Box::new(Expr::eq(9, 0)))))
+            .and(Expr::InList(Box::new(Expr::Col(4)), vec![1.into()]));
+        let mut cols = Vec::new();
+        e.for_each_col(&mut |c| cols.push(c));
+        assert_eq!(cols, vec![4, 2, 9, 4]);
     }
 
     #[test]

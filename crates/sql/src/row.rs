@@ -1,8 +1,18 @@
 //! Compact row codec: rows are serialized into page records with a
 //! self-describing, deterministic byte encoding.
+//!
+//! Besides the owned [`encode_row`]/[`decode_row`] pair the module reads
+//! encoded rows *where they lie*: a [`RowCursor`] walks the columns of a
+//! record inside a page and hands out [`ValueRef`]s borrowed from its
+//! bytes, [`decode_cols`] materializes only the columns a statement asked
+//! for, and [`cmp_prefix`]/[`cmp_row`] order an encoded index key against
+//! a probe without decoding it. Every length read from the bytes is
+//! bounds-checked and every string UTF-8-validated before it is handed
+//! out; malformed bytes are a [`DmvError::Storage`], never a panic.
 
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use dmv_common::error::{DmvError, DmvResult};
+use std::cmp::Ordering;
 
 /// A row: one value per column.
 pub type Row = Vec<Value>;
@@ -14,34 +24,144 @@ const TAG_INT: u8 = 3;
 const TAG_FLOAT: u8 = 4;
 const TAG_STR: u8 = 5;
 
+/// Length of [`encode_row`]'s output for `row`, without encoding it.
+pub fn encoded_len(row: &[Value]) -> usize {
+    let payload = |v: &Value| match v {
+        Value::Null | Value::Bool(_) => 0,
+        Value::Int(_) | Value::Float(_) => 8,
+        Value::Str(s) => 4 + s.len(),
+    };
+    2 + row.iter().map(|v| 1 + payload(v)).sum::<usize>()
+}
+
+/// Encodes `row` into the front of `out` and returns the number of bytes
+/// written ([`encoded_len`]); the bytes are exactly [`encode_row`]'s.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than [`encoded_len`]`(row)`.
+pub fn encode_row_into(row: &[Value], out: &mut [u8]) -> usize {
+    let mut at = 0;
+    let mut put = |bytes: &[u8]| {
+        out[at..at + bytes.len()].copy_from_slice(bytes);
+        at += bytes.len();
+    };
+    put(&(row.len() as u16).to_le_bytes());
+    for v in row {
+        match v {
+            Value::Null => put(&[TAG_NULL]),
+            Value::Bool(false) => put(&[TAG_FALSE]),
+            Value::Bool(true) => put(&[TAG_TRUE]),
+            Value::Int(i) => {
+                put(&[TAG_INT]);
+                put(&i.to_le_bytes());
+            }
+            Value::Float(f) => {
+                put(&[TAG_FLOAT]);
+                put(&f.to_bits().to_le_bytes());
+            }
+            Value::Str(s) => {
+                put(&[TAG_STR]);
+                put(&(s.len() as u32).to_le_bytes());
+                put(s.as_bytes());
+            }
+        }
+    }
+    at
+}
+
 /// Encodes a row into bytes.
 ///
 /// The encoding is deterministic: the same row always produces the same
 /// bytes, which keeps replica page images bit-identical.
 pub fn encode_row(row: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + row.len() * 9);
-    out.extend_from_slice(&(row.len() as u16).to_le_bytes());
-    for v in row {
-        match v {
-            Value::Null => out.push(TAG_NULL),
-            Value::Bool(false) => out.push(TAG_FALSE),
-            Value::Bool(true) => out.push(TAG_TRUE),
-            Value::Int(i) => {
-                out.push(TAG_INT);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Float(f) => {
-                out.push(TAG_FLOAT);
-                out.extend_from_slice(&f.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(TAG_STR);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-        }
-    }
+    let mut out = vec![0u8; encoded_len(row)];
+    encode_row_into(row, &mut out);
     out
+}
+
+#[cold]
+fn malformed() -> DmvError {
+    DmvError::Storage("malformed row encoding".into())
+}
+
+/// Walks the columns of an encoded row in place, left to right.
+#[derive(Debug, Clone)]
+pub struct RowCursor<'a> {
+    /// The bytes of the columns not yet consumed.
+    rest: &'a [u8],
+    /// How many columns those bytes hold.
+    left: usize,
+}
+
+impl<'a> RowCursor<'a> {
+    /// A cursor positioned on the first column of `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// [`DmvError::Storage`] if the column count is truncated.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> DmvResult<Self> {
+        let (count, rest) = bytes.split_first_chunk().ok_or_else(malformed)?;
+        Ok(RowCursor { rest, left: u16::from_le_bytes(*count) as usize })
+    }
+
+    /// Number of columns not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.left
+    }
+
+    /// Consumes the next column: its tag and its payload bytes (the
+    /// string bytes for `TAG_STR`, not yet validated).
+    #[inline]
+    fn take(&mut self) -> DmvResult<(u8, &'a [u8])> {
+        let (&tag, rest) =
+            self.rest.split_first().filter(|_| self.left > 0).ok_or_else(malformed)?;
+        let (len, rest) = match tag {
+            TAG_NULL | TAG_FALSE | TAG_TRUE => (0, rest),
+            TAG_INT | TAG_FLOAT => (8, rest),
+            TAG_STR => {
+                let (len, rest) = rest.split_first_chunk().ok_or_else(malformed)?;
+                (u32::from_le_bytes(*len) as usize, rest)
+            }
+            _ => return Err(malformed()),
+        };
+        let (payload, rest) = rest.split_at_checked(len).ok_or_else(malformed)?;
+        self.rest = rest;
+        self.left -= 1;
+        Ok((tag, payload))
+    }
+
+    /// Consumes the next column and returns its value, borrowed from the
+    /// row's bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`DmvError::Storage`] past the last column, on an unknown tag, a
+    /// truncated payload or a string that is not UTF-8.
+    #[inline]
+    pub fn next_value(&mut self) -> DmvResult<ValueRef<'a>> {
+        let (tag, payload) = self.take()?;
+        let bits = || u64::from_le_bytes(payload.try_into().unwrap_or_default());
+        Ok(match tag {
+            TAG_NULL => ValueRef::Null,
+            TAG_FALSE => ValueRef::Bool(false),
+            TAG_TRUE => ValueRef::Bool(true),
+            TAG_INT => ValueRef::Int(bits() as i64),
+            TAG_FLOAT => ValueRef::Float(f64::from_bits(bits())),
+            _ => ValueRef::Str(std::str::from_utf8(payload).map_err(|_| malformed())?),
+        })
+    }
+
+    /// Consumes the next column without looking at its payload.
+    ///
+    /// # Errors
+    ///
+    /// As [`RowCursor::next_value`], except that a skipped string is not
+    /// UTF-8-validated.
+    pub fn skip(&mut self) -> DmvResult<()> {
+        self.take().map(|_| ())
+    }
 }
 
 /// Decodes a row previously produced by [`encode_row`].
@@ -50,41 +170,86 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
 ///
 /// Returns [`DmvError::Storage`] if the bytes are truncated or malformed.
 pub fn decode_row(bytes: &[u8]) -> DmvResult<Row> {
-    let err = || DmvError::Storage("malformed row encoding".into());
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> DmvResult<&[u8]> {
-        if *at + n > bytes.len() {
-            return Err(err());
-        }
-        let s = &bytes[*at..*at + n];
-        *at += n;
-        Ok(s)
-    };
-    let n = u16::from_le_bytes(take(&mut at, 2)?.try_into().unwrap()) as usize;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = take(&mut at, 1)?[0];
-        let v = match tag {
-            TAG_NULL => Value::Null,
-            TAG_FALSE => Value::Bool(false),
-            TAG_TRUE => Value::Bool(true),
-            TAG_INT => Value::Int(i64::from_le_bytes(take(&mut at, 8)?.try_into().unwrap())),
-            TAG_FLOAT => Value::Float(f64::from_bits(u64::from_le_bytes(
-                take(&mut at, 8)?.try_into().unwrap(),
-            ))),
-            TAG_STR => {
-                let len = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap()) as usize;
-                let s = take(&mut at, len)?;
-                Value::Str(String::from_utf8(s.to_vec()).map_err(|_| err())?)
-            }
-            _ => return Err(err()),
-        };
-        row.push(v);
+    let mut c = RowCursor::new(bytes)?;
+    // Every column takes at least its tag byte, which bounds the count.
+    let mut row = Vec::with_capacity(c.remaining().min(bytes.len()));
+    while c.remaining() > 0 {
+        row.push(c.next_value()?.to_value());
     }
-    if at != bytes.len() {
-        return Err(err());
+    if !c.rest.is_empty() {
+        return Err(malformed());
     }
     Ok(row)
+}
+
+/// Decodes only columns `cols` (strictly ascending) of an encoded row:
+/// the result has one value per entry of `cols`, in that order, and a
+/// column the stored row does not have reads as NULL. Bytes after the
+/// last requested column are not looked at.
+///
+/// # Errors
+///
+/// [`DmvError::Storage`] if the bytes up to the last requested column are
+/// malformed; [`DmvError::Query`] if `cols` is not strictly ascending.
+pub fn decode_cols(bytes: &[u8], cols: &[usize]) -> DmvResult<Row> {
+    let mut c = RowCursor::new(bytes)?;
+    let mut at = 0; // index of the column the cursor is positioned on
+    let mut row = Vec::with_capacity(cols.len());
+    for (i, &want) in cols.iter().enumerate() {
+        if i > 0 && want <= cols[i - 1] {
+            return Err(DmvError::Query("column set is not strictly ascending".into()));
+        }
+        if want - at >= c.remaining() {
+            row.push(Value::Null);
+            continue;
+        }
+        while at < want {
+            c.skip()?;
+            at += 1;
+        }
+        row.push(c.next_value()?.to_value());
+        at += 1;
+    }
+    Ok(row)
+}
+
+/// Compares the first `min(columns, probe.len())` columns of the encoded
+/// row `bytes` with `probe`; also returns the row's column count.
+#[inline]
+fn cmp_columns(bytes: &[u8], probe: &[Value]) -> DmvResult<(Ordering, usize)> {
+    let mut c = RowCursor::new(bytes)?;
+    let columns = c.remaining();
+    for p in probe.iter().take(columns) {
+        let ord = c.next_value()?.cmp(&ValueRef::from(p));
+        if ord != Ordering::Equal {
+            return Ok((ord, columns));
+        }
+    }
+    Ok((Ordering::Equal, columns))
+}
+
+/// Orders the encoded row `bytes` against `probe` on their common prefix
+/// — the first `min(columns, probe.len())` columns — exactly as comparing
+/// those prefixes of the decoded row and the probe would.
+///
+/// # Errors
+///
+/// [`DmvError::Storage`] if a compared column is malformed.
+#[inline]
+pub fn cmp_prefix(bytes: &[u8], probe: &[Value]) -> DmvResult<Ordering> {
+    Ok(cmp_columns(bytes, probe)?.0)
+}
+
+/// Orders the encoded row `bytes` against `row` exactly as comparing the
+/// decoded row with `row` would (lexicographic, the shorter row first on
+/// an equal prefix).
+///
+/// # Errors
+///
+/// [`DmvError::Storage`] if a compared column is malformed.
+pub fn cmp_row(bytes: &[u8], row: &[Value]) -> DmvResult<Ordering> {
+    let (prefix, columns) = cmp_columns(bytes, row)?;
+    Ok(prefix.then(columns.cmp(&row.len())))
 }
 
 #[cfg(test)]
@@ -144,31 +309,112 @@ mod props {
     use super::*;
     use proptest::prelude::*;
 
+    /// Values that collide across representations: small ints and the
+    /// floats equal to them, signed zeros, NaN and infinities, every
+    /// type rank, empty and multi-byte strings.
     fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             Just(Value::Null),
             any::<bool>().prop_map(Value::Bool),
             any::<i64>().prop_map(Value::Int),
+            (-3i64..4).prop_map(Value::Int),
+            (-3i64..4).prop_map(|i| Value::Float(i as f64)),
+            (-6i64..7).prop_map(|i| Value::Float(i as f64 / 2.0)),
             any::<f64>().prop_map(Value::Float),
+            prop_oneof![Just(f64::NAN), Just(-0.0), Just(f64::INFINITY), Just(f64::NEG_INFINITY)]
+                .prop_map(Value::Float),
+            "[ab]{0,3}".prop_map(Value::Str),
             "\\PC{0,32}".prop_map(Value::Str),
         ]
+    }
+
+    fn arb_row() -> impl Strategy<Value = Row> {
+        proptest::collection::vec(arb_value(), 0..6)
+    }
+
+    /// Bitwise row equality (`Value`'s own `==` equates `Int(3)` with
+    /// `Float(3.0)` and cannot see a NaN payload).
+    fn same_bits(a: &[Value], b: &[Value]) -> bool {
+        encode_row(a) == encode_row(b)
+    }
+
+    /// The ordering an index applies to a decoded key and a probe.
+    fn prefix_cmp(key: &[Value], probe: &[Value]) -> Ordering {
+        let n = probe.len().min(key.len());
+        key[..n].cmp(&probe[..n])
     }
 
     proptest! {
         #[test]
         fn codec_roundtrip(row in proptest::collection::vec(arb_value(), 0..20)) {
             let bytes = encode_row(&row);
-            let back = decode_row(&bytes).unwrap();
-            prop_assert_eq!(back.len(), row.len());
-            for (a, b) in back.iter().zip(&row) {
-                // bitwise compare floats (NaN-safe) via encoding again
-                prop_assert_eq!(encode_row(std::slice::from_ref(a)), encode_row(std::slice::from_ref(b)));
+            prop_assert!(same_bits(&decode_row(&bytes).unwrap(), &row));
+        }
+
+        #[test]
+        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256), cols in proptest::collection::vec(0usize..8, 0..4)) {
+            let _ = decode_row(&bytes);
+            let _ = decode_cols(&bytes, &cols);
+            let _ = cmp_prefix(&bytes, &[Value::Int(1), Value::from("a")]);
+            let _ = cmp_row(&bytes, &[Value::Null]);
+            if let Ok(mut c) = RowCursor::new(&bytes) {
+                while c.remaining() > 0 && c.skip().is_ok() {}
             }
         }
 
         #[test]
-        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = decode_row(&bytes);
+        fn sizes_and_slices_match_the_owned_encoding(row in arb_row()) {
+            let bytes = encode_row(&row);
+            prop_assert_eq!(encoded_len(&row), bytes.len());
+            let mut page = vec![0xEEu8; bytes.len() + 3];
+            prop_assert_eq!(encode_row_into(&row, &mut page), bytes.len());
+            prop_assert_eq!(&page[..bytes.len()], &bytes[..]);
+            prop_assert_eq!(&page[bytes.len()..], &[0xEE; 3][..]);
+        }
+
+        #[test]
+        fn projected_decode_matches_full_decode(row in arb_row(), picks in proptest::collection::vec(any::<bool>(), 9)) {
+            let cols: Vec<usize> = (0..9).filter(|&c| picks[c]).collect();
+            let want: Row = cols.iter().map(|&c| row.get(c).cloned().unwrap_or(Value::Null)).collect();
+            let bytes = encode_row(&row);
+            prop_assert!(same_bits(&decode_cols(&bytes, &cols).unwrap(), &want));
+            let mut descending = cols.clone();
+            descending.reverse();
+            if cols.len() > 1 {
+                prop_assert!(matches!(decode_cols(&bytes, &descending), Err(DmvError::Query(_))));
+            }
+        }
+
+        #[test]
+        fn in_place_comparison_matches_decoded_comparison(key in arb_row(), probe in arb_row(), swap in 0usize..6) {
+            // Probes that share a prefix with the key are the interesting
+            // ones: graft the key's head onto the probe.
+            let mut probe = probe;
+            for (p, k) in probe.iter_mut().zip(&key).take(swap) {
+                *p = k.clone();
+            }
+            let bytes = encode_row(&key);
+            for n in 0..=probe.len() {
+                prop_assert_eq!(cmp_prefix(&bytes, &probe[..n]).unwrap(), prefix_cmp(&key, &probe[..n]));
+                prop_assert_eq!(cmp_row(&bytes, &probe[..n]).unwrap(), key[..].cmp(&probe[..n]));
+            }
+            // Cut anywhere inside the columns the comparison reads, the
+            // bytes are an error, not a wrong answer.
+            let compared = encoded_len(&key[..probe.len().min(key.len())]);
+            if prefix_cmp(&key, &probe) == Ordering::Equal {
+                for cut in 0..compared {
+                    prop_assert!(cmp_prefix(&bytes[..cut], &probe).is_err(), "cut at {}", cut);
+                }
+            }
+        }
+
+        #[test]
+        fn borrowed_ordering_is_the_owned_ordering(a in arb_value(), b in arb_value()) {
+            prop_assert_eq!(ValueRef::from(&a).cmp(&ValueRef::from(&b)), a.cmp(&b));
+            let bytes = encode_row(std::slice::from_ref(&a));
+            let mut c = RowCursor::new(&bytes).unwrap();
+            prop_assert!(same_bits(&[c.next_value().unwrap().to_value()], std::slice::from_ref(&a)));
+            prop_assert!(c.next_value().is_err(), "past the last column");
         }
     }
 }

@@ -25,16 +25,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Type rank used for cross-type ordering.
-    fn rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) => 2,
-            Value::Str(_) => 3,
-        }
-    }
-
     /// True if the value is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -68,42 +58,126 @@ impl Value {
     /// SQL LIKE with `%` wildcards (multi-char) anywhere in the pattern.
     /// Non-`Str` values never match.
     pub fn like(&self, pattern: &str) -> bool {
-        let Some(s) = self.as_str() else { return false };
-        like_match(s, pattern)
+        ValueRef::from(self).like(pattern)
     }
 }
 
 /// Greedy `%`-wildcard matcher (case-sensitive, `_` not supported — the
 /// TPC-W search queries only use `%`).
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let segments: Vec<&str> = pattern.split('%').collect();
-    if segments.len() == 1 {
-        return s == pattern;
-    }
-    let mut rest = s;
-    // First segment must be a prefix.
-    let first = segments[0];
-    if !rest.starts_with(first) {
-        return false;
-    }
-    rest = &rest[first.len()..];
-    // Last segment must be a suffix (checked at the end).
-    let last = segments[segments.len() - 1];
-    // Middle segments match greedily left to right.
-    for seg in &segments[1..segments.len() - 1] {
-        if seg.is_empty() {
-            continue;
-        }
+    let Some((first, tail)) = pattern.split_once('%') else { return s == pattern };
+    // First segment must be a prefix, the last a suffix of what the
+    // middle segments (matched greedily left to right) leave over.
+    let Some(mut rest) = s.strip_prefix(first) else { return false };
+    let (middle, last) = tail.rsplit_once('%').unwrap_or(("", tail));
+    for seg in middle.split('%').filter(|seg| !seg.is_empty()) {
         match rest.find(seg) {
             Some(pos) => rest = &rest[pos + seg.len()..],
             None => return false,
         }
     }
-    rest.ends_with(last) && rest.len() >= last.len()
+    rest.ends_with(last)
 }
 
-fn float_total_cmp(a: f64, b: f64) -> Ordering {
-    a.total_cmp(&b)
+/// A [`Value`] borrowed from wherever it lies: an owned `Value`, a query
+/// literal, or the bytes of an encoded row on a page (see
+/// [`crate::row::RowCursor`]). Comparing and matching a `ValueRef` never
+/// allocates, and [`Value`]'s own ordering is defined through it, so
+/// the two cannot disagree.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Str(&'a str),
+}
+
+impl<'a> ValueRef<'a> {
+    /// Column `i` of `row`; a column the row does not have reads as NULL.
+    pub fn at(row: &'a [Value], i: usize) -> Self {
+        row.get(i).map_or(ValueRef::Null, ValueRef::from)
+    }
+
+    /// Type rank used for cross-type ordering.
+    fn rank(&self) -> u8 {
+        match self {
+            ValueRef::Null => 0,
+            ValueRef::Bool(_) => 1,
+            ValueRef::Int(_) | ValueRef::Float(_) => 2,
+            ValueRef::Str(_) => 3,
+        }
+    }
+
+    /// True if the value is `Null`.
+    pub fn is_null(&self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// SQL LIKE with `%` wildcards; non-`Str` values never match.
+    pub fn like(&self, pattern: &str) -> bool {
+        matches!(self, ValueRef::Str(s) if like_match(s, pattern))
+    }
+
+    /// An owned copy.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    #[inline]
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+impl PartialEq for ValueRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl PartialOrd for ValueRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ValueRef<'_> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        use ValueRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(b),
+            (Int(a), Int(b)) => a.cmp(b),
+            (Float(a), Float(b)) => a.total_cmp(b),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
+            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Str(a), Str(b)) => a.cmp(b),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
 }
 
 impl PartialEq for Value {
@@ -122,17 +196,7 @@ impl PartialOrd for Value {
 
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => float_total_cmp(*a, *b),
-            (Int(a), Float(b)) => float_total_cmp(*a as f64, *b),
-            (Float(a), Int(b)) => float_total_cmp(*a, *b as f64),
-            (Str(a), Str(b)) => a.cmp(b),
-            _ => self.rank().cmp(&other.rank()),
-        }
+        ValueRef::from(self).cmp(&ValueRef::from(other))
     }
 }
 

@@ -1,0 +1,394 @@
+//! Differential test: random small tables, random `Select` shapes, the
+//! executor's answer against [`crate::reference`]'s — same rows, same
+//! order, same bits — on the mock context and on a real `MemDb` under both
+//! concurrency modes, read through an update transaction, a local
+//! snapshot, and a tagged read at an old tag after further commits (so
+//! pages are served through the read gate's version history).
+
+use crate::mock::MockContext;
+use crate::reference;
+use dmv_common::config::ConcurrencyMode;
+use dmv_common::error::DmvResult;
+use dmv_common::ids::{PageId, TableId};
+use dmv_common::rng::seeded;
+use dmv_common::version::VersionVector;
+use dmv_memdb::{MemDb, MemDbOptions, ReadGate, Txn};
+use dmv_pagestore::store::PageCell;
+use dmv_pagestore::PAGE_SIZE;
+use dmv_sql::exec::{execute, ExecContext};
+use dmv_sql::query::{Access, AggFn, CmpOp, Expr, Join, Query, Select, SetExpr};
+use dmv_sql::row::Row;
+use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
+use dmv_sql::value::Value;
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::Rng;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+/// Three tables with an int primary key, a small-domain nullable int
+/// `k` (duplicate and NULL join keys, 1:n fan-out), and string / float
+/// payloads; secondary indexes on `k`, one of them composite.
+fn schema() -> Schema {
+    let id = || Column::new("id", ColType::Int);
+    let k = || Column::nullable("k", ColType::Int);
+    let f = || Column::nullable("f", ColType::Float);
+    let s = || Column::nullable("s", ColType::Str);
+    let by_k = || IndexDef::non_unique("by_k", vec![1]);
+    Schema::new(vec![
+        TableSchema::new(
+            TableId(0),
+            "a",
+            vec![id(), k(), f(), s()],
+            vec![
+                IndexDef::unique("pk", vec![0]),
+                by_k(),
+                IndexDef::non_unique("by_k_s", vec![1, 3]),
+            ],
+        ),
+        TableSchema::new(
+            TableId(1),
+            "b",
+            vec![id(), k(), s()],
+            vec![IndexDef::unique("pk", vec![0]), by_k()],
+        ),
+        TableSchema::new(
+            TableId(2),
+            "c",
+            vec![id(), k(), f()],
+            vec![IndexDef::unique("pk", vec![0]), by_k()],
+        ),
+    ])
+}
+
+/// String payloads as `(text, padding)`: the padded ones make a table
+/// of two dozen rows span several heap pages, so index order and heap
+/// order differ.
+const WORDS: [(&str, usize); 7] =
+    [("", 0), ("ab", 0), ("abc", 0), ("b", 0), ("bcd", 300), ("héllo", 600), ("zz", 900)];
+const PATTERNS: [&str; 8] = ["%", "a%", "%c", "%b%", "ab", "b%x", "", "%é%"];
+
+/// A value for a column of type `ty`: NULL now and then, ints from a
+/// small domain, floats that are odd halves (and ints, which a float
+/// column accepts — `Sum`/`Avg` see mixed Int/Float/NULL). No float
+/// equals an int, so which of two equal values a `Min` or a group key
+/// keeps never depends on the order rows arrive in.
+fn value(rng: &mut SmallRng, ty: ColType) -> Value {
+    if rng.gen_bool(0.15) {
+        return Value::Null;
+    }
+    match ty {
+        ColType::Int => Value::Int(rng.gen_range(-1..4)),
+        ColType::Float if rng.gen_bool(0.4) => Value::Int(rng.gen_range(-2..5)),
+        ColType::Float => Value::Float(rng.gen_range(-2..5) as f64 + 0.5),
+        ColType::Str => {
+            let (text, padding) = WORDS[rng.gen_range(0..WORDS.len())];
+            Value::from(format!("{text}{}", "x".repeat(padding)))
+        }
+        ColType::Bool => Value::Bool(rng.gen_bool(0.5)),
+    }
+}
+
+fn row(rng: &mut SmallRng, ts: &TableSchema, id: i64) -> Row {
+    let mut row: Row = ts.columns.iter().map(|c| value(rng, c.ty)).collect();
+    row[0] = Value::Int(id);
+    row
+}
+
+/// A literal to hold against column `col` of the joined row, whose
+/// column types are `types`: mostly of the column's type, else any.
+fn literal(rng: &mut SmallRng, types: &[ColType], col: usize) -> Value {
+    let any = [ColType::Int, ColType::Float, ColType::Str][rng.gen_range(0..3)];
+    let ty = types.get(col).copied().filter(|_| rng.gen_bool(0.8)).unwrap_or(any);
+    value(rng, ty)
+}
+
+fn expr(rng: &mut SmallRng, types: &[ColType], depth: usize) -> Expr {
+    // One column past the joined row, too: it reads as NULL.
+    let col = rng.gen_range(0..=types.len());
+    let boxed = |e: Expr| Box::new(e);
+    match rng.gen_range(0..if depth == 0 { 4 } else { 7 }) {
+        0 => {
+            let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
+                [rng.gen_range(0..6)];
+            Expr::Cmp(op, boxed(Expr::Col(col)), boxed(Expr::Lit(literal(rng, types, col))))
+        }
+        1 => Expr::Cmp(
+            CmpOp::Eq,
+            boxed(Expr::Col(col)),
+            boxed(Expr::Col(rng.gen_range(0..=types.len()))),
+        ),
+        2 => Expr::like(col, PATTERNS[rng.gen_range(0..PATTERNS.len())]),
+        3 => {
+            let list = (0..rng.gen_range(0..4)).map(|_| literal(rng, types, col)).collect();
+            Expr::InList(boxed(Expr::Col(col)), list)
+        }
+        4 => Expr::Not(boxed(expr(rng, types, depth - 1))),
+        5 => expr(rng, types, depth - 1).or(expr(rng, types, depth - 1)),
+        _ => expr(rng, types, depth - 1).and(expr(rng, types, depth - 1)),
+    }
+}
+
+/// A key for (a prefix of) an index over columns `cols` of `ts`, from
+/// the domains the data is drawn from.
+fn key(rng: &mut SmallRng, ts: &TableSchema, cols: &[usize]) -> Vec<Value> {
+    let part = |&c: &usize| match ts.columns[c].ty {
+        ColType::Int => Value::Int(rng.gen_range(-1..6)),
+        ty => value(rng, ty),
+    };
+    cols.iter().map(part).collect()
+}
+
+fn bound(rng: &mut SmallRng, ts: &TableSchema, cols: &[usize]) -> Option<(Vec<Value>, bool)> {
+    let prefix = rng.gen_range(1..=cols.len());
+    rng.gen_bool(0.7).then(|| (key(rng, ts, &cols[..prefix]), rng.gen_bool(0.5)))
+}
+
+fn access(rng: &mut SmallRng, ts: &TableSchema) -> Access {
+    let index_no = rng.gen_range(0..ts.indexes.len());
+    let cols = &ts.indexes[index_no].columns;
+    match rng.gen_range(0..5) {
+        0 => Access::FullScan,
+        1 => Access::Auto,
+        2 => Access::IndexEq { index_no: index_no as u8, key: key(rng, ts, cols) },
+        _ => Access::IndexRange {
+            index_no: index_no as u8,
+            lo: bound(rng, ts, cols),
+            hi: bound(rng, ts, cols),
+            rev: rng.gen_bool(0.3),
+            scan_limit: rng.gen_bool(0.3).then(|| rng.gen_range(0..6)),
+        },
+    }
+}
+
+fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
+    let table = TableId(rng.gen_range(0..3));
+    let ts = schema.table(table).unwrap();
+    let mut s = Select::scan(table).access(access(rng, ts));
+    let mut types: Vec<ColType> = ts.columns.iter().map(|c| c.ty).collect();
+    for _ in 0..[0, 0, 1, 1, 2][rng.gen_range(0..5)] {
+        let right = TableId(rng.gen_range(0..3));
+        // Join on `id` or `k` (now and then on a payload column), with
+        // the matching index or none. The left column is mostly the
+        // base table's `id` or `k`, else any column bound so far — or
+        // the first one that is not.
+        let right_col = [0, 1, 1, 2][rng.gen_range(0..4)];
+        let right_index = (right_col < 2 && rng.gen_bool(0.7)).then_some(right_col as u8);
+        let left_col =
+            if rng.gen_bool(0.7) { rng.gen_range(0..2) } else { rng.gen_range(0..=types.len()) };
+        s = s.join(Join { table: right, left_col, right_col, right_index });
+        types.extend(schema.table(right).unwrap().columns.iter().map(|c| c.ty));
+    }
+    let width = types.len();
+    if rng.gen_bool(0.6) {
+        let mut f = expr(rng, &types, 2);
+        if s.access == Access::Auto && rng.gen_bool(0.8) {
+            // Give `Auto` an index to find: pin the key or `k`.
+            let pinned = rng.gen_range(0..2);
+            f = Expr::eq(pinned, rng.gen_range(0..5)).and(f);
+        }
+        s = s.filter(f);
+    }
+    let mut out_width = width;
+    if rng.gen_bool(0.4) {
+        let cols: Vec<usize> = (0..rng.gen_range(0..3)).map(|_| rng.gen_range(0..=width)).collect();
+        let aggs: Vec<AggFn> = (0..rng.gen_range(1..4))
+            .map(|_| {
+                let c = rng.gen_range(0..=width);
+                [AggFn::Count, AggFn::Sum(c), AggFn::Avg(c), AggFn::Min(c), AggFn::Max(c)]
+                    [rng.gen_range(0..5)]
+            })
+            .collect();
+        out_width = cols.len() + aggs.len();
+        s = s.group(cols, aggs);
+    }
+    for _ in 0..[0, 0, 1, 2, 3][rng.gen_range(0..5)] {
+        s = s.order_by(rng.gen_range(0..=out_width), rng.gen_bool(0.5));
+    }
+    if rng.gen_bool(0.4) {
+        s = s.limit([0, 1, 2, 3, 5, 8][rng.gen_range(0..6)]);
+    }
+    if rng.gen_bool(0.5) {
+        s = s.project((0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..=out_width)).collect());
+    }
+    s
+}
+
+/// Loads, then changes: the statements of two transactions. The second
+/// updates (growing strings relocate rows), deletes and inserts, so the
+/// heap has dead slots and the indexes moved entries.
+fn history(rng: &mut SmallRng, schema: &Schema) -> [Vec<Query>; 2] {
+    let mut load = Vec::new();
+    let mut change = Vec::new();
+    for ts in schema.tables() {
+        let n = rng.gen_range(0..28);
+        load.push(Query::Insert {
+            table: ts.id,
+            rows: (1..=n).map(|id| row(rng, ts, id)).collect(),
+        });
+        let by_k = |rng: &mut SmallRng| Some(Expr::eq(1, rng.gen_range(-1..4)));
+        change.push(Query::Delete { table: ts.id, access: Access::Auto, filter: by_k(rng) });
+        let last = ts.columns.len() - 1;
+        let grown = match ts.columns[last].ty {
+            ColType::Str => SetExpr::Value(Value::from("grown ".repeat(rng.gen_range(1..40)))),
+            ty => SetExpr::Value(value(rng, ty)),
+        };
+        let set = vec![(1, SetExpr::Value(value(rng, ColType::Int))), (last, grown)];
+        change.push(Query::Update {
+            table: ts.id,
+            access: Access::FullScan,
+            filter: by_k(rng),
+            set,
+        });
+        let fresh = (n + 1..n + 1 + rng.gen_range(0..6)).map(|id| row(rng, ts, id)).collect();
+        change.push(Query::Insert { table: ts.id, rows: fresh });
+    }
+    [load, change]
+}
+
+/// One select's answer: its rows as text. `Debug` tells `Int(3)` from
+/// `Float(3.0)` and `-0.0` from `0.0` where `==` does not.
+type Answer = Vec<String>;
+
+/// The executor's answers, each checked against the reference's on the
+/// same context.
+fn answers(ctx: &mut dyn ExecContext, selects: &[Select], what: &str) -> Vec<Answer> {
+    let text = |rows: Vec<Row>| rows.iter().map(|r| format!("{r:?}")).collect::<Answer>();
+    selects
+        .iter()
+        .map(|s| {
+            let got = execute(ctx, &Query::Select(s.clone())).map(|rs| text(rs.rows));
+            let want = reference::select(ctx, s).map(|rs| text(rs.rows));
+            assert_eq!(got, want, "{what}: {s:?}");
+            got.unwrap_or_else(|e| panic!("{what}: {s:?}: {e}"))
+        })
+        .collect()
+}
+
+fn assert_same(selects: &[Select], got: &[Answer], want: &[Answer], what: &str) {
+    for ((s, got), want) in selects.iter().zip(got).zip(want) {
+        assert_eq!(got, want, "{what}: {s:?}");
+    }
+}
+
+/// Two contexts holding the same rows may store them in different
+/// orders; they must still agree on the rows of every select that cuts
+/// nothing off.
+fn assert_same_rows(selects: &[Select], got: &[Answer], want: &[Answer], what: &str) {
+    let cuts = |s: &Select| {
+        s.limit.is_some() || matches!(s.access, Access::IndexRange { scan_limit: Some(_), .. })
+    };
+    let sorted = |a: &Answer| {
+        let mut a = a.clone();
+        a.sort();
+        a
+    };
+    for ((s, got), want) in selects.iter().zip(got).zip(want).filter(|((s, _), _)| !cuts(s)) {
+        assert_eq!(sorted(got), sorted(want), "{what}: {s:?}");
+    }
+}
+
+/// A read gate with one retained version: the page images captured by
+/// [`OneVersionBack::capture`]. A tagged read that finds a page newer
+/// than its tag is served the captured image (a page that did not exist
+/// then reads as the zeroed page it was), which is what `dmv-core`'s
+/// applier does from its reverse-diff history.
+#[derive(Default)]
+struct OneVersionBack {
+    images: Mutex<HashMap<PageId, Vec<u8>>>,
+}
+
+impl OneVersionBack {
+    fn capture(&self, db: &MemDb) {
+        let store = db.store();
+        *self.images.lock().unwrap() = store
+            .page_ids()
+            .into_iter()
+            .map(|id| (id, store.get(id).unwrap().latch.read().data().to_vec()))
+            .collect();
+    }
+}
+
+impl ReadGate for OneVersionBack {
+    fn prepare_read(&self, _: PageId, _: &PageCell, _: &VersionVector) -> DmvResult<()> {
+        Ok(())
+    }
+
+    fn read_version_at(&self, id: PageId, _: &PageCell, _: u64) -> Option<Vec<u8>> {
+        Some(self.images.lock().unwrap().get(&id).cloned().unwrap_or_else(|| vec![0; PAGE_SIZE]))
+    }
+}
+
+/// Runs `statements` as one transaction committed at the next version of
+/// every table it wrote.
+fn commit(db: &MemDb, version: &mut VersionVector, statements: &[Query]) {
+    let mut txn = db.begin_update();
+    for q in statements {
+        execute(&mut txn, q).unwrap();
+    }
+    txn.precommit();
+    for table in txn.write_tables() {
+        version.bump(table);
+    }
+    txn.try_commit(Some(version)).unwrap();
+}
+
+/// `mock`: the mock's answers after each of the two transactions.
+fn check_on_memdb(
+    mode: ConcurrencyMode,
+    history: &[Vec<Query>; 2],
+    selects: &[Select],
+    mock: &[Vec<Answer>; 2],
+) {
+    let what = |kind: &str| format!("{mode:?} {kind}");
+    let check = |mut txn: Txn<'_>, kind: &str| {
+        let out = answers(&mut txn, selects, &what(kind));
+        txn.commit(None);
+        out
+    };
+    let db = MemDb::new(schema(), MemDbOptions { concurrency: mode, ..MemDbOptions::default() });
+    let gate = Arc::new(OneVersionBack::default());
+    db.set_gate(gate.clone());
+    let mut version = VersionVector::new(3);
+    commit(&db, &mut version, &history[0]);
+    let loaded = version.clone();
+    let at_load = check(db.begin_read_local(), "local read");
+    assert_same_rows(selects, &at_load, &mock[0], &what("vs mock"));
+    assert_same(selects, &check(db.begin_update(), "update txn"), &at_load, &what("update txn"));
+    let tagged = check(db.begin_read_tagged(loaded.clone()), "tagged read, current");
+    assert_same(selects, &tagged, &at_load, &what("tagged read, current"));
+
+    gate.capture(&db);
+    commit(&db, &mut version, &history[1]);
+    // The old tag still reads exactly what it read before the change …
+    let tagged = check(db.begin_read_tagged(loaded), "tagged read, one version back");
+    assert_same(selects, &tagged, &at_load, &what("tagged read, one version back"));
+    // … and the changed tables answer consistently too.
+    let changed = check(db.begin_read_local(), "local read after the change");
+    assert_same_rows(selects, &changed, &mock[1], &what("vs mock after the change"));
+    let tagged = check(db.begin_read_tagged(version), "tagged read after the change");
+    assert_same(selects, &tagged, &changed, &what("tagged read after the change"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn executor_matches_reference(seed in 0u64..u64::MAX) {
+        let mut rng = seeded(seed);
+        let schema = schema();
+        let history = history(&mut rng, &schema);
+        let selects: Vec<Select> = (0..30).map(|_| select(&mut rng, &schema)).collect();
+
+        let mut mock = MockContext::new(schema);
+        let mock_answers = [0, 1].map(|i| {
+            for q in &history[i] {
+                execute(&mut mock, q).unwrap();
+            }
+            answers(&mut mock, &selects, "mock")
+        });
+        for mode in [ConcurrencyMode::TwoPhase, ConcurrencyMode::MvccCow] {
+            check_on_memdb(mode, &history, &selects, &mock_answers);
+        }
+    }
+}
