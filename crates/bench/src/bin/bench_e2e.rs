@@ -1,25 +1,26 @@
 //! End-to-end TPC-W throughput benchmark (`cargo xtask bench-e2e`).
 //!
 //! Drives the TPC-W emulator against a full DMV cluster on the
-//! simulated network at paper-scaled latencies, sweeping the three
-//! standard mixes across 1/2/4/8 slaves, plus a single-writer
-//! commit-latency probe (1 client, ordering mix) that guards the
-//! low-load p50 against group-commit batching regressions, plus a
-//! high-fan-out stress cell (ordering at 16 slaves) where the
-//! replication pipeline rather than client think time bounds
-//! throughput.
+//! simulated network at paper-scaled latencies, in the two cells CI's
+//! verdicts read: the **saturation sweep** (ordering at 25 ms think,
+//! rising client counts — update throughput must stay monotone in
+//! offered load) and the **larger-than-memory cell** (shopping under a
+//! half-working-set buffer budget — the resident high-water mark must
+//! stay bounded). The closed-loop mix × slaves grid, the single-writer
+//! probe and the 16-slave stress cell that used to run here measured
+//! the load generator (16 clients × 100 ms think cap every cell at
+//! 136–148 WIPS) and are gone; `examples/dmv_benchmark` is the repo's
+//! throughput benchmark.
 //!
-//! Emits `BENCH_e2e.json` so every perf PR appends a comparable data
-//! point to the BENCH trajectory. `--smoke` shrinks the sweep to a
-//! seconds-long CI sanity run (the numbers are meaningless at that
-//! scale; only the harness path and the JSON shape are exercised).
+//! Emits `BENCH_e2e.json` (`abort_rates` merges its rows into the same
+//! file). `--smoke` shrinks the run to a seconds-long CI sanity run
+//! (the numbers are meaningless at that scale; only the harness path,
+//! the JSON shape and the two verdicts are exercised).
 //!
 //! `--mode mvcc` swaps the master's concurrency control from the
 //! paper's per-page 2PL to copy-on-write page MVCC; the saturation
-//! sweep (ordering at 25 ms think, rising client counts) is the cell
-//! where the two separate — 2PL tips into the lock-retry collapse
-//! documented in EXPERIMENTS.md, MVCC must stay monotone in offered
-//! load.
+//! sweep is where the two separate — 2PL tips into the lock-retry
+//! collapse documented in EXPERIMENTS.md.
 
 use dmv_bench::{banner, deploy_dmv, DmvOptions, SEED};
 use dmv_common::config::{BufferBudget, ConcurrencyMode};
@@ -30,25 +31,27 @@ use dmv_tpcw::Mix;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// One cell of the sweep: a (mix, slave-count, client-count) run.
+/// One saturation cell: the ordering mix on [`SLAVES`] slaves at a
+/// given client count.
 struct Cell {
-    mix: Mix,
-    slaves: usize,
     clients: usize,
     report: EmulatorReport,
     abort_rate: f64,
     duration: Duration,
 }
 
+/// Slaves in every cell.
+const SLAVES: usize = 2;
+
+/// Run parameters. `n_clients` and `think_time` are the ltm cell's; a
+/// saturation cell overrides both ([`saturation_params`]).
+#[derive(Clone)]
 struct Sweep {
-    mixes: Vec<Mix>,
-    slave_counts: Vec<usize>,
     n_clients: usize,
     think_time: Duration,
     duration: Duration,
     warmup: Duration,
     time_scale: f64,
-    single_writer_secs: u64,
     trials: usize,
     mode: ConcurrencyMode,
 }
@@ -56,14 +59,11 @@ struct Sweep {
 fn sweep_params(smoke: bool) -> Sweep {
     if smoke {
         Sweep {
-            mixes: vec![Mix::Shopping],
-            slave_counts: vec![1, 2],
             n_clients: 8,
             think_time: Duration::from_millis(100),
             duration: Duration::from_secs(2),
             warmup: Duration::from_millis(500),
             time_scale: 0.1,
-            single_writer_secs: 2,
             trials: 1,
             mode: ConcurrencyMode::TwoPhase,
         }
@@ -72,42 +72,14 @@ fn sweep_params(smoke: bool) -> Sweep {
         // scheduler jitter into throughput noise; uncompressed runs keep
         // the sleep/CPU ratio high enough for repeatable numbers.
         Sweep {
-            mixes: Mix::ALL.to_vec(),
-            slave_counts: vec![1, 2, 4, 8],
             n_clients: 16,
             think_time: Duration::from_millis(100),
             duration: Duration::from_secs(12),
             warmup: Duration::from_secs(4),
             time_scale: 1.0,
-            single_writer_secs: 8,
             trials: 3,
             mode: ConcurrencyMode::TwoPhase,
         }
-    }
-}
-
-/// The stress cell: ordering mix at double the paper's fan-out
-/// (16 slaves). The standard sweep is a closed loop whose think time
-/// caps the ordering mix near 67 upd/s, so at 1–8 slaves a faster
-/// replication pipeline mostly shows up as lower latency; at 16 slaves
-/// the per-commit broadcast+ack cost is large enough that the pipeline
-/// itself sets the throughput, which is where batching and cumulative
-/// acks are visible. (Raising offered load instead — more clients or
-/// shorter think time — tips TPC-W ordering into a lock-retry collapse
-/// on both the old and new pipelines, so fan-out is the stressor that
-/// stays in a healthy regime.)
-fn stress_params(s: &Sweep) -> Sweep {
-    Sweep {
-        mixes: vec![Mix::Ordering],
-        slave_counts: vec![16],
-        n_clients: s.n_clients,
-        think_time: s.think_time,
-        duration: s.duration,
-        warmup: s.warmup,
-        time_scale: s.time_scale,
-        single_writer_secs: s.single_writer_secs,
-        trials: s.trials,
-        mode: s.mode,
     }
 }
 
@@ -118,18 +90,7 @@ fn stress_params(s: &Sweep) -> Sweep {
 /// cells; under MVCC update throughput must stay monotone in offered
 /// load.
 fn saturation_params(s: &Sweep, clients: usize) -> Sweep {
-    Sweep {
-        mixes: vec![Mix::Ordering],
-        slave_counts: vec![2],
-        n_clients: clients,
-        think_time: Duration::from_millis(25),
-        duration: s.duration,
-        warmup: s.warmup,
-        time_scale: s.time_scale,
-        single_writer_secs: s.single_writer_secs,
-        trials: s.trials,
-        mode: s.mode,
-    }
+    Sweep { n_clients: clients, think_time: Duration::from_millis(25), ..s.clone() }
 }
 
 fn emulator_cfg(mix: Mix, s: &Sweep) -> EmulatorConfig {
@@ -158,29 +119,29 @@ fn jf(v: f64) -> String {
     }
 }
 
-fn run_cell_once(mix: Mix, slaves: usize, s: &Sweep, scale: TpcwScale) -> Cell {
+fn run_cell_once(s: &Sweep, scale: TpcwScale) -> Cell {
     let d = deploy_dmv(
         scale,
         s.time_scale,
-        DmvOptions { slaves, concurrency: s.mode, ..Default::default() },
+        DmvOptions { slaves: SLAVES, concurrency: s.mode, ..Default::default() },
     );
-    let report = run_emulator(&d.backend, d.clock, &d.ids, scale, emulator_cfg(mix, s));
+    let report = run_emulator(&d.backend, d.clock, &d.ids, scale, emulator_cfg(Mix::Ordering, s));
     let abort_rate = d.cluster.version_abort_rate();
     d.cluster.shutdown();
-    Cell { mix, slaves, clients: s.n_clients, report, abort_rate, duration: s.duration }
+    Cell { clients: s.n_clients, report, abort_rate, duration: s.duration }
 }
 
 /// Runs a cell `s.trials` times and keeps the median by update
 /// throughput: on small shared hosts a run can catch a scheduler stall,
 /// and the median discards those outliers in both directions.
-fn run_cell(mix: Mix, slaves: usize, s: &Sweep, scale: TpcwScale) -> Cell {
-    let mut trials: Vec<Cell> =
-        (0..s.trials.max(1)).map(|_| run_cell_once(mix, slaves, s, scale)).collect();
+fn run_cell(s: &Sweep, scale: TpcwScale) -> Cell {
+    let mut trials: Vec<Cell> = (0..s.trials.max(1)).map(|_| run_cell_once(s, scale)).collect();
     trials.sort_by_key(|a| a.report.updates);
     let c = trials.remove(trials.len() / 2);
     let (report, abort_rate) = (&c.report, c.abort_rate);
     println!(
-        "  {mix:<9} {slaves} slave(s): {:8.1} WIPS  {:7.1} upd/s  upd p50 {:6.1} ms  p99 {:7.1} ms  aborts {:.2}%",
+        "  {:3} clients: {:8.1} WIPS  {:7.1} upd/s  upd p50 {:6.1} ms  p99 {:7.1} ms  aborts {:.2}%",
+        c.clients,
         report.wips,
         report.updates as f64 / s.duration.as_secs_f64(),
         ms(report.update_p50_latency),
@@ -188,43 +149,6 @@ fn run_cell(mix: Mix, slaves: usize, s: &Sweep, scale: TpcwScale) -> Cell {
         abort_rate * 100.0
     );
     c
-}
-
-/// Low-load probe: one emulated browser on the ordering mix — commits
-/// are never concurrent, so every flush is a singleton and the p50 here
-/// is the ungrouped commit latency the batcher must not regress.
-fn run_single_writer(s: &Sweep, scale: TpcwScale) -> EmulatorReport {
-    let mut trials: Vec<EmulatorReport> = (0..s.trials.max(1))
-        .map(|_| {
-            let d = deploy_dmv(
-                scale,
-                s.time_scale,
-                DmvOptions { slaves: 2, concurrency: s.mode, ..Default::default() },
-            );
-            let cfg = EmulatorConfig {
-                mix: Mix::Ordering,
-                n_clients: 1,
-                think_time: Duration::from_millis(10),
-                duration: Duration::from_secs(s.single_writer_secs),
-                warmup: Duration::from_millis(500),
-                retries: 20,
-                seed: SEED,
-                series_window: Duration::from_secs(2),
-            };
-            let report = run_emulator(&d.backend, d.clock, &d.ids, scale, cfg);
-            d.cluster.shutdown();
-            report
-        })
-        .collect();
-    trials.sort_by_key(|r| r.update_p50_latency);
-    let report = trials.remove(trials.len() / 2);
-    println!(
-        "  single-writer (ordering, 2 slaves): upd p50 {:6.1} ms  p99 {:6.1} ms  ({} updates)",
-        ms(report.update_p50_latency),
-        ms(report.update_p99_latency),
-        report.updates
-    );
-    report
 }
 
 /// Result of the larger-than-memory cell: shopping mix with every
@@ -259,7 +183,7 @@ fn run_ltm(s: &Sweep, scale: TpcwScale, budget_override: Option<u64>) -> LtmCell
     let probe = deploy_dmv(
         scale,
         s.time_scale,
-        DmvOptions { slaves: 2, concurrency: s.mode, ..Default::default() },
+        DmvOptions { slaves: SLAVES, concurrency: s.mode, ..Default::default() },
     );
     let working_set_pages = probe
         .cluster
@@ -279,7 +203,12 @@ fn run_ltm(s: &Sweep, scale: TpcwScale, budget_override: Option<u64>) -> LtmCell
     let d = deploy_dmv(
         scale,
         s.time_scale,
-        DmvOptions { slaves: 2, buffer_budget: budget, concurrency: s.mode, ..Default::default() },
+        DmvOptions {
+            slaves: SLAVES,
+            buffer_budget: budget,
+            concurrency: s.mode,
+            ..Default::default()
+        },
     );
     let report = run_emulator(&d.backend, d.clock, &d.ids, scale, emulator_cfg(Mix::Shopping, s));
     let abort_rate = d.cluster.version_abort_rate();
@@ -323,7 +252,7 @@ fn run_ltm(s: &Sweep, scale: TpcwScale, budget_override: Option<u64>) -> LtmCell
 
 fn ltm_json(c: &LtmCell) -> String {
     format!(
-        "{{\"mix\": \"shopping\", \"slaves\": 2, \"working_set_pages\": {}, \
+        "{{\"mix\": \"shopping\", \"slaves\": {SLAVES}, \"working_set_pages\": {}, \
          \"budget_pages\": {}, \"wips\": {}, \"update_tps\": {}, \"update_p50_ms\": {}, \
          \"update_p99_ms\": {}, \"abort_rate\": {}, \"high_water_pages\": {}, \
          \"evictions\": {}, \"faults\": {}, \"max_pending_bytes\": {}, \"bounded\": {}}}",
@@ -344,12 +273,10 @@ fn ltm_json(c: &LtmCell) -> String {
 
 fn cell_json(c: &Cell) -> String {
     format!(
-        "{{\"mix\": \"{}\", \"slaves\": {}, \"clients\": {}, \"wips\": {}, \"updates\": {}, \
+        "{{\"mix\": \"ordering\", \"slaves\": {SLAVES}, \"clients\": {}, \"wips\": {}, \"updates\": {}, \
          \"update_tps\": {}, \"update_p50_ms\": {}, \"update_p99_ms\": {}, \
          \"mean_latency_ms\": {}, \"p90_latency_ms\": {}, \"abort_rate\": {}, \
          \"errors\": {}}}",
-        format!("{}", c.mix).to_lowercase(),
-        c.slaves,
         c.clients,
         jf(c.report.wips),
         c.report.updates,
@@ -363,15 +290,7 @@ fn cell_json(c: &Cell) -> String {
     )
 }
 
-fn to_json(
-    cells: &[Cell],
-    single: Option<&EmulatorReport>,
-    stress: Option<&Cell>,
-    saturation: &[Cell],
-    ltm: Option<&LtmCell>,
-    s: &Sweep,
-    smoke: bool,
-) -> String {
+fn to_json(saturation: &[Cell], ltm: Option<&LtmCell>, s: &Sweep, smoke: bool) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"e2e-tpcw\",");
     let _ = writeln!(out, "  \"mode\": \"{}\",", mode_name(s.mode));
@@ -380,35 +299,6 @@ fn to_json(
     let _ = writeln!(out, "  \"n_clients\": {},", s.n_clients);
     let _ = writeln!(out, "  \"duration_s\": {},", s.duration.as_secs());
     let _ = writeln!(out, "  \"trials\": {},", s.trials);
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", cell_json(c));
-    }
-    let _ = writeln!(out, "  ],");
-    match single {
-        Some(r) => {
-            let _ = writeln!(
-                out,
-                "  \"single_writer\": {{\"mix\": \"ordering\", \"slaves\": 2, \"update_p50_ms\": {}, \
-                 \"update_p99_ms\": {}, \"updates\": {}}},",
-                jf(ms(r.update_p50_latency)),
-                jf(ms(r.update_p99_latency)),
-                r.updates,
-            );
-        }
-        None => {
-            let _ = writeln!(out, "  \"single_writer\": null,");
-        }
-    }
-    match stress {
-        Some(c) => {
-            let _ = writeln!(out, "  \"stress\": {},", cell_json(c));
-        }
-        None => {
-            let _ = writeln!(out, "  \"stress\": null,");
-        }
-    }
     if saturation.is_empty() {
         let _ = writeln!(out, "  \"saturation\": null,");
     } else {
@@ -468,16 +358,6 @@ fn main() {
     if let Some(secs) = flag_val::<u64>(&args, "--secs") {
         s.duration = Duration::from_secs(secs);
     }
-    if let Some(mix) = flag_val::<String>(&args, "--mix") {
-        s.mixes = Mix::ALL
-            .iter()
-            .copied()
-            .filter(|m| format!("{m}").eq_ignore_ascii_case(&mix))
-            .collect();
-    }
-    if let Some(slaves) = flag_val::<String>(&args, "--slaves") {
-        s.slave_counts = slaves.split(',').filter_map(|n| n.parse().ok()).collect();
-    }
     if let Some(t) = flag_val::<usize>(&args, "--trials") {
         s.trials = t;
     }
@@ -491,65 +371,32 @@ fn main() {
         ),
     );
 
-    let stress_only = args.iter().any(|a| a == "--stress-only");
     let ltm_only = args.iter().any(|a| a == "--ltm-only");
     let saturation_only = args.iter().any(|a| a == "--saturation-only");
-    let mut cells = Vec::new();
-    let mut single = None;
-    if !stress_only && !ltm_only && !saturation_only {
-        for &mix in &s.mixes {
-            println!("\n--- {mix} mix ({}% updates) ---", (mix.update_fraction() * 100.0).round());
-            for &n in &s.slave_counts {
-                cells.push(run_cell(mix, n, &s, scale));
-            }
-        }
-        println!("\n--- single-writer latency probe ---");
-        single = Some(run_single_writer(&s, scale));
-    }
-    let stress = if smoke || ltm_only || saturation_only {
-        None
-    } else {
-        let mut st = stress_params(&s);
-        if let Some(n) = flag_val::<usize>(&args, "--stress-clients") {
-            st.n_clients = n;
-        }
-        if let Some(t) = flag_val::<u64>(&args, "--stress-think-ms") {
-            st.think_time = Duration::from_millis(t);
-        }
-        let slaves = flag_val::<usize>(&args, "--stress-slaves").unwrap_or(16);
-        println!(
-            "\n--- stress: ordering at {slaves} slaves ({} clients, {} ms think) ---",
-            st.n_clients,
-            st.think_time.as_millis()
-        );
-        Some(run_cell(Mix::Ordering, slaves, &st, scale))
-    };
 
     // The saturation sweep runs in smoke mode too (shortened by the
     // smoke durations): CI asserts the monotone-to-plateau shape on it,
     // which survives smoke-scale noise even though the absolute numbers
     // do not.
     let mut saturation = Vec::new();
-    if saturation_only || !(stress_only || ltm_only) {
+    if !ltm_only {
         let client_counts: Vec<usize> = flag_val::<String>(&args, "--saturation-clients")
             .map(|v| v.split(',').filter_map(|n| n.parse().ok()).collect())
             .unwrap_or_else(|| vec![16, 32, 64]);
         println!("\n--- saturation: ordering at 25 ms think, rising offered load ---");
         for clients in client_counts {
-            let sat = saturation_params(&s, clients);
-            saturation.push(run_cell(Mix::Ordering, 2, &sat, scale));
+            saturation.push(run_cell(&saturation_params(&s, clients), scale));
         }
     }
 
-    let ltm = if stress_only || saturation_only {
+    let ltm = if saturation_only {
         None
     } else {
         println!("\n--- larger-than-memory: shopping under a half-working-set budget ---");
         Some(run_ltm(&s, scale, flag_val::<u64>(&args, "--ltm-budget-pages")))
     };
 
-    let json =
-        to_json(&cells, single.as_ref(), stress.as_ref(), &saturation, ltm.as_ref(), &s, smoke);
+    let json = to_json(&saturation, ltm.as_ref(), &s, smoke);
     std::fs::write(&out_path, &json).expect("write BENCH_e2e.json");
     println!("\nwrote {out_path}");
 }

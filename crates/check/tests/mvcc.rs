@@ -5,12 +5,14 @@
 //! The protocol's safety argument is first-committer-wins validation
 //! under the sharded commit sequencer: of two committers whose page
 //! sets overlap, exactly one installs; disjoint committers never
-//! interfere; snapshot readers see a stable prefix of the commit
-//! history. These tests explore every interleaving (within the
-//! preemption bound) against the *real* [`MvccManager`], plus two
-//! deliberate-bug twins — validation skipped entirely, and
-//! first-committer-wins inverted to last-committer-wins — proving the
-//! validation rule is load-bearing, not decorative.
+//! interfere; an updater whose reads straddle a rival's multi-page
+//! install fails validation. (The manager keeps no page history and
+//! serves no snapshots — versions exist on the slaves.) These tests
+//! explore every interleaving (within the preemption bound) against
+//! the *real* [`MvccManager`], plus two deliberate-bug twins —
+//! validation skipped entirely, and first-committer-wins inverted to
+//! last-committer-wins — proving the validation rule is load-bearing,
+//! not decorative.
 
 #![cfg(dmv_check)]
 
@@ -101,50 +103,22 @@ fn overlapping_writers_exactly_one_wins() {
     assert!(report.exhausted, "bounded space should be fully explored");
 }
 
-/// A snapshot reader racing a committer: both reads inside the snapshot
-/// return the image the snapshot was taken at, whether the concurrent
-/// commit lands before, between, or after them.
+/// A committer that writes **two** pages racing an updater that reads
+/// both and commits a write derived from them: in every interleaving —
+/// including reads landing between the committer's two page installs —
+/// the updater either fails validation or saw both pages old or both
+/// new, never half of one transaction (the heap-row-without-its-index-
+/// entry shape). The master keeps no snapshots; this is the one path
+/// that can observe a multi-page commit mid-install, and validation
+/// under the sequencer is what turns the torn read into an abort.
 #[test]
-fn snapshot_reads_stable_across_concurrent_commit() {
-    let report = model_result(ModelOptions::default(), || {
-        let m = Arc::new(MvccManager::new());
-        let store = PageStore::new(Residency::free());
-        let (p, c) = page(&store);
-        bump(&m, p, &c); // committed value 1
-        let snap = m.begin_snapshot();
-        let writer = {
-            let m = Arc::clone(&m);
-            let c = Arc::clone(&c);
-            thread::spawn(move || bump(&m, p, &c))
-        };
-        let first = m.read_at(p, &c, snap)[0];
-        let second = m.read_at(p, &c, snap)[0];
-        writer.join().expect("join writer");
-        let third = m.read_at(p, &c, snap)[0];
-        assert_eq!((first, second, third), (1, 1, 1), "snapshot read moved");
-        m.end_snapshot(snap);
-        let after = m.begin_snapshot();
-        assert_eq!(m.read_at(p, &c, after)[0], 2, "new snapshot sees the commit");
-        m.end_snapshot(after);
-    })
-    .expect("snapshot stability holds in every interleaving");
-    assert!(report.exhausted, "bounded space should be fully explored");
-}
-
-/// A snapshot reader racing one commit that spans **two** pages: in
-/// every interleaving — including snapshots begun between the
-/// committer's stamp draw and its second page install — the reader
-/// sees both pages old or both new, never half of one transaction
-/// (the heap-row-without-its-index-entry shape). Guards the published
-/// `visible` stamp: the raw CSN counter already covers a commit whose
-/// installs are still in flight.
-#[test]
-fn multi_page_commit_is_atomic_to_snapshots() {
+fn multi_page_commit_is_atomic_to_validated_updaters() {
     let report = model_result(ModelOptions::default(), || {
         let m = Arc::new(MvccManager::new());
         let store = PageStore::new(Residency::free());
         let (p1, c1) = page(&store);
         let (p2, c2) = page(&store);
+        let (p3, c3) = page(&store);
         let writer = {
             let m = Arc::clone(&m);
             let (c1, c2) = (Arc::clone(&c1), Arc::clone(&c2));
@@ -160,52 +134,25 @@ fn multi_page_commit_is_atomic_to_snapshots() {
                         Install { id: p2, cell: &c2, image: &i2 },
                     ],
                 )
-                .expect("no rival committer");
+                .expect("the updater writes neither page");
             })
         };
-        let snap = m.begin_snapshot();
-        let a = m.read_at(p1, &c1, snap)[0];
-        let b = m.read_at(p2, &c2, snap)[0];
-        m.end_snapshot(snap);
+        let (s1, i1) = m.read_latest(p1, &c1);
+        let (s2, i2) = m.read_latest(p2, &c2);
+        let (s3, mut i3) = m.read_latest(p3, &c3);
+        i3[0] = 10 * i1[0] + i2[0];
+        let committed = m
+            .commit(&[(p1, s1), (p2, s2), (p3, s3)], &[Install { id: p3, cell: &c3, image: &i3 }])
+            .is_ok();
         writer.join().expect("join writer");
-        assert_eq!(a, b, "snapshot observed half of a two-page commit");
+        if committed {
+            assert_eq!(i1[0], i2[0], "an updater that saw half of a two-page commit validated");
+            assert_eq!(c3.latch.read().data()[0], 11 * i1[0]);
+        } else {
+            assert_eq!(c3.latch.read().data()[0], 0, "a failed validation installed anyway");
+        }
     })
-    .expect("multi-page commits are atomic to snapshots in every interleaving");
-    assert!(report.exhausted, "bounded space should be fully explored");
-}
-
-/// A snapshot racing a supersede-then-prune: in every interleaving the
-/// snapshot reads a value some commit actually wrote — never the
-/// zeroed pre-creation image a too-eager prune would expose. Guards
-/// the begin/prune handshake: the snapshot stamp is chosen and
-/// registered under one hold of the `snaps` lock, so prune either sees
-/// the registration or finishes before the stamp is chosen.
-#[test]
-fn snapshot_never_loses_its_image_to_a_racing_prune() {
-    let report = model_result(ModelOptions::default(), || {
-        let m = Arc::new(MvccManager::new());
-        let store = PageStore::new(Residency::free());
-        let (p, c) = page(&store);
-        bump(&m, p, &c); // committed value 1
-        let sweeper = {
-            let m = Arc::clone(&m);
-            let c = Arc::clone(&c);
-            thread::spawn(move || {
-                bump(&m, p, &c); // supersede: committed value 2
-                m.prune(&dmv_common::version::VersionVector::from_entries(vec![u64::MAX]));
-            })
-        };
-        let snap = m.begin_snapshot();
-        let seen = m.read_at(p, &c, snap)[0];
-        m.end_snapshot(snap);
-        sweeper.join().expect("join sweeper");
-        assert_eq!(
-            seen,
-            if snap >= 2 { 2 } else { 1 },
-            "snapshot at {snap} read a pruned-away (or future) image"
-        );
-    })
-    .expect("pruning never steals a registering snapshot's image");
+    .expect("validation never passes a torn read of a two-page commit");
     assert!(report.exhausted, "bounded space should be fully explored");
 }
 
@@ -255,35 +202,4 @@ fn last_committer_wins_mutation_caught() {
     })
     .expect_err("last-committer-wins must lose an update in some interleaving");
     assert!(failure.message.contains("update was lost"), "got: {}", failure.message);
-}
-
-/// Snapshot release is exact under races: once both a racing reader and
-/// writer finish, no snapshot stays registered and every superseded
-/// image is reclaimable (watermark permitting).
-#[test]
-fn snapshot_registration_balances_under_races() {
-    let report = model_result(ModelOptions::default(), || {
-        let m = Arc::new(MvccManager::new());
-        let store = PageStore::new(Residency::free());
-        let (p, c) = page(&store);
-        let reader = {
-            let m = Arc::clone(&m);
-            let c = Arc::clone(&c);
-            thread::spawn(move || {
-                let snap = m.begin_snapshot();
-                let v = m.read_at(p, &c, snap)[0];
-                m.end_snapshot(snap);
-                v
-            })
-        };
-        bump(&m, p, &c);
-        let seen = reader.join().expect("join reader");
-        assert!(seen <= 1, "reader saw a value newer than any commit");
-        assert_eq!(m.active_snapshots(), 0, "snapshot leaked");
-        let freed = m.prune(&dmv_common::version::VersionVector::from_entries(vec![u64::MAX]));
-        assert_eq!(m.chain_entries(), 0, "unreachable versions must be reclaimable");
-        assert!(freed <= 1);
-    })
-    .expect("snapshot bookkeeping balances in every interleaving");
-    assert!(report.exhausted, "bounded space should be fully explored");
 }

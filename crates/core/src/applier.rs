@@ -9,10 +9,10 @@
 //! replica, when needed by an in-progress read-only transaction".
 //!
 //! A page that has already been upgraded past `V[table]` (by a reader
-//! with a newer tag) is *rewound*: every applied diff pushes its reverse
-//! step onto the page's [`VersionChain`] — the chain a master's snapshot
-//! readers walk too — and a tagged read past whose tag the page has
-//! moved re-materializes its version from it
+//! with a newer tag) is *rewound*: every diff a reader applies pushes
+//! its reverse step onto the page's [`VersionChain`] — this applier is
+//! the chain's one owner; a master keeps no history — and a tagged read
+//! past whose tag the page has moved re-materializes its version from it
 //! ([`ReadGate::read_version_at`]). This is the "multiversion" in
 //! multiversion replication — without it, any two in-flight reads with
 //! different tags that share a slave force an abort, and §6.1's < 2.5 %
@@ -107,11 +107,13 @@ impl PageSlot {
     }
 
     /// Applies the pending diffs with version `≤ want` to `page`, each
-    /// leaving its reverse step on `past`; returns the pending bytes
-    /// released. The caller holds the slot's shard lock and the page's
-    /// write latch, so a rewinder never observes an upgraded page whose
-    /// step isn't recorded yet.
-    fn apply_up_to(&mut self, page: &mut Page, want: u64) -> u64 {
+    /// leaving its reverse step on `past` when `record` is set; returns
+    /// the pending bytes released. The caller holds the slot's shard
+    /// lock and the page's write latch, so a rewinder never observes an
+    /// upgraded page whose step isn't recorded yet. Only the GC sweep
+    /// applies unrecorded: it prunes at `want` in the same critical
+    /// section, which drops exactly the steps these diffs would leave.
+    fn apply_up_to(&mut self, page: &mut Page, want: u64, record: bool) -> u64 {
         let n = self.pending.iter().take_while(|e| e.version <= want).count();
         let mut applied_bytes = 0;
         for entry in self.pending.drain(..n) {
@@ -119,8 +121,10 @@ impl PageSlot {
             // Idempotence across migration: a page image received
             // during data migration may already include this diff.
             if entry.version > page.version {
-                let rev = entry.diff().reverse_of(page.data());
-                self.past.push(entry.version, page.version, rev, HISTORY_LIMIT);
+                if record {
+                    let rev = entry.diff().reverse_of(page.data());
+                    self.past.push(entry.version, page.version, rev, HISTORY_LIMIT);
+                }
                 entry.diff().apply(page.data_mut());
                 page.version = entry.version;
             }
@@ -337,7 +341,7 @@ impl PendingApplier {
             return version_check(id, want, cell.latch.read().version);
         };
         let mut page = cell.latch.write();
-        let applied_bytes = slot.apply_up_to(&mut page, want);
+        let applied_bytes = slot.apply_up_to(&mut page, want, true);
         if slot.is_empty() {
             shard.remove(&id);
         }
@@ -346,16 +350,19 @@ impl PendingApplier {
     }
 
     /// One pass over every slot, each shard in one critical section:
-    /// with a watermark, [`Self::reclaim_up_to`]; without, applies
-    /// everything and prunes nothing. Returns the slots removed.
+    /// with a watermark, [`Self::reclaim_up_to`] (no reverse step is
+    /// built for a diff at or below the watermark — the prune that
+    /// follows would drop it); without, applies everything, recording,
+    /// and prunes nothing. Returns the slots removed.
     fn sweep(&self, wm: Option<&VersionVector>) -> usize {
         let (mut removed, mut applied_bytes) = (0usize, 0u64);
+        let record = wm.is_none();
         for shard in &self.slots {
             shard.lock().retain(|id, slot| {
                 let upto = wm.map_or(u64::MAX, |wm| wm.get(id.table));
                 if slot.has_pending_up_to(upto) {
                     if let Some(cell) = self.store.get(*id) {
-                        applied_bytes += slot.apply_up_to(&mut cell.latch.write(), upto);
+                        applied_bytes += slot.apply_up_to(&mut cell.latch.write(), upto, record);
                     }
                 }
                 if wm.is_some() {
@@ -831,9 +838,26 @@ mod tests {
         assert_eq!(Arc::strong_count(&w1), 1, "reclaim released the write-set handle");
         assert_eq!(Arc::strong_count(&w2), 1);
         assert_eq!(Arc::strong_count(&w3), 2, "v3 is above the watermark and stays queued");
-        let cell = store.get(PageId::heap(TableId(0), 0)).unwrap();
+        let id = PageId::heap(TableId(0), 0);
+        let cell = store.get(id).unwrap();
         assert_eq!(cell.latch.read().version, 2, "reclaim applies, never drops");
         assert_eq!(cell.latch.read().data()[0], 20);
+        // The sweep leaves no step behind (it applied at or below the
+        // watermark): reads at and above it are exact, below it gone.
+        assert_eq!(a.history_len(), 0);
+        assert_eq!(a.read_version_at(id, &cell, 2).unwrap()[0], 20);
+        assert_eq!(a.read_version_at(id, &cell, 9).unwrap()[0], 20);
+        assert!(a.read_version_at(id, &cell, 1).is_none(), "below the watermark is not kept");
+        // A reader above the watermark applies the next diff, recording:
+        // the watermark image stays reachable from the newer page.
+        a.enqueue(&ws(4, 0, 4, 0, 40));
+        let mut tag = VersionVector::new(2);
+        tag.set(TableId(0), 4);
+        a.prepare_read(id, &cell, &tag).unwrap();
+        assert_eq!(cell.latch.read().data()[0], 40);
+        assert_eq!(a.read_version_at(id, &cell, 3).unwrap()[0], 20, "no diff in (2, 4)");
+        assert_eq!(a.read_version_at(id, &cell, 2).unwrap()[0], 20);
+        assert!(a.read_version_at(id, &cell, 1).is_none());
     }
 
     #[test]

@@ -468,9 +468,6 @@ impl ReplicaNode {
     /// a second pass at the same or an older watermark is a no-op.
     pub fn reclaim_local(&self, wm: &VersionVector) -> usize {
         let reaped = self.applier.reclaim_up_to(wm);
-        // The master's MVCC chains prune on the same sweep (a no-op
-        // under 2PL), bounded by its own local snapshots alone.
-        self.db.mvcc_prune();
         self.emit(|| TraceEvent::Reclaimed { node: self.id, watermark: wm.clone(), reaped });
         reaped
     }

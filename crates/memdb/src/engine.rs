@@ -158,7 +158,7 @@ impl MemDb {
         &self.locks
     }
 
-    /// The copy-on-write MVCC state (stamps, version chains, sequencer).
+    /// The copy-on-write MVCC state (commit sequencer, per-page stamps).
     pub fn mvcc(&self) -> &MvccManager {
         &self.mvcc
     }
@@ -166,13 +166,6 @@ impl MemDb {
     /// The concurrency-control protocol update transactions run under.
     pub fn concurrency(&self) -> ConcurrencyMode {
         self.concurrency
-    }
-
-    /// Prunes the MVCC chain steps no local snapshot can reach (no-op
-    /// under 2PL, which keeps no chains). Returns steps freed.
-    pub fn mvcc_prune(&self) -> usize {
-        // The manager's signature keeps a watermark slot it ignores.
-        self.mvcc.prune(&VersionVector::new(0))
     }
 
     /// The engine's clock.
@@ -194,7 +187,8 @@ impl MemDb {
         TxnId::new(self.node, self.next_txn.fetch_add(1, Ordering::Relaxed)) // relaxed-ok: ID allocator; uniqueness comes from the RMW, nothing is published
     }
 
-    /// Begins an update transaction (per-page 2PL; master side).
+    /// Begins an update transaction under [`MemDb::concurrency`]
+    /// (master side).
     pub fn begin_update(&self) -> Txn<'_> {
         Txn::new(self, self.next_txn_id(), TxnMode::Update)
     }
@@ -206,7 +200,8 @@ impl MemDb {
     }
 
     /// Begins an untagged, latched read-only transaction (stand-alone
-    /// single-node use; not isolated from concurrent local writers).
+    /// single-node use; not isolated from concurrent local writers in
+    /// either concurrency mode — see [`TxnMode::ReadLocal`]).
     pub fn begin_read_local(&self) -> Txn<'_> {
         Txn::new(self, self.next_txn_id(), TxnMode::ReadLocal)
     }

@@ -15,52 +15,31 @@
 //!    read it; any mismatch aborts the committer with a retryable
 //!    [`DmvError::VersionConflict`] (the earlier committer already won);
 //! 3. **install**: a fresh commit stamp is drawn from the global
-//!    counter, the reverse diff restoring every written page's
-//!    superseded image is pushed onto that page's [`VersionChain`], and
-//!    the private copy becomes the page's committed image.
+//!    counter and, per written page, the private copy overwrites the
+//!    page's committed image and the stamp becomes the page's stamp,
+//!    under one hold of the page's shard lock.
 //!
-//! Snapshot readers never block writers and never abort: they register
-//! a snapshot stamp and read, per page, the image as of that stamp —
-//! the page cell if its stamp qualifies, otherwise walked back from it
-//! through the chain (step 3 pushes the reverse step and overwrites the
-//! cell under one hold of the page's shard lock, so a snapshot never
-//! observes a torn hand-off). Snapshots begin at the
-//! **visible** stamp — the highest stamp up to which *every* commit has
-//! finished installing all of its pages — not at the raw CSN counter,
-//! so a snapshot can never land in the middle of a multi-page install
-//! and observe half of one transaction (heap row without its index
-//! entry). Commits publish their stamp into `visible` only contiguously:
-//! a commit that finishes while an earlier stamp is still installing
-//! parks its stamp until the gap closes.
-//!
-//! Chains are pruned by [`MvccManager::prune`] on the epoch GC sweep,
-//! bounded by the snapshot floor alone: only local snapshot reads walk
-//! them — tagged reads go through the replication layer's `ReadGate`.
+//! The master keeps **no page history**: one current image and one
+//! commit stamp per page. "Multiversion" means the slaves, where the
+//! replication layer's applier creates the version a tagged reader asks
+//! for (paper §2.2); every read-only transaction of a running cluster
+//! is tagged and routed there. What guards a multi-page commit on the
+//! master is validation: an updater that read one page before a rival's
+//! install and another after it holds a stale stamp and aborts. An
+//! untagged local read ([`crate::TxnMode::ReadLocal`]) is a latched
+//! read of each page's committed image with no cross-page snapshot —
+//! the stand-alone, quiescent contract it has under 2PL too.
 
 use dmv_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dmv_check::sync::{Mutex, MutexGuard};
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::PageId;
-use dmv_common::version::VersionVector;
-use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::store::PageCell;
-use dmv_pagestore::versions::VersionChain;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Number of sequencer/page-state shards. Power of two so the
 /// Fibonacci hash can use a shift.
 pub const MVCC_SHARDS: usize = 16;
-
-/// Per-page MVCC state.
-#[derive(Default)]
-struct PageMvcc {
-    /// Commit stamp of the current committed image in the page cell
-    /// (`0` if the page has never been MVCC-committed).
-    last_stamp: u64,
-    /// Reverse steps back from the cell's image, stamped with the
-    /// commit stamps they lead between (`0` is the load-time image).
-    chain: VersionChain,
-}
 
 /// The page read-set of a transaction at validation time: page id plus
 /// the commit stamp observed when the transaction first read it.
@@ -81,32 +60,18 @@ pub struct Install<'a> {
 pub struct MvccManager {
     /// Last assigned commit stamp.
     csn: AtomicU64,
-    /// Highest stamp up to which **every** commit has fully installed
-    /// all of its pages. Snapshots begin here rather than at `csn`:
-    /// between a commit's stamp draw and its last page install, the
-    /// raw counter already covers a half-installed transaction.
-    visible: AtomicU64,
-    /// Stamps whose installs finished while an earlier stamp was still
-    /// installing — parked until the gap closes so `visible` only ever
-    /// advances over contiguous, fully-installed prefixes.
-    installed: Mutex<BTreeSet<u64>>,
     /// Sharded commit sequencer: a committer holds the sequencer shard
     /// of every page it read or wrote (ascending shard order) across
     /// validation and install, so overlapping committers serialize and
     /// disjoint ones run in parallel.
     seq: [Mutex<()>; MVCC_SHARDS],
-    /// Sharded per-page state (commit stamps + version chains). Taken
-    /// one shard at a time, under the sequencer on the commit path and
-    /// bare on read paths.
-    pages: [Mutex<HashMap<PageId, PageMvcc>>; MVCC_SHARDS],
-    /// Registered snapshot stamps → number of open readers at each.
-    snaps: Mutex<BTreeMap<u64, usize>>,
-    /// Test hook: skip commit validation entirely (lost-update bug the
-    /// model suite must catch).
+    /// Commit stamp of each page's committed image (absent: never
+    /// MVCC-committed, stamp `0`). Taken one shard at a time, under the
+    /// sequencer on the commit path and bare on read paths.
+    pages: [Mutex<HashMap<PageId, u64>>; MVCC_SHARDS],
+    /// Test hook: skip commit validation entirely.
     skip_validation: AtomicBool,
-    /// Test hook: invert first-committer-wins — a conflicting committer
-    /// overwrites instead of aborting (the model suite must catch this
-    /// too).
+    /// Test hook: a conflicting committer overwrites instead of aborting.
     last_committer_wins: AtomicBool,
 }
 
@@ -117,15 +82,12 @@ impl Default for MvccManager {
 }
 
 impl MvccManager {
-    /// Creates an empty manager (no committed stamps, no chains).
+    /// Creates an empty manager (no committed stamps).
     pub fn new() -> Self {
         let m = MvccManager {
             csn: AtomicU64::new(0),
-            visible: AtomicU64::new(0),
-            installed: Mutex::new(BTreeSet::new()),
             seq: std::array::from_fn(|_| Mutex::new(())),
             pages: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            snaps: Mutex::new(BTreeMap::new()),
             skip_validation: AtomicBool::new(false),
             last_committer_wins: AtomicBool::new(false),
         };
@@ -135,8 +97,6 @@ impl MvccManager {
         for s in &m.pages {
             dmv_check::race::label(s, "mvcc_pages");
         }
-        dmv_check::race::label(&m.installed, "mvcc_installed");
-        dmv_check::race::label(&m.snaps, "mvcc_snaps");
         m
     }
 
@@ -145,7 +105,7 @@ impl MvccManager {
     /// stamp and the image are consistent.
     pub fn read_latest(&self, id: PageId, cell: &PageCell) -> (u64, Vec<u8>) {
         let st = self.pages[id.shard(MVCC_SHARDS)].lock();
-        let stamp = st.get(&id).map_or(0, |e| e.last_stamp);
+        let stamp = st.get(&id).copied().unwrap_or(0);
         // The latch is a real lock even under the model checker: its
         // guard must die before the shard unlock, a scheduling point.
         let image = cell.latch.read().data().to_vec();
@@ -155,53 +115,13 @@ impl MvccManager {
 
     /// The current commit stamp of `id` (`0` if never MVCC-committed).
     pub fn stamp_of(&self, id: PageId) -> u64 {
-        self.pages[id.shard(MVCC_SHARDS)].lock().get(&id).map_or(0, |e| e.last_stamp)
-    }
-
-    /// Registers a snapshot at the newest fully-installed commit stamp;
-    /// images reachable from it are protected from pruning until
-    /// [`MvccManager::end_snapshot`].
-    ///
-    /// The stamp is read and registered under one hold of the `snaps`
-    /// lock — the same lock [`MvccManager::prune`] computes its
-    /// reachability floor under — so a concurrent prune either sees
-    /// this snapshot registered or finishes before the stamp is chosen;
-    /// it can never reap an image between the two.
-    pub fn begin_snapshot(&self) -> u64 {
-        let mut snaps = self.snaps.lock();
-        let snap = self.visible.load(Ordering::Acquire);
-        *snaps.entry(snap).or_insert(0) += 1;
-        snap
-    }
-
-    /// Releases a snapshot registered by [`MvccManager::begin_snapshot`].
-    pub fn end_snapshot(&self, snap: u64) {
-        let mut snaps = self.snaps.lock();
-        if let Some(n) = snaps.get_mut(&snap) {
-            *n -= 1;
-            if *n == 0 {
-                snaps.remove(&snap);
-            }
-        }
-    }
-
-    /// Reads the image of `id` as of the registered snapshot `snap`: the
-    /// page cell's image walked back through the page's chain until its
-    /// stamp is at or below the snapshot. A page first committed after
-    /// the snapshot walks back to the image it was created over.
-    pub fn read_at(&self, id: PageId, cell: &PageCell, snap: u64) -> Vec<u8> {
-        let st = self.pages[id.shard(MVCC_SHARDS)].lock();
-        let page = cell.latch.read();
-        let never_committed = PageMvcc::default();
-        let e = st.get(&id).unwrap_or(&never_committed);
-        // unwrap-ok: prune's cutoff keeps every step a registered snapshot can reach (model-checked in crates/check/tests/mvcc.rs)
-        e.chain.image_at(page.data(), e.last_stamp, snap).expect("snapshot outlived its steps")
+        self.pages[id.shard(MVCC_SHARDS)].lock().get(&id).copied().unwrap_or(0)
     }
 
     /// Validates and installs one transaction's writes: first-committer-
-    /// wins over the read set, then reverse-step push + cell overwrite per
-    /// written page, all under the sequencer shards covering the
-    /// transaction's page set. Returns the new commit stamp.
+    /// wins over the read set, then stamp + cell overwrite per written
+    /// page, all under the sequencer shards covering the transaction's
+    /// page set. Returns the new commit stamp.
     ///
     /// # Errors
     ///
@@ -221,32 +141,16 @@ impl MvccManager {
         let stamp = self.csn.fetch_add(1, Ordering::AcqRel) + 1;
         for w in writes {
             let mut st = self.pages[w.id.shard(MVCC_SHARDS)].lock();
-            let e = st.entry(w.id).or_default();
-            let mut page = w.cell.latch.write();
-            // The step back to the superseded image and the overwrite
-            // happen under one hold of the shard lock, which snapshot
-            // readers take too: they see both or neither.
-            let rev = PageDiff::compute(w.image, page.data());
-            e.chain.push(stamp, e.last_stamp, rev, usize::MAX);
-            page.data_mut().copy_from_slice(w.image);
-            drop(page);
-            e.last_stamp = stamp;
-            // Dirty under the shard lock, atomically with the stamp, so
-            // a pipelined rival's stamp-guarded clear
-            // ([`MvccManager::clear_dirty_if_current`]) and this set
-            // can't interleave the wrong way round.
+            // The overwrite and the stamp happen under one hold of the
+            // shard lock, which `read_latest` takes too: a rival's base
+            // is never a new image under an old stamp.
+            w.cell.latch.write().data_mut().copy_from_slice(w.image);
+            st.insert(w.id, stamp);
+            // Dirty under the shard lock, atomically with the stamp, so a
+            // pipelined rival's [`MvccManager::clear_dirty_if_current`]
+            // and this set can't interleave the wrong way round.
             w.cell.set_dirty(true);
         }
-        // Publish visibility: commits holding disjoint sequencer shards
-        // finish in any order, so `visible` advances only over the
-        // contiguous prefix of fully-installed stamps (module docs).
-        let mut done = self.installed.lock();
-        done.insert(stamp);
-        let mut vis = self.visible.load(Ordering::Acquire);
-        while done.remove(&(vis + 1)) {
-            vis += 1;
-        }
-        self.visible.store(vis, Ordering::Release);
         Ok(stamp)
     }
 
@@ -257,7 +161,7 @@ impl MvccManager {
     /// checkpointed yet.
     pub fn clear_dirty_if_current(&self, id: PageId, cell: &PageCell, stamp: u64) {
         let st = self.pages[id.shard(MVCC_SHARDS)].lock();
-        if st.get(&id).map_or(0, |e| e.last_stamp) == stamp {
+        if st.get(&id).copied().unwrap_or(0) == stamp {
             cell.set_dirty(false);
         }
     }
@@ -271,38 +175,6 @@ impl MvccManager {
         shards.sort_unstable();
         shards.dedup();
         shards.into_iter().map(|s| self.seq[s].lock()).collect()
-    }
-
-    /// Prunes the chain steps no snapshot can reach, returning how many
-    /// were freed: a step goes once the stamp it leads back *from* is
-    /// `<=` every registered snapshot and `<=` the visible stamp (future
-    /// snapshots start at `visible`, so a step under a not-yet-published
-    /// commit may still be needed). The GC sweep's epoch watermark is
-    /// not consulted: it bounds what *tagged* readers need, and those
-    /// never read these chains.
-    pub fn prune(&self, _watermark: &VersionVector) -> usize {
-        // Floor read under the `snaps` lock (see `begin_snapshot`): a
-        // snapshot missing from the map here will start at a stamp `>=`
-        // the `visible` we read — above everything we reclaim.
-        let cutoff = {
-            let snaps = self.snaps.lock();
-            let min_snap = snaps.keys().next().copied().unwrap_or(u64::MAX);
-            min_snap.min(self.visible.load(Ordering::Acquire))
-        };
-        self.pages
-            .iter()
-            .map(|shard| shard.lock().values_mut().map(|e| e.chain.prune(cutoff)).sum::<usize>())
-            .sum()
-    }
-
-    /// Total chain steps currently retained (diagnostics, pruning tests).
-    pub fn chain_entries(&self) -> usize {
-        self.pages.iter().map(|s| s.lock().values().map(|e| e.chain.len()).sum::<usize>()).sum()
-    }
-
-    /// Number of registered snapshots (diagnostics).
-    pub fn active_snapshots(&self) -> usize {
-        self.snaps.lock().values().sum()
     }
 
     /// Test hook: disable commit validation entirely. A deliberate
@@ -321,10 +193,7 @@ impl MvccManager {
 
 impl std::fmt::Debug for MvccManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MvccManager")
-            .field("csn", &self.csn.load(Ordering::Acquire))
-            .field("chain_entries", &self.chain_entries())
-            .finish()
+        f.debug_struct("MvccManager").field("csn", &self.csn.load(Ordering::Acquire)).finish()
     }
 }
 
@@ -374,22 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reads_are_stable_across_commits() {
-        let m = MvccManager::new();
-        let s = store();
-        let (p, c) = s.allocate(TableId(0), PageSpace::Heap);
-        poke(&m, p, &c, 3).unwrap();
-        let snap = m.begin_snapshot();
-        assert_eq!(m.read_at(p, &c, snap)[0], 3);
-        poke(&m, p, &c, 4).unwrap();
-        assert_eq!(m.read_at(p, &c, snap)[0], 3, "snapshot must not see the later commit");
-        m.end_snapshot(snap);
-        let snap2 = m.begin_snapshot();
-        assert_eq!(m.read_at(p, &c, snap2)[0], 4);
-        m.end_snapshot(snap2);
-    }
-
-    #[test]
     fn stamp_guarded_dirty_clear_spares_later_install() {
         let m = MvccManager::new();
         let s = store();
@@ -404,53 +257,5 @@ mod tests {
         // ...but the newest install's own clear goes through.
         m.clear_dirty_if_current(p, &c, second);
         assert!(!c.is_dirty());
-    }
-
-    #[test]
-    fn snapshots_begin_at_the_published_stamp() {
-        let m = MvccManager::new();
-        let s = store();
-        let (p, c) = s.allocate(TableId(0), PageSpace::Heap);
-        let stamp = poke(&m, p, &c, 9).unwrap();
-        // Commit fully installed and published: a fresh snapshot starts
-        // at its stamp and reads its image.
-        let snap = m.begin_snapshot();
-        assert_eq!(snap, stamp);
-        assert_eq!(m.read_at(p, &c, snap)[0], 9);
-        m.end_snapshot(snap);
-    }
-
-    #[test]
-    fn page_created_after_the_snapshot_reads_as_its_pre_creation_image() {
-        let m = MvccManager::new();
-        let s = store();
-        let (other, oc) = s.allocate(TableId(0), PageSpace::Heap);
-        poke(&m, other, &oc, 1).unwrap();
-        let snap = m.begin_snapshot();
-        let (p, c) = s.allocate(TableId(0), PageSpace::Heap);
-        poke(&m, p, &c, 8).unwrap();
-        poke(&m, p, &c, 9).unwrap();
-        assert!(m.read_at(p, &c, snap).iter().all(|&b| b == 0), "walked back past creation");
-        m.end_snapshot(snap);
-    }
-
-    #[test]
-    fn prune_respects_snapshots() {
-        let m = MvccManager::new();
-        let s = store();
-        let (p, c) = s.allocate(TableId(0), PageSpace::Heap);
-        poke(&m, p, &c, 1).unwrap();
-        let snap = m.begin_snapshot();
-        poke(&m, p, &c, 2).unwrap();
-        poke(&m, p, &c, 3).unwrap();
-        assert_eq!(m.chain_entries(), 3);
-        // The snapshot at stamp 1 pins the two steps above it; the step
-        // back to the load-time image is free.
-        let any = VersionVector::new(1);
-        assert_eq!(m.prune(&any), 1);
-        assert_eq!(m.read_at(p, &c, snap)[0], 1, "pinned image survives pruning");
-        m.end_snapshot(snap);
-        assert_eq!(m.prune(&any), 2);
-        assert_eq!(m.chain_entries(), 0, "everything reclaimable once snapshots close");
     }
 }

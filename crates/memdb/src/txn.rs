@@ -18,9 +18,12 @@
 //! stamp into a private base cache (repeatable reads with no locks),
 //! writes mutate private copy-on-write buffers, and commit goes through
 //! [`Txn::mvcc_install`] — first-committer-wins validation over the
-//! read set, then atomic install of the copies — before the same
-//! Figure 2 broadcast. Conflicts abort with retryable
+//! read set, then install of the copies — before the same Figure 2
+//! broadcast. Conflicts abort with retryable
 //! [`DmvError::VersionConflict`] instead of burning a lock timeout.
+//! The install overwrites: the master keeps one image per page, and
+//! versions are created on the slaves for the tagged readers that ask
+//! (see [`TxnMode::ReadLocal`] for what an untagged local read is).
 
 use crate::engine::MemDb;
 use crate::heap;
@@ -41,12 +44,18 @@ use std::collections::HashMap;
 /// What kind of transaction this is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxnMode {
-    /// Update transaction under per-page two-phase locking.
+    /// Update transaction under the engine's [`ConcurrencyMode`]:
+    /// per-page two-phase locking, or private copy-on-write buffers
+    /// validated first-committer-wins at commit.
     Update,
     /// Read-only transaction reading the tagged database version through
     /// the engine's [`crate::ReadGate`].
     ReadTagged(VersionVector),
-    /// Untagged latched reads (stand-alone use).
+    /// Untagged read of each page's current image under its latch, in
+    /// either concurrency mode: no lock, no snapshot across pages (under
+    /// 2PL not even committed bytes only). For stand-alone or quiescent
+    /// use — loading, tests, probes, end-of-run digests; a running
+    /// cluster tags every read-only transaction and routes it to a slave.
     ReadLocal,
 }
 
@@ -65,8 +74,6 @@ pub struct Txn<'db> {
     bases: HashMap<PageId, (u64, Vec<u8>)>,
     /// MVCC private copy-on-write images for written pages.
     cow: HashMap<PageId, Vec<u8>>,
-    /// MVCC snapshot stamp (local read-only transactions).
-    snap: Option<u64>,
     /// Commit stamp drawn by [`Txn::mvcc_install`]; guards the dirty-
     /// flag clear in [`Txn::commit`] against a pipelined later install.
     install_stamp: Option<u64>,
@@ -77,8 +84,6 @@ pub struct Txn<'db> {
 
 impl<'db> Txn<'db> {
     pub(crate) fn new(db: &'db MemDb, id: TxnId, mode: TxnMode) -> Self {
-        let snap = (db.concurrency() == ConcurrencyMode::MvccCow && mode == TxnMode::ReadLocal)
-            .then(|| db.mvcc().begin_snapshot());
         Txn {
             db,
             id,
@@ -87,7 +92,6 @@ impl<'db> Txn<'db> {
             dirty_order: Vec::new(),
             bases: HashMap::new(),
             cow: HashMap::new(),
-            snap,
             install_stamp: None,
             cpu_owed: std::time::Duration::ZERO,
             write_intent: false,
@@ -221,16 +225,6 @@ impl<'db> Txn<'db> {
                     .get(id)
                     .ok_or_else(|| DmvError::Storage(format!("missing page {id}")))?;
                 self.db.store().fault_in(&cell);
-                if let Some(snap) = self.snap {
-                    // MVCC snapshot read: the image as of the snapshot
-                    // stamp, stable across concurrent commits. Cached so
-                    // repeated reads don't re-walk the version chain.
-                    if !self.bases.contains_key(&id) {
-                        let image = self.db.mvcc().read_at(id, &cell, snap);
-                        self.bases.insert(id, (snap, image));
-                    }
-                    return Ok(f(&self.bases[&id].1));
-                }
                 let page = cell.latch.read();
                 Ok(f(page.data()))
             }
@@ -408,9 +402,9 @@ impl<'db> Txn<'db> {
     }
 
     /// MVCC commit point: first-committer-wins validation of the read
-    /// set, then atomic install of the copy-on-write images as the
-    /// pages' committed versions (superseded images go onto the version
-    /// chains for snapshot readers). Returns the new commit stamp.
+    /// set, then install of the copy-on-write images as the pages'
+    /// committed versions (the superseded images are gone: the master
+    /// keeps no history). Returns the new commit stamp.
     ///
     /// The replication layer calls this inside its commit critical
     /// section, *before* [`Txn::precommit`]'s diffs are broadcast; a
@@ -451,12 +445,35 @@ impl<'db> Txn<'db> {
         Ok(stamp)
     }
 
+    /// Runs [`Txn::mvcc_install`] if this is an MVCC update whose writes
+    /// have not been installed yet.
+    fn install_if_pending(&mut self) -> DmvResult<()> {
+        if self.is_mvcc_update() && self.has_writes() && self.install_stamp.is_none() {
+            self.mvcc_install()?;
+        }
+        Ok(())
+    }
+
     /// Commits: stamps dirty pages with their new table versions (when
     /// the replication layer assigned any), clears dirty flags and undo
-    /// state, and releases all locks. An MVCC update must have gone
-    /// through [`Txn::mvcc_install`] first (its install is the commit
-    /// point; this finishes the bookkeeping).
+    /// state, and releases all locks. An MVCC update's commit point is
+    /// its [`Txn::mvcc_install`]; the replication layer calls that
+    /// first and this finishes the bookkeeping. Called on an MVCC
+    /// update that has not installed, it installs first, so writes are
+    /// never dropped.
+    ///
+    /// # Panics
+    ///
+    /// If that implicit install loses first-committer-wins validation:
+    /// a stand-alone writer that can race another must commit through
+    /// the fallible [`Txn::try_commit`].
     pub fn commit(mut self, versions: Option<&VersionVector>) {
+        if let Err(e) = self.install_if_pending() {
+            panic!(
+                "Txn::commit could not install its writes ({e}); \
+                 concurrent stand-alone writers must use Txn::try_commit"
+            );
+        }
         self.settle_cpu();
         for &id in &self.dirty_order {
             if let Some(cell) = self.db.store().get(id) {
@@ -485,22 +502,20 @@ impl<'db> Txn<'db> {
         self.finished = true;
     }
 
-    /// Fallible commit for stand-alone use: under MVCC runs
-    /// [`Txn::mvcc_install`] (first-committer-wins validation) before
-    /// the normal commit bookkeeping; under 2PL it is
-    /// [`Txn::commit`] and cannot fail. The replication layer does not
-    /// use this — it interleaves install with its broadcast sequence.
+    /// Fallible commit for stand-alone use: [`Txn::commit`], except
+    /// that losing the MVCC install's first-committer-wins validation
+    /// is an error instead of a panic (under 2PL it cannot fail). The
+    /// replication layer does not use this — it interleaves install
+    /// with its broadcast sequence.
     ///
     /// # Errors
     ///
     /// Retryable [`DmvError::VersionConflict`] if MVCC validation loses
     /// first-committer-wins; the transaction is aborted.
     pub fn try_commit(mut self, versions: Option<&VersionVector>) -> DmvResult<()> {
-        if self.is_mvcc_update() && self.has_writes() {
-            if let Err(e) = self.mvcc_install() {
-                self.rollback_inner();
-                return Err(e);
-            }
+        if let Err(e) = self.install_if_pending() {
+            self.rollback_inner();
+            return Err(e);
         }
         self.commit(versions);
         Ok(())
@@ -539,9 +554,6 @@ impl<'db> Txn<'db> {
         self.bases.clear();
         self.cow.clear();
         self.install_stamp = None;
-        if let Some(snap) = self.snap.take() {
-            self.db.mvcc().end_snapshot(snap);
-        }
     }
 }
 

@@ -4,6 +4,7 @@
 //! applying a transaction's captured write-set to a second store yields
 //! bit-identical pages.
 
+use dmv_common::config::ConcurrencyMode;
 use dmv_common::error::DmvError;
 use dmv_common::ids::{NodeId, TableId};
 use dmv_common::version::VersionVector;
@@ -72,6 +73,42 @@ fn insert_commit_read_back() {
     let rs = execute(&mut r, &Query::Select(Select::by_pk(TableId(0), vec![2.into()]))).unwrap();
     assert_eq!(rs.rows.len(), 1);
     assert_eq!(rs.rows[0][1], Value::from("two"));
+}
+
+/// `commit` on an MVCC update that never called `mvcc_install` installs
+/// first: the copy-on-write buffers used to be cleared un-installed and
+/// the insert vanished without an error.
+#[test]
+fn mvcc_commit_without_explicit_install_keeps_the_writes() {
+    let opts = MemDbOptions { concurrency: ConcurrencyMode::MvccCow, ..MemDbOptions::default() };
+    let db = MemDb::new(kv_schema(), opts);
+    insert_kv(&db, 1, "one", 10);
+    insert_kv(&db, 2, "two", 20);
+    let mut r = db.begin_read_local();
+    let rs = execute(&mut r, &Query::Select(Select::by_pk(TableId(0), vec![2.into()]))).unwrap();
+    assert_eq!(rs.rows.len(), 1, "commit(None) dropped the MVCC write");
+    assert_eq!(rs.rows[0][1], Value::from("two"));
+}
+
+/// The implicit install is the infallible form: losing validation to a
+/// rival must be loud and point at the fallible one.
+#[test]
+#[should_panic(expected = "try_commit")]
+fn mvcc_commit_that_loses_validation_panics_naming_try_commit() {
+    let opts = MemDbOptions { concurrency: ConcurrencyMode::MvccCow, ..MemDbOptions::default() };
+    let db = MemDb::new(kv_schema(), opts);
+    insert_kv(&db, 1, "one", 10);
+    let bump = Query::Update {
+        table: TableId(0),
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, 1)),
+        set: vec![(2, SetExpr::AddInt(1))],
+    };
+    let (mut first, mut second) = (db.begin_update(), db.begin_update());
+    execute(&mut first, &bump).unwrap();
+    execute(&mut second, &bump).unwrap();
+    first.commit(None);
+    second.commit(None);
 }
 
 #[test]

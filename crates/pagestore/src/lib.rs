@@ -19,7 +19,7 @@
 //!   reintegration (paper §4.4);
 //! * [`versions::VersionChain`] — the one representation of page
 //!   history: stamped reverse diffs under a page's current image, walked
-//!   by master snapshot reads and slave rewinds alike.
+//!   by a slave's rewinding tagged reads (a master keeps none).
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

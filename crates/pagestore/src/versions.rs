@@ -1,18 +1,19 @@
 //! The one representation of page history: a chain of stamped reverse
 //! diffs hanging off a page's current image.
 //!
-//! "Page P as of version V" is asked by a master's snapshot readers
-//! (stamps are commit sequence numbers) and by a slave's tagged readers
-//! whose page was upgraded past their tag (stamps are table versions),
-//! and both answer it here: whoever moves a page from stamp `to` up to
-//! stamp `from` pushes the reverse diff that undoes the move,
+//! "Page P as of version V" is asked by a slave's tagged readers whose
+//! page was upgraded past their tag (stamps are table versions), and
+//! answered here: whoever moves a page from stamp `to` up to stamp
+//! `from` pushes the reverse diff that undoes the move,
 //! [`VersionChain::image_at`] walks those steps back from the current
 //! image, and [`VersionChain::prune`] drops the steps no reader can
 //! still need. A step's payload is proportional to the bytes the move
 //! changed, so no history structure stores a full page image.
 //!
-//! The chain is plain data with no lock of its own: its owner keeps it
-//! under the same lock that orders the page's moves.
+//! The chain has one owner, the replication layer's applier
+//! (`dmv-core`): a master keeps one image per page and no history. It
+//! is plain data with no lock of its own: its owner keeps it under the
+//! same lock that orders the page's moves.
 
 use crate::diff::PageDiff;
 use std::collections::VecDeque;

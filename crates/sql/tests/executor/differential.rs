@@ -2,8 +2,9 @@
 //! executor's answer against [`crate::reference`]'s — same rows, same
 //! order, same bits — on the mock context and on a real `MemDb` under both
 //! concurrency modes, read through an update transaction, a local
-//! snapshot, and a tagged read at an old tag after further commits (so
-//! pages are served through the read gate's version history).
+//! (untagged, quiescent) read, and a tagged read at an old tag after
+//! further commits (so pages are served through the read gate's version
+//! history).
 
 use crate::mock::MockContext;
 use crate::reference;

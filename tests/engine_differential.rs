@@ -266,31 +266,3 @@ fn concurrent_schedules_produce_identical_histories() {
         assert_eq!(vv_2pl, vv_mvcc, "version vectors diverged at seed {seed}");
     }
 }
-
-/// Snapshot readers under MVCC must see a stable prefix of the commit
-/// history while writers run — and never abort.
-#[test]
-fn mvcc_snapshot_readers_never_abort_under_write_load() {
-    let engine = db(ConcurrencyMode::MvccCow);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for queries in plan_thread(42, 0) {
-                loop {
-                    let mut txn = engine.begin_update();
-                    if queries.iter().try_for_each(|q| execute(&mut txn, q).map(|_| ())).is_ok()
-                        && txn.try_commit(None).is_ok()
-                    {
-                        break;
-                    }
-                }
-            }
-        });
-        for _ in 0..50 {
-            let mut txn = engine.begin_read_local();
-            let a = execute(&mut txn, &to_query(&Op::Scan)).expect("snapshot scan").rows;
-            let b = execute(&mut txn, &to_query(&Op::Scan)).expect("snapshot rescan").rows;
-            assert_eq!(a, b, "snapshot read not stable within one transaction");
-            txn.commit(None);
-        }
-    });
-}

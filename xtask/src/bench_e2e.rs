@@ -1,10 +1,11 @@
-//! `cargo xtask bench-e2e` — the end-to-end TPC-W throughput benchmark.
+//! `cargo xtask bench-e2e` — the paper-model TPC-W harness: the
+//! saturation sweep and the larger-than-memory cell.
 //!
 //! A thin wrapper over the `bench_e2e` binary in dmv-bench so the repo
-//! has one entry point for the BENCH trajectory:
+//! has one entry point for `BENCH_e2e.json`:
 //!
 //! ```text
-//! cargo xtask bench-e2e                 # full sweep, writes BENCH_e2e.json
+//! cargo xtask bench-e2e                 # both cells, writes BENCH_e2e.json
 //! cargo xtask bench-e2e --smoke         # seconds-long CI sanity run
 //! cargo xtask bench-e2e --out f.json    # alternate output path
 //! ```
