@@ -5,22 +5,31 @@
 //!   1: the paper ships fine-grained modifications, not pages);
 //! * `version/*` — version-vector operations on the scheduler hot path;
 //! * `btree/*` — page-based B+Tree index operations (the master's
-//!   "costly index updates");
+//!   "costly index updates"), and a key set resolved in one walk against
+//!   the same keys looked up one by one;
+//! * `exec/*` — a whole select through the executor on the stand-alone
+//!   engine;
 //! * `locks/*` — per-page 2PL lock manager;
 //! * `writeset/*` — the capture → broadcast-encode → apply pipeline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use dmv_common::config::ConcurrencyMode;
 use dmv_common::ids::{NodeId, PageId, TableId, TxnId};
+use dmv_common::rng::seeded;
 use dmv_common::version::VersionVector;
 use dmv_core::messages::{Msg, WriteSet};
 use dmv_core::{ClusterSpec, DmvCluster, PendingApplier};
+use dmv_memdb::index::BTreeIndex;
 use dmv_memdb::lock::{LockManager, LockMode};
 use dmv_memdb::{MemDb, MemDbOptions};
 use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::{PageStore, PAGE_SIZE};
-use dmv_sql::exec::ExecContext;
+use dmv_sql::exec::{ExecContext, ExecRunner};
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
+use dmv_tpcw::interactions::{plan, ClientState, IdAllocator, InteractionKind};
+use dmv_tpcw::populate::{generate, TpcwScale};
+use dmv_tpcw::schema::tpcw_schema;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -118,9 +127,33 @@ fn bench_btree(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 37) % 10_000;
             let mut txn = db.begin_read_local();
-            black_box(txn.index_lookup(TableId(0), 0, &[Value::Int(i)], &[0, 1]).unwrap());
+            black_box(txn.index_probe(TableId(0), 0, &[&[Value::Int(i)]], &[0, 1]).unwrap());
         })
     });
+    // A key set in one walk, and the same keys one descent each: 1 000
+    // neighbours (a join over a dense key range) and 50 keys 200 apart
+    // (about one per leaf, where the walk re-descends or follows `next`).
+    let pk = BTreeIndex::new(TableId(0), 0);
+    for (name, keys) in [
+        ("1000_dense", (4000..5000i64).map(Value::Int).collect::<Vec<_>>()),
+        ("50_sparse_of_10k", (0..50i64).map(|i| Value::Int(100 + 200 * i)).collect()),
+    ] {
+        let probe: Vec<&[Value]> = keys.iter().map(std::slice::from_ref).collect();
+        g.bench_function(format!("lookup_many_{name}"), |b| {
+            b.iter(|| {
+                let mut txn = db.begin_read_local();
+                black_box(pk.lookup_many(&mut txn, black_box(&probe)).unwrap());
+            })
+        });
+        g.bench_function(format!("point_lookups_{name}"), |b| {
+            b.iter(|| {
+                let mut txn = db.begin_read_local();
+                for key in black_box(&probe) {
+                    black_box(pk.lookup_eq(&mut txn, key).unwrap());
+                }
+            })
+        });
+    }
     g.bench_function("range_scan_100", |b| {
         b.iter(|| {
             let mut txn = db.begin_read_local();
@@ -136,6 +169,35 @@ fn bench_btree(c: &mut Criterion) {
                 )
                 .unwrap(),
             );
+        })
+    });
+    g.finish();
+}
+
+/// BestSellers — order lines of the latest 3 333 orders ⋈ items ⋈
+/// authors, grouped by item — on the small TPC-W population.
+fn bench_exec(c: &mut Criterion) {
+    let mut g = c.benchmark_group("exec");
+    let scale = TpcwScale::small();
+    let pop = generate(scale, 20_070_625);
+    let opts = MemDbOptions { concurrency: ConcurrencyMode::MvccCow, ..MemDbOptions::default() };
+    let db = MemDb::new(tpcw_schema(), opts);
+    for (table, rows) in &pop.tables {
+        for chunk in rows.chunks(256) {
+            let mut txn = db.begin_update();
+            for row in chunk {
+                txn.insert(*table, row.clone()).unwrap();
+            }
+            txn.commit(None);
+        }
+    }
+    let ids = IdAllocator::from_population(scale, &pop);
+    let (mut rng, mut state) = (seeded(1), ClientState::new(1));
+    let mut best = plan(InteractionKind::BestSellers, &mut rng, &mut state, &ids, scale, 13_000);
+    g.bench_function("best_sellers", |b| {
+        b.iter(|| {
+            let mut txn = db.begin_read_local();
+            (best.exec)(&mut ExecRunner::new(&mut txn)).unwrap();
         })
     });
     g.finish();
@@ -172,8 +234,9 @@ fn bench_writeset(c: &mut Criterion) {
         b.iter(|| {
             k = (k + 1) % 1000;
             let mut txn = db.begin_update();
-            let hit = txn.index_lookup(TableId(0), 0, &[Value::Int(k)], &[0, 1]).unwrap();
-            let (rid, mut row) = hit.into_iter().next().unwrap();
+            let hit = txn.index_probe(TableId(0), 0, &[&[Value::Int(k)]], &[0, 1]).unwrap();
+            let rid = hit.rows.rids()[0];
+            let mut row = hit.rows.into_rows().remove(0);
             row[1] = "updated".into();
             txn.update(TableId(0), rid, row).unwrap();
             black_box(txn.precommit());
@@ -330,7 +393,7 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500))
         .sample_size(20);
-    targets = bench_pagediff, bench_version, bench_btree, bench_locks, bench_writeset,
+    targets = bench_pagediff, bench_version, bench_btree, bench_exec, bench_locks, bench_writeset,
         bench_fanout, bench_applier_contention, bench_routing
 }
 criterion_main!(benches);

@@ -16,7 +16,7 @@ use crate::txn::Txn;
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{PageId, PageSpace, RowId, TableId};
 use dmv_pagestore::slotted;
-use dmv_sql::row::{decode_cols, decode_row, encode_row, Row};
+use dmv_sql::row::{decode_cols_into, decode_row, encode_row, Row, RowBatch};
 
 /// Inserts `row` into the table's heap, returning its new id.
 ///
@@ -96,11 +96,14 @@ pub fn read(txn: &mut Txn<'_>, table: TableId, rid: RowId) -> DmvResult<Option<R
     txn.read_page(id, |d| slotted::read(d, rid.slot).map(decode_row).transpose())?
 }
 
-/// Columns `cols` (strictly ascending) of the rows at `rids`, in `rids`
-/// order; dead slots are skipped. The row ids are grouped by page and
-/// every page is visited once — one pass through the transaction's read
-/// protocol per page, not per row — decoding the requested columns
-/// straight from the page bytes.
+/// Columns `cols` (strictly ascending) of the rows at `rids`, as one
+/// batch in `rids` order, and the positions in `rids` (ascending) whose
+/// slot was dead — the batch leaves those out. Every page is visited once
+/// — one pass through the transaction's read protocol per page, not per
+/// row — and each row is decoded from the page bytes straight into its
+/// place in the batch. Row ids that ascend by page (an index walk over
+/// rows inserted in key order) are taken as they come; only others are
+/// grouped by page first.
 ///
 /// # Errors
 ///
@@ -108,27 +111,38 @@ pub fn read(txn: &mut Txn<'_>, table: TableId, rid: RowId) -> DmvResult<Option<R
 pub fn read_many(
     txn: &mut Txn<'_>,
     table: TableId,
-    rids: &[RowId],
+    rids: Vec<RowId>,
     cols: &[usize],
-) -> DmvResult<Vec<(RowId, Row)>> {
-    // Positions in `rids`, grouped by page (a stable sort, and a no-op for
-    // an index range over rows that were inserted in key order).
-    let mut by_page: Vec<usize> = (0..rids.len()).collect();
-    by_page.sort_by_key(|&i| rids[i].page_no);
-    let mut found = Vec::with_capacity(rids.len());
-    for on_page in by_page.chunk_by(|&a, &b| rids[a].page_no == rids[b].page_no) {
-        let id = PageId::heap(table, rids[on_page[0]].page_no);
-        txn.read_page(id, |d| {
-            for &i in on_page {
-                if let Some(rec) = slotted::read(d, rids[i].slot) {
-                    found.push((i, rids[i], decode_cols(rec, cols)?));
+) -> DmvResult<(RowBatch, Vec<usize>)> {
+    // Positions in `rids` grouped by page — unless they already are.
+    let mut grouped = Vec::new();
+    if !rids.is_sorted_by_key(|rid| rid.page_no) {
+        grouped = (0..rids.len()).collect();
+        grouped.sort_by_key(|&i| rids[i].page_no);
+    }
+    let at = |k: usize| if grouped.is_empty() { k } else { grouped[k] };
+    let mut batch = RowBatch::nulls(rids, cols.len());
+    let mut dead = Vec::new();
+    let mut from = 0;
+    while from < batch.len() {
+        let page_no = batch.rids()[at(from)].page_no;
+        let on_page = (from..batch.len()).take_while(|&k| batch.rids()[at(k)].page_no == page_no);
+        let to = from + on_page.count();
+        // Under the page latch: decoding, nothing else.
+        txn.read_page(PageId::heap(table, page_no), |d| {
+            for i in (from..to).map(at) {
+                match slotted::read(d, batch.rids()[i].slot) {
+                    Some(rec) => decode_cols_into(rec, cols, batch.row_mut(i))?,
+                    None => dead.push(i),
                 }
             }
             Ok::<(), DmvError>(())
         })??;
+        from = to;
     }
-    found.sort_by_key(|&(i, ..)| i); // back into `rids` order
-    Ok(found.into_iter().map(|(_, rid, row)| (rid, row)).collect())
+    dead.sort_unstable();
+    batch.remove_rows(&dead);
+    Ok((batch, dead))
 }
 
 /// Replaces the row at `rid`, relocating it if it no longer fits its
@@ -174,18 +188,18 @@ pub fn delete(txn: &mut Txn<'_>, table: TableId, rid: RowId) -> DmvResult<()> {
 }
 
 /// Columns `cols` (strictly ascending) of all live rows of the table,
-/// page by page.
+/// page by page, as one batch.
 ///
 /// # Errors
 ///
 /// Propagates lock/version errors and decode failures.
-pub fn scan(txn: &mut Txn<'_>, table: TableId, cols: &[usize]) -> DmvResult<Vec<(RowId, Row)>> {
-    let mut out = Vec::new();
+pub fn scan(txn: &mut Txn<'_>, table: TableId, cols: &[usize]) -> DmvResult<RowBatch> {
+    let mut out = RowBatch::new(cols.len());
     for page_no in 0..txn.heap_page_count(table) {
         txn.read_page(PageId::heap(table, page_no), |d| {
             for slot in slotted::live_slots(d) {
                 if let Some(rec) = slotted::read(d, slot) {
-                    out.push((RowId::new(page_no, slot), decode_cols(rec, cols)?));
+                    decode_cols_into(rec, cols, out.push_null_row(RowId::new(page_no, slot)))?;
                 }
             }
             Ok::<(), DmvError>(())

@@ -37,6 +37,10 @@ const LEAF_HDR: usize = 7;
 const INTERNAL_HDR: usize = 3;
 /// An entry's bytes besides its key: the length before, the row id after.
 const ENTRY_OVERHEAD: usize = 8;
+/// The largest entry an index takes: a third of a leaf's payload. A node
+/// that overflows by one such entry always splits into two halves that
+/// fit (see [`split_point`]), whatever mix of widths it holds.
+const MAX_ENTRY: usize = (PAGE_SIZE - LEAF_HDR) / 3;
 
 /// An index entry: full key plus the row it points at.
 pub type Entry = (Row, RowId);
@@ -59,6 +63,28 @@ fn leaf_size(entries: &[Entry]) -> usize {
 
 fn internal_size(keys: &[Entry], children: &[u32]) -> usize {
     INTERNAL_HDR + 4 * children.len() + keys.iter().map(|e| entry_encoded_len(&e.0)).sum::<usize>()
+}
+
+/// Where to split a node whose entries have these encoded sizes: the
+/// last position that leaves the left part at most half of the bytes
+/// (`len / 2` for entries of one width), but at least one entry. With `S`
+/// the sum of the sizes and `m` the largest, the left part is at most
+/// `S / 2` and the right part less than `S / 2 + m`; a node that fit
+/// before one entry was added has `S <= payload + m`, so both parts fit
+/// as long as `m <= payload / 3` ([`MAX_ENTRY`]).
+fn split_point(sizes: impl Iterator<Item = usize> + Clone) -> usize {
+    let total: usize = sizes.clone().sum();
+    let mut left = 0;
+    let within_half = |size: &usize| {
+        left += size;
+        2 * left <= total
+    };
+    sizes.take_while(within_half).count().max(1)
+}
+
+#[cold]
+fn split_overflow() -> DmvError {
+    DmvError::Storage("index node does not split into two pages".into())
 }
 
 fn put_u16(d: &mut [u8], at: usize, v: u16) {
@@ -327,6 +353,229 @@ impl RangeScan<'_> {
     }
 }
 
+/// Which keys of a [`ManyScan`] can match in one leaf, as the separator
+/// above that leaf — its *fence* — tells.
+#[derive(Clone, Copy)]
+struct Reach {
+    /// `keys[..sure]` sort before the fence: they match nothing past the
+    /// leaf.
+    sure: usize,
+    /// `keys[sure..upto]` equal the fence (on their length): what they
+    /// match may begin in the leaf and go on in the next. `keys[upto..]`
+    /// sort after it and match nothing in the leaf.
+    upto: usize,
+}
+
+/// State of one [`BTreeIndex::lookup_many`] walk: descends to the leaf
+/// where the first key begins, then merges the remaining keys with the
+/// leaf chain — both ascend, so each entry and each key is passed once.
+///
+/// A descent reads the fences right of the child it takes — above the
+/// leaf it ends in, above that leaf's right sibling, and on for as long
+/// as the next leaf can match a key — so the walk knows the reach of the
+/// keys in each of them: it leaves a leaf as soon as the keys that can
+/// match there are resolved, follows `next` through exactly those leaves,
+/// and descends again for the first key past them. A leaf whose fence is
+/// not known (a run of equal keys leading past the last fence read) is
+/// merged to its end, and whether it lay wholly before the wanted key
+/// shows afterwards.
+struct ManyScan<'q> {
+    keys: &'q [&'q [Value]],
+    /// `keys[..done]` are resolved; `keys[done]` is being looked for.
+    done: usize,
+    in_leaves: bool,
+    /// The reach of the keys in the leaf being visited, if known.
+    reach: Option<Reach>,
+    /// … and in the leaves to follow it to, nearest last.
+    ahead: Vec<Reach>,
+    /// A key every entry of the leaf being entered along the chain must
+    /// sort after (it sorts before the fence of the leaf just left): a
+    /// `next` that leads back shows on the first entry.
+    floor: Option<usize>,
+    out: Vec<RowId>,
+    /// Per resolved key, where its row ids end in `out`.
+    ends: Vec<usize>,
+}
+
+/// Where a [`ManyScan`] goes after a page.
+enum ManyStep {
+    Page(u32),
+    /// `keys[done]` is a gap away — past the fences read, or the sibling
+    /// just visited lies wholly before it: descend for it instead of
+    /// walking the gap.
+    Descend,
+    Done,
+}
+
+impl<'q> ManyScan<'q> {
+    fn new(keys: &'q [&'q [Value]]) -> Self {
+        ManyScan {
+            keys,
+            done: 0,
+            in_leaves: false,
+            reach: None,
+            ahead: Vec::new(),
+            floor: None,
+            out: Vec::new(),
+            ends: Vec::with_capacity(keys.len()),
+        }
+    }
+
+    /// Forgets what the last descent showed, for the next one.
+    fn descend(&mut self) {
+        (self.in_leaves, self.reach, self.floor) = (false, None, None);
+        self.ahead.clear();
+    }
+
+    fn visit(&mut self, d: &[u8]) -> DmvResult<ManyStep> {
+        let (next, entries) = match NodeRef::parse(d)? {
+            NodeRef::Internal { .. } if self.in_leaves => {
+                return Err(DmvError::Storage("expected leaf during key merge".into()));
+            }
+            NodeRef::Internal { children, keys: seps } => {
+                return Ok(ManyStep::Page(self.route(children, seps)?));
+            }
+            NodeRef::Leaf { next, entries } => (next, entries),
+        };
+        self.in_leaves = true;
+        let upto = self.reach.map_or(self.keys.len(), |reach| reach.upto);
+        // Whether the leaf has entries, and whether any of them is at or
+        // past the key wanted when it was looked at.
+        let (mut any, mut reached) = (false, false);
+        for e in entries {
+            if self.done == upto {
+                break; // the keys left match nothing here
+            }
+            let (key, rid) = e?;
+            if let Some(floor) = self.floor.take() {
+                if cmp_prefix(key, self.keys[floor])? != Ordering::Greater {
+                    return Err(corrupt("leaf chain out of key order"));
+                }
+            }
+            any = true;
+            loop {
+                match cmp_prefix(key, self.keys[self.done])? {
+                    Ordering::Less => break,
+                    Ordering::Equal => {
+                        reached = true;
+                        self.out.push(rid);
+                        break;
+                    }
+                    // The entry is past the key: the key has matched all
+                    // it matches, and the entry belongs to a later one.
+                    Ordering::Greater => {
+                        reached = true;
+                        if self.close_key() {
+                            return Ok(ManyStep::Done);
+                        }
+                    }
+                }
+            }
+        }
+        let Some(next) = next else {
+            self.ends.resize(self.keys.len(), self.out.len());
+            return Ok(ManyStep::Done);
+        };
+        let follow = match self.reach {
+            // No fence known: a leaf wholly before the wanted key shows
+            // that the key is a gap away.
+            None => !any || reached,
+            Some(reach) => {
+                // Keys before the fence that the leaf's end has not
+                // resolved match nothing more.
+                while self.done < reach.sure {
+                    if self.close_key() {
+                        return Ok(ManyStep::Done);
+                    }
+                }
+                // On to the next leaf a key can match in, or after a key
+                // equal to the fence.
+                !self.ahead.is_empty() || self.done < reach.upto
+            }
+        };
+        if !follow {
+            return Ok(ManyStep::Descend);
+        }
+        self.floor = self.reach.and_then(|reach| reach.sure.checked_sub(1));
+        self.reach = self.ahead.pop();
+        Ok(ManyStep::Page(next))
+    }
+
+    /// The wanted key has matched all it matches. Returns whether it was
+    /// the last key.
+    fn close_key(&mut self) -> bool {
+        self.ends.push(self.out.len());
+        self.done += 1;
+        self.done == self.keys.len()
+    }
+
+    /// The child of an internal node to look for `keys[done]` in, and
+    /// from the separators right of it the reach of the keys after it.
+    fn route(&mut self, children: &[u8], mut seps: Entries<'_>) -> DmvResult<u32> {
+        let want = self.keys[self.done];
+        // The first separator not below the wanted key is the fence above
+        // the child to take.
+        let mut idx = 0;
+        let fence = loop {
+            match seps.next().transpose()? {
+                Some((sep, _)) if cmp_prefix(sep, want)? == Ordering::Less => idx += 1,
+                fence => break fence,
+            }
+        };
+        // Without one (the last child) a fence from further up still
+        // holds: it bounds this whole subtree. The leaves to follow are
+        // read off this node's separators alone.
+        self.ahead.clear();
+        if let Some((fence, _)) = fence {
+            let mut reach = self.reach_below(fence, self.done)?;
+            self.reach = Some(reach);
+            // The separators after it are the fences of the leaves to the
+            // right, each worth reading while a key after the fence
+            // before it can match in its leaf.
+            for sep in seps {
+                let next = self.reach_below(sep?.0, reach.sure)?;
+                if next.upto == reach.upto {
+                    break;
+                }
+                self.ahead.push(next);
+                reach = next;
+            }
+            self.ahead.reverse();
+        }
+        get_u32(children, 4 * idx)
+    }
+
+    /// The reach, under `fence`, of the keys from `from` on (those before
+    /// it sort before the fence).
+    fn reach_below(&self, fence: &[u8], from: usize) -> DmvResult<Reach> {
+        // The keys ascend, so those a fence is not above are a tail. It
+        // begins near `from` when the keys are far apart: gallop, then
+        // bisect.
+        let first = |from: usize, past: fn(Ordering) -> bool| {
+            let (mut lo, mut hi, mut step) = (from, self.keys.len(), 1);
+            while lo + step <= hi {
+                if past(cmp_prefix(fence, self.keys[lo + step - 1])?) {
+                    hi = lo + step - 1;
+                    break;
+                }
+                lo += step;
+                step *= 2;
+            }
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if past(cmp_prefix(fence, self.keys[mid])?) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            Ok::<usize, DmvError>(lo)
+        };
+        let sure = first(from, |fence_to_key| fence_to_key != Ordering::Greater)?;
+        Ok(Reach { sure, upto: first(sure, |fence_to_key| fence_to_key == Ordering::Less)? })
+    }
+}
+
 /// Page visits of one tree walk. A valid walk visits no page twice, so
 /// one that outlasts the index's page count has met a pointer cycle — a
 /// corrupt page — and ends in [`DmvError::Storage`] instead of never.
@@ -466,11 +715,11 @@ impl BTreeIndex {
     ///
     /// # Errors
     ///
-    /// Propagates lock/storage errors; `Storage` if a single entry cannot
-    /// fit in a page.
+    /// Propagates lock/storage errors; `Storage` if the entry is larger
+    /// than a third of a page.
     pub fn insert(&self, txn: &mut Txn<'_>, key: &[Value], rid: RowId) -> DmvResult<()> {
-        if LEAF_HDR + entry_encoded_len(key) > PAGE_SIZE {
-            return Err(DmvError::Storage("index key too large for a page".into()));
+        if entry_encoded_len(key) > MAX_ENTRY {
+            return Err(DmvError::Storage("index key larger than a third of a page".into()));
         }
         self.ensure_init(txn)?;
         let root = self.root(txn)?;
@@ -524,9 +773,13 @@ impl BTreeIndex {
                     self.write_node(txn, page_no, &Node::Leaf { next, entries })?;
                     return Ok(None);
                 }
-                // Split.
-                let mid = entries.len() / 2;
+                // Split where the bytes halve, not the entry count: keys
+                // of unequal width would overflow one half.
+                let mid = split_point(entries.iter().map(|e| entry_encoded_len(&e.0)));
                 let right: Vec<Entry> = entries.split_off(mid);
+                if leaf_size(&entries).max(leaf_size(&right)) > PAGE_SIZE {
+                    return Err(split_overflow());
+                }
                 let sep = right[0].clone();
                 let new = txn.allocate_page(self.table, self.space())?;
                 self.write_node(txn, new.page_no, &Node::Leaf { next, entries: right })?;
@@ -547,12 +800,17 @@ impl BTreeIndex {
                     self.write_node(txn, page_no, &Node::Internal { keys, children })?;
                     return Ok(None);
                 }
-                // Split the internal node; the middle key is promoted.
-                let mid = keys.len() / 2;
-                let promoted = keys[mid].clone();
+                // Split the internal node; the key where the bytes halve
+                // (each key counted with a child pointer) is promoted.
+                let mid = split_point(keys.iter().map(|k| 4 + entry_encoded_len(&k.0)));
                 let right_keys: Vec<Entry> = keys.split_off(mid + 1);
-                keys.pop(); // remove the promoted key from the left node
+                let promoted = keys.pop().expect("the promoted key"); // unwrap-ok: split_point < len
                 let right_children: Vec<u32> = children.split_off(mid + 1);
+                if internal_size(&keys, &children).max(internal_size(&right_keys, &right_children))
+                    > PAGE_SIZE
+                {
+                    return Err(split_overflow());
+                }
                 let new = txn.allocate_page(self.table, self.space())?;
                 self.write_node(
                     txn,
@@ -637,6 +895,65 @@ impl BTreeIndex {
     /// Propagates lock/version/storage errors.
     pub fn lookup_eq(&self, txn: &mut Txn<'_>, key: &[Value]) -> DmvResult<Vec<RowId>> {
         self.range(txn, Some((key, true)), Some((key, true)), false, None)
+    }
+
+    /// [`BTreeIndex::lookup_eq`] of every key of `keys` in one walk:
+    /// returns all matching row ids, key after key, and per key where its
+    /// row ids end (key `i`'s are `rids[ends[i - 1]..ends[i]]`). The walk
+    /// descends once, then merges the keys with the leaf chain: it
+    /// advances inside a leaf, follows `next` while the next key is not
+    /// past the sibling's fence (the separators the descent passed say
+    /// so), and descends again — for that key — only across a gap. So a
+    /// dense key set costs about one visit per leaf it touches, and a
+    /// sparse one a descent per key without the meta page.
+    ///
+    /// `keys` must be strictly ascending. If they are not, a key still
+    /// gets only row ids that match it, though maybe not all of them;
+    /// nothing worse happens.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lock/version/storage errors; `Storage` on a corrupt
+    /// node, including a leaf chain that leads back (a leaf entered along
+    /// the chain must begin after the keys the leaf before it closed, each
+    /// stretch of the walk between two descents has the index's page count
+    /// as its visit budget, and no key is descended for twice).
+    pub fn lookup_many(
+        &self,
+        txn: &mut Txn<'_>,
+        keys: &[&[Value]],
+    ) -> DmvResult<(Vec<RowId>, Vec<usize>)> {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "probe keys must ascend strictly");
+        let mut scan = ManyScan::new(keys);
+        let start = if keys.is_empty() { None } else { self.root_opt(txn)? };
+        let Some((root, mut visits)) = start else {
+            return Ok((Vec::new(), vec![0; keys.len()]));
+        };
+        // The key the last descent was for; the walk begins with one for
+        // the first.
+        let mut descended_for = 0;
+        let mut step = ManyStep::Page(root);
+        loop {
+            step = match step {
+                ManyStep::Page(no) => {
+                    self.count_visit(txn, &mut visits)?;
+                    txn.read_page(self.pid(no), |d| scan.visit(d))??
+                }
+                // In a sound tree a descent for a key ends in a leaf that
+                // resolves it or begins its matches: a second gap before
+                // the same key is a chain that leads back.
+                ManyStep::Descend if scan.done == descended_for => {
+                    return Err(corrupt("leaf chain out of key order"));
+                }
+                ManyStep::Descend => {
+                    descended_for = scan.done;
+                    scan.descend();
+                    visits.made = 0;
+                    ManyStep::Page(root)
+                }
+                ManyStep::Done => return Ok((scan.out, scan.ends)),
+            };
+        }
     }
 }
 
@@ -730,6 +1047,36 @@ mod tests {
         }
     }
 
+    /// Entries of one width split where they always did — at `len / 2` —
+    /// so the page images of an index over such keys (every TPC-W index)
+    /// are what they were when nodes split by entry count.
+    #[test]
+    fn equal_width_entries_split_at_half_the_count() {
+        for len in 2..400 {
+            for width in [11, 19, 300] {
+                assert_eq!(
+                    split_point(std::iter::repeat_n(width, len)),
+                    len / 2,
+                    "{len} x {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unequal_entries_split_where_the_bytes_halve() {
+        // Count would put the three wide entries into one half.
+        let sizes = [18; 50].into_iter().chain([1300; 3]);
+        let mid = split_point(sizes.clone());
+        assert_eq!(mid, 51);
+        let left: usize = sizes.clone().take(mid).sum();
+        let right: usize = sizes.skip(mid).sum();
+        assert!(LEAF_HDR + left.max(right) <= PAGE_SIZE, "{left} / {right}");
+        // Never an empty half, however lopsided.
+        assert_eq!(split_point([MAX_ENTRY, 10, 10].into_iter()), 1);
+        assert_eq!(split_point([10, 10, MAX_ENTRY].into_iter()), 2);
+    }
+
     #[test]
     fn entry_ordering() {
         let a: Entry = (vec![Value::Int(1)], RowId::new(0, 0));
@@ -778,6 +1125,7 @@ mod tests {
 mod props {
     use super::*;
     use crate::{MemDb, MemDbOptions};
+    use dmv_sql::row::encode_row;
     use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
     use proptest::prelude::*;
 
@@ -790,6 +1138,16 @@ mod props {
             let mut scan =
                 RangeScan { lo, hi, limit: 5, past_lo: false, in_leaves: false, out: Vec::new() };
             let _ = scan.visit(d);
+        }
+        for chained in [false, true] {
+            let keys = [&probe[..1], &probe[..]];
+            let mut scan = ManyScan::new(&keys);
+            scan.in_leaves = chained;
+            scan.reach = (!chained).then_some(Reach { sure: 1, upto: 2 });
+            let _ = scan.visit(d);
+            assert!(
+                scan.ends.len() <= keys.len() && scan.ends.iter().all(|&e| e <= scan.out.len())
+            );
         }
         if let Ok(NodeRef::Internal { children, keys }) = NodeRef::parse(d) {
             let probe: Entry = (probe.to_vec(), RowId::new(1, 1));
@@ -835,12 +1193,15 @@ mod props {
         MemDb::new(schema, MemDbOptions::default())
     }
 
+    fn grown_key(i: u32) -> Row {
+        vec![Value::from(format!("{i:04}{}", "x".repeat(500)))]
+    }
+
     /// A three-level tree (wide keys keep the fan-out small).
     fn grown_tree(db: &MemDb, ix: BTreeIndex) -> u32 {
         let mut txn = db.begin_update();
         for i in 0..150u32 {
-            let key = [Value::from(format!("{i:04}{}", "x".repeat(500)))];
-            ix.insert(&mut txn, &key, RowId::new(i, 0)).unwrap();
+            ix.insert(&mut txn, &grown_key(i), RowId::new(i, 0)).unwrap();
         }
         let root = ix.root(&mut txn).unwrap();
         assert!(
@@ -886,9 +1247,19 @@ mod props {
             let pages = grown_tree(&db, ix);
             let cell = db.store().get(ix.pid(page_pick % pages)).unwrap();
             cell.latch.write().data_mut()[at] = byte;
-            let probe = [Value::from(format!("0075{}", "x".repeat(500)))];
+            let probe = grown_key(75);
             let mut txn = db.begin_update();
             let _ = ix.lookup_eq(&mut txn, &probe);
+            // Every other key (gaps to walk or descend across), and every
+            // key there is and a few there are not.
+            for step in [2, 1] {
+                let keys: Vec<Row> = (0..160).step_by(step).map(grown_key).collect();
+                let keys: Vec<&[Value]> = keys.iter().map(Vec::as_slice).collect();
+                if let Ok((rids, ends)) = ix.lookup_many(&mut txn, &keys) {
+                    prop_assert_eq!(ends.len(), keys.len());
+                    prop_assert!(ends.is_sorted() && ends.last() == Some(&rids.len()));
+                }
+            }
             let _ = ix.range(&mut txn, None, None, false, None);
             let _ = ix.range(&mut txn, Some((&probe, false)), None, true, Some(3));
             let _ = ix.delete(&mut txn, &probe, RowId::new(75, 0));
@@ -914,5 +1285,169 @@ mod props {
         txn.write_page(ix.pid(first.1), |d| put_u32(d, 3, first.0 + 1)).unwrap();
         let err = ix.range(&mut txn, None, None, false, None).unwrap_err();
         assert!(matches!(err, DmvError::Storage(_)), "{err}");
+        // The key merge enters the first leaf again as the sibling of the
+        // second: it does not begin after the keys the second leaf closed.
+        let all: Vec<Row> = (0..150).map(grown_key).collect();
+        let all: Vec<&[Value]> = all.iter().map(Vec::as_slice).collect();
+        let merge_fails = |txn: &mut Txn<'_>, keys: &[&[Value]]| {
+            let err = ix.lookup_many(txn, keys).unwrap_err();
+            assert!(matches!(err, DmvError::Storage(_)), "{err}");
+        };
+        merge_fails(&mut txn, &all);
+        // The first key of the third leaf, alone: it equals its leaf's
+        // fence, so the descent ends in the second leaf and follows
+        // `next` with no key closed to hold the sibling against. The
+        // first leaf lies wholly before the key, the walk descends again —
+        // into the second leaf — and the second gap before the same key
+        // is the error.
+        let Node::Leaf { entries, .. } = ix.read_node(&mut txn, first.1).unwrap() else {
+            unreachable!("the first leaf's successor is a leaf")
+        };
+        let third = all[2 * entries.len()];
+        assert_eq!(cmp_row(&encode_row(&entries[entries.len() - 1].0), third), Ok(Ordering::Less));
+        merge_fails(&mut txn, &[third]);
+        // A leaf that is its own successor ends the same way …
+        txn.write_page(ix.pid(first.1), |d| put_u32(d, 3, first.1 + 1)).unwrap();
+        merge_fails(&mut txn, &all);
+        merge_fails(&mut txn, &[third]);
+        // … and an empty one, which is no gap and closes no key, when the
+        // walk has visited more pages than the index has.
+        ix.write_node(&mut txn, first.1, &Node::Leaf { next: Some(first.1), entries: vec![] })
+            .unwrap();
+        merge_fails(&mut txn, &[third]);
+    }
+
+    /// The widest key an index takes is a third of a page, and a tree of
+    /// such keys next to the narrowest splits without overflowing a half.
+    #[test]
+    fn a_key_over_a_third_of_a_page_is_refused() {
+        let db = kv_db();
+        let ix = BTreeIndex::new(TableId(0), 0);
+        let mut txn = db.begin_update();
+        // An entry is its key's encoding (2 + 1 + 4 + the text) and 8 more.
+        let widest = MAX_ENTRY - ENTRY_OVERHEAD - 7;
+        let err = ix.insert(&mut txn, &["w".repeat(widest + 1).into()], RowId::new(0, 0));
+        assert!(matches!(err, Err(DmvError::Storage(_))), "{err:?}");
+        let mut want = Vec::new();
+        for i in 0..40u32 {
+            let wide = format!("{i:02}{}", "w".repeat(widest - 2));
+            for key in [Value::from(format!("{i:02}")), Value::from(wide)] {
+                ix.insert(&mut txn, std::slice::from_ref(&key), RowId::new(i, 0)).unwrap();
+                want.push(RowId::new(i, 0));
+            }
+        }
+        assert_eq!(ix.range(&mut txn, None, None, false, None).unwrap(), want);
+        assert!(ix.page_count(&txn) > 10);
+    }
+
+    /// An internal node splits where its bytes halve, too. Built by hand:
+    /// a root over eight leaves whose first three separators are as wide
+    /// as keys get and whose last four are narrow; a fourth wide
+    /// separator arrives from below. Halving the *count* would put all
+    /// four wide ones into the left half.
+    #[test]
+    fn an_internal_node_of_unequal_separators_splits_by_size() {
+        let db = kv_db();
+        let ix = BTreeIndex::new(TableId(0), 0);
+        let mut txn = db.begin_update();
+        let wide = |tag: &str| Value::from(format!("{tag}{}", "w".repeat(1290)));
+        let groups: [Vec<Value>; 8] = [
+            vec!["0".into()],
+            vec![wide("a0"), wide("a1"), wide("a3")], // a leaf one wide entry from overflowing
+            vec![wide("b")],
+            vec![wide("c")],
+            vec!["d".into()],
+            vec!["e".into()],
+            vec!["f".into()],
+            vec!["g".into()],
+        ];
+        let entry = |key: &Value| (vec![key.clone()], RowId::new(0, 0));
+        for _ in 0..10 {
+            txn.allocate_page(ix.table, ix.space()).unwrap();
+        }
+        txn.write_page(ix.pid(0), |d| encode_meta(d, 1)).unwrap();
+        let root = Node::Internal {
+            keys: groups[1..].iter().map(|g| entry(&g[0])).collect(),
+            children: (2..10).collect(),
+        };
+        ix.write_node(&mut txn, 1, &root).unwrap();
+        for (i, group) in groups.iter().enumerate() {
+            let next = (i < 7).then_some(i as u32 + 3);
+            let leaf = Node::Leaf { next, entries: group.iter().map(entry).collect() };
+            ix.write_node(&mut txn, i as u32 + 2, &leaf).unwrap();
+        }
+        ix.insert(&mut txn, &[wide("a2")], RowId::new(0, 0)).unwrap();
+        let mut want: Vec<Value> = groups.concat();
+        want.push(wide("a2"));
+        want.sort();
+        for key in &want {
+            assert_eq!(ix.lookup_eq(&mut txn, std::slice::from_ref(key)).unwrap().len(), 1);
+        }
+        assert_eq!(ix.range(&mut txn, None, None, false, None).unwrap().len(), want.len());
+        let new_root = ix.root(&mut txn).unwrap();
+        let Node::Internal { keys, children } = ix.read_node(&mut txn, new_root).unwrap() else {
+            unreachable!("the root split")
+        };
+        assert_eq!((keys.len(), children.len()), (1, 2));
+        assert!(keys[0].0 == [wide("b")], "two wide separators stay left, the third goes up");
+    }
+
+    fn int_keys(keys: &[i64]) -> Vec<[Value; 1]> {
+        keys.iter().map(|&k| [Value::Int(k)]).collect()
+    }
+
+    /// A tree of the even numbers below 2 000, each under two row ids.
+    fn even_numbers(db: &MemDb, ix: BTreeIndex) {
+        let mut txn = db.begin_update();
+        for k in (0..2000).step_by(2) {
+            for slot in 0..2 {
+                ix.insert(&mut txn, &[Value::Int(k)], RowId::new(k as u32, slot)).unwrap();
+            }
+        }
+        txn.commit(None);
+    }
+
+    #[test]
+    fn lookup_many_resolves_each_key_to_its_own_run() {
+        let db = kv_db();
+        let ix = BTreeIndex::new(TableId(0), 0);
+        even_numbers(&db, ix);
+        let mut txn = db.begin_read_local();
+        // Below the first key, absent between present ones, a present one
+        // far along the chain, above the last key.
+        let keys = int_keys(&[-5, 10, 11, 12, 1500, 1998, 1999, 5000]);
+        let keys: Vec<&[Value]> = keys.iter().map(|k| &k[..]).collect();
+        let (rids, ends) = ix.lookup_many(&mut txn, &keys).unwrap();
+        let both = |k: u32| [RowId::new(k, 0), RowId::new(k, 1)];
+        assert_eq!(rids, [both(10), both(12), both(1500), both(1998)].concat());
+        assert_eq!(ends, [0, 2, 2, 4, 6, 8, 8, 8]);
+        assert_eq!(ix.lookup_many(&mut txn, &[]).unwrap(), (vec![], vec![]));
+        // An index nobody wrote to matches nothing.
+        let empty = BTreeIndex::new(TableId(0), 1);
+        assert_eq!(empty.lookup_many(&mut txn, &keys).unwrap(), (vec![], vec![0; 8]));
+    }
+
+    /// Keys out of order are the caller's bug (debug builds say so); a
+    /// release build still gives every key a run of its own that holds
+    /// nothing but row ids matching it.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "ascend strictly"))]
+    fn lookup_many_never_gives_a_key_the_rows_of_another() {
+        let db = kv_db();
+        let ix = BTreeIndex::new(TableId(0), 0);
+        even_numbers(&db, ix);
+        let mut txn = db.begin_read_local();
+        for ks in [&[10, 10, 4, 700, 700, 12, 1998][..], &[1998, 4], &[6, 4, 2, 0], &[3, 3, 3]] {
+            let keys = int_keys(ks);
+            let keys: Vec<&[Value]> = keys.iter().map(|k| &k[..]).collect();
+            let (rids, ends) = ix.lookup_many(&mut txn, &keys).unwrap();
+            assert_eq!(ends.len(), ks.len());
+            assert!(ends.is_sorted() && ends.last() == Some(&rids.len()), "{ends:?}");
+            let mut from = 0;
+            for (&k, &to) in ks.iter().zip(&ends) {
+                assert!(rids[from..to].iter().all(|rid| rid.page_no as i64 == k), "key {k}");
+                from = to;
+            }
+        }
     }
 }

@@ -35,8 +35,8 @@ use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{PageId, PageSpace, RowId, TableId, TxnId};
 use dmv_common::version::VersionVector;
 use dmv_pagestore::diff::PageDiff;
-use dmv_sql::exec::ExecContext;
-use dmv_sql::row::Row;
+use dmv_sql::exec::{ExecContext, Probed};
+use dmv_sql::row::{Row, RowBatch};
 use dmv_sql::schema::Schema;
 use dmv_sql::value::Value;
 use std::collections::HashMap;
@@ -580,20 +580,31 @@ impl ExecContext for Txn<'_> {
         self.db.schema()
     }
 
-    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<Vec<(RowId, Row)>> {
+    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<RowBatch> {
         let rows = heap::scan(self, table, cols)?;
         self.owe(self.db.cost_scan(rows.len()));
         Ok(rows)
     }
 
-    fn index_lookup(
+    fn index_probe(
         &mut self,
         table: TableId,
         index_no: u8,
-        key: &[Value],
+        keys: &[&[Value]],
         cols: &[usize],
-    ) -> DmvResult<Vec<(RowId, Row)>> {
-        self.index_range(table, index_no, Some((key, true)), Some((key, true)), false, None, cols)
+    ) -> DmvResult<Probed> {
+        // The modeled cost is per key, as if each were probed alone.
+        self.owe(self.db.cost_probe() * keys.len() as u32);
+        let (rids, mut ends) = BTreeIndex::new(table, index_no).lookup_many(self, keys)?;
+        let (rows, dead) = heap::read_many(self, table, rids, cols)?;
+        if !dead.is_empty() {
+            // An entry whose row is gone leaves its key's run of rows.
+            for end in &mut ends {
+                *end -= dead.partition_point(|&at| at < *end);
+            }
+        }
+        self.owe(self.db.cost_scan(rows.len()));
+        Ok(Probed { rows, ends })
     }
 
     fn index_range(
@@ -605,10 +616,10 @@ impl ExecContext for Txn<'_> {
         rev: bool,
         limit: Option<usize>,
         cols: &[usize],
-    ) -> DmvResult<Vec<(RowId, Row)>> {
+    ) -> DmvResult<RowBatch> {
         self.owe(self.db.cost_probe());
         let rids = BTreeIndex::new(table, index_no).range(self, lo, hi, rev, limit)?;
-        let rows = heap::read_many(self, table, &rids, cols)?;
+        let (rows, _) = heap::read_many(self, table, rids, cols)?;
         self.owe(self.db.cost_scan(rows.len()));
         Ok(rows)
     }
@@ -711,5 +722,130 @@ impl Txn<'_> {
         }
         self.owe(self.db.cost_write(1));
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MemDbOptions;
+    use dmv_common::config::CpuProfile;
+    use dmv_sql::exec::execute;
+    use dmv_sql::query::{Access, AggFn, Join, Query, Select};
+    use dmv_sql::schema::{ColType, Column, IndexDef, TableSchema};
+    use std::collections::BTreeSet;
+    use std::time::Duration;
+
+    /// The modeled CPU cost of a BestSellers-shaped select — order lines
+    /// of the recent orders ⋈ items ⋈ authors, grouped by item — is one
+    /// probe for the base range plus one per distinct item and per
+    /// distinct author key, and one row charge per row an index read
+    /// returned: what probing key by key, each distinct key once, costs.
+    /// Resolving a join's keys as a set changes the real CPU, not this.
+    #[test]
+    fn a_set_probe_is_charged_per_distinct_key_and_per_row() {
+        let int = |name: &str| Column::new(name, ColType::Int);
+        let (lines, items, authors) = (TableId(0), TableId(1), TableId(2));
+        let schema = Schema::new(vec![
+            TableSchema::new(
+                lines,
+                "line",
+                vec![int("l_id"), int("l_o_id"), int("l_i_id"), int("l_qty")],
+                vec![IndexDef::unique("pk", vec![0]), IndexDef::non_unique("by_order", vec![1])],
+            ),
+            TableSchema::new(
+                items,
+                "item",
+                vec![int("i_id"), Column::new("i_title", ColType::Str), int("i_a_id")],
+                vec![IndexDef::unique("pk", vec![0])],
+            ),
+            TableSchema::new(
+                authors,
+                "author",
+                vec![int("a_id")],
+                vec![IndexDef::unique("pk", vec![0])],
+            ),
+        ]);
+        // A probe is a millisecond, a row a nanosecond: the sum reads as
+        // `probes . rows`.
+        let cpu = CpuProfile {
+            per_index_probe: Duration::from_millis(1),
+            per_row_scan: Duration::from_nanos(1),
+            per_row_write: Duration::ZERO,
+        };
+        let db = MemDb::new(schema, MemDbOptions { cpu, ..MemDbOptions::default() });
+        let mut load = db.begin_update();
+        for a in 0..7i64 {
+            load.insert(authors, vec![a.into()]).unwrap();
+        }
+        for i in 0..40i64 {
+            load.insert(items, vec![i.into(), format!("title {}", i % 9).into(), (i % 7).into()])
+                .unwrap();
+        }
+        // Line `l` of order `l / 3` sells item `l * l % 40`.
+        let item_of = |l: i64| l * l % 40;
+        for l in 0..90i64 {
+            load.insert(lines, vec![l.into(), (l / 3).into(), item_of(l).into(), 1.into()])
+                .unwrap();
+        }
+        load.cpu_owed = Duration::ZERO;
+        load.commit(None);
+
+        let from_order = 12;
+        let q = Select::scan(lines)
+            .access(Access::IndexRange {
+                index_no: 1,
+                lo: Some((vec![from_order.into()], true)),
+                hi: None,
+                rev: false,
+                scan_limit: None,
+            })
+            .join(Join { table: items, left_col: 2, right_col: 0, right_index: Some(0) })
+            .join(Join { table: authors, left_col: 4 + 2, right_col: 0, right_index: Some(0) })
+            .group(vec![4, 5], vec![AggFn::Sum(3)])
+            .order_by(2, true)
+            .limit(5);
+        let in_range: Vec<i64> = (0..90).filter(|l| l / 3 >= from_order).collect();
+        let sold: BTreeSet<i64> = in_range.iter().map(|&l| item_of(l)).collect();
+        let by: BTreeSet<i64> = sold.iter().map(|i| i % 7).collect();
+        assert!(sold.len() < in_range.len() && by.len() < sold.len(), "keys repeat at both joins");
+
+        let mut txn = db.begin_read_local();
+        assert_eq!(execute(&mut txn, &Query::Select(q)).unwrap().rows.len(), 5);
+        let probes = 1 + sold.len() + by.len();
+        let rows = in_range.len() + sold.len() + by.len();
+        let want = Duration::from_millis(probes as u64) + Duration::from_nanos(rows as u64);
+        assert_eq!(txn.cpu_owed, want, "{probes} probes, {rows} rows");
+        txn.cpu_owed = Duration::ZERO; // nothing to sleep off
+        txn.commit(None);
+    }
+
+    /// An index entry whose heap slot is dead (no consistent read meets
+    /// one; the engine skips them all the same) drops out of its key's
+    /// run of rows, and the runs after it still end where they should.
+    #[test]
+    fn a_dead_slot_leaves_its_keys_run() {
+        let t = TableId(0);
+        let schema = Schema::new(vec![TableSchema::new(
+            t,
+            "t",
+            vec![Column::new("id", ColType::Int), Column::new("k", ColType::Int)],
+            vec![IndexDef::unique("pk", vec![0]), IndexDef::non_unique("by_k", vec![1])],
+        )]);
+        let db = MemDb::new(schema, MemDbOptions::default());
+        let mut txn = db.begin_update();
+        let rids: Vec<RowId> =
+            (0..9i64).map(|id| txn.insert(t, vec![id.into(), (id / 3).into()]).unwrap()).collect();
+        // Rows 4 (k = 1) and 6 (k = 2) vanish from the heap alone.
+        for gone in [4, 6] {
+            heap::delete(&mut txn, t, rids[gone]).unwrap();
+        }
+        let keys = [[Value::Int(0)], [Value::Int(1)], [Value::Int(2)], [Value::Int(3)]];
+        let keys: Vec<&[Value]> = keys.iter().map(|k| &k[..]).collect();
+        let found = txn.index_probe(t, 1, &keys, &[0]).unwrap();
+        let ids: Vec<i64> = found.rows.into_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 5, 7, 8]);
+        assert_eq!(found.ends, [3, 5, 7, 7]);
+        txn.abort();
     }
 }

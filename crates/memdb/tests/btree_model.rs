@@ -1,10 +1,12 @@
 //! B+Tree model test: random insert/delete runs against a `BTreeMap`,
-//! with `lookup_eq` and `range` — both directions, every bound and limit
-//! combination — compared to the model after every step. Keys are wide
-//! strings or string/int composites, so a leaf holds a handful of entries
-//! and a few hundred inserts split leaves *and* internal nodes; a few
-//! hot keys get many row ids each, so runs of duplicates span leaf
-//! boundaries.
+//! with `lookup_eq`, `lookup_many` and `range` — both directions, every
+//! bound and limit combination — compared to the model after every step.
+//! Keys are wide strings or string/int composites, so a leaf holds a
+//! handful of entries and a few hundred inserts split leaves *and*
+//! internal nodes; a few hot keys get many row ids each, so runs of
+//! duplicates span leaf boundaries. A third run mixes 3-byte keys with
+//! keys a third of a page wide: nodes must split where the bytes halve,
+//! or one half overflows its page (a slice panic in a release build).
 
 use dmv_common::config::ConcurrencyMode;
 use dmv_common::ids::{PageSpace, RowId, TableId};
@@ -33,16 +35,31 @@ fn db(mode: ConcurrencyMode) -> MemDb {
     MemDb::new(schema, MemDbOptions { concurrency: mode, ..MemDbOptions::default() })
 }
 
-/// A key from a small domain: `(wide string, small int)`, or the string
-/// alone when `composite` is off. Ten strings × five ints, a tenth of the
-/// draws going to one hot key.
-fn key(rng: &mut SmallRng, composite: bool) -> Key {
+/// What keys a run draws.
+#[derive(Clone, Copy, PartialEq)]
+enum Keys {
+    /// `(wide string, small int)`.
+    Composite,
+    /// The wide string alone.
+    Wide,
+    /// A 3-byte string or one a third of a page wide, three to one.
+    Mixed,
+}
+
+/// A key from a small domain: ten strings of 300 to 750 bytes × five
+/// ints, a tenth of the draws going to one hot key; or, for
+/// [`Keys::Mixed`], forty strings whose width has nothing to do with
+/// where they sort.
+fn key(rng: &mut SmallRng, keys: Keys) -> Key {
+    if keys == Keys::Mixed {
+        let s = rng.gen_range(0..40);
+        let padding = if s % 4 == 1 { 1290 } else { 0 };
+        return vec![Value::from(format!("{s:03}{}", "k".repeat(padding)))];
+    }
     let (s, n) =
         if rng.gen_bool(0.1) { (3, 3) } else { (rng.gen_range(0..10), rng.gen_range(0..5)) };
-    // 300 to 750 bytes: unequal, but not so unequal that splitting a
-    // node by entry count could leave one half too large for a page.
     let mut key = vec![Value::from(format!("{s:02}{}", "k".repeat(300 + 50 * s)))];
-    if composite {
+    if keys == Keys::Composite {
         key.push(Value::Int(n));
     }
     key
@@ -93,6 +110,9 @@ fn check(
         let want = expected(model, Some((probe, true)), Some((probe, true)), false, None);
         assert_eq!(ix.lookup_eq(txn, probe).unwrap(), want, "lookup_eq {probe:?}");
     }
+    if exhaustive {
+        check_lookup_many(ix, txn, model, rng);
+    }
     let (lo_key, hi_key) = if around <= other { (around, other) } else { (other, around) };
     fn bounds(k: &Key) -> [Option<(&[Value], bool)>; 5] {
         [None, Some((k, true)), Some((k, false)), Some((&k[..1], true)), Some((&k[..1], false))]
@@ -113,7 +133,50 @@ fn check(
     }
 }
 
-fn run(seed: u64, mode: ConcurrencyMode, composite: bool) {
+/// `lookup_many` against one `lookup_eq` answer per key from the model,
+/// for key sets of every kind: all keys there are (dense: the walk only
+/// follows `next`), a few of them (sparse: it must descend across gaps),
+/// keys that are not there — between, below and above the ones that are —
+/// and first-column prefixes, whose runs of matches span leaves.
+fn check_lookup_many(ix: BTreeIndex, txn: &mut Txn<'_>, model: &Model, rng: &mut SmallRng) {
+    let mut present: Vec<Key> = model.keys().map(|(k, _)| k.clone()).collect();
+    present.dedup();
+    let text = |k: &Key| k[0].as_str().unwrap().to_owned();
+    let absent: Vec<Key> = present
+        .iter()
+        .flat_map(|k| {
+            let (below, above) = (format!("{}!", text(k)), format!("{}~", text(k)));
+            [below, above].map(|s| [vec![Value::from(s)], k[1..].to_vec()].concat())
+        })
+        .collect();
+    let prefixes: Vec<Key> = present.iter().map(|k| k[..1].to_vec()).collect();
+    let ends = [vec![Value::from("")], vec![Value::from("~")]];
+    let sparse: Vec<Key> = present.iter().filter(|_| rng.gen_bool(0.15)).cloned().collect();
+    let mixed = [&present[..], &absent[..], &ends[..]].concat();
+    for (what, mut keys) in [
+        ("dense", present),
+        ("sparse", sparse),
+        ("absent", absent),
+        ("prefixes", prefixes),
+        ("outside", ends.to_vec()),
+        ("mixed", mixed),
+    ] {
+        keys.sort();
+        keys.dedup();
+        let probe: Vec<&[Value]> = keys.iter().map(Vec::as_slice).collect();
+        let (rids, ends) = ix.lookup_many(txn, &probe).unwrap();
+        assert_eq!(ends.len(), keys.len(), "{what}");
+        let mut from = 0;
+        for (key, &to) in probe.iter().zip(&ends) {
+            let want = expected(model, Some((key, true)), Some((key, true)), false, None);
+            assert_eq!(rids[from..to], want, "{what}: lookup_many {key:?}");
+            from = to;
+        }
+        assert_eq!(from, rids.len(), "{what}");
+    }
+}
+
+fn run(seed: u64, mode: ConcurrencyMode, keys: Keys) {
     let mut rng = seeded(seed);
     let db = db(mode);
     let ix = BTreeIndex::new(T, 0);
@@ -121,7 +184,7 @@ fn run(seed: u64, mode: ConcurrencyMode, composite: bool) {
     let mut txn = db.begin_update();
     let mut next_rid = 0u32;
     for step in 0..300 {
-        let k = key(&mut rng, composite);
+        let k = key(&mut rng, keys);
         // Grow for the first two thirds, then shrink.
         if rng.gen_bool(if step < 200 { 0.85 } else { 0.3 }) {
             // Row ids are unique, so an id names its entry in the model.
@@ -143,17 +206,21 @@ fn run(seed: u64, mode: ConcurrencyMode, composite: bool) {
                 None => assert!(!ix.delete(&mut txn, &k, RowId::new(u32::MAX, 0)).unwrap()),
             }
         }
-        let other = key(&mut rng, composite);
+        let other = key(&mut rng, keys);
         check(ix, &mut txn, &model, (&k, &other), &mut rng, step % 25 == 0);
     }
     // The narrowest entry is ~320 bytes, so an internal node has at most
-    // 12 children and a tree of root + leaves at most 14 pages.
+    // 12 children and a tree of root + leaves at most 14 pages. (Mixed
+    // keys: forty of them, at most, are a handful of leaves.)
     let pages = db.store().allocated_count(T, PageSpace::Index(0));
-    assert!(pages > 20, "{pages} pages: the run must split internal nodes, not just leaves");
+    assert!(
+        pages > if keys == Keys::Mixed { 4 } else { 20 },
+        "{pages} pages: the run must split internal nodes, not just leaves"
+    );
     // A committed tree reads the same from outside the transaction.
     txn.try_commit(None).unwrap();
     let mut r = db.begin_read_local();
-    let (a, b) = (key(&mut rng, composite), key(&mut rng, composite));
+    let (a, b) = (key(&mut rng, keys), key(&mut rng, keys));
     check(ix, &mut r, &model, (&a, &b), &mut rng, true);
 }
 
@@ -162,7 +229,8 @@ proptest! {
 
     #[test]
     fn btree_matches_model(seed in 0u64..u64::MAX) {
-        run(seed, ConcurrencyMode::TwoPhase, true);
-        run(seed ^ 1, ConcurrencyMode::MvccCow, false);
+        run(seed, ConcurrencyMode::TwoPhase, Keys::Composite);
+        run(seed ^ 1, ConcurrencyMode::MvccCow, Keys::Wide);
+        run(seed ^ 2, ConcurrencyMode::MvccCow, Keys::Mixed);
     }
 }

@@ -5,20 +5,29 @@
 //! bit-identical pages.
 
 use dmv_common::config::ConcurrencyMode;
-use dmv_common::error::DmvError;
-use dmv_common::ids::{NodeId, TableId};
+use dmv_common::error::{DmvError, DmvResult};
+use dmv_common::ids::{NodeId, PageId, PageSpace, RowId, TableId};
 use dmv_common::version::VersionVector;
-use dmv_memdb::{MemDb, MemDbOptions};
+use dmv_memdb::index::BTreeIndex;
+use dmv_memdb::{heap, MemDb, MemDbOptions, ReadGate, Txn};
+use dmv_pagestore::store::PageCell;
 use dmv_pagestore::PageStore;
 use dmv_sql::exec::{execute, ExecContext};
 use dmv_sql::query::{Access, AggFn, Expr, Join, Query, Select, SetExpr};
+use dmv_sql::row::Row;
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
 use rand::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Every column of the `kv` table, for reads that want whole rows.
 const KV_COLS: &[usize] = &[0, 1, 2];
+
+/// The whole `kv` rows whose key in index `index_no` is `key`.
+fn lookup(txn: &mut Txn<'_>, index_no: u8, key: i64) -> Vec<(RowId, Row)> {
+    let found = txn.index_probe(TableId(0), index_no, &[&[Value::Int(key)]], KV_COLS).unwrap();
+    found.rows.rids().to_vec().into_iter().zip(found.rows.into_rows()).collect()
+}
 
 fn kv_schema() -> Schema {
     Schema::new(vec![TableSchema::new(
@@ -213,8 +222,8 @@ fn update_maintains_secondary_index() {
     txn.commit(None);
     let mut r = db.begin_read_local();
     // lookup via secondary index must reflect the move
-    let hits10 = r.index_lookup(TableId(0), 1, &[Value::Int(10)], KV_COLS).unwrap();
-    let hits99 = r.index_lookup(TableId(0), 1, &[Value::Int(99)], KV_COLS).unwrap();
+    let hits10 = lookup(&mut r, 1, 10);
+    let hits99 = lookup(&mut r, 1, 99);
     assert_eq!(hits10.len(), 1);
     assert_eq!(hits99.len(), 1);
     assert_eq!(hits99[0].1[0], Value::Int(1));
@@ -234,7 +243,7 @@ fn delete_removes_from_indexes() {
     .unwrap();
     txn.commit(None);
     let mut r = db.begin_read_local();
-    assert_eq!(r.index_lookup(TableId(0), 1, &[Value::Int(0)], KV_COLS).unwrap().len(), 0);
+    assert_eq!(lookup(&mut r, 1, 0).len(), 0);
     let rs = execute(&mut r, &Query::Select(Select::scan(TableId(0)))).unwrap();
     assert_eq!(rs.rows.len(), 6);
 }
@@ -257,7 +266,7 @@ fn btree_survives_many_inserts_with_splits() {
     let mut r = db.begin_read_local();
     // every key findable
     for k in [0i64, 1, n / 2, n - 1] {
-        let hits = r.index_lookup(TableId(0), 0, &[Value::Int(k)], KV_COLS).unwrap();
+        let hits = lookup(&mut r, 0, k);
         assert_eq!(hits.len(), 1, "key {k}");
     }
     // range scan ordered
@@ -273,16 +282,102 @@ fn btree_survives_many_inserts_with_splits() {
         )
         .unwrap();
     assert_eq!(rows.len(), 101);
-    let got: Vec<i64> = rows.iter().map(|(_, r)| r[0].as_int().unwrap()).collect();
+    let got: Vec<i64> = rows.into_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
     let want: Vec<i64> = (100..=200).collect();
     assert_eq!(got, want);
     // reverse with limit
     let rows = r.index_range(TableId(0), 0, None, None, true, Some(5), KV_COLS).unwrap();
-    let got: Vec<i64> = rows.iter().map(|(_, r)| r[0].as_int().unwrap()).collect();
+    let got: Vec<i64> = rows.into_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
     assert_eq!(got, vec![n - 1, n - 2, n - 3, n - 4, n - 5]);
     // secondary index group counts
-    let hits = r.index_lookup(TableId(0), 1, &[Value::Int(3)], KV_COLS).unwrap();
+    let hits = lookup(&mut r, 1, 3);
     assert_eq!(hits.len() as i64, (0..n).filter(|k| k % 17 == 3).count() as i64);
+}
+
+/// A read gate that lets every tagged read through and notes the page:
+/// one entry per pass through the transaction's read protocol.
+#[derive(Default)]
+struct PagePasses(Mutex<Vec<PageId>>);
+
+impl ReadGate for PagePasses {
+    fn prepare_read(&self, id: PageId, _: &PageCell, _: &VersionVector) -> DmvResult<()> {
+        self.0.lock().unwrap().push(id);
+        Ok(())
+    }
+}
+
+impl PagePasses {
+    /// The passes since the last call.
+    fn take(&self) -> Vec<PageId> {
+        std::mem::take(&mut self.0.lock().unwrap())
+    }
+}
+
+/// What resolving a key set costs in page passes: about one per leaf for
+/// neighbouring keys (the walk follows the leaf chain), about one descent
+/// per key for keys far apart (it descends across the gaps instead of
+/// walking them), and one per heap page for the rows, in whatever order
+/// their ids come.
+#[test]
+fn a_key_set_is_resolved_in_about_one_pass_per_page_it_needs() {
+    let db = MemDb::new(kv_schema(), MemDbOptions::default());
+    let n = 8000i64;
+    for chunk in (0..n).collect::<Vec<_>>().chunks(500) {
+        let mut txn = db.begin_update();
+        for &k in chunk {
+            txn.insert(TableId(0), vec![k.into(), "v".into(), (k % 7).into()]).unwrap();
+        }
+        txn.commit(None);
+    }
+    let pk = BTreeIndex::new(TableId(0), 0);
+    let pages = db.store().allocated_count(TableId(0), PageSpace::Index(0)) as usize;
+    assert!(pages > 60, "{pages} index pages");
+    let gate = Arc::new(PagePasses::default());
+    db.set_gate(gate.clone());
+    let mut txn = db.begin_read_tagged(VersionVector::new(1));
+    let keys_of = |ks: &[i64]| ks.iter().map(|&k| [Value::Int(k)]).collect::<Vec<_>>();
+    let mut lookup_many = |ks: &[i64]| {
+        let keys = keys_of(ks);
+        let keys: Vec<&[Value]> = keys.iter().map(|k| &k[..]).collect();
+        let found = pk.lookup_many(&mut txn, &keys).unwrap();
+        assert_eq!(found.1, (1..=ks.len()).collect::<Vec<_>>(), "every key is there once");
+        (found.0, gate.take().len())
+    };
+    // One key: the meta page, then a page per level.
+    let depth = lookup_many(&[n / 2]).1 - 1;
+    assert!((2..=3).contains(&depth), "depth {depth}");
+
+    // A thousand neighbours: one descent, then the leaves that hold them
+    // (a leaf of int keys holds over a hundred).
+    let (_, passes) = lookup_many(&(5000..6000).collect::<Vec<_>>());
+    assert!(passes <= 1 + depth + 1000 / 100, "{passes} passes for 1000 dense keys");
+    // Five keys a fifth of the tree apart: a descent each, and the sibling
+    // that showed the gap — not the leaves in between.
+    let (_, passes) = lookup_many(&[100, 1700, 3300, 4900, 6500]);
+    assert!(passes <= 1 + 5 * (depth + 1), "{passes} passes for 5 sparse keys");
+    // A key every fifty: no leaf is skipped, so following the chain is all
+    // it takes — every leaf once, the inner pages of one descent.
+    let spread: Vec<i64> = (0..n).step_by(50).collect();
+    let (rids, passes) = lookup_many(&spread);
+    assert!(passes <= pages + depth, "{passes} passes over {pages} pages");
+
+    // Their rows, every other one and then the rest, so that each heap
+    // page comes up twice: it is still visited once, and the rows come
+    // back in the order asked for.
+    fn dealt<T: Copy>(all: &[T]) -> Vec<T> {
+        [0, 1].iter().flat_map(|&i| all.iter().skip(i).step_by(2).copied()).collect()
+    }
+    let (shuffled, want) = (dealt(&rids), dealt(&spread));
+    let (rows, dead) = heap::read_many(&mut txn, TableId(0), shuffled, &[0]).unwrap();
+    assert!(dead.is_empty());
+    let ks: Vec<i64> = rows.into_rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+    assert_eq!(ks, want);
+    let mut pages = gate.take();
+    let passes = pages.len();
+    pages.sort();
+    pages.dedup();
+    assert_eq!(passes, pages.len(), "a heap page is visited once");
+    txn.commit(None);
 }
 
 #[test]
@@ -294,7 +389,7 @@ fn non_unique_index_handles_duplicate_keys() {
     }
     txn.commit(None);
     let mut r = db.begin_read_local();
-    let hits = r.index_lookup(TableId(0), 1, &[Value::Int(7)], KV_COLS).unwrap();
+    let hits = lookup(&mut r, 1, 7);
     assert_eq!(hits.len(), 500);
 }
 
@@ -344,14 +439,14 @@ fn write_set_application_converges_bitwise() {
                     );
                 }
                 1 => {
-                    let hit = txn.index_lookup(TableId(0), 0, &[Value::Int(k)], KV_COLS).unwrap();
+                    let hit = lookup(&mut txn, 0, k);
                     if let Some((rid, mut row)) = hit.into_iter().next() {
                         row[1] = format!("upd{round}").into();
                         txn.update(TableId(0), rid, row).unwrap();
                     }
                 }
                 _ => {
-                    let hit = txn.index_lookup(TableId(0), 0, &[Value::Int(k)], KV_COLS).unwrap();
+                    let hit = lookup(&mut txn, 0, k);
                     if let Some((rid, _)) = hit.into_iter().next() {
                         txn.delete(TableId(0), rid).unwrap();
                     }

@@ -7,15 +7,24 @@
 //! the on-disk baseline answer queries identically — a property the
 //! integration tests check directly.
 //!
-//! A select is one depth-first pass: the [`Layout`] derived from the
-//! statement tells every table which columns to supply, each base row is
-//! filtered as soon as the columns of a conjunct are bound, joined rows
-//! are never concatenated (a joined row is one index per table into the
-//! rows read so far), and whatever consumes the pass — hash aggregate,
-//! sort, or plain output — clones only the values it returns.
+//! A select works a *set* at a time. The [`Layout`] derived from the
+//! statement tells every table which columns to supply, and every read
+//! comes back as one [`RowBatch`]. A *block* of base rows — all of them
+//! when `GROUP BY` or `ORDER BY` consumes every tuple, only as many as
+//! output rows are still wanted under a bare `LIMIT` — then passes the
+//! joins stage by stage: filter with the conjuncts whose columns are
+//! bound, collect the stage's distinct non-NULL keys, resolve them in one
+//! [`ExecContext::index_probe`], expand the tuples in order. A joined row
+//! is never concatenated (a tuple is one row number per table), expanding
+//! in order yields the order a nested loop would, and whatever consumes
+//! the tuples — hash aggregate, sort, or plain output — clones only the
+//! values it returns. Where a row number already identifies an answer it
+//! replaces hashing: a join key is looked up once per row of the source it
+//! lives in, a group once per row of the source the group columns come
+//! from ([`Pipeline::join`], [`Groups`]).
 
 use crate::query::{Access, AggFn, Expr, GroupBy, Query, Select, SetExpr};
-use crate::row::Row;
+use crate::row::{Row, RowBatch};
 use crate::schema::Schema;
 use crate::value::{Value, ValueRef};
 use dmv_common::error::{DmvError, DmvResult};
@@ -23,7 +32,7 @@ use dmv_common::ids::{RowId, TableId};
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Storage interface the executor runs against, bound to one open
 /// transaction on one engine.
@@ -46,20 +55,22 @@ pub trait ExecContext {
     /// # Errors
     ///
     /// Propagates engine errors (lock conflicts, version conflicts, I/O).
-    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<Vec<(RowId, Row)>>;
+    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<RowBatch>;
 
-    /// Columns `cols` of the rows whose index key equals `key` exactly.
+    /// Columns `cols` of the rows whose index key equals — on the key's
+    /// length — one of `keys`, which must be strictly ascending: the one
+    /// probe routine, for a join's whole key set as for a single key.
     ///
     /// # Errors
     ///
     /// Propagates engine errors.
-    fn index_lookup(
+    fn index_probe(
         &mut self,
         table: TableId,
         index_no: u8,
-        key: &[Value],
+        keys: &[&[Value]],
         cols: &[usize],
-    ) -> DmvResult<Vec<(RowId, Row)>>;
+    ) -> DmvResult<Probed>;
 
     /// Columns `cols` of the rows between the bounds (each `(prefix,
     /// inclusive)`), in key order.
@@ -77,7 +88,7 @@ pub trait ExecContext {
         rev: bool,
         limit: Option<usize>,
         cols: &[usize],
-    ) -> DmvResult<Vec<(RowId, Row)>>;
+    ) -> DmvResult<RowBatch>;
 
     /// Inserts a validated row; the engine maintains all indexes.
     ///
@@ -111,6 +122,16 @@ pub trait ExecContext {
     /// upgrading S→X on the same page deadlock unconditionally).
     /// Default: no-op.
     fn set_write_intent(&mut self, _on: bool) {}
+}
+
+/// What an [`ExecContext::index_probe`] found.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Probed {
+    /// The rows of all keys, key after key, each key's in index order.
+    pub rows: RowBatch,
+    /// Per key, where its rows end in `rows`: key `i`'s are rows
+    /// `ends[i - 1]..ends[i]` (from 0 for the first key).
+    pub ends: Vec<usize>,
 }
 
 /// Result of executing a [`Query`].
@@ -252,19 +273,18 @@ fn apply_set(cur: &Value, sx: &SetExpr) -> DmvResult<Value> {
 /// covers some index of the table with equality conjuncts.
 fn resolve_auto(schema: &Schema, table: TableId, filter: &Option<Expr>) -> DmvResult<Access> {
     let ts = schema.table(table)?;
-    let Some(f) = filter else { return Ok(Access::FullScan) };
-    // Collect col -> literal equality conjuncts.
-    let mut eqs: HashMap<usize, Value> = HashMap::new();
-    for c in f.conjuncts() {
+    // The `col = literal` conjuncts; of two on one column the later counts.
+    let mut eqs: Vec<(usize, &Value)> = Vec::new();
+    for c in filter.iter().flat_map(Expr::conjuncts) {
         if let Expr::Cmp(crate::query::CmpOp::Eq, a, b) = c {
             if let (Expr::Col(i), Expr::Lit(v)) = (a.as_ref(), b.as_ref()) {
-                eqs.insert(*i, v.clone());
+                eqs.push((*i, v));
             }
         }
     }
+    let pinned = |c: &usize| eqs.iter().rev().find(|(i, _)| i == c).map(|&(_, v)| v.clone());
     for (ix_no, ix) in ts.indexes.iter().enumerate() {
-        if ix.columns.iter().all(|c| eqs.contains_key(c)) {
-            let key = ix.columns.iter().map(|c| eqs[c].clone()).collect();
+        if let Some(key) = ix.columns.iter().map(pinned).collect() {
             return Ok(Access::IndexEq { index_no: ix_no as u8, key });
         }
     }
@@ -279,7 +299,7 @@ fn read_base(
     access: &Access,
     filter: &Option<Expr>,
     cols: &[usize],
-) -> DmvResult<Vec<(RowId, Row)>> {
+) -> DmvResult<RowBatch> {
     let resolved;
     let access = match access {
         Access::Auto => {
@@ -291,7 +311,9 @@ fn read_base(
     match access {
         Access::Auto => unreachable!("auto was resolved above"),
         Access::FullScan => ctx.scan(table, cols),
-        Access::IndexEq { index_no, key } => ctx.index_lookup(table, *index_no, key, cols),
+        Access::IndexEq { index_no, key } => {
+            Ok(ctx.index_probe(table, *index_no, &[key.as_slice()], cols)?.rows)
+        }
         Access::IndexRange { index_no, lo, hi, rev, scan_limit } => ctx.index_range(
             table,
             *index_no,
@@ -316,11 +338,10 @@ fn rows_to_modify(
     ctx.set_write_intent(true);
     let rows = read_base(ctx, table, access, filter, &all);
     ctx.set_write_intent(false);
-    let mut rows = rows?;
-    if let Some(f) = filter {
-        rows.retain(|(_, r)| f.truthy(&|c| ValueRef::at(r, c)));
-    }
-    Ok(rows)
+    let rows = rows?;
+    let passes = |r: &Row| filter.as_ref().is_none_or(|f| f.truthy(&|c| ValueRef::at(r, c)));
+    let rids = rows.rids().to_vec();
+    Ok(rids.into_iter().zip(rows.into_rows()).filter(|(_, r)| passes(r)).collect())
 }
 
 /// Where the columns of a select's joined row come from. Column
@@ -403,18 +424,37 @@ impl Layout {
         (flat < self.offsets[source + 1]).then_some(flat)
     }
 
+    /// Where flat column `c` is read from: `(source, position)`, `None`
+    /// for a column the joined row does not have (it reads as NULL).
+    fn slot(&self, c: usize) -> Option<(usize, usize)> {
+        *self.slots.get(c)?
+    }
+
     /// The last source a conjunct reads: it can be applied as soon as a
     /// tuple reaches that source.
     fn stage_of(&self, e: &Expr) -> usize {
         let mut stage = 0;
         e.for_each_col(&mut |c| {
-            if let Some(&Some((source, _))) = self.slots.get(c) {
+            if let Some((source, _)) = self.slot(c) {
                 stage = stage.max(source);
             }
         });
         stage
     }
+
+    /// The one source all of `cols` (those the joined row has) are read
+    /// from, if there is exactly one.
+    fn only_source_of(&self, cols: &[usize]) -> Option<usize> {
+        let mut sources = cols.iter().filter_map(|&c| self.slot(c)).map(|(source, _)| source);
+        let first = sources.next()?;
+        sources.all(|source| source == first).then_some(first)
+    }
 }
+
+/// In a dense per-row-number memo: nothing remembered for the row yet.
+const UNSEEN: usize = usize::MAX;
+/// In [`Pipeline::join`]'s memo: the row's key is NULL, it joins nothing.
+const NO_KEY: usize = usize::MAX - 1;
 
 /// One select in flight: the rows read so far and how to read more.
 struct Pipeline<'a> {
@@ -424,14 +464,12 @@ struct Pipeline<'a> {
     /// `conjuncts[i]`: the filter conjuncts decidable once a tuple has
     /// sources `0..=i` (base-only conjuncts run before the first probe).
     conjuncts: Vec<Vec<&'a Expr>>,
-    /// Per source, the narrowed rows read so far; tuples index into these.
-    rows: Vec<Vec<Row>>,
-    /// Per indexed join, probe key → its matches' range in the joined
-    /// source's rows. Within one statement the snapshot is fixed, so a
-    /// repeated probe must return the same rows, and TPC-W's hot joins
-    /// (order lines → items → authors) repeat a few keys thousands of
-    /// times. (A join without an index scans its table once, up front.)
-    probed: Vec<HashMap<Value, (usize, usize)>>,
+    /// Per source, the narrowed rows tuples index into: the base rows and
+    /// the table of a join without an index for the whole statement, the
+    /// matches of an indexed join for the block in flight.
+    rows: Vec<RowBatch>,
+    /// The first base row no block has taken yet.
+    next_base: usize,
 }
 
 impl<'a> Pipeline<'a> {
@@ -442,110 +480,161 @@ impl<'a> Pipeline<'a> {
         for e in s.filter.iter().flat_map(Expr::conjuncts) {
             conjuncts[layout.stage_of(e)].push(e);
         }
-        Ok(Pipeline {
-            ctx,
-            s,
-            layout,
-            conjuncts,
-            rows: vec![Vec::new(); sources],
-            probed: vec![HashMap::new(); s.joins.len()],
-        })
+        let rows = vec![RowBatch::default(); sources];
+        Ok(Pipeline { ctx, s, layout, conjuncts, rows, next_base: 0 })
+    }
+
+    /// Reads what is read once per statement: the base rows, and the
+    /// whole table of every join that has no index to probe.
+    fn read(&mut self) -> DmvResult<()> {
+        let s = self.s;
+        self.rows[0] = read_base(self.ctx, s.table, &s.access, &s.filter, &self.layout.needs[0])?;
+        for (i, j) in s.joins.iter().enumerate().filter(|(_, j)| j.right_index.is_none()) {
+            self.rows[i + 1] = self.ctx.scan(j.table, &self.layout.needs[i + 1])?;
+        }
+        Ok(())
     }
 
     /// Flat column `c` of `tuple`; `None` where the joined row has no
     /// such column, or not yet (it reads as NULL).
     fn col(&self, tuple: &[usize], c: usize) -> Option<&Value> {
-        let (source, pos) = (*self.layout.slots.get(c)?)?;
-        self.rows[source][*tuple.get(source)?].get(pos)
+        let (source, pos) = self.layout.slot(c)?;
+        self.rows[source].row(*tuple.get(source)?).get(pos)
     }
 
     fn col_ref(&self, tuple: &[usize], c: usize) -> ValueRef<'_> {
         self.col(tuple, c).map_or(ValueRef::Null, ValueRef::from)
     }
 
-    /// Runs the select depth first — base row, its matches in the first
-    /// join, their matches in the second, … — handing every joined tuple
-    /// that passes the filter to `sink`, in the order the reference
-    /// pipeline (join everything, then filter) would produce them, until
-    /// `sink` returns `false`. Unless `sink` `keeps` tuples to look at
-    /// after the pass, a base row is freed as soon as its tuples are
-    /// consumed, so a large scan is never held twice — once as read,
-    /// once as returned.
-    fn run(&mut self, keeps: bool, sink: &mut dyn FnMut(&Self, &[usize]) -> bool) -> DmvResult<()> {
-        let s = self.s;
-        let base = read_base(self.ctx, s.table, &s.access, &s.filter, &self.layout.needs[0])?;
-        self.rows[0] = base.into_iter().map(|(_, r)| r).collect();
-        for (i, j) in s.joins.iter().enumerate().filter(|(_, j)| j.right_index.is_none()) {
-            let all = self.ctx.scan(j.table, &self.layout.needs[i + 1])?;
-            self.rows[i + 1] = all.into_iter().map(|(_, r)| r).collect();
-        }
-        let mut tuple = Vec::with_capacity(self.rows.len());
-        for b in 0..self.rows[0].len() {
-            tuple.push(b);
-            let more = self.extend(&mut tuple, sink)?;
-            tuple.pop();
-            if !more {
-                break;
-            }
-            if !keeps {
-                self.rows[0][b] = Row::new();
-            }
-        }
-        Ok(())
+    /// Whether `tuple`, which has just reached source `stage`, passes the
+    /// conjuncts that become decidable there.
+    fn passes(&self, stage: usize, tuple: &[usize]) -> bool {
+        self.conjuncts[stage].iter().all(|e| e.truthy(&|c| self.col_ref(tuple, c)))
     }
 
-    /// Extends a tuple that has sources `0..tuple.len()` through the
-    /// remaining joins. Returns whether `sink` wants more.
-    fn extend(
-        &mut self,
-        tuple: &mut Vec<usize>,
-        sink: &mut dyn FnMut(&Self, &[usize]) -> bool,
-    ) -> DmvResult<bool> {
-        let stage = tuple.len() - 1;
-        if !self.conjuncts[stage].iter().all(|e| e.truthy(&|c| self.col_ref(tuple, c))) {
-            return Ok(true);
+    /// True once every base row has been taken by a block.
+    fn exhausted(&self) -> bool {
+        self.next_base >= self.rows[0].len()
+    }
+
+    /// Takes base rows until `want` of them pass the base-only conjuncts
+    /// (or none are left) and runs that block through the joins, a stage
+    /// at a time. Returns the joined tuples that pass the filter, one row
+    /// number per source each, in the order the reference pipeline (a
+    /// nested loop over everything, then the filter) would produce them.
+    /// A caller that consumes every tuple asks for all base rows at once;
+    /// one that stops early asks for as many as it still wants rows —
+    /// every base row yields a tuple or more unless a join or a later
+    /// conjunct drops it, and then the caller asks again.
+    fn next_block(&mut self, want: usize) -> DmvResult<Vec<usize>> {
+        let mut tuples = Vec::new();
+        while !self.exhausted() && tuples.len() < want {
+            if self.passes(0, &[self.next_base]) {
+                tuples.push(self.next_base);
+            }
+            self.next_base += 1;
         }
-        let Some(join) = self.s.joins.get(stage) else { return Ok(sink(self, tuple)) };
-        let key = match self.col(tuple, join.left_col) {
-            Some(key) if !key.is_null() => key,
-            _ => return Ok(true),
+        for stage in 0..self.s.joins.len() {
+            tuples = self.join(stage, &tuples)?;
+        }
+        Ok(tuples)
+    }
+
+    /// Extends `tuples`, which have sources `0..=stage`, by join `stage`:
+    /// every tuple once per row of the joined table its key matches, kept
+    /// if it passes the conjuncts decidable from there.
+    fn join(&mut self, stage: usize, tuples: &[usize]) -> DmvResult<Vec<usize>> {
+        // The tuples are `stage + 1` wide; the joined table is the next source.
+        let (join, width, right) = (&self.s.joins[stage], stage + 1, stage + 1);
+        // A key column the tuples do not have (yet) reads as NULL, and a
+        // NULL key joins nothing.
+        let key_at = self.layout.slot(join.left_col).filter(|&(source, _)| source <= stage);
+        let (Some((source, pos)), false) = (key_at, tuples.is_empty()) else {
+            return Ok(Vec::new());
         };
-        // An indexed join's matches are the probe's rows; without an
-        // index they are the rows of the scanned table whose join column
-        // equals the key.
-        let (matches, unindexed) = match join.right_index {
-            Some(ix) => match self.probed[stage].get(key) {
-                Some(&(from, to)) => (from..to, None),
-                None => {
-                    let key = key.clone();
-                    let found = self.ctx.index_lookup(
-                        join.table,
-                        ix,
-                        std::slice::from_ref(&key),
-                        &self.layout.needs[stage + 1],
-                    )?;
-                    let rows = &mut self.rows[stage + 1];
-                    let from = rows.len();
-                    rows.extend(found.into_iter().map(|(_, r)| r));
-                    self.probed[stage].insert(key, (from, rows.len()));
-                    (from..self.rows[stage + 1].len(), None)
-                }
-            },
-            None => match self.layout.flat(stage + 1, join.right_col) {
-                Some(right) => (0..self.rows[stage + 1].len(), Some((right, key.clone()))),
-                None => return Ok(true),
-            },
-        };
-        for r in matches {
-            tuple.push(r);
-            let joins = unindexed.as_ref().is_none_or(|(c, key)| self.col(tuple, *c) == Some(key));
-            let more = !joins || self.extend(tuple, sink)?;
-            tuple.pop();
-            if !more {
-                return Ok(false);
+
+        // 1. The distinct non-NULL keys, numbered as they appear. A key is
+        // a function of the row of `source` it is read from, so it is
+        // hashed once per such row and found by row number afterwards:
+        // two tuples sharing that row share its key.
+        let numbers = || tuples.iter().skip(source).step_by(width).copied();
+        let (lo, hi) = numbers().fold((usize::MAX, 0), |(lo, hi), r| (lo.min(r), hi.max(r)));
+        let mut key_of_row = vec![UNSEEN; hi - lo + 1];
+        let mut number_of: HashMap<&Value, usize> = HashMap::new();
+        let mut keys: Vec<&Value> = Vec::new();
+        for r in numbers() {
+            if key_of_row[r - lo] == UNSEEN {
+                let key = &self.rows[source].row(r)[pos];
+                key_of_row[r - lo] = match key {
+                    Value::Null => NO_KEY,
+                    key => *number_of.entry(key).or_insert_with(|| {
+                        keys.push(key);
+                        keys.len() - 1
+                    }),
+                };
             }
         }
-        Ok(true)
+
+        // 2. Every key's matches, resolved as a set: `matches[k]` is key
+        // `k`'s range of positions in `hits`, whose entries are row
+        // numbers of the joined table.
+        let mut matches = vec![(0, 0); keys.len()];
+        let hits: Vec<usize> = match join.right_index {
+            // One probe for all keys; its rows are the joined table's rows
+            // for this block, so a position is its own row number.
+            Some(index_no) => {
+                let mut sorted: Vec<usize> = (0..keys.len()).collect();
+                sorted.sort_unstable_by(|&a, &b| keys[a].cmp(keys[b]));
+                let probe: Vec<&[Value]> =
+                    sorted.iter().map(|&k| std::slice::from_ref(keys[k])).collect();
+                let cols = &self.layout.needs[right];
+                let found = self.ctx.index_probe(join.table, index_no, &probe, cols)?;
+                let mut from = 0;
+                for (&k, &to) in sorted.iter().zip(&found.ends) {
+                    matches[k] = (from, to);
+                    from = to;
+                }
+                self.rows[right] = found.rows;
+                (0..self.rows[right].len()).collect()
+            }
+            // No index: the table was scanned up front; one pass over it
+            // hands every row to the key it equals.
+            None => {
+                let column = self.layout.flat(right, join.right_col);
+                let Some((_, at)) = column.and_then(|c| self.layout.slot(c)) else {
+                    return Ok(Vec::new());
+                };
+                let table = &self.rows[right];
+                let mut hits: Vec<(usize, usize)> = (0..table.len())
+                    .filter_map(|r| number_of.get(&table.row(r)[at]).map(|&k| (k, r)))
+                    .collect();
+                hits.sort_by_key(|&(k, _)| k); // stable: table order within a key
+                for (i, &(k, _)) in hits.iter().enumerate() {
+                    if i == 0 || hits[i - 1].0 != k {
+                        matches[k].0 = i;
+                    }
+                    matches[k].1 = i + 1;
+                }
+                hits.into_iter().map(|(_, r)| r).collect()
+            }
+        };
+
+        // 3. Expand in order.
+        let mut out = Vec::new();
+        for tuple in tuples.chunks_exact(width) {
+            let k = key_of_row[tuple[source] - lo];
+            if k == NO_KEY {
+                continue;
+            }
+            for &r in &hits[matches[k].0..matches[k].1] {
+                out.extend_from_slice(tuple);
+                out.push(r);
+                if !self.passes(right, &out[out.len() - width - 1..]) {
+                    out.truncate(out.len() - width - 1);
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// The output row of `tuple`: `cols` of the joined row.
@@ -557,6 +646,10 @@ impl<'a> Pipeline<'a> {
 fn run_select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
     let mut p = Pipeline::new(ctx, s)?;
     let limit = s.limit.unwrap_or(usize::MAX);
+    if limit == 0 {
+        return Ok(ResultSet::default());
+    }
+    p.read()?;
     let all: Vec<usize>;
     let cols = match &s.project {
         Some(cols) => cols,
@@ -565,16 +658,17 @@ fn run_select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
             &all
         }
     };
+    let sources = p.rows.len();
     let mut rows: Vec<Row> = Vec::new();
     match &s.group_by {
-        _ if limit == 0 => {}
         // Pipeline order: … → group → order → limit → project.
         Some(g) => {
-            let mut groups = Groups::new(g);
-            p.run(false, &mut |p, tuple| {
-                groups.add(|c| p.col(tuple, c));
-                true
-            })?;
+            let tuples = p.next_block(usize::MAX)?;
+            let by_row = p.layout.only_source_of(&g.cols);
+            let mut groups = Groups::new(g, by_row.map_or(0, |source| p.rows[source].len()));
+            for tuple in tuples.chunks_exact(sources) {
+                groups.add(by_row.map(|source| tuple[source]), |c| p.col(tuple, c));
+            }
             rows = groups.finish();
             rows.sort_by(|a, b| {
                 cmp_keys(&s.order_by, |c| ValueRef::at(a, c), |c| ValueRef::at(b, c))
@@ -586,21 +680,39 @@ fn run_select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
                 }
             }
         }
-        // Nothing reorders the tuples: emit them as they come and stop
-        // reading as soon as the limit is full.
-        None if s.order_by.is_empty() => p.run(false, &mut |p, tuple| {
-            rows.push(p.output(tuple, cols));
-            rows.len() < limit
-        })?,
+        // Nothing reorders the tuples: emit them as they come, block by
+        // block, and stop reading as soon as the limit is full. A select
+        // of whole rows of one table only notes which base rows it
+        // returns and is handed their values when the blocks are done, so
+        // a large scan is never held twice — once as read, once as
+        // returned.
+        None if s.order_by.is_empty() => {
+            let whole_rows = s.joins.is_empty() && s.project.is_none();
+            let (mut picked, mut taken) = (Vec::new(), 0);
+            while taken < limit && !p.exhausted() {
+                let tuples = p.next_block(limit - taken)?;
+                for tuple in tuples.chunks_exact(sources).take(limit - taken) {
+                    match whole_rows {
+                        true => picked.push(tuple[0]),
+                        false => rows.push(p.output(tuple, cols)),
+                    }
+                    taken += 1;
+                }
+            }
+            if whole_rows {
+                rows = std::mem::take(&mut p.rows[0]).into_rows();
+                let (mut b, mut picked) = (0, picked.into_iter().peekable());
+                rows.retain(|_| {
+                    b += 1;
+                    picked.next_if_eq(&(b - 1)).is_some()
+                });
+            }
+        }
         // Sort the tuples, not the rows: only the survivors of the limit
         // are materialized.
         None => {
-            let mut tuples: Vec<usize> = Vec::new();
-            p.run(true, &mut |_, tuple| {
-                tuples.extend_from_slice(tuple);
-                true
-            })?;
-            let mut order: Vec<&[usize]> = tuples.chunks_exact(p.rows.len()).collect();
+            let tuples = p.next_block(usize::MAX)?;
+            let mut order: Vec<&[usize]> = tuples.chunks_exact(sources).collect();
             order.sort_by(|a, b| cmp_keys(&s.order_by, |c| p.col_ref(a, c), |c| p.col_ref(b, c)));
             rows.extend(order.into_iter().take(limit).map(|tuple| p.output(tuple, cols)));
         }
@@ -635,42 +747,104 @@ struct AggState {
     best: Option<Value>,
 }
 
+struct Group {
+    key: Vec<Value>,
+    /// One state per aggregate.
+    states: Vec<AggState>,
+    /// The group created before this one whose key has the same hash.
+    same_hash: Option<usize>,
+}
+
+/// Passes a `u64` that already is a hash through as a map's hash of it.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 keys are hashed");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Streaming hash aggregate: groups in order of first appearance, each
 /// group's key cloned once, when the group is created.
 struct Groups<'a> {
     by: &'a GroupBy,
-    /// `(group key, one state per aggregate)`, in first-appearance order.
-    groups: Vec<(Vec<Value>, Vec<AggState>)>,
-    /// Hash of a group key → the groups with that hash. Keyed by hash so
-    /// that a row finds its group from borrowed column values; the hash
-    /// state is random per statement, as a `HashMap` of the keys' would be.
-    index: HashMap<u64, Vec<usize>>,
+    /// In first-appearance order.
+    groups: Vec<Group>,
+    /// Hash of a group key → the newest group with that hash; the others
+    /// hang off it through [`Group::same_hash`]. Keyed by hash so that a
+    /// row finds its group from borrowed column values; the hash state is
+    /// random per statement, as a `HashMap` of the keys' would be, which
+    /// is why the map need not hash the hash again.
+    index: HashMap<u64, usize, BuildHasherDefault<PreHashed>>,
     hasher: RandomState,
+    /// When every group column is read from one source: that source's
+    /// row number → its group ([`UNSEEN`] until its first tuple). The key
+    /// is a function of that row, so tuples sharing the row share the
+    /// group without hashing the key again; rows with equal values still
+    /// meet in one group, because each row's first tuple finds it by value.
+    of_row: Vec<usize>,
 }
 
 impl<'a> Groups<'a> {
-    fn new(by: &'a GroupBy) -> Self {
-        Groups { by, groups: Vec::new(), index: HashMap::new(), hasher: RandomState::new() }
+    /// `rows`: how many rows the source all group columns are read from
+    /// has, 0 if there is no such source.
+    fn new(by: &'a GroupBy, rows: usize) -> Self {
+        Groups {
+            by,
+            groups: Vec::new(),
+            index: HashMap::default(),
+            hasher: RandomState::new(),
+            of_row: vec![UNSEEN; rows],
+        }
     }
 
-    /// Accumulates one joined row, given by its column accessor.
-    fn add<'r>(&mut self, col: impl Fn(usize) -> Option<&'r Value>) {
+    /// The group of the joined row whose columns `col` supplies, created
+    /// if it is the first of its key.
+    fn group_of<'r>(&mut self, col: &impl Fn(usize) -> Option<&'r Value>) -> usize {
         let key = |c: &usize| col(*c).unwrap_or(&Value::Null);
         let mut h = self.hasher.build_hasher();
         self.by.cols.iter().for_each(|c| key(c).hash(&mut h));
-        let same_hash = self.index.entry(h.finish()).or_default();
-        let groups = &mut self.groups;
-        let found = same_hash
-            .iter()
-            .copied()
-            .find(|&g| groups[g].0.iter().eq(self.by.cols.iter().map(key)));
-        let g = found.unwrap_or_else(|| {
-            same_hash.push(groups.len());
-            let key = self.by.cols.iter().map(|c| key(c).clone()).collect();
-            groups.push((key, vec![AggState::default(); self.by.aggs.len()]));
-            groups.len() - 1
+        let hash = h.finish();
+        let newest = self.index.get(&hash).copied();
+        let mut same_hash = newest;
+        while let Some(g) = same_hash {
+            if self.groups[g].key.iter().eq(self.by.cols.iter().map(key)) {
+                return g;
+            }
+            same_hash = self.groups[g].same_hash;
+        }
+        self.index.insert(hash, self.groups.len());
+        self.groups.push(Group {
+            key: self.by.cols.iter().map(|c| key(c).clone()).collect(),
+            states: vec![AggState::default(); self.by.aggs.len()],
+            same_hash: newest,
         });
-        for (st, agg) in groups[g].1.iter_mut().zip(&self.by.aggs) {
+        self.groups.len() - 1
+    }
+
+    /// Accumulates one joined row, given by its column accessor and, when
+    /// one source supplies every group column, its row number there.
+    fn add<'r>(&mut self, row: Option<usize>, col: impl Fn(usize) -> Option<&'r Value>) {
+        let g = match row.map(|r| self.of_row[r]) {
+            Some(g) if g != UNSEEN => g,
+            _ => {
+                let g = self.group_of(&col);
+                if let Some(r) = row {
+                    self.of_row[r] = g;
+                }
+                g
+            }
+        };
+        for (st, agg) in self.groups[g].states.iter_mut().zip(&self.by.aggs) {
             match agg {
                 AggFn::Count => st.count += 1,
                 AggFn::Sum(c) | AggFn::Avg(c) => {
@@ -702,7 +876,7 @@ impl<'a> Groups<'a> {
         let aggs = &self.by.aggs;
         self.groups
             .into_iter()
-            .map(|(mut row, states)| {
+            .map(|Group { key: mut row, states, .. }| {
                 row.extend(states.into_iter().zip(aggs).map(|(st, agg)| match agg {
                     AggFn::Count => Value::Int(st.count as i64),
                     AggFn::Sum(_) | AggFn::Avg(_) if st.count == 0 => Value::Null,

@@ -4,14 +4,16 @@
 //! Besides the owned [`encode_row`]/[`decode_row`] pair the module reads
 //! encoded rows *where they lie*: a [`RowCursor`] walks the columns of a
 //! record inside a page and hands out [`ValueRef`]s borrowed from its
-//! bytes, [`decode_cols`] materializes only the columns a statement asked
-//! for, and [`cmp_prefix`]/[`cmp_row`] order an encoded index key against
-//! a probe without decoding it. Every length read from the bytes is
+//! bytes, [`decode_cols_into`] materializes only the columns a statement
+//! asked for — straight into its row of the read's [`RowBatch`] — and
+//! [`cmp_prefix`]/[`cmp_row`] order an encoded index key against a probe
+//! without decoding it. Every length read from the bytes is
 //! bounds-checked and every string UTF-8-validated before it is handed
 //! out; malformed bytes are a [`DmvError::Storage`], never a panic.
 
 use crate::value::{Value, ValueRef};
 use dmv_common::error::{DmvError, DmvResult};
+use dmv_common::ids::RowId;
 use std::cmp::Ordering;
 
 /// A row: one value per column.
@@ -182,35 +184,182 @@ pub fn decode_row(bytes: &[u8]) -> DmvResult<Row> {
     Ok(row)
 }
 
-/// Decodes only columns `cols` (strictly ascending) of an encoded row:
-/// the result has one value per entry of `cols`, in that order, and a
-/// column the stored row does not have reads as NULL. Bytes after the
-/// last requested column are not looked at.
+/// Decodes only columns `cols` (strictly ascending) of an encoded row
+/// into `out`, one value per entry of `cols`, in that order; a column the
+/// stored row does not have reads as NULL. Bytes after the last requested
+/// column are not looked at.
 ///
 /// # Errors
 ///
 /// [`DmvError::Storage`] if the bytes up to the last requested column are
-/// malformed; [`DmvError::Query`] if `cols` is not strictly ascending.
-pub fn decode_cols(bytes: &[u8], cols: &[usize]) -> DmvResult<Row> {
+/// malformed; [`DmvError::Query`] if `cols` is not strictly ascending or
+/// `out` is not `cols.len()` long.
+pub fn decode_cols_into(bytes: &[u8], cols: &[usize], out: &mut [Value]) -> DmvResult<()> {
+    if out.len() != cols.len() {
+        return Err(DmvError::Query("row width differs from the column set".into()));
+    }
     let mut c = RowCursor::new(bytes)?;
     let mut at = 0; // index of the column the cursor is positioned on
-    let mut row = Vec::with_capacity(cols.len());
-    for (i, &want) in cols.iter().enumerate() {
+    for (i, (&want, out)) in cols.iter().zip(out).enumerate() {
         if i > 0 && want <= cols[i - 1] {
             return Err(DmvError::Query("column set is not strictly ascending".into()));
         }
         if want - at >= c.remaining() {
-            row.push(Value::Null);
+            *out = Value::Null;
             continue;
         }
         while at < want {
             c.skip()?;
             at += 1;
         }
-        row.push(c.next_value()?.to_value());
+        *out = c.next_value()?.to_value();
         at += 1;
     }
-    Ok(row)
+    Ok(())
+}
+
+/// The rows of one read, stored as runs of values: a row is `width`
+/// consecutive values and came from the row id at its position. The runs
+/// are *chunks* of a fixed number of rows (a power of two, [`CHUNK`]
+/// values or fewer), so a read of any size costs an allocation per few
+/// thousand values where a `Vec<Row>` takes one per row, and most reads
+/// are one chunk. Chunks rather than one run, because a whole-table scan
+/// in a single allocation is served by the allocator from fresh pages
+/// while the heap memory earlier statements gave back lies idle.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RowBatch {
+    rids: Vec<RowId>,
+    width: usize,
+    /// A chunk holds `1 << shift` rows, the last one maybe fewer.
+    shift: u32,
+    chunks: Vec<Vec<Value>>,
+}
+
+/// The most values a chunk holds (unless one row has more): under the
+/// size from which allocators map an allocation on its own.
+const CHUNK: usize = 2048;
+
+impl RowBatch {
+    /// An empty batch of rows of `width` columns.
+    pub fn new(width: usize) -> Self {
+        let shift = (CHUNK / width.max(1)).max(1).ilog2();
+        RowBatch { rids: Vec::new(), width, shift, chunks: Vec::new() }
+    }
+
+    /// A batch of `rids.len()` all-NULL rows of `width` columns, to be
+    /// filled through [`RowBatch::row_mut`].
+    pub fn nulls(rids: Vec<RowId>, width: usize) -> Self {
+        let mut batch = RowBatch::new(width);
+        let per_chunk = width << batch.shift;
+        let mut values = rids.len() * width;
+        while values > 0 {
+            batch.chunks.push(vec![Value::Null; values.min(per_chunk)]);
+            values -= values.min(per_chunk);
+        }
+        batch.rids = rids;
+        batch
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rids.len()
+    }
+
+    /// True if the batch holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rids.is_empty()
+    }
+
+    /// Where each row came from.
+    pub fn rids(&self) -> &[RowId] {
+        &self.rids
+    }
+
+    /// Row `i`'s chunk, and where in it the row begins.
+    #[inline]
+    fn place(&self, i: usize) -> (usize, usize) {
+        assert!(i < self.rids.len(), "row {i} of a batch of {}", self.rids.len());
+        (i >> self.shift, (i & ((1 << self.shift) - 1)) * self.width)
+    }
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not less than [`RowBatch::len`].
+    #[inline]
+    pub fn row(&self, i: usize) -> &[Value] {
+        let (chunk, at) = self.place(i);
+        match self.width {
+            0 => &[],
+            width => &self.chunks[chunk][at..][..width],
+        }
+    }
+
+    /// Row `i`, to decode into.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not less than [`RowBatch::len`].
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [Value] {
+        let (chunk, at) = self.place(i);
+        match self.width {
+            0 => &mut [],
+            width => &mut self.chunks[chunk][at..][..width],
+        }
+    }
+
+    /// Appends an all-NULL row that came from `rid` and returns it.
+    pub fn push_null_row(&mut self, rid: RowId) -> &mut [Value] {
+        self.rids.push(rid);
+        if self.width == 0 {
+            return &mut [];
+        }
+        let per_chunk = self.width << self.shift;
+        if self.chunks.last().is_none_or(|last| last.len() == per_chunk) {
+            // A second chunk means a large read: no point growing into it.
+            let room = if self.chunks.is_empty() { 0 } else { per_chunk };
+            self.chunks.push(Vec::with_capacity(room));
+        }
+        let last = self.chunks.last_mut().expect("a chunk with room"); // unwrap-ok: pushed above
+        let from = last.len();
+        last.resize(from + self.width, Value::Null);
+        &mut last[from..]
+    }
+
+    /// Removes the rows at `positions` (strictly ascending).
+    pub fn remove_rows(&mut self, positions: &[usize]) {
+        if positions.is_empty() {
+            return;
+        }
+        let (mut gone, mut kept) = (positions.iter().peekable(), RowBatch::new(self.width));
+        for i in 0..self.len() {
+            if gone.next_if_eq(&&i).is_none() {
+                let rid = self.rids[i];
+                kept.push_null_row(rid).swap_with_slice(self.row_mut(i));
+            }
+        }
+        *self = kept;
+    }
+
+    /// The rows, each as its own `Vec`, values moved. A chunk is given
+    /// back as soon as its rows have left it, so that batch and rows
+    /// together never hold much more than the batch did — a whole-table
+    /// scan is returned without being held twice.
+    pub fn into_rows(self) -> Vec<Row> {
+        let mut rows = Vec::with_capacity(self.len());
+        if self.width == 0 {
+            rows.resize(self.len(), Row::new());
+        }
+        for chunk in self.chunks {
+            let mut values = chunk.into_iter();
+            while values.len() > 0 {
+                rows.push(values.by_ref().take(self.width).collect());
+            }
+        }
+        rows
+    }
 }
 
 /// Compares the first `min(columns, probe.len())` columns of the encoded
@@ -297,6 +446,58 @@ mod tests {
     }
 
     #[test]
+    fn batch_rows_are_runs_of_one_allocation() {
+        let rid = |i: usize| RowId::new(i as u32 / 4, i as u16 % 4);
+        let mut batch = RowBatch::nulls((0..3).map(rid).collect(), 2);
+        assert_eq!((batch.len(), batch.row(1)), (3, &[Value::Null, Value::Null][..]));
+        batch.row_mut(1)[0] = Value::Int(7);
+        batch.push_null_row(rid(3))[1] = Value::from("x");
+        assert_eq!(batch.rids(), (0..4).map(rid).collect::<Vec<_>>());
+        assert_eq!(batch.row(3), [Value::Null, Value::from("x")]);
+        batch.remove_rows(&[0, 2]);
+        assert_eq!(batch.rids(), [rid(1), rid(3)]);
+        let rows = batch.into_rows();
+        assert_eq!(rows, [vec![Value::Int(7), Value::Null], vec![Value::Null, Value::from("x")]]);
+        // Rows without columns are still rows.
+        let mut empty = RowBatch::nulls(vec![rid(0)], 0);
+        assert_eq!(empty.row(0), []);
+        assert!(empty.push_null_row(rid(1)).is_empty());
+        assert_eq!(empty.into_rows(), [Row::new(), Row::new()]);
+        assert!(RowBatch::default().is_empty());
+    }
+
+    /// A batch of many chunks — filled row by row, or made whole and
+    /// decoded into — turns into its rows with nothing lost or reordered,
+    /// also with rows removed across chunk boundaries.
+    #[test]
+    fn large_batch_turns_into_its_rows_in_order() {
+        let n = 20_000;
+        let mut batch = RowBatch::new(3);
+        for i in 0..n {
+            let row = batch.push_null_row(RowId::new(i, 0));
+            row[0] = Value::Int(i as i64);
+            row[2] = Value::from(format!("row {i}"));
+        }
+        let mut whole = RowBatch::nulls(batch.rids().to_vec(), 3);
+        for i in 0..n as usize {
+            whole.row_mut(i).clone_from_slice(batch.row(i));
+        }
+        assert_eq!(whole, batch);
+        let gone: Vec<usize> = (0..n as usize).filter(|i| i % 683 < 2).collect();
+        whole.remove_rows(&gone);
+        assert_eq!(whole.len(), n as usize - gone.len());
+        let survivors = whole.into_rows();
+        let rows = batch.into_rows();
+        assert_eq!(rows.len(), n as usize);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row[..], [Value::Int(i as i64), Value::Null, format!("row {i}").into()]);
+            assert!(row.capacity() <= 4, "a row is its own small allocation");
+        }
+        let kept = rows.iter().enumerate().filter(|(i, _)| i % 683 >= 2).map(|(_, row)| row);
+        assert!(survivors.iter().eq(kept));
+    }
+
+    #[test]
     fn bad_tag_error() {
         let mut bytes = encode_row(&[Value::Null]);
         bytes[2] = 99;
@@ -332,6 +533,14 @@ mod props {
         proptest::collection::vec(arb_value(), 0..6)
     }
 
+    /// `cols` of an encoded row through a one-row [`RowBatch`], the way
+    /// the heap reads.
+    fn decode_cols(bytes: &[u8], cols: &[usize]) -> DmvResult<Row> {
+        let mut batch = RowBatch::nulls(vec![RowId::new(0, 0)], cols.len());
+        decode_cols_into(bytes, cols, batch.row_mut(0))?;
+        Ok(batch.into_rows().remove(0))
+    }
+
     /// Bitwise row equality (`Value`'s own `==` equates `Int(3)` with
     /// `Float(3.0)` and cannot see a NaN payload).
     fn same_bits(a: &[Value], b: &[Value]) -> bool {
@@ -355,6 +564,7 @@ mod props {
         fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256), cols in proptest::collection::vec(0usize..8, 0..4)) {
             let _ = decode_row(&bytes);
             let _ = decode_cols(&bytes, &cols);
+            let _ = decode_cols_into(&bytes, &cols, &mut []);
             let _ = cmp_prefix(&bytes, &[Value::Int(1), Value::from("a")]);
             let _ = cmp_row(&bytes, &[Value::Null]);
             if let Ok(mut c) = RowCursor::new(&bytes) {

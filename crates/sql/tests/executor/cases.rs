@@ -83,6 +83,7 @@ fn auto_access_picks_index() {
     let rs = execute(&mut ctx, &q).unwrap();
     assert_eq!(rs.rows.len(), 1);
     assert_eq!(rs.rows[0][0], Value::Int(3));
+    assert_eq!(ctx.probes, [(TableId(0), 1)], "one key probed, no scan");
 }
 
 #[test]
@@ -230,6 +231,37 @@ fn delete_with_filter() {
 }
 
 #[test]
+fn update_and_delete_apply_the_filter_to_what_the_access_path_reaches() {
+    let mut ctx = ctx_with_data();
+    // A full scan reaches every item; only the one in stock at 3 changes.
+    let q = Query::Update {
+        table: TableId(0),
+        access: Access::FullScan,
+        filter: Some(Expr::eq(3, 3)),
+        set: vec![(3, SetExpr::AddInt(10))],
+    };
+    assert_eq!(execute(&mut ctx, &q).unwrap().affected, 1);
+    let stock =
+        execute(&mut ctx, &Query::Select(Select::scan(TableId(0)).project(vec![3]))).unwrap();
+    assert_eq!(stock.rows, [[Value::Int(5)], [Value::Int(13)], [Value::Int(0)]]);
+    let q = Query::Delete {
+        table: TableId(0),
+        access: Access::IndexRange {
+            index_no: 0,
+            lo: None,
+            hi: None,
+            rev: false,
+            scan_limit: None,
+        },
+        filter: Some(Expr::like(1, "%book")),
+    };
+    assert_eq!(execute(&mut ctx, &q).unwrap().affected, 2);
+    let left = execute(&mut ctx, &Query::Select(Select::scan(TableId(0)))).unwrap();
+    assert_eq!(left.rows.len(), 1);
+    assert_eq!(left.rows[0][1], Value::from("gamma tome"));
+}
+
+#[test]
 fn insert_validates_and_detects_duplicates() {
     let mut ctx = ctx_with_data();
     let bad_arity = Query::Insert { table: TableId(1), rows: vec![vec![Value::Int(1)]] };
@@ -307,31 +339,49 @@ fn reads_ask_for_the_columns_the_statement_uses() {
     assert!(reads_of(&ctx, 1).iter().all(|cols| *cols == [0, 1]));
 }
 
+/// The probes of `table` the context has served, as their key counts.
+fn probes_of(ctx: &MockContext, table: u16) -> Vec<usize> {
+    ctx.probes.iter().filter(|(t, _)| *t == TableId(table)).map(|&(_, keys)| keys).collect()
+}
+
 #[test]
 fn base_only_conjuncts_run_before_the_first_probe() {
     let mut ctx = ctx_with_data();
-    // Three items, one passes the title filter: one author probe, though
-    // the filter also has a conjunct on the joined author.
+    // Three items, one passes the title filter: one author key probed,
+    // though the filter also has a conjunct on the joined author.
     let q = Select::scan(TableId(0))
         .join(item_author_join())
         .filter(Expr::like(1, "gamma%").and(Expr::like(5, "L%")));
     let rs = execute(&mut ctx, &Query::Select(q)).unwrap();
     assert_eq!(rs.rows.len(), 1);
-    assert_eq!(reads_of(&ctx, 1).len(), 1);
+    assert_eq!(probes_of(&ctx, 1), [1]);
 }
 
 #[test]
-fn repeated_probe_keys_are_looked_up_once() {
+fn a_join_resolves_its_distinct_keys_in_one_probe() {
     let mut ctx = ctx_with_data();
     // Four order lines over three distinct items.
-    let q = Select::scan(TableId(2)).join(Join {
+    let lines_items = Select::scan(TableId(2)).join(Join {
         table: TableId(0),
         left_col: 2,
         right_col: 0,
         right_index: Some(0),
     });
-    assert_eq!(execute(&mut ctx, &Query::Select(q)).unwrap().rows.len(), 4);
-    assert_eq!(reads_of(&ctx, 0).len(), 3);
+    assert_eq!(execute(&mut ctx, &Query::Select(lines_items.clone())).unwrap().rows.len(), 4);
+    assert_eq!(probes_of(&ctx, 0), [3]);
+    // The BestSellers shape: the second join's key lives in the first
+    // join's rows — three items by two authors — and the select consumes
+    // every tuple, so each join is one probe of its distinct keys.
+    ctx.probes.clear();
+    let q = lines_items
+        .join(Join { table: TableId(1), left_col: 4 + 2, right_col: 0, right_index: Some(0) })
+        .group(vec![4, 5], vec![AggFn::Sum(3)])
+        .order_by(2, true)
+        .limit(2);
+    let rs = execute(&mut ctx, &Query::Select(q)).unwrap();
+    assert_eq!(rs.rows[0], vec![Value::Int(3), "gamma tome".into(), Value::Int(7)]);
+    assert_eq!(rs.rows[1], vec![Value::Int(1), "alpha book".into(), Value::Int(6)]);
+    assert_eq!(ctx.probes, [(TableId(0), 3), (TableId(1), 2)]);
 }
 
 #[test]
@@ -339,15 +389,65 @@ fn limit_without_order_stops_reading() {
     let mut ctx = ctx_with_data();
     let q = Select::scan(TableId(0)).join(item_author_join()).limit(1);
     assert_eq!(execute(&mut ctx, &Query::Select(q)).unwrap().rows.len(), 1);
-    assert_eq!(reads_of(&ctx, 1).len(), 1, "the second and third item are never probed");
+    assert_eq!(probes_of(&ctx, 1), [1], "the second and third item are never probed");
+    // A block is as many base rows as output rows are wanted: two items
+    // by one author are one key, and the third item is never looked at.
+    ctx.probes.clear();
+    let q = Select::scan(TableId(0)).join(item_author_join()).limit(2);
+    assert_eq!(execute(&mut ctx, &Query::Select(q)).unwrap().rows.len(), 2);
+    assert_eq!(probes_of(&ctx, 1), [1]);
+    // A block that leaves the limit unfilled is followed by another: the
+    // filter on the joined author drops the first two items' tuples.
+    ctx.probes.clear();
+    let q = Select::scan(TableId(0)).join(item_author_join()).filter(Expr::like(5, "L%")).limit(2);
+    let rs = execute(&mut ctx, &Query::Select(q)).unwrap();
+    assert_eq!(rs.rows.len(), 1);
+    assert_eq!(rs.rows[0][0], Value::Int(3));
+    assert_eq!(probes_of(&ctx, 1), [1, 1]);
     // An ORDER BY needs every row before the first can be returned.
-    ctx.reads.clear();
+    ctx.probes.clear();
     let q = Select::scan(TableId(0)).join(item_author_join()).order_by(0, true).limit(1);
     let rs = execute(&mut ctx, &Query::Select(q)).unwrap();
     assert_eq!(rs.rows[0][0], Value::Int(3));
-    assert_eq!(reads_of(&ctx, 1).len(), 2, "two distinct authors");
+    assert_eq!(probes_of(&ctx, 1), [2], "two distinct authors, one probe");
     ctx.reads.clear();
     let q = Select::scan(TableId(0)).join(item_author_join()).limit(0);
     assert!(execute(&mut ctx, &Query::Select(q)).unwrap().rows.is_empty());
     assert!(ctx.reads.is_empty());
+}
+
+#[test]
+fn a_fan_out_join_under_a_limit_keeps_nested_loop_order() {
+    let mut ctx = ctx_with_data();
+    // Authors ⋈ their items through the non-unique index: Knuth has two
+    // items, Lamport one. Three rows wanted: both authors are one block.
+    let by_author = Join { table: TableId(0), left_col: 0, right_col: 2, right_index: Some(1) };
+    let q = Select::scan(TableId(1)).join(by_author).limit(3).project(vec![1, 2]);
+    let rs = execute(&mut ctx, &Query::Select(q.clone())).unwrap();
+    let want: Vec<Row> = vec![
+        vec!["Knuth".into(), 1.into()],
+        vec!["Knuth".into(), 2.into()],
+        vec!["Lamport".into(), 3.into()],
+    ];
+    assert_eq!(rs.rows, want);
+    assert_eq!(probes_of(&ctx, 0), [2]);
+    // One row wanted: one author, one key; its second match is cut off.
+    ctx.probes.clear();
+    let rs = execute(&mut ctx, &Query::Select(q.limit(1))).unwrap();
+    assert_eq!(rs.rows, want[..1]);
+    assert_eq!(probes_of(&ctx, 0), [1]);
+}
+
+#[test]
+fn a_whole_row_scan_hands_over_every_value_once() {
+    let mut ctx = ctx_with_data();
+    // The plain scan moves values out of the batch it read; a filter and
+    // a limit in front of it must not disturb which rows those are.
+    let q = Select::scan(TableId(0)).filter(Expr::cmp(3, CmpOp::Lt, 5)).limit(2);
+    let rs = execute(&mut ctx, &Query::Select(q)).unwrap();
+    let want: Vec<Row> = vec![
+        vec![2.into(), "beta book".into(), 10.into(), 3.into()],
+        vec![3.into(), "gamma tome".into(), 11.into(), 0.into()],
+    ];
+    assert_eq!(rs.rows, want);
 }

@@ -28,8 +28,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Three tables with an int primary key, a small-domain nullable int
-/// `k` (duplicate and NULL join keys, 1:n fan-out), and string / float
-/// payloads; secondary indexes on `k`, one of them composite.
+/// `k` (duplicate, NULL and absent join keys, 1:n fan-out), and string /
+/// float payloads; secondary indexes on `k`, one of them composite.
 fn schema() -> Schema {
     let id = || Column::new("id", ColType::Int);
     let k = || Column::nullable("k", ColType::Int);
@@ -167,17 +167,25 @@ fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
     let ts = schema.table(table).unwrap();
     let mut s = Select::scan(table).access(access(rng, ts));
     let mut types: Vec<ColType> = ts.columns.iter().map(|c| c.ty).collect();
-    for _ in 0..[0, 0, 1, 1, 2][rng.gen_range(0..5)] {
+    // Per source, its first flat column.
+    let mut starts = vec![0];
+    for _ in 0..[0, 0, 1, 1, 2, 2][rng.gen_range(0..6)] {
         let right = TableId(rng.gen_range(0..3));
         // Join on `id` or `k` (now and then on a payload column), with
-        // the matching index or none. The left column is mostly the
-        // base table's `id` or `k`, else any column bound so far — or
-        // the first one that is not.
+        // the matching index or none: `k` is a small domain with NULLs,
+        // so keys repeat, are missing on either side, and an index on it
+        // fans out. The left column is `id` or `k` of the base table or
+        // — a chained join — of the table joined last, else any column
+        // bound so far, or the first one that is not.
         let right_col = [0, 1, 1, 2][rng.gen_range(0..4)];
         let right_index = (right_col < 2 && rng.gen_bool(0.7)).then_some(right_col as u8);
-        let left_col =
-            if rng.gen_bool(0.7) { rng.gen_range(0..2) } else { rng.gen_range(0..=types.len()) };
+        let left_col = match rng.gen_range(0..10) {
+            0..4 => rng.gen_range(0..2),
+            4..8 => starts[starts.len() - 1] + rng.gen_range(0..2),
+            _ => rng.gen_range(0..=types.len()),
+        };
         s = s.join(Join { table: right, left_col, right_col, right_index });
+        starts.push(types.len());
         types.extend(schema.table(right).unwrap().columns.iter().map(|c| c.ty));
     }
     let width = types.len();
@@ -188,11 +196,33 @@ fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
             let pinned = rng.gen_range(0..2);
             f = Expr::eq(pinned, rng.gen_range(0..5)).and(f);
         }
+        // Conjuncts that become decidable at one stage each: a comparison
+        // on a column of that source alone.
+        for &start in &starts {
+            if rng.gen_bool(0.6) {
+                continue;
+            }
+            let col = start + rng.gen_range(0..3);
+            let op = [CmpOp::Ne, CmpOp::Le, CmpOp::Ge][rng.gen_range(0..3)];
+            f = f.and(Expr::Cmp(
+                op,
+                Box::new(Expr::Col(col)),
+                Box::new(Expr::Lit(literal(rng, &types, col))),
+            ));
+        }
         s = s.filter(f);
     }
     let mut out_width = width;
     if rng.gen_bool(0.4) {
-        let cols: Vec<usize> = (0..rng.gen_range(0..3)).map(|_| rng.gen_range(0..=width)).collect();
+        // Group by anything — or by columns of one source (`k` and the
+        // payload next to it: equal values in many rows of that source),
+        // which the aggregate may then tell apart by row number.
+        let cols: Vec<usize> = if rng.gen_bool(0.5) {
+            let start = starts[rng.gen_range(0..starts.len())];
+            (0..rng.gen_range(1..3)).map(|_| start + rng.gen_range(1..3)).collect()
+        } else {
+            (0..rng.gen_range(0..3)).map(|_| rng.gen_range(0..=width)).collect()
+        };
         let aggs: Vec<AggFn> = (0..rng.gen_range(1..4))
             .map(|_| {
                 let c = rng.gen_range(0..=width);
@@ -203,11 +233,13 @@ fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
         out_width = cols.len() + aggs.len();
         s = s.group(cols, aggs);
     }
-    for _ in 0..[0, 0, 1, 2, 3][rng.gen_range(0..5)] {
+    for _ in 0..[0, 0, 0, 1, 2, 3][rng.gen_range(0..6)] {
         s = s.order_by(rng.gen_range(0..=out_width), rng.gen_bool(0.5));
     }
-    if rng.gen_bool(0.4) {
-        s = s.limit([0, 1, 2, 3, 5, 8][rng.gen_range(0..6)]);
+    // Half of the limits meet no `ORDER BY`: the select stops early, block
+    // by block.
+    if rng.gen_bool(0.45) {
+        s = s.limit([0, 1, 2, 3, 5, 8, 13][rng.gen_range(0..7)]);
     }
     if rng.gen_bool(0.5) {
         s = s.project((0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..=out_width)).collect());

@@ -3,8 +3,8 @@
 
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{RowId, TableId};
-use dmv_sql::exec::ExecContext;
-use dmv_sql::row::Row;
+use dmv_sql::exec::{ExecContext, Probed};
+use dmv_sql::row::{Row, RowBatch};
 use dmv_sql::schema::Schema;
 use dmv_sql::value::Value;
 use std::cmp::Ordering;
@@ -15,16 +15,30 @@ pub struct MockContext {
     tables: Vec<Vec<Option<Row>>>,
     /// Every read so far: the table and the columns asked for.
     pub reads: Vec<(TableId, Vec<usize>)>,
+    /// Every `index_probe` so far: the table and how many keys it held.
+    pub probes: Vec<(TableId, usize)>,
 }
 
-fn narrow(row: &Row, cols: &[usize]) -> Row {
-    cols.iter().map(|&c| row.get(c).cloned().unwrap_or(Value::Null)).collect()
+/// `cols` of `rows` as a batch.
+fn narrow(rows: impl IntoIterator<Item = (RowId, Row)>, cols: &[usize]) -> RowBatch {
+    let mut batch = RowBatch::new(cols.len());
+    for (rid, row) in rows {
+        for (out, &c) in batch.push_null_row(rid).iter_mut().zip(cols) {
+            *out = row.get(c).cloned().unwrap_or(Value::Null);
+        }
+    }
+    batch
 }
 
 impl MockContext {
     pub fn new(schema: Schema) -> Self {
         let n = schema.len();
-        MockContext { schema, tables: (0..n).map(|_| Vec::new()).collect(), reads: Vec::new() }
+        MockContext {
+            schema,
+            tables: (0..n).map(|_| Vec::new()).collect(),
+            reads: Vec::new(),
+            probes: Vec::new(),
+        }
     }
 
     /// The live rows of `table`, whole.
@@ -41,39 +55,16 @@ impl MockContext {
         let n = a.len().min(b.len());
         a[..n].cmp(&b[..n])
     }
-}
 
-impl ExecContext for MockContext {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<Vec<(RowId, Row)>> {
-        self.reads.push((table, cols.to_vec()));
-        Ok(self.live(table).into_iter().map(|(rid, r)| (rid, narrow(&r, cols))).collect())
-    }
-
-    fn index_lookup(
-        &mut self,
-        table: TableId,
-        index_no: u8,
-        key: &[Value],
-        cols: &[usize],
-    ) -> DmvResult<Vec<(RowId, Row)>> {
-        self.index_range(table, index_no, Some((key, true)), Some((key, true)), false, None, cols)
-    }
-
-    fn index_range(
-        &mut self,
+    /// The whole rows between the bounds, in index order.
+    fn range(
+        &self,
         table: TableId,
         index_no: u8,
         lo: Option<(&[Value], bool)>,
         hi: Option<(&[Value], bool)>,
         rev: bool,
-        limit: Option<usize>,
-        cols: &[usize],
     ) -> DmvResult<Vec<(RowId, Row)>> {
-        self.reads.push((table, cols.to_vec()));
         let ix = &self.schema.table(table)?.indexes[index_no as usize];
         let mut rows: Vec<(Vec<Value>, (RowId, Row))> =
             self.live(table).into_iter().map(|p| (ix.key_of(&p.1), p)).collect();
@@ -91,9 +82,60 @@ impl ExecContext for MockContext {
         Ok(rows
             .into_iter()
             .filter(|(k, _)| !outside(k, lo, Ordering::Less) && !outside(k, hi, Ordering::Greater))
-            .take(limit.unwrap_or(usize::MAX))
-            .map(|(_, (rid, r))| (rid, narrow(&r, cols)))
+            .map(|(_, row)| row)
             .collect())
+    }
+}
+
+impl ExecContext for MockContext {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<RowBatch> {
+        self.reads.push((table, cols.to_vec()));
+        Ok(narrow(self.live(table), cols))
+    }
+
+    /// One equality range per key, the straightforward way.
+    fn index_probe(
+        &mut self,
+        table: TableId,
+        index_no: u8,
+        keys: &[&[Value]],
+        cols: &[usize],
+    ) -> DmvResult<Probed> {
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "probe keys must ascend strictly: {keys:?}");
+        self.reads.push((table, cols.to_vec()));
+        self.probes.push((table, keys.len()));
+        let mut found = Vec::new();
+        let mut ends = Vec::new();
+        for &key in keys {
+            found.extend(self.range(
+                table,
+                index_no,
+                Some((key, true)),
+                Some((key, true)),
+                false,
+            )?);
+            ends.push(found.len());
+        }
+        Ok(Probed { rows: narrow(found, cols), ends })
+    }
+
+    fn index_range(
+        &mut self,
+        table: TableId,
+        index_no: u8,
+        lo: Option<(&[Value], bool)>,
+        hi: Option<(&[Value], bool)>,
+        rev: bool,
+        limit: Option<usize>,
+        cols: &[usize],
+    ) -> DmvResult<RowBatch> {
+        self.reads.push((table, cols.to_vec()));
+        let rows = self.range(table, index_no, lo, hi, rev)?;
+        Ok(narrow(rows.into_iter().take(limit.unwrap_or(usize::MAX)), cols))
     }
 
     fn insert(&mut self, table: TableId, row: Row) -> DmvResult<RowId> {

@@ -2,7 +2,8 @@
 //! access → joins → filter → group → order → limit → project — one step
 //! after the other over fully materialized, full-width rows. This is the
 //! executor's former pipeline kept as the oracle: it asks every table for
-//! all its columns, probes once per left row, concatenates every joined
+//! all its columns, probes once per left row (a batch of one key, so no
+//! set is ever resolved here), concatenates every joined
 //! row and clones freely, so nothing the real executor does to avoid
 //! that work can be wrong without the two disagreeing.
 
@@ -48,7 +49,9 @@ pub fn select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
     let base = match &access {
         Access::Auto => unreachable!(),
         Access::FullScan => ctx.scan(s.table, &cols)?,
-        Access::IndexEq { index_no, key } => ctx.index_lookup(s.table, *index_no, key, &cols)?,
+        Access::IndexEq { index_no, key } => {
+            ctx.index_probe(s.table, *index_no, &[key.as_slice()], &cols)?.rows
+        }
         Access::IndexRange { index_no, lo, hi, rev, scan_limit } => ctx.index_range(
             s.table,
             *index_no,
@@ -59,14 +62,14 @@ pub fn select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
             &cols,
         )?,
     };
-    let mut acc: Vec<Row> = base.into_iter().map(|(_, r)| r).collect();
+    let mut acc: Vec<Row> = base.into_rows();
 
     // 2. Joins (left-deep nested loop; index inner when available).
     for join in &s.joins {
         let cols = all_cols(ctx, join.table)?;
         let scanned: Option<Vec<Row>> = match join.right_index {
             Some(_) => None,
-            None => Some(ctx.scan(join.table, &cols)?.into_iter().map(|(_, r)| r).collect()),
+            None => Some(ctx.scan(join.table, &cols)?.into_rows()),
         };
         let mut next = Vec::new();
         for left in acc {
@@ -76,10 +79,9 @@ pub fn select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
             }
             let rights: Vec<Row> = match (&join.right_index, &scanned) {
                 (Some(ix), _) => ctx
-                    .index_lookup(join.table, *ix, std::slice::from_ref(&key), &cols)?
-                    .into_iter()
-                    .map(|(_, r)| r)
-                    .collect(),
+                    .index_probe(join.table, *ix, &[std::slice::from_ref(&key)], &cols)?
+                    .rows
+                    .into_rows(),
                 (None, Some(all)) => {
                     all.iter().filter(|r| r.get(join.right_col) == Some(&key)).cloned().collect()
                 }
