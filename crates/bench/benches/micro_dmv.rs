@@ -10,10 +10,14 @@
 //! * `exec/*` — a whole select through the executor on the stand-alone
 //!   engine;
 //! * `locks/*` — per-page 2PL lock manager;
-//! * `writeset/*` — the capture → broadcast-encode → apply pipeline.
+//! * `writeset/*` — the capture → broadcast-encode → apply pipeline;
+//! * `fanout/*` — what a commit's fan-out costs its sender: one shared
+//!   allocation against a deep clone per target, and one `broadcast` on
+//!   the simulated LAN.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dmv_common::config::ConcurrencyMode;
+use dmv_common::clock::SimClock;
+use dmv_common::config::{ConcurrencyMode, NetProfile};
 use dmv_common::ids::{NodeId, PageId, TableId, TxnId};
 use dmv_common::rng::seeded;
 use dmv_common::version::VersionVector;
@@ -22,6 +26,7 @@ use dmv_core::{ClusterSpec, DmvCluster, PendingApplier};
 use dmv_memdb::index::BTreeIndex;
 use dmv_memdb::lock::{LockManager, LockMode};
 use dmv_memdb::{MemDb, MemDbOptions};
+use dmv_net::{SimnetTransport, Transport};
 use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::{PageStore, PAGE_SIZE};
 use dmv_sql::exec::{ExecContext, ExecRunner};
@@ -303,6 +308,22 @@ fn bench_fanout(c: &mut Criterion) {
                     (0..n).map(|_| Msg::WriteSet(Arc::new(black_box(&template).clone()))).collect();
                 black_box(msgs)
             })
+        });
+    }
+    g.finish();
+    // What one fan-out costs its sender on the simulated LAN (wall time
+    // per `broadcast` of an 840 B write-set). Nothing here drains the
+    // links, so each sample gets a fresh fabric and the window is short
+    // enough that what it queues stays in the tens of MiB.
+    let mut short = Criterion::default().measurement_time(Duration::from_millis(200));
+    let mut g = short.benchmark_group("fanout");
+    let msg = Msg::WriteSet(Arc::new(multi_page_writeset(1)));
+    for &n in &[2u32, 8] {
+        let targets: Vec<NodeId> = (1..=n).map(NodeId).collect();
+        g.bench_function(format!("simnet_broadcast_{n}_targets_lan"), |b| {
+            let net = SimnetTransport::new(NetProfile::lan_2007(), SimClock::default());
+            let _links: Vec<_> = targets.iter().map(|t| net.register(*t)).collect();
+            b.iter(|| net.broadcast(NodeId(0), &targets, &msg, 840))
         });
     }
     g.finish();

@@ -56,8 +56,9 @@ impl AckTracker {
     }
 
     /// Records a cumulative ack from `peer`: the watermark advances by
-    /// atomic maximum (a reordered or duplicate ack is a no-op) and any
-    /// blocked committers are woken to re-evaluate their predicate.
+    /// atomic maximum, and only an ack that did advance it wakes blocked
+    /// committers to re-evaluate their predicate — a reordered or
+    /// duplicate ack changes no predicate and is a no-op.
     pub fn record(&self, peer: NodeId, seq: u64) {
         let cell = {
             let peers = self.peers.read();
@@ -69,8 +70,9 @@ impl AckTracker {
                 }
             }
         };
-        cell.fetch_max(seq, Ordering::SeqCst);
-        self.notify();
+        if cell.fetch_max(seq, Ordering::SeqCst) < seq {
+            self.notify();
+        }
     }
 
     /// The peer's current watermark (0 if never seen).
@@ -201,6 +203,35 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(20));
         t.record(NodeId(1), 3);
+        assert!(h.join().unwrap()); // unwrap-ok: test thread join
+    }
+
+    #[test]
+    fn duplicate_and_overtaken_acks_wake_nobody() {
+        let t = Arc::new(AckTracker::new());
+        t.record(NodeId(1), 5);
+        let (evaluated, evaluations) = std::sync::mpsc::channel();
+        let t2 = Arc::clone(&t);
+        let h = dmv_check::thread::spawn(move || {
+            // A slice as long as the deadline: only a notify re-evaluates.
+            t2.wait(wall_deadline(Duration::from_secs(30)), Duration::from_secs(30), || {
+                let mark = t2.watermark(NodeId(1));
+                evaluated.send(mark).unwrap(); // unwrap-ok: test channel, receiver outlives the waiter
+                mark >= 6
+            })
+        });
+        // The entry check and the registered re-check; the waiter then
+        // parks, holding `wait_lock` until it does.
+        assert_eq!(evaluations.recv().unwrap(), 5); // unwrap-ok: test channel
+        assert_eq!(evaluations.recv().unwrap(), 5); // unwrap-ok: test channel
+        t.record(NodeId(1), 5); // duplicate
+        t.record(NodeId(1), 3); // overtaken
+        assert!(
+            evaluations.recv_timeout(Duration::from_millis(50)).is_err(),
+            "an ack that advanced nothing woke the committer"
+        );
+        t.record(NodeId(1), 6);
+        assert_eq!(evaluations.recv().unwrap(), 6); // unwrap-ok: test channel
         assert!(h.join().unwrap()); // unwrap-ok: test thread join
     }
 

@@ -380,6 +380,7 @@ impl DmvCluster {
                 return true;
             }
             let step = left.min(Duration::from_millis(25));
+            // wait-ok: a background period (monitor, checkpoint, GC sweep), off every transaction's path
             std::thread::sleep(step);
             left -= step;
         }
@@ -657,6 +658,7 @@ impl DmvCluster {
         if let Ok(s) = self.alive_scheduler() {
             s.stats.retries.inc();
         }
+        // wait-ok: the client's retry backoff
         self.clock.sleep_paper(self.contention.backoff_delay(attempt));
     }
 

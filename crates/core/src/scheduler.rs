@@ -274,6 +274,7 @@ impl Scheduler {
     fn charge_hop(&self, bytes: usize) {
         let t = self.cfg.net.transfer_time(bytes);
         if !t.is_zero() {
+            // wait-ok: one client↔scheduler↔database hop
             self.cfg.clock.sleep_paper(t);
         }
     }
@@ -329,15 +330,15 @@ impl Scheduler {
                 // §4.6: log, then return; backends apply asynchronously.
                 // The log write is its latency; the logged statements
                 // live on in the backends' WALs, not in this process.
-                if !self.cfg.log_latency.is_zero() {
-                    self.cfg.clock.sleep_paper(self.cfg.log_latency);
-                }
+                // Nothing observable happens between the log write and
+                // the reply hop, so they are one wait.
+                // wait-ok: §4.6 log insert, then the reply hop to the client
+                self.cfg.clock.sleep_paper(self.cfg.log_latency + self.cfg.net.transfer_time(128));
                 if !writes.is_empty() {
                     if let Some(tx) = self.backend_tx.lock().as_ref() {
                         let _ = tx.send(writes);
                     }
                 }
-                self.charge_hop(128); // reply hop
                 self.stats.commits.inc();
                 self.stats.updates.inc();
                 Ok(())

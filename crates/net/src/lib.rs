@@ -10,8 +10,8 @@
 //!   `dmv-core` is generic over (send, broadcast, receive, kill, and
 //!   the partition fault hooks the fail-over machinery tests against);
 //! * [`sim`] — [`SimnetTransport`], the in-process simulated network:
-//!   typed channels with modeled latency, serialization charge,
-//!   partitions and node kill;
+//!   typed channels, one NIC timeline per sender stamping each
+//!   message with its modeled arrival, partitions and node kill;
 //! * [`fault`] — [`FaultTransport`], a decorator injecting crash
 //!   faults at exact send counts (kill-mid-broadcast scenarios for
 //!   deterministic simulation testing);

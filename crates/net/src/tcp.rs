@@ -397,6 +397,7 @@ fn accept_loop<M: Wire + Clone + Send + 'static>(
             Err(_) => {
                 // Nonblocking accept: nothing pending (or a transient
                 // error) — poll again shortly.
+                // wait-ok: accept-poll period of a listener thread, no message waits on it
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
@@ -533,6 +534,7 @@ fn sleep_interruptible(total: Duration, done: &impl Fn() -> bool) {
         if now >= deadline {
             return;
         }
+        // wait-ok: reconnect backoff of a writer thread whose link is down
         std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
     }
 }

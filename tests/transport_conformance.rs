@@ -4,16 +4,17 @@
 //! partition tolerance, fail-over, reintegration) must behave
 //! identically; only timing differs.
 
-use dmv::common::config::TcpConfig;
+use dmv::common::clock::SimClock;
+use dmv::common::config::{NetProfile, TcpConfig};
 use dmv::common::ids::{NodeId, TableId};
 use dmv::core::cluster::{ClusterSpec, DmvCluster};
 use dmv::core::Msg;
-use dmv::net::{DynTransport, TcpTransport};
+use dmv::net::{DynTransport, SimnetTransport, TcpTransport};
 use dmv::sql::{
     Access, ColType, Column, Expr, IndexDef, Query, Schema, Select, SetExpr, TableSchema,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn kv_schema() -> Schema {
     Schema::new(vec![TableSchema::new(
@@ -155,5 +156,36 @@ fn fresh_node_integration_migrates_pages_on_both_transports() {
         let totals = read_all(&cluster);
         assert_eq!(totals, vec![1i64; 16], "[{name}] joiner state diverged");
         cluster.shutdown();
+    }
+}
+
+/// A fan-out never stalls its sender: on both fabrics `broadcast` only
+/// queues (simnet stamps each copy with its modeled arrival, TCP hands
+/// the frame to per-link writer threads), so it is back before the wire
+/// could have delivered anything — and simnet still delivers no earlier
+/// than the model says.
+#[test]
+fn broadcast_returns_before_the_first_delivery_is_due() {
+    // Simnet: 20 ms of NIC time per copy and a 50 ms hop, so a sender
+    // that paid the serialization itself would be held 80 ms.
+    let (ser, hop) = (Duration::from_millis(20), Duration::from_millis(50));
+    let slow_lan = NetProfile { latency: hop, per_kib: ser };
+    let simnet: DynTransport<Msg> = Arc::new(SimnetTransport::new(slow_lan, SimClock::default()));
+    // Loopback TCP has no modeled wire: its first delivery is due at once.
+    for (name, t, due) in [("simnet", simnet, ser + hop), ("tcp", tcp(), Duration::ZERO)] {
+        let targets: Vec<NodeId> = (1..=4).map(NodeId).collect();
+        let _master = t.register(NodeId(0));
+        let slaves: Vec<_> = targets.iter().map(|n| t.register(*n)).collect();
+        let msg = Msg::CumAck { seq: 7 };
+        let t0 = Instant::now();
+        t.broadcast(NodeId(0), &targets, &msg, 1024);
+        let returned = t0.elapsed();
+        assert!(returned < hop, "[{name}] broadcast held its sender for {returned:?}");
+        for s in &slaves {
+            let env = s.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(matches!(env.msg, Msg::CumAck { seq: 7 }), "[{name}] wrong message");
+            assert!(t0.elapsed() >= due, "[{name}] delivered early, at {:?}", t0.elapsed());
+        }
+        t.shutdown();
     }
 }

@@ -22,6 +22,12 @@
 //! * **no-unwrap** — no `.unwrap()` / `.expect(` in non-test code of
 //!   core/memdb/pagestore; `// unwrap-ok: <why>` documents the
 //!   invariant where a panic truly cannot fire.
+//! * **modeled-wait** — `std::thread::sleep` / `sleep_paper` in non-test
+//!   code of core/net/memdb/pagestore carries a
+//!   `// wait-ok: <what the model waits for>`. An OS sleep overshoots a
+//!   short request by its own length and more, so every one on a
+//!   transaction's path must be a delay the cost model asks for, paid
+//!   once — not a stall per message or per step.
 //! * **wire-boundary** — raw sockets (`std::net`, `TcpStream`,
 //!   `TcpListener`, `UdpSocket`) only inside `crates/net/`. Everything
 //!   else talks through the `Transport` trait, so cluster code stays
@@ -53,7 +59,7 @@
 //! [`RELAXED_CORPUS_EXEMPT`].
 //!
 //! Escape hatches (`relaxed-ok:`, `wall-clock-ok:`, `rng-ok:`,
-//! `unwrap-ok:`, `wire-boundary-ok:`, `lock-order-ok:`,
+//! `unwrap-ok:`, `wait-ok:`, `wire-boundary-ok:`, `lock-order-ok:`,
 //! `wire-exhaustive-ok:`) take effect on the violating line or the
 //! line directly above it, and are themselves grep-able audit
 //! points.
@@ -75,6 +81,11 @@ const HOTPATH_CRATES: &[&str] =
 /// Crates whose non-test code must not panic via unwrap/expect.
 const NO_UNWRAP_CRATES: &[&str] =
     &["crates/core/", "crates/memdb/", "crates/pagestore/", "crates/epoch/"];
+
+/// Crates on a transaction's path, where every OS sleep must name the
+/// modeled delay it pays.
+const MODELED_WAIT_CRATES: &[&str] =
+    &["crates/core/", "crates/net/", "crates/memdb/", "crates/pagestore/"];
 
 /// The one crate allowed to open raw sockets; everyone else goes
 /// through the `Transport` trait.
@@ -281,6 +292,7 @@ fn lint_file(rel: &str, text: &str, order: &LockOrder, out: &mut Vec<Violation>)
 
     let in_hotpath = HOTPATH_CRATES.iter().any(|c| rel.starts_with(c));
     let no_unwrap = NO_UNWRAP_CRATES.iter().any(|c| rel.starts_with(c));
+    let modeled_wait = MODELED_WAIT_CRATES.iter().any(|c| rel.starts_with(c));
     let wall_allowed = WALL_CLOCK_ALLOWED.contains(&rel);
     let rng_allowed = RNG_ALLOWED.contains(&rel);
     let sockets_allowed = rel.starts_with(WIRE_BOUNDARY_ALLOWED_PREFIX);
@@ -314,6 +326,18 @@ fn lint_file(rel: &str, text: &str, order: &LockOrder, out: &mut Vec<Violation>)
                 "rng-sources",
                 "ambient randomness outside rng.rs — derive a seeded stream \
                  via dmv_common::rng so runs stay reproducible"
+                    .to_string(),
+            );
+        }
+        if modeled_wait
+            && (l.code.contains("thread::sleep") || l.code.contains("sleep_paper"))
+            && !escaped(&lines, i, "wait-ok:")
+        {
+            push(
+                i,
+                "modeled-wait",
+                "OS sleep without a `wait-ok:` naming the modeled delay it pays — \
+                 stamp a deadline or merge it into an existing wait instead"
                     .to_string(),
             );
         }

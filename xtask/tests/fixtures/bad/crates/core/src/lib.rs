@@ -25,6 +25,12 @@ fn inverted_lock_order(state: &State) {
     drop(bcast_guard);
 }
 
+fn stall_per_message(targets: &[u64]) {
+    for _ in targets {
+        std::thread::sleep(core::time::Duration::from_micros(7));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     // Test code is exempt: none of these may be reported.

@@ -7,6 +7,7 @@ fn relaxed_with_justification(counter: &std::sync::atomic::AtomicU64) -> u64 {
 }
 
 fn deadline_via_clock(clock: &dmv_common::clock::SimClock) {
+    // wait-ok: the reply hop to the client
     clock.sleep_paper(core::time::Duration::from_millis(1));
 }
 
