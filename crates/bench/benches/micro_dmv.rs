@@ -8,7 +8,9 @@
 //!   "costly index updates"), and a key set resolved in one walk against
 //!   the same keys looked up one by one;
 //! * `exec/*` — a whole select through the executor on the stand-alone
-//!   engine;
+//!   engine: BestSellers, which aggregates below its joins, next to the
+//!   same statement made to join every order line, and a join's keys
+//!   numbered as dense integers next to the same join on strings;
 //! * `locks/*` — per-page 2PL lock manager;
 //! * `writeset/*` — the capture → broadcast-encode → apply pipeline;
 //! * `fanout/*` — what a commit's fan-out costs its sender: one shared
@@ -29,12 +31,13 @@ use dmv_memdb::{MemDb, MemDbOptions};
 use dmv_net::{SimnetTransport, Transport};
 use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::{PageStore, PAGE_SIZE};
-use dmv_sql::exec::{ExecContext, ExecRunner};
+use dmv_sql::exec::{execute, ExecContext, ExecRunner};
+use dmv_sql::query::{Access, AggFn, Join, Query, Select};
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
 use dmv_tpcw::interactions::{plan, ClientState, IdAllocator, InteractionKind};
 use dmv_tpcw::populate::{generate, TpcwScale};
-use dmv_tpcw::schema::tpcw_schema;
+use dmv_tpcw::schema::{self as tpcw, tpcw_schema};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -205,6 +208,80 @@ fn bench_exec(c: &mut Criterion) {
             (best.exec)(&mut ExecRunner::new(&mut txn)).unwrap();
         })
     });
+    // BestSellers with one aggregate over an item column added: every
+    // order line goes through both joins and the aggregate.
+    let (ol, it) = (tpcw::order_line::OL_I_ID, 5 + tpcw::item::I_ID);
+    let general = Query::Select(
+        Select::scan(tpcw::ORDER_LINE)
+            .access(Access::IndexRange {
+                index_no: 1,
+                lo: Some((vec![(ids.current_max_order() - 3333).max(1).into()], true)),
+                hi: None,
+                rev: false,
+                scan_limit: None,
+            })
+            .join(Join { table: tpcw::ITEM, left_col: ol, right_col: 0, right_index: Some(0) })
+            .join(Join {
+                table: tpcw::AUTHOR,
+                left_col: 5 + tpcw::item::I_A_ID,
+                right_col: 0,
+                right_index: Some(0),
+            })
+            .group(
+                vec![it, 5 + tpcw::item::I_TITLE],
+                vec![AggFn::Sum(tpcw::order_line::OL_QTY), AggFn::Max(it)],
+            )
+            .order_by(2, true)
+            .limit(50),
+    );
+    g.bench_function("group_join_general", |b| {
+        b.iter(|| {
+            let mut txn = db.begin_read_local();
+            black_box(execute(&mut txn, &general).unwrap());
+        })
+    });
+
+    // 1 000 rows ⋈ 1 000 rows on a unique index, once on keys that are
+    // neighbouring integers and once on the same keys as strings: what
+    // numbering a stage's keys and ordering them for the probe costs.
+    let int = |name: &str| Column::new(name, ColType::Int);
+    let text = |name: &str| Column::new(name, ColType::Str);
+    let (left, right) = (TableId(0), TableId(1));
+    let schema = Schema::new(vec![
+        TableSchema::new(
+            left,
+            "l",
+            vec![int("id"), int("k"), text("s")],
+            vec![IndexDef::unique("pk", vec![0])],
+        ),
+        TableSchema::new(
+            right,
+            "r",
+            vec![int("id"), text("name")],
+            vec![IndexDef::unique("pk", vec![0]), IndexDef::unique("by_name", vec![1])],
+        ),
+    ]);
+    let db = MemDb::new(schema, MemDbOptions::default());
+    let mut txn = db.begin_update();
+    for i in 0..1000i64 {
+        // Keys in an order that is neither ascending nor descending.
+        let k = i * 7 % 1000;
+        txn.insert(left, vec![i.into(), k.into(), format!("name {k:04}").into()]).unwrap();
+        txn.insert(right, vec![i.into(), format!("name {i:04}").into()]).unwrap();
+    }
+    txn.commit(None);
+    for (name, left_col, right_col) in [("dense_int", 1, 0), ("strings", 2, 1)] {
+        let join = Join { table: right, left_col, right_col, right_index: Some(right_col as u8) };
+        let q = Query::Select(
+            Select::scan(left).join(join).order_by(0, true).limit(1).project(vec![0]),
+        );
+        g.bench_function(format!("join_keys_{name}_1000"), |b| {
+            b.iter(|| {
+                let mut txn = db.begin_read_local();
+                black_box(execute(&mut txn, &q).unwrap());
+            })
+        });
+    }
     g.finish();
 }
 

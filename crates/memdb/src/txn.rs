@@ -820,6 +820,99 @@ mod tests {
         txn.commit(None);
     }
 
+    /// The twin of the test above where nothing is unique: the lines join
+    /// the items through a non-unique index (a shelf holds five items),
+    /// and the groups are titles, which no unique index covers. Summing a
+    /// line column alone, the executor aggregates below the joins; with an
+    /// aggregate over an item column it joins every line. Both are charged
+    /// alike: one probe per distinct key, one row per row read.
+    #[test]
+    fn a_set_probe_through_a_non_unique_index_is_charged_alike_on_both_paths() {
+        let int = |name: &str| Column::new(name, ColType::Int);
+        let (lines, items, authors) = (TableId(0), TableId(1), TableId(2));
+        let schema = Schema::new(vec![
+            TableSchema::new(
+                lines,
+                "line",
+                vec![int("l_id"), int("l_o_id"), int("l_shelf"), int("l_qty")],
+                vec![IndexDef::unique("pk", vec![0]), IndexDef::non_unique("by_order", vec![1])],
+            ),
+            TableSchema::new(
+                items,
+                "item",
+                vec![
+                    int("i_id"),
+                    Column::new("i_title", ColType::Str),
+                    int("i_a_id"),
+                    int("i_shelf"),
+                ],
+                vec![IndexDef::unique("pk", vec![0]), IndexDef::non_unique("by_shelf", vec![3])],
+            ),
+            TableSchema::new(
+                authors,
+                "author",
+                vec![int("a_id")],
+                vec![IndexDef::unique("pk", vec![0])],
+            ),
+        ]);
+        let cpu = CpuProfile {
+            per_index_probe: Duration::from_millis(1),
+            per_row_scan: Duration::from_nanos(1),
+            per_row_write: Duration::ZERO,
+        };
+        let db = MemDb::new(schema, MemDbOptions { cpu, ..MemDbOptions::default() });
+        let mut load = db.begin_update();
+        for a in 0..7i64 {
+            load.insert(authors, vec![a.into()]).unwrap();
+        }
+        // Item `i` stands on shelf `i % 8` and is by author `i % 7`.
+        for i in 0..40i64 {
+            let title = format!("title {}", i % 9);
+            load.insert(items, vec![i.into(), title.into(), (i % 7).into(), (i % 8).into()])
+                .unwrap();
+        }
+        // Line `l` of order `l / 3` sells from shelf `l * l % 12`: shelves
+        // 8 to 11 do not exist.
+        let shelf_of = |l: i64| l * l % 12;
+        for l in 0..90i64 {
+            load.insert(lines, vec![l.into(), (l / 3).into(), shelf_of(l).into(), 1.into()])
+                .unwrap();
+        }
+        load.cpu_owed = Duration::ZERO;
+        load.commit(None);
+
+        let from_order = 12;
+        let in_range: Vec<i64> = (0..90).filter(|l| l / 3 >= from_order).collect();
+        let shelves: BTreeSet<i64> = in_range.iter().map(|&l| shelf_of(l)).collect();
+        let on_them: Vec<i64> = (0..40).filter(|i| shelves.contains(&(i % 8))).collect();
+        let by: BTreeSet<i64> = on_them.iter().map(|i| i % 7).collect();
+        assert!(shelves.iter().any(|&s| s >= 8) && on_them.len() > shelves.len());
+        let probes = 1 + shelves.len() + by.len();
+        let rows = in_range.len() + on_them.len() + by.len();
+        let want = Duration::from_millis(probes as u64) + Duration::from_nanos(rows as u64);
+
+        for aggs in [vec![AggFn::Sum(3)], vec![AggFn::Sum(3), AggFn::Max(4)]] {
+            let q = Select::scan(lines)
+                .access(Access::IndexRange {
+                    index_no: 1,
+                    lo: Some((vec![from_order.into()], true)),
+                    hi: None,
+                    rev: false,
+                    scan_limit: None,
+                })
+                .join(Join { table: items, left_col: 2, right_col: 3, right_index: Some(1) })
+                .join(Join { table: authors, left_col: 4 + 2, right_col: 0, right_index: Some(0) })
+                .group(vec![5], aggs.clone())
+                .order_by(1, true)
+                .limit(5);
+            let mut txn = db.begin_read_local();
+            assert_eq!(execute(&mut txn, &Query::Select(q)).unwrap().rows.len(), 5);
+            assert_eq!(txn.cpu_owed, want, "{aggs:?}: {probes} probes, {rows} rows");
+            txn.cpu_owed = Duration::ZERO; // nothing to sleep off
+            txn.commit(None);
+        }
+    }
+
     /// An index entry whose heap slot is dead (no consistent read meets
     /// one; the engine skips them all the same) drops out of its key's
     /// run of rows, and the runs after it still end where they should.

@@ -22,10 +22,44 @@
 //! replaces hashing: a join key is looked up once per row of the source it
 //! lives in, a group once per row of the source the group columns come
 //! from ([`Pipeline::join`], [`Groups`]).
+//!
+//! Three rules keep the path per tuple short; none is an option, each is
+//! chosen from the statement or the keys seen, and none changes a result,
+//! its order under ties, or what is asked of the engine.
+//!
+//! *Aggregate below the joins* ([`Pipeline::pre_aggregate`]). When every
+//! aggregate argument is a base column (or the aggregate is `Count`),
+//! every group column and every later join's key is read from a joined
+//! source, join 0 is keyed on a base column and no conjunct that waits for
+//! a joined source reads a base column, all base rows with one key of join
+//! 0 meet the same joined rows and fall into the same groups. They
+//! collapse, before the first probe, to one *representative* — the first
+//! of them — carrying one partial [`AggState`] per aggregate; the
+//! unchanged join stages run over the representatives, and [`Groups`]
+//! merges a partial where it would have added a value. Aggregates over a
+//! `Float` column depend on the order of their inputs (a sum in its last
+//! bits; a `Min` in whether it keeps `Int(3)` or the equal `Float(3.0)`),
+//! so with one of those the rule also wants every group to receive
+//! exactly one partial: join 0's right column among the group columns and
+//! every join through a unique single-column index.
+//!
+//! *Number integer keys without hashing* ([`number_keys`]). Keys that are
+//! all `Int` (or NULL) and span less than four times their count are
+//! numbered through a table indexed by `key − least key`; swept once, the
+//! table also yields the ascending order a probe wants. Any other key set
+//! is hashed, and sorted for the probe.
+//!
+//! *Materialise after the limit*. A group remembers the tuple it first
+//! appeared in, not a copy of its key; when the group columns cover a
+//! unique index of the one table they are read from, a row of that table
+//! *is* a group and is found by number alone. `ORDER BY … LIMIT k`, over
+//! groups or tuples, selects the `k` first by the sort keys and then first
+//! appearance ([`top`]) — what a stable sort and a cut would leave — and
+//! only those are cloned into rows.
 
 use crate::query::{Access, AggFn, Expr, GroupBy, Query, Select, SetExpr};
 use crate::row::{Row, RowBatch};
-use crate::schema::Schema;
+use crate::schema::{ColType, Schema};
 use crate::value::{Value, ValueRef};
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{RowId, TableId};
@@ -451,10 +485,102 @@ impl Layout {
     }
 }
 
-/// In a dense per-row-number memo: nothing remembered for the row yet.
+/// In a dense memo indexed by row or key number: nothing remembered yet.
 const UNSEEN: usize = usize::MAX;
-/// In [`Pipeline::join`]'s memo: the row's key is NULL, it joins nothing.
+/// In a [`KeyOfRow`]: the row's key is NULL, it joins nothing.
 const NO_KEY: usize = usize::MAX - 1;
+
+/// Which key each row of a source carries, remembered by row number: a
+/// key is a function of the row it is read from, so it is numbered once
+/// per such row, and two tuples sharing the row share its key.
+struct KeyOfRow {
+    /// The least row number asked about.
+    lo: usize,
+    /// Row number − `lo` → the number of the row's key or [`NO_KEY`]
+    /// ([`UNSEEN`] for a row nobody asked about).
+    numbers: Vec<usize>,
+}
+
+impl KeyOfRow {
+    fn get(&self, row: usize) -> usize {
+        self.numbers[row - self.lo]
+    }
+}
+
+/// The distinct non-NULL keys of a set of rows.
+struct Keys<'r> {
+    /// In order of first appearance; a key's position is its number.
+    values: Vec<&'r Value>,
+    /// When the keys were numbered without hashing: per integer from the
+    /// least key to the greatest, the number of the key equal to it
+    /// ([`UNSEEN`] in the gaps).
+    slots: Option<Vec<usize>>,
+}
+
+impl Keys<'_> {
+    /// The keys' numbers in ascending key order, as a probe wants them.
+    fn ascending(&self) -> Vec<usize> {
+        match &self.slots {
+            Some(slots) => slots.iter().copied().filter(|&k| k != UNSEEN).collect(),
+            None => {
+                let mut order: Vec<usize> = (0..self.values.len()).collect();
+                order.sort_unstable_by(|&a, &b| self.values[a].cmp(self.values[b]));
+                order
+            }
+        }
+    }
+}
+
+/// Numbers the distinct non-NULL values of column `pos` of `rows` in
+/// order of first appearance, going through the row numbers `of` (which
+/// may repeat). Keys that are all `Int` and span less than four times
+/// their count are numbered through a table indexed by `key − least key`
+/// — no hash, and no sort for [`Keys::ascending`]; any other set through
+/// a hash map.
+fn number_keys<'r>(
+    rows: &'r RowBatch,
+    pos: usize,
+    of: impl Iterator<Item = usize> + Clone,
+) -> (KeyOfRow, Keys<'r>) {
+    let (lo, hi) = of.clone().fold((usize::MAX, 0), |(lo, hi), r| (lo.min(r), hi.max(r)));
+    let mut memo = KeyOfRow { lo, numbers: vec![UNSEEN; (hi + 1).saturating_sub(lo)] };
+    // The keys' range and count, if all of them are integers.
+    let ints = of.clone().try_fold((i64::MAX, i64::MIN, 0u64), |(least, most, n), r| {
+        match &rows.row(r)[pos] {
+            Value::Null => Some((least, most, n)),
+            Value::Int(i) => Some((least.min(*i), most.max(*i), n + 1)),
+            _ => None,
+        }
+    });
+    // No key at all, or a span past `i64`, is `None` here.
+    let mut dense = ints.and_then(|(least, most, n)| {
+        let span = most.checked_sub(least)?;
+        (span.unsigned_abs() < 4 * n).then(|| (least, vec![UNSEEN; span as usize + 1]))
+    });
+    let mut number_of: HashMap<&Value, usize> = HashMap::new();
+    let mut values: Vec<&Value> = Vec::new();
+    for r in of {
+        let seen = &mut memo.numbers[r - lo];
+        if *seen != UNSEEN {
+            continue;
+        }
+        let key = &rows.row(r)[pos];
+        let number = match (key, &mut dense) {
+            (Value::Null, _) => {
+                *seen = NO_KEY;
+                continue;
+            }
+            (Value::Int(i), Some((least, slots))) => &mut slots[(i - *least) as usize],
+            (key, _) => number_of.entry(key).or_insert(UNSEEN),
+        };
+        if *number == UNSEEN {
+            *number = values.len();
+            values.push(key);
+        }
+        *seen = *number;
+    }
+    (memo, Keys { values, slots: dense.map(|(_, slots)| slots) })
+}
 
 /// One select in flight: the rows read so far and how to read more.
 struct Pipeline<'a> {
@@ -518,26 +644,119 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Takes base rows until `want` of them pass the base-only conjuncts
-    /// (or none are left) and runs that block through the joins, a stage
-    /// at a time. Returns the joined tuples that pass the filter, one row
-    /// number per source each, in the order the reference pipeline (a
-    /// nested loop over everything, then the filter) would produce them.
-    /// A caller that consumes every tuple asks for all base rows at once;
-    /// one that stops early asks for as many as it still wants rows —
-    /// every base row yields a tuple or more unless a join or a later
-    /// conjunct drops it, and then the caller asks again.
-    fn next_block(&mut self, want: usize) -> DmvResult<Vec<usize>> {
-        let mut tuples = Vec::new();
-        while !self.exhausted() && tuples.len() < want {
+    /// (or none are left): the base rows of the next block.
+    fn take_base(&mut self, want: usize) -> Vec<usize> {
+        let mut taken = Vec::new();
+        while !self.exhausted() && taken.len() < want {
             if self.passes(0, &[self.next_base]) {
-                tuples.push(self.next_base);
+                taken.push(self.next_base);
             }
             self.next_base += 1;
         }
+        taken
+    }
+
+    /// Runs `tuples` — base rows that passed the base-only conjuncts —
+    /// through the joins, a stage at a time. Returns the joined tuples
+    /// that pass the filter, one row number per source each, in the order
+    /// the reference pipeline (a nested loop over everything, then the
+    /// filter) would produce them.
+    fn join_all(&mut self, mut tuples: Vec<usize>) -> DmvResult<Vec<usize>> {
         for stage in 0..self.s.joins.len() {
             tuples = self.join(stage, &tuples)?;
         }
         Ok(tuples)
+    }
+
+    /// The joined tuples of the next block of base rows. A caller that
+    /// consumes every tuple asks for all base rows at once; one that stops
+    /// early asks for as many as it still wants rows — every base row
+    /// yields a tuple or more unless a join or a later conjunct drops it,
+    /// and then the caller asks again.
+    fn next_block(&mut self, want: usize) -> DmvResult<Vec<usize>> {
+        let base = self.take_base(want);
+        self.join_all(base)
+    }
+
+    /// Where the base rows hold join 0's key, if grouping by `g` may
+    /// *aggregate below the joins* (the module doc has the rule).
+    fn key_below_joins(&self, g: &GroupBy) -> DmvResult<Option<usize>> {
+        let s = self.s;
+        let source_of = |c: usize| self.layout.slot(c).map(|(source, _)| source);
+        let joined = |c: usize| source_of(c).is_some_and(|source| source > 0);
+        let Some(first) = s.joins.first() else { return Ok(None) };
+        let Some((0, key_at)) = self.layout.slot(first.left_col) else { return Ok(None) };
+        let schema = self.ctx.schema();
+        let base = schema.table(s.table)?;
+        let mut ordered = false;
+        for agg in &g.aggs {
+            if let AggFn::Sum(c) | AggFn::Avg(c) | AggFn::Min(c) | AggFn::Max(c) = *agg {
+                if source_of(c) != Some(0) {
+                    return Ok(None);
+                }
+                ordered |= base.columns[c].ty == ColType::Float;
+            }
+        }
+        let mut later_reads_base = false;
+        for e in self.conjuncts[1..].iter().flatten() {
+            e.for_each_col(&mut |c| later_reads_base |= source_of(c) == Some(0));
+        }
+        let mut may = !later_reads_base
+            && g.cols.iter().all(|&c| joined(c))
+            && s.joins[1..].iter().all(|j| joined(j.left_col));
+        if may && ordered {
+            // One tuple per representative, and no group with two of them.
+            may = g.cols.contains(&(self.layout.offsets[1] + first.right_col));
+            for j in &s.joins {
+                let indexes = &schema.table(j.table)?.indexes;
+                let index = j.right_index.and_then(|no| indexes.get(no as usize));
+                may &= index.is_some_and(|ix| ix.unique && ix.columns == [j.right_col]);
+            }
+        }
+        Ok(may.then_some(key_at))
+    }
+
+    /// The pre-pass of a select that aggregates below its joins: collapses
+    /// `base` to one representative per distinct non-NULL key of join 0,
+    /// the first row carrying it. Returns the representatives in order,
+    /// and each one's partial aggregates over all the rows it stands for;
+    /// `None` for a select that must join every base row.
+    fn pre_aggregate(
+        &self,
+        g: &GroupBy,
+        base: &[usize],
+    ) -> DmvResult<Option<(Vec<usize>, Partials)>> {
+        let Some(key_at) = self.key_below_joins(g)? else { return Ok(None) };
+        let (rep_of_row, keys) = number_keys(&self.rows[0], key_at, base.iter().copied());
+        let per = g.aggs.len();
+        let mut states = vec![AggState::default(); keys.values.len() * per];
+        let mut reps = Vec::with_capacity(keys.values.len());
+        for &b in base {
+            let k = rep_of_row.get(b);
+            if k == NO_KEY {
+                continue;
+            }
+            // Keys are numbered as they appear: a new number is a new key.
+            if k == reps.len() {
+                reps.push(b);
+            }
+            for (st, agg) in states[k * per..][..per].iter_mut().zip(&g.aggs) {
+                st.add(agg, |c| self.col(&[b], c));
+            }
+        }
+        Ok(Some((reps, Partials { rep_of_row, states, per })))
+    }
+
+    /// Whether no two rows of `source` agree on `cols`, all of which are
+    /// read from it: they include every column of a unique index.
+    fn rows_differ_on(&self, source: usize, cols: &[usize]) -> DmvResult<bool> {
+        let table = match source {
+            0 => self.s.table,
+            joined => self.s.joins[joined - 1].table,
+        };
+        let has = |local: &usize| cols.contains(&(self.layout.offsets[source] + local));
+        let indexes = &self.ctx.schema().table(table)?.indexes;
+        Ok(indexes.iter().any(|ix| ix.unique && ix.columns.iter().all(has)))
     }
 
     /// Extends `tuples`, which have sources `0..=stage`, by join `stage`:
@@ -553,40 +772,21 @@ impl<'a> Pipeline<'a> {
             return Ok(Vec::new());
         };
 
-        // 1. The distinct non-NULL keys, numbered as they appear. A key is
-        // a function of the row of `source` it is read from, so it is
-        // hashed once per such row and found by row number afterwards:
-        // two tuples sharing that row share its key.
-        let numbers = || tuples.iter().skip(source).step_by(width).copied();
-        let (lo, hi) = numbers().fold((usize::MAX, 0), |(lo, hi), r| (lo.min(r), hi.max(r)));
-        let mut key_of_row = vec![UNSEEN; hi - lo + 1];
-        let mut number_of: HashMap<&Value, usize> = HashMap::new();
-        let mut keys: Vec<&Value> = Vec::new();
-        for r in numbers() {
-            if key_of_row[r - lo] == UNSEEN {
-                let key = &self.rows[source].row(r)[pos];
-                key_of_row[r - lo] = match key {
-                    Value::Null => NO_KEY,
-                    key => *number_of.entry(key).or_insert_with(|| {
-                        keys.push(key);
-                        keys.len() - 1
-                    }),
-                };
-            }
-        }
+        // 1. The distinct non-NULL keys, numbered as they appear.
+        let numbers = tuples.iter().skip(source).step_by(width).copied();
+        let (key_of_row, keys) = number_keys(&self.rows[source], pos, numbers);
 
         // 2. Every key's matches, resolved as a set: `matches[k]` is key
         // `k`'s range of positions in `hits`, whose entries are row
         // numbers of the joined table.
-        let mut matches = vec![(0, 0); keys.len()];
+        let mut matches = vec![(0, 0); keys.values.len()];
         let hits: Vec<usize> = match join.right_index {
             // One probe for all keys; its rows are the joined table's rows
             // for this block, so a position is its own row number.
             Some(index_no) => {
-                let mut sorted: Vec<usize> = (0..keys.len()).collect();
-                sorted.sort_unstable_by(|&a, &b| keys[a].cmp(keys[b]));
+                let sorted = keys.ascending();
                 let probe: Vec<&[Value]> =
-                    sorted.iter().map(|&k| std::slice::from_ref(keys[k])).collect();
+                    sorted.iter().map(|&k| std::slice::from_ref(keys.values[k])).collect();
                 let cols = &self.layout.needs[right];
                 let found = self.ctx.index_probe(join.table, index_no, &probe, cols)?;
                 let mut from = 0;
@@ -604,6 +804,8 @@ impl<'a> Pipeline<'a> {
                 let Some((_, at)) = column.and_then(|c| self.layout.slot(c)) else {
                     return Ok(Vec::new());
                 };
+                let number_of: HashMap<&Value, usize> =
+                    keys.values.iter().enumerate().map(|(k, &key)| (key, k)).collect();
                 let table = &self.rows[right];
                 let mut hits: Vec<(usize, usize)> = (0..table.len())
                     .filter_map(|r| number_of.get(&table.row(r)[at]).map(|&k| (k, r)))
@@ -622,7 +824,7 @@ impl<'a> Pipeline<'a> {
         // 3. Expand in order.
         let mut out = Vec::new();
         for tuple in tuples.chunks_exact(width) {
-            let k = key_of_row[tuple[source] - lo];
+            let k = key_of_row.get(tuple[source]);
             if k == NO_KEY {
                 continue;
             }
@@ -650,11 +852,17 @@ fn run_select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
         return Ok(ResultSet::default());
     }
     p.read()?;
+    // What `project` and `order_by` index: the aggregated row (group
+    // columns, then aggregates) under `GROUP BY`, else the joined row.
+    let width = match &s.group_by {
+        Some(g) => g.cols.len() + g.aggs.len(),
+        None => p.layout.slots.len(),
+    };
     let all: Vec<usize>;
     let cols = match &s.project {
         Some(cols) => cols,
         None => {
-            all = (0..p.layout.slots.len()).collect();
+            all = (0..width).collect();
             &all
         }
     };
@@ -663,21 +871,39 @@ fn run_select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
     match &s.group_by {
         // Pipeline order: … → group → order → limit → project.
         Some(g) => {
-            let tuples = p.next_block(usize::MAX)?;
+            let base = p.take_base(usize::MAX);
+            let (base, partials) = match p.pre_aggregate(g, &base)? {
+                Some((reps, partials)) => (reps, Some(partials)),
+                None => (base, None),
+            };
+            let tuples = p.join_all(base)?;
+            let tuple = |t: usize| &tuples[t * sources..][..sources];
+            let col_of = |t: usize, c: usize| p.col(tuple(t), c);
             let by_row = p.layout.only_source_of(&g.cols);
-            let mut groups = Groups::new(g, by_row.map_or(0, |source| p.rows[source].len()));
-            for tuple in tuples.chunks_exact(sources) {
-                groups.add(by_row.map(|source| tuple[source]), |c| p.col(tuple, c));
+            let rows_are_groups = match by_row {
+                Some(source) => p.rows_differ_on(source, &g.cols)?,
+                None => false,
+            };
+            let of_rows = by_row.map_or(0, |source| p.rows[source].len());
+            let mut groups = Groups::new(g, of_rows, rows_are_groups);
+            for t in 0..tuples.len() / sources {
+                let row = by_row.map(|source| tuple(t)[source]);
+                groups.add(t, row, &col_of, partials.as_ref().map(|pre| pre.of(tuple(t)[0])));
             }
-            rows = groups.finish();
-            rows.sort_by(|a, b| {
-                cmp_keys(&s.order_by, |c| ValueRef::at(a, c), |c| ValueRef::at(b, c))
-            });
-            rows.truncate(limit);
-            if let Some(cols) = &s.project {
-                for row in &mut rows {
-                    *row = cols.iter().map(|&c| ValueRef::at(row, c).to_value()).collect();
-                }
+            // A group's key is read where it first appeared, its
+            // aggregates from `values`; only what survives the limit is
+            // cloned.
+            let (first, values) = groups.finish()?;
+            let cell = |group: usize, c: usize| match g.cols.get(c) {
+                Some(&col) => p.col_ref(tuple(first[group]), col),
+                None => values[group * g.aggs.len()..][..g.aggs.len()]
+                    .get(c - g.cols.len())
+                    .map_or(ValueRef::Null, ValueRef::from),
+            };
+            let by_keys =
+                |a: usize, b: usize| cmp_keys(&s.order_by, |c| cell(a, c), |c| cell(b, c));
+            for group in top(first.len(), limit, by_keys) {
+                rows.push(cols.iter().map(|&c| cell(group, c).to_value()).collect());
             }
         }
         // Nothing reorders the tuples: emit them as they come, block by
@@ -708,20 +934,23 @@ fn run_select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
                 });
             }
         }
-        // Sort the tuples, not the rows: only the survivors of the limit
+        // Order the tuples, not the rows: only the survivors of the limit
         // are materialized.
         None => {
             let tuples = p.next_block(usize::MAX)?;
-            let mut order: Vec<&[usize]> = tuples.chunks_exact(sources).collect();
-            order.sort_by(|a, b| cmp_keys(&s.order_by, |c| p.col_ref(a, c), |c| p.col_ref(b, c)));
-            rows.extend(order.into_iter().take(limit).map(|tuple| p.output(tuple, cols)));
+            let tuple = |t: usize| &tuples[t * sources..][..sources];
+            let by_keys = |a: usize, b: usize| {
+                cmp_keys(&s.order_by, |c| p.col_ref(tuple(a), c), |c| p.col_ref(tuple(b), c))
+            };
+            for t in top(tuples.len() / sources, limit, by_keys) {
+                rows.push(p.output(tuple(t), cols));
+            }
         }
     }
     Ok(ResultSet { rows, affected: 0 })
 }
 
-/// `ORDER BY` comparison of two rows given by their column accessors
-/// (the sorts using it are stable, so ties keep pipeline order).
+/// `ORDER BY` comparison of two rows given by their column accessors.
 fn cmp_keys<'a>(
     order_by: &[(usize, bool)],
     a: impl Fn(usize) -> ValueRef<'a>,
@@ -736,19 +965,138 @@ fn cmp_keys<'a>(
     Ordering::Equal
 }
 
-/// One aggregate's running state within one group.
-#[derive(Clone, Default)]
+/// The first `limit` of `0..n` in the order of `cmp`, ties in the order of
+/// the numbers themselves: what a stable sort followed by a cut leaves,
+/// without sorting what the cut drops.
+fn top(n: usize, limit: usize, cmp: impl Fn(usize, usize) -> Ordering) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let total = |a: &usize, b: &usize| cmp(*a, *b).then(a.cmp(b));
+    if limit < n {
+        order.select_nth_unstable_by(limit, total);
+        order.truncate(limit);
+    }
+    order.sort_unstable_by(total);
+    order
+}
+
+/// A running sum: exact for as long as every value was an `Int`, an `f64`
+/// from the first `Float` on.
+#[derive(Clone, Copy)]
+enum Total {
+    Int(i128),
+    Float(f64),
+}
+
+impl Total {
+    fn as_f64(self) -> f64 {
+        match self {
+            Total::Int(i) => i as f64,
+            Total::Float(f) => f,
+        }
+    }
+
+    fn plus(self, other: Total) -> Total {
+        match (self, other) {
+            // No overflow: that takes 2^64 values of an `i64`'s size.
+            (Total::Int(a), Total::Int(b)) => Total::Int(a + b),
+            (a, b) => Total::Float(a.as_f64() + b.as_f64()),
+        }
+    }
+}
+
+/// One aggregate's running state within one group — or, below the joins,
+/// over the base rows one representative stands for.
+#[derive(Clone)]
 struct AggState {
     /// Rows (`Count`) or numeric values (`Sum`, `Avg`) seen.
     count: u64,
-    sum: f64,
-    any_float: bool,
-    /// The smallest (`Min`) or largest (`Max`) non-NULL value seen.
+    total: Total,
+    /// The smallest (`Min`) or largest (`Max`) non-NULL value seen, the
+    /// first of equal ones.
     best: Option<Value>,
 }
 
+impl Default for AggState {
+    fn default() -> Self {
+        AggState { count: 0, total: Total::Int(0), best: None }
+    }
+}
+
+impl AggState {
+    /// `Min` or `Max`: keeps `v` if it beats what was kept so far.
+    fn offer(&mut self, agg: &AggFn, v: &Value) {
+        let better = if matches!(agg, AggFn::Min(_)) { Ordering::Less } else { Ordering::Greater };
+        if !v.is_null() && self.best.as_ref().is_none_or(|best| v.cmp(best) == better) {
+            self.best = Some(v.clone());
+        }
+    }
+
+    /// Accumulates one row, whose columns `col` supplies.
+    fn add<'r>(&mut self, agg: &AggFn, col: impl Fn(usize) -> Option<&'r Value>) {
+        match *agg {
+            AggFn::Count => self.count += 1,
+            AggFn::Min(c) | AggFn::Max(c) => {
+                if let Some(v) = col(c) {
+                    self.offer(agg, v);
+                }
+            }
+            AggFn::Sum(c) | AggFn::Avg(c) => {
+                let number = match col(c) {
+                    Some(Value::Int(i)) => Total::Int(i128::from(*i)),
+                    Some(Value::Float(f)) => Total::Float(*f),
+                    _ => return,
+                };
+                self.count += 1;
+                self.total = self.total.plus(number);
+            }
+        }
+    }
+
+    /// Accumulates what `partial` has, as adding its rows one by one would.
+    fn merge(&mut self, agg: &AggFn, partial: &AggState) {
+        self.count += partial.count;
+        self.total = self.total.plus(partial.total);
+        if let Some(v) = &partial.best {
+            self.offer(agg, v);
+        }
+    }
+
+    /// The aggregate's value.
+    fn finish(self, agg: &AggFn) -> DmvResult<Value> {
+        Ok(match (agg, self.total) {
+            (AggFn::Count, _) => Value::Int(self.count as i64),
+            (AggFn::Sum(_) | AggFn::Avg(_), _) if self.count == 0 => Value::Null,
+            (AggFn::Sum(_), Total::Float(f)) => Value::Float(f),
+            (AggFn::Sum(_), Total::Int(i)) => Value::Int(
+                i64::try_from(i).map_err(|_| DmvError::Query(format!("SUM overflows: {i}")))?,
+            ),
+            (AggFn::Avg(_), total) => Value::Float(total.as_f64() / self.count as f64),
+            (AggFn::Min(_) | AggFn::Max(_), _) => self.best.unwrap_or(Value::Null),
+        })
+    }
+}
+
+/// What [`Pipeline::pre_aggregate`] made of the base rows.
+struct Partials {
+    /// Base row → the number of its key, which is its representative's.
+    rep_of_row: KeyOfRow,
+    /// Per representative, one state per aggregate.
+    states: Vec<AggState>,
+    /// Aggregates per representative.
+    per: usize,
+}
+
+impl Partials {
+    /// The partial aggregates of the representative `base_row`.
+    fn of(&self, base_row: usize) -> &[AggState] {
+        &self.states[self.rep_of_row.get(base_row) * self.per..][..self.per]
+    }
+}
+
 struct Group {
-    key: Vec<Value>,
+    /// The tuple the group first appeared in; its group columns are the
+    /// group's key.
+    first: usize,
     /// One state per aggregate.
     states: Vec<AggState>,
     /// The group created before this one whose key has the same hash.
@@ -773,8 +1121,8 @@ impl Hasher for PreHashed {
     }
 }
 
-/// Streaming hash aggregate: groups in order of first appearance, each
-/// group's key cloned once, when the group is created.
+/// Streaming hash aggregate: groups in order of first appearance, no key
+/// copied — a group's key is read from the tuple it first appeared in.
 struct Groups<'a> {
     by: &'a GroupBy,
     /// In first-appearance order.
@@ -789,104 +1137,99 @@ struct Groups<'a> {
     /// When every group column is read from one source: that source's
     /// row number → its group ([`UNSEEN`] until its first tuple). The key
     /// is a function of that row, so tuples sharing the row share the
-    /// group without hashing the key again; rows with equal values still
-    /// meet in one group, because each row's first tuple finds it by value.
+    /// group without hashing the key again.
     of_row: Vec<usize>,
+    /// Whether there is such a source and no two of its rows have equal
+    /// keys: a row's first tuple then starts a group, found by nothing but
+    /// the row's number. Otherwise it finds or starts its group by value,
+    /// so rows with equal values still meet in one group.
+    rows_are_groups: bool,
 }
 
 impl<'a> Groups<'a> {
     /// `rows`: how many rows the source all group columns are read from
     /// has, 0 if there is no such source.
-    fn new(by: &'a GroupBy, rows: usize) -> Self {
+    fn new(by: &'a GroupBy, rows: usize, rows_are_groups: bool) -> Self {
         Groups {
             by,
             groups: Vec::new(),
             index: HashMap::default(),
             hasher: RandomState::new(),
             of_row: vec![UNSEEN; rows],
+            rows_are_groups,
         }
     }
 
-    /// The group of the joined row whose columns `col` supplies, created
-    /// if it is the first of its key.
-    fn group_of<'r>(&mut self, col: &impl Fn(usize) -> Option<&'r Value>) -> usize {
-        let key = |c: &usize| col(*c).unwrap_or(&Value::Null);
-        let mut h = self.hasher.build_hasher();
-        self.by.cols.iter().for_each(|c| key(c).hash(&mut h));
-        let hash = h.finish();
-        let newest = self.index.get(&hash).copied();
-        let mut same_hash = newest;
-        while let Some(g) = same_hash {
-            if self.groups[g].key.iter().eq(self.by.cols.iter().map(key)) {
-                return g;
+    /// The group of tuple `t` — `col(t, c)` is flat column `c` of tuple
+    /// `t`, and `t` is the first tuple of its row where rows are
+    /// remembered — created if `t` is the first of its key.
+    fn group_of<'r>(
+        &mut self,
+        t: usize,
+        col: &impl Fn(usize, usize) -> Option<&'r Value>,
+    ) -> usize {
+        let mut newest = None;
+        if !self.rows_are_groups {
+            let by = self.by;
+            let key = |t: usize| by.cols.iter().map(move |&c| col(t, c).unwrap_or(&Value::Null));
+            let mut h = self.hasher.build_hasher();
+            key(t).for_each(|v| v.hash(&mut h));
+            let hash = h.finish();
+            newest = self.index.get(&hash).copied();
+            let mut same_hash = newest;
+            while let Some(g) = same_hash {
+                if key(self.groups[g].first).eq(key(t)) {
+                    return g;
+                }
+                same_hash = self.groups[g].same_hash;
             }
-            same_hash = self.groups[g].same_hash;
+            self.index.insert(hash, self.groups.len());
         }
-        self.index.insert(hash, self.groups.len());
-        self.groups.push(Group {
-            key: self.by.cols.iter().map(|c| key(c).clone()).collect(),
-            states: vec![AggState::default(); self.by.aggs.len()],
-            same_hash: newest,
-        });
+        let states = vec![AggState::default(); self.by.aggs.len()];
+        self.groups.push(Group { first: t, states, same_hash: newest });
         self.groups.len() - 1
     }
 
-    /// Accumulates one joined row, given by its column accessor and, when
-    /// one source supplies every group column, its row number there.
-    fn add<'r>(&mut self, row: Option<usize>, col: impl Fn(usize) -> Option<&'r Value>) {
+    /// Accumulates tuple `t`: the values of its aggregate arguments or,
+    /// for a representative, the `partial` aggregates of the rows it
+    /// stands for. `row` is the tuple's row number in the source that
+    /// supplies every group column, if one does.
+    fn add<'r>(
+        &mut self,
+        t: usize,
+        row: Option<usize>,
+        col: &impl Fn(usize, usize) -> Option<&'r Value>,
+        partial: Option<&[AggState]>,
+    ) {
         let g = match row.map(|r| self.of_row[r]) {
             Some(g) if g != UNSEEN => g,
             _ => {
-                let g = self.group_of(&col);
+                let g = self.group_of(t, col);
                 if let Some(r) = row {
                     self.of_row[r] = g;
                 }
                 g
             }
         };
-        for (st, agg) in self.groups[g].states.iter_mut().zip(&self.by.aggs) {
-            match agg {
-                AggFn::Count => st.count += 1,
-                AggFn::Sum(c) | AggFn::Avg(c) => {
-                    let v = col(*c);
-                    if let Some(f) = v.and_then(Value::as_float) {
-                        st.count += 1;
-                        st.sum += f;
-                        st.any_float |= !matches!(v, Some(Value::Int(_)));
-                    }
-                }
-                AggFn::Min(c) | AggFn::Max(c) => {
-                    let better = if matches!(agg, AggFn::Min(_)) {
-                        Ordering::Less
-                    } else {
-                        Ordering::Greater
-                    };
-                    if let Some(v) = col(*c).filter(|v| !v.is_null()) {
-                        if st.best.as_ref().is_none_or(|best| v.cmp(best) == better) {
-                            st.best = Some(v.clone());
-                        }
-                    }
-                }
+        for (i, (st, agg)) in self.groups[g].states.iter_mut().zip(&self.by.aggs).enumerate() {
+            match partial {
+                Some(partial) => st.merge(agg, &partial[i]),
+                None => st.add(agg, |c| col(t, c)),
             }
         }
     }
 
-    /// The aggregated rows: group columns, then one value per aggregate.
-    fn finish(self) -> Vec<Row> {
-        let aggs = &self.by.aggs;
-        self.groups
-            .into_iter()
-            .map(|Group { key: mut row, states, .. }| {
-                row.extend(states.into_iter().zip(aggs).map(|(st, agg)| match agg {
-                    AggFn::Count => Value::Int(st.count as i64),
-                    AggFn::Sum(_) | AggFn::Avg(_) if st.count == 0 => Value::Null,
-                    AggFn::Sum(_) if st.any_float => Value::Float(st.sum),
-                    AggFn::Sum(_) => Value::Int(st.sum as i64),
-                    AggFn::Avg(_) => Value::Float(st.sum / st.count as f64),
-                    AggFn::Min(_) | AggFn::Max(_) => st.best.unwrap_or(Value::Null),
-                }));
-                row
-            })
-            .collect()
+    /// Per group, in first-appearance order: the tuple it first appeared
+    /// in, and (all groups' in one run) one value per aggregate.
+    fn finish(self) -> DmvResult<(Vec<usize>, Vec<Value>)> {
+        let mut first = Vec::with_capacity(self.groups.len());
+        let mut values = Vec::with_capacity(self.groups.len() * self.by.aggs.len());
+        for group in self.groups {
+            first.push(group.first);
+            for (st, agg) in group.states.into_iter().zip(&self.by.aggs) {
+                values.push(st.finish(agg)?);
+            }
+        }
+        Ok((first, values))
     }
 }

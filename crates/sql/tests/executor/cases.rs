@@ -1,6 +1,7 @@
 //! Hand-written statements with known answers, on the mock context.
 
 use crate::mock::MockContext;
+use crate::reference;
 use dmv_common::error::DmvError;
 use dmv_common::ids::TableId;
 use dmv_sql::exec::{execute, ExecContext};
@@ -450,4 +451,393 @@ fn a_whole_row_scan_hands_over_every_value_once() {
         vec![3.into(), "gamma tome".into(), 11.into(), 0.into()],
     ];
     assert_eq!(rs.rows, want);
+}
+
+// Grouped selects over joins: where the executor may aggregate below the
+// joins and where it may not. Nothing the engine is asked tells the two
+// paths apart, so every case is checked against the reference evaluator
+// on data that a wrongly collapsed statement answers differently.
+
+const LINE: TableId = TableId(0);
+const ITEM: TableId = TableId(1);
+const AUTHOR: TableId = TableId(2);
+// Flat columns of line ⋈ item ⋈ author.
+const L_I: usize = 1;
+const L_A: usize = 2;
+const L_QTY: usize = 3;
+const L_F: usize = 4;
+const I_ID: usize = 5;
+const I_A: usize = 6;
+const I_STOCK: usize = 8;
+const A_NAME: usize = 10;
+
+fn sales_schema() -> Schema {
+    let int = |name: &str| Column::nullable(name, ColType::Int);
+    Schema::new(vec![
+        TableSchema::new(
+            LINE,
+            "line",
+            vec![
+                int("l_id"),
+                int("l_i"),
+                int("l_a"),
+                int("l_qty"),
+                Column::nullable("l_f", ColType::Float),
+            ],
+            vec![IndexDef::unique("pk", vec![0])],
+        ),
+        TableSchema::new(
+            ITEM,
+            "item",
+            vec![int("i_id"), int("i_a"), Column::new("i_title", ColType::Str), int("i_stock")],
+            vec![IndexDef::unique("pk", vec![0]), IndexDef::non_unique("by_a", vec![1])],
+        ),
+        TableSchema::new(
+            AUTHOR,
+            "author",
+            vec![int("a_id"), Column::new("a_name", ColType::Str)],
+            vec![IndexDef::unique("pk", vec![0])],
+        ),
+    ])
+}
+
+/// Items 1–3 by author 10, item 4 by 11, item 5 by nobody; author 12
+/// wrote nothing and item 9 does not exist. Item 1 sells in lines 1 and
+/// 3, item 2 in lines 2 and 7; line 4 has NULL keys, line 5 keys that
+/// match nothing.
+fn sales() -> MockContext {
+    let mut ctx = MockContext::new(sales_schema());
+    let null = || Value::Null;
+    let items: [(i64, Value, &str, i64); 5] = [
+        (1, 10.into(), "t1", 3),
+        (2, 10.into(), "t2", 3),
+        (3, 10.into(), "t3", 9),
+        (4, 11.into(), "t4", 1),
+        (5, null(), "t5", 2),
+    ];
+    for (id, a, title, stock) in items {
+        ctx.insert(ITEM, vec![id.into(), a, title.into(), stock.into()]).unwrap();
+    }
+    ctx.insert(AUTHOR, vec![10.into(), "Knuth".into()]).unwrap();
+    ctx.insert(AUTHOR, vec![11.into(), "Lamport".into()]).unwrap();
+    let lines: [(i64, Value, Value, i64, Value); 7] = [
+        (1, 1.into(), 10.into(), 2, 0.3.into()),
+        (2, 2.into(), 11.into(), 1, 0.2.into()),
+        (3, 1.into(), 10.into(), 4, 0.1.into()),
+        (4, null(), null(), 100, 1.0.into()),
+        (5, 9.into(), 12.into(), 50, 2.0.into()),
+        (6, 4.into(), 10.into(), 7, 0.7.into()),
+        (7, 2.into(), 12.into(), 1, null()),
+    ];
+    for (id, i, a, qty, f) in lines {
+        ctx.insert(LINE, vec![id.into(), i, a, qty.into(), f]).unwrap();
+    }
+    ctx
+}
+
+/// line ⋈ item on the item's primary key.
+fn line_item() -> Select {
+    Select::scan(LINE).join(Join { table: ITEM, left_col: L_I, right_col: 0, right_index: Some(0) })
+}
+
+/// line ⋈ item through the non-unique author index: key 10 matches three items.
+fn line_items_of_author() -> Select {
+    Select::scan(LINE).join(Join { table: ITEM, left_col: L_A, right_col: 1, right_index: Some(1) })
+}
+
+fn item_author(left_col: usize) -> Join {
+    Join { table: AUTHOR, left_col, right_col: 0, right_index: Some(0) }
+}
+
+/// What one select asked of the context and what it answered.
+#[derive(Debug, PartialEq)]
+struct Run {
+    rows: Vec<Row>,
+    /// The tables read, in order.
+    reads: Vec<TableId>,
+    /// How many keys each probe held: they ascend strictly (the mock
+    /// checks), so each distinct key was asked for once.
+    probes: Vec<usize>,
+}
+
+/// Runs `s`, which must answer as the reference evaluator does — to the
+/// bit: `Debug` tells `Int(3)` from `Float(3.0)`.
+fn run(ctx: &mut MockContext, s: &Select) -> Run {
+    let want = reference::select(ctx, s).unwrap();
+    ctx.reads.clear();
+    ctx.probes.clear();
+    let got = execute(ctx, &Query::Select(s.clone())).unwrap();
+    assert_eq!(format!("{:?}", got.rows), format!("{:?}", want.rows), "{s:?}");
+    Run {
+        rows: got.rows,
+        reads: ctx.reads.iter().map(|&(table, _)| table).collect(),
+        probes: ctx.probes.iter().map(|&(_, keys)| keys).collect(),
+    }
+}
+
+fn ints(row: &[i64]) -> Row {
+    row.iter().map(|&i| Value::Int(i)).collect()
+}
+
+#[test]
+fn a_key_matching_three_rows_merges_every_aggregate_into_each() {
+    let mut ctx = sales();
+    let aggs = || {
+        vec![
+            AggFn::Count,
+            AggFn::Sum(L_QTY),
+            AggFn::Avg(L_QTY),
+            AggFn::Min(L_QTY),
+            AggFn::Max(L_QTY),
+        ]
+    };
+    // Lines 1, 3 and 6 carry author 10, who has three items; lines 2
+    // carries 11 with one. Per item: its author's lines.
+    let got = run(&mut ctx, &line_items_of_author().group(vec![I_ID], aggs()));
+    let of_10 = |id: i64| {
+        vec![id.into(), 3.into(), 13.into(), Value::Float(13.0 / 3.0), 2.into(), 7.into()]
+    };
+    let of_11 = vec![4.into(), 1.into(), 1.into(), Value::Float(1.0), 1.into(), 1.into()];
+    assert_eq!(got.rows, [of_10(1), of_10(2), of_10(3), of_11]);
+    // One read of the lines, one probe of the three distinct non-NULL
+    // author keys (12 matches nothing).
+    assert_eq!((got.reads, got.probes), (vec![LINE, ITEM], vec![3]));
+    // Per author, the three items fall into one group: each partial is
+    // merged three times.
+    let got = run(&mut ctx, &line_items_of_author().group(vec![I_A], aggs()));
+    let knuth = vec![10.into(), 9.into(), 39.into(), Value::Float(39.0 / 9.0), 2.into(), 7.into()];
+    let lamport = vec![11.into(), 1.into(), 1.into(), Value::Float(1.0), 1.into(), 1.into()];
+    assert_eq!(got.rows, [knuth, lamport]);
+}
+
+#[test]
+fn an_aggregate_over_a_joined_column_joins_every_row() {
+    let mut ctx = sales();
+    let below = run(&mut ctx, &line_item().group(vec![I_ID], vec![AggFn::Sum(L_QTY)]));
+    assert_eq!(below.rows, [ints(&[1, 6]), ints(&[2, 2]), ints(&[4, 7])]);
+    // The stock is not the representative's to add up: once per line.
+    let every = run(&mut ctx, &line_item().group(vec![I_ID], vec![AggFn::Sum(I_STOCK)]));
+    assert_eq!(every.rows, [ints(&[1, 6]), ints(&[2, 6]), ints(&[4, 1])]);
+    assert_eq!((&below.reads, &below.probes), (&vec![LINE, ITEM], &vec![4]), "items 1, 2, 4 and 9");
+    assert_eq!((every.reads, every.probes), (below.reads, below.probes));
+}
+
+#[test]
+fn a_group_column_from_the_base_table_joins_every_row() {
+    let mut ctx = sales();
+    // Item 2 sells in lines 2 and 7, on two different `l_a`.
+    let every = run(&mut ctx, &line_item().group(vec![L_A, I_ID], vec![AggFn::Count]));
+    assert_eq!(
+        every.rows,
+        [ints(&[10, 1, 2]), ints(&[11, 2, 1]), ints(&[10, 4, 1]), ints(&[12, 2, 1])]
+    );
+    let below = run(&mut ctx, &line_item().group(vec![I_A, I_ID], vec![AggFn::Count]));
+    assert_eq!(below.rows, [ints(&[10, 1, 2]), ints(&[10, 2, 2]), ints(&[11, 4, 1])]);
+    assert_eq!((every.reads, every.probes), (below.reads, below.probes));
+}
+
+#[test]
+fn a_second_join_keyed_on_a_base_column_joins_every_row() {
+    let mut ctx = sales();
+    // Keyed on the line's own `l_a`: line 7 of item 2 names author 12,
+    // who does not exist, though the item's first line passes.
+    let every =
+        run(&mut ctx, &line_item().join(item_author(L_A)).group(vec![I_ID], vec![AggFn::Count]));
+    assert_eq!(every.rows, [ints(&[1, 2]), ints(&[2, 1]), ints(&[4, 1])]);
+    assert_eq!((every.reads, every.probes), (vec![LINE, ITEM, AUTHOR], vec![4, 3]));
+    // Keyed on the item's author, the second join is the same for all
+    // lines of an item.
+    let below = run(
+        &mut ctx,
+        &line_item().join(item_author(I_A)).group(vec![I_ID, A_NAME], vec![AggFn::Count]),
+    );
+    let row = |id: i64, name: &str, n: i64| vec![id.into(), name.into(), n.into()];
+    assert_eq!(below.rows, [row(1, "Knuth", 2), row(2, "Knuth", 2), row(4, "Lamport", 1)]);
+    assert_eq!((below.reads, below.probes), (vec![LINE, ITEM, AUTHOR], vec![4, 2]));
+}
+
+#[test]
+fn a_later_conjunct_on_a_base_column_joins_every_row() {
+    let mut ctx = sales();
+    // Item 1 has 3 in stock: its first line (2) fails, its second (4) passes.
+    let sold_out = Expr::Cmp(CmpOp::Ge, Box::new(Expr::Col(L_QTY)), Box::new(Expr::Col(I_STOCK)));
+    let every =
+        run(&mut ctx, &line_item().filter(sold_out).group(vec![I_ID], vec![AggFn::Sum(L_QTY)]));
+    assert_eq!(every.rows, [ints(&[1, 4]), ints(&[4, 7])]);
+    // A later conjunct on the item alone, and a base-only one, leave the
+    // statement collapsible: the base-only one runs before the collapse.
+    let f = Expr::cmp(I_STOCK, CmpOp::Ge, 3).and(Expr::cmp(L_QTY, CmpOp::Ge, 2));
+    let below = run(&mut ctx, &line_item().filter(f).group(vec![I_ID], vec![AggFn::Sum(L_QTY)]));
+    assert_eq!(below.rows, [ints(&[1, 6])]);
+    assert_eq!((every.reads, every.probes), (vec![LINE, ITEM], vec![4]));
+    assert_eq!((below.reads, below.probes), (vec![LINE, ITEM], vec![3]), "items 1, 9 and 4");
+}
+
+#[test]
+fn a_float_sum_adds_in_the_order_the_joined_rows_come_in() {
+    let mut ctx = sales();
+    let float = |id: i64, f: f64| vec![Value::Int(id), Value::Float(f)];
+    // One partial per group: the item's lines, in order.
+    let below = run(&mut ctx, &line_item().group(vec![I_ID], vec![AggFn::Sum(L_F)]));
+    assert_eq!(below.rows, [float(1, 0.3 + 0.1), float(2, 0.2), float(4, 0.7)]);
+    // Per author, items 1 and 2 share a group and their lines alternate:
+    // (0.3 + 0.2) + 0.1, where the items' partials would give (0.3 + 0.1) + 0.2.
+    assert_ne!((0.3 + 0.2) + 0.1, (0.3 + 0.1) + 0.2);
+    let every = run(&mut ctx, &line_item().group(vec![I_A], vec![AggFn::Sum(L_F)]));
+    assert_eq!(every.rows, [float(10, (0.3 + 0.2) + 0.1), float(11, 0.7)]);
+    assert_eq!((below.reads, below.probes), (every.reads, every.probes));
+    // The right column among the group columns does not help when a key
+    // matches three rows of one group: each line is added three times
+    // running, where the partial would be added three times whole.
+    let thrice = |v: f64| v + v + v;
+    let running = [0.3, 0.3, 0.3, 0.1, 0.1, 0.1, 0.7, 0.7, 0.7].iter().fold(0.0, |sum, v| sum + v);
+    assert_ne!(running, thrice(0.3 + 0.1 + 0.7));
+    let fanned = run(&mut ctx, &line_items_of_author().group(vec![I_A], vec![AggFn::Sum(L_F)]));
+    assert_eq!(fanned.rows, [float(10, running), float(11, 0.2)]);
+    // `Min` over a `Float` column is ordered too: of an `Int` and an
+    // equal `Float` it keeps the one it met first.
+    for (id, f) in [(8, Value::Int(7)), (9, Value::Float(7.0)), (10, Value::Int(7))] {
+        ctx.insert(LINE, vec![id.into(), 3.into(), 10.into(), 1.into(), f]).unwrap();
+    }
+    let mins = run(&mut ctx, &line_item().group(vec![I_A], vec![AggFn::Min(L_F), AggFn::Max(L_F)]));
+    assert_eq!(format!("{:?}", mins.rows[0]), "[Int(10), Float(0.1), Int(7)]");
+}
+
+#[test]
+fn nothing_to_collapse_is_no_group() {
+    let grouped = |s: Select| s.group(vec![I_ID], vec![AggFn::Count, AggFn::Sum(L_QTY)]);
+    // No line at all: the base is read, nothing is probed.
+    let mut ctx = MockContext::new(sales_schema());
+    let got = run(&mut ctx, &grouped(line_item()));
+    assert_eq!((got.rows, got.reads, got.probes), (vec![], vec![LINE], vec![]));
+    // Lines, but every key NULL; then keys that match nothing.
+    ctx.insert(LINE, vec![1.into(), Value::Null, Value::Null, 1.into(), Value::Null]).unwrap();
+    ctx.insert(LINE, vec![2.into(), Value::Null, Value::Null, 2.into(), Value::Null]).unwrap();
+    let got = run(&mut ctx, &grouped(line_item()));
+    assert_eq!((got.rows, got.reads, got.probes), (vec![], vec![LINE], vec![]));
+    ctx.insert(LINE, vec![3.into(), 9.into(), 9.into(), 3.into(), Value::Null]).unwrap();
+    let got = run(&mut ctx, &grouped(line_item()));
+    assert_eq!((got.rows, got.reads, got.probes), (vec![], vec![LINE, ITEM], vec![1]));
+    // No group column: one group, if there is a tuple at all.
+    let got = run(&mut ctx, &line_item().group(vec![], vec![AggFn::Count]));
+    assert!(got.rows.is_empty());
+    let got = run(&mut sales(), &line_item().group(vec![], vec![AggFn::Count, AggFn::Sum(L_QTY)]));
+    assert_eq!(got.rows, [ints(&[5, 15])]);
+}
+
+#[test]
+fn a_limit_cuts_after_the_order_and_first_appearance_breaks_ties() {
+    let mut ctx = sales();
+    // Per item of author 10's lines: items 1, 2, 3 tie at 13, item 4 has 1.
+    let by_sum = |limit: usize| {
+        line_items_of_author()
+            .group(vec![I_ID], vec![AggFn::Sum(L_QTY)])
+            .order_by(1, true)
+            .limit(limit)
+    };
+    let all = [ints(&[1, 13]), ints(&[2, 13]), ints(&[3, 13]), ints(&[4, 1])];
+    for limit in [1, 2, 3, 4, 5] {
+        assert_eq!(run(&mut ctx, &by_sum(limit)).rows, all[..limit.min(4)], "limit {limit}");
+    }
+    let none = run(&mut ctx, &by_sum(0));
+    assert_eq!((none.rows, none.reads), (vec![], vec![]));
+    // Ascending, the tie is at the end and is cut in the same order.
+    let asc = line_items_of_author().group(vec![I_ID], vec![AggFn::Sum(L_QTY)]).order_by(1, false);
+    assert_eq!(run(&mut ctx, &asc.clone().limit(2)).rows, [ints(&[4, 1]), ints(&[1, 13])]);
+    assert_eq!(
+        run(&mut ctx, &asc.limit(3).project(vec![0])).rows,
+        [ints(&[4]), ints(&[1]), ints(&[2])]
+    );
+    // Tuples, not groups: lines by quantity, lines 2 and 7 tie at 1.
+    let lines = |limit: usize| line_item().order_by(L_QTY, false).limit(limit).project(vec![0]);
+    let ids = [ints(&[2]), ints(&[7]), ints(&[1]), ints(&[3]), ints(&[6])];
+    for limit in [1, 2, 3, 5, 6] {
+        assert_eq!(run(&mut ctx, &lines(limit)).rows, ids[..limit.min(5)], "limit {limit}");
+    }
+}
+
+#[test]
+fn integer_sums_are_exact_and_an_overflow_is_an_error() {
+    let mut ctx = sales();
+    // 2^60 + 1 is not an `f64`: summed through one, the ones are lost.
+    let big = (1i64 << 60) + 1;
+    for (id, item) in [(11, 1), (12, 2), (13, 1), (14, 2)] {
+        ctx.insert(LINE, vec![id.into(), item.into(), 10.into(), big.into(), Value::Null]).unwrap();
+    }
+    // Collapsed per item, then merged per author — and line by line.
+    for group in [I_A, L_A] {
+        let got = run(
+            &mut ctx,
+            &line_item().group(vec![group], vec![AggFn::Sum(L_QTY), AggFn::Avg(L_QTY)]),
+        );
+        let sum = 4 * big + if group == I_A { 8 } else { 13 };
+        assert_eq!(got.rows[0][..2], [Value::Int(10), Value::Int(sum)], "group by {group}");
+    }
+    // Four more and the sum passes `i64::MAX`, on either path; the
+    // average of the same values is still a float.
+    for (id, item) in [(15, 1), (16, 2), (17, 1), (18, 2)] {
+        ctx.insert(LINE, vec![id.into(), item.into(), 10.into(), big.into(), Value::Null]).unwrap();
+    }
+    for group in [I_A, L_A] {
+        let s = line_item().group(vec![group], vec![AggFn::Sum(L_QTY)]);
+        assert!(matches!(reference::select(&mut ctx, &s), Err(DmvError::Query(_))));
+        assert!(matches!(execute(&mut ctx, &Query::Select(s)), Err(DmvError::Query(_))));
+        let avg = run(&mut ctx, &line_item().group(vec![group], vec![AggFn::Avg(L_QTY)]));
+        assert!(matches!(avg.rows[0][1], Value::Float(f) if f > 1e17));
+    }
+    // The error is the statement's even when the limit would drop the group.
+    let s = line_item().group(vec![I_A], vec![AggFn::Sum(L_QTY)]).order_by(0, true).limit(1);
+    assert!(matches!(execute(&mut ctx, &Query::Select(s)), Err(DmvError::Query(_))));
+}
+
+#[test]
+fn join_keys_are_numbered_alike_dense_or_hashed() {
+    let counted = |s: Select| s.group(vec![I_ID], vec![AggFn::Count]);
+    // One line, one key.
+    let mut ctx = MockContext::new(sales_schema());
+    ctx.insert(ITEM, vec![7.into(), 10.into(), "t".into(), 1.into()]).unwrap();
+    ctx.insert(LINE, vec![1.into(), 7.into(), Value::Null, 1.into(), Value::Null]).unwrap();
+    let got = run(&mut ctx, &counted(line_item()));
+    assert_eq!((got.rows, got.probes), (vec![ints(&[7, 1])], vec![1]));
+    // The two ends of `i64` are a span no table can have.
+    for (id, key) in [(2, i64::MAX), (3, i64::MIN), (4, i64::MAX)] {
+        ctx.insert(LINE, vec![id.into(), key.into(), Value::Null, 1.into(), Value::Null]).unwrap();
+    }
+    ctx.insert(ITEM, vec![i64::MAX.into(), 10.into(), "max".into(), 1.into()]).unwrap();
+    ctx.insert(ITEM, vec![i64::MIN.into(), 10.into(), "min".into(), 1.into()]).unwrap();
+    let got = run(&mut ctx, &counted(line_item()));
+    assert_eq!(got.rows, [ints(&[7, 1]), ints(&[i64::MAX, 2]), ints(&[i64::MIN, 1])]);
+    assert_eq!(got.probes, [3], "each key once, in ascending order");
+    // Keys far apart (hashed) and close together (numbered by offset)
+    // expand in the same order: 7, 1000, then 7 and 8 only.
+    let mut ctx = MockContext::new(sales_schema());
+    for id in [7, 8, 1000] {
+        ctx.insert(ITEM, vec![id.into(), 10.into(), "t".into(), 1.into()]).unwrap();
+    }
+    for (id, key) in [(1, 8), (2, 1000), (3, 7), (4, 8)] {
+        ctx.insert(LINE, vec![id.into(), key.into(), Value::Null, 1.into(), Value::Null]).unwrap();
+    }
+    let got = run(&mut ctx, &line_item().project(vec![0, I_ID]));
+    assert_eq!(got.rows, [ints(&[1, 8]), ints(&[2, 1000]), ints(&[3, 7]), ints(&[4, 8])]);
+    let close = Expr::cmp(L_I, CmpOp::Lt, 100);
+    let got = run(&mut ctx, &line_item().filter(close).project(vec![0, I_ID]));
+    assert_eq!(
+        (got.rows, got.probes),
+        (vec![ints(&[1, 8]), ints(&[3, 7]), ints(&[4, 8])], vec![2])
+    );
+    // A `Float` among close `Int` keys: the set is hashed, a `Float` equal
+    // to an `Int` key is that key, and 7.0 finds item 7.
+    let on_l_f = Join { table: ITEM, left_col: L_F, right_col: 0, right_index: Some(0) };
+    for (id, f) in [(5, Value::Int(8)), (6, Value::Float(7.0)), (7, Value::Float(8.0))] {
+        ctx.insert(LINE, vec![id.into(), Value::Null, Value::Null, 0.into(), f]).unwrap();
+    }
+    let got = run(&mut ctx, &Select::scan(LINE).join(on_l_f).project(vec![0, I_ID]));
+    assert_eq!(got.rows, [ints(&[5, 8]), ints(&[6, 7]), ints(&[7, 8])]);
+    assert_eq!(got.probes, [2]);
+    // Without an index the joined table's values are looked up among the
+    // numbered keys: a `Float` equal to an `Int` key finds it.
+    let on_f = Join { table: LINE, left_col: L_I, right_col: 4, right_index: None };
+    let got = run(&mut ctx, &Select::scan(LINE).join(on_f).project(vec![0, 5]));
+    let lines = [[1, 5], [1, 7], [3, 6], [4, 5], [4, 7]];
+    assert_eq!(got.rows, lines.map(|pair| ints(&pair)));
 }

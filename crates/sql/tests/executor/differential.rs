@@ -70,10 +70,12 @@ const WORDS: [(&str, usize); 7] =
 const PATTERNS: [&str; 8] = ["%", "a%", "%c", "%b%", "ab", "b%x", "", "%é%"];
 
 /// A value for a column of type `ty`: NULL now and then, ints from a
-/// small domain, floats that are odd halves (and ints, which a float
-/// column accepts — `Sum`/`Avg` see mixed Int/Float/NULL). No float
-/// equals an int, so which of two equal values a `Min` or a group key
-/// keeps never depends on the order rows arrive in.
+/// small domain, floats that are odd halves or thirds (and ints, which a
+/// float column accepts — `Sum`/`Avg` see mixed Int/Float/NULL). Sums of
+/// halves are exact in any order, sums of thirds are not: an executor
+/// that adds in another order than the reference shows in the last bits.
+/// No float equals an int, so which of two equal values a `Min` or a
+/// group key keeps never depends on the order rows arrive in.
 fn value(rng: &mut SmallRng, ty: ColType) -> Value {
     if rng.gen_bool(0.15) {
         return Value::Null;
@@ -81,7 +83,10 @@ fn value(rng: &mut SmallRng, ty: ColType) -> Value {
     match ty {
         ColType::Int => Value::Int(rng.gen_range(-1..4)),
         ColType::Float if rng.gen_bool(0.4) => Value::Int(rng.gen_range(-2..5)),
-        ColType::Float => Value::Float(rng.gen_range(-2..5) as f64 + 0.5),
+        ColType::Float if rng.gen_bool(0.5) => Value::Float(rng.gen_range(-2..5) as f64 + 0.5),
+        ColType::Float => {
+            Value::Float((3 * rng.gen_range(-2..5) + rng.gen_range(1..3)) as f64 / 3.0)
+        }
         ColType::Str => {
             let (text, padding) = WORDS[rng.gen_range(0..WORDS.len())];
             Value::from(format!("{text}{}", "x".repeat(padding)))
@@ -162,14 +167,27 @@ fn access(rng: &mut SmallRng, ts: &TableSchema) -> Access {
     }
 }
 
-fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
-    let table = TableId(rng.gen_range(0..3));
-    let ts = schema.table(table).unwrap();
-    let mut s = Select::scan(table).access(access(rng, ts));
-    let mut types: Vec<ColType> = ts.columns.iter().map(|c| c.ty).collect();
-    // Per source, its first flat column.
-    let mut starts = vec![0];
+/// A comparison of column `col` of the joined row with a literal.
+fn compare(rng: &mut SmallRng, types: &[ColType], col: usize) -> Expr {
+    let op = [CmpOp::Ne, CmpOp::Le, CmpOp::Ge][rng.gen_range(0..3)];
+    Expr::Cmp(op, Box::new(Expr::Col(col)), Box::new(Expr::Lit(literal(rng, types, col))))
+}
+
+/// The column types of `s`'s joined row and, per source, its first flat
+/// column.
+fn sources(schema: &Schema, s: &Select) -> (Vec<ColType>, Vec<usize>) {
+    let (mut types, mut starts) = (Vec::new(), Vec::new());
+    for table in std::iter::once(s.table).chain(s.joins.iter().map(|j| j.table)) {
+        starts.push(types.len());
+        types.extend(schema.table(table).unwrap().columns.iter().map(|c| c.ty));
+    }
+    (types, starts)
+}
+
+/// Joins, filter and grouping of any shape.
+fn any_shape(rng: &mut SmallRng, schema: &Schema, mut s: Select) -> Select {
     for _ in 0..[0, 0, 1, 1, 2, 2][rng.gen_range(0..6)] {
+        let (types, starts) = sources(schema, &s);
         let right = TableId(rng.gen_range(0..3));
         // Join on `id` or `k` (now and then on a payload column), with
         // the matching index or none: `k` is a small domain with NULLs,
@@ -185,9 +203,8 @@ fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
             _ => rng.gen_range(0..=types.len()),
         };
         s = s.join(Join { table: right, left_col, right_col, right_index });
-        starts.push(types.len());
-        types.extend(schema.table(right).unwrap().columns.iter().map(|c| c.ty));
     }
+    let (types, starts) = sources(schema, &s);
     let width = types.len();
     if rng.gen_bool(0.6) {
         let mut f = expr(rng, &types, 2);
@@ -199,20 +216,13 @@ fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
         // Conjuncts that become decidable at one stage each: a comparison
         // on a column of that source alone.
         for &start in &starts {
-            if rng.gen_bool(0.6) {
-                continue;
+            if rng.gen_bool(0.4) {
+                let col = start + rng.gen_range(0..3);
+                f = f.and(compare(rng, &types, col));
             }
-            let col = start + rng.gen_range(0..3);
-            let op = [CmpOp::Ne, CmpOp::Le, CmpOp::Ge][rng.gen_range(0..3)];
-            f = f.and(Expr::Cmp(
-                op,
-                Box::new(Expr::Col(col)),
-                Box::new(Expr::Lit(literal(rng, &types, col))),
-            ));
         }
         s = s.filter(f);
     }
-    let mut out_width = width;
     if rng.gen_bool(0.4) {
         // Group by anything — or by columns of one source (`k` and the
         // payload next to it: equal values in many rows of that source),
@@ -230,9 +240,93 @@ fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
                     [rng.gen_range(0..5)]
             })
             .collect();
-        out_width = cols.len() + aggs.len();
         s = s.group(cols, aggs);
     }
+    s
+}
+
+/// The shape the executor aggregates below the joins, and its nearest
+/// neighbours: base ⋈ right on the base's `k` or `id` — mostly through
+/// the non-unique `by_k`, so one key matches several rows, some keys are
+/// NULL and some match nothing — now and then a second join keyed on the
+/// first one's rows; grouped by columns of the joined sources, mostly the
+/// first join's right column among them; aggregates over base columns,
+/// the float payload where there is one; conjuncts on the base alone and
+/// on the right-hand side alone. One statement in five steps over one
+/// boundary of the rule: an aggregate or a group column from the wrong
+/// side, a later conjunct or a second join that reads the base.
+fn grouped_over_joins(rng: &mut SmallRng, schema: &Schema, mut s: Select) -> Select {
+    let base_width = schema.table(s.table).unwrap().columns.len();
+    let right_col = if rng.gen_bool(0.7) { 1 } else { 0 };
+    let right_index = rng.gen_bool(0.9).then_some(right_col as u8);
+    let first = Join {
+        table: TableId(rng.gen_range(0..3)),
+        left_col: if rng.gen_bool(0.8) { 1 } else { 0 },
+        right_col,
+        right_index,
+    };
+    s = s.join(first);
+    let neighbour = if rng.gen_bool(0.2) { rng.gen_range(0..4) } else { usize::MAX };
+    if rng.gen_bool(0.4) {
+        let right_col = rng.gen_range(0..2);
+        let from = if neighbour == 0 { 0 } else { base_width };
+        s = s.join(Join {
+            table: TableId(rng.gen_range(0..3)),
+            left_col: from + rng.gen_range(0..2),
+            right_col,
+            right_index: rng.gen_bool(0.9).then_some(right_col as u8),
+        });
+    }
+    let (types, starts) = sources(schema, &s);
+    let joined = |rng: &mut SmallRng| rng.gen_range(base_width..types.len());
+    let mut conjuncts = Vec::new();
+    if rng.gen_bool(0.4) {
+        let col = rng.gen_range(0..base_width);
+        conjuncts.push(compare(rng, &types, col));
+    }
+    if rng.gen_bool(0.4) {
+        let col = joined(rng);
+        conjuncts.push(compare(rng, &types, col));
+    }
+    if neighbour == 1 {
+        let (a, b) = (Expr::Col(rng.gen_range(0..2)), Expr::Col(joined(rng)));
+        conjuncts.push(Expr::Cmp(CmpOp::Le, Box::new(a), Box::new(b)));
+    }
+    if let Some(f) = conjuncts.into_iter().reduce(Expr::and) {
+        s = s.filter(f);
+    }
+    let mut cols: Vec<usize> = (0..rng.gen_range(0..2)).map(|_| joined(rng)).collect();
+    if rng.gen_bool(0.75) {
+        cols.insert(0, starts[1] + right_col);
+    }
+    if neighbour == 2 {
+        cols.push(rng.gen_range(0..base_width));
+    }
+    let float = types[..base_width].iter().position(|&ty| ty == ColType::Float);
+    let mut aggs: Vec<AggFn> = (0..rng.gen_range(1..4))
+        .map(|_| {
+            let c = float.filter(|_| rng.gen_bool(0.5)).unwrap_or(rng.gen_range(0..base_width));
+            [AggFn::Count, AggFn::Sum(c), AggFn::Avg(c), AggFn::Min(c), AggFn::Max(c)]
+                [rng.gen_range(0..5)]
+        })
+        .collect();
+    if neighbour == 3 {
+        aggs.push(AggFn::Sum(joined(rng)));
+    }
+    s.group(cols, aggs)
+}
+
+fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
+    let table = TableId(rng.gen_range(0..3));
+    let mut s = Select::scan(table).access(access(rng, schema.table(table).unwrap()));
+    s = match rng.gen_bool(0.3) {
+        true => grouped_over_joins(rng, schema, s),
+        false => any_shape(rng, schema, s),
+    };
+    let out_width = match &s.group_by {
+        Some(g) => g.cols.len() + g.aggs.len(),
+        None => sources(schema, &s).0.len(),
+    };
     for _ in 0..[0, 0, 0, 1, 2, 3][rng.gen_range(0..6)] {
         s = s.order_by(rng.gen_range(0..=out_width), rng.gen_bool(0.5));
     }
@@ -306,8 +400,17 @@ fn assert_same(selects: &[Select], got: &[Answer], want: &[Answer], what: &str) 
 
 /// Two contexts holding the same rows may store them in different
 /// orders; they must still agree on the rows of every select that cuts
-/// nothing off.
+/// nothing off and adds up no floats (a sum of thirds depends, in its
+/// last bits, on the order the rows come in).
 fn assert_same_rows(selects: &[Select], got: &[Answer], want: &[Answer], what: &str) {
+    let schema = schema();
+    let sums_floats = |s: &Select| {
+        let types = sources(&schema, s).0;
+        s.group_by.iter().flat_map(|g| &g.aggs).any(|agg| match agg {
+            AggFn::Sum(c) | AggFn::Avg(c) => types.get(*c) == Some(&ColType::Float),
+            _ => false,
+        })
+    };
     let cuts = |s: &Select| {
         s.limit.is_some() || matches!(s.access, Access::IndexRange { scan_limit: Some(_), .. })
     };
@@ -316,7 +419,8 @@ fn assert_same_rows(selects: &[Select], got: &[Answer], want: &[Answer], what: &
         a.sort();
         a
     };
-    for ((s, got), want) in selects.iter().zip(got).zip(want).filter(|((s, _), _)| !cuts(s)) {
+    let comparable = |s: &Select| !cuts(s) && !sums_floats(s);
+    for ((s, got), want) in selects.iter().zip(got).zip(want).filter(|((s, _), _)| comparable(s)) {
         assert_eq!(sorted(got), sorted(want), "{what}: {s:?}");
     }
 }
@@ -404,7 +508,8 @@ fn check_on_memdb(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    // The release build is the long run (CI's "release build" step).
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 40 } else { 400 }))]
 
     #[test]
     fn executor_matches_reference(seed in 0u64..u64::MAX) {

@@ -7,7 +7,7 @@
 //! row and clones freely, so nothing the real executor does to avoid
 //! that work can be wrong without the two disagreeing.
 
-use dmv_common::error::DmvResult;
+use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::TableId;
 use dmv_sql::exec::{ExecContext, ResultSet};
 use dmv_sql::query::{Access, AggFn, CmpOp, Expr, Select};
@@ -103,7 +103,7 @@ pub fn select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
 
     // 4. Grouped aggregation.
     if let Some(g) = &s.group_by {
-        acc = aggregate(acc, &g.cols, &g.aggs);
+        acc = aggregate(acc, &g.cols, &g.aggs)?;
     }
 
     // 5. Order (stable).
@@ -163,16 +163,18 @@ fn truthy(e: &Expr, row: &[Value]) -> bool {
     matches!(eval(e, row), Value::Bool(true))
 }
 
-fn aggregate(rows: Vec<Row>, cols: &[usize], aggs: &[AggFn]) -> Vec<Row> {
+/// `Sum` and `Avg` add `Int`s exactly and go over to `f64` at the first
+/// `Float`; a `Sum` of `Int`s that does not fit an `i64` is an error.
+fn aggregate(rows: Vec<Row>, cols: &[usize], aggs: &[AggFn]) -> DmvResult<Vec<Row>> {
     #[derive(Clone)]
     struct AggState {
         count: u64,
-        sum: f64,
-        all_int: bool,
+        ints: i128,
+        floats: Option<f64>,
         min: Option<Value>,
         max: Option<Value>,
     }
-    let fresh = AggState { count: 0, sum: 0.0, all_int: true, min: None, max: None };
+    let fresh = AggState { count: 0, ints: 0, floats: None, min: None, max: None };
 
     let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
     let mut order: Vec<Vec<Value>> = Vec::new();
@@ -188,13 +190,14 @@ fn aggregate(rows: Vec<Row>, cols: &[usize], aggs: &[AggFn]) -> Vec<Row> {
                 AggFn::Count => st.count += 1,
                 AggFn::Sum(c) | AggFn::Avg(c) => {
                     let v = row.get(*c).cloned().unwrap_or(Value::Null);
-                    if let Some(f) = v.as_float() {
-                        st.count += 1;
-                        st.sum += f;
-                        if !matches!(v, Value::Int(_)) {
-                            st.all_int = false;
-                        }
+                    match (v, st.floats) {
+                        (Value::Int(i), None) => st.ints += i as i128,
+                        (Value::Int(i), Some(sum)) => st.floats = Some(sum + i as f64),
+                        (Value::Float(f), None) => st.floats = Some(st.ints as f64 + f),
+                        (Value::Float(f), Some(sum)) => st.floats = Some(sum + f),
+                        _ => continue,
                     }
+                    st.count += 1;
                 }
                 AggFn::Min(c) | AggFn::Max(c) => {
                     let v = row.get(*c).cloned().unwrap_or(Value::Null);
@@ -216,36 +219,39 @@ fn aggregate(rows: Vec<Row>, cols: &[usize], aggs: &[AggFn]) -> Vec<Row> {
             }
         }
     }
-    order
-        .into_iter()
-        .map(|key| {
-            let states = &groups[&key];
-            let mut out = key.clone();
-            for (st, agg) in states.iter().zip(aggs) {
-                let v = match agg {
+    let mut out_rows = Vec::new();
+    for key in order {
+        let states = &groups[&key];
+        let mut out = key.clone();
+        for (st, agg) in states.iter().zip(aggs) {
+            let v =
+                match agg {
                     AggFn::Count => Value::Int(st.count as i64),
                     AggFn::Sum(_) => {
                         if st.count == 0 {
                             Value::Null
-                        } else if st.all_int {
-                            Value::Int(st.sum as i64)
+                        } else if let Some(sum) = st.floats {
+                            Value::Float(sum)
                         } else {
-                            Value::Float(st.sum)
+                            let sum = i64::try_from(st.ints);
+                            Value::Int(sum.map_err(|_| {
+                                DmvError::Query(format!("SUM overflows: {}", st.ints))
+                            })?)
                         }
                     }
                     AggFn::Avg(_) => {
                         if st.count == 0 {
                             Value::Null
                         } else {
-                            Value::Float(st.sum / st.count as f64)
+                            Value::Float(st.floats.unwrap_or(st.ints as f64) / st.count as f64)
                         }
                     }
                     AggFn::Min(_) => st.min.clone().unwrap_or(Value::Null),
                     AggFn::Max(_) => st.max.clone().unwrap_or(Value::Null),
                 };
-                out.push(v);
-            }
-            out
-        })
-        .collect()
+            out.push(v);
+        }
+        out_rows.push(out);
+    }
+    Ok(out_rows)
 }
