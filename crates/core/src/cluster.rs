@@ -159,8 +159,7 @@ pub struct DmvCluster {
     next_node_id: Mutex<u32>,
     /// History tap propagated to every present and future component.
     trace_tap: Mutex<Option<SharedTap>>,
-    /// Cluster-wide epoch manager: reader pins + peer ack floors →
-    /// reclamation watermark.
+    /// Cluster-wide epoch manager: reader pins → reclamation watermark.
     epoch: Arc<EpochManager>,
     /// Cluster-wide contention manager: conflict heat, hot-class
     /// serialization, deterministic retry backoff.
@@ -195,56 +194,6 @@ impl DmvCluster {
             .conflict_classes
             .clone()
             .unwrap_or_else(|| vec![(0..n_tables as u16).map(TableId).collect()]);
-        let epoch = EpochManager::new(n_tables);
-        let rc = ReplicaConfig {
-            clock,
-            cpu: spec.cpu,
-            fault_latency: spec.fault_latency,
-            lock_timeout: spec.lock_timeout,
-            ack_timeout: spec.ack_timeout,
-            buffer_budget: spec.buffer_budget,
-            concurrency: spec.concurrency,
-        };
-        let mut replicas = HashMap::new();
-        let mut masters = Vec::new();
-        for i in 0..classes.len() {
-            let id = NodeId(i as u32);
-            let node = ReplicaNode::start(
-                id,
-                spec.schema.clone(),
-                ReplicaRole::Master,
-                Arc::clone(&net),
-                rc.clone(),
-            );
-            replicas.insert(id, Arc::clone(&node));
-            masters.push(node);
-        }
-        let mut slaves = Vec::new();
-        for i in 0..spec.n_slaves {
-            let id = NodeId(10 + i as u32);
-            let node = ReplicaNode::start(
-                id,
-                spec.schema.clone(),
-                ReplicaRole::Slave,
-                Arc::clone(&net),
-                rc.clone(),
-            );
-            replicas.insert(id, Arc::clone(&node));
-            slaves.push(node);
-        }
-        let mut spares = Vec::new();
-        for i in 0..spec.n_spares {
-            let id = NodeId(50 + i as u32);
-            let node = ReplicaNode::start(
-                id,
-                spec.schema.clone(),
-                ReplicaRole::SpareBackup,
-                Arc::clone(&net),
-                rc.clone(),
-            );
-            replicas.insert(id, Arc::clone(&node));
-            spares.push(node);
-        }
         let backends: Vec<Arc<DiskDb>> = (0..spec.n_backends)
             .map(|i| {
                 Arc::new(DiskDb::new(
@@ -260,38 +209,12 @@ impl DmvCluster {
                 ))
             })
             .collect();
-        let contention = ContentionManager::new(clock);
-        for node in replicas.values() {
-            node.set_epoch_manager(Arc::clone(&epoch));
-            node.set_contention(Arc::clone(&contention));
-        }
-        let topo = Topology { masters, classes, slaves, spares };
-        let sched_cfg = SchedulerConfig {
-            clock,
-            net: spec.net,
-            log_latency: spec.log_latency,
-            warmup: spec.warmup,
-            same_version_routing: spec.same_version_routing,
-        };
-        let schedulers: Vec<Arc<Scheduler>> = (0..spec.n_schedulers.max(1))
-            .map(|i| {
-                Scheduler::new(
-                    NodeId(100 + i as u32),
-                    topo.clone(),
-                    backends.clone(),
-                    Arc::clone(&net),
-                    sched_cfg.clone(),
-                    Arc::clone(&epoch),
-                    Arc::clone(&contention),
-                )
-            })
-            .collect();
-        Arc::new(DmvCluster {
+        let mut cluster = DmvCluster {
             clock,
             net,
             spec,
-            replicas: RwLock::new(replicas),
-            schedulers,
+            replicas: RwLock::new(HashMap::new()),
+            schedulers: Vec::new(),
             backends,
             handled_failures: Mutex::new(HashSet::new()),
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -299,9 +222,74 @@ impl DmvCluster {
             ready: AtomicBool::new(false),
             next_node_id: Mutex::new(80),
             trace_tap: Mutex::new(None),
-            epoch,
-            contention,
-        })
+            epoch: EpochManager::new(n_tables),
+            contention: ContentionManager::new(clock),
+        };
+        let spawn = |base: u32, n: usize, role| -> Vec<Arc<ReplicaNode>> {
+            (0..n as u32).map(|i| cluster.spawn_replica(NodeId(base + i), role)).collect()
+        };
+        let topo = Topology {
+            masters: spawn(0, classes.len(), ReplicaRole::Master),
+            slaves: spawn(10, cluster.spec.n_slaves, ReplicaRole::Slave),
+            spares: spawn(50, cluster.spec.n_spares, ReplicaRole::SpareBackup),
+            classes,
+        };
+        let sched_cfg = SchedulerConfig {
+            clock,
+            net: cluster.spec.net,
+            log_latency: cluster.spec.log_latency,
+            warmup: cluster.spec.warmup,
+            same_version_routing: cluster.spec.same_version_routing,
+        };
+        cluster.schedulers = (0..cluster.spec.n_schedulers.max(1))
+            .map(|i| {
+                Scheduler::new(
+                    NodeId(100 + i as u32),
+                    topo.clone(),
+                    cluster.backends.clone(),
+                    Arc::clone(&cluster.net),
+                    sched_cfg.clone(),
+                    Arc::clone(&cluster.epoch),
+                    Arc::clone(&cluster.contention),
+                )
+            })
+            .collect();
+        Arc::new(cluster)
+    }
+
+    /// Starts replica `id` in `role`, wired like every node of this
+    /// cluster (cost model, contention manager, history tap if one is
+    /// installed), and enters it in the replica table — replacing a
+    /// dead incarnation of the same id.
+    fn spawn_replica(&self, id: NodeId, role: ReplicaRole) -> Arc<ReplicaNode> {
+        let node = ReplicaNode::start(
+            id,
+            self.spec.schema.clone(),
+            role,
+            Arc::clone(&self.net),
+            ReplicaConfig {
+                clock: self.clock,
+                cpu: self.spec.cpu,
+                fault_latency: self.spec.fault_latency,
+                lock_timeout: self.spec.lock_timeout,
+                ack_timeout: self.spec.ack_timeout,
+                buffer_budget: self.spec.buffer_budget,
+                concurrency: self.spec.concurrency,
+            },
+        );
+        node.set_contention(Arc::clone(&self.contention));
+        if let Some(tap) = self.trace_tap.lock().as_ref() {
+            node.set_trace_tap(Arc::clone(tap));
+        }
+        self.replicas.write().insert(id, Arc::clone(&node));
+        node
+    }
+
+    /// The scheduler whose view counts: the first alive one, since a
+    /// dead scheduler's `latest` stops moving when it dies. With none
+    /// alive the first will do — nothing commits any more.
+    fn lead_scheduler(&self) -> &Arc<Scheduler> {
+        self.schedulers.iter().find(|s| s.is_alive()).unwrap_or(&self.schedulers[0])
     }
 
     /// Bulk-loads rows into the appropriate master, bypassing
@@ -318,7 +306,7 @@ impl DmvCluster {
     /// Panics if called after [`DmvCluster::finish_load`].
     pub fn load_rows(&self, table: TableId, rows: Vec<Row>) -> DmvResult<()> {
         assert!(!self.ready.load(Ordering::Acquire), "cluster already live");
-        let topo = self.schedulers[0].topology();
+        let topo = self.lead_scheduler().topology();
         let class = topo.classes.iter().position(|c| c.contains(&table)).unwrap_or(0);
         let master = &topo.masters[class];
         for chunk in rows.chunks(256) {
@@ -344,7 +332,7 @@ impl DmvCluster {
     /// (the shared initial database image), wires replication targets,
     /// and starts the failure monitor and checkpoint threads.
     pub fn finish_load(self: &Arc<Self>) {
-        let topo = self.schedulers[0].topology();
+        let topo = self.lead_scheduler().topology();
         for master in &topo.masters {
             for other in topo.all() {
                 if other.id() != master.id() {
@@ -362,12 +350,25 @@ impl DmvCluster {
             r.take_checkpoint();
         }
         self.ready.store(true, Ordering::Release);
-        self.start_monitor();
-        if self.spec.checkpoint_period.is_some() {
-            self.start_checkpointer();
+        let wall = |paper: Duration, at_least_ms: u64| {
+            self.clock.scale().to_wall(paper).max(Duration::from_millis(at_least_ms))
+        };
+        self.spawn_periodic("dmv-monitor", wall(self.spec.detect_interval, 5), |c| {
+            c.detect_and_reconfigure();
+        });
+        if let Some(period) = self.spec.checkpoint_period {
+            self.spawn_periodic("dmv-checkpoint", wall(period, 10), |c| {
+                for r in c.lead_scheduler().topology().all() {
+                    if r.is_alive() {
+                        r.take_checkpoint();
+                    }
+                }
+            });
         }
-        if self.spec.gc_interval.is_some() {
-            self.start_gc();
+        if let Some(period) = self.spec.gc_interval {
+            self.spawn_periodic("dmv-gc", wall(period, 10), |c| {
+                c.gc_broadcast();
+            });
         }
     }
 
@@ -387,80 +388,39 @@ impl DmvCluster {
         shutdown.load(Ordering::Acquire)
     }
 
-    fn start_monitor(self: &Arc<Self>) {
+    /// Runs `tick` every `period` of wall time on a thread of its own,
+    /// until shutdown or until the cluster is dropped.
+    fn spawn_periodic(
+        self: &Arc<Self>,
+        name: &str,
+        period: Duration,
+        tick: impl Fn(&DmvCluster) + Send + 'static,
+    ) {
         let weak = Arc::downgrade(self);
         let shutdown = Arc::clone(&self.shutdown);
-        let interval = self.clock.scale().to_wall(self.spec.detect_interval);
-        let interval = interval.max(Duration::from_millis(5));
         let h = dmv_check::thread::Builder::new()
-            .name("dmv-monitor".into())
-            .spawn(move || loop {
-                if Self::interruptible_sleep(&shutdown, interval) {
-                    break;
-                }
-                let Some(cluster) = weak.upgrade() else { break };
-                cluster.detect_and_reconfigure();
-            })
-            .expect("spawn monitor"); // unwrap-ok: thread spawn fails only on OS resource exhaustion at startup
-        self.threads.lock().push(h);
-    }
-
-    fn start_checkpointer(self: &Arc<Self>) {
-        let weak = Arc::downgrade(self);
-        let shutdown = Arc::clone(&self.shutdown);
-        let period = self
-            .clock
-            .scale()
-            .to_wall(self.spec.checkpoint_period.expect("checked")) // unwrap-ok: guarded by the checkpoint_period Some-check at the call site
-            .max(Duration::from_millis(10));
-        let h = dmv_check::thread::Builder::new()
-            .name("dmv-checkpoint".into())
+            .name(name.into())
             .spawn(move || loop {
                 if Self::interruptible_sleep(&shutdown, period) {
                     break;
                 }
                 let Some(cluster) = weak.upgrade() else { break };
-                for r in cluster.schedulers[0].topology().all() {
-                    if r.is_alive() {
-                        r.take_checkpoint();
-                    }
-                }
+                tick(&cluster);
             })
-            .expect("spawn checkpointer"); // unwrap-ok: thread spawn fails only on OS resource exhaustion at startup
+            .expect("spawn periodic thread"); // unwrap-ok: thread spawn fails only on OS resource exhaustion at startup
         self.threads.lock().push(h);
     }
 
-    fn start_gc(self: &Arc<Self>) {
-        let weak = Arc::downgrade(self);
-        let shutdown = Arc::clone(&self.shutdown);
-        let period = self
-            .clock
-            .scale()
-            .to_wall(self.spec.gc_interval.expect("checked")) // unwrap-ok: guarded by the gc_interval Some-check at the call site
-            .max(Duration::from_millis(10));
-        let h = dmv_check::thread::Builder::new()
-            .name("dmv-gc".into())
-            .spawn(move || loop {
-                if Self::interruptible_sleep(&shutdown, period) {
-                    break;
-                }
-                let Some(cluster) = weak.upgrade() else { break };
-                cluster.gc_broadcast();
-            })
-            .expect("spawn gc"); // unwrap-ok: thread spawn fails only on OS resource exhaustion at startup
-        self.threads.lock().push(h);
-    }
-
-    /// The cluster's epoch manager (reader pins, peer floors,
-    /// reclamation watermark).
+    /// The cluster's epoch manager (reader pins, reclamation
+    /// watermark).
     pub fn epoch(&self) -> &Arc<EpochManager> {
         &self.epoch
     }
 
     /// Computes the current reclamation watermark: the schedulers'
-    /// latest merged vectors are folded into the epoch manager's
-    /// `latest`, then met with every pinned reader epoch and every live
-    /// peer's cumulative-ack floor.
+    /// latest merged vectors — the epoch manager's only feed — are
+    /// folded into its `latest`, then met with every pinned reader
+    /// epoch.
     fn compute_watermark(&self) -> VersionVector {
         for s in &self.schedulers {
             self.epoch.advance_latest(&s.latest());
@@ -488,7 +448,7 @@ impl DmvCluster {
     /// reclaim on their receiver threads) and reclaims locally.
     pub fn gc_broadcast(&self) -> VersionVector {
         let wm = self.compute_watermark();
-        let topo = self.schedulers[0].topology();
+        let topo = self.lead_scheduler().topology();
         for m in topo.masters.iter().filter(|m| m.is_alive()) {
             m.broadcast_watermark(&wm);
         }
@@ -514,7 +474,8 @@ impl DmvCluster {
     /// §4.1–4.3 reconfiguration. Public so experiments can force
     /// immediate detection instead of waiting out the poll interval.
     pub fn detect_and_reconfigure(&self) {
-        let topo = self.schedulers[0].topology();
+        let lead = self.lead_scheduler();
+        let topo = lead.topology();
         let mut handled = self.handled_failures.lock();
         let dead: Vec<Arc<ReplicaNode>> = topo
             .all()
@@ -525,14 +486,15 @@ impl DmvCluster {
             handled.insert(node.id());
             let was_master = topo.masters.iter().any(|m| m.id() == node.id());
             if was_master {
-                // Let the primary scheduler drive promotion, then mirror
-                // the new topology onto the peers.
-                if let Ok(new_master) = self.schedulers[0].handle_master_failure(node.id(), None) {
-                    for s in &self.schedulers[1..] {
-                        s.set_topology(self.schedulers[0].topology());
+                // Let the lead scheduler drive promotion — it discards
+                // and promotes at *its* `latest`, so it must be one that
+                // has seen every acknowledged commit — then mirror the
+                // new topology onto the peers.
+                if lead.handle_master_failure(node.id(), None).is_ok() {
+                    for s in self.schedulers.iter().filter(|s| !Arc::ptr_eq(s, lead)) {
+                        s.set_topology(lead.topology());
                         s.recover_from_masters();
                     }
-                    let _ = new_master; // promoted
                 }
             } else {
                 for s in &self.schedulers {
@@ -540,8 +502,7 @@ impl DmvCluster {
                 }
             }
             // A live spare takes the dead node's place.
-            let spare_id =
-                self.schedulers[0].topology().spares.iter().find(|s| s.is_alive()).map(|s| s.id());
+            let spare_id = lead.topology().spares.iter().find(|s| s.is_alive()).map(|s| s.id());
             if let Some(id) = spare_id {
                 for s in &self.schedulers {
                     s.activate_spare(id);
@@ -570,10 +531,10 @@ impl DmvCluster {
         self.replicas.read().get(&id).cloned()
     }
 
-    /// The primary scheduler's latest merged version vector (the tag the
+    /// The lead scheduler's latest merged version vector (the tag the
     /// next read would receive).
     pub fn latest_version(&self) -> VersionVector {
-        self.schedulers[0].latest()
+        self.lead_scheduler().latest()
     }
 
     /// Installs a history tap on every scheduler and replica, including
@@ -590,17 +551,17 @@ impl DmvCluster {
 
     /// The current master of conflict class `class`.
     pub fn master(&self, class: usize) -> Arc<ReplicaNode> {
-        Arc::clone(&self.schedulers[0].topology().masters[class])
+        Arc::clone(&self.lead_scheduler().topology().masters[class])
     }
 
     /// Ids of the current active slaves.
     pub fn slave_ids(&self) -> Vec<NodeId> {
-        self.schedulers[0].topology().slaves.iter().map(|s| s.id()).collect()
+        self.lead_scheduler().topology().slaves.iter().map(|s| s.id()).collect()
     }
 
     /// Ids of the current spares.
     pub fn spare_ids(&self) -> Vec<NodeId> {
-        self.schedulers[0].topology().spares.iter().map(|s| s.id()).collect()
+        self.lead_scheduler().topology().spares.iter().map(|s| s.id()).collect()
     }
 
     /// The persistence backends.
@@ -674,8 +635,11 @@ impl DmvCluster {
         Session { cluster: Arc::clone(self) }
     }
 
+    /// The scheduler sessions talk to — the lead, so that clients and
+    /// reconfiguration go by the same `latest`.
     fn alive_scheduler(&self) -> DmvResult<Arc<Scheduler>> {
-        self.schedulers.iter().find(|s| s.is_alive()).cloned().ok_or(DmvError::NoReplicaAvailable)
+        let lead = self.lead_scheduler();
+        lead.is_alive().then(|| Arc::clone(lead)).ok_or(DmvError::NoReplicaAvailable)
     }
 
     /// Kills a replica node (fail-stop). The monitor reconfigures within
@@ -708,29 +672,8 @@ impl DmvCluster {
     pub fn reintegrate(&self, id: NodeId) -> DmvResult<MigrationReport> {
         let old = self.replica(id).ok_or(DmvError::NoSuchNode(id))?;
         let checkpoint = old.checkpoint();
-        let rc = ReplicaConfig {
-            clock: self.clock,
-            cpu: self.spec.cpu,
-            fault_latency: self.spec.fault_latency,
-            lock_timeout: self.spec.lock_timeout,
-            ack_timeout: self.spec.ack_timeout,
-            buffer_budget: self.spec.buffer_budget,
-            concurrency: self.spec.concurrency,
-        };
-        let node = ReplicaNode::start(
-            id,
-            self.spec.schema.clone(),
-            ReplicaRole::Slave,
-            Arc::clone(&self.net),
-            rc,
-        );
-        node.set_epoch_manager(Arc::clone(&self.epoch));
-        node.set_contention(Arc::clone(&self.contention));
+        let node = self.spawn_replica(id, ReplicaRole::Slave);
         node.restore_from_checkpoint(&checkpoint);
-        if let Some(tap) = self.trace_tap.lock().as_ref() {
-            node.set_trace_tap(Arc::clone(tap));
-        }
-        self.replicas.write().insert(id, Arc::clone(&node));
         self.integrate_node(node, checkpoint.page_versions())
     }
 
@@ -747,28 +690,7 @@ impl DmvCluster {
             *next += 1;
             id
         };
-        let rc = ReplicaConfig {
-            clock: self.clock,
-            cpu: self.spec.cpu,
-            fault_latency: self.spec.fault_latency,
-            lock_timeout: self.spec.lock_timeout,
-            ack_timeout: self.spec.ack_timeout,
-            buffer_budget: self.spec.buffer_budget,
-            concurrency: self.spec.concurrency,
-        };
-        let node = ReplicaNode::start(
-            id,
-            self.spec.schema.clone(),
-            ReplicaRole::Slave,
-            Arc::clone(&self.net),
-            rc,
-        );
-        node.set_epoch_manager(Arc::clone(&self.epoch));
-        node.set_contention(Arc::clone(&self.contention));
-        if let Some(tap) = self.trace_tap.lock().as_ref() {
-            node.set_trace_tap(Arc::clone(tap));
-        }
-        self.replicas.write().insert(id, Arc::clone(&node));
+        let node = self.spawn_replica(id, ReplicaRole::Slave);
         let report = self.integrate_node(node, HashMap::new())?;
         Ok((id, report))
     }
@@ -779,7 +701,7 @@ impl DmvCluster {
         joiner_versions: HashMap<dmv_common::ids::PageId, u64>,
     ) -> DmvResult<MigrationReport> {
         let t0 = self.clock.now_paper();
-        let topo = self.schedulers[0].topology();
+        let topo = self.lead_scheduler().topology();
         // 1. Subscribe to the replication list of every master, obtaining
         //    the current DBVersion.
         let mut target = VersionVector::new(self.spec.schema.len());

@@ -6,7 +6,7 @@
 //! The assertion test at the bottom pins `encode(m).len() ==
 //! m.encoded_len()` for every variant.
 
-use dmv_common::ids::{NodeId, PageId, TxnId};
+use dmv_common::ids::{PageId, TxnId};
 use dmv_common::version::VersionVector;
 use dmv_common::wire::{put_u32, put_u64, Reader, Wire};
 use dmv_common::{DmvError, DmvResult};
@@ -189,25 +189,10 @@ pub enum Msg {
         /// Hot page ids.
         pages: Vec<PageId>,
     },
-    /// Scheduler → replicas after a master failure: discard queued
-    /// modification-log records above the last version the scheduler saw
-    /// from the failed master (§4.2).
-    DiscardAbove {
-        /// Highest acknowledged versions.
-        versions: VersionVector,
-    },
-    /// Scheduler → replicas: announce a topology change (new master or
-    /// membership); carries the sender so replicas re-target acks.
-    Topology {
-        /// Current master node.
-        master: NodeId,
-        /// Current replication targets.
-        replicas: Vec<NodeId>,
-    },
     /// Master → replicas: the cluster reclamation watermark — the meet
-    /// of every pinned reader epoch and every live peer's cumulative-ack
-    /// floor. A replica eagerly applies queued diffs up to these
-    /// versions and reaps the drained page queues; no reader the
+    /// of the latest acknowledged version and every pinned reader
+    /// epoch. A replica eagerly applies the queued diffs it holds up to
+    /// these versions and reaps the drained page queues; no reader the
     /// epoch manager knows about can still demand an older version.
     Watermark {
         /// Reclamation watermark (componentwise safe-to-apply bound).
@@ -218,15 +203,15 @@ pub enum Msg {
 /// Wire tags of the [`Msg`] variants (protocol version 1).
 ///
 /// Tag 1 (`WRITE_SET_ACK`) is retired: per-txn acks were replaced by
-/// cumulative [`Msg::CumAck`] sequence acks. The tag is not reused so a
-/// stale peer's ack decodes as an unknown-tag error instead of
-/// misparsing.
+/// cumulative [`Msg::CumAck`] sequence acks. Tags 4 (`DISCARD_ABOVE`)
+/// and 5 (`TOPOLOGY`) are retired too: nothing ever sent them (the
+/// scheduler reconfigures replicas by direct call). Retired tags are
+/// not reused so a stale peer's frame decodes as an unknown-tag error
+/// instead of misparsing.
 mod tag {
     pub const WRITE_SET: u8 = 0;
     pub const PAGE_BATCH: u8 = 2;
     pub const PAGE_ID_HINT: u8 = 3;
-    pub const DISCARD_ABOVE: u8 = 4;
-    pub const TOPOLOGY: u8 = 5;
     pub const WRITE_SET_BATCH: u8 = 6;
     pub const CUM_ACK: u8 = 7;
     pub const WATERMARK: u8 = 8;
@@ -240,8 +225,6 @@ impl Wire for Msg {
             Msg::CumAck { .. } => 8,
             Msg::PageBatch(b) => b.encoded_len(),
             Msg::PageIdHint { pages } => 4 + pages.len() * 8,
-            Msg::DiscardAbove { versions } => versions.encoded_len(),
-            Msg::Topology { master, replicas } => master.encoded_len() + 4 + replicas.len() * 4,
             Msg::Watermark { versions } => versions.encoded_len(),
         }
     }
@@ -271,18 +254,6 @@ impl Wire for Msg {
                     p.encode_into(out);
                 }
             }
-            Msg::DiscardAbove { versions } => {
-                out.push(tag::DISCARD_ABOVE);
-                versions.encode_into(out);
-            }
-            Msg::Topology { master, replicas } => {
-                out.push(tag::TOPOLOGY);
-                master.encode_into(out);
-                put_u32(out, replicas.len() as u32);
-                for n in replicas {
-                    n.encode_into(out);
-                }
-            }
             Msg::Watermark { versions } => {
                 out.push(tag::WATERMARK);
                 versions.encode_into(out);
@@ -305,17 +276,6 @@ impl Wire for Msg {
                 }
                 Ok(Msg::PageIdHint { pages })
             }
-            tag::DISCARD_ABOVE => Ok(Msg::DiscardAbove { versions: VersionVector::decode(r)? }),
-            tag::TOPOLOGY => {
-                let master = NodeId::decode(r)?;
-                let count = r.u32()? as usize;
-                let n = r.seq_len(count, 4)?;
-                let mut replicas = Vec::with_capacity(n);
-                for _ in 0..n {
-                    replicas.push(NodeId::decode(r)?);
-                }
-                Ok(Msg::Topology { master, replicas })
-            }
             tag::WATERMARK => Ok(Msg::Watermark { versions: VersionVector::decode(r)? }),
             t => Err(DmvError::Codec(format!("unknown message tag {t}"))),
         }
@@ -325,7 +285,7 @@ impl Wire for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmv_common::ids::TableId;
+    use dmv_common::ids::{NodeId, TableId};
     use dmv_common::wire::decode_exact;
 
     fn sample_writeset(seq: u64, fill: u8) -> WriteSet {
@@ -357,8 +317,6 @@ mod tests {
             Msg::PageBatch(PageBatch { pages: vec![], done: false }),
             Msg::PageIdHint { pages: vec![PageId::heap(TableId(0), 0)] },
             Msg::PageIdHint { pages: vec![] },
-            Msg::DiscardAbove { versions: VersionVector::from_entries(vec![4, 0, 2]) },
-            Msg::Topology { master: NodeId(0), replicas: vec![NodeId(1), NodeId(10)] },
             Msg::Watermark { versions: VersionVector::from_entries(vec![7, 0, 3]) },
             Msg::Watermark { versions: VersionVector::new(0) },
         ]
@@ -405,13 +363,24 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         assert!(matches!(decode_exact::<Msg>(&[200]), Err(DmvError::Codec(_))));
-        // The retired per-txn ack tag must not decode to anything.
-        let stale_ack = {
-            let mut b = vec![1u8];
-            TxnId::new(NodeId(1), 1).encode_into(&mut b);
-            b
-        };
-        assert!(matches!(decode_exact::<Msg>(&stale_ack), Err(DmvError::Codec(_))));
+        // Retired tags must not decode to anything. What a stale peer
+        // would send: tag 1 + the acked txn id, tag 4 + a version
+        // vector, tag 5 + a master id and a replica list.
+        let mut stale_ack = vec![1u8];
+        TxnId::new(NodeId(1), 1).encode_into(&mut stale_ack);
+        let mut stale_discard = vec![4u8];
+        VersionVector::from_entries(vec![4, 0, 2]).encode_into(&mut stale_discard);
+        let mut stale_topology = vec![5u8];
+        NodeId(0).encode_into(&mut stale_topology);
+        put_u32(&mut stale_topology, 1);
+        NodeId(10).encode_into(&mut stale_topology);
+        for stale in [stale_ack, stale_discard, stale_topology] {
+            let err = decode_exact::<Msg>(&stale).unwrap_err();
+            assert!(
+                matches!(&err, DmvError::Codec(m) if m.contains("unknown message tag")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use dmv_common::config::{BufferBudget, ConcurrencyMode, CpuProfile};
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{NodeId, PageId, ReplicaRole};
 use dmv_common::version::VersionVector;
-use dmv_epoch::EpochManager;
 use dmv_memdb::{MemDb, MemDbOptions};
 use dmv_net::{DynTransport, Endpoint};
 use dmv_pagestore::checkpoint::{fuzzy_checkpoint, CheckpointImage};
@@ -28,7 +27,7 @@ use dmv_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dmv_check::sync::{Condvar, Mutex, RwLock};
 use dmv_common::clock::wall_deadline;
 use dmv_common::wire::Wire;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -135,18 +134,9 @@ pub struct ReplicaNode {
     batch: Mutex<BatchState>,
     /// Per-peer cumulative ack watermarks (replaces per-txn ack sets).
     acks: AckTracker,
-    /// Cluster epoch manager, installed by the cluster/scheduler tier.
-    /// Masters translate peer cumulative acks into vector floors for it;
-    /// `None` leaves every epoch hook a no-op (standalone replicas).
-    epoch: RwLock<Option<Arc<EpochManager>>>,
     /// Cluster contention manager: master-side MVCC validation failures
     /// deposit conflict heat here. `None` disables the feed.
     contention: RwLock<Option<Arc<ContentionManager>>>,
-    /// Master-side `seq → version vector` log bridging scalar
-    /// [`Msg::CumAck`]s to the epoch manager's vector floors. Appended
-    /// under `commit_seq` (so it is seq-sorted by construction); pruned
-    /// up to the slowest live target's ack as floors advance.
-    seq_log: Mutex<VecDeque<(u64, VersionVector)>>,
     ack_timeout: Duration,
     // migration (joiner side)
     migration_done: Mutex<bool>,
@@ -206,9 +196,7 @@ impl ReplicaNode {
             targets: RwLock::new(Vec::new()),
             batch: Mutex::new(BatchState { queue: Vec::new(), in_flight: false, hold: false }),
             acks: AckTracker::new(),
-            epoch: RwLock::new(None),
             contention: RwLock::new(None),
-            seq_log: Mutex::new(VecDeque::new()),
             ack_timeout: cfg.ack_timeout,
             migration_done: Mutex::new(false),
             migration_cv: Condvar::new(),
@@ -222,7 +210,6 @@ impl ReplicaNode {
         dmv_check::race::label(&node.commit_seq, "commit_seq");
         dmv_check::race::label(&node.targets, "targets");
         dmv_check::race::label(&node.batch, "batch");
-        dmv_check::race::label(&node.seq_log, "seq_log");
         let endpoint = net.register(id);
         let weak = Arc::downgrade(&node);
         let handle = dmv_check::thread::Builder::new()
@@ -253,14 +240,7 @@ impl ReplicaNode {
             Msg::WriteSetBatch(batch) => {
                 self.enqueue_and_ack(from, &batch.sets, endpoint);
             }
-            Msg::CumAck { seq } => {
-                // Floor before record: `record` wakes the parked
-                // committer, and anything observing the settled commit
-                // (the DST harness's GC sweep in particular) must already
-                // see this ack reflected in the epoch peer floors.
-                self.note_peer_floor(from, seq);
-                self.acks.record(from, seq);
-            }
+            Msg::CumAck { seq } => self.acks.record(from, seq),
             Msg::PageBatch(batch) => {
                 self.apply_page_batch(&batch);
                 if batch.done {
@@ -277,41 +257,10 @@ impl ReplicaNode {
                     }
                 }
             }
-            Msg::DiscardAbove { versions } => {
-                self.applier.discard_above(&versions);
-            }
-            Msg::Topology { .. } => {}
             Msg::Watermark { versions } => {
                 let reaped = self.applier.reclaim_up_to(&versions);
                 self.emit(|| TraceEvent::Reclaimed { node: self.id, watermark: versions, reaped });
             }
-        }
-    }
-
-    /// Master-side epoch hook: translates `peer`'s scalar cumulative-ack
-    /// watermark into the version vector of the newest commit it covers
-    /// and feeds that to the epoch manager as the peer's reclamation
-    /// floor. Also prunes the seq log up to the slowest live target's
-    /// ack, bounding it by the ack spread instead of the commit history.
-    fn note_peer_floor(&self, peer: NodeId, acked: u64) {
-        let Some(epoch) = self.epoch.read().clone() else { return };
-        let acked = acked.max(self.acks.watermark(peer));
-        let min_acked = {
-            let targets = self.targets.read();
-            targets.iter().map(|t| self.acks.watermark(*t)).min().unwrap_or(acked)
-        };
-        let floor = {
-            let mut log = self.seq_log.lock();
-            // Keep the newest entry at or below every target's ack so
-            // it stays resolvable for slower peers' future acks.
-            while log.len() > 1 && log[1].0 <= min_acked {
-                log.pop_front();
-            }
-            let idx = log.partition_point(|(s, _)| *s <= acked);
-            idx.checked_sub(1).map(|i| log[i].1.clone())
-        };
-        if let Some(floor) = floor {
-            epoch.set_peer_floor(self.id, peer, floor);
         }
     }
 
@@ -430,17 +379,6 @@ impl ReplicaNode {
     pub fn unsubscribe(&self, node: NodeId) {
         self.targets.write().retain(|n| *n != node);
         self.acks.remove(node);
-        // A departed peer must not hold the reclamation watermark back.
-        if let Some(epoch) = self.epoch.read().clone() {
-            epoch.remove_peer(node);
-        }
-    }
-
-    /// Installs the cluster's epoch manager on this node. Masters feed
-    /// peer ack floors and commit vectors into it; until this is called
-    /// every epoch hook is a no-op.
-    pub fn set_epoch_manager(&self, epoch: Arc<EpochManager>) {
-        *self.epoch.write() = Some(epoch);
     }
 
     /// Installs the cluster's contention manager; MVCC commit-validation
@@ -518,7 +456,8 @@ impl ReplicaNode {
     /// closure (later statements may depend on earlier results): run
     /// under 2PL, then the Figure 2 pre-commit sequence (write-set,
     /// atomic version increment, broadcast, ack wait), then local commit
-    /// and lock release. Returns the new version vector.
+    /// and lock release. Returns the new version vector (all zero for a
+    /// transaction that wrote nothing).
     ///
     /// # Errors
     ///
@@ -541,7 +480,11 @@ impl ReplicaNode {
         }
         if !txn.has_writes() {
             txn.commit(None);
-            return Ok(self.dbversion());
+            // Nothing written, no version produced: the all-zero vector
+            // merges into the scheduler's `latest` as a no-op. Not
+            // `dbversion` — it carries the bumps of commits still in
+            // their ack wait, which nobody may be told about yet.
+            return Ok(VersionVector::new(self.db.schema().len()));
         }
         // Pre-commit (Figure 2) with group commit: the commit_seq
         // section covers diff capture, the version-vector bump and the
@@ -593,25 +536,6 @@ impl ReplicaNode {
         // The one deep allocation per commit: every target link and
         // every slave queue shares this Arc.
         let ws = Arc::new(WriteSet { txn: txn.id(), seq, versions: new_v.clone(), pages });
-        let epoch = self.epoch.read().clone();
-        if epoch.is_some() {
-            // Seq-sorted by construction: appended under `commit_seq`,
-            // and before the coalescer push so a peer's ack for `seq`
-            // (only possible after the flush) always resolves. The
-            // logged vector is masked to the tables this master has
-            // itself committed (its conflict class): an ack covers only
-            // this master's stream, so components of other classes are
-            // `u64::MAX` — no constraint — in the epoch floor meet.
-            let mut log = self.seq_log.lock();
-            let mut masked = log.back().map_or_else(
-                || VersionVector::from_entries(vec![u64::MAX; new_v.len()]),
-                |(_, v)| v.clone(),
-            );
-            for t in txn.write_tables() {
-                masked.set(t, new_v.get(t));
-            }
-            log.push_back((seq, masked));
-        }
         let flusher = {
             let mut b = self.batch.lock();
             b.queue.push(ws);
@@ -634,9 +558,6 @@ impl ReplicaNode {
         }
         txn.commit(Some(&new_v));
         self.stats.commits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter, read only for reporting
-        if let Some(epoch) = epoch {
-            epoch.advance_latest(&new_v);
-        }
         Ok(new_v)
     }
 
@@ -784,9 +705,6 @@ impl ReplicaNode {
         self.applier.discard_above(latest);
         self.applier.apply_all();
         *self.dbversion.lock() = latest.clone();
-        // Commit seqs restart with this incarnation; the old master's
-        // seq→vector log means nothing against the new numbering.
-        self.seq_log.lock().clear();
         self.set_role(ReplicaRole::Master);
         self.emit(|| TraceEvent::Promoted { node: self.id, from: latest.clone() });
     }

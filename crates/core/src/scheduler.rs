@@ -172,8 +172,8 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Creates a scheduler over `topo`, feeding `backends` asynchronously.
-    /// `epoch` and `contention` are the cluster-wide managers every
-    /// scheduler and replica of one cluster shares.
+    /// `epoch` (every scheduler) and `contention` (every scheduler and
+    /// replica) are the managers one cluster shares.
     pub fn new(
         id: NodeId,
         topo: Topology,
@@ -603,10 +603,7 @@ impl Scheduler {
             topo.masters.push(Arc::clone(&new_master));
         }
         // The dead master must not linger anywhere: every surviving
-        // master drops it from its replication targets and ack state,
-        // and the shared epoch manager forgets it in both roles — a dead
-        // observer's floor registrations would otherwise cap the
-        // reclamation watermark forever.
+        // master drops it from its replication targets and ack state.
         for m in &topo.masters {
             if m.id() != failed {
                 m.unsubscribe(failed);

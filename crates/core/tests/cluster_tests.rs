@@ -2,6 +2,7 @@
 //! version tagging, master/slave/scheduler fail-over, stale-node
 //! reintegration, spare warmup and the persistence tier.
 
+use dmv_common::config::ConcurrencyMode;
 use dmv_common::error::DmvError;
 use dmv_common::ids::TableId;
 use dmv_core::cluster::{ClusterSpec, DmvCluster};
@@ -598,5 +599,96 @@ fn concurrent_commits_coalesce_and_all_replicate() {
         let rs = session.read_retry(&[read_balance(t)], 10).unwrap();
         assert_eq!(rs[0].rows[0][0], Value::Int(1010), "account {t}");
     }
+    cluster.shutdown();
+}
+
+#[test]
+fn master_failure_after_scheduler_failover_keeps_acknowledged_commits() {
+    // Scheduler 0 dies first, so its `latest` stops at five deposits
+    // while its peer acknowledges five more. The master fail-over that
+    // follows must discard and promote at the live scheduler's vector:
+    // driven by the dead one's, it erases acknowledged commits.
+    let mut spec = ClusterSpec::fast_test(schema());
+    spec.n_slaves = 2;
+    spec.n_schedulers = 2;
+    let cluster = DmvCluster::start(spec);
+    cluster
+        .load_rows(TableId(0), (0..20).map(|i| vec![i.into(), "o".into(), 0.into()]).collect())
+        .unwrap();
+    cluster.finish_load();
+    let session = cluster.session();
+    for _ in 0..5 {
+        session.update(&[deposit(3, 1)]).unwrap();
+    }
+    cluster.kill_scheduler(0);
+    for _ in 0..5 {
+        session.update(&[deposit(3, 1)]).unwrap();
+    }
+    cluster.kill_replica(cluster.master(0).id());
+    cluster.detect_and_reconfigure();
+    assert!(cluster.master(0).is_alive(), "a slave was promoted");
+    let rs = session.read_retry(&[read_balance(3)], 10).unwrap();
+    assert_eq!(rs[0].rows, vec![vec![Value::Int(10)]], "acknowledged deposits survive");
+    session.update_retry(&[deposit(3, 1)], 10).unwrap();
+    let rs = session.read_retry(&[read_balance(3)], 10).unwrap();
+    assert_eq!(rs[0].rows, vec![vec![Value::Int(11)]]);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_writeless_update_publishes_no_unacknowledged_version() {
+    // The master's version vector carries the bump of a commit still
+    // waiting for its acks. An update that wrote nothing must not hand
+    // that vector to the scheduler: reads would be tagged with it and a
+    // fail-over would promote at it, and no slave has acknowledged it.
+    let mut spec = ClusterSpec::fast_test(schema());
+    spec.n_slaves = 1;
+    spec.concurrency = ConcurrencyMode::MvccCow;
+    spec.ack_timeout = Duration::from_secs(30);
+    let cluster = DmvCluster::start(spec);
+    cluster
+        .load_rows(TableId(0), (0..20).map(|i| vec![i.into(), "o".into(), 0.into()]).collect())
+        .unwrap();
+    cluster.finish_load();
+    let master = cluster.master(0);
+    master.hold_flush();
+    let c2 = Arc::clone(&cluster);
+    let parked = std::thread::spawn(move || c2.session().update(&[deposit(1, 1)]).unwrap());
+    while master.pending_flush_count() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let before = cluster.latest_version();
+    cluster.session().update(&[deposit(9_999, 1)]).unwrap(); // no such row
+    assert_eq!(cluster.latest_version(), before, "nothing was broadcast, nothing is published");
+    master.release_flush();
+    parked.join().unwrap();
+    assert_eq!(cluster.latest_version().get(TableId(0)), before.get(TableId(0)) + 1);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_silent_slave_does_not_stall_reclamation_on_the_others() {
+    // A slave that is alive but unreachable acknowledges nothing; its
+    // commits complete on the ack time-out. Reclamation follows what
+    // readers pin, so the healthy slave still drains its queues up to
+    // the latest version — the silent one is repaired by reintegration,
+    // not by holding everyone's history.
+    let mut spec = ClusterSpec::fast_test(schema());
+    spec.n_slaves = 2;
+    spec.ack_timeout = Duration::from_millis(100);
+    let cluster = DmvCluster::start(spec);
+    cluster
+        .load_rows(TableId(0), (0..20).map(|i| vec![i.into(), "o".into(), 0.into()]).collect())
+        .unwrap();
+    cluster.finish_load();
+    let session = cluster.session();
+    session.update(&[deposit(3, 1)]).unwrap();
+    let (healthy, silent) = (cluster.slave_ids()[0], cluster.slave_ids()[1]);
+    cluster.net().partition(cluster.master(0).id(), silent);
+    for _ in 0..3 {
+        session.update(&[deposit(3, 1)]).unwrap();
+    }
+    assert_eq!(cluster.gc_sweep(), cluster.latest_version());
+    assert_eq!(cluster.replica(healthy).unwrap().pending_bytes(), 0);
     cluster.shutdown();
 }

@@ -1030,11 +1030,10 @@ impl Harness<'_> {
                     self.fail(format!(
                         "reclamation leak: node {id:?} still holds {pending} pending \
                          diff bytes after the unpinned final sweep (watermark {}, \
-                         latest {}, node received {}, floors {:?})",
+                         latest {}, node received {})",
                         fmt_vv(&wm),
                         fmt_vv(&self.cluster.epoch().latest()),
-                        fmt_vv(&r.applier().received()),
-                        self.cluster.epoch().floor_entries()
+                        fmt_vv(&r.applier().received())
                     ));
                 }
             }

@@ -14,27 +14,33 @@
 //!   its snapshot version vector ([`EpochManager::pin`]); the returned
 //!   [`EpochGuard`] unpins on drop (RAII), so a pin can never leak past
 //!   the read that took it.
-//! * **Peer floors.** Each live slave's replication progress — the
-//!   cumulative-ack watermark translated back to a version vector —
-//!   is registered via [`EpochManager::set_peer_floor`]. A slave that
-//!   has not yet acknowledged a write-set still needs its pre-images.
+//! * **The ceiling.** The cluster folds its schedulers' merged commit
+//!   vectors in through [`EpochManager::advance_latest`]. A commit
+//!   reaches a scheduler only after every live target acknowledged it,
+//!   so `latest` is also what every reachable slave has received.
 //! * **The watermark.** [`EpochManager::watermark`] is the
-//!   component-wise *meet* (minimum) of the latest committed vector,
-//!   every pinned reader tag, and every live peer floor. The published
-//!   value is additionally forced monotone: once a version is declared
-//!   reclaimable it stays reclaimable, so consumers can act on a stale
-//!   watermark without re-checking (acting on `low` is always a subset
-//!   of acting on the current watermark).
+//!   component-wise *meet* (minimum) of the latest committed vector and
+//!   every pinned reader tag. The published value is additionally
+//!   forced monotone: once a version is declared reclaimable it stays
+//!   reclaimable, so consumers can act on a stale watermark without
+//!   re-checking (acting on `low` is always a subset of acting on the
+//!   current watermark).
 //!
 //! The lattice argument for safety: every pinned tag dominates the
 //! watermark (it participates in the meet), so state below the
-//! watermark is invisible to every active reader; every peer floor
-//! dominates it, so no slave is asked to discard diffs it has not yet
-//! durably received. Reclaimers may therefore eagerly apply pending
-//! diffs up to the watermark, reap emptied queues and drop superseded
-//! versions — a reader pinned at tag `T ≥ watermark` still materializes
-//! `T` exactly, and anything racing *below* a pin is a bug this
-//! crate's model tests (and the DST GC-safety oracle) exist to catch.
+//! watermark is invisible to every active reader. Reclaimers may
+//! therefore eagerly apply pending diffs up to the watermark, reap
+//! emptied queues and drop superseded versions — a reader pinned at tag
+//! `T ≥ watermark` still materializes `T` exactly, and anything racing
+//! *below* a pin is a bug this crate's model tests (and the DST
+//! GC-safety oracle) exist to catch.
+//!
+//! Replication progress is not an input. Reclaiming only ever applies
+//! what a node already holds, so a slave that missed frames (a
+//! partition, an ack time-out) loses nothing to a watermark that has
+//! passed it, and would gain nothing from one held back for it: nothing
+//! but reintegration repairs a slave that missed frames (ROADMAP item
+//! 8).
 //!
 //! Built on the `dmv_check` shims, so the whole manager runs under the
 //! loom-style model checker (`--cfg dmv_check`) and the vector-clock
@@ -44,8 +50,7 @@
 #![deny(rust_2018_idioms)]
 
 use dmv_check::sync::atomic::{AtomicBool, Ordering};
-use dmv_check::sync::{Mutex, RwLock};
-use dmv_common::ids::NodeId;
+use dmv_check::sync::Mutex;
 use dmv_common::version::{AtomicVersionVector, VersionVector};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,25 +62,17 @@ struct PinTable {
     tags: HashMap<u64, VersionVector>,
 }
 
-/// The global epoch manager. One per cluster; shared by the scheduler
-/// (pins + latest), the masters (peer floors from cumulative acks) and
-/// the GC sweep (watermark).
+/// The global epoch manager. One per cluster; shared by the schedulers
+/// (pins) and the GC sweep (latest + watermark).
 pub struct EpochManager {
     n_tables: usize,
     pins: Mutex<PinTable>,
-    /// Floor registrations keyed `(observer, peer)`: what `observer`
-    /// (a master, about its own replication stream) vouches `peer` has
-    /// durably acknowledged. Keying by observer keeps each master's
-    /// registration independent — a master only knows its own stream,
-    /// so it marks tables it does not replicate as `u64::MAX` (no
-    /// constraint) and the meet combines streams across observers.
-    floors: RwLock<HashMap<(NodeId, NodeId), VersionVector>>,
     /// Running merge of committed vectors — the watermark's ceiling.
     latest: AtomicVersionVector,
     /// The published watermark; only ever advances (see module docs).
     low: Mutex<VersionVector>,
     /// Fault-injection hook: when set, [`watermark`](Self::watermark)
-    /// ignores pins and floors and returns `latest` — the exact bug
+    /// ignores pins and returns `latest` — the exact bug
     /// (reclaiming under an active reader) the DST GC-safety oracle
     /// must catch. Never set outside deliberate-mutation tests.
     ignore_pins: AtomicBool,
@@ -83,18 +80,16 @@ pub struct EpochManager {
 
 impl EpochManager {
     /// A fresh manager for a database of `n_tables` tables, with zero
-    /// pins, no peers and an all-zero watermark.
+    /// pins and an all-zero watermark.
     pub fn new(n_tables: usize) -> Arc<EpochManager> {
         let mgr = Arc::new(EpochManager {
             n_tables,
             pins: Mutex::new(PinTable { next_id: 0, tags: HashMap::new() }),
-            floors: RwLock::new(HashMap::new()),
             latest: AtomicVersionVector::new(n_tables),
             low: Mutex::new(VersionVector::new(n_tables)),
             ignore_pins: AtomicBool::new(false),
         });
         dmv_check::race::label(&mgr.pins, "pins");
-        dmv_check::race::label(&mgr.floors, "floors");
         dmv_check::race::label(&mgr.low, "low");
         mgr
     }
@@ -143,57 +138,8 @@ impl EpochManager {
         Some(min)
     }
 
-    /// Registers (or advances) the floor `observer` vouches for about
-    /// `peer`'s stream: the largest versions `peer` has cumulatively
-    /// acknowledged *of the tables `observer` replicates to it*.
-    /// Components `observer` does not replicate must be `u64::MAX` —
-    /// they place no constraint on the watermark; another observer's
-    /// registration (or the latest ceiling) bounds them. Floors only
-    /// advance; a regressing call is ignored component-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `floor` does not cover exactly `n_tables` tables.
-    pub fn set_peer_floor(&self, observer: NodeId, peer: NodeId, floor: VersionVector) {
-        assert_eq!(floor.len(), self.n_tables, "peer floor length mismatch");
-        let mut floors = self.floors.write();
-        match floors.get_mut(&(observer, peer)) {
-            Some(f) => f.merge(&floor),
-            None => {
-                floors.insert((observer, peer), floor);
-            }
-        }
-    }
-
-    /// Drops every floor registration involving `node`, in either role:
-    /// a dead slave must stop holding the watermark back (its queues
-    /// are discarded wholesale at reintegration instead), and a dead
-    /// master's vouchings go with it (its successor re-registers from
-    /// its own stream).
-    pub fn remove_peer(&self, node: NodeId) {
-        self.floors.write().retain(|(o, p), _| *o != node && *p != node);
-    }
-
-    /// Snapshot of every floor registration, sorted by key — for
-    /// diagnostics and oracle failure messages.
-    pub fn floor_entries(&self) -> Vec<((NodeId, NodeId), VersionVector)> {
-        let floors = self.floors.read();
-        let mut v: Vec<_> = floors.iter().map(|(k, f)| (*k, f.clone())).collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
-
-    /// Distinct peers with at least one floor registration.
-    pub fn peer_count(&self) -> usize {
-        let floors = self.floors.read();
-        let mut peers: Vec<NodeId> = floors.keys().map(|(_, p)| *p).collect();
-        peers.sort_unstable();
-        peers.dedup();
-        peers.len()
-    }
-
     /// Merges a committed version vector into `latest` (the watermark's
-    /// ceiling). Called on every commit the scheduler observes.
+    /// ceiling). The GC sweep feeds it the schedulers' merged vectors.
     pub fn advance_latest(&self, v: &VersionVector) {
         self.latest.merge(v);
     }
@@ -204,9 +150,9 @@ impl EpochManager {
     }
 
     /// Computes and publishes the reclamation watermark:
-    /// `meet(latest, pinned tags…, peer floors…)`, then merged into the
-    /// monotone published value so it never regresses even if a pin
-    /// lands between the meet and the publish.
+    /// `meet(latest, pinned tags…)`, then merged into the monotone
+    /// published value so it never regresses even if a pin lands
+    /// between the meet and the publish.
     pub fn watermark(&self) -> VersionVector {
         let mut wm = self.latest.snapshot();
         if !self.ignore_pins.load(Ordering::SeqCst) {
@@ -214,12 +160,6 @@ impl EpochManager {
             for tag in pins.tags.values() {
                 meet(&mut wm, tag);
             }
-            drop(pins);
-            let floors = self.floors.read();
-            for floor in floors.values() {
-                meet(&mut wm, floor);
-            }
-            drop(floors);
         }
         let mut low = self.low.lock();
         low.merge(&wm);
@@ -232,7 +172,7 @@ impl EpochManager {
     }
 
     /// Deliberate-mutation hook: make [`watermark`](Self::watermark)
-    /// ignore pins and floors (see the field docs). Test-only by
+    /// ignore pins (see the field docs). Test-only by
     /// convention; the DST corpus asserts the GC-safety oracle catches
     /// the resulting premature reclaim.
     pub fn set_ignore_pins_for_test(&self, on: bool) {
@@ -245,7 +185,6 @@ impl std::fmt::Debug for EpochManager {
         f.debug_struct("EpochManager")
             .field("n_tables", &self.n_tables)
             .field("pinned", &self.pinned_count())
-            .field("peers", &self.peer_count())
             .field("published", &self.published())
             .finish()
     }
@@ -296,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn watermark_without_pins_or_peers_is_latest() {
+    fn watermark_without_pins_is_latest() {
         let m = EpochManager::new(2);
         assert_eq!(m.watermark(), vv(&[0, 0]));
         m.advance_latest(&vv(&[3, 1]));
@@ -327,42 +266,6 @@ mod tests {
         drop(g1);
         assert_eq!(m.min_pinned(), Some(vv(&[2, 3])));
         drop(g2);
-    }
-
-    #[test]
-    fn slowest_peer_floor_caps_the_watermark() {
-        let m = EpochManager::new(2);
-        let master = NodeId(0);
-        m.advance_latest(&vv(&[9, 9]));
-        m.set_peer_floor(master, NodeId(1), vv(&[9, 9]));
-        m.set_peer_floor(master, NodeId(2), vv(&[4, 7]));
-        assert_eq!(m.watermark(), vv(&[4, 7]));
-        // Floors only advance.
-        m.set_peer_floor(master, NodeId(2), vv(&[3, 8]));
-        assert_eq!(m.watermark(), vv(&[4, 8]));
-        m.remove_peer(NodeId(2));
-        assert_eq!(m.watermark(), vv(&[9, 9]));
-    }
-
-    #[test]
-    fn observers_vouch_only_for_their_own_stream() {
-        // Two single-table conflict classes: master 0 owns table 0,
-        // master 1 owns table 1. Each registers MAX for the table it
-        // does not replicate; the meet combines the two streams, and
-        // neither master's registration about the *other* master caps
-        // the table that master itself owns.
-        let m = EpochManager::new(2);
-        m.advance_latest(&vv(&[5, 2]));
-        m.set_peer_floor(NodeId(0), NodeId(10), vv(&[5, u64::MAX]));
-        m.set_peer_floor(NodeId(1), NodeId(10), vv(&[u64::MAX, 2]));
-        m.set_peer_floor(NodeId(0), NodeId(1), vv(&[4, u64::MAX]));
-        m.set_peer_floor(NodeId(1), NodeId(0), vv(&[u64::MAX, 2]));
-        assert_eq!(m.peer_count(), 3);
-        assert_eq!(m.watermark(), vv(&[4, 2]), "only real stream floors constrain");
-        // The dead master's vouchings go with it.
-        m.remove_peer(NodeId(1));
-        assert_eq!(m.peer_count(), 1);
-        assert_eq!(m.watermark(), vv(&[5, 2]));
     }
 
     #[test]
@@ -475,32 +378,30 @@ mod props {
     }
 
     proptest! {
-        /// The watermark is a lower bound of everything that feeds it.
+        /// The watermark is dominated by `latest` and by every pin, and
+        /// never regresses, whatever order advances and pins arrive in.
         #[test]
-        fn watermark_is_dominated_by_every_input(
-            latest in arb_vv(3),
-            pins in proptest::collection::vec(arb_vv(3), 0..4),
-            floors in proptest::collection::vec(arb_vv(3), 0..4),
+        fn watermark_is_a_monotone_lower_bound_of_latest_and_pins(
+            steps in proptest::collection::vec((arb_vv(3), arb_vv(3)), 1..8),
         ) {
             let m = EpochManager::new(3);
-            m.advance_latest(&latest);
-            let guards: Vec<_> = pins.iter().map(|t| m.pin(t)).collect();
-            for (i, f) in floors.iter().enumerate() {
-                m.set_peer_floor(
-                    dmv_common::ids::NodeId(99),
-                    dmv_common::ids::NodeId(i as u32),
-                    f.clone(),
-                );
+            let mut guards = Vec::new();
+            let mut prev = m.watermark();
+            for (latest, tag) in steps {
+                m.advance_latest(&latest);
+                // Only a pin the watermark has not passed protects
+                // anything (a later one aborts and retries its read).
+                if tag.dominates(&prev) {
+                    guards.push((m.pin(&tag), tag));
+                }
+                let wm = m.watermark();
+                prop_assert!(m.latest().dominates(&wm), "latest {} below watermark {wm}", m.latest());
+                for (_, tag) in &guards {
+                    prop_assert!(tag.dominates(&wm), "pin {tag} below watermark {wm}");
+                }
+                prop_assert!(wm.dominates(&prev), "{wm} regressed from {prev}");
+                prev = wm;
             }
-            let wm = m.watermark();
-            prop_assert!(latest.dominates(&wm));
-            for t in &pins {
-                prop_assert!(t.dominates(&wm), "pin {t} below watermark {wm}");
-            }
-            for f in &floors {
-                prop_assert!(f.dominates(&wm), "floor {f} below watermark {wm}");
-            }
-            drop(guards);
         }
 
         /// Publishing is monotone under any interleaving of advances.
