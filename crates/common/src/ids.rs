@@ -152,33 +152,6 @@ impl fmt::Display for RowId {
     }
 }
 
-/// Role a database node currently plays in the in-memory tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ReplicaRole {
-    /// Executes update transactions for one or more conflict classes and
-    /// determines the serialization order.
-    Master,
-    /// Executes read-only transactions under version tags.
-    Slave,
-    /// Receives the replication stream but serves no (or almost no) reads;
-    /// kept for fail-over.
-    SpareBackup,
-    /// Not currently part of the computation (failed or recovering).
-    Offline,
-}
-
-impl fmt::Display for ReplicaRole {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ReplicaRole::Master => "master",
-            ReplicaRole::Slave => "slave",
-            ReplicaRole::SpareBackup => "spare",
-            ReplicaRole::Offline => "offline",
-        };
-        f.write_str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,11 +205,5 @@ mod tests {
         assert_eq!(r.page_no, 3);
         assert_eq!(r.slot, 12);
         assert_eq!(format!("{r}"), "r3:12");
-    }
-
-    #[test]
-    fn replica_role_display() {
-        assert_eq!(ReplicaRole::Master.to_string(), "master");
-        assert_eq!(ReplicaRole::SpareBackup.to_string(), "spare");
     }
 }

@@ -1,18 +1,24 @@
 //! Cluster orchestration: builds the in-memory tier, monitors it for
 //! failures, reconfigures on node death, reintegrates recovered nodes
 //! (data migration, §4.4) and exposes client sessions.
+//!
+//! The cluster owns the one [`Membership`] its schedulers route by, and
+//! runs each reconfiguration once, on it: master fail-over at the lead
+//! scheduler's `latest`, slave failure, spare activation and joining as
+//! a slave. A scheduler takeover only rebuilds the new lead's `latest`.
 
 use crate::contention::ContentionManager;
+use crate::membership::{Membership, Topology};
 use crate::messages::{Msg, PageBatch};
 use crate::replica::{ReplicaConfig, ReplicaNode};
-use crate::scheduler::{Scheduler, SchedulerConfig, Topology, WarmupStrategy};
+use crate::scheduler::{Scheduler, SchedulerConfig, WarmupStrategy};
 use crate::trace::SharedTap;
 use dmv_check::sync::atomic::{AtomicBool, Ordering};
 use dmv_check::sync::{Mutex, RwLock};
 use dmv_common::clock::{SimClock, TimeScale};
 use dmv_common::config::{BufferBudget, ConcurrencyMode, CpuProfile, DiskProfile, NetProfile};
 use dmv_common::error::{DmvError, DmvResult};
-use dmv_common::ids::{NodeId, ReplicaRole, TableId};
+use dmv_common::ids::{NodeId, TableId};
 use dmv_common::stats::TxnStats;
 use dmv_common::version::VersionVector;
 use dmv_common::wire::Wire;
@@ -150,6 +156,8 @@ pub struct DmvCluster {
     net: DynTransport<Msg>,
     spec: ClusterSpec,
     replicas: RwLock<HashMap<NodeId, Arc<ReplicaNode>>>,
+    /// Who is master, slave or spare; every scheduler routes by it.
+    membership: Arc<Membership>,
     schedulers: Vec<Arc<Scheduler>>,
     backends: Vec<Arc<DiskDb>>,
     handled_failures: Mutex<HashSet<NodeId>>,
@@ -214,6 +222,7 @@ impl DmvCluster {
             net,
             spec,
             replicas: RwLock::new(HashMap::new()),
+            membership: Membership::new(Topology::default()),
             schedulers: Vec::new(),
             backends,
             handled_failures: Mutex::new(HashSet::new()),
@@ -225,15 +234,16 @@ impl DmvCluster {
             epoch: EpochManager::new(n_tables),
             contention: ContentionManager::new(clock),
         };
-        let spawn = |base: u32, n: usize, role| -> Vec<Arc<ReplicaNode>> {
-            (0..n as u32).map(|i| cluster.spawn_replica(NodeId(base + i), role)).collect()
+        let spawn = |base: u32, n: usize| -> Vec<Arc<ReplicaNode>> {
+            (0..n as u32).map(|i| cluster.spawn_replica(NodeId(base + i))).collect()
         };
         let topo = Topology {
-            masters: spawn(0, classes.len(), ReplicaRole::Master),
-            slaves: spawn(10, cluster.spec.n_slaves, ReplicaRole::Slave),
-            spares: spawn(50, cluster.spec.n_spares, ReplicaRole::SpareBackup),
+            masters: spawn(0, classes.len()),
+            slaves: spawn(10, cluster.spec.n_slaves),
+            spares: spawn(50, cluster.spec.n_spares),
             classes,
         };
+        cluster.membership = Membership::new(topo);
         let sched_cfg = SchedulerConfig {
             clock,
             net: cluster.spec.net,
@@ -245,7 +255,7 @@ impl DmvCluster {
             .map(|i| {
                 Scheduler::new(
                     NodeId(100 + i as u32),
-                    topo.clone(),
+                    Arc::clone(&cluster.membership),
                     cluster.backends.clone(),
                     Arc::clone(&cluster.net),
                     sched_cfg.clone(),
@@ -257,15 +267,14 @@ impl DmvCluster {
         Arc::new(cluster)
     }
 
-    /// Starts replica `id` in `role`, wired like every node of this
-    /// cluster (cost model, contention manager, history tap if one is
-    /// installed), and enters it in the replica table — replacing a
-    /// dead incarnation of the same id.
-    fn spawn_replica(&self, id: NodeId, role: ReplicaRole) -> Arc<ReplicaNode> {
+    /// Starts replica `id`, wired like every node of this cluster (cost
+    /// model, contention manager, history tap if one is installed), and
+    /// enters it in the replica table — replacing a dead incarnation of
+    /// the same id. Its role is the membership list it is put on.
+    fn spawn_replica(&self, id: NodeId) -> Arc<ReplicaNode> {
         let node = ReplicaNode::start(
             id,
             self.spec.schema.clone(),
-            role,
             Arc::clone(&self.net),
             ReplicaConfig {
                 clock: self.clock,
@@ -285,7 +294,7 @@ impl DmvCluster {
         node
     }
 
-    /// The scheduler whose view counts: the first alive one, since a
+    /// The scheduler whose `latest` counts: the first alive one, since a
     /// dead scheduler's `latest` stops moving when it dies. With none
     /// alive the first will do — nothing commits any more.
     fn lead_scheduler(&self) -> &Arc<Scheduler> {
@@ -306,9 +315,11 @@ impl DmvCluster {
     /// Panics if called after [`DmvCluster::finish_load`].
     pub fn load_rows(&self, table: TableId, rows: Vec<Row>) -> DmvResult<()> {
         assert!(!self.ready.load(Ordering::Acquire), "cluster already live");
-        let topo = self.lead_scheduler().topology();
-        let class = topo.classes.iter().position(|c| c.contains(&table)).unwrap_or(0);
-        let master = &topo.masters[class];
+        let master = {
+            let topo = self.membership.read();
+            let class = topo.classes.iter().position(|c| c.contains(&table)).unwrap_or(0);
+            Arc::clone(&topo.masters[class])
+        };
         for chunk in rows.chunks(256) {
             let mut txn = master.db().begin_update();
             for row in chunk {
@@ -332,7 +343,7 @@ impl DmvCluster {
     /// (the shared initial database image), wires replication targets,
     /// and starts the failure monitor and checkpoint threads.
     pub fn finish_load(self: &Arc<Self>) {
-        let topo = self.lead_scheduler().topology();
+        let topo = self.membership.read().clone();
         for master in &topo.masters {
             for other in topo.all() {
                 if other.id() != master.id() {
@@ -358,7 +369,8 @@ impl DmvCluster {
         });
         if let Some(period) = self.spec.checkpoint_period {
             self.spawn_periodic("dmv-checkpoint", wall(period, 10), |c| {
-                for r in c.lead_scheduler().topology().all() {
+                let nodes = c.membership.read().all();
+                for r in nodes {
                     if r.is_alive() {
                         r.take_checkpoint();
                     }
@@ -448,8 +460,8 @@ impl DmvCluster {
     /// reclaim on their receiver threads) and reclaims locally.
     pub fn gc_broadcast(&self) -> VersionVector {
         let wm = self.compute_watermark();
-        let topo = self.lead_scheduler().topology();
-        for m in topo.masters.iter().filter(|m| m.is_alive()) {
+        let masters = self.membership.read().masters.clone();
+        for m in masters.iter().filter(|m| m.is_alive()) {
             m.broadcast_watermark(&wm);
         }
         wm
@@ -474,40 +486,28 @@ impl DmvCluster {
     /// §4.1–4.3 reconfiguration. Public so experiments can force
     /// immediate detection instead of waiting out the poll interval.
     pub fn detect_and_reconfigure(&self) {
-        let lead = self.lead_scheduler();
-        let topo = lead.topology();
         let mut handled = self.handled_failures.lock();
-        let dead: Vec<Arc<ReplicaNode>> = topo
-            .all()
-            .into_iter()
-            .filter(|r| !r.is_alive() && !handled.contains(&r.id()))
-            .collect();
-        for node in dead {
-            handled.insert(node.id());
-            let was_master = topo.masters.iter().any(|m| m.id() == node.id());
+        let dead: Vec<(NodeId, bool)> = {
+            let topo = self.membership.read();
+            let is_master = |id: NodeId| topo.masters.iter().any(|m| m.id() == id);
+            topo.all()
+                .iter()
+                .filter(|r| !r.is_alive() && !handled.contains(&r.id()))
+                .map(|r| (r.id(), is_master(r.id())))
+                .collect()
+        };
+        for (id, was_master) in dead {
+            handled.insert(id);
             if was_master {
-                // Let the lead scheduler drive promotion — it discards
-                // and promotes at *its* `latest`, so it must be one that
-                // has seen every acknowledged commit — then mirror the
-                // new topology onto the peers.
-                if lead.handle_master_failure(node.id(), None).is_ok() {
-                    for s in self.schedulers.iter().filter(|s| !Arc::ptr_eq(s, lead)) {
-                        s.set_topology(lead.topology());
-                        s.recover_from_masters();
-                    }
-                }
+                // Discard and promote at the lead scheduler's `latest`:
+                // it has seen every acknowledged commit. With no slave
+                // left to promote the class stays without a master.
+                let _ = self.membership.fail_over_master(id, &self.lead_scheduler().latest());
             } else {
-                for s in &self.schedulers {
-                    s.handle_slave_failure(node.id());
-                }
+                self.membership.remove_failed(id);
             }
             // A live spare takes the dead node's place.
-            let spare_id = lead.topology().spares.iter().find(|s| s.is_alive()).map(|s| s.id());
-            if let Some(id) = spare_id {
-                for s in &self.schedulers {
-                    s.activate_spare(id);
-                }
-            }
+            self.membership.spare_takes_over();
         }
     }
 
@@ -519,11 +519,6 @@ impl DmvCluster {
     /// The transport fabric (for fault injection in tests).
     pub fn net(&self) -> &DynTransport<Msg> {
         &self.net
-    }
-
-    /// The schema.
-    pub fn schema(&self) -> &Schema {
-        &self.spec.schema
     }
 
     /// A replica by id.
@@ -551,17 +546,17 @@ impl DmvCluster {
 
     /// The current master of conflict class `class`.
     pub fn master(&self, class: usize) -> Arc<ReplicaNode> {
-        Arc::clone(&self.lead_scheduler().topology().masters[class])
+        Arc::clone(&self.membership.read().masters[class])
     }
 
     /// Ids of the current active slaves.
     pub fn slave_ids(&self) -> Vec<NodeId> {
-        self.lead_scheduler().topology().slaves.iter().map(|s| s.id()).collect()
+        self.membership.read().slaves.iter().map(|s| s.id()).collect()
     }
 
     /// Ids of the current spares.
     pub fn spare_ids(&self) -> Vec<NodeId> {
-        self.lead_scheduler().topology().spares.iter().map(|s| s.id()).collect()
+        self.membership.read().spares.iter().map(|s| s.id()).collect()
     }
 
     /// The persistence backends.
@@ -576,16 +571,7 @@ impl DmvCluster {
 
     /// Total version-conflict abort rate across schedulers.
     pub fn version_abort_rate(&self) -> f64 {
-        let (mut aborts, mut attempts) = (0u64, 0u64);
-        for s in &self.schedulers {
-            aborts += s.stats.version_aborts.get();
-            attempts += s.stats.attempts();
-        }
-        if attempts == 0 {
-            0.0
-        } else {
-            aborts as f64 / attempts as f64
-        }
+        self.abort_rate(|s| s.version_aborts.get())
     }
 
     /// Update-path version-conflict abort rate across schedulers: the
@@ -593,15 +579,17 @@ impl DmvCluster {
     /// conflicts; zero under 2PL), excluding the replica-read staleness
     /// aborts that [`DmvCluster::version_abort_rate`] also counts.
     pub fn update_version_abort_rate(&self) -> f64 {
-        let (mut aborts, mut attempts) = (0u64, 0u64);
-        for s in &self.schedulers {
-            aborts += s.stats.update_version_aborts.get();
-            attempts += s.stats.attempts();
-        }
+        self.abort_rate(|s| s.update_version_aborts.get())
+    }
+
+    /// `aborts` summed across schedulers, per attempt.
+    fn abort_rate(&self, aborts: impl Fn(&TxnStats) -> u64) -> f64 {
+        let n: u64 = self.schedulers.iter().map(|s| aborts(&s.stats)).sum();
+        let attempts: u64 = self.schedulers.iter().map(|s| s.stats.attempts()).sum();
         if attempts == 0 {
             0.0
         } else {
-            aborts as f64 / attempts as f64
+            n as f64 / attempts as f64
         }
     }
 
@@ -651,12 +639,12 @@ impl DmvCluster {
     }
 
     /// Kills scheduler `i`; a peer takes over (§4.1) by recovering the
-    /// latest versions from the masters.
+    /// latest versions from the masters. It already routes by the
+    /// cluster's membership, so that is all a takeover is.
     pub fn kill_scheduler(&self, i: usize) {
         self.schedulers[i].kill();
-        if let Some(peer) = self.schedulers.iter().find(|s| s.is_alive()) {
-            peer.set_topology(self.schedulers[i].topology());
-            peer.recover_from_masters();
+        if let Ok(lead) = self.alive_scheduler() {
+            lead.recover_from_masters();
         }
     }
 
@@ -672,7 +660,7 @@ impl DmvCluster {
     pub fn reintegrate(&self, id: NodeId) -> DmvResult<MigrationReport> {
         let old = self.replica(id).ok_or(DmvError::NoSuchNode(id))?;
         let checkpoint = old.checkpoint();
-        let node = self.spawn_replica(id, ReplicaRole::Slave);
+        let node = self.spawn_replica(id);
         node.restore_from_checkpoint(&checkpoint);
         self.integrate_node(node, checkpoint.page_versions())
     }
@@ -690,7 +678,7 @@ impl DmvCluster {
             *next += 1;
             id
         };
-        let node = self.spawn_replica(id, ReplicaRole::Slave);
+        let node = self.spawn_replica(id);
         let report = self.integrate_node(node, HashMap::new())?;
         Ok((id, report))
     }
@@ -701,7 +689,9 @@ impl DmvCluster {
         joiner_versions: HashMap<dmv_common::ids::PageId, u64>,
     ) -> DmvResult<MigrationReport> {
         let t0 = self.clock.now_paper();
-        let topo = self.lead_scheduler().topology();
+        // A copy: migration waits on the network, and reconfiguration
+        // must not wait behind it.
+        let topo = self.membership.read().clone();
         // 1. Subscribe to the replication list of every master, obtaining
         //    the current DBVersion.
         let mut target = VersionVector::new(self.spec.schema.len());
@@ -720,17 +710,13 @@ impl DmvCluster {
         let pages = support.collect_pages_newer(&joiner_versions, &target)?;
         let total_pages = pages.len();
         let mut total_bytes = 0usize;
-        let mut batches: Vec<PageBatch> = pages
-            .chunks(MIGRATION_BATCH_PAGES)
-            .map(|c| PageBatch { pages: c.to_vec(), done: false })
-            .collect();
-        if batches.is_empty() {
-            batches.push(PageBatch { pages: Vec::new(), done: true });
-        } else {
-            batches.last_mut().expect("nonempty").done = true; // unwrap-ok: else-branch of the is_empty check above
+        let mut chunks: Vec<&[_]> = pages.chunks(MIGRATION_BATCH_PAGES).collect();
+        if chunks.is_empty() {
+            chunks.push(&[]); // the last batch, even an empty one, says "done"
         }
-        for b in batches {
-            let msg = Msg::PageBatch(b);
+        let last = chunks.len() - 1;
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            let msg = Msg::PageBatch(PageBatch { pages: chunk.to_vec(), done: i == last });
             let size = msg.encoded_len();
             total_bytes += size;
             self.net.send_from(support.id(), node.id(), msg, size)?;
@@ -741,10 +727,9 @@ impl DmvCluster {
         // must not wait for stream records that predate the subscription.
         node.applier().advance_received(&target);
         // 4. Back into the computation as a slave.
-        for s in &self.schedulers {
-            s.add_slave(Arc::clone(&node));
-        }
-        self.handled_failures.lock().remove(&node.id());
+        let id = node.id();
+        self.membership.join_as_slave(node);
+        self.handled_failures.lock().remove(&id);
         let duration = self.clock.now_paper() - t0;
         Ok(MigrationReport { pages: total_pages, bytes: total_bytes, duration })
     }
@@ -904,11 +889,6 @@ impl Session {
                 done => return done,
             }
         }
-    }
-
-    /// The owning cluster.
-    pub fn cluster(&self) -> &Arc<DmvCluster> {
-        &self.cluster
     }
 }
 

@@ -13,10 +13,13 @@
 //!   tagged slave reads, promotion, checkpointing, migration endpoints;
 //! * [`scheduler`] — the version-aware scheduler: conflict-class routing
 //!   of updates, version tagging and same-version read routing,
-//!   asynchronous persistence feed (§4.6), failure handlers (§4.1–4.3);
+//!   asynchronous persistence feed (§4.6), takeover (§4.1);
+//! * [`membership`] — the one topology (masters, slaves, spares) every
+//!   scheduler routes by, and the only code that changes it: master
+//!   fail-over, slave failure, spare activation, joining (§4.1–4.4);
 //! * [`cluster`] — orchestration: build/monitor/reconfigure the tier,
-//!   data migration for stale-node reintegration (§4.4), spare-backup
-//!   activation, client sessions.
+//!   data migration for stale-node reintegration (§4.4), client
+//!   sessions.
 //!
 //! ```no_run
 //! use dmv_core::cluster::{ClusterSpec, DmvCluster};
@@ -46,6 +49,7 @@ pub mod ack;
 pub mod applier;
 pub mod cluster;
 pub mod contention;
+pub mod membership;
 pub mod messages;
 pub mod replica;
 pub mod scheduler;
@@ -55,7 +59,8 @@ pub use ack::AckTracker;
 pub use applier::PendingApplier;
 pub use cluster::{ClusterSpec, DmvCluster, MigrationReport, Session};
 pub use contention::ContentionManager;
+pub use membership::{Membership, Topology};
 pub use messages::{Msg, PageBatch, WriteSet, WriteSetBatch};
 pub use replica::{ReplicaConfig, ReplicaNode};
-pub use scheduler::{Scheduler, SchedulerConfig, Topology, WarmupStrategy};
+pub use scheduler::{Scheduler, SchedulerConfig, WarmupStrategy};
 pub use trace::{SharedTap, TraceEvent, TraceTap};

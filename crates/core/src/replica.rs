@@ -2,7 +2,8 @@
 //! machinery. The same node type plays every role — master (update
 //! execution, pre-commit broadcast), active slave (tagged reads), spare
 //! backup (stream subscription only) — and changes role during
-//! reconfiguration, exactly as the paper's nodes do.
+//! reconfiguration, exactly as the paper's nodes do. A node does not
+//! record its role: it is the [`crate::membership`] list the node is on.
 
 use crate::ack::AckTracker;
 use crate::applier::PendingApplier;
@@ -12,7 +13,7 @@ use crate::trace::{SharedTap, TraceEvent};
 use dmv_common::clock::SimClock;
 use dmv_common::config::{BufferBudget, ConcurrencyMode, CpuProfile};
 use dmv_common::error::{DmvError, DmvResult};
-use dmv_common::ids::{NodeId, PageId, ReplicaRole};
+use dmv_common::ids::{NodeId, PageId};
 use dmv_common::version::VersionVector;
 use dmv_memdb::{MemDb, MemDbOptions};
 use dmv_net::{DynTransport, Endpoint};
@@ -114,7 +115,6 @@ pub struct ReplicaNode {
     applier: Arc<PendingApplier>,
     net: DynTransport<Msg>,
     clock: SimClock,
-    role: RwLock<ReplicaRole>,
     alive: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
     // master state
@@ -161,7 +161,6 @@ impl ReplicaNode {
     pub fn start(
         id: NodeId,
         schema: Schema,
-        role: ReplicaRole,
         net: DynTransport<Msg>,
         cfg: ReplicaConfig,
     ) -> Arc<Self> {
@@ -188,7 +187,6 @@ impl ReplicaNode {
             applier,
             net: Arc::clone(&net),
             clock: cfg.clock,
-            role: RwLock::new(role),
             alive: Arc::new(AtomicBool::new(true)),
             shutdown: Arc::new(AtomicBool::new(false)),
             dbversion: Mutex::new(VersionVector::new(schema.len())),
@@ -324,24 +322,9 @@ impl ReplicaNode {
         }
     }
 
-    /// Current role.
-    pub fn role(&self) -> ReplicaRole {
-        *self.role.read()
-    }
-
-    /// Sets the role (used by reconfiguration).
-    pub fn set_role(&self, role: ReplicaRole) {
-        *self.role.write() = role;
-    }
-
     /// True until killed.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Acquire)
-    }
-
-    /// Replication targets of this master.
-    pub fn targets(&self) -> Vec<NodeId> {
-        self.targets.read().clone()
     }
 
     /// Replaces the replication target list (on a master). Waiting
@@ -705,7 +688,6 @@ impl ReplicaNode {
         self.applier.discard_above(latest);
         self.applier.apply_all();
         *self.dbversion.lock() = latest.clone();
-        self.set_role(ReplicaRole::Master);
         self.emit(|| TraceEvent::Promoted { node: self.id, from: latest.clone() });
     }
 
@@ -809,16 +791,6 @@ impl ReplicaNode {
             .collect()
     }
 
-    /// Touches `pages` (faults them in, charging page-in cost).
-    pub fn touch_pages(&self, pages: &[PageId]) {
-        let store = self.db.store();
-        for id in pages {
-            if let Some(cell) = store.get(*id) {
-                store.fault_in(&cell);
-            }
-        }
-    }
-
     /// Marks the whole database non-resident (cold cache).
     pub fn evict_all(&self) {
         self.db.store().evict_all();
@@ -844,7 +816,6 @@ impl ReplicaNode {
     pub fn kill(&self) {
         self.alive.store(false, Ordering::Release);
         self.net.kill(self.id);
-        self.set_role(ReplicaRole::Offline);
     }
 
     /// Clean shutdown (stops the receiver thread).
@@ -863,7 +834,6 @@ impl std::fmt::Debug for ReplicaNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicaNode")
             .field("id", &self.id)
-            .field("role", &self.role())
             .field("alive", &self.is_alive())
             .field("dbversion", &format!("{}", self.dbversion()))
             .finish()

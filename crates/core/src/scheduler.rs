@@ -14,8 +14,14 @@
 //! Updates additionally pass the contention tier before reaching their
 //! master: writers over a hot table set take turns (see
 //! [`crate::contention`]).
+//!
+//! Who is master, slave or spare is not the scheduler's to decide: every
+//! scheduler of a cluster reads the one [`Membership`] the cluster
+//! changes. A scheduler keeps only its own state — `latest`, routing
+//! loads, stats, the backend feed and the history tap.
 
 use crate::contention::ContentionManager;
+use crate::membership::Membership;
 use crate::messages::Msg;
 use crate::replica::ReplicaNode;
 use crate::trace::{SharedTap, TraceEvent};
@@ -75,57 +81,11 @@ pub struct SchedulerConfig {
     pub same_version_routing: bool,
 }
 
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            clock: SimClock::default(),
-            net: NetProfile::zero(),
-            log_latency: Duration::ZERO,
-            warmup: WarmupStrategy::None,
-            same_version_routing: true,
-        }
-    }
-}
-
-/// Cluster membership as the scheduler sees it.
-#[derive(Clone, Default)]
-pub struct Topology {
-    /// One master per conflict class.
-    pub masters: Vec<Arc<ReplicaNode>>,
-    /// Table sets of the conflict classes (`classes[i]` → `masters[i]`).
-    /// With a single entry covering every table, all updates serialize
-    /// through one master.
-    pub classes: Vec<Vec<TableId>>,
-    /// Active slaves serving tagged reads.
-    pub slaves: Vec<Arc<ReplicaNode>>,
-    /// Warm/cold spare backups (receive the stream, serve no reads).
-    pub spares: Vec<Arc<ReplicaNode>>,
-}
-
-impl Topology {
-    /// Every replica (masters, slaves, spares).
-    pub fn all(&self) -> Vec<Arc<ReplicaNode>> {
-        let mut v = self.masters.clone();
-        v.extend(self.slaves.clone());
-        v.extend(self.spares.clone());
-        v
-    }
-}
-
-impl std::fmt::Debug for Topology {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Topology")
-            .field("masters", &self.masters.len())
-            .field("slaves", &self.slaves.len())
-            .field("spares", &self.spares.len())
-            .finish()
-    }
-}
-
 /// Per-slave routing state. Every read transaction touches this twice
 /// (admit, complete), so the counters are atomics: routing decisions
 /// read them lock-free under the map's shared read lock, and the map
-/// itself is written only on membership changes.
+/// itself is written only when a node is first routed to. A departed
+/// node's entry stays, unread: routing iterates the topology.
 #[derive(Default, Debug)]
 struct SlaveLoad {
     /// Reads currently executing on the slave.
@@ -144,7 +104,8 @@ struct SlaveLoad {
 /// The version-aware scheduler.
 pub struct Scheduler {
     id: NodeId,
-    topo: RwLock<Topology>,
+    /// The cluster's membership, read to route.
+    membership: Arc<Membership>,
     /// Latest merged version vector; advanced by atomic maximum on
     /// every commit so concurrent updates and read-tagging never queue
     /// on a lock.
@@ -158,7 +119,6 @@ pub struct Scheduler {
     backend_tx: Mutex<Option<crossbeam::channel::Sender<Vec<Query>>>>,
     feed_thread: Mutex<Option<dmv_check::thread::JoinHandle<()>>>,
     alive: AtomicBool,
-    backends: Vec<Arc<DiskDb>>,
     /// Optional history tap (deterministic simulation testing).
     tap: RwLock<Option<SharedTap>>,
     /// Cluster epoch manager: every tagged read pins its snapshot
@@ -171,12 +131,13 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Creates a scheduler over `topo`, feeding `backends` asynchronously.
-    /// `epoch` (every scheduler) and `contention` (every scheduler and
-    /// replica) are the managers one cluster shares.
+    /// Creates a scheduler routing by `membership`, feeding `backends`
+    /// asynchronously. `membership`, `epoch` (every scheduler) and
+    /// `contention` (every scheduler and replica) are what one cluster
+    /// shares.
     pub fn new(
         id: NodeId,
-        topo: Topology,
+        membership: Arc<Membership>,
         backends: Vec<Arc<DiskDb>>,
         net: DynTransport<Msg>,
         cfg: SchedulerConfig,
@@ -185,7 +146,7 @@ impl Scheduler {
     ) -> Arc<Self> {
         let sched = Arc::new(Scheduler {
             id,
-            topo: RwLock::new(topo),
+            membership,
             // Tags are pinned in `epoch`, which insists on its own width.
             latest: AtomicVersionVector::new(epoch.n_tables()),
             slave_loads: RwLock::new(HashMap::new()),
@@ -196,12 +157,10 @@ impl Scheduler {
             backend_tx: Mutex::new(None),
             feed_thread: Mutex::new(None),
             alive: AtomicBool::new(true),
-            backends: backends.clone(),
             tap: RwLock::new(None),
             epoch,
             contention,
         });
-        dmv_check::race::label(&sched.topo, "topo");
         dmv_check::race::label(&sched.slave_loads, "slave_loads");
         if !backends.is_empty() {
             let (tx, rx) = crossbeam::channel::unbounded::<Vec<Query>>();
@@ -227,11 +186,6 @@ impl Scheduler {
             *sched.feed_thread.lock() = Some(handle);
         }
         sched
-    }
-
-    /// The scheduler's node id.
-    pub fn id(&self) -> NodeId {
-        self.id
     }
 
     /// True until killed.
@@ -261,16 +215,6 @@ impl Scheduler {
         }
     }
 
-    /// Snapshot of the topology.
-    pub fn topology(&self) -> Topology {
-        self.topo.read().clone()
-    }
-
-    /// Replaces the topology (reconfiguration).
-    pub fn set_topology(&self, topo: Topology) {
-        *self.topo.write() = topo;
-    }
-
     fn charge_hop(&self, bytes: usize) {
         let t = self.cfg.net.transfer_time(bytes);
         if !t.is_zero() {
@@ -280,7 +224,7 @@ impl Scheduler {
     }
 
     fn master_for_tables(&self, tables: &[TableId]) -> DmvResult<Arc<ReplicaNode>> {
-        let topo = self.topo.read();
+        let topo = self.membership.read();
         if topo.masters.is_empty() {
             return Err(DmvError::NoReplicaAvailable);
         }
@@ -408,7 +352,7 @@ impl Scheduler {
     /// first, least-loaded as tie-break and fallback; occasionally a
     /// spare, per the warmup strategy.
     fn pick_slave(&self, tag: &VersionVector) -> DmvResult<Arc<ReplicaNode>> {
-        let topo = self.topo.read();
+        let topo = self.membership.read();
         // Warmup strategy A: a trickle of real reads keeps a spare warm.
         if let WarmupStrategy::QueryFraction(f) = self.cfg.warmup {
             if f > 0.0 && !topo.spares.is_empty() {
@@ -550,7 +494,7 @@ impl Scheduler {
     }
 
     fn send_pageid_hints(&self) {
-        let topo = self.topo.read();
+        let topo = self.membership.read();
         let Some(active) = topo.slaves.iter().find(|s| s.is_alive()) else { return };
         let pages = active.hot_pages();
         if pages.is_empty() {
@@ -563,115 +507,13 @@ impl Scheduler {
         }
     }
 
-    /// Master-failure reconfiguration (§4.2): discard partially
-    /// propagated records beyond the last acknowledged version, promote a
-    /// slave (or designated `replacement`) to master, and rewire
-    /// replication. Returns the new master.
-    ///
-    /// # Errors
-    ///
-    /// `NoReplicaAvailable` if no slave can be promoted.
-    pub fn handle_master_failure(
-        &self,
-        failed: NodeId,
-        replacement: Option<Arc<ReplicaNode>>,
-    ) -> DmvResult<Arc<ReplicaNode>> {
-        let latest = self.latest();
-        let mut topo = self.topo.write();
-        // Tell every surviving replica to discard records the failed
-        // master never confirmed.
-        for r in topo.all() {
-            if r.is_alive() {
-                r.applier().discard_above(&latest);
-            }
-        }
-        let new_master = match replacement {
-            Some(r) => r,
-            None => topo
-                .slaves
-                .iter()
-                .find(|s| s.is_alive())
-                .cloned()
-                .ok_or(DmvError::NoReplicaAvailable)?,
-        };
-        new_master.promote_to_master(&latest);
-        topo.slaves.retain(|s| s.id() != new_master.id());
-        topo.spares.retain(|s| s.id() != new_master.id());
-        if let Some(slot) = topo.masters.iter_mut().find(|m| m.id() == failed) {
-            *slot = Arc::clone(&new_master);
-        } else {
-            topo.masters.push(Arc::clone(&new_master));
-        }
-        // The dead master must not linger anywhere: every surviving
-        // master drops it from its replication targets and ack state.
-        for m in &topo.masters {
-            if m.id() != failed {
-                m.unsubscribe(failed);
-            }
-        }
-        // New replication targets: every other live replica.
-        let targets: Vec<NodeId> = topo
-            .all()
-            .iter()
-            .filter(|r| r.is_alive() && r.id() != new_master.id())
-            .map(|r| r.id())
-            .collect();
-        new_master.set_targets(targets);
-        self.slave_loads.write().remove(&new_master.id());
-        Ok(new_master)
-    }
-
-    /// Slave-failure reconfiguration (§4.3): drop it from the tables and
-    /// from the masters' replication lists.
-    pub fn handle_slave_failure(&self, failed: NodeId) {
-        let mut topo = self.topo.write();
-        topo.slaves.retain(|s| s.id() != failed);
-        topo.spares.retain(|s| s.id() != failed);
-        for m in &topo.masters {
-            m.unsubscribe(failed);
-        }
-        self.slave_loads.write().remove(&failed);
-    }
-
-    /// Activates a spare as a read-serving slave (fail-over target).
-    pub fn activate_spare(&self, id: NodeId) -> bool {
-        let mut topo = self.topo.write();
-        if let Some(pos) = topo.spares.iter().position(|s| s.id() == id && s.is_alive()) {
-            let spare = topo.spares.remove(pos);
-            spare.set_role(dmv_common::ids::ReplicaRole::Slave);
-            topo.slaves.push(spare);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Adds a (re)integrated node as a slave (§4.4: "new replicas are
-    /// always integrated as slave nodes ... regardless of their rank
-    /// prior to failure").
-    pub fn add_slave(&self, node: Arc<ReplicaNode>) {
-        node.set_role(dmv_common::ids::ReplicaRole::Slave);
-        self.topo.write().slaves.push(node);
-    }
-
-    /// Adds a node as a spare backup.
-    pub fn add_spare(&self, node: Arc<ReplicaNode>) {
-        node.set_role(dmv_common::ids::ReplicaRole::SpareBackup);
-        self.topo.write().spares.push(node);
-    }
-
     /// Scheduler takeover (§4.1): a peer scheduler rebuilds its version
     /// vector from the masters' highest produced versions.
     pub fn recover_from_masters(&self) {
-        let topo = self.topo.read();
+        let topo = self.membership.read();
         for m in topo.masters.iter().filter(|m| m.is_alive()) {
             self.latest.merge(&m.dbversion());
         }
-    }
-
-    /// The on-disk backends this scheduler feeds.
-    pub fn backends(&self) -> &[Arc<DiskDb>] {
-        &self.backends
     }
 
     /// Stops the backend feed thread after draining queued batches.
@@ -688,7 +530,6 @@ impl std::fmt::Debug for Scheduler {
         f.debug_struct("Scheduler")
             .field("id", &self.id)
             .field("latest", &format!("{}", self.latest()))
-            .field("topology", &*self.topo.read())
             .finish()
     }
 }

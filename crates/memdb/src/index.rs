@@ -696,15 +696,13 @@ impl BTreeIndex {
     /// allocated but its meta node is not committed yet (an MVCC
     /// bootstrapper's install is still private, so readers correctly see
     /// an empty index — and carry page 0 in their validated read set).
+    /// A read of page 0 that fails is the walk's error, never "no data".
     fn root_opt(&self, txn: &mut Txn<'_>) -> DmvResult<Option<(u32, Visits)>> {
         let allowed = self.page_count(txn);
         if allowed == 0 {
             return Ok(None);
         }
-        match self.read_root(txn) {
-            Err(e) if !e.is_retryable() => Ok(None),
-            root => Ok(root?.map(|root| (root, Visits { made: 0, allowed }))),
-        }
+        Ok(self.read_root(txn)?.map(|root| (root, Visits { made: 0, allowed })))
     }
 
     /// Inserts `(key, rid)`.

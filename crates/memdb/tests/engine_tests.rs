@@ -380,6 +380,41 @@ fn a_key_set_is_resolved_in_about_one_pass_per_page_it_needs() {
     txn.commit(None);
 }
 
+/// A read gate that cannot serve any version: a slave whose wait for
+/// the tag timed out.
+struct NeverReceived;
+
+impl ReadGate for NeverReceived {
+    fn prepare_read(&self, _: PageId, _: &PageCell, tag: &VersionVector) -> DmvResult<()> {
+        Err(DmvError::Network(format!("version {tag} not received")))
+    }
+}
+
+/// An index walk that cannot read its meta page fails with the gate's
+/// error: "no rows" would be a wrong answer the caller cannot tell from
+/// a right one.
+#[test]
+fn an_index_read_the_gate_refuses_fails_instead_of_finding_nothing() {
+    let db = MemDb::new(kv_schema(), MemDbOptions::default());
+    for k in 0..10 {
+        insert_kv(&db, k, "v", k);
+    }
+    db.set_gate(Arc::new(NeverReceived));
+    let refused = |r: DmvResult<_>, what: &str| match r {
+        Err(DmvError::Network(m)) => assert!(m.contains("not received"), "{what}: {m}"),
+        Err(e) => panic!("{what}: wrong error {e}"),
+        Ok(_) => panic!("{what}: answered without its pages"),
+    };
+    let pk = BTreeIndex::new(TableId(0), 0);
+    let mut txn = db.begin_read_tagged(VersionVector::new(1));
+    let three = [Value::Int(3)];
+    refused(pk.lookup_eq(&mut txn, &three).map(drop), "lookup_eq");
+    refused(pk.lookup_many(&mut txn, &[&three[..]]).map(drop), "lookup_many");
+    refused(pk.range(&mut txn, None, None, false, None).map(drop), "range");
+    let by_pk = Query::Select(Select::by_pk(TableId(0), vec![3.into()]));
+    refused(execute(&mut txn, &by_pk).map(drop), "by_pk select");
+}
+
 #[test]
 fn non_unique_index_handles_duplicate_keys() {
     let db = MemDb::new(kv_schema(), MemDbOptions::default());

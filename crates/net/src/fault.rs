@@ -7,7 +7,8 @@
 //! mid-`write(2)` would lose it), the node is killed on the inner
 //! transport, an optional callback notifies the harness (which marks
 //! the replica dead so its own liveness checks observe the crash), and
-//! every later send from that node vanishes silently.
+//! every later send from that node vanishes silently — until the id
+//! registers again, which starts a new incarnation (reintegration).
 //!
 //! The canonical use is the paper's hardest failure window: a master
 //! crashing *mid-broadcast*, having delivered its write-set to some
@@ -73,7 +74,8 @@ impl<M: Clone> FaultTransport<M> {
         *self.state.on_kill.lock() = Some(f);
     }
 
-    /// Disarms all pending triggers (crashed senders stay crashed).
+    /// Disarms all pending triggers (crashed senders stay crashed until
+    /// they register again).
     pub fn clear_triggers(&self) {
         self.state.armed.lock().clear();
     }
@@ -90,7 +92,12 @@ impl<M: Clone> FaultTransport<M> {
 }
 
 impl<M: Clone + Send + 'static> Transport<M> for FaultTransport<M> {
+    /// A new incarnation starts with a clean slate: the id's crash (and
+    /// any trigger still armed for it) belonged to the endpoint this
+    /// one replaces.
     fn register(&self, node: NodeId) -> Box<dyn Endpoint<M>> {
+        self.state.crashed.lock().remove(&node);
+        self.state.armed.lock().remove(&node);
         self.inner.register(node)
     }
 
@@ -208,6 +215,20 @@ mod tests {
         // Everything the crashed node tries to send afterwards vanishes.
         t.send_from(NodeId(1), NodeId(2), 10, 4).unwrap();
         assert!(b.recv_timeout(Duration::from_millis(50)).is_err());
+    }
+
+    #[test]
+    fn a_re_registered_node_is_heard_again() {
+        let t = fabric();
+        let _a = t.register(NodeId(1));
+        let b = t.register(NodeId(2));
+        t.kill_after_sends(NodeId(1), 1);
+        t.send_from(NodeId(1), NodeId(2), 5, 4).unwrap();
+        assert!(!t.is_alive(NodeId(1)), "the trigger crashed node 1");
+        // Reintegration starts a new incarnation under the same id.
+        let _a2 = t.register(NodeId(1));
+        t.send_from(NodeId(1), NodeId(2), 6, 4).unwrap();
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap().msg, 6);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Run with: `cargo run --example two_process_cluster`
 
 use dmv::common::config::TcpConfig;
-use dmv::common::ids::{NodeId, ReplicaRole, TableId};
+use dmv::common::ids::{NodeId, TableId};
 use dmv::common::version::VersionVector;
 use dmv::core::{Msg, ReplicaConfig, ReplicaNode};
 use dmv::net::{DynTransport, TcpTransport, Transport};
@@ -57,7 +57,6 @@ fn parent() {
     let master = ReplicaNode::start(
         MASTER,
         schema(),
-        ReplicaRole::Master,
         Arc::clone(&net) as DynTransport<Msg>,
         ReplicaConfig::default(),
     );
@@ -115,7 +114,6 @@ fn child(master_addr: &str) {
     let slave = ReplicaNode::start(
         SLAVE,
         schema(),
-        ReplicaRole::Slave,
         Arc::clone(&net) as DynTransport<Msg>,
         ReplicaConfig::default(),
     );

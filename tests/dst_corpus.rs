@@ -377,6 +377,51 @@ fn mid_validation_schedule_round_trips_through_repro_files() {
     assert_eq!(back.events, s.events, "mid-validation repro round-trip drift");
 }
 
+/// Hand-written schedule for fail-over after a partition: the master is
+/// cut off from one slave, so two deposits complete on the ack time-out
+/// and only the other slave holds them. Then the master dies. Promoting
+/// the slave that missed them restarts the class from stale pages; the
+/// one holding every acknowledged commit must be promoted. The generator
+/// never kills a master while a partition is open, so no seed reaches
+/// this. Every deposit goes to account 0: the slave left behind keeps
+/// its hole (only reintegration repairs one, see DESIGN.md "Membership
+/// and reconfiguration"), and the next diff of the same row covers it.
+fn partition_then_master_kill_schedule() -> Schedule {
+    Schedule {
+        seed: 1_111,
+        config: ScheduleConfig { n_classes: 1, ..ScheduleConfig::bank() },
+        events: vec![
+            Event::Deposit { client: 0, acct: 0, amount: 1 },
+            Event::Read { client: 0 },
+            Event::Partition { class: 0, nth: 0 },
+            Event::Deposit { client: 0, acct: 0, amount: 2 },
+            Event::Deposit { client: 1, acct: 0, amount: 3 },
+            Event::KillMaster { class: 0 },
+            Event::Detect,
+            Event::Deposit { client: 0, acct: 0, amount: 4 },
+            Event::HealAll,
+            Event::Read { client: 1 },
+            Event::Deposit { client: 1, acct: 0, amount: 5 },
+            Event::Read { client: 0 },
+        ],
+    }
+}
+
+#[test]
+fn fixed_partition_then_master_kill_promotes_the_slave_with_every_commit() {
+    let s = partition_then_master_kill_schedule();
+    for mode in MODES {
+        let r = run_schedule_in_mode(&s, mode);
+        assert!(
+            r.passed(),
+            "partition-then-master-kill under {mode:?} failed {} oracle(s):\n  {}\ntrace:\n{}",
+            r.failures.len(),
+            r.failures.join("\n  "),
+            r.trace_text()
+        );
+    }
+}
+
 /// Generated schedules survive the repro round-trip, so any failure the
 /// explorer persists replays the exact same events.
 #[test]
