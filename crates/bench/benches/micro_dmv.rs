@@ -15,10 +15,13 @@
 //! * `writeset/*` — the capture → broadcast-encode → apply pipeline;
 //! * `fanout/*` — what a commit's fan-out costs its sender: one shared
 //!   allocation against a deep clone per target, and one `broadcast` on
-//!   the simulated LAN.
+//!   the simulated LAN;
+//! * `clock/*` — the wall time one modeled wait takes: a NIC
+//!   serialization slot, a LAN hop, and the scheduler's log write plus
+//!   reply hop. What a row reports over its name is the OS's overshoot.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dmv_common::clock::SimClock;
+use dmv_common::clock::{sleep_wall, SimClock};
 use dmv_common::config::{ConcurrencyMode, NetProfile};
 use dmv_common::ids::{NodeId, PageId, TableId, TxnId};
 use dmv_common::rng::seeded;
@@ -483,6 +486,20 @@ fn bench_routing(c: &mut Criterion) {
     cluster.shutdown();
 }
 
+fn bench_clock(c: &mut Criterion) {
+    // The first clock of the process tightens its timer slack, as
+    // `DmvCluster::start` does before it spawns a node.
+    let _ = SimClock::default();
+    let mut g = c.benchmark_group("clock");
+    g.measurement_time(Duration::from_millis(500));
+    for us in [7u64, 120, 627] {
+        g.bench_function(format!("sleep_{us}us"), |b| {
+            b.iter(|| sleep_wall(Duration::from_micros(us)))
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     // Short measurement windows: the full figure suite shares the wall
@@ -492,6 +509,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .sample_size(20);
     targets = bench_pagediff, bench_version, bench_btree, bench_exec, bench_locks, bench_writeset,
-        bench_fanout, bench_applier_contention, bench_routing
+        bench_fanout, bench_applier_contention, bench_routing, bench_clock
 }
 criterion_main!(benches);

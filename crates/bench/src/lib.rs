@@ -6,7 +6,7 @@
 //! rows/series in paper-time units, and runs shape checks (who wins, by
 //! roughly what factor, where the dips and recoveries fall).
 
-use dmv_common::clock::{SimClock, TimeScale};
+use dmv_common::clock::{sleep_wall, SimClock, TimeScale};
 use dmv_common::config::{BufferBudget, ConcurrencyMode};
 use dmv_common::stats::SeriesPoint;
 use dmv_core::cluster::{ClusterSpec, DmvCluster};
@@ -250,7 +250,7 @@ fn shopping_cfg(total: Duration, window: Duration) -> dmv_tpcw::emulator::Emulat
 
 fn wait_paper(clock: SimClock, until: Duration) {
     while clock.now_paper() < until {
-        std::thread::sleep(Duration::from_millis(5));
+        sleep_wall(Duration::from_millis(5));
     }
 }
 
@@ -383,7 +383,7 @@ pub fn spare_failover_experiment(warmup: WarmupStrategy) -> SpareFailoverOutcome
     // Kill the active slave at the scheduled paper time.
     let victim = d.cluster.slave_ids()[0];
     while d.clock.now_paper() < kill_at {
-        std::thread::sleep(Duration::from_millis(5));
+        sleep_wall(Duration::from_millis(5));
     }
     d.cluster.kill_replica(victim);
     let report = handle.join();

@@ -8,7 +8,17 @@
 //! of wall seconds while all *ratios* between modeled costs are preserved.
 //! Results are reported de-scaled, i.e. back in paper time, so they can be
 //! compared with the paper's figures directly.
+//!
+//! This is also the only module that puts a thread to sleep:
+//! [`sleep_wall`], [`sleep_until`] and [`SimClock::sleep_paper`] are the
+//! workspace's timed sleeps (the `modeled-wait` lint rejects
+//! `thread::sleep` anywhere else). The first [`SimClock::new`] in a
+//! process sets the process's Linux *timer slack* to 1 ns: with the
+//! default 50 µs the kernel may run every timed wait up to 50 µs late
+//! to batch wake-ups, and on a modeled 120 µs hop it does. Threads
+//! spawned after that, from the thread-group leader, inherit it.
 
+use parking_lot::Once;
 use std::time::{Duration, Instant};
 
 /// The one sanctioned wall-clock instant type. Everything outside this
@@ -29,6 +39,31 @@ pub fn wall_now() -> WallInstant {
 /// waits such as `Condvar::wait_until`.
 pub fn wall_deadline(timeout: Duration) -> WallInstant {
     Instant::now() + timeout
+}
+
+/// Sleeps for `d` of wall time.
+pub fn sleep_wall(d: Duration) {
+    std::thread::sleep(d);
+}
+
+/// Sleeps until `deadline`; returns at once if it has passed.
+pub fn sleep_until(deadline: WallInstant) {
+    let now = Instant::now();
+    if deadline > now {
+        std::thread::sleep(deadline - now);
+    }
+}
+
+/// Sets the process's timer slack to 1 ns, once per process. The file
+/// holds the thread-group leader's slack, which every thread it spawns
+/// afterwards copies. The write may fail — not Linux, no procfs, a
+/// read-only `/proc`, or a non-leader caller without `CAP_SYS_NICE` —
+/// and then waits just keep the default slack.
+fn tighten_timer_slack() {
+    static SLACK: Once = Once::new();
+    SLACK.call_once(|| {
+        let _ = std::fs::write("/proc/self/timerslack_ns", "1");
+    });
 }
 
 /// Multiplier mapping paper time to wall time (`wall = paper * factor`).
@@ -110,8 +145,10 @@ pub struct SimClock {
 }
 
 impl SimClock {
-    /// Starts a clock now with the given scale.
+    /// Starts a clock now with the given scale. The first call in a
+    /// process also tightens the process's timer slack (module doc).
     pub fn new(scale: TimeScale) -> Self {
+        tighten_timer_slack();
         SimClock { epoch: Instant::now(), scale }
     }
 
@@ -137,7 +174,7 @@ impl SimClock {
     pub fn sleep_paper(&self, paper: Duration) {
         let wall = self.scale.to_wall(paper);
         if wall >= Duration::from_micros(1) {
-            std::thread::sleep(wall);
+            sleep_wall(wall);
         }
     }
 
@@ -202,6 +239,33 @@ mod tests {
         let el = t0.elapsed();
         assert!(el >= Duration::from_millis(2));
         assert!(el < Duration::from_millis(500), "slept too long: {el:?}");
+    }
+
+    #[test]
+    fn a_clock_tightens_the_process_timer_slack() {
+        const SLACK: &str = "/proc/self/timerslack_ns";
+        if std::fs::metadata(SLACK).is_err() {
+            return; // no procfs: nothing to tighten
+        }
+        let _ = SimClock::new(TimeScale::realtime());
+        let slack = std::fs::read_to_string(SLACK).expect("read timer slack");
+        if slack.trim() != "1" {
+            // A host that refuses the write (a non-leader thread without
+            // CAP_SYS_NICE, a read-only /proc) refuses it here too;
+            // anywhere else the clock should have written it.
+            let refused = std::fs::write(SLACK, "1").is_err();
+            assert!(refused, "timer slack is {} ns after SimClock::new", slack.trim());
+        }
+    }
+
+    #[test]
+    fn sleep_until_waits_for_the_deadline_and_not_for_a_past_one() {
+        let deadline = wall_deadline(Duration::from_millis(2));
+        sleep_until(deadline);
+        assert!(Instant::now() >= deadline);
+        let t0 = Instant::now();
+        sleep_until(t0 - Duration::from_millis(1));
+        assert!(t0.elapsed() < Duration::from_millis(50));
     }
 
     #[test]

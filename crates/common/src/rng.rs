@@ -31,19 +31,6 @@ pub fn alnum_string<R: Rng>(rng: &mut R, min_len: usize, max_len: usize) -> Stri
     (0..len).map(|_| CHARS[rng.gen_range(0..CHARS.len())] as char).collect()
 }
 
-/// Jittered exponential backoff sleep for transaction retries (breaks
-/// deadlock-retry livelock storms). Wall-clock; capped at 16× the base.
-pub fn retry_backoff(attempt: usize) {
-    use rand::Rng as _;
-    let base_us = 500u64;
-    let factor = 1u64 << attempt.min(4);
-    let max = base_us * factor;
-    let us = rand::thread_rng().gen_range(0..=max);
-    if us > 0 {
-        std::thread::sleep(std::time::Duration::from_micros(us));
-    }
-}
-
 /// Deterministic capped equal-jitter exponential backoff.
 ///
 /// `delay(attempt)` grows the window as `base · 2^(attempt-1)` up to

@@ -15,7 +15,7 @@ use crate::scheduler::{Scheduler, SchedulerConfig, WarmupStrategy};
 use crate::trace::SharedTap;
 use dmv_check::sync::atomic::{AtomicBool, Ordering};
 use dmv_check::sync::{Mutex, RwLock};
-use dmv_common::clock::{SimClock, TimeScale};
+use dmv_common::clock::{sleep_wall, SimClock, TimeScale};
 use dmv_common::config::{BufferBudget, ConcurrencyMode, CpuProfile, DiskProfile, NetProfile};
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{NodeId, TableId};
@@ -394,7 +394,7 @@ impl DmvCluster {
             }
             let step = left.min(Duration::from_millis(25));
             // wait-ok: a background period (monitor, checkpoint, GC sweep), off every transaction's path
-            std::thread::sleep(step);
+            sleep_wall(step);
             left -= step;
         }
         shutdown.load(Ordering::Acquire)

@@ -21,7 +21,7 @@
 use crate::history::History;
 use crate::oracle::{err_label, fmt_vv, rows_to_map, BankModel, Table};
 use crate::schedule::{Event, Schedule, Workload};
-use dmv_common::clock::{SimClock, TimeScale};
+use dmv_common::clock::{sleep_wall, SimClock, TimeScale};
 use dmv_common::config::{ConcurrencyMode, NetProfile};
 use dmv_common::error::DmvError;
 use dmv_common::ids::{NodeId, TableId};
@@ -862,7 +862,7 @@ impl Harness<'_> {
         let t1 = std::thread::spawn(move || s1.update(&[add_int(T_ACCT, 0, 1)]).map(|_| ()));
         let t2 = std::thread::spawn(move || s2.update(&[add_int(T_CTR, 0, 1)]).map(|_| ()));
         while node.pending_flush_count() < 2 {
-            std::thread::sleep(Duration::from_millis(1));
+            sleep_wall(Duration::from_millis(1));
         }
         self.fault.kill_after_sends(m, sends);
         // The flush (and therefore the crash trigger) runs on this

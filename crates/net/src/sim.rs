@@ -29,7 +29,7 @@
 //! own protocol.
 
 use crate::transport::{Endpoint, Envelope, Transport};
-use dmv_common::clock::{wall_deadline, wall_now, SimClock, WallInstant};
+use dmv_common::clock::{sleep_until, wall_deadline, wall_now, SimClock, WallInstant};
 use dmv_common::config::NetProfile;
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::NodeId;
@@ -172,11 +172,8 @@ struct SimEndpoint<M> {
 /// Waits out what is left of a message's propagation latency — the
 /// receiving thread *is* the node.
 fn deliver<M>((env, deliver_at): InFlight<M>) -> Envelope<M> {
-    let now = wall_now();
-    if deliver_at > now {
-        // wait-ok: the rest of the message's modeled time on the wire
-        std::thread::sleep(deliver_at - now);
-    }
+    // wait-ok: the rest of the message's modeled time on the wire
+    sleep_until(deliver_at);
     env
 }
 

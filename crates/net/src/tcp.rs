@@ -42,7 +42,7 @@ use crate::queue::{BoundedQueue, Pop, PushError};
 use crate::transport::{Endpoint, Envelope, Transport};
 use dmv_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dmv_check::sync::{Mutex, RwLock};
-use dmv_common::clock::{wall_deadline, wall_now, WallInstant};
+use dmv_common::clock::{sleep_wall, wall_deadline, wall_now, WallInstant};
 use dmv_common::config::TcpConfig;
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::NodeId;
@@ -398,7 +398,7 @@ fn accept_loop<M: Wire + Clone + Send + 'static>(
                 // Nonblocking accept: nothing pending (or a transient
                 // error) — poll again shortly.
                 // wait-ok: accept-poll period of a listener thread, no message waits on it
-                std::thread::sleep(Duration::from_millis(5));
+                sleep_wall(Duration::from_millis(5));
             }
         }
     }
@@ -535,7 +535,7 @@ fn sleep_interruptible(total: Duration, done: &impl Fn() -> bool) {
             return;
         }
         // wait-ok: reconnect backoff of a writer thread whose link is down
-        std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
+        sleep_wall((deadline - now).min(Duration::from_millis(10)));
     }
 }
 

@@ -2,10 +2,14 @@
 
 use crate::interactions::Interaction;
 use crate::populate::Population;
-use dmv_common::error::{DmvError, DmvResult};
+use dmv_common::clock::sleep_wall;
+use dmv_common::error::DmvResult;
+use dmv_common::rng::Backoff;
 use dmv_core::Session;
 use dmv_ondisk::{DiskDb, InnoDbTier};
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::{Arc, LazyLock};
+use std::time::Duration;
 
 /// A system that can execute TPC-W interactions.
 #[derive(Clone)]
@@ -36,41 +40,47 @@ impl Backend {
                     session.read_with_retry(&mut interaction.exec, retries)
                 }
             }
-            Backend::Disk(db) => {
-                let mut last: Option<DmvError> = None;
-                for attempt in 0..=retries {
-                    if attempt > 0 {
-                        dmv_common::rng::retry_backoff(attempt);
-                    }
-                    match db.run_with(&mut interaction.exec) {
-                        Ok(_) => return Ok(()),
-                        Err(e) if e.is_retryable() => last = Some(e),
-                        Err(e) => return Err(e),
-                    }
+            Backend::Disk(db) => retry(retries, || db.run_with(&mut interaction.exec).map(drop)),
+            Backend::Tier(tier) => retry(retries, || {
+                if interaction.kind.is_update() {
+                    tier.update_with(&mut interaction.exec)
+                } else {
+                    tier.read_with(&mut interaction.exec)
                 }
-                Err(last.expect("at least one attempt"))
-            }
-            Backend::Tier(tier) => {
-                let mut last: Option<DmvError> = None;
-                for attempt in 0..=retries {
-                    if attempt > 0 {
-                        dmv_common::rng::retry_backoff(attempt);
-                    }
-                    let res = if interaction.kind.is_update() {
-                        tier.update_with(&mut interaction.exec)
-                    } else {
-                        tier.read_with(&mut interaction.exec)
-                    };
-                    match res {
-                        Ok(()) => return Ok(()),
-                        Err(e) if e.is_retryable() => last = Some(e),
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(last.expect("at least one attempt"))
-            }
+            }),
         }
     }
+}
+
+/// Bounds of the on-disk baselines' retry backoff (wall time).
+const RETRY_BASE: Duration = Duration::from_micros(500);
+const RETRY_CAP: Duration = Duration::from_millis(8);
+/// Seed of their jitter stream.
+const RETRY_SEED: u64 = 0xD15C;
+
+/// The on-disk baselines' jitter: one seeded stream shared by every
+/// client, as the DMV cluster's `ContentionManager` shares its own, so
+/// two retriers that collided draw different delays.
+static RETRY_BACKOFF: LazyLock<Mutex<Backoff>> =
+    LazyLock::new(|| Mutex::new(Backoff::new(RETRY_BASE, RETRY_CAP, RETRY_SEED)));
+
+/// Runs `attempt` until it succeeds, fails for good, or has been
+/// retried `retries` times, backing off before each retry (breaks
+/// deadlock-retry livelock storms).
+fn retry(retries: usize, mut attempt: impl FnMut() -> DmvResult<()>) -> DmvResult<()> {
+    let mut last = None;
+    for n in 0..=retries {
+        if n > 0 {
+            let delay = RETRY_BACKOFF.lock().delay(n);
+            sleep_wall(delay);
+        }
+        match attempt() {
+            Ok(()) => return Ok(()),
+            Err(e) if e.is_retryable() => last = Some(e),
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last.expect("at least one attempt"))
 }
 
 impl std::fmt::Debug for Backend {

@@ -1,6 +1,8 @@
 //! End-to-end TPC-W workload tests against all three backends.
 
 use dmv_common::clock::{SimClock, TimeScale};
+use dmv_common::error::DmvError;
+use dmv_common::ids::{NodeId, TxnId};
 use dmv_core::cluster::{ClusterSpec, DmvCluster};
 use dmv_ondisk::{DiskDb, DiskDbOptions, InnoDbTier};
 use dmv_tpcw::backend::{load_cluster, load_diskdb, load_tier};
@@ -9,6 +11,7 @@ use dmv_tpcw::interactions::{plan, ClientState, IdAllocator, InteractionKind};
 use dmv_tpcw::populate::{generate, TpcwScale};
 use dmv_tpcw::schema::tpcw_schema;
 use dmv_tpcw::{Backend, Mix};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -90,6 +93,38 @@ fn every_interaction_runs_on_tier() {
     }
     // Actives stay consistent: spare refresh then both actives answer.
     tier.refresh_spare().unwrap();
+}
+
+#[test]
+fn tier_retries_an_interaction_whose_first_attempt_aborts() {
+    let scale = TpcwScale::tiny();
+    let tier = Arc::new(InnoDbTier::new(
+        tpcw_schema(),
+        2,
+        DiskDbOptions {
+            clock: SimClock::new(TimeScale::new(1e-6)),
+            buffer_pages: 4096,
+            ..Default::default()
+        },
+    ));
+    let pop = generate(scale, 11);
+    load_tier(&tier, &pop).unwrap();
+    let ids = Arc::new(IdAllocator::from_population(scale, &pop));
+    let mut rng = dmv_common::rng::seeded(6);
+    let mut state = ClientState::new(5);
+    let mut planned =
+        plan(InteractionKind::CustomerRegistration, &mut rng, &mut state, &ids, scale, 13_000);
+    let attempts = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&attempts);
+    let mut inner = planned.exec;
+    planned.exec = Box::new(move |runner| {
+        if seen.fetch_add(1, Ordering::SeqCst) == 0 {
+            return Err(DmvError::Deadlock(TxnId::new(NodeId(0), 1)));
+        }
+        inner(runner)
+    });
+    Backend::Tier(Arc::clone(&tier)).run(&mut planned, 3).unwrap();
+    assert_eq!(attempts.load(Ordering::SeqCst), 2, "one abort, then one successful retry");
 }
 
 #[test]

@@ -22,10 +22,12 @@
 //! * **no-unwrap** — no `.unwrap()` / `.expect(` in non-test code of
 //!   core/memdb/pagestore; `// unwrap-ok: <why>` documents the
 //!   invariant where a panic truly cannot fire.
-//! * **modeled-wait** — `std::thread::sleep` / `sleep_paper` in non-test
-//!   code of core/net/memdb/pagestore carries a
-//!   `// wait-ok: <what the model waits for>`. An OS sleep overshoots a
-//!   short request by its own length and more, so every one on a
+//! * **modeled-wait** — `thread::sleep` only inside
+//!   `crates/common/src/clock.rs`: every other sleep goes through
+//!   `clock::sleep_wall` / `sleep_until` / `SimClock::sleep_paper`, so one
+//!   module owns how a thread waits out time (and its timer slack). In
+//!   non-test code of core/net/memdb/pagestore each of those calls carries
+//!   a `// wait-ok: <what the model waits for>`: every sleep on a
 //!   transaction's path must be a delay the cost model asks for, paid
 //!   once — not a stall per message or per step.
 //! * **wire-boundary** — raw sockets (`std::net`, `TcpStream`,
@@ -82,10 +84,16 @@ const HOTPATH_CRATES: &[&str] =
 const NO_UNWRAP_CRATES: &[&str] =
     &["crates/core/", "crates/memdb/", "crates/pagestore/", "crates/epoch/"];
 
-/// Crates on a transaction's path, where every OS sleep must name the
+/// The one file allowed to call `thread::sleep`.
+const SLEEP_ALLOWED: &str = "crates/common/src/clock.rs";
+
+/// Crates on a transaction's path, where every sleep must name the
 /// modeled delay it pays.
 const MODELED_WAIT_CRATES: &[&str] =
     &["crates/core/", "crates/net/", "crates/memdb/", "crates/pagestore/"];
+
+/// Calls of the sleeps `clock.rs` offers.
+const CLOCK_SLEEPS: &[&str] = &["sleep_paper(", "sleep_wall(", "sleep_until("];
 
 /// The one crate allowed to open raw sockets; everyone else goes
 /// through the `Transport` trait.
@@ -329,14 +337,22 @@ fn lint_file(rel: &str, text: &str, order: &LockOrder, out: &mut Vec<Violation>)
                     .to_string(),
             );
         }
-        if modeled_wait
-            && (l.code.contains("thread::sleep") || l.code.contains("sleep_paper"))
+        if rel != SLEEP_ALLOWED && l.code.contains("thread::sleep") {
+            push(
+                i,
+                "modeled-wait",
+                "thread::sleep outside clock.rs — sleep through dmv_common::clock \
+                 (sleep_wall, sleep_until or SimClock::sleep_paper)"
+                    .to_string(),
+            );
+        } else if modeled_wait
+            && CLOCK_SLEEPS.iter().any(|s| l.code.contains(s))
             && !escaped(&lines, i, "wait-ok:")
         {
             push(
                 i,
                 "modeled-wait",
-                "OS sleep without a `wait-ok:` naming the modeled delay it pays — \
+                "sleep without a `wait-ok:` naming the modeled delay it pays — \
                  stamp a deadline or merge it into an existing wait instead"
                     .to_string(),
             );

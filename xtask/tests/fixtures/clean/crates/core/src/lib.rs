@@ -11,6 +11,11 @@ fn deadline_via_clock(clock: &dmv_common::clock::SimClock) {
     clock.sleep_paper(core::time::Duration::from_millis(1));
 }
 
+fn deliver(deadline: dmv_common::clock::WallInstant) {
+    // wait-ok: the rest of the message's modeled time on the wire
+    dmv_common::clock::sleep_until(deadline);
+}
+
 fn seeded_randomness(rng: &mut dmv_common::rng::SeededRng) -> u64 {
     rng.next_u64()
 }

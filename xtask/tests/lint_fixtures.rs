@@ -66,6 +66,20 @@ fn bad_fixture_reports_the_unlisted_and_the_stale_module() {
 }
 
 #[test]
+fn bad_fixture_reports_every_sleep_outside_clock_and_every_unnamed_wait() {
+    let out = run_lint("bad");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for site in
+        ["crates/core/src/lib.rs:30:", "crates/dst/src/lib.rs:8:", "crates/net/src/lib.rs:5:"]
+    {
+        assert!(
+            stderr.lines().any(|l| l.starts_with(site) && l.contains("[modeled-wait]")),
+            "no modeled-wait report at {site}; stderr:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn clean_fixture_passes() {
     let out = run_lint("clean");
     let stderr = String::from_utf8_lossy(&out.stderr);
