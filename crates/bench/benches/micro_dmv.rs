@@ -16,13 +16,18 @@
 //! * `fanout/*` — what a commit's fan-out costs its sender: one shared
 //!   allocation against a deep clone per target, and one `broadcast` on
 //!   the simulated LAN;
+//! * `scheduler/*` — one single-row update end to end on the 2007 LAN
+//!   with the §4.6 log insert: request hop, master commit and ack round
+//!   (the insert runs alongside), then the reply hop;
 //! * `clock/*` — the wall time one modeled wait takes: a NIC
-//!   serialization slot, a LAN hop, and the scheduler's log write plus
-//!   reply hop. What a row reports over its name is the OS's overshoot.
+//!   serialization slot, a LAN hop, and the scheduler's log insert plus
+//!   reply hop, which only an update with no ack round to overlap still
+//!   pays in full. What a row reports over its name is the OS's
+//!   overshoot.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dmv_common::clock::{sleep_wall, SimClock};
-use dmv_common::config::{ConcurrencyMode, NetProfile};
+use dmv_common::clock::{sleep_wall, SimClock, TimeScale};
+use dmv_common::config::{ConcurrencyMode, CpuProfile, NetProfile};
 use dmv_common::ids::{NodeId, PageId, TableId, TxnId};
 use dmv_common::rng::seeded;
 use dmv_common::version::VersionVector;
@@ -35,7 +40,7 @@ use dmv_net::{SimnetTransport, Transport};
 use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::{PageStore, PAGE_SIZE};
 use dmv_sql::exec::{execute, ExecContext, ExecRunner};
-use dmv_sql::query::{Access, AggFn, Join, Query, Select};
+use dmv_sql::query::{Access, AggFn, Expr, Join, Query, Select, SetExpr};
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
 use dmv_tpcw::interactions::{plan, ClientState, IdAllocator, InteractionKind};
@@ -486,6 +491,33 @@ fn bench_routing(c: &mut Criterion) {
     cluster.shutdown();
 }
 
+fn bench_scheduler(c: &mut Criterion) {
+    // One single-row update through a session with `ClusterSpec::new`'s
+    // 2007 LAN and 500 µs §4.6 log insert, no modeled CPU, no
+    // compression: what is left over the modeled waits is the commit
+    // path's own cost and the OS's overshoot.
+    let mut spec = ClusterSpec::new(kv_schema(), TimeScale::realtime());
+    spec.n_slaves = 2;
+    spec.cpu = CpuProfile::zero();
+    let cluster = DmvCluster::start(spec);
+    cluster
+        .load_rows(TableId(0), (0..100i64).map(|k| vec![k.into(), "v".into()]).collect())
+        .unwrap();
+    cluster.finish_load();
+    let session = cluster.session();
+    let update = [Query::Update {
+        table: TableId(0),
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, 7)),
+        set: vec![(1, SetExpr::Value("w".into()))],
+    }];
+    let mut g = c.benchmark_group("scheduler");
+    g.measurement_time(Duration::from_secs(1));
+    g.bench_function("update_lan_2slaves", |b| b.iter(|| session.update(&update).unwrap()));
+    g.finish();
+    cluster.shutdown();
+}
+
 fn bench_clock(c: &mut Criterion) {
     // The first clock of the process tightens its timer slack, as
     // `DmvCluster::start` does before it spawns a node.
@@ -509,6 +541,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .sample_size(20);
     targets = bench_pagediff, bench_version, bench_btree, bench_exec, bench_locks, bench_writeset,
-        bench_fanout, bench_applier_contention, bench_routing, bench_clock
+        bench_fanout, bench_applier_contention, bench_routing, bench_scheduler, bench_clock
 }
 criterion_main!(benches);

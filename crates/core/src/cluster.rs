@@ -78,7 +78,8 @@ pub struct ClusterSpec {
     pub checkpoint_period: Option<Duration>,
     /// Failure-detector poll interval.
     pub detect_interval: Duration,
-    /// Commit-path query-logging cost (§4.6).
+    /// Commit-path query-logging cost (§4.6); runs alongside the
+    /// master's ack round (see [`SchedulerConfig::log_latency`]).
     pub log_latency: Duration,
     /// Version-aware read routing (ablation toggle; paper default on).
     pub same_version_routing: bool,

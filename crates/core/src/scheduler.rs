@@ -7,9 +7,12 @@
 //! version (which is what keeps version-conflict aborts below the
 //! paper's 2.5 %), falling back to plain least-loaded balancing.
 //!
-//! It also owns durability (§4.6): committed update queries are logged
-//! (a lightweight insert) and fed asynchronously to the on-disk
-//! backend(s), so the commit path never waits for a disk database.
+//! It also owns durability (§4.6): an update's queries are logged (a
+//! lightweight insert, modeled as its latency) from the moment its
+//! commit leaves for the master, alongside the master's ack round; the
+//! reply waits for whichever of the two ends last. Committed write
+//! statements are then fed asynchronously to the on-disk backend(s), so
+//! the commit path never waits for a disk database.
 //!
 //! Updates additionally pass the contention tier before reaching their
 //! master: writers over a hot table set take turns (see
@@ -25,7 +28,7 @@ use crate::membership::Membership;
 use crate::messages::Msg;
 use crate::replica::ReplicaNode;
 use crate::trace::{SharedTap, TraceEvent};
-use dmv_common::clock::SimClock;
+use dmv_common::clock::{sleep_until, wall_deadline, wall_now, SimClock};
 use dmv_common::config::NetProfile;
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{NodeId, TableId};
@@ -69,9 +72,11 @@ pub struct SchedulerConfig {
     pub clock: SimClock,
     /// Network model for charging client↔scheduler↔database hops.
     pub net: NetProfile,
-    /// Cost of logging one committed transaction's queries (§4.6:
-    /// "a lightweight database insert of the corresponding query
-    /// strings").
+    /// Cost of logging one update transaction's queries (§4.6: "a
+    /// lightweight database insert of the corresponding query
+    /// strings"). The insert starts when the commit leaves for the
+    /// master and overlaps its ack round; an update pays only the part
+    /// the ack round does not cover.
     pub log_latency: Duration,
     /// Spare warmup strategy.
     pub warmup: WarmupStrategy,
@@ -257,11 +262,17 @@ impl Scheduler {
         // racing to first-committer-wins validation).
         let _class_guard = self.contention.serialize_if_hot(tables);
         self.charge_hop(256); // client → scheduler → master request hop
+        let scale = self.cfg.clock.scale();
         let mut writes: Vec<Query> = Vec::new();
+        let mut insert_done = wall_now();
         let res = master.execute_update_with(&mut |r| {
             let mut rec = RecordingRunner::new(r);
             let out = f(&mut rec);
             writes.append(&mut rec.writes);
+            // §4.6: the last statement has been forwarded, so the query
+            // strings are known and their insert starts as the commit
+            // leaves for the master; it runs alongside the ack round.
+            insert_done = wall_deadline(scale.to_wall(self.cfg.log_latency));
             out
         });
         match res {
@@ -271,13 +282,18 @@ impl Scheduler {
                     scheduler: self.id,
                     version: version.clone(),
                 });
-                // §4.6: log, then return; backends apply asynchronously.
-                // The log write is its latency; the logged statements
-                // live on in the backends' WALs, not in this process.
-                // Nothing observable happens between the log write and
-                // the reply hop, so they are one wait.
-                // wait-ok: §4.6 log insert, then the reply hop to the client
-                self.cfg.clock.sleep_paper(self.cfg.log_latency + self.cfg.net.transfer_time(128));
+                // The acks are in; the reply leaves once the insert is
+                // too. One wait covers what is left of the insert and the
+                // reply hop, skipped below 1 µs like `sleep_paper`'s.
+                // The insert is its latency: the logged statements live
+                // on in the backends' WALs, fed asynchronously below.
+                let now = wall_now();
+                let reply_at =
+                    insert_done.max(now) + scale.to_wall(self.cfg.net.transfer_time(128));
+                if reply_at - now >= Duration::from_micros(1) {
+                    // wait-ok: the rest of the §4.6 log insert, then the reply hop to the client
+                    sleep_until(reply_at);
+                }
                 if !writes.is_empty() {
                     if let Some(tx) = self.backend_tx.lock().as_ref() {
                         let _ = tx.send(writes);
@@ -440,7 +456,8 @@ impl Scheduler {
         let _epoch_guard = self.epoch.pin(&tag);
         let slave = self.pick_slave(&tag)?;
         let n = self.read_counter.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: warmup pacing heuristic; exact interleaving immaterial
-                                                                       // Warmup strategy B: periodic page-id transfer to spares.
+
+        // Warmup strategy B: periodic page-id transfer to spares.
         if let WarmupStrategy::PageIdTransfer { every_reads } = self.cfg.warmup {
             if every_reads > 0 && n.is_multiple_of(every_reads) {
                 self.send_pageid_hints();

@@ -7,6 +7,7 @@ use dmv_common::error::DmvError;
 use dmv_common::ids::TableId;
 use dmv_core::cluster::{ClusterSpec, DmvCluster};
 use dmv_core::scheduler::WarmupStrategy;
+use dmv_core::trace::{TraceEvent, TraceTap};
 use dmv_sql::query::{Access, Expr, Query, Select, SetExpr};
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
@@ -576,6 +577,55 @@ fn slave_death_mid_ack_wait_does_not_stall_commit() {
 }
 
 #[test]
+fn an_update_waits_for_the_later_of_its_log_insert_and_its_acks() {
+    // The §4.6 log insert starts when the commit leaves the scheduler
+    // and runs alongside the master's ack round: an update pays the
+    // longer of the two, not their sum. `hold_flush` stretches the ack
+    // round past the insert deterministically.
+    let mut spec = ClusterSpec::fast_test(schema());
+    spec.n_slaves = 1;
+    spec.log_latency = Duration::from_millis(40);
+    let cluster = DmvCluster::start(spec);
+    cluster
+        .load_rows(TableId(0), (0..20).map(|i| vec![i.into(), "o".into(), 0.into()]).collect())
+        .unwrap();
+    cluster.finish_load();
+    let timed_update = |c: Arc<DmvCluster>| {
+        std::thread::spawn(move || {
+            let start = dmv_common::clock::wall_now();
+            c.session().update(&[deposit(1, 1)]).unwrap();
+            start.elapsed()
+        })
+    };
+
+    // (a) An ack round much shorter than the insert: the insert is
+    // still paid in full.
+    let elapsed = timed_update(Arc::clone(&cluster)).join().unwrap();
+    assert!(elapsed >= Duration::from_millis(40), "the log insert was skipped: {elapsed:?}");
+
+    // (b) An ack round of ≈ 60 ms: the 40 ms insert ends inside it, so
+    // the update returns at ≈ 60 ms, where insert-after-acks took ≥ 100.
+    let master = cluster.master(0);
+    master.hold_flush();
+    let h = timed_update(Arc::clone(&cluster));
+    while master.pending_flush_count() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(60));
+    master.release_flush();
+    let elapsed = h.join().unwrap();
+    assert!(
+        elapsed >= Duration::from_millis(60),
+        "returned before its write-set left the master: {elapsed:?}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(95),
+        "the log insert waited for the ack round instead of overlapping it: {elapsed:?}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
 fn concurrent_commits_coalesce_and_all_replicate() {
     // Group-commit smoke: many writers commit concurrently, every
     // update must survive batching (no write-set lost or reordered in
@@ -690,6 +740,87 @@ fn a_silent_slave_does_not_stall_reclamation_on_the_others() {
     }
     assert_eq!(cluster.gc_sweep(), cluster.latest_version());
     assert_eq!(cluster.replica(healthy).unwrap().pending_bytes(), 0);
+    cluster.shutdown();
+}
+
+/// Collects every trace event, in emission order.
+#[derive(Default)]
+struct Recorder(std::sync::Mutex<Vec<TraceEvent>>);
+
+impl TraceTap for Recorder {
+    fn record(&self, ev: TraceEvent) {
+        self.0.lock().unwrap().push(ev);
+    }
+}
+
+#[test]
+fn a_session_under_a_master_slave_partition_reads_nothing_stale() {
+    // Slave B is cut off from the master but alive, so it stays routable
+    // and every commit waits out the ack time-out for it. One session
+    // runs 20 reads and 5 updates through it. What must hold now and
+    // once B is dropped and repaired by the cluster itself: no read sees
+    // less than what was acknowledged before it began, and every error
+    // is retryable. The routing counts are printed, not asserted.
+    let mut spec = ClusterSpec::fast_test(schema());
+    spec.n_slaves = 2;
+    spec.ack_timeout = Duration::from_millis(100);
+    let cluster = DmvCluster::start(spec);
+    cluster
+        .load_rows(TableId(0), (0..20).map(|i| vec![i.into(), "o".into(), 0.into()]).collect())
+        .unwrap();
+    cluster.finish_load();
+    let tap = Arc::new(Recorder::default());
+    cluster.set_trace_tap(Arc::clone(&tap) as Arc<dyn TraceTap>);
+    let silent = cluster.slave_ids()[0]; // first among equals in routing
+    cluster.net().partition(cluster.master(0).id(), silent);
+    let session = cluster.session();
+    let mut acknowledged = 0i64;
+    let mut update_times = Vec::new();
+    let mut read_errors = Vec::new();
+    for _ in 0..5 {
+        for _ in 0..4 {
+            match session.read_retry(&[read_balance(1)], 3) {
+                Ok(rs) => {
+                    let seen = rs[0].rows[0][0].as_int().unwrap();
+                    assert!(seen >= acknowledged, "read {seen} below its tag's {acknowledged}");
+                }
+                Err(e) => {
+                    assert!(e.is_retryable(), "a read failed for good: {e}");
+                    read_errors.push(e);
+                }
+            }
+        }
+        let start = dmv_common::clock::wall_now();
+        match session.update(&[deposit(1, 1)]) {
+            Ok(_) => acknowledged += 1,
+            Err(e) => assert!(e.is_retryable(), "an update failed for good: {e}"),
+        }
+        update_times.push(start.elapsed());
+    }
+    let events = tap.0.lock().unwrap();
+    let on_silent = |slave: &dmv_common::ids::NodeId| *slave == silent;
+    let routed = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::ReadRouted { slave, .. } if on_silent(slave)))
+        .count();
+    let served = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::ReadCommitted { slave, .. } if on_silent(slave)))
+        .count();
+    let aborted: Vec<&String> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::ReadAborted { slave, reason, .. } if on_silent(slave) => Some(reason),
+            _ => None,
+        })
+        .collect();
+    let attempts = events.iter().filter(|e| matches!(e, TraceEvent::ReadRouted { .. })).count();
+    eprintln!(
+        "partitioned slave: {routed} of {attempts} read attempts routed to it (20 reads), \
+         {served} served there, aborts there: {aborted:?}; reads failed to the client: \
+         {read_errors:?}; update wall times: {update_times:?}"
+    );
+    drop(events);
     cluster.shutdown();
 }
 

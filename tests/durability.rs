@@ -2,6 +2,7 @@
 //! feed to the on-disk backends, backend WAL recovery, and rebuilding
 //! the in-memory tier after total loss.
 
+use dmv::common::error::DmvError;
 use dmv::common::ids::TableId;
 use dmv::core::cluster::{ClusterSpec, DmvCluster};
 use dmv::ondisk::{DiskDb, DiskDbOptions};
@@ -9,6 +10,7 @@ use dmv::sql::{
     Access, ColType, Column, Expr, IndexDef, Query, Schema, Select, SetExpr, TableSchema, Value,
 };
 use std::sync::Arc;
+use std::time::Duration;
 
 fn schema() -> Schema {
     Schema::new(vec![TableSchema::new(
@@ -27,6 +29,8 @@ fn start(n_backends: usize) -> Arc<DmvCluster> {
     let mut spec = ClusterSpec::fast_test(schema());
     spec.n_slaves = 2;
     spec.n_backends = n_backends;
+    // A real §4.6 insert, so attempts that fail while it runs are tested.
+    spec.log_latency = Duration::from_millis(1);
     let cluster = DmvCluster::start(spec);
     cluster.finish_load();
     cluster
@@ -118,6 +122,55 @@ fn scheduler_query_log_records_writes_only() {
     cluster.shutdown();
     let backend = &cluster.backends()[0];
     assert_eq!(backend.wal().len(), 2);
+}
+
+// ---------------------------------------------------------------------
+// The §4.6 log insert starts when an update's commit leaves the
+// scheduler, before the master has validated it. An attempt that fails
+// after that point may lose time, never data: nothing of it reaches a
+// backend.
+
+#[test]
+fn an_attempt_whose_master_dies_after_its_log_insert_began_is_never_fed() {
+    let cluster = start(1);
+    let session = cluster.session();
+    session.update(&[insert(1)]).unwrap();
+    // Not idempotent, so a fed failed attempt would show in the sum (a
+    // repeated insert would hide as a duplicate-key abort).
+    let bump = Query::Update {
+        table: TableId(0),
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, 1)),
+        set: vec![(2, SetExpr::AddInt(1))],
+    };
+    let first = cluster.master(0);
+    first.arm_kill_mid_validation();
+    let err = session.update(std::slice::from_ref(&bump)).unwrap_err();
+    assert!(matches!(err, DmvError::NodeFailed(id) if id == first.id()), "{err:?}");
+    cluster.detect_and_reconfigure();
+    assert_ne!(cluster.master(0).id(), first.id(), "a slave was promoted");
+    session.update(&[bump]).unwrap();
+    cluster.shutdown(); // drains the feed
+    let backend = &cluster.backends()[0];
+    assert_eq!(backend.wal().len(), 2, "the insert and the retried bump, nothing else");
+    let rs =
+        backend.execute_txn(&[Query::Select(Select::by_pk(TableId(0), vec![1.into()]))]).unwrap();
+    assert_eq!(rs[0].rows[0][2], Value::Int(11), "the bump is applied once");
+}
+
+#[test]
+fn an_attempt_whose_statements_fail_after_a_write_is_never_fed() {
+    let cluster = start(1);
+    let session = cluster.session();
+    let err = session
+        .update_with(&[TableId(0)], &mut |r| {
+            r.run(&insert(1))?;
+            Err(DmvError::Query("abandoned after its write".into()))
+        })
+        .unwrap_err();
+    assert!(matches!(err, DmvError::Query(_)), "{err:?}");
+    cluster.shutdown();
+    assert_eq!(cluster.backends()[0].wal().len(), 0, "nothing of the attempt is persisted");
 }
 
 // ---------------------------------------------------------------------
