@@ -11,6 +11,9 @@
 //!   engine: BestSellers, which aggregates below its joins, next to the
 //!   same statement made to join every order line, and a join's keys
 //!   numbered as dense integers next to the same join on strings;
+//! * `reuse/*` — a slave's result store: BestSellers answered from it and
+//!   executed and stored, and what a point select's key hash and
+//!   doorkeeper probe cost next to the select;
 //! * `locks/*` — per-page 2PL lock manager;
 //! * `writeset/*` — the capture → broadcast-encode → apply pipeline;
 //! * `fanout/*` — what a commit's fan-out costs its sender: one shared
@@ -32,14 +35,15 @@ use dmv_common::ids::{NodeId, PageId, TableId, TxnId};
 use dmv_common::rng::seeded;
 use dmv_common::version::VersionVector;
 use dmv_core::messages::{Msg, WriteSet};
+use dmv_core::reuse::{Key, ResultStore};
 use dmv_core::{ClusterSpec, DmvCluster, PendingApplier};
 use dmv_memdb::index::BTreeIndex;
 use dmv_memdb::lock::{LockManager, LockMode};
-use dmv_memdb::{MemDb, MemDbOptions};
+use dmv_memdb::{MemDb, MemDbOptions, Txn};
 use dmv_net::{SimnetTransport, Transport};
 use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::{PageStore, PAGE_SIZE};
-use dmv_sql::exec::{execute, ExecContext, ExecRunner};
+use dmv_sql::exec::{execute, ExecContext, ExecRunner, ResultSet, StatementRunner};
 use dmv_sql::query::{Access, AggFn, Expr, Join, Query, Select, SetExpr};
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
@@ -190,10 +194,8 @@ fn bench_btree(c: &mut Criterion) {
     g.finish();
 }
 
-/// BestSellers — order lines of the latest 3 333 orders ⋈ items ⋈
-/// authors, grouped by item — on the small TPC-W population.
-fn bench_exec(c: &mut Criterion) {
-    let mut g = c.benchmark_group("exec");
+/// The small TPC-W population on a stand-alone engine, and its ids.
+fn small_tpcw() -> (MemDb, IdAllocator, TpcwScale) {
     let scale = TpcwScale::small();
     let pop = generate(scale, 20_070_625);
     let opts = MemDbOptions { concurrency: ConcurrencyMode::MvccCow, ..MemDbOptions::default() };
@@ -208,6 +210,14 @@ fn bench_exec(c: &mut Criterion) {
         }
     }
     let ids = IdAllocator::from_population(scale, &pop);
+    (db, ids, scale)
+}
+
+/// BestSellers — order lines of the latest 3 333 orders ⋈ items ⋈
+/// authors, grouped by item — on the small TPC-W population.
+fn bench_exec(c: &mut Criterion) {
+    let mut g = c.benchmark_group("exec");
+    let (db, ids, scale) = small_tpcw();
     let (mut rng, mut state) = (seeded(1), ClientState::new(1));
     let mut best = plan(InteractionKind::BestSellers, &mut rng, &mut state, &ids, scale, 13_000);
     g.bench_function("best_sellers", |b| {
@@ -290,6 +300,78 @@ fn bench_exec(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// Answers every statement through a slave's result store, as a
+/// replica's statement runner does.
+struct Reusing<'a, 'db> {
+    store: &'a ResultStore,
+    txn: &'a mut Txn<'db>,
+    applier: &'a PendingApplier,
+}
+
+impl StatementRunner for Reusing<'_, '_> {
+    fn run(&mut self, q: &Query) -> dmv_common::error::DmvResult<ResultSet> {
+        self.store.answer(self.txn, q, self.applier).map(|(rs, _)| rs)
+    }
+}
+
+/// Tagged selects through the result store on the small TPC-W
+/// population: BestSellers answered from the store, BestSellers executed
+/// and stored (the key's lineage moves every iteration), and what a
+/// point select pays for its key's hash and the doorkeeper probe — next
+/// to the select itself.
+fn bench_reuse(c: &mut Criterion) {
+    let mut g = c.benchmark_group("reuse");
+    let (db, ids, scale) = small_tpcw();
+    let applier = Arc::new(PendingApplier::new(
+        Arc::clone(db.store()),
+        db.schema().len(),
+        Duration::from_secs(1),
+    ));
+    db.set_gate(Arc::clone(&applier) as Arc<dyn dmv_memdb::ReadGate>);
+    let tag = VersionVector::new(db.schema().len());
+    let (mut rng, mut state) = (seeded(1), ClientState::new(1));
+    let mut best = plan(InteractionKind::BestSellers, &mut rng, &mut state, &ids, scale, 13_000);
+    let store = ResultStore::new();
+    let mut best_sellers = || {
+        let mut txn = db.begin_read_tagged(tag.clone());
+        (best.exec)(&mut Reusing { store: &store, txn: &mut txn, applier: &applier }).unwrap();
+        txn.commit(None);
+    };
+    g.bench_function("best_sellers_hit", |b| b.iter(&mut best_sellers));
+    g.bench_function("best_sellers_miss_stored", |b| {
+        b.iter(|| {
+            applier.new_lineage();
+            best_sellers();
+        })
+    });
+    let items = scale.items as i64;
+    let point = |i: i64| Query::Select(Select::by_pk(tpcw::ITEM, vec![(i % items + 1).into()]));
+    let mut i = 0i64;
+    g.bench_function("by_pk_select", |b| {
+        b.iter(|| {
+            i += 1;
+            let mut txn = db.begin_read_tagged(tag.clone());
+            black_box(execute(&mut txn, &point(i)).unwrap());
+            txn.commit(None);
+        })
+    });
+    let probes = ResultStore::new();
+    g.bench_function("by_pk_key_and_probe", |b| {
+        b.iter_batched(
+            || {
+                i += 1;
+                point(i)
+            },
+            |q| {
+                let key = Key::new(&q, &tag).unwrap();
+                black_box(probes.lookup(&key, 0));
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
@@ -540,7 +622,8 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500))
         .sample_size(20);
-    targets = bench_pagediff, bench_version, bench_btree, bench_exec, bench_locks, bench_writeset,
+    targets = bench_pagediff, bench_version, bench_btree, bench_exec, bench_reuse, bench_locks,
+        bench_writeset,
         bench_fanout, bench_applier_contention, bench_routing, bench_scheduler, bench_clock
 }
 criterion_main!(benches);

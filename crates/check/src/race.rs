@@ -56,13 +56,18 @@ fn is_release(ord: Ordering) -> bool {
     matches!(ord, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
 }
 
-/// A declared lock-acquisition chain from `xtask/lock_order.toml`.
+/// A declared lock-acquisition chain from `xtask/lock_order.toml`, or
+/// one of its `[[alone]]` tables.
 #[derive(Clone, Debug)]
 pub struct Chain {
     /// Chain name (diagnostic only).
     pub name: String,
-    /// Lock names in the order they must be acquired.
+    /// Lock names in the order they must be acquired; for an `[[alone]]`
+    /// table, its lock and then its `not_with` locks.
     pub order: Vec<String>,
+    /// An `[[alone]]` table: `order[0]` is never held together with any
+    /// later lock, in either order.
+    pub apart: bool,
 }
 
 struct ThreadState {
@@ -529,7 +534,31 @@ impl Detector {
                 let hi = chain.order.iter().position(|n| n == hl);
                 let ai = chain.order.iter().position(|n| n == al);
                 if let (Some(hi), Some(ai)) = (hi, ai) {
-                    if ai < hi {
+                    if chain.apart && hi.min(ai) == 0 && hi != ai {
+                        let current = Access {
+                            thread: s.threads[tid].name.clone(),
+                            op: format!("lock `{al}` while holding `{hl}`"),
+                            site,
+                        };
+                        let prior = Access {
+                            thread: s.threads[tid].name.clone(),
+                            op: format!("lock `{hl}`"),
+                            site: h.site,
+                        };
+                        let msg = format!(
+                            "declared `[[alone]]` table `{}` never holds `{al}` together with \
+                             `{hl}`",
+                            chain.name
+                        );
+                        s.publish(
+                            RaceKind::LockOrderInversion,
+                            al.to_string(),
+                            msg,
+                            prior,
+                            current,
+                            tid,
+                        );
+                    } else if !chain.apart && ai < hi {
                         let current = Access {
                             thread: s.threads[tid].name.clone(),
                             op: format!("lock `{al}` while holding `{hl}`"),
@@ -674,32 +703,38 @@ fn load_declared_chains() -> Vec<Chain> {
     parse_chains(&text)
 }
 
-/// Minimal parser for the `[[chain]]` tables the lint also reads: each
-/// table has a `name = "..."` and an `order = ["a", "b", ...]` line.
+/// Minimal parser for the `[[chain]]` and `[[alone]]` tables the lint
+/// also reads: a chain has a `name = "..."` and an `order = ["a", "b",
+/// ...]` line; an `[[alone]]` table a `name`, a `lock` and a `not_with`
+/// list (`not_across` is for the lint alone).
 pub fn parse_chains(text: &str) -> Vec<Chain> {
     let mut chains = Vec::new();
     let mut current: Option<Chain> = None;
     for line in text.lines() {
         let line = line.trim();
-        if line.starts_with("[[chain]]") {
-            if let Some(c) = current.take() {
-                chains.push(c);
+        if line.starts_with("[[") {
+            chains.extend(current.take());
+            let apart = line.starts_with("[[alone]]");
+            if apart || line.starts_with("[[chain]]") {
+                current = Some(Chain { name: String::new(), order: Vec::new(), apart });
             }
-            current = Some(Chain { name: String::new(), order: Vec::new() });
-        } else if let Some(rest) = line.strip_prefix("name") {
-            if let (Some(c), Some(v)) = (current.as_mut(), quoted_values(rest).next()) {
+            continue;
+        }
+        let Some(c) = current.as_mut() else { continue };
+        if let Some(rest) = line.strip_prefix("name") {
+            if let Some(v) = quoted_values(rest).next() {
                 c.name = v;
             }
         } else if let Some(rest) = line.strip_prefix("order") {
-            if let Some(c) = current.as_mut() {
-                c.order = quoted_values(rest).collect();
-            }
+            c.order = quoted_values(rest).collect();
+        } else if let Some(rest) = line.strip_prefix("lock") {
+            c.order.splice(0..0, quoted_values(rest).take(1));
+        } else if let Some(rest) = line.strip_prefix("not_with") {
+            c.order.extend(quoted_values(rest));
         }
     }
-    if let Some(c) = current.take() {
-        chains.push(c);
-    }
-    chains.retain(|c| !c.order.is_empty());
+    chains.extend(current.take());
+    chains.retain(|c| c.order.len() > 1);
     chains
 }
 

@@ -19,7 +19,8 @@
 //!    downgraded `Release → Relaxed` under an `Acquire` reader.
 //! 4. version-vector publish store downgraded `Release → Relaxed`
 //!    under an `Acquire` reader.
-//! 5. lock-order inversion (dynamic cycle and declared-chain forms).
+//! 5. lock-order inversion (dynamic cycle, declared-chain and
+//!    declared-`[[alone]]` forms).
 //! 6. condvar notify with no happens-before edge to the waiter.
 
 use dmv_check::race::{parse_chains, Detector};
@@ -274,6 +275,51 @@ fn declared_chain_respected_clean() {
     d.lock_release(t0, b, Site::caller());
     d.lock_release(t0, a, Site::caller());
     assert_eq!(d.report_count(), 0);
+}
+
+/// An `[[alone]]` lock held together with one of its `not_with` locks
+/// is caught in either nesting, and the table after it still parses as
+/// its own chain (its `name` line must not rename the table before).
+#[test]
+fn declared_alone_lock_held_with_a_banned_lock_caught_in_either_order() {
+    let text = r#"
+        [[alone]]
+        name = "reuse"
+        lock = "results"
+        not_with = ["slots"]
+        not_across = ["execute("]
+
+        [[chain]]
+        name = "applier"
+        order = ["slots", "wait_lock"]
+        "#;
+    let chains = parse_chains(text);
+    assert_eq!(chains.len(), 2);
+    assert_eq!((chains[0].name.as_str(), chains[0].apart), ("reuse", true));
+    assert_eq!(chains[0].order, ["results", "slots"]);
+    assert_eq!((chains[1].name.as_str(), chains[1].apart), ("applier", false));
+    for results_first in [true, false] {
+        let d = Detector::with_lock_order(parse_chains(text));
+        let t0 = d.register_thread(None, None);
+        let (results, slots, wait) = (d.alloc_object(), d.alloc_object(), d.alloc_object());
+        d.label_lock(results, "results");
+        d.label_lock(slots, "slots");
+        d.label_lock(wait, "wait_lock");
+        let (first, second) = if results_first { (results, slots) } else { (slots, results) };
+        d.lock_acquire(t0, first, Site::caller());
+        d.lock_acquire(t0, second, Site::caller());
+        d.lock_release(t0, second, Site::caller());
+        d.lock_release(t0, first, Site::caller());
+        // Alone is fine, and so is the declared chain.
+        d.lock_acquire(t0, results, Site::caller());
+        d.lock_release(t0, results, Site::caller());
+        d.lock_acquire(t0, slots, Site::caller());
+        d.lock_acquire(t0, wait, Site::caller());
+        let reports = d.reports();
+        assert_eq!(reports.len(), 1, "results first: {results_first}");
+        assert_eq!(reports[0].kind, RaceKind::LockOrderInversion);
+        assert!(reports[0].message.contains("`reuse`"), "names the table: {}", reports[0].message);
+    }
 }
 
 // ---------------------------------------------------- condvar no-HB

@@ -164,6 +164,10 @@ pub struct PendingApplier {
     /// allocation is shared, so a diff's encoded length is the honest
     /// per-entry footprint.
     pending_diff_bytes: AtomicU64,
+    /// Bumped after every change that can give a table version other
+    /// content than it had, or replace pages outside the stream (see
+    /// [`PendingApplier::lineage`]).
+    lineage: AtomicU64,
     /// Optional history tap and the node id to attribute events to.
     trace: RwLock<Option<(NodeId, SharedTap)>>,
 }
@@ -181,6 +185,7 @@ impl PendingApplier {
             wait_timeout,
             enqueued_writesets: AtomicU64::new(0),
             pending_diff_bytes: AtomicU64::new(0),
+            lineage: AtomicU64::new(0),
             trace: RwLock::new(None),
         };
         for shard in &applier.slots {
@@ -434,6 +439,8 @@ impl PendingApplier {
         }
         self.pending_diff_bytes.fetch_sub(dropped_bytes, Ordering::Relaxed); // relaxed-ok: diagnostics gauge
         self.received.clamp(versions);
+        // A discarded version may be reissued with other content.
+        self.new_lineage();
         self.emit(|node| TraceEvent::DiscardedAbove { node, keep: versions.clone() });
     }
 
@@ -444,7 +451,24 @@ impl PendingApplier {
     /// wait for a replication stream that will never resend them.
     pub fn advance_received(&self, to: &VersionVector) {
         self.received.merge(to);
+        self.new_lineage();
         self.notify_waiters();
+    }
+
+    /// The lineage within which a table version names one content. It
+    /// moves on after `discard_above` (whose versions a new master may
+    /// reissue) and after every install of pages from outside the stream
+    /// (migration, checkpoint restore), so whatever was read before such a
+    /// change is told apart from what is read after it
+    /// ([`crate::reuse`]).
+    pub fn lineage(&self) -> u64 {
+        self.lineage.load(Ordering::SeqCst)
+    }
+
+    /// Starts a new [`PendingApplier::lineage`]; called once the change
+    /// that needs it is complete.
+    pub fn new_lineage(&self) {
+        self.lineage.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Total queued (unapplied) diffs across all pages (diagnostics).

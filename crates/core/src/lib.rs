@@ -11,6 +11,8 @@
 //!   materialization** and the version-conflict abort rule (§2.2);
 //! * [`replica`] — a replica node: master commit pipeline (Figure 2),
 //!   tagged slave reads, promotion, checkpointing, migration endpoints;
+//! * [`reuse`] — a slave's stored answers to tagged selects, keyed by
+//!   the select and the versions of the tables it reads;
 //! * [`scheduler`] — the version-aware scheduler: conflict-class routing
 //!   of updates, version tagging and same-version read routing,
 //!   asynchronous persistence feed (§4.6), takeover (§4.1);
@@ -52,6 +54,7 @@ pub mod contention;
 pub mod membership;
 pub mod messages;
 pub mod replica;
+pub mod reuse;
 pub mod scheduler;
 pub mod trace;
 
@@ -62,5 +65,6 @@ pub use contention::ContentionManager;
 pub use membership::{Membership, Topology};
 pub use messages::{Msg, PageBatch, WriteSet, WriteSetBatch};
 pub use replica::{ReplicaConfig, ReplicaNode};
+pub use reuse::ResultStore;
 pub use scheduler::{Scheduler, SchedulerConfig, WarmupStrategy};
 pub use trace::{SharedTap, TraceEvent, TraceTap};

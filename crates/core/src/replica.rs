@@ -9,6 +9,7 @@ use crate::ack::AckTracker;
 use crate::applier::PendingApplier;
 use crate::contention::ContentionManager;
 use crate::messages::{Msg, PageBatch, WriteSet, WriteSetBatch};
+use crate::reuse::ResultStore;
 use crate::trace::{SharedTap, TraceEvent};
 use dmv_common::clock::SimClock;
 use dmv_common::config::{BufferBudget, ConcurrencyMode, CpuProfile};
@@ -19,7 +20,7 @@ use dmv_memdb::{MemDb, MemDbOptions};
 use dmv_net::{DynTransport, Endpoint};
 use dmv_pagestore::checkpoint::{fuzzy_checkpoint, CheckpointImage};
 use dmv_pagestore::store::Residency;
-use dmv_sql::exec::{execute, ResultSet, StatementRunner};
+use dmv_sql::exec::{ResultSet, StatementRunner};
 use dmv_sql::query::Query;
 use dmv_sql::schema::Schema;
 // Shimmed primitives: parking_lot/std in normal builds, model-checked
@@ -76,6 +77,8 @@ pub struct ReplicaStats {
     pub reads: AtomicU64,
     /// Reads aborted by version inconsistency on this node.
     pub version_aborts: AtomicU64,
+    /// Tagged selects answered from the node's [`ResultStore`].
+    pub reused: AtomicU64,
 }
 
 /// Coalescer state for the master's group-commit pipeline.
@@ -93,7 +96,8 @@ struct BatchState {
 }
 
 /// A [`StatementRunner`] bound to one open transaction on a replica,
-/// failing fast if the node is killed mid-transaction.
+/// failing fast if the node is killed mid-transaction. A tagged select
+/// may be answered from the node's [`ResultStore`].
 struct NodeRunner<'a, 'db> {
     node: &'a ReplicaNode,
     inner: &'a mut dmv_memdb::Txn<'db>,
@@ -104,7 +108,11 @@ impl StatementRunner for NodeRunner<'_, '_> {
         if !self.node.is_alive() {
             return Err(DmvError::NodeFailed(self.node.id));
         }
-        execute(self.inner, q)
+        let (rs, reused) = self.node.results.answer(self.inner, q, &self.node.applier)?;
+        if reused {
+            self.node.stats.reused.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter, read only for reporting
+        }
+        Ok(rs)
     }
 }
 
@@ -113,6 +121,8 @@ pub struct ReplicaNode {
     id: NodeId,
     db: Arc<MemDb>,
     applier: Arc<PendingApplier>,
+    /// Stored answers to tagged selects (slave side).
+    results: ResultStore,
     net: DynTransport<Msg>,
     clock: SimClock,
     alive: Arc<AtomicBool>,
@@ -185,6 +195,7 @@ impl ReplicaNode {
             id,
             db,
             applier,
+            results: ResultStore::new(),
             net: Arc::clone(&net),
             clock: cfg.clock,
             alive: Arc::new(AtomicBool::new(true)),
@@ -293,6 +304,7 @@ impl ReplicaNode {
             // Migrated pages arrive over the network into memory.
             cell.set_resident(true);
         }
+        self.applier.new_lineage();
     }
 
     /// The node id.
@@ -761,6 +773,7 @@ impl ReplicaNode {
     /// recovering node's on-disk image until touched.
     pub fn restore_from_checkpoint(&self, ck: &CheckpointImage) {
         ck.restore_into(self.db.store(), false);
+        self.applier.new_lineage();
     }
 
     /// Copies another replica's entire store into this one (the shared

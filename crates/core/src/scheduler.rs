@@ -3,9 +3,12 @@
 //! The scheduler routes update transactions to the master of their
 //! conflict class, merges the version vectors masters report at commit,
 //! tags every read-only transaction with the latest merged vector, and
-//! routes it to a slave — preferring one already serving the same
-//! version (which is what keeps version-conflict aborts below the
-//! paper's 2.5 %), falling back to plain least-loaded balancing.
+//! routes it to the slave with the fewest reads in flight. Among equally
+//! loaded slaves it prefers one already serving the same version (the
+//! paper's same-version affinity), then one that has received everything
+//! the tag needs. No slave is ever filtered out by its version: the
+//! applier's rewind history lets any slave serve any tag in its window,
+//! and version-conflict aborts stay below the paper's 2.5 % without it.
 //!
 //! It also owns durability (§4.6): an update's queries are logged (a
 //! lightweight insert, modeled as its latency) from the moment its
@@ -97,12 +100,11 @@ struct SlaveLoad {
     inflight: AtomicUsize,
     /// Highest `total()` over the tags ever routed to the slave — a
     /// monotone floor on the page versions its store may be serving.
-    /// Reads *pull* pages up to their tag on access, and a page past a
-    /// tag is exactly the paper's read-abort case, so a read tagged
-    /// below this floor would likely hit `VersionConflict` here. The
-    /// routing policy only sends a read to slaves whose floor its tag
-    /// covers, and prefers an exact floor match (the slave already
-    /// serving this version — the paper's same-version affinity).
+    /// Reads *pull* pages up to their tag on access, so a read tagged
+    /// below this floor may have to rewind pages there. Routing uses it
+    /// only to break a tie in load: an exact floor match (the slave
+    /// already serving this version — the paper's same-version
+    /// affinity) goes first. It filters no slave out.
     served_floor: AtomicU64,
 }
 
@@ -364,9 +366,11 @@ impl Scheduler {
         }
     }
 
-    /// Picks the slave for a read tagged `tag`: same-version replicas
-    /// first, least-loaded as tie-break and fallback; occasionally a
-    /// spare, per the warmup strategy.
+    /// Picks the slave for a read tagged `tag`: the fewest reads in
+    /// flight first; among those, a served-floor match, then a slave
+    /// whose `received` covers the tag (plain least-loaded when
+    /// same-version routing is off); occasionally a spare, per the
+    /// warmup strategy.
     fn pick_slave(&self, tag: &VersionVector) -> DmvResult<Arc<ReplicaNode>> {
         let topo = self.membership.read();
         // Warmup strategy A: a trickle of real reads keeps a spare warm.

@@ -5,6 +5,7 @@
 use dmv_common::config::ConcurrencyMode;
 use dmv_common::error::DmvError;
 use dmv_common::ids::TableId;
+use dmv_common::version::VersionVector;
 use dmv_core::cluster::{ClusterSpec, DmvCluster};
 use dmv_core::scheduler::WarmupStrategy;
 use dmv_core::trace::{TraceEvent, TraceTap};
@@ -916,5 +917,227 @@ fn a_peer_scheduler_routes_by_the_membership_the_lead_changed() {
     session.update_retry(&[deposit(3, 1)], 10).unwrap();
     let rs = session.read_retry(&[read_balance(3)], 10).unwrap();
     assert_eq!(rs[0].rows, vec![vec![Value::Int(4)]]);
+    cluster.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Reuse of tagged select results (crates/core/src/reuse.rs)
+
+const BOOKS: TableId = TableId(0);
+const AUTHORS: TableId = TableId(1);
+const NOTES: TableId = TableId(2);
+
+/// Books by authors, and notes no select here reads.
+fn library() -> Schema {
+    Schema::new(vec![
+        TableSchema::new(
+            BOOKS,
+            "books",
+            vec![
+                Column::new("b_id", ColType::Int),
+                Column::new("b_a_id", ColType::Int),
+                Column::new("price", ColType::Int),
+            ],
+            vec![IndexDef::unique("pk", vec![0])],
+        ),
+        TableSchema::new(
+            AUTHORS,
+            "authors",
+            vec![Column::new("a_id", ColType::Int), Column::new("name", ColType::Str)],
+            vec![IndexDef::unique("pk", vec![0])],
+        ),
+        TableSchema::new(
+            NOTES,
+            "notes",
+            vec![Column::new("n_id", ColType::Int), Column::new("text", ColType::Str)],
+            vec![IndexDef::unique("pk", vec![0])],
+        ),
+    ])
+}
+
+/// A library of `books` books by 7 authors, on a cluster of `n_slaves`.
+fn start_library(books: i64, n_slaves: usize, ack_timeout: Duration) -> Arc<DmvCluster> {
+    let mut spec = ClusterSpec::fast_test(library());
+    spec.n_slaves = n_slaves;
+    spec.ack_timeout = ack_timeout;
+    let cluster = DmvCluster::start(spec);
+    let rows = (0..books).map(|b| vec![b.into(), (b % 7).into(), 10.into()]).collect();
+    cluster.load_rows(BOOKS, rows).unwrap();
+    let rows = (0..7i64).map(|a| vec![a.into(), format!("author {a}").into()]).collect();
+    cluster.load_rows(AUTHORS, rows).unwrap();
+    cluster.finish_load();
+    cluster
+}
+
+/// Books ⋈ authors, in book order.
+fn books_by_author() -> Query {
+    Query::Select(
+        Select::scan(BOOKS)
+            .join(dmv_sql::query::Join {
+                table: AUTHORS,
+                left_col: 1,
+                right_col: 0,
+                right_index: Some(0),
+            })
+            .order_by(0, false)
+            .project(vec![0, 4]),
+    )
+}
+
+fn reused(node: &dmv_core::ReplicaNode) -> u64 {
+    // relaxed-ok: stats counter; read after the reads it counts returned
+    node.stats.reused.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// Reads `q` on `node` at `tag` and returns its rows and whether the
+/// result store answered.
+fn read_on(
+    node: &dmv_core::ReplicaNode,
+    q: &Query,
+    tag: &VersionVector,
+) -> (Vec<Vec<Value>>, bool) {
+    let before = reused(node);
+    let rs = node.execute_read(std::slice::from_ref(q), tag).unwrap();
+    (rs.into_iter().next().unwrap().rows, reused(node) > before)
+}
+
+/// A join answered twice at one tag — the second time stored — is
+/// answered from the store the third time, row for row.
+fn stored_join(cluster: &DmvCluster) -> (Arc<dmv_core::ReplicaNode>, Vec<Vec<Value>>) {
+    let slave = cluster.replica(cluster.slave_ids()[0]).unwrap();
+    let tag = cluster.latest_version();
+    let q = books_by_author();
+    let (first, hit) = read_on(&slave, &q, &tag);
+    assert!(!hit, "a first sighting executes");
+    let (second, hit) = read_on(&slave, &q, &tag);
+    assert!(!hit, "a second sighting executes and stores");
+    let (third, hit) = read_on(&slave, &q, &tag);
+    assert!(hit, "the third sighting is answered from the store");
+    assert_eq!(first.len(), 40);
+    assert_eq!((&second, &third), (&first, &first), "served rows equal the miss's, in order");
+    (slave, first)
+}
+
+#[test]
+fn a_join_repeated_at_one_tag_is_answered_from_the_store() {
+    let cluster = start_library(40, 1, Duration::from_millis(500));
+    let (slave, rows) = stored_join(&cluster);
+    assert_eq!(rows[8], vec![Value::Int(8), Value::from("author 1")]);
+    // The stored rows go on answering at the same tag.
+    let (again, hit) = read_on(&slave, &books_by_author(), &cluster.latest_version());
+    assert!(hit);
+    assert_eq!(again, rows);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_commit_to_a_table_the_select_does_not_read_keeps_it_reusable() {
+    let cluster = start_library(40, 1, Duration::from_millis(500));
+    let (slave, rows) = stored_join(&cluster);
+    let before = cluster.latest_version();
+    cluster
+        .session()
+        .update(&[Query::Insert { table: NOTES, rows: vec![vec![1.into(), "n".into()]] }])
+        .unwrap();
+    let tag = cluster.latest_version();
+    assert_ne!(tag, before, "the notes table moved");
+    let (after, hit) = read_on(&slave, &books_by_author(), &tag);
+    assert!(hit, "books and authors are where they were: the stored answer holds");
+    assert_eq!(after, rows);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_commit_to_the_joined_table_forces_a_recompute() {
+    let cluster = start_library(40, 1, Duration::from_millis(500));
+    let (slave, rows) = stored_join(&cluster);
+    let rename = Query::Update {
+        table: AUTHORS,
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, 1)),
+        set: vec![(1, SetExpr::Value("renamed".into()))],
+    };
+    cluster.session().update(&[rename]).unwrap();
+    let tag = cluster.latest_version();
+    assert_eq!(tag.get(BOOKS), 0, "the base table did not move");
+    let (after, hit) = read_on(&slave, &books_by_author(), &tag);
+    assert!(!hit, "the joined table moved: the key did too");
+    assert_eq!(after[8], vec![Value::Int(8), Value::from("renamed")]);
+    assert_eq!(after[9], rows[9], "other authors are as they were");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_version_reissued_after_fail_over_is_never_answered_from_the_store() {
+    // The master commits a price change to book 0 and dies in its ack
+    // wait, the commit acknowledged by slave A only (B is cut off). A
+    // reads book 1999 — another heap page — at the unacknowledged
+    // version three times, so that answer is stored. Fail-over discards
+    // the version everywhere and promotes B (first in line, and it has
+    // every acknowledged commit); B reissues the number for a change to
+    // book 1999. At that same key, A must answer the new price, never
+    // the stored one.
+    let cluster = start_library(2000, 2, Duration::from_secs(2));
+    let (b, a) = (cluster.slave_ids()[0], cluster.slave_ids()[1]);
+    let master = cluster.master(0);
+    cluster.net().partition(master.id(), b);
+    let reprice = |book: i64, price: i64| Query::Update {
+        table: BOOKS,
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, book)),
+        set: vec![(2, SetExpr::Value(price.into()))],
+    };
+    let c2 = Arc::clone(&cluster);
+    let ghost_commit = std::thread::spawn(move || c2.session().update(&[reprice(0, 11)]));
+    let slave_a = cluster.replica(a).unwrap();
+    while slave_a.applier().received().get(BOOKS) == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let ghost = master.dbversion();
+    let q = Query::Select(Select::by_pk(BOOKS, vec![1999.into()]).project(vec![2]));
+    for _ in 0..3 {
+        assert_eq!(read_on(&slave_a, &q, &ghost).0, vec![vec![Value::Int(10)]]);
+    }
+    assert!(read_on(&slave_a, &q, &ghost).1, "stored at the unacknowledged version");
+
+    cluster.kill_replica(master.id());
+    cluster.detect_and_reconfigure();
+    assert!(ghost_commit.join().unwrap().is_err(), "the master died before its acks");
+    assert_eq!(cluster.master(0).id(), b);
+    cluster.session().update_retry(&[reprice(1999, 12)], 10).unwrap();
+    let tag = cluster.latest_version();
+    assert_eq!(tag, ghost, "the discarded version number was reissued");
+    let (rows, hit) = read_on(&slave_a, &q, &tag);
+    assert!(!hit, "an answer from before the discard was served");
+    assert_eq!(rows, vec![vec![Value::Int(12)]]);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_version_conflict_is_never_stored() {
+    // A tag whose page history is exhausted fails with `VersionConflict`
+    // every time it is read — its second sighting included, which a
+    // store that kept what a failed statement left would answer.
+    let cluster = start_library(40, 1, Duration::from_millis(500));
+    let slave = cluster.replica(cluster.slave_ids()[0]).unwrap();
+    let old = cluster.latest_version();
+    let session = cluster.session();
+    for price in 0..24i64 {
+        let bump = Query::Update {
+            table: BOOKS,
+            access: Access::Auto,
+            filter: Some(Expr::eq(0, 3)),
+            set: vec![(2, SetExpr::Value(price.into()))],
+        };
+        session.update(&[bump]).unwrap();
+    }
+    let q = Query::Select(Select::by_pk(BOOKS, vec![3.into()]).project(vec![2]));
+    let newest = slave.execute_read(std::slice::from_ref(&q), &cluster.latest_version()).unwrap();
+    assert_eq!(newest[0].rows, vec![vec![Value::Int(23)]]);
+    for sighting in 1..=4 {
+        let err = slave.execute_read(std::slice::from_ref(&q), &old).unwrap_err();
+        assert!(matches!(err, DmvError::VersionConflict { .. }), "sighting {sighting}: {err}");
+    }
+    assert_eq!(reused(&slave), 0);
     cluster.shutdown();
 }

@@ -51,4 +51,4 @@ pub mod txn;
 pub use engine::{MemDb, MemDbOptions, NoopGate, ReadGate};
 pub use lock::{LockManager, LockMode};
 pub use mvcc::MvccManager;
-pub use txn::{Txn, TxnMode};
+pub use txn::{StatementCost, Txn, TxnMode};

@@ -78,8 +78,22 @@ pub struct Txn<'db> {
     /// flag clear in [`Txn::commit`] against a pipelined later install.
     install_stamp: Option<u64>,
     cpu_owed: std::time::Duration,
+    /// What the statement under [`Txn::record_cost`] has read and owed.
+    recording: Option<StatementCost>,
     write_intent: bool,
     finished: bool,
+}
+
+/// The modeled cost of one statement: the CPU it owed and the pages it
+/// read, each once, in first-touch order. Recorded with
+/// [`Txn::record_cost`] and owed again with [`Txn::replay_cost`], so a
+/// statement answered without running costs what running it did.
+#[derive(Debug, Default)]
+pub struct StatementCost {
+    /// The [`dmv_common::config::CpuProfile`] charge the statement accrued.
+    pub cpu: std::time::Duration,
+    /// The pages it read.
+    pub pages: Vec<PageId>,
 }
 
 impl<'db> Txn<'db> {
@@ -94,6 +108,7 @@ impl<'db> Txn<'db> {
             cow: HashMap::new(),
             install_stamp: None,
             cpu_owed: std::time::Duration::ZERO,
+            recording: None,
             write_intent: false,
             finished: false,
         }
@@ -146,6 +161,9 @@ impl<'db> Txn<'db> {
     /// page cannot serve the transaction's tag (tagged mode), `Storage`
     /// if the page does not exist.
     pub(crate) fn read_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> DmvResult<R> {
+        if let Some(rec) = &mut self.recording {
+            rec.pages.push(id);
+        }
         match &self.mode {
             TxnMode::Update if self.is_mvcc_update() => {
                 // MVCC: no locks. Serve our own copy-on-write image if
@@ -353,6 +371,43 @@ impl<'db> Txn<'db> {
     /// query would drown in OS timer overhead).
     fn owe(&mut self, d: std::time::Duration) {
         self.cpu_owed += d;
+        if let Some(rec) = &mut self.recording {
+            rec.cpu += d;
+        }
+    }
+
+    /// Modeled CPU accrued and not yet settled.
+    pub fn cpu_owed(&self) -> std::time::Duration {
+        self.cpu_owed
+    }
+
+    /// Starts recording the [`StatementCost`] of what runs next, until
+    /// [`Txn::take_cost`].
+    pub fn record_cost(&mut self) {
+        self.recording = Some(StatementCost::default());
+    }
+
+    /// Stops recording and returns what was read and owed since
+    /// [`Txn::record_cost`] (nothing, if it was not called), each page
+    /// once.
+    pub fn take_cost(&mut self) -> StatementCost {
+        let mut cost = self.recording.take().unwrap_or_default();
+        let mut seen = std::collections::HashSet::with_capacity(cost.pages.len());
+        cost.pages.retain(|id| seen.insert(*id));
+        cost
+    }
+
+    /// Owes `cost` as if its statement ran again: the same CPU charge,
+    /// and every page it read touched once more — faulted in if it has
+    /// been evicted since.
+    pub fn replay_cost(&mut self, cost: &StatementCost) {
+        self.owe(cost.cpu);
+        let store = self.db.store();
+        for id in &cost.pages {
+            if let Some(cell) = store.get(*id) {
+                store.fault_in(&cell);
+            }
+        }
     }
 
     fn settle_cpu(&mut self) {

@@ -12,7 +12,7 @@ use dmv_common::ids::TableId;
 use serde::{Deserialize, Serialize};
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -51,7 +51,7 @@ impl CmpOp {
 ///
 /// Column references are flat indexes into the concatenated row: the base
 /// table's columns first, then each join's columns in order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Expr {
     /// Column reference (flat index).
     Col(usize),
@@ -155,7 +155,7 @@ impl Expr {
 }
 
 /// How the base table's rows are accessed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Access {
     /// Let the executor pick an index from equality conjuncts, falling
     /// back to a full scan.
@@ -185,7 +185,7 @@ pub enum Access {
 }
 
 /// An inner join step in a left-deep join chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Join {
     /// Table joined in.
     pub table: TableId,
@@ -199,7 +199,7 @@ pub struct Join {
 }
 
 /// Aggregate functions (the column is a flat index into the joined row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AggFn {
     /// `COUNT(*)`
     Count,
@@ -214,7 +214,7 @@ pub enum AggFn {
 }
 
 /// Grouped aggregation: output rows are `group columns ++ aggregates`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GroupBy {
     /// Grouping columns (flat indexes into the joined row).
     pub cols: Vec<usize>,
@@ -228,7 +228,7 @@ pub struct GroupBy {
 /// project. When `group_by` is set, `order_by` and `project` indexes refer
 /// to the aggregated row (group columns then aggregates); otherwise to the
 /// joined row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Select {
     /// Base table.
     pub table: TableId,

@@ -37,7 +37,9 @@
 //! * **lock-order** — nested lock acquisitions must agree with the
 //!   hierarchy declared in `xtask/lock_order.toml`. The scanner tracks
 //!   `let g = x.lock()` / `drop(g)` / scope exit per function, so only
-//!   genuinely-overlapping holds are compared.
+//!   genuinely-overlapping holds are compared. An `[[alone]]` lock is
+//!   held together with none of its `not_with` locks, and no
+//!   `not_across` call is made while it is held.
 //! * **wire-exhaustive** — every variant of `Msg`
 //!   (`crates/core/src/messages.rs`) must appear in the round-trip
 //!   suite `crates/core/tests/wire_roundtrip.rs`; a codec case that is
@@ -576,67 +578,101 @@ fn check_design_inventory(root: &Path, out: &mut Vec<Violation>) {
 /// outermost-first order. Locks in different chains are unordered.
 struct LockOrder {
     chains: Vec<(String, Vec<String>)>,
+    alone: Vec<Alone>,
+}
+
+/// An `[[alone]]` table: a lock held with none of `not_with`, and across
+/// no call named in `not_across`.
+#[derive(Default)]
+struct Alone {
+    name: String,
+    lock: String,
+    not_with: Vec<String>,
+    not_across: Vec<String>,
+}
+
+/// The table a `lock_order.toml` line belongs to.
+enum Table {
+    Chain(String, Vec<String>),
+    Alone(Alone),
+}
+
+/// `["a", "b", ...]` as its strings.
+fn string_list(value: &str) -> Vec<String> {
+    let inner = value.trim().trim_start_matches('[').trim_end_matches(']');
+    inner
+        .split(',')
+        .map(|s| s.trim().trim_matches('"').to_string())
+        .filter(|s| !s.is_empty())
+        .collect()
 }
 
 impl LockOrder {
-    /// Minimal parser for the `lock_order.toml` subset:
-    /// `[[chain]]` tables with `name = "..."` and
-    /// `order = ["a", "b", ...]` entries.
+    /// Minimal parser for the `lock_order.toml` subset: `[[chain]]`
+    /// tables with `name = "..."` and `order = ["a", "b", ...]` entries,
+    /// and `[[alone]]` tables with `name`, `lock`, `not_with` and
+    /// `not_across` entries.
     fn load(path: &Path) -> Result<LockOrder, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let mut chains: Vec<(String, Vec<String>)> = Vec::new();
-        let mut current: Option<(String, Vec<String>)> = None;
+        let mut tables: Vec<Table> = Vec::new();
         for (ln, raw) in text.lines().enumerate() {
             // TOML comments are `#`-prefixed.
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
-            if line == "[[chain]]" {
-                if let Some(c) = current.take() {
-                    chains.push(c);
+            match line {
+                "[[chain]]" => {
+                    tables.push(Table::Chain(String::new(), Vec::new()));
+                    continue;
                 }
-                current = Some((String::new(), Vec::new()));
-                continue;
+                "[[alone]]" => {
+                    tables.push(Table::Alone(Alone::default()));
+                    continue;
+                }
+                _ => {}
             }
+            let at = || format!("{}:{}", path.display(), ln + 1);
             let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("{}:{}: expected `key = value`", path.display(), ln + 1));
+                return Err(format!("{}: expected `key = value`", at()));
             };
-            let entry = current
-                .as_mut()
-                .ok_or_else(|| format!("{}:{}: entry outside [[chain]]", path.display(), ln + 1))?;
-            match key.trim() {
-                "name" => entry.0 = value.trim().trim_matches('"').to_string(),
-                "order" => {
-                    let inner = value.trim().trim_start_matches('[').trim_end_matches(']');
-                    entry.1 = inner
-                        .split(',')
-                        .map(|s| s.trim().trim_matches('"').to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect();
-                }
-                other => {
+            let unquoted = || value.trim().trim_matches('"').to_string();
+            match (tables.last_mut(), key.trim()) {
+                (None, _) => return Err(format!("{}: entry outside a table", at())),
+                (Some(Table::Chain(name, _)), "name") => *name = unquoted(),
+                (Some(Table::Chain(_, order)), "order") => *order = string_list(value),
+                (Some(Table::Alone(a)), "name") => a.name = unquoted(),
+                (Some(Table::Alone(a)), "lock") => a.lock = unquoted(),
+                (Some(Table::Alone(a)), "not_with") => a.not_with = string_list(value),
+                (Some(Table::Alone(a)), "not_across") => a.not_across = string_list(value),
+                (Some(_), other) => return Err(format!("{}: unknown key `{other}`", at())),
+            }
+        }
+        let (mut chains, mut alone) = (Vec::new(), Vec::new());
+        for table in tables {
+            match table {
+                Table::Chain(name, locks) if name.is_empty() || locks.len() < 2 => {
                     return Err(format!(
-                        "{}:{}: unknown key `{other}` in [[chain]]",
-                        path.display(),
-                        ln + 1
+                        "{}: every [[chain]] needs a name and at least two locks",
+                        path.display()
                     ));
                 }
+                Table::Chain(name, locks) => chains.push((name, locks)),
+                Table::Alone(a)
+                    if a.name.is_empty()
+                        || a.lock.is_empty()
+                        || a.not_with.is_empty() && a.not_across.is_empty() =>
+                {
+                    return Err(format!(
+                        "{}: every [[alone]] needs a name, a lock and a not_with or not_across",
+                        path.display()
+                    ));
+                }
+                Table::Alone(a) => alone.push(a),
             }
         }
-        if let Some(c) = current.take() {
-            chains.push(c);
-        }
-        for (name, locks) in &chains {
-            if name.is_empty() || locks.len() < 2 {
-                return Err(format!(
-                    "{}: every [[chain]] needs a name and at least two locks",
-                    path.display()
-                ));
-            }
-        }
-        Ok(LockOrder { chains })
+        Ok(LockOrder { chains, alone })
     }
 
     /// Position of `lock` in the chain containing both names, if any.
@@ -651,9 +687,34 @@ impl LockOrder {
         None
     }
 
+    /// The `[[alone]]` table that forbids holding `a` and `b` together.
+    fn apart(&self, a: &str, b: &str) -> Option<&Alone> {
+        self.alone.iter().find(|r| {
+            (r.lock == a && r.not_with.iter().any(|l| l == b))
+                || (r.lock == b && r.not_with.iter().any(|l| l == a))
+        })
+    }
+
     fn is_known(&self, name: &str) -> bool {
         self.chains.iter().any(|(_, c)| c.iter().any(|l| l == name))
+            || self.alone.iter().any(|r| r.lock == name || r.not_with.iter().any(|l| l == name))
     }
+}
+
+/// True if `code` calls `call` (written `name(`) as a whole word.
+fn calls(code: &str, call: &str) -> bool {
+    let name = call.trim_end_matches('(');
+    let mut start = 0;
+    while let Some(pos) = code[start..].find(call) {
+        let at = start + pos;
+        if contains_word(&code[at..at + name.len()], name)
+            && !code[..at].chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_')
+        {
+            return true;
+        }
+        start = at + call.len();
+    }
+    false
 }
 
 /// A currently-held lock during the scan of one function body.
@@ -757,11 +818,50 @@ fn check_lock_order(
                     }
                 }
             }
+            for h in &held {
+                if let Some(rule) = order.apart(&name, &h.lock) {
+                    if !escaped(lines, i, "lock-order-ok:") {
+                        out.push(Violation {
+                            file: rel.to_string(),
+                            line: i + 1,
+                            rule: "lock-order",
+                            message: format!(
+                                "`{name}` acquired while holding `{held}` — `{rule}` never holds \
+                                 `{lock}` together with `{held}` (held since line {since})",
+                                held = h.lock,
+                                rule = rule.name,
+                                lock = rule.lock,
+                                since = h.line + 1,
+                            ),
+                        });
+                    }
+                }
+            }
             // Re-binding a guard variable drops the old guard first.
             if let Some(v) = &var {
                 held.retain(|h| h.var.as_deref() != Some(v.as_str()));
             }
             held.push(Held { lock: name, depth, var, line: i });
+        }
+
+        for h in &held {
+            let Some(rule) = order.alone.iter().find(|r| r.lock == h.lock) else { continue };
+            for call in rule.not_across.iter().filter(|c| calls(code, c)) {
+                if !escaped(lines, i, "lock-order-ok:") {
+                    out.push(Violation {
+                        file: rel.to_string(),
+                        line: i + 1,
+                        rule: "lock-order",
+                        message: format!(
+                            "`{call}` called while holding `{lock}` — `{rule}` never holds it \
+                             across that call (held since line {since})",
+                            lock = h.lock,
+                            rule = rule.name,
+                            since = h.line + 1,
+                        ),
+                    });
+                }
+            }
         }
 
         // Brace tracking after acquisition handling: a guard acquired on

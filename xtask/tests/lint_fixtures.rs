@@ -80,6 +80,23 @@ fn bad_fixture_reports_every_sleep_outside_clock_and_every_unnamed_wait() {
 }
 
 #[test]
+fn bad_fixture_reports_an_alone_lock_held_with_a_banned_lock_and_across_a_banned_call() {
+    let out = run_lint("bad");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for (site, what) in [
+        ("crates/core/src/reuse.rs:6:", "`slots` acquired while holding `results`"),
+        ("crates/core/src/reuse.rs:13:", "`execute(` called while holding `results`"),
+    ] {
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with(site) && l.contains("[lock-order]") && l.contains(what)),
+            "no `{what}` report at {site}; stderr:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn clean_fixture_passes() {
     let out = run_lint("clean");
     let stderr = String::from_utf8_lossy(&out.stderr);
