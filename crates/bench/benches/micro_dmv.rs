@@ -5,12 +5,14 @@
 //!   1: the paper ships fine-grained modifications, not pages);
 //! * `version/*` — version-vector operations on the scheduler hot path;
 //! * `btree/*` — page-based B+Tree index operations (the master's
-//!   "costly index updates"), and a key set resolved in one walk against
-//!   the same keys looked up one by one;
+//!   "costly index updates": inserts in key order and out of it,
+//!   deletes), and a key set resolved in one walk against the same keys
+//!   looked up one by one;
 //! * `exec/*` — a whole select through the executor on the stand-alone
 //!   engine: BestSellers, which aggregates below its joins, next to the
 //!   same statement made to join every order line, and a join's keys
-//!   numbered as dense integers next to the same join on strings;
+//!   numbered as dense integers next to the same join on strings; and
+//!   BuyConfirm's writes, commit excluded;
 //! * `reuse/*` — a slave's result store: BestSellers answered from it and
 //!   executed and stored, and what a point select's key hash and
 //!   doorkeeper probe cost next to the select;
@@ -130,6 +132,45 @@ fn bench_btree(c: &mut Criterion) {
                     txn.insert(TableId(0), vec![k.into(), "value".into()]).unwrap();
                 }
                 txn.commit(None);
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // Keys in an order that is neither ascending nor descending: after
+    // the first pass most inserts land mid-leaf. Dropping the engine is
+    // not timed.
+    g.bench_function("insert_1000_shuffled", |b| {
+        b.iter_batched(
+            || MemDb::new(kv_schema(), MemDbOptions::default()),
+            |db| {
+                let mut txn = db.begin_update();
+                for i in 0..1000i64 {
+                    txn.insert(TableId(0), vec![(i * 7 % 1000).into(), "value".into()]).unwrap();
+                }
+                txn.commit(None);
+                db
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function("delete_1000", |b| {
+        b.iter_batched(
+            || {
+                let db = MemDb::new(kv_schema(), MemDbOptions::default());
+                let mut txn = db.begin_update();
+                let rids: Vec<_> = (0..1000i64)
+                    .map(|k| txn.insert(TableId(0), vec![k.into(), "value".into()]).unwrap())
+                    .collect();
+                txn.commit(None);
+                (db, rids)
+            },
+            |(db, rids)| {
+                let mut txn = db.begin_update();
+                for rid in rids {
+                    txn.delete(TableId(0), rid).unwrap();
+                }
+                txn.commit(None);
+                db
             },
             BatchSize::SmallInput,
         )
@@ -257,6 +298,24 @@ fn bench_exec(c: &mut Criterion) {
             let mut txn = db.begin_read_local();
             black_box(execute(&mut txn, &general).unwrap());
         })
+    });
+    // BuyConfirm's statements for a new client — its cart and cart line,
+    // the stock updates, the order, order line and card charge, the cart's
+    // deletes — in one update transaction, which is dropped untimed: no
+    // commit, so every iteration finds the same population.
+    g.bench_function("buy_confirm", |b| {
+        b.iter_batched(
+            || {
+                let mut client = ClientState::new(1);
+                plan(InteractionKind::BuyConfirm, &mut rng, &mut client, &ids, scale, 13_000)
+            },
+            |mut buy| {
+                let mut txn = db.begin_update();
+                (buy.exec)(&mut ExecRunner::new(&mut txn)).unwrap();
+                txn
+            },
+            BatchSize::SmallInput,
+        )
     });
 
     // 1 000 rows ⋈ 1 000 rows on a unique index, once on keys that are

@@ -35,9 +35,7 @@ pub fn insert(txn: &mut Txn<'_>, table: TableId, row: &Row) -> DmvResult<RowId> 
     // (2PL) and serialize every concurrent inserter behind it.
     let count = txn.heap_page_count(table);
     let hint = txn.db().insert_hint(table).min(count.saturating_sub(1));
-    let mut candidates: Vec<u32> = (hint..count).collect();
-    candidates.extend(0..hint);
-    for page_no in candidates {
+    for page_no in (hint..count).chain(0..hint) {
         let id = PageId::heap(table, page_no);
         let looks_roomy =
             txn.peek_page(id, |d| slotted::total_free(d) >= bytes.len() + 8).unwrap_or(false);

@@ -8,8 +8,13 @@
 //! ... due to rebalancing for inserts" — the same effect arises here.)
 //!
 //! Entries are ordered by `(key, row id)`, which makes non-unique keys
-//! unambiguous. Deletes do not rebalance (TPC-W's delete rate is zero);
-//! empty leaves are tolerated and skipped by scans.
+//! unambiguous. An insert or delete edits its leaf where it lies: the
+//! entries after it shift, nothing is decoded. Only a leaf that must split,
+//! and the internal node that takes its separator, are decoded and
+//! re-encoded. Deletes do not rebalance. TPC-W does delete: each
+//! BuyConfirm drops its cart and the cart's lines, and cart ids ascend,
+//! so the cart tables' indexes leave emptied leaves behind them. Empty
+//! leaves are tolerated and skipped by scans.
 
 use crate::txn::Txn;
 use dmv_common::error::{DmvError, DmvResult};
@@ -18,6 +23,7 @@ use dmv_pagestore::PAGE_SIZE;
 use dmv_sql::row::{cmp_prefix, cmp_row, decode_row, encode_row_into, encoded_len, Row};
 use dmv_sql::value::Value;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 // Node layout (all integers little endian):
 //
@@ -179,7 +185,7 @@ enum NodeRef<'a> {
 impl<'a> NodeRef<'a> {
     fn parse(d: &'a [u8]) -> DmvResult<Self> {
         let entries = |at: usize, left: u16| {
-            Ok(Entries { rest: d.get(at..).ok_or_else(|| corrupt("truncated"))?, left })
+            Ok(Entries { rest: d.get(at..).ok_or_else(|| corrupt("truncated"))?, at, left })
         };
         match d.first() {
             Some(&NODE_LEAF) => {
@@ -201,8 +207,11 @@ impl<'a> NodeRef<'a> {
 
 /// The entries of a serialized node, front to back: `(encoded key, row
 /// id)`.
+#[derive(Clone)]
 struct Entries<'a> {
     rest: &'a [u8],
+    /// Where `rest` begins in the page.
+    at: usize,
     left: u16,
 }
 
@@ -211,17 +220,31 @@ impl<'a> Iterator for Entries<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
+        Some(self.next_spanned()?.map(|(_, key, rid)| (key, rid)))
+    }
+}
+
+/// An entry where it lies: the bytes of the page it spans, its encoded
+/// key and its row id.
+type Spanned<'a> = (Range<usize>, &'a [u8], RowId);
+
+impl<'a> Entries<'a> {
+    /// The next entry and the bytes of the page it spans.
+    #[inline]
+    fn next_spanned(&mut self) -> Option<DmvResult<Spanned<'a>>> {
         self.left = self.left.checked_sub(1)?;
         let entry = (|| {
             let (klen, rest) = self.rest.split_first_chunk()?;
             let (key, rest) = rest.split_at_checked(u16::from_le_bytes(*klen) as usize)?;
             let ([p0, p1, p2, p3, s0, s1], rest) = rest.split_first_chunk()?;
             self.rest = rest;
+            let start = self.at;
+            self.at += ENTRY_OVERHEAD + key.len();
             let rid = RowId::new(
                 u32::from_le_bytes([*p0, *p1, *p2, *p3]),
                 u16::from_le_bytes([*s0, *s1]),
             );
-            Some((key, rid))
+            Some((start..self.at, key, rid))
         })();
         if entry.is_none() {
             self.left = 0;
@@ -276,25 +299,109 @@ fn child_for<'a>(
 }
 
 /// Full-entry ordering: key, then row id.
+#[cfg(test)]
 fn cmp_entry(a: &Entry, b: &Entry) -> Ordering {
     a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1))
 }
 
-/// [`cmp_entry`] of a serialized entry against a decoded one.
+/// The full-entry ordering — key, then row id — of a serialized entry
+/// against a decoded one.
 fn cmp_encoded_entry(key: &[u8], rid: RowId, probe: &Entry) -> DmvResult<Ordering> {
     Ok(cmp_row(key, &probe.0)?.then_with(|| rid.cmp(&probe.1)))
 }
 
 /// One step of a descent towards the leaf of an entry being inserted or
-/// deleted: an internal node is only looked at, the leaf comes back
-/// decoded because it is about to be rewritten.
+/// deleted: an internal node is only looked at, and so is a leaf that has
+/// room for the edit. A leaf that must split comes back decoded.
 enum Step {
     /// Descend into child number `.0`, page `.1`.
     Down(usize, u32),
-    Leaf {
-        next: Option<u32>,
-        entries: Vec<Entry>,
-    },
+    /// The leaf, with room for the edit, and where the entry lies in it.
+    Leaf(Place),
+    /// The leaf, too full to take the entry, and where it goes among the
+    /// leaf's entries.
+    Split { next: Option<u32>, entries: Vec<Entry>, at: usize },
+}
+
+/// Where an entry lies in a serialized leaf, or would go: found by
+/// walking the leaf's entries as they lie.
+struct Place {
+    /// Its position among the entries.
+    index: usize,
+    /// The bytes it spans if the leaf holds it, else the empty range
+    /// where it would begin.
+    span: Range<usize>,
+    /// Where the leaf's entries end, and how many there are.
+    end: usize,
+    count: u16,
+}
+
+impl Place {
+    fn find(mut entries: Entries<'_>, probe: &Entry) -> DmvResult<Place> {
+        let count = entries.left;
+        let (mut index, mut span) = (0, None);
+        // Past the place only the lengths are read, to find the end.
+        while let Some(e) = entries.next_spanned() {
+            let (bytes, key, rid) = e?;
+            if span.is_none() {
+                match cmp_encoded_entry(key, rid, probe)? {
+                    Ordering::Less => index += 1,
+                    Ordering::Equal => span = Some(bytes),
+                    Ordering::Greater => span = Some(bytes.start..bytes.start),
+                }
+            }
+        }
+        let end = entries.at;
+        Ok(Place { index, span: span.unwrap_or(end..end), end, count })
+    }
+
+    fn found(&self) -> bool {
+        !self.span.is_empty()
+    }
+}
+
+/// The last step of a descent: where `probe` lies among a leaf's
+/// `entries`, and — when it is absent and the leaf lacks `room` more bytes
+/// — the leaf decoded for the split. `leaf_size <= PAGE_SIZE` after the
+/// insert is `end + room <= PAGE_SIZE` before it.
+fn leaf_step(
+    next: Option<u32>,
+    entries: Entries<'_>,
+    probe: &Entry,
+    room: usize,
+) -> DmvResult<Step> {
+    let place = Place::find(entries.clone(), probe)?;
+    if place.found() || place.end + room <= PAGE_SIZE {
+        return Ok(Step::Leaf(place));
+    }
+    Ok(Step::Split { next, entries: entries.decode()?, at: place.index })
+}
+
+/// Writes `entry` into a leaf at `place` (an absent entry's, found on
+/// these bytes, with room for it): the entries after it move right by
+/// its length. The bytes are those [`encode_node`] writes for the leaf
+/// with the entry inserted.
+fn splice_in(d: &mut [u8], place: &Place, entry: &Entry) -> DmvResult<()> {
+    let len = entry_encoded_len(&entry.0);
+    let Place { span, end, count, .. } = place;
+    if end + len > d.len() {
+        return Err(corrupt("leaf overflow"));
+    }
+    d.copy_within(span.start..*end, span.start + len);
+    let mut at = span.start;
+    write_entry(d, &mut at, entry);
+    // A page holds fewer than `u16::MAX` entries of 8 bytes or more.
+    put_u16(d, 1, count + 1);
+    Ok(())
+}
+
+/// Drops the entry a leaf holds at `place` (found on these bytes): the
+/// entries after it move left over it. The vacated bytes at the end keep
+/// what they held, as when [`encode_node`] writes the shorter leaf.
+fn splice_out(d: &mut [u8], place: &Place) {
+    let Place { span, end, count, .. } = place;
+    d.copy_within(span.end..*end, span.start);
+    put_u16(d, 1, count - 1);
 }
 
 /// State of one range scan as it visits pages: descends from the root to
@@ -734,12 +841,14 @@ impl BTreeIndex {
         Ok(())
     }
 
-    /// Looks at node `page_no` on the way to where `probe` belongs.
+    /// Looks at node `page_no` on the way to where `probe` belongs; a
+    /// leaf that lacks `room` free bytes for it is decoded.
     fn descend(
         &self,
         txn: &mut Txn<'_>,
         page_no: u32,
         probe: &Entry,
+        room: usize,
         visits: &mut Visits,
     ) -> DmvResult<Step> {
         self.count_visit(txn, visits)?;
@@ -750,7 +859,7 @@ impl BTreeIndex {
                     |key, rid| Ok(cmp_encoded_entry(key, rid, probe)? != Ordering::Greater);
                 child_for(children, keys, at_or_before).map(|(idx, child)| Step::Down(idx, child))
             }
-            NodeRef::Leaf { next, entries } => Ok(Step::Leaf { next, entries: entries.decode()? }),
+            NodeRef::Leaf { next, entries } => leaf_step(next, entries, probe, room),
         })?
     }
 
@@ -761,16 +870,16 @@ impl BTreeIndex {
         entry: Entry,
         visits: &mut Visits,
     ) -> DmvResult<Option<(Entry, u32)>> {
-        match self.descend(txn, page_no, &entry, visits)? {
-            Step::Leaf { next, mut entries } => {
-                match entries.binary_search_by(|e| cmp_entry(e, &entry)) {
-                    Ok(_) => return Ok(None), // exact duplicate: idempotent
-                    Err(pos) => entries.insert(pos, entry),
-                }
-                if leaf_size(&entries) <= PAGE_SIZE {
-                    self.write_node(txn, page_no, &Node::Leaf { next, entries })?;
-                    return Ok(None);
-                }
+        let room = entry_encoded_len(&entry.0);
+        match self.descend(txn, page_no, &entry, room, visits)? {
+            // An exact duplicate is idempotent.
+            Step::Leaf(place) if place.found() => Ok(None),
+            Step::Leaf(place) => {
+                txn.write_page(self.pid(page_no), |d| splice_in(d, &place, &entry))??;
+                Ok(None)
+            }
+            Step::Split { next, mut entries, at } => {
+                entries.insert(at, entry);
                 // Split where the bytes halve, not the entry count: keys
                 // of unequal width would overflow one half.
                 let mid = split_point(entries.iter().map(|e| entry_encoded_len(&e.0)));
@@ -833,16 +942,15 @@ impl BTreeIndex {
         };
         let probe: Entry = (key.to_vec(), rid);
         loop {
-            match self.descend(txn, no, &probe, &mut visits)? {
+            match self.descend(txn, no, &probe, 0, &mut visits)? {
                 Step::Down(_, child) => no = child,
-                Step::Leaf { next, mut entries } => {
-                    let Ok(pos) = entries.binary_search_by(|e| cmp_entry(e, &probe)) else {
-                        return Ok(false);
-                    };
-                    entries.remove(pos);
-                    self.write_node(txn, no, &Node::Leaf { next, entries })?;
+                Step::Leaf(place) if place.found() => {
+                    txn.write_page(self.pid(no), |d| splice_out(d, &place))?;
                     return Ok(true);
                 }
+                Step::Leaf(_) => return Ok(false),
+                // A leaf always has room for nothing more.
+                Step::Split { .. } => return Err(corrupt("leaf overflow")),
             }
         }
     }
@@ -1203,7 +1311,7 @@ mod props {
         }
         let root = ix.root(&mut txn).unwrap();
         assert!(
-            matches!(ix.descend(&mut txn, root, &(vec![], RowId::new(0, 0)), &mut Visits::default()), Ok(Step::Down(_, child))
+            matches!(ix.descend(&mut txn, root, &(vec![], RowId::new(0, 0)), 0, &mut Visits::default()), Ok(Step::Down(_, child))
                 if matches!(ix.read_node(&mut txn, child), Ok(Node::Internal { .. }))),
             "the tree has internal nodes below the root"
         );
@@ -1274,9 +1382,13 @@ mod props {
         let mut txn = db.begin_update();
         let mut no = ix.root(&mut txn).unwrap();
         let first = loop {
-            match ix.descend(&mut txn, no, &(vec![], RowId::new(0, 0)), &mut Visits::default()) {
+            match ix.descend(&mut txn, no, &(vec![], RowId::new(0, 0)), 0, &mut Visits::default()) {
                 Ok(Step::Down(_, child)) => no = child,
-                Ok(Step::Leaf { next, .. }) => break (no, next.unwrap()),
+                Ok(Step::Leaf(_)) => match ix.read_node(&mut txn, no) {
+                    Ok(Node::Leaf { next, .. }) => break (no, next.unwrap()),
+                    node => panic!("{node:?}"),
+                },
+                Ok(Step::Split { .. }) => unreachable!("a leaf has room for nothing more"),
                 Err(e) => panic!("{e}"),
             }
         };
@@ -1388,6 +1500,157 @@ mod props {
         };
         assert_eq!((keys.len(), children.len()), (1, 2));
         assert!(keys[0].0 == [wide("b")], "two wide separators stay left, the third goes up");
+    }
+
+    /// An edit of one leaf, as an insert or a delete that reaches it makes
+    /// it.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        Insert(Entry),
+        Delete(Entry),
+    }
+
+    /// What a leaf becomes when an insert overflows it: its `next` and its
+    /// entries with the new one, to be split.
+    type Overflow = Option<(Option<u32>, Vec<Entry>)>;
+
+    /// The reference edit: decode the leaf, edit the `Vec`, encode it back
+    /// onto the same bytes — unless it overflows.
+    fn edit_decoded(page: &mut [u8], edit: &Edit) -> Overflow {
+        let Ok(Node::Leaf { next, mut entries }) = decode_node(page) else { unreachable!() };
+        match edit {
+            Edit::Insert(e) => match entries.binary_search_by(|x| cmp_entry(x, e)) {
+                Ok(_) => return None,
+                Err(pos) => entries.insert(pos, e.clone()),
+            },
+            Edit::Delete(e) => match entries.binary_search_by(|x| cmp_entry(x, e)) {
+                Ok(pos) => drop(entries.remove(pos)),
+                Err(_) => return None,
+            },
+        }
+        if leaf_size(&entries) > PAGE_SIZE {
+            return Some((next, entries));
+        }
+        encode_node(&Node::Leaf { next, entries }, page);
+        None
+    }
+
+    /// The edit as [`BTreeIndex::insert`] and [`BTreeIndex::delete`] make
+    /// it on the leaf they reach.
+    fn edit_in_place(page: &mut [u8], edit: &Edit) -> Overflow {
+        let (probe, room) = match edit {
+            Edit::Insert(e) => (e, entry_encoded_len(&e.0)),
+            Edit::Delete(e) => (e, 0),
+        };
+        let Ok(NodeRef::Leaf { next, entries }) = NodeRef::parse(page) else { unreachable!() };
+        match leaf_step(next, entries, probe, room).unwrap() {
+            Step::Leaf(place) => match edit {
+                Edit::Insert(e) if !place.found() => splice_in(page, &place, e).unwrap(),
+                Edit::Delete(_) if place.found() => splice_out(page, &place),
+                _ => {}
+            },
+            Step::Split { next, mut entries, at } => {
+                entries.insert(at, probe.clone());
+                return Some((next, entries));
+            }
+            Step::Down(..) => unreachable!("a leaf routes nowhere"),
+        }
+        None
+    }
+
+    /// How a step of [`run_edits`] picks its edit: `kind` 0–1 inserts a
+    /// new entry, 2 one the leaf holds, 3 deletes one it holds, 4 a new
+    /// one, 5 inserts the widest entry that fits — the one that fills the
+    /// leaf to its last byte when the leaf lacks at most [`MAX_ENTRY`].
+    /// `pick` chooses among the leaf's entries.
+    type EditSpec = (u8, u16, Entry);
+
+    /// A leaf's bytes past its entries are never looked at, and edits
+    /// leave them as they are; start with garbage there.
+    fn garbage_leaf() -> Vec<u8> {
+        let mut page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7 + 3) as u8).collect();
+        encode_node(&Node::Leaf { next: Some(3), entries: Vec::new() }, &mut page);
+        page
+    }
+
+    fn str_entry(first: char, width: usize, rid: RowId) -> Entry {
+        // An entry of one string column is the text and 15 bytes more.
+        let text: String =
+            std::iter::once(first).chain(std::iter::repeat_n('x', width - 16)).collect();
+        (vec![text.into()], rid)
+    }
+
+    /// Edits one leaf in place and by the reference, step after step: the
+    /// two pages must be equal after every step, and an insert must
+    /// overflow both or neither; an overflowing leaf keeps its left half,
+    /// as a split does. Returns whether a step began on a leaf filled to
+    /// `PAGE_SIZE` exactly, and whether some leaf split.
+    fn run_edits(specs: &[EditSpec]) -> Result<(bool, bool), TestCaseError> {
+        let (mut tree, mut reference) = (garbage_leaf(), garbage_leaf());
+        let (mut filled, mut split) = (false, false);
+        for (kind, pick, new) in specs {
+            let Ok(Node::Leaf { entries: held, .. }) = decode_node(&reference) else {
+                unreachable!()
+            };
+            let held_one = (!held.is_empty()).then(|| held[*pick as usize % held.len()].clone());
+            let size = leaf_size(&held);
+            filled |= size == PAGE_SIZE;
+            let edit = match (kind, held_one) {
+                (2, Some(e)) => Edit::Insert(e),
+                (3, Some(e)) => Edit::Delete(e),
+                (3 | 4, _) => Edit::Delete(new.clone()),
+                (5, _) if PAGE_SIZE - size >= 16 => {
+                    let first = char::from(b'a' + (*pick % 26) as u8);
+                    Edit::Insert(str_entry(first, (PAGE_SIZE - size).min(MAX_ENTRY), new.1))
+                }
+                _ => Edit::Insert(new.clone()),
+            };
+            let overflow = edit_in_place(&mut tree, &edit);
+            prop_assert_eq!(&overflow, &edit_decoded(&mut reference, &edit), "{:?}", edit);
+            prop_assert!(tree == reference, "pages differ after {:?}", edit);
+            if let Some((next, mut entries)) = overflow {
+                split = true;
+                entries.truncate(split_point(entries.iter().map(|e| entry_encoded_len(&e.0))));
+                for page in [&mut tree, &mut reference] {
+                    encode_node(&Node::Leaf { next, entries: entries.clone() }, page);
+                }
+            }
+        }
+        Ok((filled, split))
+    }
+
+    fn arb_edit() -> impl Strategy<Value = EditSpec> {
+        let key = prop_oneof![
+            (-20i64..20).prop_map(|k| vec![Value::Int(k)]),
+            ("[a-e]{0,3}", 0usize..40).prop_map(|(s, n)| vec![Value::from(s + &"x".repeat(n))]),
+            (0usize..=MAX_ENTRY - 15).prop_map(|n| vec![Value::from("w".repeat(n))]),
+            (-3i64..3, "[a-c]{0,2}").prop_map(|(k, s)| vec![Value::Int(k), Value::from(s)]),
+        ];
+        (0u8..6, any::<u16>(), key, 0u32..3, 0u16..3)
+            .prop_map(|(kind, pick, key, page, slot)| (kind, pick, (key, RowId::new(page, slot))))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// An edit made where the leaf lies writes the page the reference
+        /// writes, byte for byte: the same entries, the same count, the
+        /// same stale bytes past the end.
+        #[test]
+        fn an_edit_in_place_writes_the_bytes_of_decode_edit_encode(specs in proptest::collection::vec(arb_edit(), 1..300)) {
+            run_edits(&specs)?;
+        }
+    }
+
+    /// The two boundaries of the split test, hit on purpose: a leaf that
+    /// fills to its last byte without splitting, then splits on one entry
+    /// more.
+    #[test]
+    fn a_leaf_fills_to_its_last_byte_then_splits() {
+        let rid = RowId::new(1, 1);
+        let mut specs: Vec<EditSpec> = (0..4).map(|i| (5, i, (vec![], rid))).collect();
+        specs.push((0, 0, (vec![Value::Int(7)], rid)));
+        assert_eq!(run_edits(&specs).unwrap(), (true, true));
     }
 
     fn int_keys(keys: &[i64]) -> Vec<[Value; 1]> {
