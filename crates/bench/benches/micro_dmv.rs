@@ -11,8 +11,9 @@
 //! * `exec/*` — a whole select through the executor on the stand-alone
 //!   engine: BestSellers, which aggregates below its joins, next to the
 //!   same statement made to join every order line, and a join's keys
-//!   numbered as dense integers next to the same join on strings; and
-//!   BuyConfirm's writes, commit excluded;
+//!   numbered as dense integers next to the same join on strings;
+//!   BuyConfirm's writes, commit excluded; and SearchResults' title and
+//!   author searches, full scans that stop at their limit;
 //! * `reuse/*` — a slave's result store: BestSellers answered from it and
 //!   executed and stored, and what a point select's key hash and
 //!   doorkeeper probe cost next to the select;
@@ -50,7 +51,7 @@ use dmv_sql::query::{Access, AggFn, Expr, Join, Query, Select, SetExpr};
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
 use dmv_tpcw::interactions::{plan, ClientState, IdAllocator, InteractionKind};
-use dmv_tpcw::populate::{generate, TpcwScale};
+use dmv_tpcw::populate::{generate, TpcwScale, TITLE_WORDS};
 use dmv_tpcw::schema::{self as tpcw, tpcw_schema};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -254,6 +255,33 @@ fn small_tpcw() -> (MemDb, IdAllocator, TpcwScale) {
     (db, ids, scale)
 }
 
+/// SearchResults' two full scans, for one title word: the items whose
+/// title holds it, with their authors, the first 50 in heap order; and the
+/// authors whose last name starts with it, with their items.
+fn searches() -> [(&'static str, Query); 2] {
+    use tpcw::{author as au, item as it};
+    let word = TITLE_WORDS[3];
+    let by_title = Select::scan(tpcw::ITEM)
+        .filter(Expr::like(it::I_TITLE, &format!("%{word}%")))
+        .join(Join {
+            table: tpcw::AUTHOR,
+            left_col: it::I_A_ID,
+            right_col: au::A_ID,
+            right_index: Some(0),
+        })
+        .limit(50);
+    let by_author = Select::scan(tpcw::AUTHOR)
+        .filter(Expr::like(au::A_LNAME, &format!("{word}%")))
+        .join(Join {
+            table: tpcw::ITEM,
+            left_col: au::A_ID,
+            right_col: it::I_A_ID,
+            right_index: Some(it::IDX_BY_AUTHOR),
+        })
+        .limit(50);
+    [("search_title", Query::Select(by_title)), ("search_author", Query::Select(by_author))]
+}
+
 /// BestSellers — order lines of the latest 3 333 orders ⋈ items ⋈
 /// authors, grouped by item — on the small TPC-W population.
 fn bench_exec(c: &mut Criterion) {
@@ -317,6 +345,14 @@ fn bench_exec(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    for (name, search) in searches() {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut txn = db.begin_read_local();
+                black_box(execute(&mut txn, &search).unwrap());
+            })
+        });
+    }
 
     // 1 000 rows ⋈ 1 000 rows on a unique index, once on keys that are
     // neighbouring integers and once on the same keys as strings: what

@@ -16,6 +16,7 @@ use crate::txn::Txn;
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{PageId, PageSpace, RowId, TableId};
 use dmv_pagestore::slotted;
+use dmv_sql::exec::{RecordTest, Scanned};
 use dmv_sql::row::{decode_cols_into, decode_row, encode_row, Row, RowBatch};
 
 /// Inserts `row` into the table's heap, returning its new id.
@@ -185,23 +186,49 @@ pub fn delete(txn: &mut Txn<'_>, table: TableId, rid: RowId) -> DmvResult<()> {
     }
 }
 
-/// Columns `cols` (strictly ascending) of all live rows of the table,
-/// page by page, as one batch.
+/// Columns `cols` (strictly ascending) of the live rows of the table that
+/// `keep` accepts (all of them without a test), page by page from page
+/// `from`, as one batch — the [`ExecContext::scan`] contract. `keep` sees
+/// each live record's bytes under the page latch, and only a record it
+/// accepts is decoded. The scan stops after the page on which the `want`th
+/// row was kept. Returns the rows, the page a further scan resumes from,
+/// and how many records were examined (tested, or taken untested).
+///
+/// [`ExecContext::scan`]: dmv_sql::exec::ExecContext::scan
 ///
 /// # Errors
 ///
-/// Propagates lock/version errors and decode failures.
-pub fn scan(txn: &mut Txn<'_>, table: TableId, cols: &[usize]) -> DmvResult<RowBatch> {
-    let mut out = RowBatch::new(cols.len());
-    for page_no in 0..txn.heap_page_count(table) {
+/// Propagates lock/version errors, decode failures and `keep`'s errors.
+pub fn scan(
+    txn: &mut Txn<'_>,
+    table: TableId,
+    cols: &[usize],
+    keep: Option<RecordTest<'_>>,
+    from: u32,
+    want: usize,
+) -> DmvResult<(Scanned, usize)> {
+    let mut rows = RowBatch::new(cols.len());
+    let mut examined = 0;
+    let count = txn.heap_page_count(table);
+    let mut page_no = from;
+    while page_no < count {
+        // Under the page latch: the record test and decoding, nothing else.
         txn.read_page(PageId::heap(table, page_no), |d| {
             for slot in slotted::live_slots(d) {
                 if let Some(rec) = slotted::read(d, slot) {
-                    decode_cols_into(rec, cols, out.push_null_row(RowId::new(page_no, slot)))?;
+                    examined += 1;
+                    if keep.map_or(Ok(true), |keep| keep(rec))? {
+                        decode_cols_into(rec, cols, rows.push_null_row(RowId::new(page_no, slot)))?;
+                    }
                 }
             }
             Ok::<(), DmvError>(())
         })??;
+        page_no += 1;
+        if rows.len() >= want {
+            break;
+        }
     }
-    Ok(out)
+    let next = (page_no < count).then_some(page_no);
+    Ok((Scanned { rows, next }, examined))
 }

@@ -35,7 +35,7 @@ use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{PageId, PageSpace, RowId, TableId, TxnId};
 use dmv_common::version::VersionVector;
 use dmv_pagestore::diff::PageDiff;
-use dmv_sql::exec::{ExecContext, Probed};
+use dmv_sql::exec::{ExecContext, Probed, RecordTest, Scanned};
 use dmv_sql::row::{Row, RowBatch};
 use dmv_sql::schema::Schema;
 use dmv_sql::value::Value;
@@ -635,10 +635,18 @@ impl ExecContext for Txn<'_> {
         self.db.schema()
     }
 
-    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<RowBatch> {
-        let rows = heap::scan(self, table, cols)?;
-        self.owe(self.db.cost_scan(rows.len()));
-        Ok(rows)
+    fn scan(
+        &mut self,
+        table: TableId,
+        cols: &[usize],
+        keep: Option<RecordTest<'_>>,
+        from: u32,
+        want: usize,
+    ) -> DmvResult<Scanned> {
+        // The modeled cost is per record examined, kept or not.
+        let (scanned, examined) = heap::scan(self, table, cols, keep, from, want)?;
+        self.owe(self.db.cost_scan(examined));
+        Ok(scanned)
     }
 
     fn index_probe(

@@ -11,10 +11,10 @@ use dmv_common::version::VersionVector;
 use dmv_memdb::index::BTreeIndex;
 use dmv_memdb::{heap, MemDb, MemDbOptions, ReadGate, Txn};
 use dmv_pagestore::store::PageCell;
-use dmv_pagestore::PageStore;
+use dmv_pagestore::{slotted, PageStore};
 use dmv_sql::exec::{execute, ExecContext};
-use dmv_sql::query::{Access, AggFn, Expr, Join, Query, Select, SetExpr};
-use dmv_sql::row::Row;
+use dmv_sql::query::{Access, AggFn, CmpOp, Expr, Join, Query, Select, SetExpr};
+use dmv_sql::row::{encode_row, Row};
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
 use rand::prelude::*;
@@ -716,4 +716,37 @@ fn concurrent_inserts_do_not_upgrade_deadlock() {
     // relaxed-ok: test tally; read after all workers joined
     let d = deadlocks.load(std::sync::atomic::Ordering::Relaxed);
     assert!(d < 20, "unexpected deadlock storm: {d}");
+}
+
+/// A record a filtered scan reaches that does not decode is a `Storage`
+/// error, whether the record test reads or walks past the bad column under
+/// the latch or the decoding of a record it kept does — never a panic,
+/// never a record silently left out.
+#[test]
+fn a_malformed_record_under_a_scan_filter_is_a_storage_error() {
+    let db = MemDb::new(kv_schema(), MemDbOptions::default());
+    for k in 0..3 {
+        insert_kv(&db, k, "v", k);
+    }
+    // The second record's `v` gets an unknown tag: past the column count
+    // (2 bytes) and `k` (a tag and 8 bytes).
+    let mut bad = encode_row(&[1.into(), "v".into(), 1.into()]);
+    bad[11] = 99;
+    let cell = db.store().get(PageId::heap(TableId(0), 0)).unwrap();
+    assert!(slotted::update(cell.latch.write().data_mut(), 1, &bad));
+    let read = |f: Expr| {
+        let q = Query::Select(Select::scan(TableId(0)).filter(f).project(vec![0, 1]));
+        execute(&mut db.begin_read_local(), &q)
+    };
+    for (f, how) in [
+        (Expr::like(1, "v%"), "tested"),
+        (Expr::cmp(2, CmpOp::Ge, 0), "walked past"),
+        (Expr::cmp(0, CmpOp::Ge, 0), "kept and decoded"),
+    ] {
+        assert!(matches!(read(f), Err(DmvError::Storage(_))), "{how}");
+    }
+    // A record rejected on `k` is not read any further, as a decode of
+    // the columns before `v` would not be.
+    let rows = read(Expr::cmp(0, CmpOp::Ne, 1)).unwrap().rows;
+    assert_eq!(rows, [vec![0.into(), "v".into()], vec![2.into(), "v".into()]]);
 }

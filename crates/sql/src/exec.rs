@@ -18,10 +18,13 @@
 //! is never concatenated (a tuple is one row number per table), expanding
 //! in order yields the order a nested loop would, and whatever consumes
 //! the tuples — hash aggregate, sort, or plain output — clones only the
-//! values it returns. Where a row number already identifies an answer it
-//! replaces hashing: a join key is looked up once per row of the source it
-//! lives in, a group once per row of the source the group columns come
-//! from ([`Pipeline::join`], [`Groups`]).
+//! values it returns. A base table read by a full scan is fetched as the
+//! blocks need its rows, and the scan tests the base-only conjuncts on
+//! each record's bytes ([`RecordTest`]), so a bare `LIMIT` stops the scan
+//! and a rejected row is never decoded. Where a row number already
+//! identifies an answer it replaces hashing: a join key is looked up once
+//! per row of the source it lives in, a group once per row of the source
+//! the group columns come from ([`Pipeline::join`], [`Groups`]).
 //!
 //! Three rules keep the path per tuple short; none is an option, each is
 //! chosen from the statement or the keys seen, and none changes a result,
@@ -58,11 +61,12 @@
 //! only those are cloned into rows.
 
 use crate::query::{Access, AggFn, Expr, GroupBy, Query, Select, SetExpr};
-use crate::row::{Row, RowBatch};
+use crate::row::{Row, RowBatch, RowCursor};
 use crate::schema::{ColType, Schema};
 use crate::value::{Value, ValueRef};
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{RowId, TableId};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -84,12 +88,27 @@ pub trait ExecContext {
     /// The database schema.
     fn schema(&self) -> &Schema;
 
-    /// Columns `cols` of all live rows of a table (in unspecified order).
+    /// Columns `cols` of the live rows of a table that `keep` accepts
+    /// (every live row without a test), in heap order — page, then slot —
+    /// starting at heap page `from`. `keep` sees each live record's
+    /// encoded bytes before anything of it is decoded, and only the rows
+    /// it accepts are decoded. The scan stops after the page on which the
+    /// `want`th row was kept — that page's later kept rows come back too —
+    /// and [`Scanned::next`] is where a further scan resumes; a caller
+    /// that wants everything passes `None`, `0` and `usize::MAX`.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors (lock conflicts, version conflicts, I/O).
-    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<RowBatch>;
+    /// Propagates engine errors (lock conflicts, version conflicts, I/O)
+    /// and `keep`'s.
+    fn scan(
+        &mut self,
+        table: TableId,
+        cols: &[usize],
+        keep: Option<RecordTest<'_>>,
+        from: u32,
+        want: usize,
+    ) -> DmvResult<Scanned>;
 
     /// Columns `cols` of the rows whose index key equals — on the key's
     /// length — one of `keys`, which must be strictly ascending: the one
@@ -156,6 +175,23 @@ pub trait ExecContext {
     /// upgrading S→X on the same page deadlock unconditionally).
     /// Default: no-op.
     fn set_write_intent(&mut self, _on: bool) {}
+}
+
+/// A test of one stored row, given its encoded bytes
+/// ([`crate::row::encode_row`]'s) by [`ExecContext::scan`]. It runs under
+/// the page latch, so it reads those bytes and does nothing else: it
+/// allocates nothing, takes no lock and reads no other page. Malformed
+/// bytes are its `Err`.
+pub type RecordTest<'t> = &'t dyn Fn(&[u8]) -> DmvResult<bool>;
+
+/// What an [`ExecContext::scan`] read.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Scanned {
+    /// The kept rows, in heap order.
+    pub rows: RowBatch,
+    /// The heap page a further scan resumes from; `None` once the scan
+    /// has read the table's last page.
+    pub next: Option<u32>,
 }
 
 /// What an [`ExecContext::index_probe`] found.
@@ -325,26 +361,30 @@ fn resolve_auto(schema: &Schema, table: TableId, filter: &Option<Expr>) -> DmvRe
     Ok(Access::FullScan)
 }
 
-/// Reads `cols` of the rows of `table` that `access` reaches
-/// (`Access::Auto` resolved against `filter` first).
+/// `access`, with `Access::Auto` resolved against `filter`.
+fn resolve<'q>(
+    schema: &Schema,
+    table: TableId,
+    access: &'q Access,
+    filter: &Option<Expr>,
+) -> DmvResult<Cow<'q, Access>> {
+    Ok(match access {
+        Access::Auto => Cow::Owned(resolve_auto(schema, table, filter)?),
+        other => Cow::Borrowed(other),
+    })
+}
+
+/// Reads `cols` of all the rows of `table` that `access` (resolved)
+/// reaches.
 fn read_base(
     ctx: &mut dyn ExecContext,
     table: TableId,
     access: &Access,
-    filter: &Option<Expr>,
     cols: &[usize],
 ) -> DmvResult<RowBatch> {
-    let resolved;
-    let access = match access {
-        Access::Auto => {
-            resolved = resolve_auto(ctx.schema(), table, filter)?;
-            &resolved
-        }
-        other => other,
-    };
     match access {
-        Access::Auto => unreachable!("auto was resolved above"),
-        Access::FullScan => ctx.scan(table, cols),
+        Access::Auto => unreachable!("callers resolve auto"),
+        Access::FullScan => Ok(ctx.scan(table, cols, None, 0, usize::MAX)?.rows),
         Access::IndexEq { index_no, key } => {
             Ok(ctx.index_probe(table, *index_no, &[key.as_slice()], cols)?.rows)
         }
@@ -361,7 +401,8 @@ fn read_base(
 }
 
 /// The whole rows an UPDATE or DELETE applies to, located under write
-/// intent.
+/// intent. A full scan reads every row and tests the filter after
+/// decoding: the rows are returned whole anyway.
 fn rows_to_modify(
     ctx: &mut dyn ExecContext,
     table: TableId,
@@ -369,8 +410,9 @@ fn rows_to_modify(
     filter: &Option<Expr>,
 ) -> DmvResult<Vec<(RowId, Row)>> {
     let all: Vec<usize> = (0..ctx.schema().table(table)?.columns.len()).collect();
+    let access = resolve(ctx.schema(), table, access, filter)?;
     ctx.set_write_intent(true);
-    let rows = read_base(ctx, table, access, filter, &all);
+    let rows = read_base(ctx, table, &access, &all);
     ctx.set_write_intent(false);
     let rows = rows?;
     let passes = |r: &Row| filter.as_ref().is_none_or(|f| f.truthy(&|c| ValueRef::at(r, c)));
@@ -582,20 +624,68 @@ fn number_keys<'r>(
     (memo, Keys { values, slots: dense.map(|(_, slots)| slots) })
 }
 
+/// The most distinct columns a [`RecordFilter`] reads: it holds their
+/// values in an array on the stack, so that testing a record allocates
+/// nothing.
+const TESTED_COLS: usize = 8;
+
+/// The base-only conjuncts of a select whose base is read by a full scan,
+/// tested on each record's bytes as the scan's [`RecordTest`]: their
+/// columns are read off one [`RowCursor`] walk, in ascending order, as
+/// [`ValueRef`]s borrowed from the page.
+#[derive(Default)]
+struct RecordFilter<'a> {
+    /// The base table's columns the conjuncts read, ascending (at most
+    /// [`TESTED_COLS`]).
+    cols: Vec<usize>,
+    conjuncts: Vec<&'a Expr>,
+}
+
+impl RecordFilter<'_> {
+    /// Whether the encoded row `record` passes every conjunct.
+    fn keeps(&self, record: &[u8]) -> DmvResult<bool> {
+        let mut values = [ValueRef::Null; TESTED_COLS];
+        let mut cursor = RowCursor::new(record)?;
+        let mut at = 0; // the column the cursor is positioned on
+        for (value, &col) in values.iter_mut().zip(&self.cols) {
+            // A column the stored row does not have reads as NULL.
+            if col - at >= cursor.remaining() {
+                break;
+            }
+            while at < col {
+                cursor.skip()?;
+                at += 1;
+            }
+            *value = cursor.next_value()?;
+            at += 1;
+        }
+        let col =
+            |c: usize| self.cols.iter().position(|&t| t == c).map_or(ValueRef::Null, |i| values[i]);
+        Ok(self.conjuncts.iter().all(|e| e.truthy(&col)))
+    }
+}
+
 /// One select in flight: the rows read so far and how to read more.
 struct Pipeline<'a> {
     ctx: &'a mut dyn ExecContext,
     s: &'a Select,
     layout: Layout,
     /// `conjuncts[i]`: the filter conjuncts decidable once a tuple has
-    /// sources `0..=i` (base-only conjuncts run before the first probe).
+    /// sources `0..=i` and not yet tested (base-only conjuncts run before
+    /// the first probe — on the record bytes, when the base is scanned).
     conjuncts: Vec<Vec<&'a Expr>>,
-    /// Per source, the narrowed rows tuples index into: the base rows and
-    /// the table of a join without an index for the whole statement, the
-    /// matches of an indexed join for the block in flight.
+    /// What the scan of a scanned base tests on each record.
+    tested: RecordFilter<'a>,
+    /// Per source, the narrowed rows tuples index into: the base rows read
+    /// so far and the table of a join without an index for the whole
+    /// statement, the matches of an indexed join for the block in flight.
     rows: Vec<RowBatch>,
     /// The first base row no block has taken yet.
     next_base: usize,
+    /// For a base read by a full scan, which fetches its rows as blocks
+    /// need them: the heap page the next fetch starts at, `None` once the
+    /// last page has been read (and for a base read whole up front).
+    resume: Option<u32>,
 }
 
 impl<'a> Pipeline<'a> {
@@ -607,16 +697,54 @@ impl<'a> Pipeline<'a> {
             conjuncts[layout.stage_of(e)].push(e);
         }
         let rows = vec![RowBatch::default(); sources];
-        Ok(Pipeline { ctx, s, layout, conjuncts, rows, next_base: 0 })
+        let tested = RecordFilter::default();
+        Ok(Pipeline { ctx, s, layout, conjuncts, tested, rows, next_base: 0, resume: None })
     }
 
-    /// Reads what is read once per statement: the base rows, and the
-    /// whole table of every join that has no index to probe.
+    /// Reads what is read once per statement: the base rows reached
+    /// through an index, and the whole table of every join that has no
+    /// index to probe. A base read by a full scan is fetched later, as
+    /// blocks need its rows ([`Pipeline::take_base`]); its base-only
+    /// conjuncts become the scan's record test, unless they read more
+    /// than [`TESTED_COLS`] columns.
     fn read(&mut self) -> DmvResult<()> {
         let s = self.s;
-        self.rows[0] = read_base(self.ctx, s.table, &s.access, &s.filter, &self.layout.needs[0])?;
+        let access = resolve(self.ctx.schema(), s.table, &s.access, &s.filter)?;
+        if *access == Access::FullScan {
+            self.resume = Some(0);
+            let base_width = self.layout.offsets[1];
+            let mut cols = Vec::new();
+            for e in &self.conjuncts[0] {
+                e.for_each_col(&mut |c| cols.extend((c < base_width).then_some(c)));
+            }
+            cols.sort_unstable();
+            cols.dedup();
+            if cols.len() <= TESTED_COLS {
+                let conjuncts = std::mem::take(&mut self.conjuncts[0]);
+                self.tested = RecordFilter { cols, conjuncts };
+            }
+        } else {
+            self.rows[0] = read_base(self.ctx, s.table, &access, &self.layout.needs[0])?;
+        }
         for (i, j) in s.joins.iter().enumerate().filter(|(_, j)| j.right_index.is_none()) {
-            self.rows[i + 1] = self.ctx.scan(j.table, &self.layout.needs[i + 1])?;
+            let scanned = self.ctx.scan(j.table, &self.layout.needs[i + 1], None, 0, usize::MAX)?;
+            self.rows[i + 1] = scanned.rows;
+        }
+        Ok(())
+    }
+
+    /// Scans the base from page `from` until `want` more rows pass the
+    /// record test, and adds them to the base rows — the first fetch's
+    /// batch as it comes.
+    fn fetch(&mut self, from: u32, want: usize) -> DmvResult<()> {
+        let tested = &self.tested;
+        let test = |record: &[u8]| tested.keeps(record);
+        let keep: Option<RecordTest<'_>> = (!tested.conjuncts.is_empty()).then_some(&test);
+        let got = self.ctx.scan(self.s.table, &self.layout.needs[0], keep, from, want)?;
+        self.resume = got.next;
+        match self.rows[0].is_empty() {
+            true => self.rows[0] = got.rows,
+            false => self.rows[0].append(got.rows),
         }
         Ok(())
     }
@@ -640,20 +768,26 @@ impl<'a> Pipeline<'a> {
 
     /// True once every base row has been taken by a block.
     fn exhausted(&self) -> bool {
-        self.next_base >= self.rows[0].len()
+        self.next_base >= self.rows[0].len() && self.resume.is_none()
     }
 
     /// Takes base rows until `want` of them pass the base-only conjuncts
-    /// (or none are left): the base rows of the next block.
-    fn take_base(&mut self, want: usize) -> Vec<usize> {
+    /// (or none are left), fetching more from a scanned base as the rows
+    /// read so far run out: the base rows of the next block.
+    fn take_base(&mut self, want: usize) -> DmvResult<Vec<usize>> {
         let mut taken = Vec::new();
-        while !self.exhausted() && taken.len() < want {
-            if self.passes(0, &[self.next_base]) {
-                taken.push(self.next_base);
+        loop {
+            while self.next_base < self.rows[0].len() && taken.len() < want {
+                if self.passes(0, &[self.next_base]) {
+                    taken.push(self.next_base);
+                }
+                self.next_base += 1;
             }
-            self.next_base += 1;
+            match self.resume {
+                Some(from) if taken.len() < want => self.fetch(from, want - taken.len())?,
+                _ => return Ok(taken),
+            }
         }
-        taken
     }
 
     /// Runs `tuples` — base rows that passed the base-only conjuncts —
@@ -674,7 +808,7 @@ impl<'a> Pipeline<'a> {
     /// yields a tuple or more unless a join or a later conjunct drops it,
     /// and then the caller asks again.
     fn next_block(&mut self, want: usize) -> DmvResult<Vec<usize>> {
-        let base = self.take_base(want);
+        let base = self.take_base(want)?;
         self.join_all(base)
     }
 
@@ -871,7 +1005,7 @@ fn run_select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
     match &s.group_by {
         // Pipeline order: … → group → order → limit → project.
         Some(g) => {
-            let base = p.take_base(usize::MAX);
+            let base = p.take_base(usize::MAX)?;
             let (base, partials) = match p.pre_aggregate(g, &base)? {
                 Some((reps, partials)) => (reps, Some(partials)),
                 None => (base, None),

@@ -328,6 +328,19 @@ impl RowBatch {
         &mut last[from..]
     }
 
+    /// Appends the rows of `other`, which must be as wide, values moved.
+    ///
+    /// # Panics
+    ///
+    /// If the widths differ.
+    pub fn append(&mut self, mut other: RowBatch) {
+        assert_eq!(self.width, other.width, "appending a batch of another width");
+        for i in 0..other.len() {
+            let rid = other.rids[i];
+            self.push_null_row(rid).swap_with_slice(other.row_mut(i));
+        }
+    }
+
     /// Removes the rows at `positions` (strictly ascending).
     pub fn remove_rows(&mut self, positions: &[usize]) {
         if positions.is_empty() {
@@ -466,9 +479,9 @@ mod tests {
         assert!(RowBatch::default().is_empty());
     }
 
-    /// A batch of many chunks — filled row by row, or made whole and
-    /// decoded into — turns into its rows with nothing lost or reordered,
-    /// also with rows removed across chunk boundaries.
+    /// A batch of many chunks — filled row by row, made whole and decoded
+    /// into, or appended to — turns into its rows with nothing lost or
+    /// reordered, also with rows removed across chunk boundaries.
     #[test]
     fn large_batch_turns_into_its_rows_in_order() {
         let n = 20_000;
@@ -483,6 +496,14 @@ mod tests {
             whole.row_mut(i).clone_from_slice(batch.row(i));
         }
         assert_eq!(whole, batch);
+        // A batch appended to another is the one batch of both their rows.
+        let (mut front, mut back) = (RowBatch::new(3), RowBatch::new(3));
+        for i in 0..n as usize {
+            let half = if i < n as usize / 3 { &mut front } else { &mut back };
+            half.push_null_row(batch.rids()[i]).clone_from_slice(batch.row(i));
+        }
+        front.append(back);
+        assert_eq!(front, batch);
         let gone: Vec<usize> = (0..n as usize).filter(|i| i % 683 < 2).collect();
         whole.remove_rows(&gone);
         assert_eq!(whole.len(), n as usize - gone.len());

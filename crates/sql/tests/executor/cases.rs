@@ -453,6 +453,110 @@ fn a_whole_row_scan_hands_over_every_value_once() {
     assert_eq!(rs.rows, want);
 }
 
+/// Ten items, each its own heap page in the mock (item `n` on page
+/// `n - 1`); the titles of items 2, 4, 5, 8 and 9 hold "book". Even items
+/// are by author 10, odd ones by 11 — except item 5, whose author 99 does
+/// not exist.
+fn shelf() -> MockContext {
+    let mut ctx = MockContext::new(schema());
+    for id in 1..=10i64 {
+        let word = if [2, 4, 5, 8, 9].contains(&id) { "book" } else { "tome" };
+        let author = if id == 5 { 99 } else { 10 + id % 2 };
+        let row = vec![id.into(), format!("{word} {id}").into(), author.into(), id.into()];
+        ctx.insert(TableId(0), row).unwrap();
+    }
+    ctx.insert(TableId(1), vec![10.into(), "Knuth".into()]).unwrap();
+    ctx.insert(TableId(1), vec![11.into(), "Lamport".into()]).unwrap();
+    ctx
+}
+
+/// The items whose title holds "book", by id.
+fn books() -> Select {
+    Select::scan(TableId(0)).filter(Expr::like(1, "%book%")).project(vec![0])
+}
+
+#[test]
+fn a_like_scan_under_a_bare_limit_stops_at_the_page_that_fills_the_limit() {
+    let mut ctx = shelf();
+    // Two books wanted: the second is item 4, on page 3.
+    let rs = execute(&mut ctx, &Query::Select(books().limit(2))).unwrap();
+    assert_eq!(rs.rows, [ints(&[2]), ints(&[4])]);
+    assert_eq!((ctx.examined, ctx.decoded, ctx.resumes), (4, 2, 0));
+    // Three wanted through the author join: the first fetch keeps items 2,
+    // 4 and 5 and stops after page 4; the join drops item 5, so a second
+    // fetch from page 5 keeps one more book, item 8 on page 7.
+    let mut ctx = shelf();
+    let q = books().join(item_author_join()).limit(3);
+    let rs = execute(&mut ctx, &Query::Select(q)).unwrap();
+    assert_eq!(rs.rows, [ints(&[2]), ints(&[4]), ints(&[8])]);
+    assert_eq!((ctx.examined, ctx.decoded, ctx.resumes), (8, 4, 1));
+    assert_eq!(reads_of(&ctx, 0), [&[0, 1, 2], &[0, 1, 2]], "two fetches of one scan");
+}
+
+#[test]
+fn a_like_scan_under_order_by_or_group_by_examines_every_record() {
+    let mut ctx = shelf();
+    let rs = execute(&mut ctx, &Query::Select(books().order_by(0, true).limit(2))).unwrap();
+    assert_eq!(rs.rows, [ints(&[9]), ints(&[8])]);
+    assert_eq!((ctx.examined, ctx.decoded), (10, 5));
+    // Books per author; the first group is author 10's, with items 2, 4, 8.
+    let mut ctx = shelf();
+    let q = books().project(vec![0, 1]).group(vec![2], vec![AggFn::Count]).limit(1);
+    let rs = execute(&mut ctx, &Query::Select(q)).unwrap();
+    assert_eq!(rs.rows, [ints(&[10, 3])]);
+    assert_eq!((ctx.examined, ctx.decoded), (10, 5));
+}
+
+#[test]
+fn a_rejected_record_is_never_decoded() {
+    let mut ctx = shelf();
+    let q = books().filter(Expr::like(1, "%book%").and(Expr::cmp(3, CmpOp::Ge, 5)));
+    let rs = execute(&mut ctx, &Query::Select(q)).unwrap();
+    assert_eq!(rs.rows, [ints(&[5]), ints(&[8]), ints(&[9])]);
+    // Ten records tested on their bytes, three decoded, in one read of the
+    // projected and the tested columns.
+    assert_eq!((ctx.examined, ctx.decoded), (10, 3));
+    assert_eq!(reads_of(&ctx, 0), [&[0, 1, 3]]);
+}
+
+#[test]
+fn a_filter_on_more_columns_than_a_record_test_holds_runs_after_decoding() {
+    let cols = (0..10).map(|i| Column::new(&format!("c{i}"), ColType::Int)).collect();
+    let pk = vec![IndexDef::unique("pk", vec![0])];
+    let mut ctx =
+        MockContext::new(Schema::new(vec![TableSchema::new(TableId(0), "wide", cols, pk)]));
+    for id in 0..6i64 {
+        ctx.insert(TableId(0), (0..10).map(|c| Value::Int(id + c)).collect()).unwrap();
+    }
+    // Nine columns, each at least 2 — rows 2 to 5 — of which the first two.
+    let f = (1..10).map(|c| Expr::cmp(c, CmpOp::Ge, c as i64 + 2)).reduce(Expr::and).unwrap();
+    let s = Select::scan(TableId(0)).filter(f).project(vec![0]).limit(2);
+    let want = reference::select(&mut ctx, &s).unwrap();
+    (ctx.examined, ctx.decoded) = (0, 0);
+    let rs = execute(&mut ctx, &Query::Select(s)).unwrap();
+    assert_eq!((&rs.rows, &want.rows), (&vec![ints(&[2]), ints(&[3])], &want.rows));
+    // No record test: every record the scan looks at is decoded, and it
+    // looks at rows until two are kept, untested — then the filter drops
+    // them and it looks at two more.
+    assert_eq!((ctx.examined, ctx.decoded), (4, 4));
+}
+
+#[test]
+fn update_and_delete_with_a_full_scan_filter_reach_every_row() {
+    let mut ctx = shelf();
+    let set = vec![(3, SetExpr::AddInt(100))];
+    let q =
+        Query::Update { table: TableId(0), access: Access::FullScan, filter: books().filter, set };
+    assert_eq!(execute(&mut ctx, &q).unwrap().affected, 5);
+    assert_eq!((ctx.examined, ctx.decoded), (10, 10), "every row read whole, the filter after");
+    let filter = Some(Expr::like(1, "tome%"));
+    let q = Query::Delete { table: TableId(0), access: Access::Auto, filter };
+    assert_eq!(execute(&mut ctx, &q).unwrap().affected, 5);
+    let rs = execute(&mut ctx, &Query::Select(Select::scan(TableId(0)).project(vec![0, 3])));
+    let left = [[2, 102], [4, 104], [5, 105], [8, 108], [9, 109]];
+    assert_eq!(rs.unwrap().rows, left.map(|pair| ints(&pair)));
+}
+
 // Grouped selects over joins: where the executor may aggregate below the
 // joins and where it may not. Nothing the engine is asked tells the two
 // paths apart, so every case is checked against the reference evaluator

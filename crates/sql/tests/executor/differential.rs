@@ -10,20 +10,21 @@ use crate::mock::MockContext;
 use crate::reference;
 use dmv_common::config::ConcurrencyMode;
 use dmv_common::error::DmvResult;
-use dmv_common::ids::{PageId, TableId};
+use dmv_common::ids::{PageId, RowId, TableId};
 use dmv_common::rng::seeded;
 use dmv_common::version::VersionVector;
 use dmv_memdb::{MemDb, MemDbOptions, ReadGate, Txn};
 use dmv_pagestore::store::PageCell;
 use dmv_pagestore::PAGE_SIZE;
-use dmv_sql::exec::{execute, ExecContext};
+use dmv_sql::exec::{execute, ExecContext, Probed, RecordTest, Scanned};
 use dmv_sql::query::{Access, AggFn, CmpOp, Expr, Join, Query, Select, SetExpr};
-use dmv_sql::row::Row;
+use dmv_sql::row::{Row, RowBatch};
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -316,7 +317,48 @@ fn grouped_over_joins(rng: &mut SmallRng, schema: &Schema, mut s: Select) -> Sel
     s.group(cols, aggs)
 }
 
+/// The shape on which a scanned base resumes: a full scan of a table
+/// with the padded string payload (`a` or `b`, several heap pages), a
+/// base-only LIKE or comparison that the scan's record test decides, an
+/// inner join on the nullable `k` — and now and then a conjunct on the
+/// joined table — that drops some of the kept rows, and a small limit
+/// with no `ORDER BY`: the first fetch keeps as many rows as the limit,
+/// and when the join drops some, the executor asks the scan for more from
+/// the page after the one it stopped at.
+fn resumable(rng: &mut SmallRng, schema: &Schema) -> Select {
+    let table = TableId(rng.gen_range(0..2));
+    let base_width = schema.table(table).unwrap().columns.len();
+    let access = if rng.gen_bool(0.5) { Access::FullScan } else { Access::Auto };
+    let right_col = rng.gen_range(0..2);
+    let right_index = rng.gen_bool(0.7).then_some(right_col as u8);
+    let join = Join { table: TableId(rng.gen_range(0..3)), left_col: 1, right_col, right_index };
+    let mut s = Select::scan(table).access(access).join(join);
+    let (types, starts) = sources(schema, &s);
+    let on = |rng: &mut SmallRng, from: usize, width: usize| {
+        let col = from + rng.gen_range(0..width);
+        compare(rng, &types, col)
+    };
+    let mut f = match rng.gen_bool(0.6) {
+        true => Expr::like(base_width - 1, PATTERNS[rng.gen_range(0..PATTERNS.len())]),
+        false => on(rng, 0, base_width),
+    };
+    if rng.gen_bool(0.3) {
+        f = f.and(on(rng, 0, base_width));
+    }
+    if rng.gen_bool(0.4) {
+        f = f.and(on(rng, starts[1], 3));
+    }
+    s = s.filter(f).limit(rng.gen_range(1..4));
+    if rng.gen_bool(0.5) {
+        s = s.project((0..rng.gen_range(1..4)).map(|_| rng.gen_range(0..types.len())).collect());
+    }
+    s
+}
+
 fn select(rng: &mut SmallRng, schema: &Schema) -> Select {
+    if rng.gen_bool(0.2) {
+        return resumable(rng, schema);
+    }
     let table = TableId(rng.gen_range(0..3));
     let mut s = Select::scan(table).access(access(rng, schema.table(table).unwrap()));
     s = match rng.gen_bool(0.3) {
@@ -390,6 +432,105 @@ fn answers(ctx: &mut dyn ExecContext, selects: &[Select], what: &str) -> Vec<Ans
             got.unwrap_or_else(|e| panic!("{what}: {s:?}: {e}"))
         })
         .collect()
+}
+
+/// A context that hands every call to `inner` and holds each scan to the
+/// [`ExecContext::scan`] contract: rows in heap order from the page it
+/// started at; a scan that did not read the last page kept at least
+/// `want` rows, stopped right after the page that kept the `want`th and
+/// resumes at the next. Counts the scans that resumed past page 0.
+struct Checked<'c> {
+    inner: &'c mut dyn ExecContext,
+    resumes: usize,
+}
+
+impl ExecContext for Checked<'_> {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn scan(
+        &mut self,
+        table: TableId,
+        cols: &[usize],
+        keep: Option<RecordTest<'_>>,
+        from: u32,
+        want: usize,
+    ) -> DmvResult<Scanned> {
+        let got = self.inner.scan(table, cols, keep, from, want)?;
+        self.resumes += usize::from(from > 0);
+        let pages: Vec<u32> = got.rows.rids().iter().map(|rid| rid.page_no).collect();
+        let in_heap_order = got.rows.rids().is_sorted() && pages.iter().all(|&p| p >= from);
+        assert!(in_heap_order, "page, then slot, from page {from}");
+        if let Some(next) = got.next {
+            assert!(
+                pages.len() >= want,
+                "{} rows of {want}, yet more pages from {next}",
+                pages.len()
+            );
+            let last = pages[pages.len() - 1];
+            assert_eq!(next, last + 1, "resumes right after the page that kept the {want}th row");
+            let before = pages.iter().filter(|&&p| p < last).count();
+            assert!(before < want, "{before} rows before page {last} already made {want}");
+        }
+        Ok(got)
+    }
+
+    fn index_probe(
+        &mut self,
+        table: TableId,
+        index_no: u8,
+        keys: &[&[Value]],
+        cols: &[usize],
+    ) -> DmvResult<Probed> {
+        self.inner.index_probe(table, index_no, keys, cols)
+    }
+
+    fn index_range(
+        &mut self,
+        table: TableId,
+        index_no: u8,
+        lo: Option<(&[Value], bool)>,
+        hi: Option<(&[Value], bool)>,
+        rev: bool,
+        limit: Option<usize>,
+        cols: &[usize],
+    ) -> DmvResult<RowBatch> {
+        self.inner.index_range(table, index_no, lo, hi, rev, limit, cols)
+    }
+
+    fn insert(&mut self, table: TableId, row: Row) -> DmvResult<RowId> {
+        self.inner.insert(table, row)
+    }
+
+    fn update(&mut self, table: TableId, rid: RowId, row: Row) -> DmvResult<()> {
+        self.inner.update(table, rid, row)
+    }
+
+    fn delete(&mut self, table: TableId, rid: RowId) -> DmvResult<()> {
+        self.inner.delete(table, rid)
+    }
+
+    fn flush_costs(&mut self) {
+        self.inner.flush_costs();
+    }
+
+    fn set_write_intent(&mut self, on: bool) {
+        self.inner.set_write_intent(on);
+    }
+}
+
+/// [`answers`] through a [`Checked`] context; adds its resumes to `resumes`.
+fn checked_answers(
+    ctx: &mut dyn ExecContext,
+    selects: &[Select],
+    what: &str,
+    resumes: &mut usize,
+) -> Vec<Answer> {
+    let mut checked = Checked { inner: ctx, resumes: 0 };
+    let out = answers(&mut checked, selects, what);
+    *resumes += checked.resumes;
+    out
 }
 
 fn assert_same(selects: &[Select], got: &[Answer], want: &[Answer], what: &str) {
@@ -471,15 +612,19 @@ fn commit(db: &MemDb, version: &mut VersionVector, statements: &[Query]) {
 }
 
 /// `mock`: the mock's answers after each of the two transactions.
+/// Returns how many scans resumed past page 0.
 fn check_on_memdb(
     mode: ConcurrencyMode,
     history: &[Vec<Query>; 2],
     selects: &[Select],
     mock: &[Vec<Answer>; 2],
-) {
+) -> usize {
     let what = |kind: &str| format!("{mode:?} {kind}");
+    let resumes = Cell::new(0);
     let check = |mut txn: Txn<'_>, kind: &str| {
-        let out = answers(&mut txn, selects, &what(kind));
+        let mut n = resumes.get();
+        let out = checked_answers(&mut txn, selects, &what(kind), &mut n);
+        resumes.set(n);
         txn.commit(None);
         out
     };
@@ -505,6 +650,52 @@ fn check_on_memdb(
     assert_same_rows(selects, &changed, &mock[1], &what("vs mock after the change"));
     let tagged = check(db.begin_read_tagged(version), "tagged read after the change");
     assert_same(selects, &tagged, &changed, &what("tagged read after the change"));
+    resumes.get()
+}
+
+/// Resumed scans in one case, on the mock and per mode on `MemDb`.
+#[derive(Debug, Default)]
+struct Resumes {
+    mock: usize,
+    two_phase: usize,
+    mvcc: usize,
+}
+
+/// One case of the differential test: the tables and selects drawn from
+/// `seed`, answered on the mock and on `MemDb` in both modes.
+fn check_case(seed: u64) -> Resumes {
+    let mut rng = seeded(seed);
+    let schema = schema();
+    let history = history(&mut rng, &schema);
+    let selects: Vec<Select> = (0..30).map(|_| select(&mut rng, &schema)).collect();
+
+    let mut resumes = Resumes::default();
+    let mut mock = MockContext::new(schema);
+    let mock_answers = [0, 1].map(|i| {
+        for q in &history[i] {
+            execute(&mut mock, q).unwrap();
+        }
+        checked_answers(&mut mock, &selects, "mock", &mut resumes.mock)
+    });
+    resumes.two_phase =
+        check_on_memdb(ConcurrencyMode::TwoPhase, &history, &selects, &mock_answers);
+    resumes.mvcc = check_on_memdb(ConcurrencyMode::MvccCow, &history, &selects, &mock_answers);
+    resumes
+}
+
+/// The generator reaches a resumed scan, on the mock and on the heap
+/// pages of `MemDb` in both modes — or a resume that reads the wrong page
+/// could not show in [`executor_matches_reference`].
+#[test]
+fn the_generator_resumes_scans() {
+    let mut total = Resumes::default();
+    for seed in 0..20 {
+        let case = check_case(seed);
+        total.mock += case.mock;
+        total.two_phase += case.two_phase;
+        total.mvcc += case.mvcc;
+    }
+    assert!(total.mock > 0 && total.two_phase > 0 && total.mvcc > 0, "{total:?}");
 }
 
 proptest! {
@@ -513,20 +704,6 @@ proptest! {
 
     #[test]
     fn executor_matches_reference(seed in 0u64..u64::MAX) {
-        let mut rng = seeded(seed);
-        let schema = schema();
-        let history = history(&mut rng, &schema);
-        let selects: Vec<Select> = (0..30).map(|_| select(&mut rng, &schema)).collect();
-
-        let mut mock = MockContext::new(schema);
-        let mock_answers = [0, 1].map(|i| {
-            for q in &history[i] {
-                execute(&mut mock, q).unwrap();
-            }
-            answers(&mut mock, &selects, "mock")
-        });
-        for mode in [ConcurrencyMode::TwoPhase, ConcurrencyMode::MvccCow] {
-            check_on_memdb(mode, &history, &selects, &mock_answers);
-        }
+        check_case(seed);
     }
 }

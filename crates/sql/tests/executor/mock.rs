@@ -1,15 +1,17 @@
-//! A reference in-memory context: trivially correct, no pages, no
-//! concurrency control.
+//! A reference in-memory context: trivially correct, no concurrency
+//! control, and every row its own heap page — so a scan stopped by its
+//! `want` resumes at the finest grain there is.
 
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{RowId, TableId};
-use dmv_sql::exec::{ExecContext, Probed};
-use dmv_sql::row::{Row, RowBatch};
+use dmv_sql::exec::{ExecContext, Probed, RecordTest, Scanned};
+use dmv_sql::row::{encode_row, Row, RowBatch};
 use dmv_sql::schema::Schema;
 use dmv_sql::value::Value;
 use std::cmp::Ordering;
 
-/// `ExecContext` backed by `Vec<Option<Row>>`.
+/// `ExecContext` backed by `Vec<Option<Row>>`: row `i` of a table is
+/// the one record of heap page `i`.
 pub struct MockContext {
     schema: Schema,
     tables: Vec<Vec<Option<Row>>>,
@@ -17,6 +19,12 @@ pub struct MockContext {
     pub reads: Vec<(TableId, Vec<usize>)>,
     /// Every `index_probe` so far: the table and how many keys it held.
     pub probes: Vec<(TableId, usize)>,
+    /// Records the scans have examined: tested, or taken untested.
+    pub examined: usize,
+    /// Records the scans have decoded: those they kept.
+    pub decoded: usize,
+    /// Scans that resumed past page 0.
+    pub resumes: usize,
 }
 
 /// `cols` of `rows` as a batch.
@@ -38,6 +46,9 @@ impl MockContext {
             tables: (0..n).map(|_| Vec::new()).collect(),
             reads: Vec::new(),
             probes: Vec::new(),
+            examined: 0,
+            decoded: 0,
+            resumes: 0,
         }
     }
 
@@ -92,9 +103,32 @@ impl ExecContext for MockContext {
         &self.schema
     }
 
-    fn scan(&mut self, table: TableId, cols: &[usize]) -> DmvResult<RowBatch> {
+    /// Tests each live row on its `encode_row` bytes, and stops after the
+    /// row — the page — that keeps the `want`th.
+    fn scan(
+        &mut self,
+        table: TableId,
+        cols: &[usize],
+        keep: Option<RecordTest<'_>>,
+        from: u32,
+        want: usize,
+    ) -> DmvResult<Scanned> {
         self.reads.push((table, cols.to_vec()));
-        Ok(narrow(self.live(table), cols))
+        self.resumes += usize::from(from > 0);
+        let pages = &self.tables[table.0 as usize];
+        let (mut kept, mut next) = (Vec::new(), from as usize);
+        while next < pages.len() && kept.len() < want {
+            if let Some(row) = &pages[next] {
+                self.examined += 1;
+                if keep.map_or(Ok(true), |keep| keep(&encode_row(row)))? {
+                    kept.push((RowId::new(next as u32, 0), row.clone()));
+                }
+            }
+            next += 1;
+        }
+        self.decoded += kept.len();
+        let next = (next < pages.len()).then_some(next as u32);
+        Ok(Scanned { rows: narrow(kept, cols), next })
     }
 
     /// One equality range per key, the straightforward way.

@@ -48,7 +48,7 @@ pub fn select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
     };
     let base = match &access {
         Access::Auto => unreachable!(),
-        Access::FullScan => ctx.scan(s.table, &cols)?,
+        Access::FullScan => ctx.scan(s.table, &cols, None, 0, usize::MAX)?.rows,
         Access::IndexEq { index_no, key } => {
             ctx.index_probe(s.table, *index_no, &[key.as_slice()], &cols)?.rows
         }
@@ -69,7 +69,7 @@ pub fn select(ctx: &mut dyn ExecContext, s: &Select) -> DmvResult<ResultSet> {
         let cols = all_cols(ctx, join.table)?;
         let scanned: Option<Vec<Row>> = match join.right_index {
             Some(_) => None,
-            None => Some(ctx.scan(join.table, &cols)?.into_rows()),
+            None => Some(ctx.scan(join.table, &cols, None, 0, usize::MAX)?.rows.into_rows()),
         };
         let mut next = Vec::new();
         for left in acc {
