@@ -12,7 +12,8 @@
 //!   engine: BestSellers, which aggregates below its joins, next to the
 //!   same statement made to join every order line, and a join's keys
 //!   numbered as dense integers next to the same join on strings;
-//!   BuyConfirm's writes, commit excluded; and SearchResults' title and
+//!   BuyConfirm's writes, commit excluded, on an `MvccCow` engine and,
+//!   abort included, on a `TwoPhase` one; and SearchResults' title and
 //!   author searches, full scans that stop at their limit;
 //! * `reuse/*` — a slave's result store: BestSellers answered from it and
 //!   executed and stored, and what a point select's key hash and
@@ -236,11 +237,12 @@ fn bench_btree(c: &mut Criterion) {
     g.finish();
 }
 
-/// The small TPC-W population on a stand-alone engine, and its ids.
-fn small_tpcw() -> (MemDb, IdAllocator, TpcwScale) {
+/// The small TPC-W population on a stand-alone engine in `mode`, and
+/// its ids.
+fn small_tpcw(mode: ConcurrencyMode) -> (MemDb, IdAllocator, TpcwScale) {
     let scale = TpcwScale::small();
     let pop = generate(scale, 20_070_625);
-    let opts = MemDbOptions { concurrency: ConcurrencyMode::MvccCow, ..MemDbOptions::default() };
+    let opts = MemDbOptions { concurrency: mode, ..MemDbOptions::default() };
     let db = MemDb::new(tpcw_schema(), opts);
     for (table, rows) in &pop.tables {
         for chunk in rows.chunks(256) {
@@ -286,7 +288,7 @@ fn searches() -> [(&'static str, Query); 2] {
 /// authors, grouped by item — on the small TPC-W population.
 fn bench_exec(c: &mut Criterion) {
     let mut g = c.benchmark_group("exec");
-    let (db, ids, scale) = small_tpcw();
+    let (db, ids, scale) = small_tpcw(ConcurrencyMode::MvccCow);
     let (mut rng, mut state) = (seeded(1), ClientState::new(1));
     let mut best = plan(InteractionKind::BestSellers, &mut rng, &mut state, &ids, scale, 13_000);
     g.bench_function("best_sellers", |b| {
@@ -331,16 +333,32 @@ fn bench_exec(c: &mut Criterion) {
     // the stock updates, the order, order line and card charge, the cart's
     // deletes — in one update transaction, which is dropped untimed: no
     // commit, so every iteration finds the same population.
+    let mut buy_plan = || {
+        let mut client = ClientState::new(1);
+        plan(InteractionKind::BuyConfirm, &mut rng, &mut client, &ids, scale, 13_000)
+    };
     g.bench_function("buy_confirm", |b| {
         b.iter_batched(
-            || {
-                let mut client = ClientState::new(1);
-                plan(InteractionKind::BuyConfirm, &mut rng, &mut client, &ids, scale, 13_000)
-            },
+            &mut buy_plan,
             |mut buy| {
                 let mut txn = db.begin_update();
                 (buy.exec)(&mut ExecRunner::new(&mut txn)).unwrap();
                 txn
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The same on a TwoPhase engine: the same private page copies, and a
+    // page lock taken before each page is touched. The locks would stall
+    // the next iteration, so the abort that releases them is timed too.
+    let (two_phase, ..) = small_tpcw(ConcurrencyMode::TwoPhase);
+    g.bench_function("buy_confirm_2pl", |b| {
+        b.iter_batched(
+            &mut buy_plan,
+            |mut buy| {
+                let mut txn = two_phase.begin_update();
+                (buy.exec)(&mut ExecRunner::new(&mut txn)).unwrap();
+                txn.abort();
             },
             BatchSize::SmallInput,
         )
@@ -419,7 +437,7 @@ impl StatementRunner for Reusing<'_, '_> {
 /// to the select itself.
 fn bench_reuse(c: &mut Criterion) {
     let mut g = c.benchmark_group("reuse");
-    let (db, ids, scale) = small_tpcw();
+    let (db, ids, scale) = small_tpcw(ConcurrencyMode::MvccCow);
     let applier = Arc::new(PendingApplier::new(
         Arc::clone(db.store()),
         db.schema().len(),

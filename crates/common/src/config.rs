@@ -162,23 +162,25 @@ impl Default for TcpConfig {
     }
 }
 
-/// Concurrency-control protocol for a master's update transactions.
+/// How a master finds conflicts between its update transactions.
 ///
-/// The paper's master runs per-page two-phase locking; the `MvccCow`
-/// alternative replaces it with copy-on-write page multiversioning:
-/// writers buffer private page copies and validate first-committer-wins
-/// over overlapping page sets at commit, so disjoint writers never wait
-/// on each other and conflicts surface as retryable `VersionConflict`
-/// aborts instead of lock-timeout spirals. Both protocols produce the
-/// same committed histories (asserted by `tests/engine_differential.rs`).
+/// Both modes share one write path: an update writes private page copies
+/// and installs them at commit. The paper's master runs per-page
+/// two-phase locking, so each page is locked before it is touched and
+/// the install's validation passes by construction; under `MvccCow` no
+/// lock is taken and the install validates first-committer-wins over
+/// overlapping page sets, so disjoint writers never wait on each other
+/// and conflicts surface as retryable `VersionConflict` aborts instead
+/// of lock-timeout spirals. Both produce the same committed histories
+/// (asserted by `tests/engine_differential.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ConcurrencyMode {
-    /// Per-page two-phase locking with lock-wait timeouts (the paper's
-    /// protocol, and the default).
+    /// Per-page two-phase locks taken before a page is touched, with
+    /// lock-wait timeouts (the paper's protocol, and the default).
     #[default]
     TwoPhase,
-    /// Copy-on-write page MVCC with first-committer-wins commit
-    /// validation through a sharded sequencer.
+    /// No locks: first-committer-wins validation at install, through a
+    /// sharded sequencer.
     MvccCow,
 }
 

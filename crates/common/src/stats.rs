@@ -246,8 +246,8 @@ pub struct TxnStats {
     pub version_aborts: Counter,
     /// The subset of [`TxnStats::version_aborts`] raised on the *update*
     /// path — under `ConcurrencyMode::MvccCow` these are master-side
-    /// first-committer-wins conflicts; under 2PL the master locks instead
-    /// of validating, so this stays zero. Counted in addition to
+    /// first-committer-wins conflicts; under 2PL the locks make every
+    /// validation pass, so this stays zero. Counted in addition to
     /// `version_aborts` (never added into [`TxnStats::attempts`]), it
     /// isolates the concurrency-control component from replica-read
     /// routing staleness, which no master protocol controls.

@@ -90,9 +90,9 @@ pub struct ClusterSpec {
     /// reclamation), paper time. `None` disables the background sweep;
     /// deterministic harnesses call [`DmvCluster::gc_sweep`] directly.
     pub gc_interval: Option<Duration>,
-    /// Concurrency-control protocol for master update transactions:
-    /// the paper's per-page 2PL, or copy-on-write page MVCC with
-    /// first-committer-wins validation (`dmv_memdb::mvcc`).
+    /// How the master finds conflicts between update transactions: the
+    /// paper's per-page 2PL locks, or first-committer-wins validation at
+    /// install (`dmv_memdb::mvcc`).
     pub concurrency: ConcurrencyMode,
 }
 
@@ -332,9 +332,8 @@ impl DmvCluster {
                     }
                 }
             }
-            // try_commit installs MVCC copy-on-write images (a plain
-            // commit under 2PL); the cluster is not live yet, so the
-            // uncontended validation cannot lose.
+            // try_commit installs the copy-on-write images; the cluster
+            // is not live yet, so the uncontended validation cannot lose.
             txn.try_commit(None).expect("uncontended load commit"); // unwrap-ok: pre-live load has no concurrent committers
         }
         Ok(())

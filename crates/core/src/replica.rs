@@ -49,8 +49,9 @@ pub struct ReplicaConfig {
     /// Resident-byte budget for this node's page store (see
     /// [`BufferBudget`]); unbounded by default.
     pub buffer_budget: BufferBudget,
-    /// Concurrency-control protocol for master update transactions:
-    /// per-page 2PL (the paper's) or copy-on-write page MVCC.
+    /// How the master finds conflicts between update transactions:
+    /// per-page 2PL locks (the paper's) or first-committer-wins
+    /// validation.
     pub concurrency: ConcurrencyMode,
 }
 
@@ -156,12 +157,18 @@ pub struct ReplicaNode {
     /// Operation counters.
     pub stats: ReplicaStats,
     /// Test hook (DST `kill-master-mid-validation`): when armed, the
-    /// next update transaction kills this node after commit validation
-    /// (MVCC install / 2PL pre-commit entry) but before any broadcast.
+    /// next update transaction kills this node after its validation and
+    /// install but before any broadcast.
     kill_mid_validation: AtomicBool,
     receiver: Mutex<Option<dmv_check::thread::JoinHandle<()>>>,
     /// Optional history tap (deterministic simulation testing).
     tap: RwLock<Option<SharedTap>>,
+}
+
+/// True if `ws` carries one version per table of a `tables`-table
+/// schema and every page it names belongs to one of them.
+fn fits_schema(ws: &WriteSet, tables: usize) -> bool {
+    ws.versions.len() == tables && ws.pages.iter().all(|(id, _)| usize::from(id.table.0) < tables)
 }
 
 impl ReplicaNode {
@@ -242,11 +249,12 @@ impl ReplicaNode {
     }
 
     fn handle_msg(&self, from: NodeId, msg: Msg, endpoint: &dyn Endpoint<Msg>) {
+        let tables = self.db.schema().len();
         match msg {
-            Msg::WriteSet(ws) => {
+            Msg::WriteSet(ws) if fits_schema(&ws, tables) => {
                 self.enqueue_and_ack(from, std::slice::from_ref(&ws), endpoint);
             }
-            Msg::WriteSetBatch(batch) => {
+            Msg::WriteSetBatch(batch) if batch.sets.iter().all(|ws| fits_schema(ws, tables)) => {
                 self.enqueue_and_ack(from, &batch.sets, endpoint);
             }
             Msg::CumAck { seq } => self.acks.record(from, seq),
@@ -266,10 +274,15 @@ impl ReplicaNode {
                     }
                 }
             }
-            Msg::Watermark { versions } => {
+            Msg::Watermark { versions } if versions.len() == tables => {
                 let reaped = self.applier.reclaim_up_to(&versions);
                 self.emit(|| TraceEvent::Reclaimed { node: self.id, watermark: versions, reaped });
             }
+            // A frame shaped for another schema is dropped unread: the
+            // applier indexes vectors by table and merges only equal
+            // lengths, and a panic here would leave the node alive but
+            // deaf, every commit then waiting out its ack timeout.
+            Msg::WriteSet(_) | Msg::WriteSetBatch(_) | Msg::Watermark { .. } => {}
         }
     }
 
@@ -406,8 +419,8 @@ impl ReplicaNode {
     }
 
     /// Arms the `kill-master-mid-validation` test hook: the next update
-    /// transaction kills this node after commit validation (MVCC
-    /// install / 2PL pre-commit entry) and before any broadcast.
+    /// transaction kills this node after its validation and install and
+    /// before any broadcast.
     pub fn arm_kill_mid_validation(&self) {
         self.kill_mid_validation.store(true, Ordering::Release);
     }
@@ -449,10 +462,10 @@ impl ReplicaNode {
 
     /// Executes an update transaction as master via a statement-driving
     /// closure (later statements may depend on earlier results): run
-    /// under 2PL, then the Figure 2 pre-commit sequence (write-set,
-    /// atomic version increment, broadcast, ack wait), then local commit
-    /// and lock release. Returns the new version vector (all zero for a
-    /// transaction that wrote nothing).
+    /// under the engine's concurrency mode, then the Figure 2 pre-commit
+    /// sequence (install, write-set, atomic version increment, broadcast,
+    /// ack wait), then local commit and lock release. Returns the new
+    /// version vector (all zero for a transaction that wrote nothing).
     ///
     /// # Errors
     ///
@@ -491,24 +504,22 @@ impl ReplicaNode {
         // flushed the moment it completes. The ack wait runs with no
         // commit-path lock held at all.
         let mut seq_guard = self.commit_seq.lock();
-        if self.db.concurrency() == ConcurrencyMode::MvccCow {
-            // MVCC commit point: first-committer-wins validation, then
-            // install of the private copy-on-write images. A conflict
-            // aborts here — no version bump, nothing broadcast — as a
-            // retryable VersionConflict (no lock timeout was burned).
-            if let Err(e) = txn.mvcc_install() {
-                drop(seq_guard);
-                txn.abort();
-                self.stats.version_aborts.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter, read only for reporting
-                if let DmvError::VersionConflict { page, .. } = &e {
-                    // Feed the contention tier: this page's table is
-                    // where first-committer-wins races are burning work.
-                    if let Some(c) = self.contention.read().clone() {
-                        c.record_table_conflict(page.table);
-                    }
+        // Commit point: validation, then install of the private copy-on-
+        // write images. Under 2PL the page locks make validation pass; an
+        // MVCC conflict aborts here — no version bump, nothing broadcast —
+        // as a retryable VersionConflict (no lock timeout was burned).
+        if let Err(e) = txn.mvcc_install() {
+            drop(seq_guard);
+            txn.abort();
+            self.stats.version_aborts.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter, read only for reporting
+            if let DmvError::VersionConflict { page, .. } = &e {
+                // Feed the contention tier: this page's table is
+                // where first-committer-wins races are burning work.
+                if let Some(c) = self.contention.read().clone() {
+                    c.record_table_conflict(page.table);
                 }
-                return Err(e);
             }
+            return Err(e);
         }
         // Test hook: die after validation/install, before any broadcast.
         // A new master's discard_above erases the transaction cluster-

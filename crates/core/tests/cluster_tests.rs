@@ -1141,3 +1141,50 @@ fn a_version_conflict_is_never_stored() {
     assert_eq!(reused(&slave), 0);
     cluster.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Frames shaped for another schema
+// ---------------------------------------------------------------------------
+
+/// A write-set or watermark whose version vector does not have one entry
+/// per table of the receiver's schema is dropped, and the receiver goes
+/// on serving the stream: it once panicked the node's receiver thread,
+/// leaving the node alive but deaf, so every commit then waited out its
+/// ack timeout.
+#[test]
+fn a_frame_shaped_for_another_schema_is_dropped_and_the_node_keeps_acking() {
+    use dmv_common::ids::{NodeId, PageId, TxnId};
+    use dmv_core::messages::{Msg, WriteSet};
+    use dmv_core::replica::{ReplicaConfig, ReplicaNode};
+    use dmv_net::{DynTransport, SimnetTransport};
+    use dmv_pagestore::diff::PageDiff;
+    use dmv_pagestore::PAGE_SIZE;
+
+    let net: DynTransport<Msg> = Arc::new(SimnetTransport::zero());
+    let (slave_id, master_id) = (NodeId(1), NodeId(0));
+    let slave = ReplicaNode::start(slave_id, schema(), Arc::clone(&net), ReplicaConfig::default());
+    let master = net.register(master_id);
+    let page = PageId::heap(TableId(0), 0);
+    let mut image = vec![0u8; PAGE_SIZE];
+    image[0] = 7;
+    let write_set = |seq: u64, versions: Vec<u64>| {
+        let diff = PageDiff::compute(&[0u8; PAGE_SIZE], &image);
+        let ws = WriteSet {
+            txn: TxnId::new(master_id, seq),
+            seq,
+            versions: VersionVector::from_entries(versions),
+            pages: vec![(page, diff)],
+        };
+        Msg::WriteSet(Arc::new(ws))
+    };
+    master.send(slave_id, write_set(1, vec![1]), 0).unwrap();
+    master
+        .send(slave_id, Msg::Watermark { versions: VersionVector::from_entries(vec![1]) }, 0)
+        .unwrap();
+    master.send(slave_id, write_set(2, vec![1, 0]), 0).unwrap();
+    let ack = master.recv_timeout(Duration::from_secs(5)).expect("the valid write-set is acked");
+    assert!(matches!(ack.msg, Msg::CumAck { seq: 2 }), "{:?}", ack.msg);
+    assert_eq!(slave.applier().enqueued_count(), 1, "only the valid write-set is enqueued");
+    assert_eq!(slave.applier().received(), VersionVector::from_entries(vec![1, 0]));
+    slave.shutdown();
+}

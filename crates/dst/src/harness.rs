@@ -796,9 +796,8 @@ impl Harness<'_> {
     }
 
     /// Arms the validation-point crash on the class master and issues
-    /// updates until it fires. The trigger lands after MVCC install /
-    /// 2PL pre-commit entry and before the version bump or any
-    /// broadcast, so the probe aborts `NodeFailed` with nothing on the
+    /// updates until it fires. The trigger lands after the validation
+    /// and install and before the version bump or any broadcast, so the probe aborts `NodeFailed` with nothing on the
     /// wire: the committed watermark must not move, and fail-over has
     /// no partial batch to discard. Unlike the send-triggered kills the
     /// crash fires inside the commit path itself (not the transport

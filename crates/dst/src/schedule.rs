@@ -117,8 +117,8 @@ pub enum Event {
     KillMasterMidBatch { class: usize, sends: u32 },
     /// Crash the class master at the commit-validation point: the armed
     /// trigger (`ReplicaNode::arm_kill_mid_validation`) fires after the
-    /// next update transaction's MVCC install / 2PL pre-commit entry and
-    /// before the version bump or any broadcast. Nothing reaches the
+    /// next update transaction's validation and install and before the
+    /// version bump or any broadcast. Nothing reaches the
     /// wire, so the scheduler's committed watermark must not advance and
     /// fail-over has nothing to discard — the probe update aborts with
     /// `NodeFailed`.

@@ -72,9 +72,9 @@ pub struct MemDbOptions {
     /// CPU service slots of the node (the paper's testbed machines are
     /// dual Athlons). Concurrent query CPU charges queue beyond this.
     pub cpu_permits: usize,
-    /// Concurrency-control protocol for update transactions: the
-    /// paper's per-page 2PL, or copy-on-write page MVCC with
-    /// first-committer-wins validation (see [`crate::mvcc`]).
+    /// How update transactions find conflicts: the paper's per-page 2PL
+    /// locks, or first-committer-wins validation at install (see
+    /// [`crate::mvcc`]). Both write private page copies.
     pub concurrency: ConcurrencyMode,
 }
 
@@ -200,8 +200,8 @@ impl MemDb {
     }
 
     /// Begins an untagged, latched read-only transaction (stand-alone
-    /// single-node use; not isolated from concurrent local writers in
-    /// either concurrency mode — see [`TxnMode::ReadLocal`]).
+    /// single-node use; no snapshot across pages in either concurrency
+    /// mode — see [`TxnMode::ReadLocal`]).
     pub fn begin_read_local(&self) -> Txn<'_> {
         Txn::new(self, self.next_txn_id(), TxnMode::ReadLocal)
     }

@@ -5,12 +5,12 @@
 //! caller can fix the indexes).
 //!
 //! The heap is concurrency-control agnostic: it reads and writes pages
-//! only through [`Txn`], so under per-page 2PL its writes take exclusive
-//! locks and under `ConcurrencyMode::MvccCow` they land in the
-//! transaction's private copy-on-write buffers. The free-space *peek*
-//! below stays a dirty read in both modes ([`Txn::peek_page`] checks the
-//! peeker's own COW copy first, so an inserter sees space it has itself
-//! consumed); a stale peek costs only a retry against the next page.
+//! only through [`Txn`], so its writes land in the transaction's private
+//! copy-on-write buffers, after an exclusive lock under per-page 2PL.
+//! The free-space *peek* below reads no lock in either mode
+//! ([`Txn::peek_page`] checks the peeker's own COW copy first, so an
+//! inserter sees space it has itself consumed); a stale peek costs only
+//! a retry against the next page.
 
 use crate::txn::Txn;
 use dmv_common::error::{DmvError, DmvResult};
@@ -50,8 +50,8 @@ pub fn insert(txn: &mut Txn<'_>, table: TableId, row: &Row) -> DmvResult<RowId> 
         }
     }
     // A fresh allocation is *published* (page count bumped, cell in the
-    // store) before this transaction protects it — 2PL acquires the lock
-    // only after allocating, and MVCC snapshots the base then — so a
+    // store) before this transaction takes its base of it (after the
+    // lock, under 2PL) — so a
     // concurrent inserter may discover the page through the count and use
     // it first. `ensure_init` leaves such a rival's records intact where
     // a blind re-init would wipe them, and if rivals filled the page
@@ -69,10 +69,10 @@ pub fn insert(txn: &mut Txn<'_>, table: TableId, row: &Row) -> DmvResult<RowId> 
         // Race lost outright: rivals filled the page to the brim before
         // our first write landed, so we never modified it. Drop it from
         // the transaction's footprint — kept, it would re-install an
-        // identical image at commit (MVCC: spurious conflicts for
+        // identical image at commit (spurious conflicts for MVCC
         // rivals, possible abort of *this* transaction on the stale
-        // base) or pin an X lock rival inserters keep queueing on
-        // (2PL) — before trying the next allocation.
+        // base) and, under 2PL, pin an X lock rival inserters keep
+        // queueing on — before trying the next allocation.
         txn.forget_fresh_page(id);
     }
     Err(DmvError::Storage(format!("{FRESH_PAGE_RACES} fresh pages filled by rival inserters")))

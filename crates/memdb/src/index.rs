@@ -2,7 +2,7 @@
 //!
 //! Index nodes are serialized into ordinary pages of the owning table's
 //! index space, so **index maintenance is page modification**: splits and
-//! key inserts are captured by the transaction's undo/diff machinery and
+//! key inserts are captured by the transaction's page copies and diffs and
 //! replicate to slaves exactly like heap data. (The paper attributes the
 //! master's saturation under the ordering mix to "costly index updates
 //! ... due to rebalancing for inserts" — the same effect arises here.)
@@ -757,8 +757,7 @@ impl BTreeIndex {
             if meta.page_no == 0 {
                 // Drawing page 0 does not make us the bootstrapper: the
                 // allocation published the page before this transaction
-                // protected it (2PL acquires the lock only after
-                // allocating; MVCC snapshots the base then), so a rival
+                // took its base (after the lock, under 2PL), so a rival
                 // may have bootstrapped page 0 — and committed — while we
                 // waited. Re-read under the protection we now hold and
                 // adopt a committed meta node rather than orphan its tree.

@@ -2,17 +2,19 @@
 //!
 //! The in-memory, page-based database engine — this reproduction's
 //! analogue of the paper's `REPLICATED_HEAP` storage manager (MySQL heap
-//! tables made transactional with undo/redo at page granularity).
+//! tables made transactional at page granularity).
 //!
 //! * rows live in slotted **heap pages**; every index is a **page-based
 //!   B+Tree**, so index maintenance is page modification and replicates
 //!   exactly like row data ("replication is implemented at the level of
 //!   physical memory modifications performed by the storage manager");
-//! * update transactions use **per-page two-phase locking** with
-//!   timeout-based deadlock resolution ([`lock::LockManager`]);
+//! * update transactions write **private page copies** and install them
+//!   at commit ([`mvcc`]); conflicts are found by **per-page two-phase
+//!   locking** with timeout-based deadlock resolution
+//!   ([`lock::LockManager`]) or by first-committer-wins validation;
 //! * at pre-commit a transaction produces its **write-set**: one byte
-//!   diff per dirty page ([`txn::Txn::precommit`]), which the replication
-//!   layer versions and broadcasts;
+//!   diff per written page ([`txn::Txn::precommit`]), which the
+//!   replication layer versions and broadcasts;
 //! * read-only transactions carry a **version tag** and read through a
 //!   pluggable [`ReadGate`] that lazily materializes the tagged version
 //!   of each page (implemented by `dmv-core`'s pending-update applier).

@@ -7,13 +7,15 @@
 //! waiter aborts with [`DmvError::Deadlock`] — the simple deadlock
 //! resolution the retry-based TPC-W client tolerates well.
 //!
-//! Under `ConcurrencyMode::MvccCow` update transactions bypass this
-//! manager entirely: writers buffer copy-on-write page copies and
-//! serialize through the commit sequencer in [`crate::mvcc`] instead,
-//! so a hot page costs a retryable `VersionConflict` at commit rather
-//! than a lock-timeout wait here. Both abort paths are retryable, which
-//! is what lets the differential rig drive the same workloads through
-//! either protocol.
+//! Locks are all that `ConcurrencyMode::TwoPhase` adds to the one write
+//! path: in both modes a writer buffers copy-on-write page copies and
+//! installs them through [`crate::mvcc`], and under 2PL the locks it
+//! took before touching each page make that install's validation pass.
+//! Under `ConcurrencyMode::MvccCow` update transactions take no lock
+//! here, so a hot page costs a retryable `VersionConflict` at commit
+//! rather than a lock-timeout wait. Both abort paths are retryable,
+//! which is what lets the differential rig drive the same workloads
+//! through either protocol.
 
 use dmv_common::clock::wall_deadline;
 use dmv_common::error::{DmvError, DmvResult};

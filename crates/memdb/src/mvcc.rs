@@ -1,10 +1,14 @@
-//! Copy-on-write page MVCC: the multi-writer alternative to the
-//! paper's per-page 2PL master (`ConcurrencyMode::MvccCow`).
+//! The install every update transaction commits through, in both
+//! concurrency modes, and the first-committer-wins validation that is
+//! how `ConcurrencyMode::MvccCow` finds conflicts.
 //!
-//! Writers never take page locks. Each update transaction copies the
-//! committed image of every page it touches into private buffers
-//! ([`crate::Txn`] keeps the base and the copy-on-write working copy),
-//! mutates only the copies, and commits through this manager:
+//! Each update transaction copies the committed image of every page it
+//! touches into private buffers ([`crate::Txn`] keeps the base and the
+//! copy-on-write working copy), mutates only the copies, and commits
+//! through this manager. Under `MvccCow` writers take no page locks and
+//! validation is what orders them; under `TwoPhase` the page locks a
+//! writer holds from first touch to commit have already ordered it, so
+//! validation passes by construction. Either way the commit is:
 //!
 //! 1. the committer locks the **sharded commit sequencer** — one mutex
 //!    per page-hash shard, acquired in ascending shard order, covering
@@ -28,7 +32,7 @@
 //! install and another after it holds a stale stamp and aborts. An
 //! untagged local read ([`crate::TxnMode::ReadLocal`]) is a latched
 //! read of each page's committed image with no cross-page snapshot —
-//! the stand-alone, quiescent contract it has under 2PL too.
+//! the stand-alone, quiescent contract it has in both modes.
 
 use dmv_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dmv_check::sync::{Mutex, MutexGuard};
@@ -55,8 +59,8 @@ pub struct Install<'a> {
     pub image: &'a [u8],
 }
 
-/// Copy-on-write page-MVCC state shared by all transactions of one
-/// [`crate::MemDb`].
+/// Commit sequencer and page stamps shared by all update transactions
+/// of one [`crate::MemDb`].
 pub struct MvccManager {
     /// Last assigned commit stamp.
     csn: AtomicU64,
@@ -66,7 +70,7 @@ pub struct MvccManager {
     /// disjoint ones run in parallel.
     seq: [Mutex<()>; MVCC_SHARDS],
     /// Commit stamp of each page's committed image (absent: never
-    /// MVCC-committed, stamp `0`). Taken one shard at a time, under the
+    /// installed, stamp `0`). Taken one shard at a time, under the
     /// sequencer on the commit path and bare on read paths.
     pages: [Mutex<HashMap<PageId, u64>>; MVCC_SHARDS],
     /// Test hook: skip commit validation entirely.
@@ -113,7 +117,7 @@ impl MvccManager {
         (stamp, image)
     }
 
-    /// The current commit stamp of `id` (`0` if never MVCC-committed).
+    /// The current commit stamp of `id` (`0` if never installed).
     pub fn stamp_of(&self, id: PageId) -> u64 {
         self.pages[id.shard(MVCC_SHARDS)].lock().get(&id).copied().unwrap_or(0)
     }

@@ -1,26 +1,30 @@
-//! Transactions: per-page 2PL *or* copy-on-write page MVCC on masters,
-//! tagged lazy-version reads on slaves, undo/redo at page granularity,
-//! and write-set capture.
+//! Transactions: update transactions on masters, tagged lazy-version
+//! reads on slaves, and write-set capture at page granularity.
+//!
+//! An update transaction has one write path in either
+//! [`ConcurrencyMode`]: it reads each page it touches into a private
+//! base (the committed image and its commit stamp), writes private
+//! copy-on-write copies, and commits through one install. The mode
+//! decides only how conflicts are found. Under `TwoPhase` a page is S-
+//! or X-locked before it is touched and every lock is held until the
+//! transaction ends, so the paper's per-page 2PL orders the writers and
+//! validation at install passes by construction. Under `MvccCow` no lock
+//! is taken; the install validates first-committer-wins and a loser
+//! aborts with a retryable [`DmvError::VersionConflict`].
 //!
 //! The commit protocol follows the paper's Figure 2:
 //!
-//! 1. [`Txn::precommit`] computes the write-set (per-page byte diffs of
-//!    every dirty page) while all page locks are still held;
+//! 1. [`Txn::mvcc_install`] validates the read set and installs the
+//!    copies as the pages' committed images, and [`Txn::precommit`]
+//!    computes the write-set (per-page byte diffs of base against copy),
+//!    while all page locks are still held;
 //! 2. the replication layer increments the database version vector,
 //!    broadcasts the write-set and waits for acknowledgements;
-//! 3. [`Txn::commit`] stamps the dirty pages with their new table
-//!    versions, clears undo state and releases all locks.
+//! 3. [`Txn::commit`] stamps the written pages with their new table
+//!    versions and releases all locks.
 //!
-//! [`Txn::abort`] restores the before-image of every dirty page.
-//!
-//! Under [`ConcurrencyMode::MvccCow`] the update path changes shape but
-//! not semantics: reads capture the committed image and its commit
-//! stamp into a private base cache (repeatable reads with no locks),
-//! writes mutate private copy-on-write buffers, and commit goes through
-//! [`Txn::mvcc_install`] — first-committer-wins validation over the
-//! read set, then install of the copies — before the same Figure 2
-//! broadcast. Conflicts abort with retryable
-//! [`DmvError::VersionConflict`] instead of burning a lock timeout.
+//! [`Txn::abort`] drops the copies and releases the locks: no shared
+//! page is written before the install, so there is nothing to restore.
 //! The install overwrites: the master keeps one image per page, and
 //! versions are created on the slaves for the tagged readers that ask
 //! (see [`TxnMode::ReadLocal`] for what an untagged local read is).
@@ -35,27 +39,29 @@ use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{PageId, PageSpace, RowId, TableId, TxnId};
 use dmv_common::version::VersionVector;
 use dmv_pagestore::diff::PageDiff;
+use dmv_pagestore::store::PageCell;
 use dmv_sql::exec::{ExecContext, Probed, RecordTest, Scanned};
 use dmv_sql::row::{Row, RowBatch};
 use dmv_sql::schema::Schema;
 use dmv_sql::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What kind of transaction this is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxnMode {
-    /// Update transaction under the engine's [`ConcurrencyMode`]:
-    /// per-page two-phase locking, or private copy-on-write buffers
-    /// validated first-committer-wins at commit.
+    /// Update transaction: private copy-on-write pages installed at
+    /// commit, conflicts found by the engine's [`ConcurrencyMode`] —
+    /// per-page two-phase locks, or first-committer-wins validation.
     Update,
     /// Read-only transaction reading the tagged database version through
     /// the engine's [`crate::ReadGate`].
     ReadTagged(VersionVector),
-    /// Untagged read of each page's current image under its latch, in
-    /// either concurrency mode: no lock, no snapshot across pages (under
-    /// 2PL not even committed bytes only). For stand-alone or quiescent
-    /// use — loading, tests, probes, end-of-run digests; a running
-    /// cluster tags every read-only transaction and routes it to a slave.
+    /// Untagged read of each page's committed image under its latch, in
+    /// either concurrency mode: no lock and no snapshot across pages. For
+    /// stand-alone or quiescent use — loading, tests, probes, end-of-run
+    /// digests; a running cluster tags every read-only transaction and
+    /// routes it to a slave.
     ReadLocal,
 }
 
@@ -66,13 +72,12 @@ pub struct Txn<'db> {
     db: &'db MemDb,
     id: TxnId,
     mode: TxnMode,
-    undo: HashMap<PageId, Vec<u8>>,
     dirty_order: Vec<PageId>,
-    /// MVCC base cache: committed image + commit stamp at first read.
-    /// Doubles as the read set validated at commit and as the before-
-    /// image for write-set diffs.
+    /// Update: committed image + commit stamp at first read — the read
+    /// set validated at install and the before-image of the write-set
+    /// diffs. Tagged read: the images rewound to the tag.
     bases: HashMap<PageId, (u64, Vec<u8>)>,
-    /// MVCC private copy-on-write images for written pages.
+    /// Private copy-on-write images of the pages an update wrote.
     cow: HashMap<PageId, Vec<u8>>,
     /// Commit stamp drawn by [`Txn::mvcc_install`]; guards the dirty-
     /// flag clear in [`Txn::commit`] against a pipelined later install.
@@ -102,7 +107,6 @@ impl<'db> Txn<'db> {
             db,
             id,
             mode,
-            undo: HashMap::new(),
             dirty_order: Vec::new(),
             bases: HashMap::new(),
             cow: HashMap::new(),
@@ -114,23 +118,28 @@ impl<'db> Txn<'db> {
         }
     }
 
-    /// True when this transaction's update path runs under MVCC rather
-    /// than 2PL.
-    fn is_mvcc_update(&self) -> bool {
-        self.mode == TxnMode::Update && self.db.concurrency() == ConcurrencyMode::MvccCow
+    /// Takes the page lock a `TwoPhase` engine orders writers by, held
+    /// until the transaction ends. `MvccCow` takes none: its conflicts
+    /// are found by validation at install.
+    fn lock(&self, id: PageId, mode: LockMode) -> DmvResult<()> {
+        match self.db.concurrency() {
+            ConcurrencyMode::TwoPhase => self.db.locks().acquire(self.id, id, mode),
+            ConcurrencyMode::MvccCow => Ok(()),
+        }
     }
 
-    /// Ensures the MVCC base cache holds `id`, fetching the committed
-    /// image and its stamp on first touch.
-    fn mvcc_base(&mut self, id: PageId) -> DmvResult<()> {
+    /// The cell of page `id`, which must exist.
+    fn cell(&self, id: PageId) -> DmvResult<Arc<PageCell>> {
+        self.db.store().get(id).ok_or_else(|| DmvError::Storage(format!("missing page {id}")))
+    }
+
+    /// Ensures the base cache holds `id`, fetching the committed image
+    /// and its stamp on first touch.
+    fn base(&mut self, id: PageId) -> DmvResult<()> {
         if self.bases.contains_key(&id) {
             return Ok(());
         }
-        let cell = self
-            .db
-            .store()
-            .get(id)
-            .ok_or_else(|| DmvError::Storage(format!("missing page {id}")))?;
+        let cell = self.cell(id)?;
         self.db.store().fault_in(&cell);
         let (stamp, image) = self.db.mvcc().read_latest(id, &cell);
         self.bases.insert(id, (stamp, image));
@@ -165,31 +174,19 @@ impl<'db> Txn<'db> {
             rec.pages.push(id);
         }
         match &self.mode {
-            TxnMode::Update if self.is_mvcc_update() => {
-                // MVCC: no locks. Serve our own copy-on-write image if
-                // we wrote the page, else the base image captured at
-                // first read (repeatable reads; the stamp recorded with
-                // it is validated first-committer-wins at commit).
+            TxnMode::Update => {
+                // Under declared write intent, pages are locked
+                // exclusively up front: S→X upgrades between two
+                // updaters of the same page would deadlock every time.
+                let mode = if self.write_intent { LockMode::Exclusive } else { LockMode::Shared };
+                self.lock(id, mode)?;
+                // Our own copy if we wrote the page, else the base
+                // captured at first read (repeatable reads).
                 if let Some(img) = self.cow.get(&id) {
                     return Ok(f(img));
                 }
-                self.mvcc_base(id)?;
+                self.base(id)?;
                 Ok(f(&self.bases[&id].1))
-            }
-            TxnMode::Update => {
-                // Under declared write intent, heap/index pages are
-                // locked exclusively up front: S→X upgrades between two
-                // updaters of the same page would deadlock every time.
-                let mode = if self.write_intent { LockMode::Exclusive } else { LockMode::Shared };
-                self.db.locks().acquire(self.id, id, mode)?;
-                let cell = self
-                    .db
-                    .store()
-                    .get(id)
-                    .ok_or_else(|| DmvError::Storage(format!("missing page {id}")))?;
-                self.db.store().fault_in(&cell);
-                let page = cell.latch.read();
-                Ok(f(page.data()))
             }
             TxnMode::ReadTagged(tag) => {
                 // Rewound images are cached in `bases` for the rest of
@@ -237,11 +234,7 @@ impl<'db> Txn<'db> {
                 Ok(f(page.data()))
             }
             TxnMode::ReadLocal => {
-                let cell = self
-                    .db
-                    .store()
-                    .get(id)
-                    .ok_or_else(|| DmvError::Storage(format!("missing page {id}")))?;
+                let cell = self.cell(id)?;
                 self.db.store().fault_in(&cell);
                 let page = cell.latch.read();
                 Ok(f(page.data()))
@@ -249,8 +242,9 @@ impl<'db> Txn<'db> {
         }
     }
 
-    /// Writes page `id` under an exclusive lock, capturing the undo image
-    /// on first touch.
+    /// Writes page `id`: its first write promotes the base to a private
+    /// copy-on-write buffer, and the shared page is untouched until the
+    /// install.
     ///
     /// # Errors
     ///
@@ -263,41 +257,23 @@ impl<'db> Txn<'db> {
         if self.mode != TxnMode::Update {
             return Err(DmvError::InvalidTxnState("writes require an update transaction".into()));
         }
-        if self.is_mvcc_update() {
-            // MVCC: first write promotes the base image to a private
-            // copy-on-write buffer; the shared page is untouched until
-            // commit-time install.
-            self.mvcc_base(id)?;
-            if !self.cow.contains_key(&id) {
-                self.cow.insert(id, self.bases[&id].1.clone());
-                self.dirty_order.push(id);
-            }
-            let cow = self.cow.get_mut(&id).expect("cow entry ensured"); // unwrap-ok: inserted above
-            return Ok(f(cow));
-        }
-        self.db.locks().acquire(self.id, id, LockMode::Exclusive)?;
-        let cell = self
-            .db
-            .store()
-            .get(id)
-            .ok_or_else(|| DmvError::Storage(format!("missing page {id}")))?;
-        self.db.store().fault_in(&cell);
-        let mut page = cell.latch.write();
-        if let std::collections::hash_map::Entry::Vacant(e) = self.undo.entry(id) {
-            e.insert(page.data().to_vec());
+        self.lock(id, LockMode::Exclusive)?;
+        self.base(id)?;
+        if !self.cow.contains_key(&id) {
+            self.cow.insert(id, self.bases[&id].1.clone());
             self.dirty_order.push(id);
-            cell.set_dirty(true);
         }
-        Ok(f(page.data_mut()))
+        let cow = self.cow.get_mut(&id).expect("cow entry ensured"); // unwrap-ok: inserted above
+        Ok(f(cow))
     }
 
-    /// Peeks at page bytes under the latch only — no 2PL lock, no
-    /// version materialization. Used as a *hint* (e.g. free-space checks
-    /// before choosing an insert target); any decision taken from a peek
-    /// must be revalidated under a real lock.
+    /// Peeks at page bytes under the latch only — no lock, no version
+    /// materialization. Used as a *hint* (e.g. free-space checks before
+    /// choosing an insert target); any decision taken from a peek must
+    /// be revalidated by a real read.
     pub(crate) fn peek_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        // Our own copy-on-write image wins: an MVCC inserter must see
-        // the space *it* already consumed on the page, not the shared
+        // Our own copy-on-write image wins: an inserter must see the
+        // space *it* already consumed on the page, not the shared
         // committed image.
         if let Some(img) = self.cow.get(&id) {
             return Some(f(img));
@@ -307,8 +283,7 @@ impl<'db> Txn<'db> {
         Some(f(page.data()))
     }
 
-    /// Allocates a fresh page (update mode only) already exclusive-locked
-    /// and tracked for undo.
+    /// Allocates a fresh page (update mode only) as a private copy.
     pub(crate) fn allocate_page(&mut self, table: TableId, space: PageSpace) -> DmvResult<PageId> {
         if self.mode != TxnMode::Update {
             return Err(DmvError::InvalidTxnState(
@@ -316,53 +291,35 @@ impl<'db> Txn<'db> {
             ));
         }
         let (id, cell) = self.db.store().allocate(table, space);
-        if self.is_mvcc_update() {
-            // The page is already published (the store bumps the count at
-            // allocation), so a rival writer may install into it before we
-            // take our base. The (stamp, image) pair must be read
-            // atomically — `read_latest` holds the shard lock across both
-            // — because a torn pair (old image, new stamp) would pass
-            // first-committer-wins validation and our install would wipe
-            // the rival's committed records.
-            let (stamp, image) = self.db.mvcc().read_latest(id, &cell);
-            self.bases.insert(id, (stamp, image.clone()));
-            self.cow.insert(id, image);
-            self.dirty_order.push(id);
-            return Ok(id);
-        }
-        self.db.locks().acquire(self.id, id, LockMode::Exclusive)?;
-        let page = cell.latch.read();
-        self.undo.insert(id, page.data().to_vec());
-        drop(page);
+        // The page is already published (the store bumps the count at
+        // allocation), so a rival writer may install into it before we
+        // take our base — under `TwoPhase`, before our lock is granted.
+        // The (stamp, image) pair must be read atomically — `read_latest`
+        // holds the shard lock across both — because a torn pair (old
+        // image, new stamp) would pass first-committer-wins validation
+        // and our install would wipe the rival's committed records.
+        self.lock(id, LockMode::Exclusive)?;
+        let (stamp, image) = self.db.mvcc().read_latest(id, &cell);
+        self.bases.insert(id, (stamp, image.clone()));
+        self.cow.insert(id, image);
         self.dirty_order.push(id);
-        cell.set_dirty(true);
         Ok(id)
     }
 
     /// Forgets a freshly [`Txn::allocate_page`]d page this transaction
     /// never usefully wrote (rivals filled it first): drops it from the
     /// private write footprint so commit neither re-installs an
-    /// identical image (MVCC — which would spuriously conflict rivals
-    /// and can abort *this* transaction on the stale base stamp) nor
-    /// version-stamps an untouched page, and releases its exclusive
-    /// lock (2PL) so rival inserters stop queueing behind a page we
-    /// will never touch again. Only sound because the page is provably
+    /// identical image (which would spuriously conflict rivals and can
+    /// abort *this* transaction on the stale base stamp) nor
+    /// version-stamps an untouched page, and releases its lock, if one
+    /// was taken, so rival inserters stop queueing behind a page we will
+    /// never touch again. Only sound because the page is provably
     /// unmodified by us — the caller's insert attempt returned "full"
     /// without writing.
     pub(crate) fn forget_fresh_page(&mut self, id: PageId) {
         self.dirty_order.retain(|&p| p != id);
-        if self.is_mvcc_update() {
-            self.cow.remove(&id);
-            self.bases.remove(&id);
-            return;
-        }
-        self.undo.remove(&id);
-        if let Some(cell) = self.db.store().get(id) {
-            // We set the flag at allocation; the rival who filled the
-            // page committed (and cleared it) before our lock was
-            // granted, so clearing restores the post-commit state.
-            cell.set_dirty(false);
-        }
+        self.cow.remove(&id);
+        self.bases.remove(&id);
         self.db.locks().release(self.id, id);
     }
 
@@ -434,32 +391,24 @@ impl<'db> Txn<'db> {
         v
     }
 
-    /// Computes the write-set: one byte diff per dirty page, in first-
-    /// write order. Locks remain held (2PL) — or the diffs come straight
-    /// from the private base/copy-on-write buffers (MVCC, where they are
-    /// valid whether or not the install has happened yet); either way
-    /// the transaction can still abort.
+    /// Computes the write-set: one byte diff per written page, base
+    /// against private copy, in first-write order. The diffs are valid
+    /// whether or not the install has happened yet, and the transaction
+    /// can still abort.
     pub fn precommit(&mut self) -> Vec<(PageId, PageDiff)> {
-        let mut out = Vec::with_capacity(self.dirty_order.len());
-        for &id in &self.dirty_order {
-            let diff = if self.is_mvcc_update() {
-                PageDiff::compute(&self.bases[&id].1, &self.cow[&id])
-            } else {
-                let Some(cell) = self.db.store().get(id) else { continue };
-                let page = cell.latch.read();
-                PageDiff::compute(&self.undo[&id], page.data())
-            };
-            if !diff.is_empty() {
-                out.push((id, diff));
-            }
-        }
-        out
+        self.dirty_order
+            .iter()
+            .map(|id| (*id, PageDiff::compute(&self.bases[id].1, &self.cow[id])))
+            .filter(|(_, diff)| !diff.is_empty())
+            .collect()
     }
 
-    /// MVCC commit point: first-committer-wins validation of the read
-    /// set, then install of the copy-on-write images as the pages'
-    /// committed versions (the superseded images are gone: the master
-    /// keeps no history). Returns the new commit stamp.
+    /// The commit point of an update, in either concurrency mode: first-
+    /// committer-wins validation of the read set, then install of the
+    /// copy-on-write images as the pages' committed versions (the
+    /// superseded images are gone: the master keeps no history). Returns
+    /// the new commit stamp. Under `TwoPhase` the locks held since each
+    /// page was read make validation pass by construction.
     ///
     /// The replication layer calls this inside its commit critical
     /// section, *before* [`Txn::precommit`]'s diffs are broadcast; a
@@ -468,12 +417,12 @@ impl<'db> Txn<'db> {
     ///
     /// # Errors
     ///
-    /// `InvalidTxnState` if the transaction is not an MVCC update;
-    /// retryable [`DmvError::VersionConflict`] if any page this
-    /// transaction read was committed past the stamp it observed.
+    /// `InvalidTxnState` if the transaction is not an update; retryable
+    /// [`DmvError::VersionConflict`] if any page this transaction read
+    /// was committed past the stamp it observed.
     pub fn mvcc_install(&mut self) -> DmvResult<u64> {
-        if !self.is_mvcc_update() {
-            return Err(DmvError::InvalidTxnState("mvcc_install requires an MVCC update".into()));
+        if self.mode != TxnMode::Update {
+            return Err(DmvError::InvalidTxnState("mvcc_install requires an update".into()));
         }
         // Deterministic validation order (and error attribution).
         let mut reads: Vec<(PageId, u64)> =
@@ -482,14 +431,7 @@ impl<'db> Txn<'db> {
         let cells: Vec<_> = self
             .dirty_order
             .iter()
-            .map(|&id| {
-                let cell = self
-                    .db
-                    .store()
-                    .get(id)
-                    .ok_or_else(|| DmvError::Storage(format!("missing page {id}")))?;
-                Ok((id, cell))
-            })
+            .map(|&id| Ok((id, self.cell(id)?)))
             .collect::<DmvResult<_>>()?;
         let writes: Vec<Install<'_>> = cells
             .iter()
@@ -500,28 +442,27 @@ impl<'db> Txn<'db> {
         Ok(stamp)
     }
 
-    /// Runs [`Txn::mvcc_install`] if this is an MVCC update whose writes
+    /// Runs [`Txn::mvcc_install`] if this transaction has writes that
     /// have not been installed yet.
     fn install_if_pending(&mut self) -> DmvResult<()> {
-        if self.is_mvcc_update() && self.has_writes() && self.install_stamp.is_none() {
+        if self.has_writes() && self.install_stamp.is_none() {
             self.mvcc_install()?;
         }
         Ok(())
     }
 
-    /// Commits: stamps dirty pages with their new table versions (when
-    /// the replication layer assigned any), clears dirty flags and undo
-    /// state, and releases all locks. An MVCC update's commit point is
-    /// its [`Txn::mvcc_install`]; the replication layer calls that
-    /// first and this finishes the bookkeeping. Called on an MVCC
-    /// update that has not installed, it installs first, so writes are
-    /// never dropped.
+    /// Commits: stamps the written pages with their new table versions
+    /// (when the replication layer assigned any), clears their dirty
+    /// flags and releases all locks. The commit point is
+    /// [`Txn::mvcc_install`]; the replication layer calls that first and
+    /// this finishes the bookkeeping. Called on an update that has not
+    /// installed, it installs first, so writes are never dropped.
     ///
     /// # Panics
     ///
     /// If that implicit install loses first-committer-wins validation:
-    /// a stand-alone writer that can race another must commit through
-    /// the fallible [`Txn::try_commit`].
+    /// a stand-alone `MvccCow` writer that can race another must commit
+    /// through the fallible [`Txn::try_commit`].
     pub fn commit(mut self, versions: Option<&VersionVector>) {
         if let Err(e) = self.install_if_pending() {
             panic!(
@@ -530,92 +471,69 @@ impl<'db> Txn<'db> {
             );
         }
         self.settle_cpu();
-        for &id in &self.dirty_order {
-            if let Some(cell) = self.db.store().get(id) {
+        if let Some(stamp) = self.install_stamp {
+            for &id in &self.dirty_order {
+                let Some(cell) = self.db.store().get(id) else { continue };
                 if let Some(vv) = versions {
-                    // Monotone stamp: two pipelined MVCC committers of
-                    // the same page (the second read the first's install)
-                    // can reach here out of ack order; 2PL's locks make
-                    // the max a plain assignment.
-                    let v = vv.get(id.table);
+                    // Monotone stamp: two pipelined `MvccCow` committers
+                    // of the same page (the second read the first's
+                    // install) can reach here out of ack order.
                     let mut page = cell.latch.write();
-                    page.version = page.version.max(v);
+                    page.version = page.version.max(vv.get(id.table));
                 }
-                match self.install_stamp {
-                    // Pipelined MVCC committers of the same page reach
-                    // this bookkeeping out of ack order; only the
-                    // newest install may clear the flag, or a page
-                    // whose latest install hasn't been checkpointed
-                    // becomes evictable early.
-                    Some(stamp) => self.db.mvcc().clear_dirty_if_current(id, &cell, stamp),
-                    None => cell.set_dirty(false),
-                }
+                // For the same reason only the newest install may clear
+                // the flag, or a page whose latest install hasn't been
+                // checkpointed becomes evictable early.
+                self.db.mvcc().clear_dirty_if_current(id, &cell, stamp);
             }
         }
-        self.clear_private_state();
-        self.db.locks().release_all(self.id);
-        self.finished = true;
+        self.end();
     }
 
     /// Fallible commit for stand-alone use: [`Txn::commit`], except
-    /// that losing the MVCC install's first-committer-wins validation
-    /// is an error instead of a panic (under 2PL it cannot fail). The
+    /// that losing the install's first-committer-wins validation is an
+    /// error instead of a panic (under `TwoPhase` it cannot fail). The
     /// replication layer does not use this — it interleaves install
     /// with its broadcast sequence.
     ///
     /// # Errors
     ///
-    /// Retryable [`DmvError::VersionConflict`] if MVCC validation loses
+    /// Retryable [`DmvError::VersionConflict`] if validation loses
     /// first-committer-wins; the transaction is aborted.
     pub fn try_commit(mut self, versions: Option<&VersionVector>) -> DmvResult<()> {
         if let Err(e) = self.install_if_pending() {
-            self.rollback_inner();
+            self.end();
             return Err(e);
         }
         self.commit(versions);
         Ok(())
     }
 
-    /// Aborts: restores every dirty page's before-image and releases all
-    /// locks. MVCC updates have nothing to restore — their writes live
-    /// in private buffers until install, and a post-install abort only
-    /// happens on a killed node whose local state is discarded anyway.
+    /// Aborts: drops the private copies and releases all locks. Before
+    /// the install no shared page holds a write of ours; a post-install
+    /// abort only happens on a killed node whose local state is
+    /// discarded anyway.
     pub fn abort(mut self) {
-        self.rollback_inner();
+        self.end();
     }
 
-    fn rollback_inner(&mut self) {
+    /// Settles the CPU owed, drops the private state and releases every
+    /// lock: the tail of a commit, and the whole of an abort.
+    fn end(&mut self) {
         self.settle_cpu();
-        if !self.is_mvcc_update() {
-            for &id in &self.dirty_order {
-                if let Some(cell) = self.db.store().get(id) {
-                    let mut page = cell.latch.write();
-                    if let Some(before) = self.undo.get(&id) {
-                        page.data_mut().copy_from_slice(before);
-                    }
-                    drop(page);
-                    cell.set_dirty(false);
-                }
-            }
-        }
-        self.clear_private_state();
-        self.db.locks().release_all(self.id);
-        self.finished = true;
-    }
-
-    fn clear_private_state(&mut self) {
-        self.undo.clear();
         self.dirty_order.clear();
         self.bases.clear();
         self.cow.clear();
         self.install_stamp = None;
+        self.db.locks().release_all(self.id);
+        self.finished = true;
     }
 }
 
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
         if !self.finished {
-            self.rollback_inner();
+            self.end();
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Engine-level tests for dmv-memdb: executor integration, transaction
-//! semantics (commit/abort/undo), B+Tree behaviour under load, and the
+//! semantics (commit/abort), B+Tree behaviour under load, and the
 //! replica-convergence property that the replication layer relies on:
 //! applying a transaction's captured write-set to a second store yields
 //! bit-identical pages.
@@ -10,6 +10,7 @@ use dmv_common::ids::{NodeId, PageId, PageSpace, RowId, TableId};
 use dmv_common::version::VersionVector;
 use dmv_memdb::index::BTreeIndex;
 use dmv_memdb::{heap, MemDb, MemDbOptions, ReadGate, Txn};
+use dmv_pagestore::checkpoint::fuzzy_checkpoint;
 use dmv_pagestore::store::PageCell;
 use dmv_pagestore::{slotted, PageStore};
 use dmv_sql::exec::{execute, ExecContext};
@@ -18,7 +19,9 @@ use dmv_sql::row::{encode_row, Row};
 use dmv_sql::schema::{ColType, Column, IndexDef, Schema, TableSchema};
 use dmv_sql::value::Value;
 use rand::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Every column of the `kv` table, for reads that want whole rows.
 const KV_COLS: &[usize] = &[0, 1, 2];
@@ -73,15 +76,42 @@ fn insert_kv(db: &MemDb, k: i64, v: &str, n: i64) {
     txn.commit(None);
 }
 
+/// Both concurrency modes. They share one write path — private page
+/// copies installed at commit — and differ only in how conflicts are
+/// found, so every commit and abort case runs under each.
+const MODES: [ConcurrencyMode; 2] = [ConcurrencyMode::TwoPhase, ConcurrencyMode::MvccCow];
+
+fn kv_db(mode: ConcurrencyMode) -> MemDb {
+    MemDb::new(kv_schema(), MemDbOptions { concurrency: mode, ..MemDbOptions::default() })
+}
+
+/// Every page of `db`, as (version, bytes) images.
+fn page_images(db: &MemDb) -> BTreeMap<PageId, Vec<u8>> {
+    let store = db.store();
+    store
+        .page_ids()
+        .into_iter()
+        .map(|id| (id, store.get(id).unwrap().latch.read().to_image()))
+        .collect()
+}
+
+fn kv_rows(db: &MemDb) -> Vec<Row> {
+    let mut r = db.begin_read_local();
+    execute(&mut r, &Query::Select(Select::scan(TableId(0)))).unwrap().rows
+}
+
 #[test]
 fn insert_commit_read_back() {
-    let db = MemDb::new(kv_schema(), MemDbOptions::default());
-    insert_kv(&db, 1, "one", 10);
-    insert_kv(&db, 2, "two", 20);
-    let mut r = db.begin_read_local();
-    let rs = execute(&mut r, &Query::Select(Select::by_pk(TableId(0), vec![2.into()]))).unwrap();
-    assert_eq!(rs.rows.len(), 1);
-    assert_eq!(rs.rows[0][1], Value::from("two"));
+    for mode in MODES {
+        let db = kv_db(mode);
+        insert_kv(&db, 1, "one", 10);
+        insert_kv(&db, 2, "two", 20);
+        let mut r = db.begin_read_local();
+        let rs =
+            execute(&mut r, &Query::Select(Select::by_pk(TableId(0), vec![2.into()]))).unwrap();
+        assert_eq!(rs.rows.len(), 1, "{mode:?}");
+        assert_eq!(rs.rows[0][1], Value::from("two"), "{mode:?}");
+    }
 }
 
 /// `commit` on an MVCC update that never called `mvcc_install` installs
@@ -120,132 +150,170 @@ fn mvcc_commit_that_loses_validation_panics_naming_try_commit() {
     second.commit(None);
 }
 
+/// An abort leaves every page that existed before it byte-identical:
+/// nothing shared is written before the install, so there is nothing to
+/// restore. Pages the aborted transaction allocated stay behind, zeroed.
 #[test]
 fn abort_restores_everything() {
-    let db = MemDb::new(kv_schema(), MemDbOptions::default());
-    insert_kv(&db, 1, "one", 10);
-    let before: Vec<u8> = {
-        let store = db.store();
-        let ids = store.page_ids();
-        let mut images: Vec<(String, Vec<u8>)> = ids
-            .iter()
-            .map(|id| (format!("{id}"), store.get(*id).unwrap().latch.read().to_image()))
-            .collect();
-        images.sort();
-        images.into_iter().flat_map(|(_, img)| img).collect()
-    };
-    let mut txn = db.begin_update();
-    execute(
-        &mut txn,
-        &Query::Insert { table: TableId(0), rows: vec![vec![9.into(), "nine".into(), 90.into()]] },
-    )
-    .unwrap();
-    execute(
-        &mut txn,
-        &Query::Update {
-            table: TableId(0),
-            access: Access::Auto,
-            filter: Some(Expr::eq(0, 1)),
-            set: vec![(1, SetExpr::Value("mutated".into()))],
-        },
-    )
-    .unwrap();
-    txn.abort();
-    let after: Vec<u8> = {
-        let store = db.store();
-        let ids = store.page_ids();
-        let mut images: Vec<(String, Vec<u8>)> = ids
-            .iter()
-            .map(|id| (format!("{id}"), store.get(*id).unwrap().latch.read().to_image()))
-            .collect();
-        images.sort();
-        images.into_iter().flat_map(|(_, img)| img).collect()
-    };
-    // Aborted allocations may leave zeroed pages behind, but all pre-
-    // existing bytes must be restored. Compare the common prefix pages.
-    assert!(after.len() >= before.len());
-    // logical check: the data is exactly what it was
-    let mut r = db.begin_read_local();
-    let rs = execute(&mut r, &Query::Select(Select::scan(TableId(0)))).unwrap();
-    assert_eq!(rs.rows.len(), 1);
-    assert_eq!(rs.rows[0][1], Value::from("one"));
+    for mode in MODES {
+        let db = kv_db(mode);
+        insert_kv(&db, 1, "one", 10);
+        let before = page_images(&db);
+        let mut txn = db.begin_update();
+        // Enough rows to split the index and take fresh heap pages.
+        let rows = (100..400i64).map(|k| vec![k.into(), "many".into(), k.into()]).collect();
+        execute(&mut txn, &Query::Insert { table: TableId(0), rows }).unwrap();
+        execute(
+            &mut txn,
+            &Query::Update {
+                table: TableId(0),
+                access: Access::Auto,
+                filter: Some(Expr::eq(0, 1)),
+                set: vec![(1, SetExpr::Value("mutated".into()))],
+            },
+        )
+        .unwrap();
+        assert!(txn.precommit().len() > 2, "{mode:?}: the aborted write spans pages");
+        txn.abort();
+        let after = page_images(&db);
+        assert!(after.len() > before.len(), "{mode:?}: the aborted write allocated pages");
+        for (id, image) in &after {
+            match before.get(id) {
+                Some(was) => assert!(was == image, "{mode:?}: page {id} changed"),
+                None => assert!(image.iter().all(|&b| b == 0), "{mode:?}: fresh page {id} written"),
+            }
+        }
+        assert_eq!(kv_rows(&db), vec![vec![1.into(), "one".into(), 10.into()]], "{mode:?}");
+    }
 }
 
 #[test]
 fn drop_without_commit_aborts() {
-    let db = MemDb::new(kv_schema(), MemDbOptions::default());
-    insert_kv(&db, 1, "one", 10);
-    {
-        let mut txn = db.begin_update();
-        execute(&mut txn, &Query::Delete { table: TableId(0), access: Access::Auto, filter: None })
-            .unwrap();
-        // dropped here without commit
+    for mode in MODES {
+        let db = kv_db(mode);
+        insert_kv(&db, 1, "one", 10);
+        {
+            let mut txn = db.begin_update();
+            let delete = Query::Delete { table: TableId(0), access: Access::Auto, filter: None };
+            execute(&mut txn, &delete).unwrap();
+            // dropped here without commit
+        }
+        assert_eq!(kv_rows(&db).len(), 1, "{mode:?}: drop must roll back");
     }
-    let mut r = db.begin_read_local();
-    let rs = execute(&mut r, &Query::Select(Select::scan(TableId(0)))).unwrap();
-    assert_eq!(rs.rows.len(), 1, "drop must roll back");
 }
 
 #[test]
 fn duplicate_key_rejected_and_clean() {
-    let db = MemDb::new(kv_schema(), MemDbOptions::default());
-    insert_kv(&db, 1, "one", 10);
-    let mut txn = db.begin_update();
-    let err = execute(
-        &mut txn,
-        &Query::Insert { table: TableId(0), rows: vec![vec![1.into(), "dup".into(), 0.into()]] },
-    )
-    .unwrap_err();
-    assert!(matches!(err, DmvError::DuplicateKey(_)));
-    txn.abort();
-    let mut r = db.begin_read_local();
-    let rs = execute(&mut r, &Query::Select(Select::scan(TableId(0)))).unwrap();
-    assert_eq!(rs.rows.len(), 1);
+    for mode in MODES {
+        let db = kv_db(mode);
+        insert_kv(&db, 1, "one", 10);
+        let mut txn = db.begin_update();
+        let dup = vec![vec![1.into(), "dup".into(), 0.into()]];
+        let err = execute(&mut txn, &Query::Insert { table: TableId(0), rows: dup }).unwrap_err();
+        assert!(matches!(err, DmvError::DuplicateKey(_)), "{mode:?}: {err}");
+        assert!(!txn.has_writes(), "{mode:?}: a rejected duplicate writes nothing");
+        txn.abort();
+        assert_eq!(kv_rows(&db).len(), 1, "{mode:?}");
+    }
 }
 
 #[test]
 fn update_maintains_secondary_index() {
-    let db = MemDb::new(kv_schema(), MemDbOptions::default());
-    insert_kv(&db, 1, "one", 10);
-    insert_kv(&db, 2, "two", 10);
-    let mut txn = db.begin_update();
-    execute(
-        &mut txn,
-        &Query::Update {
-            table: TableId(0),
-            access: Access::Auto,
-            filter: Some(Expr::eq(0, 1)),
-            set: vec![(2, SetExpr::Value(Value::Int(99)))],
-        },
-    )
-    .unwrap();
-    txn.commit(None);
-    let mut r = db.begin_read_local();
-    // lookup via secondary index must reflect the move
-    let hits10 = lookup(&mut r, 1, 10);
-    let hits99 = lookup(&mut r, 1, 99);
-    assert_eq!(hits10.len(), 1);
-    assert_eq!(hits99.len(), 1);
-    assert_eq!(hits99[0].1[0], Value::Int(1));
+    for mode in MODES {
+        let db = kv_db(mode);
+        insert_kv(&db, 1, "one", 10);
+        insert_kv(&db, 2, "two", 10);
+        let mut txn = db.begin_update();
+        execute(
+            &mut txn,
+            &Query::Update {
+                table: TableId(0),
+                access: Access::Auto,
+                filter: Some(Expr::eq(0, 1)),
+                set: vec![(2, SetExpr::Value(Value::Int(99)))],
+            },
+        )
+        .unwrap();
+        txn.commit(None);
+        let mut r = db.begin_read_local();
+        // lookup via secondary index must reflect the move
+        let hits10 = lookup(&mut r, 1, 10);
+        let hits99 = lookup(&mut r, 1, 99);
+        assert_eq!(hits10.len(), 1, "{mode:?}");
+        assert_eq!(hits99.len(), 1, "{mode:?}");
+        assert_eq!(hits99[0].1[0], Value::Int(1), "{mode:?}");
+    }
 }
 
 #[test]
 fn delete_removes_from_indexes() {
-    let db = MemDb::new(kv_schema(), MemDbOptions::default());
-    for i in 0..10 {
-        insert_kv(&db, i, "x", i % 3);
+    for mode in MODES {
+        let db = kv_db(mode);
+        for i in 0..10 {
+            insert_kv(&db, i, "x", i % 3);
+        }
+        let mut txn = db.begin_update();
+        execute(
+            &mut txn,
+            &Query::Delete {
+                table: TableId(0),
+                access: Access::Auto,
+                filter: Some(Expr::eq(2, 0)),
+            },
+        )
+        .unwrap();
+        txn.commit(None);
+        let mut r = db.begin_read_local();
+        assert_eq!(lookup(&mut r, 1, 0).len(), 0, "{mode:?}");
+        assert_eq!(kv_rows(&db).len(), 6, "{mode:?}");
     }
-    let mut txn = db.begin_update();
-    execute(
-        &mut txn,
-        &Query::Delete { table: TableId(0), access: Access::Auto, filter: Some(Expr::eq(2, 0)) },
-    )
-    .unwrap();
-    txn.commit(None);
-    let mut r = db.begin_read_local();
-    assert_eq!(lookup(&mut r, 1, 0).len(), 0);
-    let rs = execute(&mut r, &Query::Select(Select::scan(TableId(0)))).unwrap();
-    assert_eq!(rs.rows.len(), 6);
+}
+
+/// A `TwoPhase` writer keeps its writes in private copies until its
+/// install, as an `MvccCow` one does: an untagged local read taken while
+/// the write is open sees the committed bytes.
+#[test]
+fn a_local_read_on_a_two_phase_engine_sees_only_committed_bytes() {
+    let db = kv_db(ConcurrencyMode::TwoPhase);
+    insert_kv(&db, 1, "one", 10);
+    let mut writer = db.begin_update();
+    let mutate = Query::Update {
+        table: TableId(0),
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, 1)),
+        set: vec![(1, SetExpr::Value("uncommitted".into()))],
+    };
+    execute(&mut writer, &mutate).unwrap();
+    assert_eq!(kv_rows(&db), vec![vec![1.into(), "one".into(), 10.into()]]);
+    writer.commit(None);
+    assert_eq!(kv_rows(&db), vec![vec![1.into(), "uncommitted".into(), 10.into()]]);
+}
+
+/// A fuzzy checkpoint skips only pages with an installed write not yet
+/// through its commit. A `TwoPhase` writer that has not installed has
+/// written no shared page, so the checkpoint captures the page it is
+/// writing at its committed image.
+#[test]
+fn a_fuzzy_checkpoint_during_an_open_two_phase_write_captures_the_committed_image() {
+    let db = kv_db(ConcurrencyMode::TwoPhase);
+    insert_kv(&db, 1, "one", 10);
+    let page = PageId::heap(TableId(0), 0);
+    let committed = page_images(&db)[&page].clone();
+    let mut writer = db.begin_update();
+    let mutate = Query::Update {
+        table: TableId(0),
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, 1)),
+        set: vec![(1, SetExpr::Value("uncommitted".into()))],
+    };
+    execute(&mut writer, &mutate).unwrap();
+    assert!(writer.precommit().iter().any(|(id, _)| *id == page), "the writer writes the page");
+    let ck = fuzzy_checkpoint(db.store(), Duration::ZERO);
+    assert!(ck.version_of(page).is_some(), "the page was skipped as dirty");
+    let restored = PageStore::new_free();
+    ck.restore_into(&restored, true);
+    assert!(restored.get(page).unwrap().latch.read().to_image() == committed);
+    writer.abort();
 }
 
 #[test]

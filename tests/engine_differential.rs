@@ -208,28 +208,26 @@ fn run_concurrent(mode: ConcurrencyMode, seed: u64) -> (Vec<Row>, VersionVector)
                                     e.is_retryable(),
                                     "non-retryable abort under {mode:?}: {e:?} on {q:?}"
                                 );
-                                if mode == ConcurrencyMode::MvccCow {
-                                    assert!(
-                                        matches!(
-                                            e,
-                                            DmvError::VersionConflict { .. }
-                                                | DmvError::Deadlock(_)
-                                        ),
-                                        "unexpected MVCC abort class: {e:?}"
-                                    );
-                                }
+                                assert!(
+                                    matches!(
+                                        e,
+                                        DmvError::VersionConflict { .. } | DmvError::Deadlock(_)
+                                    ),
+                                    "unexpected abort class under {mode:?}: {e:?}"
+                                );
                                 txn.abort();
                                 continue 'retry;
                             }
                         }
-                        // Commit path mirrors the replica: MVCC installs
-                        // (first-committer-wins) before the version bump,
-                        // so a loser bumps nothing.
-                        if mode == ConcurrencyMode::MvccCow && txn.has_writes() {
+                        // Commit path mirrors the replica: the install
+                        // (first-committer-wins) precedes the version
+                        // bump, so a loser bumps nothing.
+                        if txn.has_writes() {
                             if let Err(e) = txn.mvcc_install() {
                                 assert!(
-                                    matches!(e, DmvError::VersionConflict { .. }),
-                                    "unexpected MVCC commit abort: {e:?}"
+                                    mode == ConcurrencyMode::MvccCow
+                                        && matches!(e, DmvError::VersionConflict { .. }),
+                                    "unexpected commit abort under {mode:?}: {e:?}"
                                 );
                                 txn.abort();
                                 continue 'retry;
