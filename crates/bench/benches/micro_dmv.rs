@@ -5,9 +5,9 @@
 //!   1: the paper ships fine-grained modifications, not pages);
 //! * `version/*` — version-vector operations on the scheduler hot path;
 //! * `btree/*` — page-based B+Tree index operations (the master's
-//!   "costly index updates": inserts in key order and out of it,
-//!   deletes), and a key set resolved in one walk against the same keys
-//!   looked up one by one;
+//!   "costly index updates": inserts in key order and out of it, on
+//!   integer and on string keys, deletes), and a key set resolved in one
+//!   walk against the same keys looked up one by one;
 //! * `exec/*` — a whole select through the executor on the stand-alone
 //!   engine: BestSellers, which aggregates below its joins, next to the
 //!   same statement made to join every order line, and a join's keys
@@ -123,6 +123,15 @@ fn kv_schema() -> Schema {
     )])
 }
 
+fn str_schema() -> Schema {
+    Schema::new(vec![TableSchema::new(
+        TableId(0),
+        "users",
+        vec![Column::new("uname", ColType::Str), Column::new("v", ColType::Str)],
+        vec![IndexDef::unique("by_uname", vec![0])],
+    )])
+}
+
 fn bench_btree(c: &mut Criterion) {
     let mut g = c.benchmark_group("btree");
     g.bench_function("insert_1000_sequential", |b| {
@@ -148,6 +157,23 @@ fn bench_btree(c: &mut Criterion) {
                 let mut txn = db.begin_update();
                 for i in 0..1000i64 {
                     txn.insert(TableId(0), vec![(i * 7 % 1000).into(), "value".into()]).unwrap();
+                }
+                txn.commit(None);
+                db
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The same shuffled inserts on a unique string key shaped like
+    // C_UNAME (`user<id>`): a comparison walks text, not one integer.
+    g.bench_function("insert_1000_str", |b| {
+        b.iter_batched(
+            || MemDb::new(str_schema(), MemDbOptions::default()),
+            |db| {
+                let mut txn = db.begin_update();
+                for i in 0..1000i64 {
+                    let key = format!("user{}", i * 7 % 1000);
+                    txn.insert(TableId(0), vec![key.into(), "value".into()]).unwrap();
                 }
                 txn.commit(None);
                 db

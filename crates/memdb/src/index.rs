@@ -35,7 +35,11 @@ use std::ops::Range;
 //             separator i, child n the rest
 //   entry     key length (u16) | key (`encode_row` bytes) | row id: page (u32), slot (u16)
 //
-// Entries have no offset directory, so a node is searched front to back.
+// Entries have no offset directory. A search reads every length field once
+// into a table of where each entry starts ([`Starts`]) and bisects over it,
+// comparing about log2(n) keys of a node's n. So before an edit writes a
+// byte, every length field of its leaf has been parsed, and the keys the
+// bisection compared.
 const NODE_LEAF: u8 = 0;
 const NODE_INTERNAL: u8 = 1;
 const NODE_META: u8 = 2;
@@ -47,6 +51,9 @@ const ENTRY_OVERHEAD: usize = 8;
 /// that overflows by one such entry always splits into two halves that
 /// fit (see [`split_point`]), whatever mix of widths it holds.
 const MAX_ENTRY: usize = (PAGE_SIZE - LEAF_HDR) / 3;
+/// The most entries a node holds: each is its overhead and a key of at
+/// least two bytes (the column count).
+const MAX_ENTRIES: usize = (PAGE_SIZE - LEAF_HDR) / (ENTRY_OVERHEAD + 2);
 
 /// An index entry: full key plus the row it points at.
 pub type Entry = (Row, RowId);
@@ -220,36 +227,102 @@ impl<'a> Iterator for Entries<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        Some(self.next_spanned()?.map(|(_, key, rid)| (key, rid)))
-    }
-}
-
-/// An entry where it lies: the bytes of the page it spans, its encoded
-/// key and its row id.
-type Spanned<'a> = (Range<usize>, &'a [u8], RowId);
-
-impl<'a> Entries<'a> {
-    /// The next entry and the bytes of the page it spans.
-    #[inline]
-    fn next_spanned(&mut self) -> Option<DmvResult<Spanned<'a>>> {
         self.left = self.left.checked_sub(1)?;
         let entry = (|| {
             let (klen, rest) = self.rest.split_first_chunk()?;
             let (key, rest) = rest.split_at_checked(u16::from_le_bytes(*klen) as usize)?;
             let ([p0, p1, p2, p3, s0, s1], rest) = rest.split_first_chunk()?;
             self.rest = rest;
-            let start = self.at;
             self.at += ENTRY_OVERHEAD + key.len();
             let rid = RowId::new(
                 u32::from_le_bytes([*p0, *p1, *p2, *p3]),
                 u16::from_le_bytes([*s0, *s1]),
             );
-            Some((start..self.at, key, rid))
+            Some((key, rid))
         })();
         if entry.is_none() {
             self.left = 0;
         }
         Some(entry.ok_or_else(|| corrupt("truncated entry")))
+    }
+}
+
+impl<'a> Entries<'a> {
+    /// Where each entry starts, read off the length fields alone — every
+    /// one of them, with the checks the iterator makes, so a malformed
+    /// node is `Storage` here, before any key is compared.
+    fn starts(self) -> DmvResult<Starts<'a>> {
+        let Entries { rest, at, left } = self;
+        let len = left as usize;
+        let mut offs = [0; MAX_ENTRIES + 1];
+        let ends = offs.get_mut(1..=len).ok_or_else(|| corrupt("too many entries"))?;
+        // No entry of a node ends past its page, nor past what a `u16` holds.
+        let bound = rest.len().min(u16::MAX as usize);
+        let mut end = 0;
+        for slot in ends {
+            end += ENTRY_OVERHEAD + get_u16(rest, end)? as usize;
+            if end > bound {
+                return Err(corrupt("truncated entry"));
+            }
+            *slot = end as u16;
+        }
+        Ok(Starts { rest, at, offs, len })
+    }
+}
+
+/// The entries of a serialized node by position: where each begins, so
+/// that a search bisects instead of walking.
+struct Starts<'a> {
+    /// The node's bytes from its first entry on, and where they begin in
+    /// the page.
+    rest: &'a [u8],
+    at: usize,
+    /// Entry `i` spans `rest[offs[i]..offs[i + 1]]`; `offs[len]` is where
+    /// the last one ends.
+    offs: [u16; MAX_ENTRIES + 1],
+    len: usize,
+}
+
+impl<'a> Starts<'a> {
+    /// Where entry `i` begins in the page — where the last one ends for
+    /// `i == len`.
+    fn start(&self, i: usize) -> usize {
+        self.at + self.offs[i] as usize
+    }
+
+    /// The encoded key and row id of entry `i < len` (checked when the
+    /// starts were read).
+    fn entry(&self, i: usize) -> (&'a [u8], RowId) {
+        let bytes = &self.rest[self.offs[i] as usize + 2..self.offs[i + 1] as usize];
+        let (key, rid) = bytes.split_at(bytes.len() - 6);
+        let page = u32::from_le_bytes([rid[0], rid[1], rid[2], rid[3]]);
+        (key, RowId::new(page, u16::from_le_bytes([rid[4], rid[5]])))
+    }
+
+    /// The entries from position `i` on.
+    fn from(&self, i: usize) -> Entries<'a> {
+        let off = self.offs[i] as usize;
+        Entries { rest: &self.rest[off..], at: self.at + off, left: (self.len - i) as u16 }
+    }
+
+    /// How many leading entries `before` holds for. It must hold for a
+    /// prefix of them, as an ordering against a probe does on entries
+    /// that ascend: the search bisects, calling it about log2(len) times.
+    fn partition_point(
+        &self,
+        mut before: impl FnMut(&'a [u8], RowId) -> DmvResult<bool>,
+    ) -> DmvResult<usize> {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let (key, rid) = self.entry(mid);
+            if before(key, rid)? {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo)
     }
 }
 
@@ -285,16 +358,9 @@ fn decode_node(d: &[u8]) -> DmvResult<Node> {
 fn child_for<'a>(
     children: &[u8],
     keys: Entries<'a>,
-    mut sorts_before: impl FnMut(&'a [u8], RowId) -> DmvResult<bool>,
+    sorts_before: impl FnMut(&'a [u8], RowId) -> DmvResult<bool>,
 ) -> DmvResult<(usize, u32)> {
-    let mut idx = 0;
-    for sep in keys {
-        let (key, rid) = sep?;
-        if !sorts_before(key, rid)? {
-            break;
-        }
-        idx += 1;
-    }
+    let idx = keys.starts()?.partition_point(sorts_before)?;
     Ok((idx, get_u32(children, 4 * idx)?))
 }
 
@@ -324,7 +390,7 @@ enum Step {
 }
 
 /// Where an entry lies in a serialized leaf, or would go: found by
-/// walking the leaf's entries as they lie.
+/// bisecting the leaf's entries as they lie.
 struct Place {
     /// Its position among the entries.
     index: usize,
@@ -337,22 +403,18 @@ struct Place {
 }
 
 impl Place {
-    fn find(mut entries: Entries<'_>, probe: &Entry) -> DmvResult<Place> {
-        let count = entries.left;
-        let (mut index, mut span) = (0, None);
-        // Past the place only the lengths are read, to find the end.
-        while let Some(e) = entries.next_spanned() {
-            let (bytes, key, rid) = e?;
-            if span.is_none() {
-                match cmp_encoded_entry(key, rid, probe)? {
-                    Ordering::Less => index += 1,
-                    Ordering::Equal => span = Some(bytes),
-                    Ordering::Greater => span = Some(bytes.start..bytes.start),
-                }
-            }
-        }
-        let end = entries.at;
-        Ok(Place { index, span: span.unwrap_or(end..end), end, count })
+    fn find(entries: Entries<'_>, probe: &Entry) -> DmvResult<Place> {
+        let starts = entries.starts()?;
+        let index = starts.partition_point(|key, rid| {
+            Ok(cmp_encoded_entry(key, rid, probe)? == Ordering::Less)
+        })?;
+        let found = index < starts.len && {
+            let (key, rid) = starts.entry(index);
+            cmp_encoded_entry(key, rid, probe)? == Ordering::Equal
+        };
+        let start = starts.start(index);
+        let span = start..if found { starts.start(index + 1) } else { start };
+        Ok(Place { index, span, end: starts.start(starts.len), count: starts.len as u16 })
     }
 
     fn found(&self) -> bool {
@@ -375,6 +437,20 @@ fn leaf_step(
         return Ok(Step::Leaf(place));
     }
     Ok(Step::Split { next, entries: entries.decode()?, at: place.index })
+}
+
+/// One step of a descent on the node `d`: where `probe` goes in an
+/// internal node, and [`leaf_step`] in a leaf.
+fn step(d: &[u8], probe: &Entry, room: usize) -> DmvResult<Step> {
+    match NodeRef::parse(d)? {
+        NodeRef::Internal { children, keys } => {
+            // Separators equal to the probe route right, as in a split.
+            let at_or_before =
+                |key, rid| Ok(cmp_encoded_entry(key, rid, probe)? != Ordering::Greater);
+            child_for(children, keys, at_or_before).map(|(idx, child)| Step::Down(idx, child))
+        }
+        NodeRef::Leaf { next, entries } => leaf_step(next, entries, probe, room),
+    }
 }
 
 /// Writes `entry` into a leaf at `place` (an absent entry's, found on
@@ -421,7 +497,7 @@ impl RangeScan<'_> {
     /// Visits one page; returns the page to visit next, `None` when the
     /// scan is complete.
     fn visit(&mut self, d: &[u8]) -> DmvResult<Option<u32>> {
-        let (next, entries) = match NodeRef::parse(d)? {
+        let (next, mut entries) = match NodeRef::parse(d)? {
             NodeRef::Internal { .. } if self.in_leaves => {
                 return Err(DmvError::Storage("expected leaf during range scan".into()));
             }
@@ -435,17 +511,22 @@ impl RangeScan<'_> {
             NodeRef::Leaf { next, entries } => (next, entries),
         };
         self.in_leaves = true;
+        if let (false, Some((lo, inclusive))) = (self.past_lo, self.lo) {
+            let starts = entries.starts()?;
+            let first = starts.partition_point(|key, _| {
+                Ok(match cmp_prefix(key, lo)? {
+                    Ordering::Less => true,
+                    Ordering::Equal => !inclusive,
+                    Ordering::Greater => false,
+                })
+            })?;
+            self.past_lo = first < starts.len;
+            entries = starts.from(first);
+        }
         for e in entries {
             let (key, rid) = e?;
             if self.out.len() >= self.limit {
                 return Ok(None);
-            }
-            if let (false, Some((lo, inclusive))) = (self.past_lo, self.lo) {
-                match cmp_prefix(key, lo)? {
-                    Ordering::Less => continue,
-                    Ordering::Equal if !inclusive => continue,
-                    _ => self.past_lo = true,
-                }
             }
             if let Some((hi, inclusive)) = self.hi {
                 match cmp_prefix(key, hi)? {
@@ -462,7 +543,7 @@ impl RangeScan<'_> {
 
 /// Which keys of a [`ManyScan`] can match in one leaf, as the separator
 /// above that leaf — its *fence* — tells.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Reach {
     /// `keys[..sure]` sort before the fence: they match nothing past the
     /// leaf.
@@ -618,28 +699,23 @@ impl<'q> ManyScan<'q> {
 
     /// The child of an internal node to look for `keys[done]` in, and
     /// from the separators right of it the reach of the keys after it.
-    fn route(&mut self, children: &[u8], mut seps: Entries<'_>) -> DmvResult<u32> {
+    fn route(&mut self, children: &[u8], seps: Entries<'_>) -> DmvResult<u32> {
         let want = self.keys[self.done];
         // The first separator not below the wanted key is the fence above
         // the child to take.
-        let mut idx = 0;
-        let fence = loop {
-            match seps.next().transpose()? {
-                Some((sep, _)) if cmp_prefix(sep, want)? == Ordering::Less => idx += 1,
-                fence => break fence,
-            }
-        };
+        let seps = seps.starts()?;
+        let idx = seps.partition_point(|sep, _| Ok(cmp_prefix(sep, want)? == Ordering::Less))?;
         // Without one (the last child) a fence from further up still
         // holds: it bounds this whole subtree. The leaves to follow are
         // read off this node's separators alone.
         self.ahead.clear();
-        if let Some((fence, _)) = fence {
-            let mut reach = self.reach_below(fence, self.done)?;
+        if idx < seps.len {
+            let mut reach = self.reach_below(seps.entry(idx).0, self.done)?;
             self.reach = Some(reach);
             // The separators after it are the fences of the leaves to the
             // right, each worth reading while a key after the fence
             // before it can match in its leaf.
-            for sep in seps {
+            for sep in seps.from(idx + 1) {
                 let next = self.reach_below(sep?.0, reach.sure)?;
                 if next.upto == reach.upto {
                     break;
@@ -851,15 +927,7 @@ impl BTreeIndex {
         visits: &mut Visits,
     ) -> DmvResult<Step> {
         self.count_visit(txn, visits)?;
-        txn.read_page(self.pid(page_no), |d| match NodeRef::parse(d)? {
-            NodeRef::Internal { children, keys } => {
-                // Separators equal to the probe route right, as in a split.
-                let at_or_before =
-                    |key, rid| Ok(cmp_encoded_entry(key, rid, probe)? != Ordering::Greater);
-                child_for(children, keys, at_or_before).map(|(idx, child)| Step::Down(idx, child))
-            }
-            NodeRef::Leaf { next, entries } => leaf_step(next, entries, probe, room),
-        })?
+        txn.read_page(self.pid(page_no), |d| step(d, probe, room))?
     }
 
     fn insert_rec(
@@ -1650,6 +1718,211 @@ mod props {
         let mut specs: Vec<EditSpec> = (0..4).map(|i| (5, i, (vec![], rid))).collect();
         specs.push((0, 0, (vec![Value::Int(7)], rid)));
         assert_eq!(run_edits(&specs).unwrap(), (true, true));
+    }
+
+    /// A node as a tree holds it: entries ascending by [`cmp_entry`], keys
+    /// of one column count (one or two), runs of equal keys that differ
+    /// only in row id, and a page that fits them.
+    fn arb_sorted_node() -> impl Strategy<Value = Node> {
+        (arb_node(), 1usize..3, 0u16..3).prop_map(|(node, width, run)| {
+            let shape = |entries: Vec<Entry>, fits: &dyn Fn(&[Entry]) -> bool| {
+                let mut out: Vec<Entry> = entries
+                    .into_iter()
+                    .flat_map(|(mut key, rid)| {
+                        key.resize(width, Value::Null);
+                        (0..=run)
+                            .map(move |i| (key.clone(), RowId::new(rid.page_no, rid.slot + 50 * i)))
+                    })
+                    .collect();
+                out.sort_by(cmp_entry);
+                out.dedup_by(|a, b| cmp_entry(a, b) == Ordering::Equal);
+                while !fits(&out) {
+                    out.pop();
+                }
+                out
+            };
+            match node {
+                Node::Leaf { next, entries } => {
+                    let fits = |es: &[Entry]| leaf_size(es) <= PAGE_SIZE;
+                    Node::Leaf { next, entries: shape(entries, &fits) }
+                }
+                Node::Internal { keys, .. } => {
+                    let fits =
+                        |es: &[Entry]| internal_size(es, &vec![0; es.len() + 1]) <= PAGE_SIZE;
+                    let keys = shape(keys, &fits);
+                    Node::Internal { children: (0..=keys.len() as u32).collect(), keys }
+                }
+            }
+        })
+    }
+
+    /// What a prefix probe orders on: the columns the key and the probe
+    /// share, as `cmp_prefix` does on the encoded key.
+    fn cmp_on_prefix(key: &[Value], probe: &[Value]) -> Ordering {
+        let n = key.len().min(probe.len());
+        key[..n].cmp(&probe[..n])
+    }
+
+    /// The linear reference: how many leading entries `before` holds for,
+    /// walking front to back.
+    fn leading(entries: &[Entry], before: impl Fn(&Entry) -> bool) -> usize {
+        entries.iter().take_while(|e| before(e)).count()
+    }
+
+    /// Where entry `i` of a leaf begins, counted over the entries before it.
+    fn start_of(entries: &[Entry], i: usize) -> usize {
+        LEAF_HDR + entries[..i].iter().map(|e| entry_encoded_len(&e.0)).sum::<usize>()
+    }
+
+    /// Every search that bisects a node's entries on `page`, against a
+    /// front-to-back walk of them decoded, for the full entries `probes`
+    /// and the key prefixes `prefixes`.
+    fn bisection_matches_the_walk(
+        node: &Node,
+        page: &[u8],
+        probes: &[Entry],
+        prefixes: &[Row],
+    ) -> Result<(), TestCaseError> {
+        match node {
+            Node::Leaf { next, entries } => {
+                for probe in probes {
+                    let Ok(Step::Leaf(place)) = step(page, probe, 0) else {
+                        return Err(TestCaseError::fail("a leaf with room is a place"));
+                    };
+                    let index = leading(entries, |e| cmp_entry(e, probe) == Ordering::Less);
+                    let found = entries.get(index) == Some(probe);
+                    let start = start_of(entries, index);
+                    let span = start..if found { start_of(entries, index + 1) } else { start };
+                    let want = (index, span, start_of(entries, entries.len()), entries.len());
+                    let got = (place.index, place.span, place.end, place.count as usize);
+                    prop_assert_eq!(got, want, "{:?}", probe);
+                }
+                for lo in prefixes {
+                    for inclusive in [true, false] {
+                        let mut scan = RangeScan {
+                            lo: Some((lo, inclusive)),
+                            hi: None,
+                            limit: usize::MAX,
+                            past_lo: false,
+                            in_leaves: false,
+                            out: Vec::new(),
+                        };
+                        let after = scan.visit(page).unwrap();
+                        let first = leading(entries, |e| match cmp_on_prefix(&e.0, lo) {
+                            Ordering::Less => true,
+                            Ordering::Equal => !inclusive,
+                            Ordering::Greater => false,
+                        });
+                        let rids: Vec<RowId> = entries[first..].iter().map(|e| e.1).collect();
+                        prop_assert_eq!(&scan.out, &rids, "{:?} inclusive {}", lo, inclusive);
+                        prop_assert_eq!(scan.past_lo, first < entries.len());
+                        prop_assert_eq!(after, *next);
+                    }
+                }
+            }
+            Node::Internal { keys, children } => {
+                for probe in probes {
+                    let at_or_before = leading(keys, |k| cmp_entry(k, probe) != Ordering::Greater);
+                    let got = match step(page, probe, 0) {
+                        Ok(Step::Down(idx, child)) => (idx, child),
+                        _ => return Err(TestCaseError::fail("an internal node routes down")),
+                    };
+                    prop_assert_eq!(got, (at_or_before, children[at_or_before]), "{:?}", probe);
+                }
+                for lo in prefixes {
+                    let mut scan = RangeScan {
+                        lo: Some((lo, true)),
+                        hi: None,
+                        limit: usize::MAX,
+                        past_lo: false,
+                        in_leaves: false,
+                        out: Vec::new(),
+                    };
+                    let below_lo = leading(keys, |k| cmp_on_prefix(&k.0, lo) == Ordering::Less);
+                    prop_assert_eq!(scan.visit(page).unwrap(), Some(children[below_lo]));
+                }
+                // `route` for every key of each width: the child, the fence's
+                // reach and the reaches of the leaves to follow.
+                for width in 0..=2 {
+                    let mut wanted: Vec<&[Value]> =
+                        prefixes.iter().filter(|p| p.len() == width).map(Vec::as_slice).collect();
+                    wanted.sort();
+                    wanted.dedup();
+                    let reach = |scan: &ManyScan<'_>, fence: &Entry, from| {
+                        scan.reach_below(&encode_row(&fence.0), from).unwrap()
+                    };
+                    for done in 0..wanted.len() {
+                        let mut scan = ManyScan::new(&wanted);
+                        scan.done = done;
+                        let Ok(NodeRef::Internal { children: child_bytes, keys: seps }) =
+                            NodeRef::parse(page)
+                        else {
+                            unreachable!()
+                        };
+                        let child = scan.route(child_bytes, seps).unwrap();
+                        let idx =
+                            leading(keys, |k| cmp_on_prefix(&k.0, wanted[done]) == Ordering::Less);
+                        let fence = keys.get(idx).map(|fence| reach(&scan, fence, done));
+                        let mut ahead = Vec::new();
+                        if let Some(mut at) = fence {
+                            for sep in &keys[idx + 1..] {
+                                let next = reach(&scan, sep, at.sure);
+                                if next.upto == at.upto {
+                                    break;
+                                }
+                                ahead.insert(0, next);
+                                at = next;
+                            }
+                        }
+                        prop_assert_eq!(child, children[idx], "{:?}", wanted[done]);
+                        prop_assert_eq!(scan.reach, fence);
+                        prop_assert_eq!(&scan.ahead, &ahead);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each search that bisects a node finds what walking it front to
+        /// back finds: the descent's child (a separator equal to the probe
+        /// routes right), a range's first child and first entry in its
+        /// lower bound (inclusive and exclusive), `lookup_many`'s child and
+        /// fences, and an edit's place. Probes are the node's own entries,
+        /// their neighbours by row id, every prefix of their keys, and
+        /// keys the node lacks.
+        #[test]
+        fn bisection_finds_what_a_front_to_back_walk_finds(
+            node in arb_sorted_node(),
+            others in proptest::collection::vec((arb_key(), 0u32..50, 0u16..200), 0..8),
+        ) {
+            let mut page = vec![0u8; PAGE_SIZE];
+            encode_node(&node, &mut page);
+            let (Node::Leaf { entries, .. } | Node::Internal { keys: entries, .. }) = &node;
+            let width = entries.first().map_or(1, |e| e.0.len());
+            let mut probes: Vec<Entry> = others
+                .into_iter()
+                .map(|(mut key, page, slot)| {
+                    key.resize(width, Value::Null);
+                    (key, RowId::new(page, slot))
+                })
+                .collect();
+            for (key, rid) in entries {
+                for slot in [rid.slot.wrapping_sub(1), rid.slot, rid.slot + 1] {
+                    probes.push((key.clone(), RowId::new(rid.page_no, slot)));
+                }
+            }
+            let mut prefixes: Vec<Row> = probes
+                .iter()
+                .flat_map(|(key, _)| (0..=key.len()).map(|n| key[..n].to_vec()))
+                .collect();
+            prefixes.sort();
+            prefixes.dedup();
+            bisection_matches_the_walk(&node, &page, &probes, &prefixes)?;
+        }
     }
 
     fn int_keys(keys: &[i64]) -> Vec<[Value; 1]> {
