@@ -280,7 +280,7 @@ impl PendingApplier {
 
     /// Sum of the received vector's components — the scheduler's
     /// per-slave freshness view. Reading the shared atomic vector here
-    /// (advanced by `enqueue`/`enqueue_batch` and the watermark path's
+    /// (advanced by `enqueue`/`enqueue_batch` and a migration's
     /// `advance_received`) is what keeps routing decisions current
     /// between cumulative acks: no cached copy to go stale.
     pub fn received_total(&self) -> u64 {

@@ -86,9 +86,9 @@ pub struct ClusterSpec {
     /// Resident-byte budget per in-memory replica (see
     /// [`BufferBudget`]); unbounded by default.
     pub buffer_budget: BufferBudget,
-    /// Period of the epoch GC sweep (watermark broadcast + pending-queue
-    /// reclamation), paper time. `None` disables the background sweep;
-    /// deterministic harnesses call [`DmvCluster::gc_sweep`] directly.
+    /// Period of the background epoch GC sweep, paper time: a `dmv-gc`
+    /// thread calls [`DmvCluster::gc_sweep`] this often. `None` disables
+    /// it; deterministic harnesses call `gc_sweep` themselves.
     pub gc_interval: Option<Duration>,
     /// How the master finds conflicts between update transactions: the
     /// paper's per-page 2PL locks, or first-committer-wins validation at
@@ -379,7 +379,7 @@ impl DmvCluster {
         }
         if let Some(period) = self.spec.gc_interval {
             self.spawn_periodic("dmv-gc", wall(period, 10), |c| {
-                c.gc_broadcast();
+                c.gc_sweep();
             });
         }
     }
@@ -440,29 +440,18 @@ impl DmvCluster {
         self.epoch.watermark()
     }
 
-    /// One deterministic epoch GC pass: computes the watermark and
-    /// reclaims on every live replica **synchronously on the calling
-    /// thread** (no network round-trip), returning the watermark used.
-    /// This is the form deterministic harnesses (DST) drive; the
-    /// background sweeper uses [`Msg::Watermark`] broadcasts instead.
+    /// One epoch GC pass: computes the watermark and reclaims on every
+    /// live replica **synchronously on the calling thread**, returning
+    /// the watermark used. The only reclamation path: the background
+    /// sweeper (`gc_interval`) and deterministic harnesses (DST) both
+    /// call it. The live replicas are copied out first, so a
+    /// `spawn_replica` never waits behind a whole pass.
     pub fn gc_sweep(&self) -> VersionVector {
         let wm = self.compute_watermark();
-        for r in self.replicas.read().values() {
-            if r.is_alive() {
-                r.reclaim_local(&wm);
-            }
-        }
-        wm
-    }
-
-    /// Background-sweeper form of [`DmvCluster::gc_sweep`]: every live
-    /// master broadcasts [`Msg::Watermark`] to its targets (slaves
-    /// reclaim on their receiver threads) and reclaims locally.
-    pub fn gc_broadcast(&self) -> VersionVector {
-        let wm = self.compute_watermark();
-        let masters = self.membership.read().masters.clone();
-        for m in masters.iter().filter(|m| m.is_alive()) {
-            m.broadcast_watermark(&wm);
+        let live: Vec<Arc<ReplicaNode>> =
+            self.replicas.read().values().filter(|r| r.is_alive()).cloned().collect();
+        for r in live {
+            r.reclaim_local(&wm);
         }
         wm
     }

@@ -189,15 +189,6 @@ pub enum Msg {
         /// Hot page ids.
         pages: Vec<PageId>,
     },
-    /// Master → replicas: the cluster reclamation watermark — the meet
-    /// of the latest acknowledged version and every pinned reader
-    /// epoch. A replica eagerly applies the queued diffs it holds up to
-    /// these versions and reaps the drained page queues; no reader the
-    /// epoch manager knows about can still demand an older version.
-    Watermark {
-        /// Reclamation watermark (componentwise safe-to-apply bound).
-        versions: VersionVector,
-    },
 }
 
 /// Wire tags of the [`Msg`] variants (protocol version 1).
@@ -205,16 +196,16 @@ pub enum Msg {
 /// Tag 1 (`WRITE_SET_ACK`) is retired: per-txn acks were replaced by
 /// cumulative [`Msg::CumAck`] sequence acks. Tags 4 (`DISCARD_ABOVE`)
 /// and 5 (`TOPOLOGY`) are retired too: nothing ever sent them (the
-/// scheduler reconfigures replicas by direct call). Retired tags are
-/// not reused so a stale peer's frame decodes as an unknown-tag error
-/// instead of misparsing.
+/// scheduler reconfigures replicas by direct call). Tag 8 (`WATERMARK`)
+/// is retired for the same reason: the cluster's GC sweeper reclaims on
+/// every replica by direct call. Retired tags are not reused so a stale
+/// peer's frame decodes as an unknown-tag error instead of misparsing.
 mod tag {
     pub const WRITE_SET: u8 = 0;
     pub const PAGE_BATCH: u8 = 2;
     pub const PAGE_ID_HINT: u8 = 3;
     pub const WRITE_SET_BATCH: u8 = 6;
     pub const CUM_ACK: u8 = 7;
-    pub const WATERMARK: u8 = 8;
 }
 
 impl Wire for Msg {
@@ -225,7 +216,6 @@ impl Wire for Msg {
             Msg::CumAck { .. } => 8,
             Msg::PageBatch(b) => b.encoded_len(),
             Msg::PageIdHint { pages } => 4 + pages.len() * 8,
-            Msg::Watermark { versions } => versions.encoded_len(),
         }
     }
 
@@ -254,10 +244,6 @@ impl Wire for Msg {
                     p.encode_into(out);
                 }
             }
-            Msg::Watermark { versions } => {
-                out.push(tag::WATERMARK);
-                versions.encode_into(out);
-            }
         }
     }
 
@@ -276,7 +262,6 @@ impl Wire for Msg {
                 }
                 Ok(Msg::PageIdHint { pages })
             }
-            tag::WATERMARK => Ok(Msg::Watermark { versions: VersionVector::decode(r)? }),
             t => Err(DmvError::Codec(format!("unknown message tag {t}"))),
         }
     }
@@ -317,8 +302,6 @@ mod tests {
             Msg::PageBatch(PageBatch { pages: vec![], done: false }),
             Msg::PageIdHint { pages: vec![PageId::heap(TableId(0), 0)] },
             Msg::PageIdHint { pages: vec![] },
-            Msg::Watermark { versions: VersionVector::from_entries(vec![7, 0, 3]) },
-            Msg::Watermark { versions: VersionVector::new(0) },
         ]
     }
 
@@ -365,7 +348,8 @@ mod tests {
         assert!(matches!(decode_exact::<Msg>(&[200]), Err(DmvError::Codec(_))));
         // Retired tags must not decode to anything. What a stale peer
         // would send: tag 1 + the acked txn id, tag 4 + a version
-        // vector, tag 5 + a master id and a replica list.
+        // vector, tag 5 + a master id and a replica list, tag 8 + a
+        // reclamation watermark.
         let mut stale_ack = vec![1u8];
         TxnId::new(NodeId(1), 1).encode_into(&mut stale_ack);
         let mut stale_discard = vec![4u8];
@@ -374,7 +358,9 @@ mod tests {
         NodeId(0).encode_into(&mut stale_topology);
         put_u32(&mut stale_topology, 1);
         NodeId(10).encode_into(&mut stale_topology);
-        for stale in [stale_ack, stale_discard, stale_topology] {
+        let mut stale_watermark = vec![8u8];
+        VersionVector::from_entries(vec![7, 0, 3]).encode_into(&mut stale_watermark);
+        for stale in [stale_ack, stale_discard, stale_topology, stale_watermark] {
             let err = decode_exact::<Msg>(&stale).unwrap_err();
             assert!(
                 matches!(&err, DmvError::Codec(m) if m.contains("unknown message tag")),

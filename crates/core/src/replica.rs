@@ -190,7 +190,6 @@ impl ReplicaNode {
                 cpu: cfg.cpu,
                 clock: cfg.clock,
                 lock_timeout: cfg.lock_timeout,
-                cpu_permits: 2,
                 concurrency: cfg.concurrency,
             },
         ));
@@ -274,15 +273,11 @@ impl ReplicaNode {
                     }
                 }
             }
-            Msg::Watermark { versions } if versions.len() == tables => {
-                let reaped = self.applier.reclaim_up_to(&versions);
-                self.emit(|| TraceEvent::Reclaimed { node: self.id, watermark: versions, reaped });
-            }
             // A frame shaped for another schema is dropped unread: the
             // applier indexes vectors by table and merges only equal
             // lengths, and a panic here would leave the node alive but
             // deaf, every commit then waiting out its ack timeout.
-            Msg::WriteSet(_) | Msg::WriteSetBatch(_) | Msg::Watermark { .. } => {}
+            Msg::WriteSet(_) | Msg::WriteSetBatch(_) => {}
         }
     }
 
@@ -394,19 +389,6 @@ impl ReplicaNode {
     /// this is called the heat feed is a no-op (standalone replicas).
     pub fn set_contention(&self, contention: Arc<ContentionManager>) {
         *self.contention.write() = Some(contention);
-    }
-
-    /// Broadcasts the reclamation watermark `wm` to this master's
-    /// targets and reclaims locally, returning the local reap count.
-    /// Deterministic contexts (DST) instead call
-    /// [`crate::applier::PendingApplier::reclaim_up_to`] on each node
-    /// directly.
-    pub fn broadcast_watermark(&self, wm: &VersionVector) -> usize {
-        let targets_now = self.targets.read().clone();
-        let msg = Msg::Watermark { versions: wm.clone() };
-        let size = msg.encoded_len();
-        self.net.broadcast(self.id, &targets_now, &msg, size);
-        self.reclaim_local(wm)
     }
 
     /// Reclaims this node's pending queues up to `wm` (eager apply +

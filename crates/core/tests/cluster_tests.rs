@@ -744,6 +744,46 @@ fn a_silent_slave_does_not_stall_reclamation_on_the_others() {
     cluster.shutdown();
 }
 
+/// The background sweeper (`gc_interval`) drains every live replica's
+/// queues, masters' included, with no `gc_sweep` call from the test:
+/// with no reader pinned the watermark is the latest version, so every
+/// queued diff is applied and every slot reaped.
+#[test]
+fn the_background_sweeper_drains_every_replica() {
+    for classes in [None, Some(vec![vec![TableId(0)], vec![TableId(1)]])] {
+        let masters = classes.as_ref().map_or(1, Vec::len);
+        let mut spec = ClusterSpec::fast_test(schema());
+        spec.n_slaves = 2;
+        spec.n_spares = 1;
+        spec.gc_interval = Some(Duration::from_millis(20));
+        spec.conflict_classes = classes;
+        let cluster = DmvCluster::start(spec);
+        cluster
+            .load_rows(TableId(0), (0..20).map(|i| vec![i.into(), "o".into(), 0.into()]).collect())
+            .unwrap();
+        cluster.finish_load();
+        let session = cluster.session();
+        for i in 0..6 {
+            session.update(&[deposit(i, 1)]).unwrap();
+            let note = Query::Insert { table: TableId(1), rows: vec![vec![i.into(), "n".into()]] };
+            session.update(&[note]).unwrap();
+        }
+        let drained = |id| {
+            let r = cluster.replica(id).unwrap();
+            r.pending_bytes() == 0 && r.applier().slot_count() == 0
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut live = cluster.memory_gauges();
+        while !live.iter().all(|&(id, _, _)| drained(id)) {
+            assert!(std::time::Instant::now() < deadline, "undrained after 10 s: {live:?}");
+            std::thread::sleep(Duration::from_millis(10));
+            live = cluster.memory_gauges();
+        }
+        assert_eq!(live.len(), masters + 3, "masters, slaves and the spare are all swept");
+        cluster.shutdown();
+    }
+}
+
 /// Collects every trace event, in emission order.
 #[derive(Default)]
 struct Recorder(std::sync::Mutex<Vec<TraceEvent>>);
@@ -1146,9 +1186,9 @@ fn a_version_conflict_is_never_stored() {
 // Frames shaped for another schema
 // ---------------------------------------------------------------------------
 
-/// A write-set or watermark whose version vector does not have one entry
-/// per table of the receiver's schema is dropped, and the receiver goes
-/// on serving the stream: it once panicked the node's receiver thread,
+/// A write-set whose version vector does not have one entry per table
+/// of the receiver's schema is dropped, and the receiver goes on
+/// serving the stream: it once panicked the node's receiver thread,
 /// leaving the node alive but deaf, so every commit then waited out its
 /// ack timeout.
 #[test]
@@ -1178,9 +1218,6 @@ fn a_frame_shaped_for_another_schema_is_dropped_and_the_node_keeps_acking() {
         Msg::WriteSet(Arc::new(ws))
     };
     master.send(slave_id, write_set(1, vec![1]), 0).unwrap();
-    master
-        .send(slave_id, Msg::Watermark { versions: VersionVector::from_entries(vec![1]) }, 0)
-        .unwrap();
     master.send(slave_id, write_set(2, vec![1, 0]), 0).unwrap();
     let ack = master.recv_timeout(Duration::from_secs(5)).expect("the valid write-set is acked");
     assert!(matches!(ack.msg, Msg::CumAck { seq: 2 }), "{:?}", ack.msg);

@@ -94,7 +94,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
         any::<u64>().prop_map(|seq| Msg::CumAck { seq }),
         arb_page_batch().prop_map(Msg::PageBatch),
         proptest::collection::vec(arb_page_id(), 0..8).prop_map(|pages| Msg::PageIdHint { pages }),
-        arb_version_vector().prop_map(|versions| Msg::Watermark { versions }),
     ]
 }
 

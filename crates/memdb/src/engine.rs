@@ -56,6 +56,10 @@ impl ReadGate for NoopGate {
     }
 }
 
+/// CPU service slots of a node: the paper's testbed machines are dual
+/// Athlons. Concurrent query CPU charges queue beyond this.
+const CPU_PERMITS: usize = 2;
+
 /// Construction options for [`MemDb`].
 #[derive(Clone)]
 pub struct MemDbOptions {
@@ -69,9 +73,6 @@ pub struct MemDbOptions {
     pub clock: SimClock,
     /// Wall-clock lock wait timeout (deadlock resolution).
     pub lock_timeout: Duration,
-    /// CPU service slots of the node (the paper's testbed machines are
-    /// dual Athlons). Concurrent query CPU charges queue beyond this.
-    pub cpu_permits: usize,
     /// How update transactions find conflicts: the paper's per-page 2PL
     /// locks, or first-committer-wins validation at install (see
     /// [`crate::mvcc`]). Both write private page copies.
@@ -86,7 +87,6 @@ impl Default for MemDbOptions {
             cpu: CpuProfile::zero(),
             clock: SimClock::default(),
             lock_timeout: Duration::from_millis(250),
-            cpu_permits: 2,
             concurrency: ConcurrencyMode::TwoPhase,
         }
     }
@@ -134,7 +134,7 @@ impl MemDb {
             concurrency: opts.concurrency,
             gate: RwLock::new(Arc::new(NoopGate)),
             cpu: opts.cpu,
-            cpu_throttle: Throttle::new(opts.clock, opts.cpu_permits),
+            cpu_throttle: Throttle::new(opts.clock, CPU_PERMITS),
             clock: opts.clock,
             node: opts.node,
             next_txn: AtomicU64::new(1),

@@ -116,7 +116,6 @@ impl DiskDb {
                 cpu: opts.cpu,
                 clock: opts.clock,
                 lock_timeout: opts.lock_timeout,
-                cpu_permits: 2,
                 // Backends replay serialized write-sets; 2PL suffices.
                 concurrency: ConcurrencyMode::TwoPhase,
             },
