@@ -1,10 +1,12 @@
 //! # dmv-bench
 //!
-//! Shared harness for the experiment reproductions. Each paper figure
-//! has a `harness = false` bench target that builds the relevant
-//! deployment, drives the TPC-W emulator, prints the figure's
-//! rows/series in paper-time units, and runs shape checks (who wins, by
-//! roughly what factor, where the dips and recoveries fall).
+//! Shared harness for the experiment reproductions: deployments of the
+//! DMV cluster and its on-disk baselines, and the fail-over runs several
+//! figures share. [`figs`] turns each paper figure into a function that
+//! returns its rows and verdicts in paper-time units; the `figs` binary
+//! (`cargo xtask figs`) runs them and writes `BENCH_figs.json`.
+
+pub mod figs;
 
 use dmv_common::clock::{sleep_wall, SimClock, TimeScale};
 use dmv_common::config::{BufferBudget, ConcurrencyMode};
@@ -179,12 +181,6 @@ pub fn print_series(title: &str, series: &[SeriesPoint]) {
     }
 }
 
-/// Prints and evaluates one shape check.
-pub fn shape_check(name: &str, ok: bool, detail: &str) -> bool {
-    println!("  [{}] {name}: {detail}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
-
 /// Mean rate over the series windows within `[from, to)`.
 pub fn mean_rate(series: &[SeriesPoint], from: Duration, to: Duration) -> f64 {
     let pts: Vec<&SeriesPoint> =
@@ -199,13 +195,6 @@ pub fn mean_rate(series: &[SeriesPoint], from: Duration, to: Duration) -> f64 {
 /// `threshold`; `None` if never.
 pub fn recovery_time(series: &[SeriesPoint], from: Duration, threshold: f64) -> Option<Duration> {
     series.iter().find(|p| p.start >= from && p.rate() >= threshold).map(|p| p.start)
-}
-
-/// Standard experiment banner.
-pub fn banner(fig: &str, what: &str) {
-    println!("\n================================================================");
-    println!("{fig} — {what}");
-    println!("================================================================");
 }
 
 /// Phase durations of a stale-backup fail-over (paper Figure 6).
@@ -248,7 +237,8 @@ fn shopping_cfg(total: Duration, window: Duration) -> dmv_tpcw::emulator::Emulat
     }
 }
 
-fn wait_paper(clock: SimClock, until: Duration) {
+/// Sleeps until `clock` reaches `until` paper time.
+pub(crate) fn wait_paper(clock: SimClock, until: Duration) {
     while clock.now_paper() < until {
         sleep_wall(Duration::from_millis(5));
     }
@@ -382,9 +372,7 @@ pub fn spare_failover_experiment(warmup: WarmupStrategy) -> SpareFailoverOutcome
     let handle = dmv_tpcw::emulator::spawn_emulator(&d.backend, d.clock, &d.ids, scale, cfg);
     // Kill the active slave at the scheduled paper time.
     let victim = d.cluster.slave_ids()[0];
-    while d.clock.now_paper() < kill_at {
-        sleep_wall(Duration::from_millis(5));
-    }
+    wait_paper(d.clock, kill_at);
     d.cluster.kill_replica(victim);
     let report = handle.join();
     d.cluster.shutdown();

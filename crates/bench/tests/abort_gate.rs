@@ -11,8 +11,8 @@
 //! wins conflicts — which depends on logical interleaving rather than
 //! machine load, so the bound holds whether the test runs alone or
 //! beside a full workspace test run. The full dual-mode abort matrix
-//! (all mixes × slave counts, total rates, JSON emission) lives in
-//! `benches/abort_rates.rs`; this is the seconds-long tier-1 slice.
+//! (all mixes × slave counts, total rates, rows in `BENCH_figs.json`)
+//! is `dmv_bench::figs::abort_rates`; this is the seconds-long tier-1 slice.
 //!
 //! Since PR 10's freshness-aware read routing (monotone served floors +
 //! live applier freshness instead of a stale last-tag hint), the

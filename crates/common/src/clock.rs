@@ -162,11 +162,6 @@ impl SimClock {
         self.scale.to_paper(self.epoch.elapsed())
     }
 
-    /// Wall time elapsed since the clock was created.
-    pub fn now_wall(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
     /// Sleeps for `paper` of paper time (i.e. the scaled wall duration).
     ///
     /// Sub-microsecond scaled durations are skipped rather than slept, so

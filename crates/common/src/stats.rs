@@ -6,7 +6,6 @@
 //! the measured system.
 
 use dmv_check::sync::atomic::{AtomicU64, Ordering};
-use dmv_check::sync::Mutex;
 use std::time::Duration;
 
 /// A monotonically increasing atomic counter.
@@ -295,44 +294,6 @@ impl TxnStats {
     }
 }
 
-/// Record of one run's summary, for printing experiment tables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunSummary {
-    /// Human-readable configuration label, e.g. "shopping/4 slaves".
-    pub label: String,
-    /// Peak or average throughput, in interactions per paper second.
-    pub throughput: f64,
-    /// Mean latency in paper time.
-    pub mean_latency: Duration,
-    /// 90th percentile latency in paper time.
-    pub p90_latency: Duration,
-    /// Version-conflict abort rate.
-    pub version_abort_rate: f64,
-}
-
-/// Guarded collection of [`RunSummary`] rows built up by an experiment.
-#[derive(Debug, Default)]
-pub struct SummaryTable {
-    rows: Mutex<Vec<RunSummary>>,
-}
-
-impl SummaryTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a row.
-    pub fn push(&self, row: RunSummary) {
-        self.rows.lock().push(row);
-    }
-
-    /// Snapshot of all rows.
-    pub fn rows(&self) -> Vec<RunSummary> {
-        self.rows.lock().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,18 +375,5 @@ mod tests {
         }
         assert_eq!(t.attempts(), 100);
         assert!((t.version_abort_rate() - 0.03).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_table_collects() {
-        let t = SummaryTable::new();
-        t.push(RunSummary {
-            label: "x".into(),
-            throughput: 1.0,
-            mean_latency: Duration::ZERO,
-            p90_latency: Duration::ZERO,
-            version_abort_rate: 0.0,
-        });
-        assert_eq!(t.rows().len(), 1);
     }
 }

@@ -41,9 +41,8 @@
 //!   versions — enqueue skips the lock entirely while no one waits.
 
 use crate::messages::WriteSet;
-use crate::trace::{SharedTap, TraceEvent};
 use dmv_common::error::{DmvError, DmvResult};
-use dmv_common::ids::{NodeId, PageId};
+use dmv_common::ids::PageId;
 use dmv_common::version::{AtomicVersionVector, VersionVector};
 use dmv_memdb::ReadGate;
 use dmv_pagestore::diff::PageDiff;
@@ -53,7 +52,7 @@ use dmv_pagestore::Page;
 // Shimmed primitives: parking_lot/std in normal builds, model-checked
 // under `--cfg dmv_check` (see crates/check).
 use dmv_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use dmv_check::sync::{Condvar, Mutex, RwLock};
+use dmv_check::sync::{Condvar, Mutex};
 use dmv_common::clock::wall_deadline;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -168,8 +167,6 @@ pub struct PendingApplier {
     /// content than it had, or replace pages outside the stream (see
     /// [`PendingApplier::lineage`]).
     lineage: AtomicU64,
-    /// Optional history tap and the node id to attribute events to.
-    trace: RwLock<Option<(NodeId, SharedTap)>>,
 }
 
 impl PendingApplier {
@@ -186,7 +183,6 @@ impl PendingApplier {
             enqueued_writesets: AtomicU64::new(0),
             pending_diff_bytes: AtomicU64::new(0),
             lineage: AtomicU64::new(0),
-            trace: RwLock::new(None),
         };
         for shard in &applier.slots {
             dmv_check::race::label(shard, "slots");
@@ -194,18 +190,6 @@ impl PendingApplier {
         dmv_check::race::label(&applier.wait_lock, "wait_lock");
         dmv_check::race::label(&applier.received_cv, "applier.received_cv");
         applier
-    }
-
-    /// Installs a history tap attributing this applier's events to
-    /// `node`. Enqueue events fire on the replica's receiver thread.
-    pub fn set_trace(&self, node: NodeId, tap: SharedTap) {
-        *self.trace.write() = Some((node, tap));
-    }
-
-    fn emit(&self, f: impl FnOnce(NodeId) -> TraceEvent) {
-        if let Some((node, tap)) = self.trace.read().as_ref() {
-            tap.record(f(*node));
-        }
     }
 
     /// Enqueues a received write-set: each page's entry points into the
@@ -251,14 +235,8 @@ impl PendingApplier {
         }
         self.received.merge(&last.versions);
         self.notify_waiters();
-        self.enqueued_writesets.fetch_add(sets.len() as u64, Ordering::Relaxed); // relaxed-ok: diagnostics counter; stream order is carried by received + wait_lock
-        for ws in sets {
-            self.emit(|node| TraceEvent::WriteSetEnqueued {
-                node,
-                txn: ws.txn,
-                versions: ws.versions.clone(),
-            });
-        }
+        // relaxed-ok: diagnostics counter; stream order is carried by received + wait_lock
+        self.enqueued_writesets.fetch_add(sets.len() as u64, Ordering::Relaxed);
     }
 
     /// Wakes blocked readers, taking the wait lock only if any exist.
@@ -441,7 +419,6 @@ impl PendingApplier {
         self.received.clamp(versions);
         // A discarded version may be reissued with other content.
         self.new_lineage();
-        self.emit(|node| TraceEvent::DiscardedAbove { node, keep: versions.clone() });
     }
 
     /// Advances the received vector to (at least) `to` without any

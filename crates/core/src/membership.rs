@@ -89,7 +89,7 @@ impl Membership {
         // Tell every surviving replica to discard records the failed
         // master never confirmed.
         for r in topo.all().iter().filter(|r| r.is_alive()) {
-            r.applier().discard_above(latest);
+            r.discard_above(latest);
         }
         let live = || topo.slaves.iter().filter(|s| s.is_alive());
         let new_master = live()

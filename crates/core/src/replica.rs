@@ -330,9 +330,8 @@ impl ReplicaNode {
         &self.applier
     }
 
-    /// Installs a history tap on this node and its applier.
+    /// Installs a history tap on this node.
     pub fn set_trace_tap(&self, tap: SharedTap) {
-        self.applier.set_trace(self.id, Arc::clone(&tap));
         *self.tap.write() = Some(tap);
     }
 
@@ -685,12 +684,19 @@ impl ReplicaNode {
         Ok(results)
     }
 
+    /// Discards queued records above `latest`, the versions a failed
+    /// master never confirmed (§4.2; [`PendingApplier::discard_above`]).
+    pub fn discard_above(&self, latest: &VersionVector) {
+        self.applier.discard_above(latest);
+        self.emit(|| TraceEvent::DiscardedAbove { node: self.id, keep: latest.clone() });
+    }
+
     /// Promotes this slave to master after a master failure: queued
     /// records beyond `latest` (the scheduler's last acknowledged
     /// version) were partially propagated and are discarded, the rest is
     /// applied, and the version counter continues from `latest`.
     pub fn promote_to_master(&self, latest: &VersionVector) {
-        self.applier.discard_above(latest);
+        self.discard_above(latest);
         self.applier.apply_all();
         *self.dbversion.lock() = latest.clone();
         self.emit(|| TraceEvent::Promoted { node: self.id, from: latest.clone() });

@@ -18,17 +18,12 @@
 //! * replica promotion ([`TraceEvent::Promoted`]) and queue cleanup
 //!   ([`TraceEvent::DiscardedAbove`]) fire on whichever thread runs
 //!   reconfiguration — the harness's own thread when it calls
-//!   `detect_and_reconfigure` directly;
-//! * [`TraceEvent::WriteSetEnqueued`] fires on replica **receiver
-//!   threads** and is therefore not ordered with respect to client
-//!   operations; deterministic consumers must treat it as an unordered
-//!   side log.
+//!   `detect_and_reconfigure` directly.
 //!
 //! When no tap is installed the cost is one shared-lock read per
-//! operation; the hot replication path (enqueue) checks an `Option`
-//! under a read lock and skips everything else.
+//! operation; the replication stream (enqueue) emits nothing.
 
-use dmv_common::ids::{NodeId, TxnId};
+use dmv_common::ids::NodeId;
 use dmv_common::version::VersionVector;
 use std::sync::Arc;
 
@@ -74,16 +69,6 @@ pub enum TraceEvent {
         slave: NodeId,
         /// Display form of the abort error.
         reason: String,
-    },
-    /// A replica's applier enqueued a replicated write-set (receiver
-    /// thread; unordered with respect to client operations).
-    WriteSetEnqueued {
-        /// Receiving replica.
-        node: NodeId,
-        /// Transaction the write-set belongs to.
-        txn: TxnId,
-        /// Versions the write-set carries.
-        versions: VersionVector,
     },
     /// A replica discarded queued records above `keep` (master-failure
     /// cleanup, §4.2).

@@ -1,13 +1,10 @@
-//! History recorder: a [`TraceTap`] splitting trace events into the
-//! deterministic and the asynchronous.
+//! History recorder: a [`TraceTap`] collecting the trace events of
+//! each operation.
 //!
 //! Scheduler events (commit/abort/route) and reconfiguration events
 //! (promotion, discard) fire synchronously on the driver thread, so
-//! between two schedule events the `ops` bucket holds exactly the
-//! events of the last operation — [`History::drain_ops`] attributes
-//! them. `WriteSetEnqueued` fires on replica receiver threads in
-//! arbitrary order; it lands in the `stream` bucket, which oracles may
-//! inspect but the canonical trace excludes.
+//! between two schedule events the recorder holds exactly the events of
+//! the last operation — [`History::drain_ops`] attributes them.
 
 use dmv_core::{TraceEvent, TraceTap};
 use parking_lot::Mutex;
@@ -16,7 +13,6 @@ use parking_lot::Mutex;
 #[derive(Debug, Default)]
 pub struct History {
     ops: Mutex<Vec<TraceEvent>>,
-    stream: Mutex<Vec<TraceEvent>>,
 }
 
 impl History {
@@ -25,22 +21,14 @@ impl History {
         Self::default()
     }
 
-    /// Takes every synchronous event recorded since the last drain.
+    /// Takes every event recorded since the last drain.
     pub fn drain_ops(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.ops.lock())
-    }
-
-    /// Takes the asynchronous write-set stream events.
-    pub fn drain_stream(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.stream.lock())
     }
 }
 
 impl TraceTap for History {
     fn record(&self, ev: TraceEvent) {
-        match ev {
-            TraceEvent::WriteSetEnqueued { .. } => self.stream.lock().push(ev),
-            _ => self.ops.lock().push(ev),
-        }
+        self.ops.lock().push(ev);
     }
 }

@@ -272,28 +272,3 @@ pub fn run_emulator(
 ) -> EmulatorReport {
     spawn_emulator(backend, clock, ids, scale, cfg).join()
 }
-
-/// Step-load peak finder: runs the emulator at each client count and
-/// returns `(peak wips, per-step reports)` — the paper's "step-function
-/// workload ... we then report the peak throughput".
-pub fn find_peak(
-    backend: &Backend,
-    clock: SimClock,
-    ids: &Arc<IdAllocator>,
-    scale: TpcwScale,
-    base: &EmulatorConfig,
-    client_steps: &[usize],
-) -> (f64, Vec<(usize, EmulatorReport)>) {
-    let mut peak = 0.0f64;
-    let mut all = Vec::with_capacity(client_steps.len());
-    for &n in client_steps {
-        let mut cfg = base.clone();
-        cfg.n_clients = n;
-        let report = run_emulator(backend, clock, ids, scale, cfg);
-        if report.wips > peak {
-            peak = report.wips;
-        }
-        all.push((n, report));
-    }
-    (peak, all)
-}

@@ -204,11 +204,6 @@ impl IdAllocator {
     pub fn current_max_order(&self) -> i64 {
         self.next_order.load(Ordering::Relaxed) - 1 // relaxed-ok: ID allocator; uniqueness comes from the RMW
     }
-
-    /// Highest existing populated customer id.
-    pub fn current_max_customer(&self) -> i64 {
-        self.next_customer.load(Ordering::Relaxed) - 1 // relaxed-ok: ID allocator; uniqueness comes from the RMW
-    }
 }
 
 /// Per-client session state (the web tier keeps this in the session).
