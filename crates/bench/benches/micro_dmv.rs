@@ -25,12 +25,14 @@
 //!   the simulated LAN;
 //! * `scheduler/*` — one single-row update end to end on the 2007 LAN
 //!   with the §4.6 log insert: request hop, master commit and ack round
-//!   (the insert runs alongside), then the reply hop;
+//!   (the insert runs alongside), then the reply hop; and the same
+//!   update matching no row, which commits nothing and so pays neither
+//!   the ack round nor the insert;
 //! * `clock/*` — the wall time one modeled wait takes: a NIC
 //!   serialization slot, a LAN hop, and the scheduler's log insert plus
-//!   reply hop, which only an update with no ack round to overlap still
-//!   pays in full. What a row reports over its name is the OS's
-//!   overshoot.
+//!   reply hop, which a writing update pays in full when its ack round
+//!   ends before the insert. What a row reports over its name is the
+//!   OS's overshoot.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dmv_common::clock::{sleep_wall, SimClock, TimeScale};
@@ -732,9 +734,20 @@ fn bench_scheduler(c: &mut Criterion) {
         filter: Some(Expr::eq(0, 7)),
         set: vec![(1, SetExpr::Value("w".into()))],
     }];
+    // The same update with a filter no row matches: the master commits
+    // nothing, so there is no ack round and no §4.6 log insert.
+    let writeless = [Query::Update {
+        table: TableId(0),
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, 1_000)),
+        set: vec![(1, SetExpr::Value("w".into()))],
+    }];
     let mut g = c.benchmark_group("scheduler");
     g.measurement_time(Duration::from_secs(1));
     g.bench_function("update_lan_2slaves", |b| b.iter(|| session.update(&update).unwrap()));
+    g.bench_function("update_writeless_lan_2slaves", |b| {
+        b.iter(|| session.update(&writeless).unwrap())
+    });
     g.finish();
     cluster.shutdown();
 }

@@ -259,6 +259,14 @@ pub struct TxnStats {
     pub reads: Counter,
     /// Update transactions executed.
     pub updates: Counter,
+    /// The subset of [`TxnStats::updates`] that waited for the §4.6 log
+    /// insert: the ones that committed a write. An update that wrote
+    /// nothing has no query to log.
+    pub log_inserts: Counter,
+    /// Committed write batches a backend feed gave up on (a
+    /// non-retryable error, or ten retryable ones in a row), counted
+    /// once per backend that did not apply the batch.
+    pub feed_drops: Counter,
     /// Backoff retries consumed by client sessions (each counted when
     /// the session sleeps before re-submitting a retryable abort).
     pub retries: Counter,

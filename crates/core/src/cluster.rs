@@ -886,3 +886,56 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session").finish_non_exhaustive()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmv_sql::query::{Access, Expr, SetExpr};
+    use dmv_sql::schema::{ColType, Column, IndexDef, TableSchema};
+
+    #[test]
+    fn a_hot_class_turn_ends_when_the_master_answers() {
+        // The class guard serializes master executions. The §4.6 insert
+        // and the reply hop that follow conflict with nobody, so two
+        // writers of a hot table overlap them: ≈ 200 ms together. A turn
+        // that also covered the insert would take ≥ 400.
+        let schema = Schema::new(vec![TableSchema::new(
+            TableId(0),
+            "accounts",
+            vec![Column::new("id", ColType::Int), Column::new("balance", ColType::Int)],
+            vec![IndexDef::unique("pk", vec![0])],
+        )]);
+        let mut spec = ClusterSpec::fast_test(schema);
+        spec.log_latency = Duration::from_millis(200);
+        let cluster = DmvCluster::start(spec);
+        cluster.load_rows(TableId(0), (0..4).map(|i| vec![i.into(), 0.into()]).collect()).unwrap();
+        cluster.finish_load();
+        // Heat that stays past the threshold for seconds of decay.
+        for _ in 0..100 {
+            cluster.contention.record_table_conflict(TableId(0));
+        }
+        assert!(cluster.contention.serialize_if_hot(&[TableId(0)]).is_some(), "table is hot");
+        let start = dmv_common::clock::wall_now();
+        let writers: Vec<_> = (0..2i64)
+            .map(|id| {
+                let c = Arc::clone(&cluster);
+                std::thread::spawn(move || {
+                    c.session()
+                        .update(&[Query::Update {
+                            table: TableId(0),
+                            access: Access::Auto,
+                            filter: Some(Expr::eq(0, id)),
+                            set: vec![(1, SetExpr::AddInt(1))],
+                        }])
+                        .unwrap();
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(350), "the turn covered the insert: {elapsed:?}");
+        cluster.shutdown();
+    }
+}

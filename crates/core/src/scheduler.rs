@@ -15,7 +15,9 @@
 //! commit leaves for the master, alongside the master's ack round; the
 //! reply waits for whichever of the two ends last. Committed write
 //! statements are then fed asynchronously to the on-disk backend(s), so
-//! the commit path never waits for a disk database.
+//! the commit path never waits for a disk database. An update the
+//! master commits with no write (its all-zero version vector) has no
+//! committed query to log or feed: it replies after the reply hop alone.
 //!
 //! Updates additionally pass the contention tier before reaching their
 //! master: writers over a hot table set take turns (see
@@ -79,7 +81,8 @@ pub struct SchedulerConfig {
     /// lightweight database insert of the corresponding query
     /// strings"). The insert starts when the commit leaves for the
     /// master and overlaps its ack round; an update pays only the part
-    /// the ack round does not cover.
+    /// the ack round does not cover, and an update that committed no
+    /// write pays none of it.
     pub log_latency: Duration,
     /// Spare warmup strategy.
     pub warmup: WarmupStrategy,
@@ -172,19 +175,27 @@ impl Scheduler {
         if !backends.is_empty() {
             let (tx, rx) = crossbeam::channel::unbounded::<Vec<Query>>();
             *sched.backend_tx.lock() = Some(tx);
+            let stats = Arc::clone(&sched.stats);
             let handle = dmv_check::thread::Builder::new()
                 .name(format!("sched-{id}-feed"))
                 .spawn(move || {
                     while let Ok(batch) = rx.recv() {
                         for b in &backends {
                             // Retry transient aborts; the log is replayed
-                            // in order so this must eventually apply.
-                            for _ in 0..10 {
+                            // in order so this must eventually apply. A
+                            // batch that does not is counted in
+                            // `feed_drops`.
+                            let mut tries = 0;
+                            let applied = loop {
+                                tries += 1;
                                 match b.execute_txn(&batch) {
-                                    Ok(_) => break,
-                                    Err(e) if e.is_retryable() => continue,
-                                    Err(_) => break,
+                                    Ok(_) => break true,
+                                    Err(e) if e.is_retryable() && tries < 10 => {}
+                                    Err(_) => break false,
                                 }
+                            };
+                            if !applied {
+                                stats.feed_drops.inc();
                             }
                         }
                     }
@@ -261,8 +272,9 @@ impl Scheduler {
         let master = self.master_for_tables(tables)?;
         // Contention tier: the class guard is held across the whole
         // master execution, so hot-set writers take turns (which beats
-        // racing to first-committer-wins validation).
-        let _class_guard = self.contention.serialize_if_hot(tables);
+        // racing to first-committer-wins validation). It is dropped when
+        // the master answers: nothing after that can conflict.
+        let class_guard = self.contention.serialize_if_hot(tables);
         self.charge_hop(256); // client → scheduler → master request hop
         let scale = self.cfg.clock.scale();
         let mut writes: Vec<Query> = Vec::new();
@@ -277,6 +289,7 @@ impl Scheduler {
             insert_done = wall_deadline(scale.to_wall(self.cfg.log_latency));
             out
         });
+        drop(class_guard);
         match res {
             Ok(version) => {
                 self.latest.merge(&version);
@@ -284,19 +297,25 @@ impl Scheduler {
                     scheduler: self.id,
                     version: version.clone(),
                 });
+                // The master commits an update that wrote nothing with
+                // the all-zero vector: no committed query, so nothing to
+                // log and nothing for a backend to replay — whatever
+                // statements it ran (a select, a write matching no row).
+                let logged = version.total() > 0;
                 // The acks are in; the reply leaves once the insert is
                 // too. One wait covers what is left of the insert and the
                 // reply hop, skipped below 1 µs like `sleep_paper`'s.
                 // The insert is its latency: the logged statements live
                 // on in the backends' WALs, fed asynchronously below.
                 let now = wall_now();
-                let reply_at =
-                    insert_done.max(now) + scale.to_wall(self.cfg.net.transfer_time(128));
+                let ready = if logged { insert_done.max(now) } else { now };
+                let reply_at = ready + scale.to_wall(self.cfg.net.transfer_time(128));
                 if reply_at - now >= Duration::from_micros(1) {
                     // wait-ok: the rest of the §4.6 log insert, then the reply hop to the client
                     sleep_until(reply_at);
                 }
-                if !writes.is_empty() {
+                if logged {
+                    self.stats.log_inserts.inc();
                     if let Some(tx) = self.backend_tx.lock().as_ref() {
                         let _ = tx.send(writes);
                     }

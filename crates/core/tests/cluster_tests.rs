@@ -627,6 +627,38 @@ fn an_update_waits_for_the_later_of_its_log_insert_and_its_acks() {
 }
 
 #[test]
+fn an_update_that_commits_no_write_skips_the_log_insert() {
+    // §4.6 logs the committed update queries. An update the master
+    // commits with nothing written has none, whatever it ran: a select
+    // alone, or a write whose filter matched no row.
+    let mut spec = ClusterSpec::fast_test(schema());
+    spec.n_slaves = 1;
+    spec.log_latency = Duration::from_millis(40);
+    let cluster = DmvCluster::start(spec);
+    cluster
+        .load_rows(TableId(0), (0..20).map(|i| vec![i.into(), "o".into(), 0.into()]).collect())
+        .unwrap();
+    cluster.finish_load();
+    let session = cluster.session();
+    let log_inserts = || cluster.stats()[0].log_inserts.get();
+    let before = cluster.latest_version();
+    for (what, update) in [("select-only", read_balance(1)), ("no-match", deposit(9_999, 1))] {
+        let start = dmv_common::clock::wall_now();
+        session.update_with(&[TableId(0)], &mut |r| r.run(&update).map(drop)).unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(40), "{what} update paid the insert: {elapsed:?}");
+        assert_eq!(cluster.latest_version(), before, "{what} update published a version");
+        assert_eq!(log_inserts(), 0, "{what} update counted an insert");
+    }
+    let start = dmv_common::clock::wall_now();
+    session.update(&[deposit(1, 1)]).unwrap();
+    let elapsed = start.elapsed();
+    assert!(elapsed >= Duration::from_millis(40), "a writing update skipped it: {elapsed:?}");
+    assert_eq!(log_inserts(), 1);
+    cluster.shutdown();
+}
+
+#[test]
 fn concurrent_commits_coalesce_and_all_replicate() {
     // Group-commit smoke: many writers commit concurrently, every
     // update must survive batching (no write-set lost or reordered in

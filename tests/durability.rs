@@ -124,6 +124,49 @@ fn scheduler_query_log_records_writes_only() {
     assert_eq!(backend.wal().len(), 2);
 }
 
+#[test]
+fn an_update_that_commits_no_write_is_never_fed() {
+    let cluster = start(1);
+    // Row 7 is on the backend only (loaded without a WAL record): a fed
+    // update that matched no row in the cluster would write it there.
+    cluster.backends()[0]
+        .bulk_load(TableId(0), &[vec![7.into(), "entry-7".into(), 70.into()]])
+        .unwrap();
+    let session = cluster.session();
+    let select = Query::Select(Select::by_pk(TableId(0), vec![7.into()]));
+    let no_match = Query::Update {
+        table: TableId(0),
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, 7)),
+        set: vec![(2, SetExpr::AddInt(1))],
+    };
+    for q in [select, no_match] {
+        session.update_with(&[TableId(0)], &mut |r| r.run(&q).map(drop)).unwrap();
+    }
+    session.update(&[insert(1)]).unwrap();
+    cluster.shutdown(); // drains the feed
+    let wal = cluster.backends()[0].wal().read_from(0);
+    let fed: Vec<&[Query]> = wal.iter().map(|r| r.queries.as_slice()).collect();
+    assert_eq!(fed, vec![&[insert(1)][..]], "only the writing update reaches the WAL");
+}
+
+#[test]
+fn a_batch_a_backend_rejects_is_counted_and_the_feed_goes_on() {
+    let cluster = start(1);
+    let backend = &cluster.backends()[0];
+    // Row 5 is on the backend only: the cluster commits its insert, the
+    // backend rejects the fed batch as a duplicate key.
+    backend.execute_txn(&[insert(5)]).unwrap();
+    let session = cluster.session();
+    session.update(&[insert(5)]).unwrap();
+    session.update(&[insert(6)]).unwrap();
+    cluster.shutdown(); // drains the feed
+    assert_eq!(cluster.stats()[0].feed_drops.get(), 1);
+    let wal = backend.wal().read_from(0);
+    assert_eq!(wal.len(), 2, "the direct insert and row 6");
+    assert_eq!(wal[1].queries, vec![insert(6)], "the batch after the drop is applied");
+}
+
 // ---------------------------------------------------------------------
 // The §4.6 log insert starts when an update's commit leaves the
 // scheduler, before the master has validated it. An attempt that fails
