@@ -3,8 +3,9 @@
 //! ```text
 //! cargo xtask figs            every figure; writes BENCH_figs.json
 //! cargo xtask figs F5 T1      the named figures; writes target/figs.json
-//! cargo xtask figs --smoke    the MvccCow saturation and ltm cells at smoke
-//!                             size; writes target/figs.json
+//! cargo xtask figs --smoke    the MvccCow saturation and ltm cells and the
+//!                             DMV stale fail-over at smoke size; writes
+//!                             target/figs.json
 //! ```
 //!
 //! Figure ids: F3…F9, T1 (§6.1 abort rates), saturation, ltm. Prints

@@ -9,23 +9,20 @@
 //! and verdicts with [`to_json`].
 
 use crate::{
-    deploy_disk, deploy_dmv, dmv_stale_failover, innodb_stale_failover, mean_rate, print_series,
-    spare_failover_experiment, wait_paper, DmvOptions, SpareFailoverOutcome, StaleFailoverRun,
-    SEED,
+    buckets, deploy, deploy_disk, deploy_dmv, deploy_tier, failover, mean_rate, print_series,
+    Deployment, DmvOptions, Failover, FailoverPhases, Step, SEED,
 };
 use dmv_common::clock::TimeScale;
 use dmv_common::config::{BufferBudget, ConcurrencyMode};
 use dmv_core::cluster::{ClusterSpec, DmvCluster};
 use dmv_core::scheduler::WarmupStrategy;
 use dmv_pagestore::PAGE_SIZE;
-use dmv_tpcw::backend::{load_cluster, Backend};
-use dmv_tpcw::emulator::{run_emulator, spawn_emulator, EmulatorConfig, EmulatorReport};
-use dmv_tpcw::interactions::IdAllocator;
-use dmv_tpcw::populate::{generate, TpcwScale};
+use dmv_tpcw::emulator::{EmulatorConfig, EmulatorReport};
+use dmv_tpcw::populate::TpcwScale;
 use dmv_tpcw::schema::tpcw_schema;
 use dmv_tpcw::Mix;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// One summary number of a figure.
@@ -111,12 +108,16 @@ pub const ALL: [(&str, Run); 10] = [
     ("ltm", || ltm(&Sweep::full(), &[ConcurrencyMode::TwoPhase, ConcurrencyMode::MvccCow])),
 ];
 
-/// The seconds-long sanity run: the MvccCow saturation and ltm cells at
-/// smoke size. Absolute numbers mean nothing at that scale; the two
-/// verdicts survive its noise.
+/// The seconds-long sanity run: the MvccCow saturation and ltm cells and
+/// the DMV stale fail-over at smoke size. Absolute numbers mean nothing
+/// at that scale; the three verdicts survive its noise.
 pub fn smoke() -> Vec<Figure> {
     let modes = [ConcurrencyMode::MvccCow];
-    vec![saturation(&Sweep::smoke(), &modes), ltm(&Sweep::smoke(), &modes)]
+    let mut f = Figure::new("F6", "DMV fail-over onto a stale backup at smoke size");
+    let run = dmv_stale(0.25, Duration::from_secs(20), Duration::from_secs(40));
+    stale_rows(&mut f, "dmv", &run);
+    stages_ordered(&mut f, &run);
+    vec![saturation(&Sweep::smoke(), &modes), ltm(&Sweep::smoke(), &modes), f]
 }
 
 fn ms(d: Duration) -> f64 {
@@ -132,6 +133,13 @@ fn mode_name(mode: ConcurrencyMode) -> &'static str {
         ConcurrencyMode::TwoPhase => "2pl",
         ConcurrencyMode::MvccCow => "mvcc",
     }
+}
+
+/// A DMV cell's abort rows: version conflicts and 2PL lock time-outs, in
+/// % of attempts.
+fn abort_rows(f: &mut Figure, cell: &str, cluster: &DmvCluster) {
+    f.row(format!("{cell}.abort_pct"), cluster.version_abort_rate() * 100.0, "%");
+    f.row(format!("{cell}.lock_timeout_pct"), cluster.lock_timeout_rate() * 100.0, "%");
 }
 
 /// Figure 3 — throughput of the DMV in-memory tier (1, 2, 4, 8 slaves)
@@ -159,20 +167,21 @@ fn fig3() -> Figure {
     for mix in Mix::ALL {
         println!("\n--- {mix} mix ({}% updates) ---", (mix.update_fraction() * 100.0).round());
         // Stand-alone on-disk baseline (buffer pool ~40% of the DB).
-        let (_db, backend, ids, clock) = deploy_disk(scale, TIME_SCALE, 0.4);
-        let report = run_emulator(&backend, clock, &ids, scale, cfg(mix));
+        let report = deploy_disk(scale, TIME_SCALE, 0.4).run(cfg(mix));
         let base = report.wips;
         f.row(format!("{mix}.innodb.wips"), base, "WIPS");
         f.row(format!("{mix}.innodb.mean_ms"), ms(report.mean_latency), "ms");
         f.row(format!("{mix}.innodb.p90_ms"), ms(report.p90_latency), "ms");
+        f.row(format!("{mix}.innodb.errors"), report.errors as f64, "count");
         let mut wips = Vec::new();
         for n in [1, 2, 4, 8] {
             let d = deploy_dmv(scale, TIME_SCALE, DmvOptions { slaves: n, ..Default::default() });
-            let report = run_emulator(&d.backend, d.clock, &d.ids, scale, cfg(mix));
+            let report = d.run(cfg(mix));
             f.row(format!("{mix}.dmv{n}.wips"), report.wips, "WIPS");
             f.row(format!("{mix}.dmv{n}.mean_ms"), ms(report.mean_latency), "ms");
             f.row(format!("{mix}.dmv{n}.p90_ms"), ms(report.p90_latency), "ms");
-            f.row(format!("{mix}.dmv{n}.abort_pct"), d.cluster.version_abort_rate() * 100.0, "%");
+            abort_rows(&mut f, &format!("{mix}.dmv{n}"), &d.cluster);
+            f.row(format!("{mix}.dmv{n}.errors"), report.errors as f64, "count");
             f.row(format!("{mix}.dmv{n}.speedup"), report.wips / base, "x");
             wips.push(report.wips);
             d.cluster.shutdown();
@@ -199,6 +208,10 @@ fn fig3() -> Figure {
     f
 }
 
+/// The fail-over figures' verdict spans are summed from the driver's 1 s
+/// windows into 5 s buckets.
+const BUCKET: Duration = Duration::from_secs(5);
+
 /// Figure 4 — fault tolerance with node reintegration (shopping mix).
 ///
 /// Master + 4 slaves; the master is killed mid-run. The paper shows
@@ -211,52 +224,35 @@ fn fig3() -> Figure {
 /// the phases and their ordering.
 fn fig4() -> Figure {
     let mut f = Figure::new("F4", "node reintegration under the shopping mix (master killed)");
-    let scale = TpcwScale::small();
-    let d = deploy_dmv(
-        scale,
-        0.25,
-        DmvOptions {
-            slaves: 4,
-            // Long checkpoint period = the paper's worst case: every
-            // modification since the start of the run is transferred.
-            checkpoint_period: Some(Duration::from_secs(2400)),
-            ..Default::default()
-        },
-    );
-    let kill_at = Duration::from_secs(40);
-    let reboot = Duration::from_secs(30); // the paper's 6-minute reboot, compressed
-    let total = Duration::from_secs(160);
-    let cfg = EmulatorConfig {
-        mix: Mix::Shopping,
-        n_clients: 24,
-        think_time: Duration::from_millis(200),
-        duration: total,
-        warmup: Duration::ZERO,
-        retries: 30,
-        seed: SEED,
-        series_window: Duration::from_secs(5),
-    };
-    let handle = spawn_emulator(&d.backend, d.clock, &d.ids, scale, cfg);
-
-    let master = d.cluster.master(0).id();
-    wait_paper(d.clock, kill_at);
-    f.row("master_killed_at_s", secs(d.clock.now_paper()), "s");
-    d.cluster.kill_replica(master);
-    wait_paper(d.clock, kill_at + reboot);
-    f.row("reintegration_at_s", secs(d.clock.now_paper()), "s");
-    let report = d.cluster.reintegrate(master).expect("reintegration succeeds");
-    f.row("catchup_done_at_s", secs(d.clock.now_paper()), "s");
+    // Long checkpoint period = the paper's worst case: every
+    // modification since the start of the run is transferred.
+    let checkpoint_period = Some(Duration::from_secs(2400));
+    let opts = DmvOptions { slaves: 4, checkpoint_period, ..Default::default() };
+    let d = deploy_dmv(TpcwScale::small(), 0.25, opts);
+    // The paper's 6-minute reboot, compressed to 30 s.
+    let (kill, back, total) =
+        (Duration::from_secs(40), Duration::from_secs(70), Duration::from_secs(160));
+    let (c, master) = (&*d.cluster, d.cluster.master(0).id());
+    let steps = [
+        (kill, Step::Kill(c, master)),
+        (kill, Step::Reconfigured(c, master)),
+        (back, Step::Reintegrate(c, master)),
+    ];
+    let run = failover(&d, total, &steps);
+    d.cluster.shutdown();
+    let report = run.migration.expect("the master reintegrates");
+    f.row("master_killed_at_s", secs(run.kill), "s");
+    f.row("reintegration_at_s", secs(run.integrated.saturating_sub(report.duration)), "s");
+    f.row("catchup_done_at_s", secs(run.integrated), "s");
     f.row("catchup_pages", report.pages as f64, "pages");
     f.row("catchup_kib", (report.bytes / 1024) as f64, "KiB");
     f.row("catchup_s", secs(report.duration), "s");
 
-    let emu = handle.join();
-    d.cluster.shutdown();
-    print_series("throughput timeline (paper Figure 4)", &emu.series);
-
-    let pre = mean_rate(&emu.series, Duration::from_secs(10), kill_at);
-    let degraded = mean_rate(&emu.series, kill_at + Duration::from_secs(5), kill_at + reboot);
-    let recovered = mean_rate(&emu.series, total - Duration::from_secs(30), total);
+    let series = buckets(&run.series, BUCKET);
+    print_series("throughput timeline (paper Figure 4)", &series);
+    let pre = mean_rate(&series, Duration::from_secs(10), run.kill);
+    let degraded = mean_rate(&series, kill + BUCKET, back);
+    let recovered = mean_rate(&series, total - Duration::from_secs(30), total);
     f.row("pre_wips", pre, "WIPS");
     f.row("degraded_wips", degraded, "WIPS");
     f.row("recovered_wips", recovered, "WIPS");
@@ -283,26 +279,63 @@ fn fig4() -> Figure {
     f
 }
 
-/// The Figure 5 and 6 runs: the replicated on-disk tier, then the DMV
-/// tier, each failing over onto a stale backup killed at 80 s of a
-/// 260 s run. Records each run's pre-failure WIPS and phase times.
-fn stale_failovers(f: &mut Figure, series: bool) -> (StaleFailoverRun, StaleFailoverRun) {
-    let (time_scale, kill_at, total) = (0.25, Duration::from_secs(80), Duration::from_secs(260));
-    println!("\n--- (a, b) replicated InnoDB tier: 2 actives + stale passive spare ---");
-    let innodb = innodb_stale_failover(time_scale, kill_at, total);
-    println!("\n--- (c, d) DMV tier: master + 2 active slaves + stale backup (master killed) ---");
-    let dmv = dmv_stale_failover(time_scale, kill_at, total);
-    for (tier, run) in [("innodb", &innodb), ("dmv", &dmv)] {
-        if series {
-            print_series(&format!("{tier} tier throughput"), &run.series);
-        }
-        f.row(format!("{tier}.pre_wips"), run.pre_rate, "WIPS");
-        f.row(format!("{tier}.recovery_s"), secs(run.phases.recovery), "s");
-        f.row(format!("{tier}.db_update_s"), secs(run.phases.db_update), "s");
-        f.row(format!("{tier}.cache_warmup_s"), secs(run.phases.cache_warmup), "s");
-        f.row(format!("{tier}.total_s"), secs(run.phases.total), "s");
-    }
-    (innodb, dmv)
+/// The DMV tier of Figures 5(c, d) and 6: master, two active slaves and
+/// a stale backup, which fails as the run starts and sits out its first
+/// part. At `kill` of a `total`-long run the master is killed (the worst
+/// case, with master reconfiguration); the cluster's monitor promotes a
+/// slave, and the stale backup is reintegrated by selective page
+/// transfer.
+fn dmv_stale(time_scale: f64, kill: Duration, total: Duration) -> Failover {
+    let d =
+        deploy_dmv(TpcwScale::small(), time_scale, DmvOptions { slaves: 3, ..Default::default() });
+    let (c, stale, master) = (&*d.cluster, d.cluster.slave_ids()[2], d.cluster.master(0).id());
+    let steps = [
+        (Duration::ZERO, Step::Kill(c, stale)),
+        (Duration::ZERO, Step::Reconfigured(c, stale)),
+        (kill, Step::Kill(c, master)),
+        (kill, Step::Reconfigured(c, master)),
+        (kill, Step::Reintegrate(c, stale)),
+    ];
+    let run = failover(&d, total, &steps);
+    d.cluster.shutdown();
+    run
+}
+
+/// The pair of Figures 5 and 6, run once per process, killed at 80 s of
+/// 260 s: the replicated on-disk tier (2 actives + a stale passive spare,
+/// promoted by binlog replay), then the DMV tier ([`dmv_stale`]).
+fn stale_pair() -> &'static (Failover, Failover) {
+    static PAIR: OnceLock<(Failover, Failover)> = OnceLock::new();
+    PAIR.get_or_init(|| {
+        let (kill, total) = (Duration::from_secs(80), Duration::from_secs(260));
+        println!("\n--- (a, b) replicated InnoDB tier: 2 actives + stale passive spare ---");
+        let d = deploy_tier(TpcwScale::small(), 0.25, 2, 400);
+        let innodb = failover(&d, total, &[(kill, Step::Replay(&d.cluster))]);
+        println!("\n--- (c, d) DMV tier: master + 2 slaves + stale backup, master killed ---");
+        (innodb, dmv_stale(0.25, kill, total))
+    })
+}
+
+/// Records a stale fail-over's pre-failure WIPS (from a quarter of the
+/// way to the kill, in whole seconds) and its stages as `{tier}.*` rows.
+fn stale_rows(f: &mut Figure, tier: &str, run: &Failover) -> (f64, FailoverPhases) {
+    let pre = mean_rate(&run.series, Duration::from_secs(run.kill.as_secs() / 4), run.kill);
+    let phases = run.phases(pre);
+    f.row(format!("{tier}.pre_wips"), pre, "WIPS");
+    f.row(format!("{tier}.recovery_s"), secs(phases.recovery), "s");
+    f.row(format!("{tier}.db_update_s"), secs(phases.db_update), "s");
+    f.row(format!("{tier}.cache_warmup_s"), secs(phases.cache_warmup), "s");
+    f.row(format!("{tier}.total_s"), secs(phases.total), "s");
+    (pre, phases)
+}
+
+/// Every stage boundary of a fail-over is an event on the emulator's
+/// clock: kill < promoted ≤ integrated, all inside the run.
+fn stages_ordered(f: &mut Figure, run: &Failover) {
+    let (k, p, i) = (run.kill, run.promoted, run.integrated);
+    let detail =
+        format!("kill {k:.2?} < promoted {p:.2?} ≤ integrated {i:.2?} < end {:?}", run.total);
+    f.check("fail-over stages are ordered on one clock", k < p && p <= i && i < run.total, detail);
 }
 
 /// Figure 5 — fail-over onto a *stale* backup: replicated InnoDB tier
@@ -315,11 +348,14 @@ fn stale_failovers(f: &mut Figure, series: bool) -> (StaleFailoverRun, StaleFail
 /// because only changed in-memory pages are transferred.
 fn fig5() -> Figure {
     let mut f = Figure::new("F5", "fail-over onto a stale backup: InnoDB tier vs DMV tier");
-    let (innodb, dmv) = stale_failovers(&mut f, true);
-    let (i, d) = (&innodb.phases, &dmv.phases);
+    let (innodb, dmv) = stale_pair();
+    print_series("innodb tier throughput", &buckets(&innodb.series, BUCKET));
+    print_series("dmv tier throughput", &buckets(&dmv.series, BUCKET));
+    let (pre, i) = stale_rows(&mut f, "innodb", innodb);
+    let (_, d) = stale_rows(&mut f, "dmv", dmv);
     f.check(
         "InnoDB tier degrades but keeps serving during replay",
-        innodb.pre_rate > 0.0 && i.db_update > Duration::from_secs(1),
+        pre > 0.0 && i.db_update > Duration::from_secs(1),
         format!("replay took {:.0}s", secs(i.db_update)),
     );
     f.check(
@@ -347,8 +383,9 @@ fn fig5() -> Figure {
 /// and master reconfiguration.
 fn fig6() -> Figure {
     let mut f = Figure::new("F6", "fail-over stage weights: Recovery / DB Update / Cache Warmup");
-    let (innodb, dmv) = stale_failovers(&mut f, false);
-    let (i, d) = (&innodb.phases, &dmv.phases);
+    let (innodb, dmv) = stale_pair();
+    let (_, i) = stale_rows(&mut f, "innodb", innodb);
+    let (_, d) = stale_rows(&mut f, "dmv", dmv);
     f.check(
         "DB Update dominates the InnoDB fail-over",
         i.db_update >= i.recovery && secs(i.db_update) >= secs(i.total) * 0.3,
@@ -364,36 +401,52 @@ fn fig6() -> Figure {
         d.recovery > Duration::ZERO && d.recovery < Duration::from_secs(30),
         format!("{:.1}s (paper: ~6s)", secs(d.recovery)),
     );
+    stages_ordered(&mut f, dmv);
     f
 }
 
-/// Figures 7–9 share one run: the active slave dies mid-run and a
-/// spare warmed by `warmup` takes over.
+/// Figures 7–9 share one run: master + 1 active slave + 1 spare with a
+/// cold buffer cache, kept warm by `warmup`; the active slave dies at
+/// 60 s of 140 s and the cluster's monitor activates the spare. Returns
+/// the figure with its rows, and the pre-failure WIPS, the lowest 5 s
+/// bucket in the 40 s after the kill and the mean of the last 30 s.
 fn spare_figure(
     id: &'static str,
     title: &'static str,
     warmup: WarmupStrategy,
-) -> (Figure, SpareFailoverOutcome) {
+) -> (Figure, [f64; 3]) {
     let mut f = Figure::new(id, title);
-    let out = spare_failover_experiment(warmup);
-    print_series("throughput timeline", &out.series);
-    f.row("pre_wips", out.pre_rate, "WIPS");
-    f.row("post_min_wips", out.post_min_rate, "WIPS");
-    f.row("tail_wips", out.tail_rate, "WIPS");
-    (f, out)
+    let opts = DmvOptions { slaves: 1, spares: 1, warmup, ..Default::default() };
+    // The paper's larger 400K-customer config, 1/100.
+    let d = deploy_dmv(TpcwScale::small_large(), 0.25, opts);
+    // The spare subscribed to the stream but has a cold buffer cache.
+    let spare = d.cluster.spare_ids()[0];
+    d.cluster.replica(spare).expect("spare exists").evict_all();
+    let (kill, total) = (Duration::from_secs(60), Duration::from_secs(140));
+    let (c, victim) = (&*d.cluster, d.cluster.slave_ids()[0]);
+    let steps = [(kill, Step::Kill(c, victim)), (kill, Step::Reconfigured(c, victim))];
+    let run = failover(&d, total, &steps);
+    d.cluster.shutdown();
+
+    let series = buckets(&run.series, BUCKET);
+    print_series("throughput timeline", &series);
+    let pre = mean_rate(&series, Duration::from_secs(15), run.kill);
+    let post =
+        series.iter().filter(|p| p.start >= kill && p.start < kill + Duration::from_secs(40));
+    let min = post.map(|p| p.rate()).fold(f64::INFINITY, f64::min);
+    let tail = mean_rate(&series, total - Duration::from_secs(30), total);
+    f.row("pre_wips", pre, "WIPS");
+    f.row("post_min_wips", min, "WIPS");
+    f.row("tail_wips", tail, "WIPS");
+    (f, [pre, min, tail])
 }
 
-fn dip(out: &SpareFailoverOutcome) -> String {
-    format!(
-        "min {:.1} vs pre {:.1} WIPS ({:.0}% of pre)",
-        out.post_min_rate,
-        out.pre_rate,
-        100.0 * out.post_min_rate / out.pre_rate
-    )
+fn dip(pre: f64, min: f64) -> String {
+    format!("min {min:.1} vs pre {pre:.1} WIPS ({:.0}% of pre)", 100.0 * min / pre)
 }
 
-fn tail(out: &SpareFailoverOutcome) -> String {
-    format!("tail {:.1} vs pre {:.1} WIPS", out.tail_rate, out.pre_rate)
+fn tail(pre: f64, end: f64) -> String {
+    format!("tail {end:.1} vs pre {pre:.1} WIPS")
 }
 
 /// Figure 7 — fail-over onto an up-to-date but **cold** spare backup.
@@ -404,14 +457,10 @@ fn tail(out: &SpareFailoverOutcome) -> String {
 /// throughput drop and more than a minute until peak throughput is
 /// restored — the entire working set must be swapped in.
 fn fig7() -> Figure {
-    let (mut f, out) =
+    let (mut f, [pre, min, end]) =
         spare_figure("F7", "fail-over onto a cold up-to-date spare backup", WarmupStrategy::None);
-    f.check(
-        "cold backup causes a significant throughput drop",
-        out.post_min_rate < out.pre_rate * 0.75,
-        dip(&out),
-    );
-    f.check("throughput eventually recovers", out.tail_rate > out.pre_rate * 0.8, tail(&out));
+    f.check("cold backup causes a significant throughput drop", min < pre * 0.75, dip(pre, min));
+    f.check("throughput eventually recovers", end > pre * 0.8, tail(pre, end));
     f
 }
 
@@ -422,17 +471,13 @@ fn fig7() -> Figure {
 /// to the fact that the most frequently referenced pages are in the
 /// cache."
 fn fig8() -> Figure {
-    let (mut f, out) = spare_figure(
+    let (mut f, [pre, min, end]) = spare_figure(
         "F8",
         "fail-over onto a warm spare (1% query-execution warmup)",
         WarmupStrategy::QueryFraction(0.01),
     );
-    f.check(
-        "failure effect nearly unnoticeable with 1% warmup",
-        out.post_min_rate > out.pre_rate * 0.7,
-        dip(&out),
-    );
-    f.check("steady state restored", out.tail_rate > out.pre_rate * 0.85, tail(&out));
+    f.check("failure effect nearly unnoticeable with 1% warmup", min > pre * 0.7, dip(pre, min));
+    f.check("steady state restored", end > pre * 0.85, tail(pre, end));
     f
 }
 
@@ -445,45 +490,34 @@ fn fig8() -> Figure {
 /// execution — seamless failure handling — while the spare's CPU remains
 /// free for other work.
 fn fig9() -> Figure {
-    let (mut f, out) = spare_figure(
+    let (mut f, [pre, min, end]) = spare_figure(
         "F9",
         "fail-over onto a warm spare (page-id transfer every 100 txns)",
         WarmupStrategy::PageIdTransfer { every_reads: 100 },
     );
-    f.check(
-        "page-id transfer gives seamless failure handling",
-        out.post_min_rate > out.pre_rate * 0.7,
-        dip(&out),
-    );
-    f.check("steady state restored", out.tail_rate > out.pre_rate * 0.85, tail(&out));
+    f.check("page-id transfer gives seamless failure handling", min > pre * 0.7, dip(pre, min));
+    f.check("steady state restored", end > pre * 0.85, tail(pre, end));
     f
 }
 
 /// Runs one abort-rate cell and returns `(total version-abort rate,
-/// update-path version-abort rate)`. The total folds in replica-read
-/// staleness aborts (a routing/refresh property, wall-clock sensitive);
-/// the update-path component is the master concurrency control's own
-/// conflicts — the quantity the tier-1 gate in `tests/abort_gate.rs`
-/// pins.
+/// update-path version-abort rate, lock time-out rate)`. The total folds
+/// in replica-read staleness aborts (a routing/refresh property, wall-
+/// clock sensitive); the update-path component is the master
+/// concurrency control's own conflicts — the quantity the tier-1 gate in
+/// `tests/abort_gate.rs` pins.
 fn abort_cell(
     mix: Mix,
     slaves: usize,
     same_version_routing: bool,
     mode: ConcurrencyMode,
-) -> (f64, f64) {
-    let scale = TpcwScale::small();
+) -> (f64, f64, f64) {
     let mut spec = ClusterSpec::new(tpcw_schema(), TimeScale::new(0.25));
     spec.n_slaves = slaves;
     spec.same_version_routing = same_version_routing;
-    spec.detect_interval = Duration::from_millis(500);
     spec.concurrency = mode;
-    let cluster = DmvCluster::start(spec);
-    let pop = generate(scale, SEED);
-    load_cluster(&cluster, &pop).expect("population loads");
-    cluster.finish_load();
-    let ids = Arc::new(IdAllocator::from_population(scale, &pop));
-    let backend = Backend::Dmv(cluster.session());
-    let cfg = EmulatorConfig {
+    let d = deploy(TpcwScale::small(), spec);
+    d.run(EmulatorConfig {
         mix,
         n_clients: 24,
         think_time: Duration::from_millis(150),
@@ -492,12 +526,11 @@ fn abort_cell(
         retries: 30,
         seed: SEED,
         series_window: Duration::from_secs(2),
-    };
-    let _ = run_emulator(&backend, cluster.clock(), &ids, scale, cfg);
-    let rate = cluster.version_abort_rate();
-    let update_rate = cluster.update_version_abort_rate();
-    cluster.shutdown();
-    (rate, update_rate)
+    });
+    let c = &d.cluster;
+    let rates = (c.version_abort_rate(), c.update_version_abort_rate(), c.lock_timeout_rate());
+    c.shutdown();
+    rates
 }
 
 /// §6.1's text claim — "the read-only transactions aborted due to
@@ -517,8 +550,9 @@ fn abort_rates() -> Figure {
         println!("\n--- {m} concurrency ---");
         for mix in Mix::ALL {
             for slaves in [2usize, 4] {
-                let (rate, update_rate) = abort_cell(mix, slaves, true, mode);
+                let (rate, update_rate, lock_rate) = abort_cell(mix, slaves, true, mode);
                 f.row(format!("{m}.{mix}.{slaves}sl.abort_pct"), rate * 100.0, "%");
+                f.row(format!("{m}.{mix}.{slaves}sl.lock_timeout_pct"), lock_rate * 100.0, "%");
                 f.row(format!("{m}.{mix}.{slaves}sl.update_abort_pct"), update_rate * 100.0, "%");
                 f.check(
                     format!("{m}/{mix}/{slaves} slaves update-path under 2.5%"),
@@ -539,10 +573,13 @@ fn abort_rates() -> Figure {
         }
     }
     println!("\n--- ablation: plain load balancing (no same-version preference) ---");
-    let (ablated, _) = abort_cell(Mix::Ordering, 4, false, ConcurrencyMode::TwoPhase);
-    let (routed, _) = abort_cell(Mix::Ordering, 4, true, ConcurrencyMode::TwoPhase);
+    let (ablated, _, ablated_locks) =
+        abort_cell(Mix::Ordering, 4, false, ConcurrencyMode::TwoPhase);
+    let (routed, _, routed_locks) = abort_cell(Mix::Ordering, 4, true, ConcurrencyMode::TwoPhase);
     f.row("ablation.ordering.4sl.routed_abort_pct", routed * 100.0, "%");
+    f.row("ablation.ordering.4sl.routed_lock_timeout_pct", routed_locks * 100.0, "%");
     f.row("ablation.ordering.4sl.plain_abort_pct", ablated * 100.0, "%");
+    f.row("ablation.ordering.4sl.plain_lock_timeout_pct", ablated_locks * 100.0, "%");
     f.check(
         "version-aware routing does not increase aborts",
         routed <= ablated + 0.01,
@@ -604,7 +641,7 @@ impl Sweep {
         }
     }
 
-    fn deploy(&self, mode: ConcurrencyMode, buffer_budget: BufferBudget) -> crate::DmvDeployment {
+    fn deploy(&self, mode: ConcurrencyMode, buffer_budget: BufferBudget) -> Deployment<DmvCluster> {
         let opts = DmvOptions { slaves: 2, buffer_budget, concurrency: mode, ..Default::default() };
         deploy_dmv(TpcwScale::small(), self.time_scale, opts)
     }
@@ -632,23 +669,17 @@ fn saturation(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
         for clients in [16, 32, 64] {
             let cell =
                 Sweep { n_clients: clients, think_time: Duration::from_millis(25), ..p.clone() };
-            let mut trials: Vec<(EmulatorReport, f64)> = (0..cell.trials)
+            let mut trials: Vec<(EmulatorReport, [f64; 2])> = (0..cell.trials)
                 .map(|_| {
                     let d = cell.deploy(mode, BufferBudget::unbounded());
-                    let report = run_emulator(
-                        &d.backend,
-                        d.clock,
-                        &d.ids,
-                        d.scale,
-                        cell.emulator(Mix::Ordering),
-                    );
-                    let abort_rate = d.cluster.version_abort_rate();
+                    let report = d.run(cell.emulator(Mix::Ordering));
+                    let rates = [d.cluster.version_abort_rate(), d.cluster.lock_timeout_rate()];
                     d.cluster.shutdown();
-                    (report, abort_rate)
+                    (report, rates)
                 })
                 .collect();
             trials.sort_by_key(|(r, _)| r.updates);
-            let (r, abort_rate) = trials.swap_remove(trials.len() / 2);
+            let (r, [abort_rate, lock_rate]) = trials.swap_remove(trials.len() / 2);
             let update_tps = r.updates as f64 / secs(cell.duration);
             let c = format!("{m}.{clients}cl");
             f.row(format!("{c}.wips"), r.wips, "WIPS");
@@ -656,6 +687,7 @@ fn saturation(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
             f.row(format!("{c}.update_p50_ms"), ms(r.update_p50_latency), "ms");
             f.row(format!("{c}.update_p99_ms"), ms(r.update_p99_latency), "ms");
             f.row(format!("{c}.abort_pct"), abort_rate * 100.0, "%");
+            f.row(format!("{c}.lock_timeout_pct"), lock_rate * 100.0, "%");
             f.row(format!("{c}.errors"), r.errors as f64, "count");
             tps.push(update_tps);
         }
@@ -702,8 +734,7 @@ fn ltm(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
 
         let budget = (working_set / 2).max(16);
         let d = p.deploy(mode, BufferBudget::pages(budget as usize, PAGE_SIZE));
-        let r = run_emulator(&d.backend, d.clock, &d.ids, d.scale, p.emulator(Mix::Shopping));
-        let abort_rate = d.cluster.version_abort_rate();
+        let r = d.run(p.emulator(Mix::Shopping));
         let (mut high_water, mut evictions, mut faults, mut pending) = (0u64, 0u64, 0u64, 0u64);
         for (id, node_pending, _) in d.cluster.memory_gauges() {
             let Some(node) = d.cluster.replica(id) else { continue };
@@ -721,7 +752,7 @@ fn ltm(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
         f.row(format!("{m}.update_tps"), r.updates as f64 / secs(p.duration), "1/s");
         f.row(format!("{m}.update_p50_ms"), ms(r.update_p50_latency), "ms");
         f.row(format!("{m}.update_p99_ms"), ms(r.update_p99_latency), "ms");
-        f.row(format!("{m}.abort_pct"), abort_rate * 100.0, "%");
+        abort_rows(&mut f, m, &d.cluster);
         f.row(format!("{m}.high_water_pages"), high_water as f64, "pages");
         f.row(format!("{m}.evictions"), evictions as f64, "count");
         f.row(format!("{m}.faults"), faults as f64, "count");
@@ -817,6 +848,63 @@ pub fn to_json(figures: &[Figure], cores: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warm_at;
+    use dmv_common::stats::{SeriesPoint, ThroughputSeries};
+
+    /// 1 s windows holding `events[i]` events each.
+    fn windows(events: &[u64]) -> Vec<SeriesPoint> {
+        let width = Duration::from_secs(1);
+        let at = |i: usize| width * i as u32;
+        let point = |(i, &events)| SeriesPoint { start: at(i), width, events, mean_latency: width };
+        events.iter().enumerate().map(point).collect()
+    }
+
+    #[test]
+    fn warm_up_ends_at_the_first_of_three_windows_at_ninety_percent_of_pre() {
+        let s = |n: u64| Duration::from_secs(n);
+        let end = s(10);
+        // Windows 2 and 3 are a blip; 5, 6 and 7 hold.
+        let series = windows(&[10, 20, 95, 95, 40, 90, 100, 92, 10, 10]);
+        assert_eq!(warm_at(&series, s(1), 90.0, end), s(5));
+        // The part of the first window after the integration counts.
+        let mid = Duration::from_millis(5_500);
+        assert_eq!(warm_at(&series, mid, 90.0, end), mid);
+        // Two windows left before the end are not three.
+        assert_eq!(warm_at(&series, s(6), 90.0, end), end);
+        // A run that never recovers reports its end.
+        assert_eq!(warm_at(&windows(&[100, 10, 10, 10, 10]), s(1), 90.0, s(5)), s(5));
+    }
+
+    #[test]
+    fn pre_failure_windows_close_by_the_kill() {
+        // The collapse lands in the window the kill falls in.
+        let series = windows(&[50, 100, 100, 100, 0, 0]);
+        let kill = Duration::from_millis(4_300);
+        assert_eq!(mean_rate(&series, Duration::from_secs(1), kill), 100.0);
+        // One more window, and the collapse would count.
+        assert!(mean_rate(&series, Duration::from_secs(1), Duration::from_secs(5)) < 100.0);
+    }
+
+    #[test]
+    fn five_second_buckets_of_one_second_windows_equal_five_second_windows() {
+        let horizon = Duration::from_secs(60);
+        let (fine, coarse) = (
+            ThroughputSeries::new(horizon, Duration::from_secs(1)),
+            ThroughputSeries::new(horizon, BUCKET),
+        );
+        let mut at = Duration::ZERO;
+        for i in 0u64..2_000 {
+            at += Duration::from_micros(1_000 + (i * 7_919) % 50_000);
+            fine.record(at, Duration::from_millis(3));
+            coarse.record(at, Duration::from_millis(3));
+        }
+        assert_eq!(buckets(&fine.points(), BUCKET), coarse.points());
+        let (pre, post) = (Duration::from_secs(15), Duration::from_secs(40));
+        assert_eq!(
+            mean_rate(&buckets(&fine.points(), BUCKET), pre, post),
+            mean_rate(&coarse.points(), pre, post)
+        );
+    }
 
     #[test]
     fn a_saturation_cell_under_six_tenths_of_its_neighbour_fails() {

@@ -1,41 +1,53 @@
 //! # dmv-bench
 //!
 //! Shared harness for the experiment reproductions: deployments of the
-//! DMV cluster and its on-disk baselines, and the fail-over runs several
-//! figures share. [`figs`] turns each paper figure into a function that
-//! returns its rows and verdicts in paper-time units; the `figs` binary
-//! (`cargo xtask figs`) runs them and writes `BENCH_figs.json`.
+//! DMV cluster and its on-disk baselines, and `failover`, the one
+//! driver of every fail-over figure. [`figs`] turns each paper figure
+//! into a function that returns its rows and verdicts in paper-time
+//! units; the `figs` binary (`cargo xtask figs`) runs them and writes
+//! `BENCH_figs.json`.
 
 pub mod figs;
 
 use dmv_common::clock::{sleep_wall, SimClock, TimeScale};
 use dmv_common::config::{BufferBudget, ConcurrencyMode};
+use dmv_common::ids::NodeId;
 use dmv_common::stats::SeriesPoint;
-use dmv_core::cluster::{ClusterSpec, DmvCluster};
+use dmv_core::cluster::{ClusterSpec, DmvCluster, MigrationReport};
 use dmv_core::scheduler::WarmupStrategy;
 use dmv_ondisk::{DiskDb, DiskDbOptions, InnoDbTier};
 use dmv_tpcw::backend::{load_cluster, load_diskdb, load_tier, Backend};
+use dmv_tpcw::emulator::{run_emulator, spawn_emulator, EmulatorConfig, EmulatorReport};
 use dmv_tpcw::interactions::IdAllocator;
 use dmv_tpcw::populate::{generate, TpcwScale};
 use dmv_tpcw::schema::tpcw_schema;
+use dmv_tpcw::Mix;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Seed shared by all experiments (reproducible runs).
 pub const SEED: u64 = 20070625;
 
-/// A deployed DMV system under test.
-pub struct DmvDeployment {
-    /// The cluster.
-    pub cluster: Arc<DmvCluster>,
+/// A deployed tier under test: a [`DmvCluster`], an [`InnoDbTier`] or a
+/// stand-alone [`DiskDb`], and what the emulator needs to drive it.
+pub struct Deployment<T> {
+    /// The tier.
+    pub cluster: Arc<T>,
     /// Workload backend handle.
     pub backend: Backend,
     /// Id allocator continuing from the population.
     pub ids: Arc<IdAllocator>,
     /// Population scale.
     pub scale: TpcwScale,
-    /// Cluster clock.
+    /// The tier's clock.
     pub clock: SimClock,
+}
+
+impl<T> Deployment<T> {
+    /// Runs the TPC-W emulator against the tier to completion.
+    pub fn run(&self, cfg: EmulatorConfig) -> EmulatorReport {
+        run_emulator(&self.backend, self.clock, &self.ids, self.scale, cfg)
+    }
 }
 
 /// Options for [`deploy_dmv`].
@@ -77,7 +89,7 @@ impl Default for DmvOptions {
 }
 
 /// Builds and populates a DMV cluster for TPC-W.
-pub fn deploy_dmv(scale: TpcwScale, time_scale: f64, opts: DmvOptions) -> DmvDeployment {
+pub fn deploy_dmv(scale: TpcwScale, time_scale: f64, opts: DmvOptions) -> Deployment<DmvCluster> {
     let mut spec = ClusterSpec::new(tpcw_schema(), TimeScale::new(time_scale));
     spec.n_slaves = opts.slaves;
     spec.n_spares = opts.spares;
@@ -87,6 +99,12 @@ pub fn deploy_dmv(scale: TpcwScale, time_scale: f64, opts: DmvOptions) -> DmvDep
     spec.n_backends = opts.backends;
     spec.buffer_budget = opts.buffer_budget;
     spec.concurrency = opts.concurrency;
+    deploy(scale, spec)
+}
+
+/// Starts a DMV cluster from `spec`, its monitor polling every 500 ms,
+/// and loads the TPC-W population.
+fn deploy(scale: TpcwScale, mut spec: ClusterSpec) -> Deployment<DmvCluster> {
     spec.detect_interval = Duration::from_millis(500);
     let cluster = DmvCluster::start(spec);
     let pop = generate(scale, SEED);
@@ -95,17 +113,13 @@ pub fn deploy_dmv(scale: TpcwScale, time_scale: f64, opts: DmvOptions) -> DmvDep
     let ids = Arc::new(IdAllocator::from_population(scale, &pop));
     let backend = Backend::Dmv(cluster.session());
     let clock = cluster.clock();
-    DmvDeployment { cluster, backend, ids, scale, clock }
+    Deployment { cluster, backend, ids, scale, clock }
 }
 
 /// Builds and populates a stand-alone on-disk database (the Figure 3
 /// baseline). `buffer_fraction` sizes the buffer pool relative to the
 /// populated page count.
-pub fn deploy_disk(
-    scale: TpcwScale,
-    time_scale: f64,
-    buffer_fraction: f64,
-) -> (Arc<DiskDb>, Backend, Arc<IdAllocator>, SimClock) {
+pub fn deploy_disk(scale: TpcwScale, time_scale: f64, buffer_fraction: f64) -> Deployment<DiskDb> {
     let clock = SimClock::new(TimeScale::new(time_scale));
     // First load with a free clock to learn the page count, then rebuild.
     let pop = generate(scale, SEED);
@@ -135,7 +149,7 @@ pub fn deploy_disk(
     db.prewarm();
     let ids = Arc::new(IdAllocator::from_population(scale, &pop));
     let backend = Backend::Disk(Arc::clone(&db));
-    (db, backend, ids, clock)
+    Deployment { cluster: db, backend, ids, scale, clock }
 }
 
 /// Builds and populates a replicated on-disk tier (the Figure 5
@@ -145,7 +159,7 @@ pub fn deploy_tier(
     time_scale: f64,
     n_actives: usize,
     buffer_pages: usize,
-) -> (Arc<InnoDbTier>, Backend, Arc<IdAllocator>, SimClock) {
+) -> Deployment<InnoDbTier> {
     let clock = SimClock::new(TimeScale::new(time_scale));
     let tier = Arc::new(InnoDbTier::new(
         tpcw_schema(),
@@ -164,7 +178,7 @@ pub fn deploy_tier(
     }
     let ids = Arc::new(IdAllocator::from_population(scale, &pop));
     let backend = Backend::Tier(Arc::clone(&tier));
-    (tier, backend, ids, clock)
+    Deployment { cluster: tier, backend, ids, scale, clock }
 }
 
 /// Prints a throughput/latency series in paper-time units.
@@ -172,219 +186,164 @@ pub fn print_series(title: &str, series: &[SeriesPoint]) {
     println!("\n  {title}");
     println!("  {:>8} {:>12} {:>14}", "t (s)", "WIPS", "latency (ms)");
     for p in series {
-        println!(
-            "  {:>8} {:>12.1} {:>14.1}",
-            p.start.as_secs(),
-            p.rate(),
-            p.mean_latency.as_secs_f64() * 1e3
-        );
+        let ms = p.mean_latency.as_secs_f64() * 1e3;
+        println!("  {:>8} {:>12.1} {ms:>14.1}", p.start.as_secs(), p.rate());
     }
 }
 
-/// Mean rate over the series windows within `[from, to)`.
+/// Mean rate over the series windows that lie within `[from, to]`: they
+/// start at or after `from` and close by `to`, so a window a kill at
+/// `to` falls in is not one.
 pub fn mean_rate(series: &[SeriesPoint], from: Duration, to: Duration) -> f64 {
-    let pts: Vec<&SeriesPoint> =
-        series.iter().filter(|p| p.start >= from && p.start < to).collect();
-    if pts.is_empty() {
-        return 0.0;
+    let within = |p: &&SeriesPoint| p.start >= from && p.start + p.width <= to;
+    let rates: Vec<f64> = series.iter().filter(within).map(SeriesPoint::rate).collect();
+    rates.iter().sum::<f64>() / rates.len().max(1) as f64
+}
+
+/// `series` summed into windows of `width`, a multiple of its own; the
+/// buckets start at multiples of `width`.
+fn buckets(series: &[SeriesPoint], width: Duration) -> Vec<SeriesPoint> {
+    let mut out: Vec<SeriesPoint> = Vec::new();
+    for p in series {
+        let start = width * (p.start.as_nanos() / width.as_nanos()) as u32;
+        match out.last_mut() {
+            Some(b) if b.start == start => {
+                let latency = b.mean_latency * b.events as u32 + p.mean_latency * p.events as u32;
+                b.events += p.events;
+                b.mean_latency = latency.checked_div(b.events as u32).unwrap_or_default();
+            }
+            _ => out.push(SeriesPoint { start, width, ..*p }),
+        }
     }
-    pts.iter().map(|p| p.rate()).sum::<f64>() / pts.len() as f64
+    out
 }
 
-/// First window start at or after `from` whose rate reaches
-/// `threshold`; `None` if never.
-pub fn recovery_time(series: &[SeriesPoint], from: Duration, threshold: f64) -> Option<Duration> {
-    series.iter().find(|p| p.start >= from && p.rate() >= threshold).map(|p| p.start)
+/// When a warm-up that may start at `from` ends: at the first of three
+/// consecutive windows at or above `threshold` (the part of the first
+/// one after `from`), or at `end` if there are never three before it.
+fn warm_at(series: &[SeriesPoint], from: Duration, threshold: f64, end: Duration) -> Duration {
+    let run: Vec<&SeriesPoint> =
+        series.iter().filter(|p| p.start + p.width > from && p.start < end).collect();
+    run.windows(3)
+        .find(|w| w.iter().all(|p| p.rate() >= threshold))
+        .map_or(end, |w| w[0].start.max(from))
 }
 
-/// Phase durations of a stale-backup fail-over (paper Figure 6).
+/// One step of a fail-over experiment. Each stamps the instant it
+/// completes, on the emulator's origin, into `Failover`.
+#[derive(Debug, Clone, Copy)]
+enum Step<'a> {
+    /// Fail-stops a DMV node. Stamps `kill`.
+    Kill(&'a DmvCluster, NodeId),
+    /// Waits (until the run's end at most) for the cluster's own
+    /// `dmv-monitor` to reconfigure around a killed node: a slave
+    /// promoted in a master's place, or the node dropped from the slaves
+    /// and a spare, if any, activated in the same pass. Stamps
+    /// `promoted`.
+    Reconfigured(&'a DmvCluster, NodeId),
+    /// Reintegrates a failed DMV node by selective page transfer
+    /// (§4.4). Stamps `integrated` and records the transfer.
+    Reintegrate(&'a DmvCluster, NodeId),
+    /// Kills the on-disk tier's first active and replays the binlog
+    /// backlog onto its stale spare. Stamps `kill`, `promoted` at the
+    /// replay's start (the on-disk tier has no Recovery stage) and
+    /// `integrated` at its end.
+    Replay(&'a InnoDbTier),
+}
+
+/// One fail-over run: its throughput and its stamps, every instant
+/// counted from the emulator's start. A stamp holds the last step that
+/// set it; one no step set reads the run's end.
+#[derive(Debug)]
+struct Failover {
+    /// Throughput in 1 s windows.
+    series: Vec<SeriesPoint>,
+    /// The run's length.
+    total: Duration,
+    /// The kill.
+    kill: Duration,
+    /// The end of the Recovery stage.
+    promoted: Duration,
+    /// The end of the DB Update stage.
+    integrated: Duration,
+    /// The last reintegration's page transfer.
+    migration: Option<MigrationReport>,
+}
+
+/// Stage lengths of a fail-over onto a stale backup (paper Figure 6).
 #[derive(Debug, Clone, Copy)]
 pub struct FailoverPhases {
-    /// Abort/cleanup + reconfiguration ("Recovery"; DMV-only, §4.2).
+    /// Detection, abort/cleanup and reconfiguration ("Recovery"; §4.2):
+    /// kill → promotion.
     pub recovery: Duration,
     /// Bringing the backup up to date ("DB Update"): log replay for the
     /// on-disk tier, selective page transfer for DMV.
     pub db_update: Duration,
-    /// From integration until throughput regains 90 % of the pre-failure
-    /// level ("Cache Warmup").
+    /// From integration until throughput holds 90 % of the pre-failure
+    /// level ("Cache Warmup"; `warm_at`).
     pub cache_warmup: Duration,
-    /// Total fail-over time (kill → sustained recovery).
+    /// Kill → warm.
     pub total: Duration,
 }
 
-/// Result of one stale-backup fail-over run.
-pub struct StaleFailoverRun {
-    /// Throughput series over the whole run.
-    pub series: Vec<SeriesPoint>,
-    /// Pre-failure WIPS.
-    pub pre_rate: f64,
-    /// Phase breakdown.
-    pub phases: FailoverPhases,
-    /// Paper time of the kill.
-    pub kill_at: Duration,
+impl Failover {
+    /// Stage lengths against a pre-failure rate of `pre`.
+    fn phases(&self, pre: f64) -> FailoverPhases {
+        let warm = warm_at(&self.series, self.integrated, pre * 0.9, self.total);
+        FailoverPhases {
+            recovery: self.promoted.saturating_sub(self.kill),
+            db_update: self.integrated.saturating_sub(self.promoted),
+            cache_warmup: warm.saturating_sub(self.integrated),
+            total: warm.saturating_sub(self.kill),
+        }
+    }
 }
 
-fn shopping_cfg(total: Duration, window: Duration) -> dmv_tpcw::emulator::EmulatorConfig {
-    dmv_tpcw::emulator::EmulatorConfig {
-        mix: dmv_tpcw::Mix::Shopping,
+/// Runs the shopping mix (24 clients, 200 ms think time) against `d` for
+/// `total` paper time and takes `steps` in order, each no earlier than
+/// its instant after the emulator's start.
+fn failover<T>(d: &Deployment<T>, total: Duration, steps: &[(Duration, Step<'_>)]) -> Failover {
+    let cfg = EmulatorConfig {
+        mix: Mix::Shopping,
         n_clients: 24,
         think_time: Duration::from_millis(200),
         duration: total,
         warmup: Duration::ZERO,
         retries: 30,
         seed: SEED,
-        series_window: window,
+        series_window: Duration::from_secs(1),
+    };
+    let handle = spawn_emulator(&d.backend, d.clock, &d.ids, d.scale, cfg);
+    let now = || d.clock.now_paper().saturating_sub(handle.start());
+    let wait = |until: Duration, done: &dyn Fn() -> bool| {
+        while now() < until && !done() {
+            sleep_wall(Duration::from_millis(1));
+        }
+    };
+    let (mut kill, mut promoted, mut integrated, mut migration) = (total, total, total, None);
+    for &(at, step) in steps {
+        wait(at, &|| false);
+        match step {
+            Step::Kill(c, id) => {
+                c.kill_replica(id);
+                kill = now();
+            }
+            Step::Reconfigured(c, id) => {
+                wait(total, &|| c.master(0).id() != id && !c.slave_ids().contains(&id));
+                promoted = now();
+            }
+            Step::Reintegrate(c, id) => {
+                migration = Some(c.reintegrate(id).expect("the node reintegrates"));
+                integrated = now();
+            }
+            Step::Replay(tier) => {
+                tier.kill_active(0);
+                (kill, promoted) = (now(), now());
+                tier.failover().expect("the spare replays its backlog");
+                integrated = now();
+            }
+        }
     }
-}
-
-/// Sleeps until `clock` reaches `until` paper time.
-pub(crate) fn wait_paper(clock: SimClock, until: Duration) {
-    while clock.now_paper() < until {
-        sleep_wall(Duration::from_millis(5));
-    }
-}
-
-/// Figure 5(a,b) baseline: replicated on-disk tier (2 actives + 1 stale
-/// passive spare), one active killed mid-run, spare promoted by binlog
-/// replay from disk.
-pub fn innodb_stale_failover(
-    time_scale: f64,
-    kill_at: Duration,
-    total: Duration,
-) -> StaleFailoverRun {
-    let scale = TpcwScale::small();
-    let (tier, backend, ids, clock) = deploy_tier(scale, time_scale, 2, 400);
-    let handle = dmv_tpcw::emulator::spawn_emulator(
-        &backend,
-        clock,
-        &ids,
-        scale,
-        shopping_cfg(total, Duration::from_secs(10)),
-    );
-    wait_paper(clock, kill_at);
-    tier.kill_active(0);
-    let breakdown = tier.failover().expect("failover succeeds");
-    let failover_done = clock.now_paper();
-    let report = handle.join();
-    let pre_rate = mean_rate(&report.series, Duration::from_secs(20), kill_at);
-    let recovered_at =
-        recovery_time(&report.series, failover_done, pre_rate * 0.9).unwrap_or(total);
-    let phases = FailoverPhases {
-        recovery: breakdown.recovery,
-        db_update: breakdown.db_update,
-        cache_warmup: recovered_at.saturating_sub(failover_done),
-        total: recovered_at.saturating_sub(kill_at),
-    };
-    StaleFailoverRun { series: report.series, pre_rate, phases, kill_at }
-}
-
-/// Figure 5(c,d): DMV tier with a master, two active slaves and one
-/// 30-minute-stale backup; the master is killed (worst case, including
-/// master reconfiguration), a slave is promoted and the stale backup is
-/// reintegrated via selective page transfer.
-pub fn dmv_stale_failover(time_scale: f64, kill_at: Duration, total: Duration) -> StaleFailoverRun {
-    let scale = TpcwScale::small();
-    let d = deploy_dmv(scale, time_scale, DmvOptions { slaves: 3, ..Default::default() });
-    // Make one slave the "stale backup": it fails at t≈0 with its
-    // baseline checkpoint and sits out the first part of the run.
-    let stale = d.cluster.slave_ids()[2];
-    d.cluster.kill_replica(stale);
-    d.cluster.detect_and_reconfigure();
-
-    let handle = dmv_tpcw::emulator::spawn_emulator(
-        &d.backend,
-        d.clock,
-        &d.ids,
-        scale,
-        shopping_cfg(total, Duration::from_secs(10)),
-    );
-    wait_paper(d.clock, kill_at);
-    let master = d.cluster.master(0).id();
-    d.cluster.kill_replica(master);
-    let t_kill = d.clock.now_paper();
-    // Recovery phase: detection + discard of partially propagated
-    // transactions + slave promotion.
-    d.cluster.detect_and_reconfigure();
-    let t_promoted = d.clock.now_paper();
-    // DB update phase: reintegrate the stale backup as the new slave.
-    let report = d.cluster.reintegrate(stale).expect("stale backup integrates");
-    let t_integrated = d.clock.now_paper();
-    let emu = handle.join();
-    d.cluster.shutdown();
-
-    let pre_rate = mean_rate(&emu.series, Duration::from_secs(20), kill_at);
-    let recovered_at = recovery_time(&emu.series, t_integrated, pre_rate * 0.9).unwrap_or(total);
-    let phases = FailoverPhases {
-        recovery: t_promoted.saturating_sub(t_kill),
-        db_update: report.duration,
-        cache_warmup: recovered_at.saturating_sub(t_integrated),
-        total: recovered_at.saturating_sub(kill_at),
-    };
-    StaleFailoverRun { series: emu.series, pre_rate, phases, kill_at }
-}
-
-/// Outcome of a spare-backup fail-over run (Figures 7–9 share this
-/// harness; only the warmup strategy differs).
-#[derive(Debug)]
-pub struct SpareFailoverOutcome {
-    /// Full-run throughput series.
-    pub series: Vec<SeriesPoint>,
-    /// Mean WIPS before the failure.
-    pub pre_rate: f64,
-    /// Minimum windowed WIPS in the post-failure interval.
-    pub post_min_rate: f64,
-    /// Mean WIPS over the tail of the run (after recovery should have
-    /// completed).
-    pub tail_rate: f64,
-    /// Paper time of the kill.
-    pub kill_at: Duration,
-}
-
-/// Runs the up-to-date-backup fail-over experiment (paper §6.3, cold /
-/// warm backup cases): master + 1 active slave + 1 spare; the active
-/// slave is killed mid-run and the spare is activated. The spare starts
-/// with a cold cache; `warmup` determines whether and how it is warmed
-/// during normal operation.
-pub fn spare_failover_experiment(warmup: WarmupStrategy) -> SpareFailoverOutcome {
-    let time_scale = 0.25;
-    let scale = TpcwScale::small_large(); // the paper's larger 400K-customer config, 1/100
-    let d = deploy_dmv(
-        scale,
-        time_scale,
-        DmvOptions { slaves: 1, spares: 1, warmup, ..Default::default() },
-    );
-    // The spare subscribed to the stream but has a cold buffer cache.
-    let spare_id = d.cluster.spare_ids()[0];
-    d.cluster.replica(spare_id).expect("spare exists").evict_all();
-
-    let kill_at = Duration::from_secs(60);
-    let total = Duration::from_secs(140);
-    let cfg = dmv_tpcw::emulator::EmulatorConfig {
-        mix: dmv_tpcw::Mix::Shopping,
-        n_clients: 24,
-        think_time: Duration::from_millis(200),
-        duration: total,
-        warmup: Duration::ZERO,
-        retries: 30,
-        seed: SEED,
-        series_window: Duration::from_secs(5),
-    };
-    let handle = dmv_tpcw::emulator::spawn_emulator(&d.backend, d.clock, &d.ids, scale, cfg);
-    // Kill the active slave at the scheduled paper time.
-    let victim = d.cluster.slave_ids()[0];
-    wait_paper(d.clock, kill_at);
-    d.cluster.kill_replica(victim);
-    let report = handle.join();
-    d.cluster.shutdown();
-
-    let pre_rate = mean_rate(&report.series, Duration::from_secs(15), kill_at);
-    let post: Vec<f64> = report
-        .series
-        .iter()
-        .filter(|p| p.start >= kill_at && p.start < kill_at + Duration::from_secs(40))
-        .map(SeriesPoint::rate)
-        .collect();
-    let post_min_rate = post.iter().copied().fold(f64::INFINITY, f64::min);
-    let tail_rate = mean_rate(&report.series, total - Duration::from_secs(30), total);
-    SpareFailoverOutcome { series: report.series, pre_rate, post_min_rate, tail_rate, kill_at }
+    let series = handle.join().series;
+    Failover { series, total, kill, promoted, integrated, migration }
 }

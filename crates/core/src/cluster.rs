@@ -472,8 +472,10 @@ impl DmvCluster {
     }
 
     /// One failure-detector sweep: finds newly dead replicas and runs the
-    /// §4.1–4.3 reconfiguration. Public so experiments can force
-    /// immediate detection instead of waiting out the poll interval.
+    /// §4.1–4.3 reconfiguration. The `dmv-monitor` thread runs it every
+    /// `detect_interval`; it is public for the callers that must not
+    /// wait out the poll: the DST harness's `detect` event, tests and
+    /// the `failover_drill` example.
     pub fn detect_and_reconfigure(&self) {
         let mut handled = self.handled_failures.lock();
         let dead: Vec<(NodeId, bool)> = {
@@ -569,6 +571,12 @@ impl DmvCluster {
     /// aborts that [`DmvCluster::version_abort_rate`] also counts.
     pub fn update_version_abort_rate(&self) -> f64 {
         self.abort_rate(|s| s.update_version_aborts.get())
+    }
+
+    /// Lock time-out abort rate across schedulers: attempts that waited
+    /// out `lock_timeout` on a page lock (`DmvError::Deadlock`; 2PL only).
+    pub fn lock_timeout_rate(&self) -> f64 {
+        self.abort_rate(|s| s.deadlock_aborts.get())
     }
 
     /// `aborts` summed across schedulers, per attempt.

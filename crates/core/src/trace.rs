@@ -17,8 +17,9 @@
 //!   harness can attribute them to the operation it just issued;
 //! * replica promotion ([`TraceEvent::Promoted`]) and queue cleanup
 //!   ([`TraceEvent::DiscardedAbove`]) fire on whichever thread runs
-//!   reconfiguration — the harness's own thread when it calls
-//!   `detect_and_reconfigure` directly.
+//!   reconfiguration: the cluster's `dmv-monitor` thread, or the caller
+//!   of `detect_and_reconfigure` (the DST harness's `detect` event and
+//!   tests).
 //!
 //! When no tap is installed the cost is one shared-lock read per
 //! operation; the replication stream (enqueue) emits nothing.

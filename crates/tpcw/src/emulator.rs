@@ -74,8 +74,10 @@ pub struct EmulatorReport {
     pub update_p50_latency: Duration,
     /// 99th percentile latency of update-class interactions only.
     pub update_p99_latency: Duration,
-    /// Full-run throughput series (window start is relative to the run
-    /// start, i.e. including warm-up).
+    /// Full-run throughput series, one window per `series_window`,
+    /// warm-up included: each interaction counts in the window of its
+    /// completion, measured from [`EmulatorHandle::start`]. The
+    /// fail-over experiments stamp their steps on the same origin.
     pub series: Vec<SeriesPoint>,
 }
 
@@ -93,9 +95,16 @@ pub struct EmulatorHandle {
     threads: Vec<std::thread::JoinHandle<()>>,
     shared: Arc<Shared>,
     cfg: EmulatorConfig,
+    start: Duration,
 }
 
 impl EmulatorHandle {
+    /// The instant, on the clock the emulator was given, that its run
+    /// and its series count from.
+    pub fn start(&self) -> Duration {
+        self.start
+    }
+
     /// Waits for all clients to finish and builds the report.
     pub fn join(self) -> EmulatorReport {
         for t in self.threads {
@@ -259,7 +268,7 @@ pub fn spawn_emulator(
             .expect("spawn client");
         threads.push(handle);
     }
-    EmulatorHandle { threads, shared, cfg }
+    EmulatorHandle { threads, shared, cfg, start }
 }
 
 /// Runs the emulator to completion.
