@@ -518,14 +518,14 @@ fn bench_reuse(c: &mut Criterion) {
 
 fn bench_locks(c: &mut Criterion) {
     let mut g = c.benchmark_group("locks");
-    let mgr = LockManager::new(Duration::from_millis(100));
+    let mgr = LockManager::default();
     let txn = TxnId::new(NodeId(0), 1);
     g.bench_function("acquire_release_exclusive_8pages", |b| {
         b.iter(|| {
             for p in 0..8u32 {
                 mgr.acquire(txn, PageId::heap(TableId(0), p), LockMode::Exclusive).unwrap();
             }
-            mgr.release_all(txn);
+            mgr.release_all(txn, (0..8u32).map(|p| PageId::heap(TableId(0), p)));
         })
     });
     g.finish();

@@ -114,7 +114,7 @@ pub const ALL: [(&str, Run); 10] = [
 pub fn smoke() -> Vec<Figure> {
     let modes = [ConcurrencyMode::MvccCow];
     let mut f = Figure::new("F6", "DMV fail-over onto a stale backup at smoke size");
-    let run = dmv_stale(0.25, Duration::from_secs(20), Duration::from_secs(40));
+    let run = dmv_stale(0.1, Duration::from_secs(20), Duration::from_secs(50));
     stale_rows(&mut f, "dmv", &run);
     stages_ordered(&mut f, &run);
     vec![saturation(&Sweep::smoke(), &modes), ltm(&Sweep::smoke(), &modes), f]
@@ -135,11 +135,10 @@ fn mode_name(mode: ConcurrencyMode) -> &'static str {
     }
 }
 
-/// A DMV cell's abort rows: version conflicts and 2PL lock time-outs, in
-/// % of attempts.
+/// A DMV cell's abort rows, in % of attempts: version conflicts and 2PL deadlocks.
 fn abort_rows(f: &mut Figure, cell: &str, cluster: &DmvCluster) {
     f.row(format!("{cell}.abort_pct"), cluster.version_abort_rate() * 100.0, "%");
-    f.row(format!("{cell}.lock_timeout_pct"), cluster.lock_timeout_rate() * 100.0, "%");
+    f.row(format!("{cell}.deadlock_pct"), cluster.deadlock_rate() * 100.0, "%");
 }
 
 /// Figure 3 — throughput of the DMV in-memory tier (1, 2, 4, 8 slaves)
@@ -501,7 +500,7 @@ fn fig9() -> Figure {
 }
 
 /// Runs one abort-rate cell and returns `(total version-abort rate,
-/// update-path version-abort rate, lock time-out rate)`. The total folds
+/// update-path version-abort rate, deadlock rate)`. The total folds
 /// in replica-read staleness aborts (a routing/refresh property, wall-
 /// clock sensitive); the update-path component is the master
 /// concurrency control's own conflicts — the quantity the tier-1 gate in
@@ -528,7 +527,7 @@ fn abort_cell(
         series_window: Duration::from_secs(2),
     });
     let c = &d.cluster;
-    let rates = (c.version_abort_rate(), c.update_version_abort_rate(), c.lock_timeout_rate());
+    let rates = (c.version_abort_rate(), c.update_version_abort_rate(), c.deadlock_rate());
     c.shutdown();
     rates
 }
@@ -539,10 +538,10 @@ fn abort_cell(
 /// ablation: the scheduler policy that keeps aborts low (DESIGN.md
 /// ablation 2).
 ///
-/// Each mix × slave count runs under both concurrency protocols. The
-/// update-path component is bounded in both modes; the *total* rate,
-/// the figure §6.1 claims, is bounded under MvccCow. The seconds-long
-/// tier-1 slice of the same bounds is `tests/abort_gate.rs`.
+/// Each mix × slave count runs under both concurrency protocols, and both
+/// the update-path component and the *total* rate, the figure §6.1
+/// claims, are bounded in both. The seconds-long tier-1 slice of the
+/// same bounds is `tests/abort_gate.rs`.
 fn abort_rates() -> Figure {
     let mut f = Figure::new("T1", "version-conflict aborts (< 2.5% in all paper experiments)");
     for mode in [ConcurrencyMode::TwoPhase, ConcurrencyMode::MvccCow] {
@@ -550,36 +549,26 @@ fn abort_rates() -> Figure {
         println!("\n--- {m} concurrency ---");
         for mix in Mix::ALL {
             for slaves in [2usize, 4] {
-                let (rate, update_rate, lock_rate) = abort_cell(mix, slaves, true, mode);
+                let (rate, update_rate, deadlock_rate) = abort_cell(mix, slaves, true, mode);
                 f.row(format!("{m}.{mix}.{slaves}sl.abort_pct"), rate * 100.0, "%");
-                f.row(format!("{m}.{mix}.{slaves}sl.lock_timeout_pct"), lock_rate * 100.0, "%");
+                f.row(format!("{m}.{mix}.{slaves}sl.deadlock_pct"), deadlock_rate * 100.0, "%");
                 f.row(format!("{m}.{mix}.{slaves}sl.update_abort_pct"), update_rate * 100.0, "%");
-                f.check(
-                    format!("{m}/{mix}/{slaves} slaves update-path under 2.5%"),
-                    update_rate < 0.025,
-                    format!("{:.2}%", update_rate * 100.0),
-                );
-                // The 2PL totals are recorded but not gated: its lock-
-                // timeout retries inflate staleness windows at high
-                // wall-clock load.
-                if mode == ConcurrencyMode::MvccCow {
-                    f.check(
-                        format!("{m}/{mix}/{slaves} slaves total under 2.5%"),
-                        rate < 0.025,
-                        format!("{:.2}%", rate * 100.0),
-                    );
+                for (what, r) in [("update-path", update_rate), ("total", rate)] {
+                    let name = format!("{m}/{mix}/{slaves} slaves {what} under 2.5%");
+                    f.check(name, r < 0.025, format!("{:.2}%", r * 100.0));
                 }
             }
         }
     }
     println!("\n--- ablation: plain load balancing (no same-version preference) ---");
-    let (ablated, _, ablated_locks) =
+    let (ablated, _, ablated_deadlocks) =
         abort_cell(Mix::Ordering, 4, false, ConcurrencyMode::TwoPhase);
-    let (routed, _, routed_locks) = abort_cell(Mix::Ordering, 4, true, ConcurrencyMode::TwoPhase);
+    let (routed, _, routed_deadlocks) =
+        abort_cell(Mix::Ordering, 4, true, ConcurrencyMode::TwoPhase);
     f.row("ablation.ordering.4sl.routed_abort_pct", routed * 100.0, "%");
-    f.row("ablation.ordering.4sl.routed_lock_timeout_pct", routed_locks * 100.0, "%");
+    f.row("ablation.ordering.4sl.routed_deadlock_pct", routed_deadlocks * 100.0, "%");
     f.row("ablation.ordering.4sl.plain_abort_pct", ablated * 100.0, "%");
-    f.row("ablation.ordering.4sl.plain_lock_timeout_pct", ablated_locks * 100.0, "%");
+    f.row("ablation.ordering.4sl.plain_deadlock_pct", ablated_deadlocks * 100.0, "%");
     f.check(
         "version-aware routing does not increase aborts",
         routed <= ablated + 0.01,
@@ -658,9 +647,7 @@ fn saturation_holds(update_tps: &[f64]) -> bool {
 /// The saturation sweep: the ordering mix on 2 slaves at 25 ms think
 /// time and 16, 32 and 64 clients, each cell the median of
 /// `p.trials` runs by update count (the median discards a run that
-/// caught a scheduler stall). Under 2PL the 64-client cell burns the
-/// lock timeout and retries until throughput drops below the lighter
-/// cells; only the MvccCow sweep is gated.
+/// caught a scheduler stall). Both modes' sweeps are gated.
 fn saturation(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
     let mut f = Figure::new("saturation", "ordering at 25 ms think, rising offered load");
     for &mode in modes {
@@ -673,13 +660,13 @@ fn saturation(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
                 .map(|_| {
                     let d = cell.deploy(mode, BufferBudget::unbounded());
                     let report = d.run(cell.emulator(Mix::Ordering));
-                    let rates = [d.cluster.version_abort_rate(), d.cluster.lock_timeout_rate()];
+                    let rates = [d.cluster.version_abort_rate(), d.cluster.deadlock_rate()];
                     d.cluster.shutdown();
                     (report, rates)
                 })
                 .collect();
             trials.sort_by_key(|(r, _)| r.updates);
-            let (r, [abort_rate, lock_rate]) = trials.swap_remove(trials.len() / 2);
+            let (r, [abort_rate, deadlock_rate]) = trials.swap_remove(trials.len() / 2);
             let update_tps = r.updates as f64 / secs(cell.duration);
             let c = format!("{m}.{clients}cl");
             f.row(format!("{c}.wips"), r.wips, "WIPS");
@@ -687,18 +674,16 @@ fn saturation(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
             f.row(format!("{c}.update_p50_ms"), ms(r.update_p50_latency), "ms");
             f.row(format!("{c}.update_p99_ms"), ms(r.update_p99_latency), "ms");
             f.row(format!("{c}.abort_pct"), abort_rate * 100.0, "%");
-            f.row(format!("{c}.lock_timeout_pct"), lock_rate * 100.0, "%");
+            f.row(format!("{c}.deadlock_pct"), deadlock_rate * 100.0, "%");
             f.row(format!("{c}.errors"), r.errors as f64, "count");
             tps.push(update_tps);
         }
-        if mode == ConcurrencyMode::MvccCow {
-            let shape: Vec<String> = tps.iter().map(|t| format!("{t:.1}")).collect();
-            f.check(
-                format!("{m}: update throughput monotone to plateau (no cell under 0.6× its lower-load neighbour)"),
-                saturation_holds(&tps),
-                format!("upd/s at 16/32/64 clients: {}", shape.join(", ")),
-            );
-        }
+        let shape: Vec<String> = tps.iter().map(|t| format!("{t:.1}")).collect();
+        f.check(
+            format!("{m}: update throughput monotone to plateau (no cell under 0.6× its lower-load neighbour)"),
+            saturation_holds(&tps),
+            format!("upd/s at 16/32/64 clients: {}", shape.join(", ")),
+        );
     }
     f
 }
@@ -716,8 +701,7 @@ fn ltm_bounded(high_water_pages: u64, budget_pages: u64) -> bool {
 /// node's buffer budget clamped to half the populated working set, so
 /// the run only completes by evicting clean pages and faulting them back
 /// while epoch GC keeps the pending-diff queues drained. A first
-/// unbounded deployment measures the working set. Only the MvccCow cell
-/// is gated.
+/// unbounded deployment measures the working set. Both modes are gated.
 fn ltm(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
     let mut f = Figure::new("ltm", "shopping under a half-working-set buffer budget");
     for &mode in modes {
@@ -757,13 +741,11 @@ fn ltm(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
         f.row(format!("{m}.evictions"), evictions as f64, "count");
         f.row(format!("{m}.faults"), faults as f64, "count");
         f.row(format!("{m}.max_pending_bytes"), pending as f64, "B");
-        if mode == ConcurrencyMode::MvccCow {
-            f.check(
-                format!("{m}: resident high water within budget + budget/4 + 64 pages"),
-                ltm_bounded(high_water, budget),
-                format!("high water {high_water} pages, budget {budget} of {working_set}"),
-            );
-        }
+        f.check(
+            format!("{m}: resident high water within budget + budget/4 + 64 pages"),
+            ltm_bounded(high_water, budget),
+            format!("high water {high_water} pages, budget {budget} of {working_set}"),
+        );
     }
     f
 }

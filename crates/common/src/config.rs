@@ -171,12 +171,13 @@ impl Default for TcpConfig {
 /// lock is taken and the install validates first-committer-wins over
 /// overlapping page sets, so disjoint writers never wait on each other
 /// and conflicts surface as retryable `VersionConflict` aborts instead
-/// of lock-timeout spirals. Both produce the same committed histories
+/// of lock waits. Both produce the same committed histories
 /// (asserted by `tests/engine_differential.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ConcurrencyMode {
     /// Per-page two-phase locks taken before a page is touched, with
-    /// lock-wait timeouts (the paper's protocol, and the default).
+    /// deadlocks found when they form (the paper's protocol, and the
+    /// default).
     #[default]
     TwoPhase,
     /// No locks: first-committer-wins validation at install, through a

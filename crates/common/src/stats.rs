@@ -251,7 +251,7 @@ pub struct TxnStats {
     /// isolates the concurrency-control component from replica-read
     /// routing staleness, which no master protocol controls.
     pub update_version_aborts: Counter,
-    /// Aborts due to deadlock / lock timeouts.
+    /// Aborts that broke a 2PL deadlock (`DmvError::Deadlock`).
     pub deadlock_aborts: Counter,
     /// Aborts due to node failure during execution.
     pub failure_aborts: Counter,

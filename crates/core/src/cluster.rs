@@ -66,8 +66,6 @@ pub struct ClusterSpec {
     /// Page-in latency for a non-resident page of an in-memory replica
     /// (the mmap fault behind the cache-warmup effects).
     pub fault_latency: Duration,
-    /// Lock wait timeout (wall time).
-    pub lock_timeout: Duration,
     /// Bound on a master's wait for replication acks (wall time). A
     /// dead or unreachable target is abandoned after this long; the
     /// failure detector reconfigures it away.
@@ -111,7 +109,6 @@ impl ClusterSpec {
             disk: DiskProfile::commodity_2007(),
             cpu: CpuProfile::athlon_2007(),
             fault_latency: Duration::from_micros(8000),
-            lock_timeout: Duration::from_millis(300),
             ack_timeout: Duration::from_secs(2),
             warmup: WarmupStrategy::None,
             checkpoint_period: None,
@@ -213,7 +210,6 @@ impl DmvCluster {
                         cpu: spec.cpu,
                         clock,
                         buffer_pages: BACKEND_BUFFER_PAGES,
-                        lock_timeout: spec.lock_timeout,
                     },
                 ))
             })
@@ -281,7 +277,6 @@ impl DmvCluster {
                 clock: self.clock,
                 cpu: self.spec.cpu,
                 fault_latency: self.spec.fault_latency,
-                lock_timeout: self.spec.lock_timeout,
                 ack_timeout: self.spec.ack_timeout,
                 buffer_budget: self.spec.buffer_budget,
                 concurrency: self.spec.concurrency,
@@ -573,9 +568,9 @@ impl DmvCluster {
         self.abort_rate(|s| s.update_version_aborts.get())
     }
 
-    /// Lock time-out abort rate across schedulers: attempts that waited
-    /// out `lock_timeout` on a page lock (`DmvError::Deadlock`; 2PL only).
-    pub fn lock_timeout_rate(&self) -> f64 {
+    /// Deadlock abort rate across schedulers: attempts whose page lock
+    /// request would have closed a wait-for cycle (`DmvError::Deadlock`).
+    pub fn deadlock_rate(&self) -> f64 {
         self.abort_rate(|s| s.deadlock_aborts.get())
     }
 

@@ -1,15 +1,15 @@
 //! Contention management: conflict-heat tracking, hot-class update
 //! serialization and the deterministic retry backoff.
 //!
-//! The copy-on-write MVCC master has no lock-timeout collapse, but at
-//! saturation its first-committer-wins validation turns every hot-page
-//! race into an abort and a blind retry — wasted work that climbs with
-//! offered load. This module is the feedback loop that keeps the
-//! high-load cells monotone (EXPERIMENTS.md "Overload ablation": with
-//! it off, 64-client aborts go from 4 % to 15 %):
+//! At saturation the copy-on-write MVCC master's first-committer-wins
+//! validation turns every hot-page race into an abort and a blind retry —
+//! wasted work that climbs with offered load. (Under 2PL the page locks
+//! already make writers take turns.) This module is the feedback loop
+//! that keeps the high-load cells monotone (EXPERIMENTS.md "Overload
+//! ablation": with it off, 64-client aborts go from 4 % to 15 %):
 //!
-//! 1. **Conflict-heat tracker** — every MVCC validation failure and
-//!    every 2PL lock timeout deposits one unit of heat on the conflicted
+//! 1. **Conflict-heat tracker** — every MVCC validation failure, the
+//!    heat map's only feed, deposits one unit of heat on the conflicted
 //!    table; heat decays exponentially with half-life
 //!    [`HEAT_HALF_LIFE`] in *paper* time, so decay is identical at
 //!    every `TimeScale`. Heat therefore approximates the current
@@ -81,7 +81,7 @@ impl Heat {
 
 /// The shared contention manager: one per cluster, consulted by every
 /// scheduler (hot-class serialization, backoff delays) and fed by every
-/// master (validation failures) and scheduler (lock timeouts).
+/// master (validation failures).
 pub struct ContentionManager {
     clock: SimClock,
     heat: Mutex<HashMap<TableId, Heat>>,
@@ -111,9 +111,7 @@ impl ContentionManager {
     }
 
     /// Records one conflict on `table`: an MVCC first-committer-wins
-    /// validation failure on one of its pages (reported by the master),
-    /// or a 2PL lock timeout of a transaction that declared it (reported
-    /// by the scheduler, since lock timeouts carry no page id).
+    /// validation failure on one of its pages, reported by the master.
     pub fn record_table_conflict(&self, table: TableId) {
         let now = self.clock.now_paper();
         self.heat.lock().entry(table).or_default().record(now);

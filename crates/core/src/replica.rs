@@ -42,8 +42,6 @@ pub struct ReplicaConfig {
     pub cpu: CpuProfile,
     /// Page-in latency (mmap fault) for non-resident pages.
     pub fault_latency: Duration,
-    /// Lock wait timeout (wall).
-    pub lock_timeout: Duration,
     /// Bound on waiting for replication acks / missing versions (wall).
     pub ack_timeout: Duration,
     /// Resident-byte budget for this node's page store (see
@@ -61,7 +59,6 @@ impl Default for ReplicaConfig {
             clock: SimClock::default(),
             cpu: CpuProfile::zero(),
             fault_latency: Duration::ZERO,
-            lock_timeout: Duration::from_millis(250),
             ack_timeout: Duration::from_secs(2),
             buffer_budget: BufferBudget::unbounded(),
             concurrency: ConcurrencyMode::TwoPhase,
@@ -189,7 +186,6 @@ impl ReplicaNode {
                 residency,
                 cpu: cfg.cpu,
                 clock: cfg.clock,
-                lock_timeout: cfg.lock_timeout,
                 concurrency: cfg.concurrency,
             },
         ));
@@ -488,7 +484,7 @@ impl ReplicaNode {
         // Commit point: validation, then install of the private copy-on-
         // write images. Under 2PL the page locks make validation pass; an
         // MVCC conflict aborts here — no version bump, nothing broadcast —
-        // as a retryable VersionConflict (no lock timeout was burned).
+        // as a retryable VersionConflict.
         if let Err(e) = txn.mvcc_install() {
             drop(seq_guard);
             txn.abort();

@@ -332,14 +332,6 @@ impl Scheduler {
                     // total.
                     self.stats.update_version_aborts.inc();
                 }
-                if matches!(e, DmvError::Deadlock(_)) {
-                    // 2PL lock timeouts carry no page id; attribute the
-                    // heat to the transaction's declared conflict-class
-                    // tables (the lock it timed out on is one of them).
-                    for t in tables {
-                        self.contention.record_table_conflict(*t);
-                    }
-                }
                 self.count_abort(&e);
                 self.emit(|| TraceEvent::UpdateAborted {
                     scheduler: self.id,
@@ -371,18 +363,13 @@ impl Scheduler {
     }
 
     fn count_abort(&self, e: &DmvError) {
-        match e {
-            DmvError::VersionConflict { .. } => {
-                self.stats.version_aborts.inc();
-            }
-            DmvError::Deadlock(_) => {
-                self.stats.deadlock_aborts.inc();
-            }
-            DmvError::NodeFailed(_) | DmvError::NoSuchNode(_) => {
-                self.stats.failure_aborts.inc();
-            }
-            _ => {}
-        }
+        let aborts = match e {
+            DmvError::VersionConflict { .. } => &self.stats.version_aborts,
+            DmvError::Deadlock(_) => &self.stats.deadlock_aborts,
+            DmvError::NodeFailed(_) | DmvError::NoSuchNode(_) => &self.stats.failure_aborts,
+            _ => return,
+        };
+        aborts.inc();
     }
 
     /// Picks the slave for a read tagged `tag`: the fewest reads in

@@ -198,7 +198,6 @@ fn run_schedule_inner(s: &Schedule, mode: ConcurrencyMode, mutate_gc: bool) -> R
     // monitor far beyond any run.
     spec.detect_interval = Duration::from_secs(3600);
     spec.ack_timeout = Duration::from_millis(120);
-    spec.lock_timeout = Duration::from_millis(150);
     spec.concurrency = mode;
     if cfg.workload == Workload::Bank && cfg.n_classes >= 2 {
         spec.conflict_classes = Some(vec![vec![T_ACCT], vec![T_CTR]]);

@@ -61,7 +61,7 @@ impl ReadGate for NoopGate {
 const CPU_PERMITS: usize = 2;
 
 /// Construction options for [`MemDb`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct MemDbOptions {
     /// Node id embedded in transaction ids.
     pub node: NodeId,
@@ -71,8 +71,6 @@ pub struct MemDbOptions {
     pub cpu: CpuProfile,
     /// Clock used to charge modeled costs.
     pub clock: SimClock,
-    /// Wall-clock lock wait timeout (deadlock resolution).
-    pub lock_timeout: Duration,
     /// How update transactions find conflicts: the paper's per-page 2PL
     /// locks, or first-committer-wins validation at install (see
     /// [`crate::mvcc`]). Both write private page copies.
@@ -86,19 +84,8 @@ impl Default for MemDbOptions {
             residency: Residency::free(),
             cpu: CpuProfile::zero(),
             clock: SimClock::default(),
-            lock_timeout: Duration::from_millis(250),
             concurrency: ConcurrencyMode::TwoPhase,
         }
-    }
-}
-
-impl std::fmt::Debug for MemDbOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemDbOptions")
-            .field("node", &self.node)
-            .field("lock_timeout", &self.lock_timeout)
-            .field("concurrency", &self.concurrency)
-            .finish()
     }
 }
 
@@ -129,7 +116,7 @@ impl MemDb {
         MemDb {
             schema,
             store: Arc::new(PageStore::new(opts.residency)),
-            locks: LockManager::new(opts.lock_timeout),
+            locks: LockManager::default(),
             mvcc: MvccManager::new(),
             concurrency: opts.concurrency,
             gate: RwLock::new(Arc::new(NoopGate)),

@@ -134,6 +134,13 @@ fn write_entry(d: &mut [u8], at: &mut usize, e: &Entry) {
     *at += 6;
 }
 
+/// Whether page bytes `d` are the meta page or an internal node, not a leaf
+/// (nor a fresh page). A split writes its new pages fresh, so a page never
+/// changes kind once written.
+pub(crate) fn is_structure(d: &[u8]) -> bool {
+    matches!(d.first(), Some(&(NODE_INTERNAL | NODE_META)))
+}
+
 fn encode_meta(d: &mut [u8], root: u32) {
     d[0] = NODE_META;
     put_u32(d, 1, root);

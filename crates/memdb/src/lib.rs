@@ -10,8 +10,8 @@
 //!   physical memory modifications performed by the storage manager");
 //! * update transactions write **private page copies** and install them
 //!   at commit ([`mvcc`]); conflicts are found by **per-page two-phase
-//!   locking** with timeout-based deadlock resolution
-//!   ([`lock::LockManager`]) or by first-committer-wins validation;
+//!   locking**, granted in arrival order with deadlocks found when they
+//!   form ([`lock::LockManager`]), or by first-committer-wins validation;
 //! * at pre-commit a transaction produces its **write-set**: one byte
 //!   diff per written page ([`txn::Txn::precommit`]), which the
 //!   replication layer versions and broadcasts;

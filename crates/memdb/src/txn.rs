@@ -31,7 +31,7 @@
 
 use crate::engine::MemDb;
 use crate::heap;
-use crate::index::BTreeIndex;
+use crate::index::{self, BTreeIndex};
 use crate::lock::LockMode;
 use crate::mvcc::Install;
 use dmv_common::config::ConcurrencyMode;
@@ -79,6 +79,8 @@ pub struct Txn<'db> {
     bases: HashMap<PageId, (u64, Vec<u8>)>,
     /// Private copy-on-write images of the pages an update wrote.
     cow: HashMap<PageId, Vec<u8>>,
+    /// The page locks this transaction holds (`TwoPhase` updates only).
+    held: HashMap<PageId, LockMode>,
     /// Commit stamp drawn by [`Txn::mvcc_install`]; guards the dirty-
     /// flag clear in [`Txn::commit`] against a pipelined later install.
     install_stamp: Option<u64>,
@@ -110,6 +112,7 @@ impl<'db> Txn<'db> {
             dirty_order: Vec::new(),
             bases: HashMap::new(),
             cow: HashMap::new(),
+            held: HashMap::new(),
             install_stamp: None,
             cpu_owed: std::time::Duration::ZERO,
             recording: None,
@@ -119,13 +122,28 @@ impl<'db> Txn<'db> {
     }
 
     /// Takes the page lock a `TwoPhase` engine orders writers by, held
-    /// until the transaction ends. `MvccCow` takes none: its conflicts
-    /// are found by validation at install.
-    fn lock(&self, id: PageId, mode: LockMode) -> DmvResult<()> {
-        match self.db.concurrency() {
-            ConcurrencyMode::TwoPhase => self.db.locks().acquire(self.id, id, mode),
-            ConcurrencyMode::MvccCow => Ok(()),
+    /// until the transaction ends, unless one held covers it: X to write,
+    /// and to read under declared write intent (an S→X upgrade between two
+    /// updaters of one page deadlocks every time), except on index
+    /// structure, which writers share and a split upgrades where it
+    /// rewrites ([`index::is_structure`]); else S. `MvccCow` takes none
+    /// and reads nothing to choose: validation at install finds conflicts.
+    fn lock(&mut self, id: PageId, write: bool) -> DmvResult<()> {
+        let held = self.held.get(&id).copied();
+        if self.db.concurrency() == ConcurrencyMode::MvccCow || held == Some(LockMode::Exclusive) {
+            return Ok(());
         }
+        let structure = || {
+            matches!(id.space, PageSpace::Index(_))
+                && self.peek_page(id, index::is_structure) == Some(true)
+        };
+        let exclusive = write || (self.write_intent && !structure());
+        let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+        if held != Some(mode) {
+            self.db.locks().acquire(self.id, id, mode)?;
+            self.held.insert(id, mode);
+        }
+        Ok(())
     }
 
     /// The cell of page `id`, which must exist.
@@ -166,7 +184,8 @@ impl<'db> Txn<'db> {
     ///
     /// # Errors
     ///
-    /// `Deadlock` on lock timeout (update mode), `VersionConflict` if the
+    /// `Deadlock` if the page lock would close a cycle of waiting
+    /// transactions (update mode), `VersionConflict` if the
     /// page cannot serve the transaction's tag (tagged mode), `Storage`
     /// if the page does not exist.
     pub(crate) fn read_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> DmvResult<R> {
@@ -175,11 +194,7 @@ impl<'db> Txn<'db> {
         }
         match &self.mode {
             TxnMode::Update => {
-                // Under declared write intent, pages are locked
-                // exclusively up front: S→X upgrades between two
-                // updaters of the same page would deadlock every time.
-                let mode = if self.write_intent { LockMode::Exclusive } else { LockMode::Shared };
-                self.lock(id, mode)?;
+                self.lock(id, false)?;
                 // Our own copy if we wrote the page, else the base
                 // captured at first read (repeatable reads).
                 if let Some(img) = self.cow.get(&id) {
@@ -248,7 +263,8 @@ impl<'db> Txn<'db> {
     ///
     /// # Errors
     ///
-    /// `InvalidTxnState` outside update mode; `Deadlock` on lock timeout.
+    /// `InvalidTxnState` outside update mode; `Deadlock` if the page lock
+    /// would close a cycle of waiting transactions.
     pub(crate) fn write_page<R>(
         &mut self,
         id: PageId,
@@ -257,7 +273,7 @@ impl<'db> Txn<'db> {
         if self.mode != TxnMode::Update {
             return Err(DmvError::InvalidTxnState("writes require an update transaction".into()));
         }
-        self.lock(id, LockMode::Exclusive)?;
+        self.lock(id, true)?;
         self.base(id)?;
         if !self.cow.contains_key(&id) {
             self.cow.insert(id, self.bases[&id].1.clone());
@@ -298,7 +314,7 @@ impl<'db> Txn<'db> {
         // holds the shard lock across both — because a torn pair (old
         // image, new stamp) would pass first-committer-wins validation
         // and our install would wipe the rival's committed records.
-        self.lock(id, LockMode::Exclusive)?;
+        self.lock(id, true)?;
         let (stamp, image) = self.db.mvcc().read_latest(id, &cell);
         self.bases.insert(id, (stamp, image.clone()));
         self.cow.insert(id, image);
@@ -320,7 +336,9 @@ impl<'db> Txn<'db> {
         self.dirty_order.retain(|&p| p != id);
         self.cow.remove(&id);
         self.bases.remove(&id);
-        self.db.locks().release(self.id, id);
+        if self.held.remove(&id).is_some() {
+            self.db.locks().release_all(self.id, [id]);
+        }
     }
 
     /// Accrues CPU cost, to be settled in one charge at the next
@@ -525,7 +543,9 @@ impl<'db> Txn<'db> {
         self.bases.clear();
         self.cow.clear();
         self.install_stamp = None;
-        self.db.locks().release_all(self.id);
+        if !self.held.is_empty() {
+            self.db.locks().release_all(self.id, self.held.drain().map(|(id, _)| id));
+        }
         self.finished = true;
     }
 }
@@ -606,30 +626,15 @@ impl ExecContext for Txn<'_> {
     }
 
     fn insert(&mut self, table: TableId, row: Row) -> DmvResult<RowId> {
-        // The whole write path (unique probes, index descents, heap
-        // insert) runs under write intent: probing a leaf with S and
-        // then upgrading to X deadlocks against a concurrent inserter.
-        let prev = self.write_intent;
-        self.write_intent = true;
-        let out = self.insert_inner(table, row);
-        self.write_intent = prev;
-        out
+        self.writing(|txn| txn.insert_inner(table, row))
     }
 
     fn update(&mut self, table: TableId, rid: RowId, row: Row) -> DmvResult<()> {
-        let prev = self.write_intent;
-        self.write_intent = true;
-        let out = self.update_inner(table, rid, row);
-        self.write_intent = prev;
-        out
+        self.writing(|txn| txn.update_inner(table, rid, row))
     }
 
     fn delete(&mut self, table: TableId, rid: RowId) -> DmvResult<()> {
-        let prev = self.write_intent;
-        self.write_intent = true;
-        let out = self.delete_inner(table, rid);
-        self.write_intent = prev;
-        out
+        self.writing(|txn| txn.delete_inner(table, rid))
     }
 
     fn flush_costs(&mut self) {
@@ -642,6 +647,16 @@ impl ExecContext for Txn<'_> {
 }
 
 impl Txn<'_> {
+    /// Runs a write under write intent, so all of it (unique probes, index
+    /// descents, heap writes) reads for writing: probing a leaf with S and
+    /// then upgrading to X deadlocks against a concurrent writer.
+    fn writing<R>(&mut self, f: impl FnOnce(&mut Self) -> DmvResult<R>) -> DmvResult<R> {
+        let prev = std::mem::replace(&mut self.write_intent, true);
+        let out = f(self);
+        self.write_intent = prev;
+        out
+    }
+
     fn insert_inner(&mut self, table: TableId, row: Row) -> DmvResult<RowId> {
         let ts = self.db.schema().table(table)?;
         // Unique checks before any mutation, so a duplicate leaves no

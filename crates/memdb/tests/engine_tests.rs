@@ -786,6 +786,97 @@ fn concurrent_inserts_do_not_upgrade_deadlock() {
     assert!(d < 20, "unexpected deadlock storm: {d}");
 }
 
+/// A `TwoPhase` kv table of 2 000 rows, keyed 0..2000 in insert order, so
+/// that keys 0 and 1 999 lie on different heap pages and different leaves
+/// of every index.
+fn two_phase_kv_spread() -> Arc<MemDb> {
+    let db = Arc::new(kv_db(ConcurrencyMode::TwoPhase));
+    let mut load = db.begin_update();
+    for k in 0..2000i64 {
+        load.insert(TableId(0), vec![k.into(), format!("value {k:06}").into(), k.into()]).unwrap();
+    }
+    load.commit(None);
+    db
+}
+
+/// Rewrites row `k`'s `v` in place: no indexed column changes.
+fn rename(k: i64) -> Query {
+    Query::Update {
+        table: TableId(0),
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, k)),
+        set: vec![(1, SetExpr::Value(format!("renamed {k:04}").into()))],
+    }
+}
+
+/// Two 2PL UPDATEs of rows on different heap pages and index leaves of
+/// one table are both open at once, and each commits while the other is
+/// open: the descents share the index's meta page and internal nodes (S)
+/// and lock only their own leaf and heap page X. When every page a
+/// descent read was X-locked, the second queued on index page 0 behind
+/// the first, which waits at the barrier for it.
+#[test]
+fn two_phase_updates_of_rows_on_different_pages_run_side_by_side() {
+    let db = two_phase_kv_spread();
+    let both_open = Arc::new(std::sync::Barrier::new(2));
+    let updaters: Vec<_> = [0i64, 1999]
+        .into_iter()
+        .map(|k| {
+            let (db, both_open) = (Arc::clone(&db), Arc::clone(&both_open));
+            std::thread::spawn(move || {
+                let mut txn = db.begin_update();
+                let done = execute(&mut txn, &rename(k));
+                both_open.wait();
+                done.map(|_| txn.commit(None))
+            })
+        })
+        .collect();
+    for updater in updaters {
+        updater.join().unwrap().expect("neither update waits for the other");
+    }
+    let names: Vec<Value> = [0i64, 1999]
+        .into_iter()
+        .map(|k| lookup(&mut db.begin_read_local(), 0, k).remove(0).1.remove(1))
+        .collect();
+    assert_eq!(names, [Value::from("renamed 0000"), Value::from("renamed 1999")]);
+}
+
+/// Two 2PL transactions update two rows in opposite orders. The second to
+/// ask for the other's row closes a cycle and gets `Deadlock` at once,
+/// not after a wait; the other commits once the victim aborts.
+#[test]
+fn a_two_phase_deadlock_is_found_when_it_forms() {
+    let db = two_phase_kv_spread();
+    let firsts_taken = Arc::new(std::sync::Barrier::new(2));
+    let updaters: Vec<_> = [(0i64, 1999i64), (1999, 0)]
+        .into_iter()
+        .map(|(first, second)| {
+            let (db, firsts_taken) = (Arc::clone(&db), Arc::clone(&firsts_taken));
+            std::thread::spawn(move || {
+                let mut txn = db.begin_update();
+                execute(&mut txn, &rename(first)).unwrap();
+                firsts_taken.wait();
+                let asked = std::time::Instant::now();
+                match execute(&mut txn, &rename(second)) {
+                    Ok(_) => {
+                        txn.commit(None);
+                        None
+                    }
+                    Err(DmvError::Deadlock(_)) => {
+                        txn.abort();
+                        Some(asked.elapsed())
+                    }
+                    Err(e) => panic!("unexpected: {e}"),
+                }
+            })
+        })
+        .collect();
+    let waits: Vec<Option<Duration>> = updaters.into_iter().map(|u| u.join().unwrap()).collect();
+    let victims: Vec<Duration> = waits.iter().flatten().copied().collect();
+    assert_eq!(victims.len(), 1, "exactly one transaction is the victim: {waits:?}");
+    assert!(victims[0] < Duration::from_millis(100), "the victim waited {:?}", victims[0]);
+}
+
 /// A record a filtered scan reaches that does not decode is a `Storage`
 /// error, whether the record test reads or walks past the bad column under
 /// the latch or the decoding of a record it kept does — never a panic,

@@ -17,7 +17,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Construction options for [`DiskDb`].
 #[derive(Debug, Clone)]
@@ -32,8 +31,6 @@ pub struct DiskDbOptions {
     pub clock: SimClock,
     /// Buffer pool capacity in pages; misses charge a random read.
     pub buffer_pages: usize,
-    /// Lock wait timeout (wall time).
-    pub lock_timeout: Duration,
 }
 
 impl Default for DiskDbOptions {
@@ -44,7 +41,6 @@ impl Default for DiskDbOptions {
             cpu: CpuProfile::zero(),
             clock: SimClock::default(),
             buffer_pages: 256,
-            lock_timeout: Duration::from_millis(250),
         }
     }
 }
@@ -115,7 +111,6 @@ impl DiskDb {
                 residency,
                 cpu: opts.cpu,
                 clock: opts.clock,
-                lock_timeout: opts.lock_timeout,
                 // Backends replay serialized write-sets; 2PL suffices.
                 concurrency: ConcurrencyMode::TwoPhase,
             },
@@ -280,7 +275,7 @@ impl DiskDb {
     ///
     /// # Errors
     ///
-    /// Propagates scan failures (lock timeouts under contention).
+    /// Propagates scan failures (deadlocks under contention).
     pub fn state_digest(&self) -> DmvResult<u64> {
         let queries: Vec<Query> =
             self.schema().tables().map(|t| Query::Select(Select::scan(t.id))).collect();
@@ -445,7 +440,7 @@ mod tests {
         db.set_stalled(true);
         let db2 = std::sync::Arc::clone(&db);
         let h = std::thread::spawn(move || db2.execute_txn(&[insert(1, "a")]).is_ok());
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(std::time::Duration::from_millis(30));
         assert!(!h.is_finished(), "transaction ran through a stalled engine");
         db.set_stalled(false);
         assert!(h.join().unwrap());

@@ -383,9 +383,9 @@ pub fn plan<R: Rng>(
             batch(kind, vec![q])
         }
         InteractionKind::ShoppingCart => {
-            // Pick the items first, then read them (item pages in id
-            // order, before any cart-table locks) and finally write the
-            // cart — a canonical lock order shared with BuyConfirm.
+            // Read the items first (in id order, before any cart-table
+            // lock), then write SHOPPING_CART and then CART_LINE: the
+            // global lock order BuyRequest and BuyConfirm share.
             let mut added: Vec<i64> =
                 (0..rng.gen_range(1..=3)).map(|_| skewed_item(rng, n_items)).collect();
             added.sort_unstable();
@@ -395,6 +395,7 @@ pub fn plan<R: Rng>(
                 queries.push(Query::Select(Select::by_pk(schema::ITEM, vec![(*i_id).into()])));
             }
             let (sc_id, mut lines) = ensure_cart(state, ids, now, &mut queries);
+            queries.push(touch_cart(sc_id, now));
             for &i_id in &added {
                 if let Some(line) = lines.iter_mut().find(|(id, _)| *id == i_id) {
                     line.1 += 1;
@@ -415,12 +416,6 @@ pub fn plan<R: Rng>(
                     });
                 }
             }
-            queries.push(Query::Update {
-                table: schema::SHOPPING_CART,
-                access: Access::IndexEq { index_no: 0, key: vec![sc_id.into()] },
-                filter: None,
-                set: vec![(1, SetExpr::Value(now.into()))],
-            });
             lines.sort_by_key(|(i, _)| *i);
             state.cart = Some((sc_id, lines));
             batch(kind, queries)
@@ -501,6 +496,7 @@ pub fn plan<R: Rng>(
                     }),
             ));
             let (sc_id, mut lines) = ensure_cart(state, ids, now, &mut queries);
+            queries.push(touch_cart(sc_id, now));
             if lines.is_empty() {
                 lines.push((display[0], 1));
                 queries.push(Query::Insert {
@@ -508,12 +504,6 @@ pub fn plan<R: Rng>(
                     rows: vec![vec![sc_id.into(), display[0].into(), 1.into()]],
                 });
             }
-            queries.push(Query::Update {
-                table: schema::SHOPPING_CART,
-                access: Access::IndexEq { index_no: 0, key: vec![sc_id.into()] },
-                filter: None,
-                set: vec![(1, SetExpr::Value(now.into()))],
-            });
             queries.push(Query::Select(
                 Select::scan(schema::CART_LINE).access(Access::IndexEq {
                     index_no: scl::IDX_BY_CART,
@@ -524,19 +514,21 @@ pub fn plan<R: Rng>(
             batch(kind, queries)
         }
         InteractionKind::BuyConfirm => {
-            let mut queries = Vec::new();
-            let (sc_id, mut lines) = ensure_cart(state, ids, now, &mut queries);
+            let mut cart = Vec::new();
+            let (sc_id, mut lines) = ensure_cart(state, ids, now, &mut cart);
             if lines.is_empty() {
                 let i_id = skewed_item(rng, n_items);
                 lines.push((i_id, 1));
-                queries.push(Query::Insert {
+                cart.push(Query::Insert {
                     table: schema::CART_LINE,
                     rows: vec![vec![sc_id.into(), i_id.into(), 1.into()]],
                 });
             }
             // All transaction types acquire tables in one global order
-            // (items first, in id order) so cross-table page-lock cycles
-            // cannot form.
+            // (items first, in id order; SHOPPING_CART before CART_LINE)
+            // so cross-table page-lock cycles cannot form: a cart made
+            // here is written after the order tables.
+            let mut queries = Vec::new();
             lines.sort_by_key(|(i, _)| *i);
             for (i_id, qty) in &lines {
                 // Decrement stock; restock when it falls below zero
@@ -590,6 +582,7 @@ pub fn plan<R: Rng>(
                     now.into(),
                 ]],
             });
+            queries.append(&mut cart);
             queries.push(Query::Delete {
                 table: schema::SHOPPING_CART,
                 access: Access::IndexEq { index_no: 0, key: vec![sc_id.into()] },
@@ -674,6 +667,16 @@ pub fn plan<R: Rng>(
             ];
             batch(kind, queries)
         }
+    }
+}
+
+/// Stamps cart `sc_id` with the time `now`.
+fn touch_cart(sc_id: i64, now: i64) -> Query {
+    Query::Update {
+        table: schema::SHOPPING_CART,
+        access: Access::IndexEq { index_no: 0, key: vec![sc_id.into()] },
+        filter: None,
+        set: vec![(1, SetExpr::Value(now.into()))],
     }
 }
 

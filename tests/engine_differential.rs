@@ -27,7 +27,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
-use std::time::Duration;
 
 const TABLE: TableId = TableId(0);
 
@@ -41,16 +40,7 @@ fn schema() -> Schema {
 }
 
 fn db(mode: ConcurrencyMode) -> MemDb {
-    MemDb::new(
-        schema(),
-        MemDbOptions {
-            concurrency: mode,
-            // Deadlocks between concurrent 2PL writers are expected and
-            // retried; a short timeout keeps the rig fast.
-            lock_timeout: Duration::from_millis(15),
-            ..Default::default()
-        },
-    )
+    MemDb::new(schema(), MemDbOptions { concurrency: mode, ..Default::default() })
 }
 
 // ---------------------------------------------------------------------
