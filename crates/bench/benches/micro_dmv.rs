@@ -18,6 +18,8 @@
 //! * `reuse/*` — a slave's result store: BestSellers answered from it and
 //!   executed and stored, and what a point select's key hash and
 //!   doorkeeper probe cost next to the select;
+//! * `pagestore/*` — one page fetch from a node's page table, on one
+//!   thread and with a second thread fetching the same page throughout;
 //! * `locks/*` — per-page 2PL lock manager;
 //! * `writeset/*` — the capture → broadcast-encode → apply pipeline;
 //! * `fanout/*` — what a commit's fan-out costs its sender: one shared
@@ -37,7 +39,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dmv_common::clock::{sleep_wall, SimClock, TimeScale};
 use dmv_common::config::{ConcurrencyMode, CpuProfile, NetProfile};
-use dmv_common::ids::{NodeId, PageId, TableId, TxnId};
+use dmv_common::ids::{NodeId, PageId, PageSpace, TableId, TxnId};
 use dmv_common::rng::seeded;
 use dmv_common::version::VersionVector;
 use dmv_core::messages::{Msg, WriteSet};
@@ -516,6 +518,38 @@ fn bench_reuse(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_pagestore(c: &mut Criterion) {
+    const PAGES: u32 = 3200;
+    let mut g = c.benchmark_group("pagestore");
+    let store = PageStore::new_free();
+    for _ in 0..PAGES {
+        store.allocate(TableId(0), PageSpace::Heap);
+    }
+    let mut n = 0u32;
+    g.bench_function("get_1_thread", |b| {
+        b.iter(|| {
+            n = (n + 1) % PAGES;
+            black_box(store.get(black_box(PageId::heap(TableId(0), n))).is_some())
+        })
+    });
+    // Every index descent fetches the same meta and root pages: a second
+    // thread fetches the measured page all along.
+    let hot = PageId::heap(TableId(0), 0);
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                black_box(store.get(black_box(hot)).is_some());
+            }
+        });
+        g.bench_function("get_2_threads_same_page", |b| {
+            b.iter(|| black_box(store.get(black_box(hot)).is_some()))
+        });
+        stop.store(true, std::sync::atomic::Ordering::Release);
+    });
+    g.finish();
+}
+
 fn bench_locks(c: &mut Criterion) {
     let mut g = c.benchmark_group("locks");
     let mgr = LockManager::default();
@@ -774,7 +808,8 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500))
         .sample_size(20);
-    targets = bench_pagediff, bench_version, bench_btree, bench_exec, bench_reuse, bench_locks,
+    targets = bench_pagediff, bench_version, bench_btree, bench_exec, bench_reuse, bench_pagestore,
+        bench_locks,
         bench_writeset,
         bench_fanout, bench_applier_contention, bench_routing, bench_scheduler, bench_clock
 }

@@ -211,9 +211,9 @@ fn applier_advance_wakes_all_waiters() {
 }
 
 /// The master's cumulative-ack watermark protocol (`AckTracker::wait`
-/// vs `record`) must not lose wakeups: a committer that registers in
-/// `waiters` and re-checks its predicate under `wait_lock` always sees
-/// either the watermark advance or the notify. A lost wakeup would park
+/// vs `record` and `acked_by_all`) must not lose wakeups: a committer
+/// that registers in `waiters` and re-checks its predicate under
+/// `wait_lock` always sees either the watermark advance or the notify. A lost wakeup would park
 /// the commit for its full ack timeout on every coalesced batch —
 /// exactly the stall the group-commit path exists to remove.
 #[test]
@@ -232,6 +232,7 @@ fn ack_watermark_wait_has_no_lost_wakeup() {
             })
         };
         tracker.record(NodeId(1), 1);
+        tracker.acked_by_all(1);
         committer.join().expect("join committer");
     })
     .expect("ack watermark protocol loses no wakeups");

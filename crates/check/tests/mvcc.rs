@@ -25,8 +25,14 @@ use dmv_memdb::mvcc::Install;
 use dmv_memdb::MvccManager;
 use dmv_pagestore::store::{PageCell, PageStore, Residency};
 
-fn page(store: &PageStore) -> (PageId, Arc<PageCell>) {
-    store.allocate(TableId(0), PageSpace::Heap)
+/// A fresh page of `store`; a spawned thread finds its cell again with
+/// [`cell`].
+fn page(store: &PageStore) -> PageId {
+    store.allocate(TableId(0), PageSpace::Heap).0
+}
+
+fn cell(store: &PageStore, id: PageId) -> &PageCell {
+    store.get(id).expect("allocated page")
 }
 
 /// Read-modify-write of byte 0, retried until the commit validates —
@@ -36,7 +42,7 @@ fn bump(m: &MvccManager, id: PageId, cell: &PageCell) -> usize {
     loop {
         attempts += 1;
         let (stamp, mut img) = m.read_latest(id, cell);
-        img[0] += 1;
+        Arc::make_mut(&mut img)[0] += 1;
         match m.commit(&[(id, stamp)], &[Install { id, cell, image: &img }]) {
             Ok(_) => return attempts,
             Err(e) => assert!(
@@ -50,7 +56,7 @@ fn bump(m: &MvccManager, id: PageId, cell: &PageCell) -> usize {
 /// One read-modify-write with **no** retry; conflicts are surrendered.
 fn bump_once(m: &MvccManager, id: PageId, cell: &PageCell) {
     let (stamp, mut img) = m.read_latest(id, cell);
-    img[0] += 1;
+    Arc::make_mut(&mut img)[0] += 1;
     let _ = m.commit(&[(id, stamp)], &[Install { id, cell, image: &img }]);
 }
 
@@ -61,19 +67,18 @@ fn bump_once(m: &MvccManager, id: PageId, cell: &PageCell) {
 fn disjoint_writers_both_commit() {
     let report = model_result(ModelOptions::default(), || {
         let m = Arc::new(MvccManager::new());
-        let store = PageStore::new(Residency::free());
-        let (p1, c1) = page(&store);
-        let (p2, c2) = page(&store);
+        let store = Arc::new(PageStore::new(Residency::free()));
+        let p1 = page(&store);
+        let p2 = page(&store);
         let writer = {
-            let m = Arc::clone(&m);
-            let c2 = Arc::clone(&c2);
-            thread::spawn(move || bump(&m, p2, &c2))
+            let (m, store) = (Arc::clone(&m), Arc::clone(&store));
+            thread::spawn(move || bump(&m, p2, cell(&store, p2)))
         };
-        let a1 = bump(&m, p1, &c1);
+        let a1 = bump(&m, p1, cell(&store, p1));
         let a2 = writer.join().expect("join writer");
         assert_eq!((a1, a2), (1, 1), "disjoint committers must not conflict");
-        assert_eq!(c1.latch.read().data()[0], 1);
-        assert_eq!(c2.latch.read().data()[0], 1);
+        assert_eq!(cell(&store, p1).latch.read().data()[0], 1);
+        assert_eq!(cell(&store, p2).latch.read().data()[0], 1);
     })
     .expect("disjoint commits are conflict-free in every interleaving");
     assert!(report.exhausted, "bounded space should be fully explored");
@@ -87,14 +92,14 @@ fn disjoint_writers_both_commit() {
 fn overlapping_writers_exactly_one_wins() {
     let report = model_result(ModelOptions::default(), || {
         let m = Arc::new(MvccManager::new());
-        let store = PageStore::new(Residency::free());
-        let (p, c) = page(&store);
+        let store = Arc::new(PageStore::new(Residency::free()));
+        let p = page(&store);
         let writer = {
-            let m = Arc::clone(&m);
-            let c = Arc::clone(&c);
-            thread::spawn(move || bump(&m, p, &c))
+            let (m, store) = (Arc::clone(&m), Arc::clone(&store));
+            thread::spawn(move || bump(&m, p, cell(&store, p)))
         };
-        bump(&m, p, &c);
+        let c = cell(&store, p);
+        bump(&m, p, c);
         writer.join().expect("join writer");
         assert_eq!(c.latch.read().data()[0], 2, "an update was lost");
         assert_eq!(m.stamp_of(p), 2, "exactly two commits must validate");
@@ -115,34 +120,35 @@ fn overlapping_writers_exactly_one_wins() {
 fn multi_page_commit_is_atomic_to_validated_updaters() {
     let report = model_result(ModelOptions::default(), || {
         let m = Arc::new(MvccManager::new());
-        let store = PageStore::new(Residency::free());
-        let (p1, c1) = page(&store);
-        let (p2, c2) = page(&store);
-        let (p3, c3) = page(&store);
+        let store = Arc::new(PageStore::new(Residency::free()));
+        let p1 = page(&store);
+        let p2 = page(&store);
+        let p3 = page(&store);
         let writer = {
-            let m = Arc::clone(&m);
-            let (c1, c2) = (Arc::clone(&c1), Arc::clone(&c2));
+            let (m, store) = (Arc::clone(&m), Arc::clone(&store));
             thread::spawn(move || {
-                let (s1, mut i1) = m.read_latest(p1, &c1);
-                let (s2, mut i2) = m.read_latest(p2, &c2);
-                i1[0] = 1;
-                i2[0] = 1;
+                let (c1, c2) = (cell(&store, p1), cell(&store, p2));
+                let (s1, mut i1) = m.read_latest(p1, c1);
+                let (s2, mut i2) = m.read_latest(p2, c2);
+                Arc::make_mut(&mut i1)[0] = 1;
+                Arc::make_mut(&mut i2)[0] = 1;
                 m.commit(
                     &[(p1, s1), (p2, s2)],
                     &[
-                        Install { id: p1, cell: &c1, image: &i1 },
-                        Install { id: p2, cell: &c2, image: &i2 },
+                        Install { id: p1, cell: c1, image: &i1 },
+                        Install { id: p2, cell: c2, image: &i2 },
                     ],
                 )
                 .expect("the updater writes neither page");
             })
         };
-        let (s1, i1) = m.read_latest(p1, &c1);
-        let (s2, i2) = m.read_latest(p2, &c2);
-        let (s3, mut i3) = m.read_latest(p3, &c3);
-        i3[0] = 10 * i1[0] + i2[0];
+        let (c1, c2, c3) = (cell(&store, p1), cell(&store, p2), cell(&store, p3));
+        let (s1, i1) = m.read_latest(p1, c1);
+        let (s2, i2) = m.read_latest(p2, c2);
+        let (s3, mut i3) = m.read_latest(p3, c3);
+        Arc::make_mut(&mut i3)[0] = 10 * i1[0] + i2[0];
         let committed = m
-            .commit(&[(p1, s1), (p2, s2), (p3, s3)], &[Install { id: p3, cell: &c3, image: &i3 }])
+            .commit(&[(p1, s1), (p2, s2), (p3, s3)], &[Install { id: p3, cell: c3, image: &i3 }])
             .is_ok();
         writer.join().expect("join writer");
         if committed {
@@ -165,14 +171,14 @@ fn skipped_validation_mutation_caught() {
     let failure = model_result(ModelOptions::default(), || {
         let m = Arc::new(MvccManager::new());
         m.set_skip_validation_for_test(true);
-        let store = PageStore::new(Residency::free());
-        let (p, c) = page(&store);
+        let store = Arc::new(PageStore::new(Residency::free()));
+        let p = page(&store);
         let writer = {
-            let m = Arc::clone(&m);
-            let c = Arc::clone(&c);
-            thread::spawn(move || bump_once(&m, p, &c))
+            let (m, store) = (Arc::clone(&m), Arc::clone(&store));
+            thread::spawn(move || bump_once(&m, p, cell(&store, p)))
         };
-        bump_once(&m, p, &c);
+        let c = cell(&store, p);
+        bump_once(&m, p, c);
         writer.join().expect("join writer");
         assert_eq!(c.latch.read().data()[0], 2, "an update was lost");
     })
@@ -189,14 +195,14 @@ fn last_committer_wins_mutation_caught() {
     let failure = model_result(ModelOptions::default(), || {
         let m = Arc::new(MvccManager::new());
         m.set_last_committer_wins_for_test(true);
-        let store = PageStore::new(Residency::free());
-        let (p, c) = page(&store);
+        let store = Arc::new(PageStore::new(Residency::free()));
+        let p = page(&store);
         let writer = {
-            let m = Arc::clone(&m);
-            let c = Arc::clone(&c);
-            thread::spawn(move || bump_once(&m, p, &c))
+            let (m, store) = (Arc::clone(&m), Arc::clone(&store));
+            thread::spawn(move || bump_once(&m, p, cell(&store, p)))
         };
-        bump_once(&m, p, &c);
+        let c = cell(&store, p);
+        bump_once(&m, p, c);
         writer.join().expect("join writer");
         assert_eq!(c.latch.read().data()[0], 2, "an update was lost");
     })

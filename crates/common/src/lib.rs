@@ -27,6 +27,7 @@
 pub mod clock;
 pub mod config;
 pub mod error;
+pub mod fx;
 pub mod ids;
 pub mod rng;
 pub mod stats;

@@ -11,9 +11,12 @@
 //!
 //! Waiters park on a single condvar using the same missed-notify-proof
 //! protocol as the applier's `wait_received` (waiter registers in
-//! `waiters` with SeqCst *before* its final predicate check; a recorder
-//! that advances a watermark then observes `waiters > 0` and notifies
-//! under `wait_lock`, which the waiter holds from re-check to park).
+//! `waiters` with SeqCst *before* its final predicate check; a notifier
+//! then observes `waiters > 0` and notifies under `wait_lock`, which the
+//! waiter holds from re-check to park). An ack alone wakes no one: the
+//! receiver that recorded it publishes the highest seq every live target
+//! has acknowledged ([`AckTracker::acked_by_all`]), and only an advance
+//! of that seq wakes — once per commit, not once per ack.
 //!
 //! Built on the `dmv_check::sync` shims so the whole path is explored
 //! by the model checker under `--cfg dmv_check`
@@ -38,6 +41,8 @@ pub struct AckTracker {
     waiters: AtomicUsize,
     wait_lock: Mutex<()>,
     cv: Condvar,
+    /// Highest seq published through [`AckTracker::acked_by_all`].
+    all_acked: AtomicU64,
 }
 
 impl AckTracker {
@@ -48,6 +53,7 @@ impl AckTracker {
             waiters: AtomicUsize::new(0),
             wait_lock: Mutex::new(()),
             cv: Condvar::new(),
+            all_acked: AtomicU64::new(0),
         };
         dmv_check::race::label(&t.peers, "peers");
         dmv_check::race::label(&t.wait_lock, "wait_lock");
@@ -56,10 +62,10 @@ impl AckTracker {
     }
 
     /// Records a cumulative ack from `peer`: the watermark advances by
-    /// atomic maximum, and only an ack that did advance it wakes blocked
-    /// committers to re-evaluate their predicate — a reordered or
-    /// duplicate ack changes no predicate and is a no-op.
-    pub fn record(&self, peer: NodeId, seq: u64) {
+    /// atomic maximum. Returns whether it advanced — a reordered or
+    /// duplicate ack changes no predicate. Wakes no one: the caller
+    /// follows an advance with [`AckTracker::acked_by_all`].
+    pub fn record(&self, peer: NodeId, seq: u64) -> bool {
         let cell = {
             let peers = self.peers.read();
             match peers.get(&peer) {
@@ -70,7 +76,22 @@ impl AckTracker {
                 }
             }
         };
-        if cell.fetch_max(seq, Ordering::SeqCst) < seq {
+        cell.fetch_max(seq, Ordering::SeqCst) < seq
+    }
+
+    /// The lowest watermark among `peers` (`None` for no peers), under
+    /// one hold of the peer map.
+    pub fn min_watermark(&self, peers: impl IntoIterator<Item = NodeId>) -> Option<u64> {
+        let map = self.peers.read();
+        peers.into_iter().map(|p| map.get(&p).map_or(0, |c| c.load(Ordering::SeqCst))).min()
+    }
+
+    /// Publishes `seq` as acknowledged by every live target and wakes
+    /// blocked committers only if it advanced: a commit's predicate can
+    /// turn true on an ack only when this seq passes the commit's seq.
+    /// The predicate stays the authority — a wake is a hint to re-check.
+    pub fn acked_by_all(&self, seq: u64) {
+        if self.all_acked.fetch_max(seq, Ordering::SeqCst) < seq {
             self.notify();
         }
     }
@@ -203,6 +224,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(20));
         t.record(NodeId(1), 3);
+        t.acked_by_all(3);
         assert!(h.join().unwrap()); // unwrap-ok: test thread join
     }
 
@@ -210,6 +232,7 @@ mod tests {
     fn duplicate_and_overtaken_acks_wake_nobody() {
         let t = Arc::new(AckTracker::new());
         t.record(NodeId(1), 5);
+        t.acked_by_all(5);
         let (evaluated, evaluations) = std::sync::mpsc::channel();
         let t2 = Arc::clone(&t);
         let h = dmv_check::thread::spawn(move || {
@@ -224,15 +247,50 @@ mod tests {
         // parks, holding `wait_lock` until it does.
         assert_eq!(evaluations.recv().unwrap(), 5); // unwrap-ok: test channel
         assert_eq!(evaluations.recv().unwrap(), 5); // unwrap-ok: test channel
-        t.record(NodeId(1), 5); // duplicate
-        t.record(NodeId(1), 3); // overtaken
+        assert!(!t.record(NodeId(1), 5), "a duplicate ack advanced the watermark");
+        assert!(!t.record(NodeId(1), 3), "an overtaken ack advanced the watermark");
+        t.acked_by_all(5);
         assert!(
             evaluations.recv_timeout(Duration::from_millis(50)).is_err(),
             "an ack that advanced nothing woke the committer"
         );
-        t.record(NodeId(1), 6);
+        assert!(t.record(NodeId(1), 6));
+        t.acked_by_all(6);
         assert_eq!(evaluations.recv().unwrap(), 6); // unwrap-ok: test channel
         assert!(h.join().unwrap()); // unwrap-ok: test thread join
+    }
+
+    /// Eight peers ack one seq, as the master's receiver handles their
+    /// `CumAck`s: the parked committer wakes once, on the last ack.
+    #[test]
+    fn eight_peers_acking_one_seq_wake_a_committer_once() {
+        let peers: Vec<NodeId> = (1..=8).map(NodeId).collect();
+        let t = Arc::new(AckTracker::new());
+        for p in &peers {
+            t.set_floor(*p, 0);
+        }
+        let (evaluated, evaluations) = std::sync::mpsc::channel();
+        let (t2, all) = (Arc::clone(&t), peers.clone());
+        let h = dmv_check::thread::spawn(move || {
+            t2.wait(wall_deadline(Duration::from_secs(30)), Duration::from_secs(30), || {
+                let ok = t2.min_watermark(all.iter().copied()) >= Some(1);
+                evaluated.send(ok).unwrap(); // unwrap-ok: test channel, receiver outlives the waiter
+                ok
+            })
+        });
+        // The entry check and the registered re-check, then it parks.
+        assert!(!evaluations.recv().unwrap()); // unwrap-ok: test channel
+        assert!(!evaluations.recv().unwrap()); // unwrap-ok: test channel
+        for p in &peers {
+            if t.record(*p, 1) {
+                t.acked_by_all(t.min_watermark(peers.iter().copied()).unwrap_or(1));
+            }
+            // Room for a woken committer to re-check and park again.
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(evaluations.recv().unwrap(), "the one wake-up found every ack"); // unwrap-ok: test channel
+        assert!(h.join().unwrap()); // unwrap-ok: test thread join
+        assert!(evaluations.try_recv().is_err(), "the committer woke more than once");
     }
 
     #[test]

@@ -42,6 +42,7 @@
 
 use crate::messages::WriteSet;
 use dmv_common::error::{DmvError, DmvResult};
+use dmv_common::fx::FxHashMap;
 use dmv_common::ids::PageId;
 use dmv_common::version::{AtomicVersionVector, VersionVector};
 use dmv_memdb::ReadGate;
@@ -54,7 +55,7 @@ use dmv_pagestore::Page;
 use dmv_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use dmv_check::sync::{Condvar, Mutex};
 use dmv_common::clock::wall_deadline;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -146,7 +147,7 @@ pub struct PendingApplier {
     /// lock is held for a whole apply, rewind walk or sweep of its
     /// pages — each a handful of entries. Lock order: slot shard → page
     /// latch.
-    slots: [Mutex<HashMap<PageId, PageSlot>>; SHARD_COUNT],
+    slots: [Mutex<FxHashMap<PageId, PageSlot>>; SHARD_COUNT],
     received: AtomicVersionVector,
     /// Readers blocked on versions still in flight. Enqueue only takes
     /// `wait_lock` when this is non-zero.
@@ -174,7 +175,7 @@ impl PendingApplier {
     pub fn new(store: Arc<PageStore>, n_tables: usize, wait_timeout: Duration) -> Self {
         let applier = PendingApplier {
             store,
-            slots: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            slots: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
             received: AtomicVersionVector::new(n_tables),
             waiters: AtomicUsize::new(0),
             wait_lock: Mutex::new(()),
@@ -393,7 +394,7 @@ impl PendingApplier {
     /// Fully applies one page's queue (support-slave side of migration).
     pub fn apply_page(&self, id: PageId) {
         if let Some(cell) = self.store.get(id) {
-            let _ = self.apply_up_to(id, &cell, u64::MAX);
+            let _ = self.apply_up_to(id, cell, u64::MAX);
         }
     }
 
@@ -602,7 +603,7 @@ mod tests {
         let cell = store.get(id).unwrap();
         let mut tag = VersionVector::new(2);
         tag.set(TableId(0), 2);
-        a.prepare_read(id, &cell, &tag).unwrap();
+        a.prepare_read(id, cell, &tag).unwrap();
         let page = cell.latch.read();
         assert_eq!(page.version, 2);
         assert_eq!(page.data()[0], 20, "only versions <= tag applied");
@@ -619,11 +620,11 @@ mod tests {
         let cell = store.get(id).unwrap();
         let mut new_tag = VersionVector::new(2);
         new_tag.set(TableId(0), 2);
-        a.prepare_read(id, &cell, &new_tag).unwrap();
+        a.prepare_read(id, cell, &new_tag).unwrap();
         // now a reader with an older tag arrives
         let mut old_tag = VersionVector::new(2);
         old_tag.set(TableId(0), 1);
-        let err = a.prepare_read(id, &cell, &old_tag).unwrap_err();
+        let err = a.prepare_read(id, cell, &old_tag).unwrap_err();
         assert!(matches!(err, DmvError::VersionConflict { wanted: 1, found: 2, .. }));
     }
 
@@ -636,21 +637,21 @@ mod tests {
         let cell = store.get(id).unwrap();
         let mut new_tag = VersionVector::new(2);
         new_tag.set(TableId(0), 2);
-        a.prepare_read(id, &cell, &new_tag).unwrap();
+        a.prepare_read(id, cell, &new_tag).unwrap();
         // prepare_read for the older tag still reports the conflict…
         let mut old_tag = VersionVector::new(2);
         old_tag.set(TableId(0), 1);
-        let err = a.prepare_read(id, &cell, &old_tag).unwrap_err();
+        let err = a.prepare_read(id, cell, &old_tag).unwrap_err();
         assert!(matches!(err, DmvError::VersionConflict { wanted: 1, found: 2, .. }));
         // …but the retained reverse steps materialize both old images.
-        assert_eq!(a.read_version_at(id, &cell, 1).unwrap()[0], 10);
-        assert_eq!(a.read_version_at(id, &cell, 0).unwrap()[0], 0);
+        assert_eq!(a.read_version_at(id, cell, 1).unwrap()[0], 10);
+        assert_eq!(a.read_version_at(id, cell, 0).unwrap()[0], 0);
         // A want between recorded transitions is the image below it.
         a.enqueue(&ws(3, 0, 5, 0, 50));
         let mut tag5 = VersionVector::new(2);
         tag5.set(TableId(0), 5);
-        a.prepare_read(id, &cell, &tag5).unwrap();
-        assert_eq!(a.read_version_at(id, &cell, 4).unwrap()[0], 20, "no diffs in (2, 5)");
+        a.prepare_read(id, cell, &tag5).unwrap();
+        assert_eq!(a.read_version_at(id, cell, 4).unwrap()[0], 20, "no diffs in (2, 5)");
         assert_eq!(cell.latch.read().data()[0], 50, "the shared page is untouched by rewinds");
         assert_eq!(a.history_len(), 3);
     }
@@ -667,8 +668,8 @@ mod tests {
         // The two oldest steps fell off the cap: version 2 is the oldest
         // reachable image, version 1 is not.
         assert_eq!(a.history_len(), HISTORY_LIMIT);
-        assert_eq!(a.read_version_at(id, &cell, 2).unwrap()[0], 2);
-        assert!(a.read_version_at(id, &cell, 1).is_none());
+        assert_eq!(a.read_version_at(id, cell, 2).unwrap()[0], 2);
+        assert!(a.read_version_at(id, cell, 1).is_none());
     }
 
     #[test]
@@ -687,8 +688,8 @@ mod tests {
         // Steps with from > 2 survive: 3→2 and 4→3, so any pinned tag
         // (all dominate the watermark) can still be served.
         assert_eq!(a.history_len(), 2);
-        assert_eq!(a.read_version_at(id, &cell, 2).unwrap()[0], 20);
-        assert!(a.read_version_at(id, &cell, 1).is_none(), "below the watermark is pruned");
+        assert_eq!(a.read_version_at(id, cell, 2).unwrap()[0], 20);
+        assert!(a.read_version_at(id, cell, 1).is_none(), "below the watermark is pruned");
     }
 
     #[test]
@@ -699,7 +700,7 @@ mod tests {
         let cell = store.get(id).unwrap();
         let mut tag = VersionVector::new(2);
         tag.set(TableId(0), 5);
-        let err = a.prepare_read(id, &cell, &tag).unwrap_err();
+        let err = a.prepare_read(id, cell, &tag).unwrap_err();
         assert!(matches!(err, DmvError::Network(_)));
     }
 
@@ -764,7 +765,7 @@ mod tests {
         }
         let mut tag = VersionVector::new(2);
         tag.set(TableId(0), 2);
-        a.prepare_read(id, &cell, &tag).unwrap();
+        a.prepare_read(id, cell, &tag).unwrap();
         let page = cell.latch.read();
         assert_eq!(page.version, 2);
         assert_eq!(page.data()[0], 20, "stale diffs must not reapply");
@@ -780,7 +781,7 @@ mod tests {
         let mut tag = VersionVector::new(2);
         tag.set(TableId(0), 1);
         // table 1's version in the tag is 0; reading table 0 is fine
-        a.prepare_read(id0, &cell0, &tag).unwrap();
+        a.prepare_read(id0, cell0, &tag).unwrap();
         assert_eq!(cell0.latch.read().data()[0], 10);
         // table 1's page remains unapplied
         let id1 = PageId::heap(TableId(1), 0);
@@ -816,8 +817,8 @@ mod tests {
         store.get_or_create(id);
         let cell = store.get(id).unwrap();
         let tag = VersionVector::new(2);
-        a.prepare_read(id, &cell, &tag).unwrap();
-        assert!(a.read_version_at(id, &cell, 0).is_some());
+        a.prepare_read(id, cell, &tag).unwrap();
+        assert!(a.read_version_at(id, cell, 0).is_some());
         assert_eq!(a.slot_count(), 0, "a tagged read of a quiet page must not insert a slot");
     }
 
@@ -846,19 +847,19 @@ mod tests {
         // The sweep leaves no step behind (it applied at or below the
         // watermark): reads at and above it are exact, below it gone.
         assert_eq!(a.history_len(), 0);
-        assert_eq!(a.read_version_at(id, &cell, 2).unwrap()[0], 20);
-        assert_eq!(a.read_version_at(id, &cell, 9).unwrap()[0], 20);
-        assert!(a.read_version_at(id, &cell, 1).is_none(), "below the watermark is not kept");
+        assert_eq!(a.read_version_at(id, cell, 2).unwrap()[0], 20);
+        assert_eq!(a.read_version_at(id, cell, 9).unwrap()[0], 20);
+        assert!(a.read_version_at(id, cell, 1).is_none(), "below the watermark is not kept");
         // A reader above the watermark applies the next diff, recording:
         // the watermark image stays reachable from the newer page.
         a.enqueue(&ws(4, 0, 4, 0, 40));
         let mut tag = VersionVector::new(2);
         tag.set(TableId(0), 4);
-        a.prepare_read(id, &cell, &tag).unwrap();
+        a.prepare_read(id, cell, &tag).unwrap();
         assert_eq!(cell.latch.read().data()[0], 40);
-        assert_eq!(a.read_version_at(id, &cell, 3).unwrap()[0], 20, "no diff in (2, 4)");
-        assert_eq!(a.read_version_at(id, &cell, 2).unwrap()[0], 20);
-        assert!(a.read_version_at(id, &cell, 1).is_none());
+        assert_eq!(a.read_version_at(id, cell, 3).unwrap()[0], 20, "no diff in (2, 4)");
+        assert_eq!(a.read_version_at(id, cell, 2).unwrap()[0], 20);
+        assert!(a.read_version_at(id, cell, 1).is_none());
     }
 
     #[test]
@@ -871,14 +872,14 @@ mod tests {
         let cell = store.get(id).unwrap();
         let mut tag = VersionVector::new(2);
         tag.set(TableId(0), 2);
-        a.prepare_read(id, &cell, &tag).unwrap();
+        a.prepare_read(id, cell, &tag).unwrap();
         // The cluster watermark lags at 1: a reader pinned there can
         // still need the step back from 2, so the slot keeps exactly it.
         let mut wm = VersionVector::new(2);
         wm.set(TableId(0), 1);
         assert_eq!(a.reclaim_up_to(&wm), 0);
         assert_eq!(a.history_len(), 1);
-        assert_eq!(a.read_version_at(id, &cell, 1).unwrap()[0], 10);
+        assert_eq!(a.read_version_at(id, cell, 1).unwrap()[0], 10);
         assert_eq!(cell.latch.read().version, 2, "the newer materialization is untouched");
         wm.set(TableId(0), 2);
         assert_eq!(a.reclaim_up_to(&wm), 1);
@@ -995,7 +996,7 @@ mod tests {
                     let read = |id: PageId, want: u64| -> Option<u8> {
                         let cell = store.get(id).expect("enqueue created the page");
                         let tag = VersionVector::from_entries(vec![want]);
-                        match a.prepare_read(id, &cell, &tag) {
+                        match a.prepare_read(id, cell, &tag) {
                             Ok(()) => {
                                 let page = cell.latch.read();
                                 if page.version <= want {
@@ -1005,7 +1006,7 @@ mod tests {
                             Err(DmvError::VersionConflict { .. }) => {}
                             Err(_) => return None,
                         }
-                        a.read_version_at(id, &cell, want).map(|image| image[0])
+                        a.read_version_at(id, cell, want).map(|image| image[0])
                     };
                     start.wait();
                     // Mismatches are returned, not asserted here: a reader

@@ -252,7 +252,16 @@ impl ReplicaNode {
             Msg::WriteSetBatch(batch) if batch.sets.iter().all(|ws| fits_schema(ws, tables)) => {
                 self.enqueue_and_ack(from, &batch.sets, endpoint);
             }
-            Msg::CumAck { seq } => self.acks.record(from, seq),
+            Msg::CumAck { seq } => {
+                if self.acks.record(from, seq) {
+                    // The targets guard dies with this statement, before
+                    // `acked_by_all` may take the ack tracker's wait lock.
+                    let live = self.acks.min_watermark(
+                        self.targets.read().iter().copied().filter(|t| self.net.is_alive(*t)),
+                    );
+                    self.acks.acked_by_all(live.unwrap_or(seq));
+                }
+            }
             Msg::PageBatch(batch) => {
                 self.apply_page_batch(&batch);
                 if batch.done {
@@ -265,7 +274,7 @@ impl ReplicaNode {
                 let store = self.db.store();
                 for id in pages {
                     if let Some(cell) = store.get(id) {
-                        store.fault_in(&cell);
+                        store.fault_in(cell);
                     }
                 }
             }
@@ -301,7 +310,7 @@ impl ReplicaNode {
             let cell = store.get_or_create(*id);
             let mut page = cell.latch.write();
             if absent || *version > page.version {
-                page.data_mut().copy_from_slice(image);
+                page.set_image(dmv_pagestore::page::image_of(image));
                 page.version = *version;
             }
             drop(page);
@@ -773,7 +782,8 @@ impl ReplicaNode {
 
     /// Copies another replica's entire store into this one (the shared
     /// initial "mmap of the same on-disk database" at startup). Pages
-    /// arrive resident.
+    /// arrive resident, and share their images with `other` until either
+    /// side writes one.
     pub fn clone_pages_from(&self, other: &ReplicaNode) {
         let src = other.db.store();
         let dst = self.db.store();
@@ -782,7 +792,7 @@ impl ReplicaNode {
             let sp = s.latch.read();
             let cell = dst.get_or_create(id);
             let mut dp = cell.latch.write();
-            dp.data_mut().copy_from_slice(sp.data());
+            dp.set_image(Arc::clone(sp.image()));
             dp.version = sp.version;
         }
         *self.dbversion.lock() = other.dbversion();

@@ -49,8 +49,9 @@ use dmv_sql::value::Value;
 // Shimmed primitives: parking_lot/std in normal builds, model-checked
 // under `--cfg dmv_check` (see crates/check).
 use dmv_check::sync::Mutex;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use dmv_common::fx::{FxHashMap, FxHasher};
+use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -86,59 +87,6 @@ impl<'q> Key<'q> {
     }
 }
 
-/// Multiply-rotate hashing (the Fx hash) for keys: every tagged select
-/// is hashed, and SipHash's cost per write showed on point reads. A
-/// collision costs a miss, never a wrong answer — a hit compares the
-/// whole key.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("chunks of 8"))); // unwrap-ok: chunks_exact(8)
-        }
-        let mut tail = [0u8; 8];
-        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-        self.add(u64::from_le_bytes(tail) ^ bytes.len() as u64);
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u16(&mut self, i: u16) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The product's high bits are its well-mixed ones; the doorkeeper
-        // and the map index by the low ones.
-        self.hash.rotate_left(26)
-    }
-}
-
 /// One stored answer.
 pub struct Entry {
     select: Select,
@@ -170,7 +118,7 @@ pub enum Lookup {
 
 struct Results {
     /// Entries by the hash of their select.
-    entries: HashMap<u64, Arc<Entry>, BuildHasherDefault<FxHasher>>,
+    entries: FxHashMap<u64, Arc<Entry>>,
     /// The keys of `entries`, oldest first.
     order: VecDeque<u64>,
     bytes: usize,
@@ -194,7 +142,7 @@ impl ResultStore {
     pub fn new() -> Self {
         let store = ResultStore {
             results: Mutex::new(Results {
-                entries: HashMap::default(),
+                entries: FxHashMap::default(),
                 order: VecDeque::new(),
                 bytes: 0,
                 seen: vec![0; DOORKEEPER_SLOTS],

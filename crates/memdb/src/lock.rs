@@ -15,9 +15,10 @@
 
 use dmv_check::sync::{Condvar, Mutex};
 use dmv_common::error::{DmvError, DmvResult};
+use dmv_common::fx::FxHashMap;
 use dmv_common::ids::{PageId, TxnId};
 use std::collections::hash_map::Entry::Occupied;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Lock mode.
@@ -65,9 +66,9 @@ impl Entry {
 
 #[derive(Debug, Default)]
 struct Table {
-    pages: HashMap<PageId, Entry>,
+    pages: FxHashMap<PageId, Entry>,
     /// The page each waiting transaction waits on.
-    waiting: HashMap<TxnId, PageId>,
+    waiting: FxHashMap<TxnId, PageId>,
     /// Test hook: wait without looking for a cycle.
     skip_cycle_check: bool,
 }

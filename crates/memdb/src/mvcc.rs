@@ -37,9 +37,11 @@
 use dmv_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dmv_check::sync::{Mutex, MutexGuard};
 use dmv_common::error::{DmvError, DmvResult};
+use dmv_common::fx::FxHashMap;
 use dmv_common::ids::PageId;
 use dmv_pagestore::store::PageCell;
-use std::collections::HashMap;
+use dmv_pagestore::Image;
+use std::sync::Arc;
 
 /// Number of sequencer/page-state shards. Power of two so the
 /// Fibonacci hash can use a shift.
@@ -55,8 +57,9 @@ pub struct Install<'a> {
     pub id: PageId,
     /// Its cell in the page store.
     pub cell: &'a PageCell,
-    /// The committer's private copy-on-write image.
-    pub image: &'a [u8],
+    /// The committer's private copy-on-write image, which becomes the
+    /// page's committed image.
+    pub image: &'a Image,
 }
 
 /// Commit sequencer and page stamps shared by all update transactions
@@ -72,7 +75,7 @@ pub struct MvccManager {
     /// Commit stamp of each page's committed image (absent: never
     /// installed, stamp `0`). Taken one shard at a time, under the
     /// sequencer on the commit path and bare on read paths.
-    pages: [Mutex<HashMap<PageId, u64>>; MVCC_SHARDS],
+    pages: [Mutex<FxHashMap<PageId, u64>>; MVCC_SHARDS],
     /// Test hook: skip commit validation entirely.
     skip_validation: AtomicBool,
     /// Test hook: a conflicting committer overwrites instead of aborting.
@@ -91,7 +94,7 @@ impl MvccManager {
         let m = MvccManager {
             csn: AtomicU64::new(0),
             seq: std::array::from_fn(|_| Mutex::new(())),
-            pages: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            pages: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
             skip_validation: AtomicBool::new(false),
             last_committer_wins: AtomicBool::new(false),
         };
@@ -105,14 +108,15 @@ impl MvccManager {
     }
 
     /// Reads the committed image of `id` and the stamp it was committed
-    /// at, copying the bytes out under the page's shard lock so the
-    /// stamp and the image are consistent.
-    pub fn read_latest(&self, id: PageId, cell: &PageCell) -> (u64, Vec<u8>) {
+    /// at, under the page's shard lock so the stamp and the image are
+    /// consistent. The image is shared, not copied: committed images are
+    /// never written in place while shared.
+    pub fn read_latest(&self, id: PageId, cell: &PageCell) -> (u64, Image) {
         let st = self.pages[id.shard(MVCC_SHARDS)].lock();
         let stamp = st.get(&id).copied().unwrap_or(0);
         // The latch is a real lock even under the model checker: its
         // guard must die before the shard unlock, a scheduling point.
-        let image = cell.latch.read().data().to_vec();
+        let image = Arc::clone(cell.latch.read().image());
         drop(st);
         (stamp, image)
     }
@@ -148,7 +152,7 @@ impl MvccManager {
             // The overwrite and the stamp happen under one hold of the
             // shard lock, which `read_latest` takes too: a rival's base
             // is never a new image under an old stamp.
-            w.cell.latch.write().data_mut().copy_from_slice(w.image);
+            w.cell.latch.write().set_image(Arc::clone(w.image));
             st.insert(w.id, stamp);
             // Dirty under the shard lock, atomically with the stamp, so a
             // pipelined rival's [`MvccManager::clear_dirty_if_current`]
@@ -206,7 +210,6 @@ mod tests {
     use super::*;
     use dmv_common::ids::{PageSpace, TableId};
     use dmv_pagestore::store::{PageStore, Residency};
-    use std::sync::Arc;
 
     fn store() -> Arc<PageStore> {
         Arc::new(PageStore::new(Residency::free()))
@@ -214,7 +217,7 @@ mod tests {
 
     fn poke(m: &MvccManager, id: PageId, cell: &PageCell, byte: u8) -> DmvResult<u64> {
         let (stamp, mut img) = m.read_latest(id, cell);
-        img[0] = byte;
+        Arc::make_mut(&mut img)[0] = byte;
         m.commit(&[(id, stamp)], &[Install { id, cell, image: &img }])
     }
 
@@ -224,8 +227,8 @@ mod tests {
         let s = store();
         let (p1, c1) = s.allocate(TableId(0), PageSpace::Heap);
         let (p2, c2) = s.allocate(TableId(0), PageSpace::Heap);
-        assert!(poke(&m, p1, &c1, 1).is_ok());
-        assert!(poke(&m, p2, &c2, 2).is_ok());
+        assert!(poke(&m, p1, c1, 1).is_ok());
+        assert!(poke(&m, p2, c2, 2).is_ok());
         assert_eq!(c1.latch.read().data()[0], 1);
         assert_eq!(c2.latch.read().data()[0], 2);
     }
@@ -235,11 +238,11 @@ mod tests {
         let m = MvccManager::new();
         let s = store();
         let (p, c) = s.allocate(TableId(0), PageSpace::Heap);
-        let (stale_stamp, mut stale_img) = m.read_latest(p, &c);
-        poke(&m, p, &c, 7).unwrap();
-        stale_img[0] = 9;
+        let (stale_stamp, mut stale_img) = m.read_latest(p, c);
+        poke(&m, p, c, 7).unwrap();
+        Arc::make_mut(&mut stale_img)[0] = 9;
         let err = m
-            .commit(&[(p, stale_stamp)], &[Install { id: p, cell: &c, image: &stale_img }])
+            .commit(&[(p, stale_stamp)], &[Install { id: p, cell: c, image: &stale_img }])
             .unwrap_err();
         assert!(matches!(err, DmvError::VersionConflict { .. }));
         assert!(err.is_retryable());
@@ -251,15 +254,15 @@ mod tests {
         let m = MvccManager::new();
         let s = store();
         let (p, c) = s.allocate(TableId(0), PageSpace::Heap);
-        let first = poke(&m, p, &c, 1).unwrap();
-        let second = poke(&m, p, &c, 2).unwrap();
+        let first = poke(&m, p, c, 1).unwrap();
+        let second = poke(&m, p, c, 2).unwrap();
         assert!(c.is_dirty());
         // The first committer's late bookkeeping must not un-dirty the
         // second committer's un-checkpointed install...
-        m.clear_dirty_if_current(p, &c, first);
+        m.clear_dirty_if_current(p, c, first);
         assert!(c.is_dirty(), "stale stamp cleared a later install's dirty flag");
         // ...but the newest install's own clear goes through.
-        m.clear_dirty_if_current(p, &c, second);
+        m.clear_dirty_if_current(p, c, second);
         assert!(!c.is_dirty());
     }
 }

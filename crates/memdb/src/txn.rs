@@ -36,15 +36,17 @@ use crate::lock::LockMode;
 use crate::mvcc::Install;
 use dmv_common::config::ConcurrencyMode;
 use dmv_common::error::{DmvError, DmvResult};
+use dmv_common::fx::FxHashMap;
 use dmv_common::ids::{PageId, PageSpace, RowId, TableId, TxnId};
 use dmv_common::version::VersionVector;
 use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::store::PageCell;
+use dmv_pagestore::{page, Image};
 use dmv_sql::exec::{ExecContext, Probed, RecordTest, Scanned};
 use dmv_sql::row::{Row, RowBatch};
 use dmv_sql::schema::Schema;
 use dmv_sql::value::Value;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// What kind of transaction this is.
@@ -75,12 +77,14 @@ pub struct Txn<'db> {
     dirty_order: Vec<PageId>,
     /// Update: committed image + commit stamp at first read — the read
     /// set validated at install and the before-image of the write-set
-    /// diffs. Tagged read: the images rewound to the tag.
-    bases: HashMap<PageId, (u64, Vec<u8>)>,
-    /// Private copy-on-write images of the pages an update wrote.
-    cow: HashMap<PageId, Vec<u8>>,
+    /// diffs. The image is shared with the page, not copied. Tagged
+    /// read: the images rewound to the tag.
+    bases: FxHashMap<PageId, (u64, Image)>,
+    /// Private copy-on-write images of the pages an update wrote; each
+    /// becomes its page's committed image at install.
+    cow: FxHashMap<PageId, Image>,
     /// The page locks this transaction holds (`TwoPhase` updates only).
-    held: HashMap<PageId, LockMode>,
+    held: FxHashMap<PageId, LockMode>,
     /// Commit stamp drawn by [`Txn::mvcc_install`]; guards the dirty-
     /// flag clear in [`Txn::commit`] against a pipelined later install.
     install_stamp: Option<u64>,
@@ -103,6 +107,11 @@ pub struct StatementCost {
     pub pages: Vec<PageId>,
 }
 
+/// The error for a page that should exist and does not.
+fn missing(id: PageId) -> DmvError {
+    DmvError::Storage(format!("missing page {id}"))
+}
+
 impl<'db> Txn<'db> {
     pub(crate) fn new(db: &'db MemDb, id: TxnId, mode: TxnMode) -> Self {
         Txn {
@@ -110,9 +119,9 @@ impl<'db> Txn<'db> {
             id,
             mode,
             dirty_order: Vec::new(),
-            bases: HashMap::new(),
-            cow: HashMap::new(),
-            held: HashMap::new(),
+            bases: FxHashMap::default(),
+            cow: FxHashMap::default(),
+            held: FxHashMap::default(),
             install_stamp: None,
             cpu_owed: std::time::Duration::ZERO,
             recording: None,
@@ -129,8 +138,11 @@ impl<'db> Txn<'db> {
     /// rewrites ([`index::is_structure`]); else S. `MvccCow` takes none
     /// and reads nothing to choose: validation at install finds conflicts.
     fn lock(&mut self, id: PageId, write: bool) -> DmvResult<()> {
+        if self.db.concurrency() == ConcurrencyMode::MvccCow {
+            return Ok(());
+        }
         let held = self.held.get(&id).copied();
-        if self.db.concurrency() == ConcurrencyMode::MvccCow || held == Some(LockMode::Exclusive) {
+        if held == Some(LockMode::Exclusive) {
             return Ok(());
         }
         let structure = || {
@@ -147,21 +159,22 @@ impl<'db> Txn<'db> {
     }
 
     /// The cell of page `id`, which must exist.
-    fn cell(&self, id: PageId) -> DmvResult<Arc<PageCell>> {
-        self.db.store().get(id).ok_or_else(|| DmvError::Storage(format!("missing page {id}")))
+    fn cell(&self, id: PageId) -> DmvResult<&'db PageCell> {
+        self.db.store().get(id).ok_or_else(|| missing(id))
     }
 
-    /// Ensures the base cache holds `id`, fetching the committed image
-    /// and its stamp on first touch.
-    fn base(&mut self, id: PageId) -> DmvResult<()> {
-        if self.bases.contains_key(&id) {
-            return Ok(());
+    /// The base of `id`: the committed image and its stamp, fetched on
+    /// first touch.
+    fn base(&mut self, id: PageId) -> DmvResult<&(u64, Image)> {
+        let db = self.db;
+        match self.bases.entry(id) {
+            Entry::Occupied(base) => Ok(base.into_mut()),
+            Entry::Vacant(slot) => {
+                let cell = db.store().get(id).ok_or_else(|| missing(id))?;
+                db.store().fault_in(cell);
+                Ok(slot.insert(db.mvcc().read_latest(id, cell)))
+            }
         }
-        let cell = self.cell(id)?;
-        self.db.store().fault_in(&cell);
-        let (stamp, image) = self.db.mvcc().read_latest(id, &cell);
-        self.bases.insert(id, (stamp, image));
-        Ok(())
     }
 
     /// The transaction id.
@@ -198,10 +211,9 @@ impl<'db> Txn<'db> {
                 // Our own copy if we wrote the page, else the base
                 // captured at first read (repeatable reads).
                 if let Some(img) = self.cow.get(&id) {
-                    return Ok(f(img));
+                    return Ok(f(&img[..]));
                 }
-                self.base(id)?;
-                Ok(f(&self.bases[&id].1))
+                Ok(f(&self.base(id)?.1[..]))
             }
             TxnMode::ReadTagged(tag) => {
                 // Rewound images are cached in `bases` for the rest of
@@ -210,29 +222,29 @@ impl<'db> Txn<'db> {
                 // are re-read constantly — re-materializing them per
                 // call costs a page copy each time.
                 if let Some((_, img)) = self.bases.get(&id) {
-                    return Ok(f(img));
+                    return Ok(f(&img[..]));
                 }
                 let want = tag.get(id.table);
                 let cell = self.db.store().get_or_create(id);
-                self.db.store().fault_in(&cell);
+                self.db.store().fault_in(cell);
                 let gate = self.db.gate();
                 let mut rewind = |found: u64| {
                     // A page upgraded past the tag by a newer-tagged
                     // reader may still be servable from the gate's
                     // retained version history (multiversion slave);
                     // only an exhausted history aborts.
-                    match gate.read_version_at(id, &cell, want) {
+                    match gate.read_version_at(id, cell, want) {
                         Some(img) => {
-                            self.bases.insert(id, (want, img));
+                            self.bases.insert(id, (want, page::image_of(&img)));
                             Ok(())
                         }
                         None => Err(DmvError::VersionConflict { page: id, wanted: want, found }),
                     }
                 };
-                if let Err(e) = gate.prepare_read(id, &cell, tag) {
+                if let Err(e) = gate.prepare_read(id, cell, tag) {
                     if let DmvError::VersionConflict { found, .. } = e {
                         rewind(found)?;
-                        return Ok(f(&self.bases[&id].1));
+                        return Ok(f(&self.bases[&id].1[..]));
                     }
                     return Err(e);
                 }
@@ -244,22 +256,22 @@ impl<'db> Txn<'db> {
                     let found = page.version;
                     drop(page);
                     rewind(found)?;
-                    return Ok(f(&self.bases[&id].1));
+                    return Ok(f(&self.bases[&id].1[..]));
                 }
                 Ok(f(page.data()))
             }
             TxnMode::ReadLocal => {
                 let cell = self.cell(id)?;
-                self.db.store().fault_in(&cell);
+                self.db.store().fault_in(cell);
                 let page = cell.latch.read();
                 Ok(f(page.data()))
             }
         }
     }
 
-    /// Writes page `id`: its first write promotes the base to a private
-    /// copy-on-write buffer, and the shared page is untouched until the
-    /// install.
+    /// Writes page `id`: its first write copies the shared base into a
+    /// private copy-on-write buffer, and the shared page is untouched
+    /// until the install.
     ///
     /// # Errors
     ///
@@ -274,13 +286,15 @@ impl<'db> Txn<'db> {
             return Err(DmvError::InvalidTxnState("writes require an update transaction".into()));
         }
         self.lock(id, true)?;
-        self.base(id)?;
         if !self.cow.contains_key(&id) {
-            self.cow.insert(id, self.bases[&id].1.clone());
+            let base = Arc::clone(&self.base(id)?.1);
+            self.cow.insert(id, base);
             self.dirty_order.push(id);
         }
         let cow = self.cow.get_mut(&id).expect("cow entry ensured"); // unwrap-ok: inserted above
-        Ok(f(cow))
+                                                                     // Copies the base on first write only: afterwards the buffer is
+                                                                     // this transaction's alone.
+        Ok(f(&mut Arc::make_mut(cow)[..]))
     }
 
     /// Peeks at page bytes under the latch only — no lock, no version
@@ -292,7 +306,7 @@ impl<'db> Txn<'db> {
         // space *it* already consumed on the page, not the shared
         // committed image.
         if let Some(img) = self.cow.get(&id) {
-            return Some(f(img));
+            return Some(f(&img[..]));
         }
         let cell = self.db.store().get(id)?;
         let page = cell.latch.read();
@@ -315,8 +329,8 @@ impl<'db> Txn<'db> {
         // image, new stamp) would pass first-committer-wins validation
         // and our install would wipe the rival's committed records.
         self.lock(id, true)?;
-        let (stamp, image) = self.db.mvcc().read_latest(id, &cell);
-        self.bases.insert(id, (stamp, image.clone()));
+        let (stamp, image) = self.db.mvcc().read_latest(id, cell);
+        self.bases.insert(id, (stamp, Arc::clone(&image)));
         self.cow.insert(id, image);
         self.dirty_order.push(id);
         Ok(id)
@@ -380,7 +394,7 @@ impl<'db> Txn<'db> {
         let store = self.db.store();
         for id in &cost.pages {
             if let Some(cell) = store.get(*id) {
-                store.fault_in(&cell);
+                store.fault_in(cell);
             }
         }
     }
@@ -416,7 +430,7 @@ impl<'db> Txn<'db> {
     pub fn precommit(&mut self) -> Vec<(PageId, PageDiff)> {
         self.dirty_order
             .iter()
-            .map(|id| (*id, PageDiff::compute(&self.bases[id].1, &self.cow[id])))
+            .map(|id| (*id, PageDiff::compute(&self.bases[id].1[..], &self.cow[id][..])))
             .filter(|(_, diff)| !diff.is_empty())
             .collect()
     }
@@ -451,10 +465,8 @@ impl<'db> Txn<'db> {
             .iter()
             .map(|&id| Ok((id, self.cell(id)?)))
             .collect::<DmvResult<_>>()?;
-        let writes: Vec<Install<'_>> = cells
-            .iter()
-            .map(|(id, cell)| Install { id: *id, cell: cell.as_ref(), image: &self.cow[id] })
-            .collect();
+        let writes: Vec<Install<'_>> =
+            cells.iter().map(|&(id, cell)| Install { id, cell, image: &self.cow[&id] }).collect();
         let stamp = self.db.mvcc().commit(&reads, &writes)?;
         self.install_stamp = Some(stamp);
         Ok(stamp)
@@ -502,7 +514,7 @@ impl<'db> Txn<'db> {
                 // For the same reason only the newest install may clear
                 // the flag, or a page whose latest install hasn't been
                 // checkpointed becomes evictable early.
-                self.db.mvcc().clear_dirty_if_current(id, &cell, stamp);
+                self.db.mvcc().clear_dirty_if_current(id, cell, stamp);
             }
         }
         self.end();

@@ -316,6 +316,42 @@ fn a_fuzzy_checkpoint_during_an_open_two_phase_write_captures_the_committed_imag
     writer.abort();
 }
 
+/// An `MvccCow` update shares the committed images it reads instead of
+/// copying them. A rival's install swaps a new image in and leaves the
+/// shared one untouched, so the open update keeps reading what it read
+/// first, a checkpoint taken meanwhile holds the rival's image, and the
+/// open update's first write loses first-committer-wins validation.
+#[test]
+fn an_open_update_keeps_its_shared_base_across_a_rival_install() {
+    let db = kv_db(ConcurrencyMode::MvccCow);
+    insert_kv(&db, 1, "one", 10);
+    let row = |v: &str| vec![1.into(), v.into(), 10.into()];
+    let page = PageId::heap(TableId(0), 0);
+    let mut t1 = db.begin_update();
+    assert_eq!(lookup(&mut t1, 0, 1)[0].1, row("one"));
+    let rename = |v: &str| Query::Update {
+        table: TableId(0),
+        access: Access::Auto,
+        filter: Some(Expr::eq(0, 1)),
+        set: vec![(1, SetExpr::Value(v.into()))],
+    };
+    let mut t2 = db.begin_update();
+    execute(&mut t2, &rename("two")).unwrap();
+    t2.try_commit(None).unwrap();
+    assert_eq!(lookup(&mut t1, 0, 1)[0].1, row("one"), "the open update's base changed");
+    let committed = page_images(&db)[&page].clone();
+    let ck = fuzzy_checkpoint(db.store(), Duration::ZERO);
+    let restored = PageStore::new_free();
+    ck.restore_into(&restored, true);
+    assert!(
+        restored.get(page).unwrap().latch.read().to_image() == committed,
+        "the checkpoint missed the rival's install"
+    );
+    execute(&mut t1, &rename("three")).unwrap();
+    assert!(matches!(t1.try_commit(None), Err(DmvError::VersionConflict { .. })));
+    assert_eq!(kv_rows(&db), vec![row("two")]);
+}
+
 #[test]
 fn btree_survives_many_inserts_with_splits() {
     let db = MemDb::new(kv_schema(), MemDbOptions::default());

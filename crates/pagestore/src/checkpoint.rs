@@ -63,7 +63,7 @@ impl CheckpointImage {
         for (id, (version, image)) in &self.pages {
             let cell = store.get_or_create(*id);
             let mut page = cell.latch.write();
-            *page = Page::from_image(*version, image.clone());
+            *page = Page::from_image(*version, image);
             drop(page);
             cell.set_resident(resident);
         }

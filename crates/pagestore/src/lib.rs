@@ -32,6 +32,6 @@ pub mod store;
 pub mod versions;
 
 pub use diff::PageDiff;
-pub use page::{Page, PAGE_SIZE};
+pub use page::{Image, Page, PAGE_SIZE};
 pub use store::{PageCell, PageStore, Residency, ResidencyCounters};
 pub use versions::VersionChain;

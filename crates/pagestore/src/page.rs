@@ -1,9 +1,33 @@
 //! The fixed-size page, the paper's unit of concurrency control and
 //! replication.
 
+use std::sync::{Arc, OnceLock};
+
 /// Page payload size in bytes (matching the 4 KiB pages of the modified
 /// MySQL heap-table storage manager).
 pub const PAGE_SIZE: usize = 4096;
+
+/// A page image: `PAGE_SIZE` bytes behind a reference count. Committed
+/// images are shared, never changed in place while shared: an update
+/// transaction's base is a clone of the page's handle, and a writer
+/// that finds the image shared copies it first ([`Page::data_mut`]).
+pub type Image = Arc<[u8; PAGE_SIZE]>;
+
+/// The image every fresh page starts from, shared until first written.
+fn zero_image() -> Image {
+    static ZERO: OnceLock<Image> = OnceLock::new();
+    Arc::clone(ZERO.get_or_init(|| Arc::new([0u8; PAGE_SIZE])))
+}
+
+/// Copies a full page image into a fresh [`Image`].
+///
+/// # Panics
+///
+/// Panics if `data` is not exactly [`PAGE_SIZE`] bytes.
+pub fn image_of(data: &[u8]) -> Image {
+    let bytes: &[u8; PAGE_SIZE] = data.try_into().expect("page image must be PAGE_SIZE bytes"); // unwrap-ok: documented panic on a wrong-sized image
+    Arc::new(*bytes)
+}
 
 /// A page: `PAGE_SIZE` bytes of payload plus the version of the owning
 /// table at which the payload was last modified (on a master) or last
@@ -15,13 +39,13 @@ pub const PAGE_SIZE: usize = 4096;
 pub struct Page {
     /// Last table-version applied to (or produced on) this page.
     pub version: u64,
-    data: Box<[u8]>,
+    data: Image,
 }
 
 impl Page {
     /// Creates a zeroed page at version 0.
     pub fn new() -> Self {
-        Page { version: 0, data: vec![0u8; PAGE_SIZE].into_boxed_slice() }
+        Page { version: 0, data: zero_image() }
     }
 
     /// Creates a page from a full image.
@@ -29,19 +53,29 @@ impl Page {
     /// # Panics
     ///
     /// Panics if `data` is not exactly [`PAGE_SIZE`] bytes.
-    pub fn from_image(version: u64, data: Vec<u8>) -> Self {
-        assert_eq!(data.len(), PAGE_SIZE, "page image must be {PAGE_SIZE} bytes");
-        Page { version, data: data.into_boxed_slice() }
+    pub fn from_image(version: u64, data: &[u8]) -> Self {
+        Page { version, data: image_of(data) }
     }
 
     /// Read-only view of the payload.
     pub fn data(&self) -> &[u8] {
+        &self.data[..]
+    }
+
+    /// Mutable view of the payload, copied first if the image is shared.
+    pub fn data_mut(&mut self) -> &mut [u8] {
+        &mut Arc::make_mut(&mut self.data)[..]
+    }
+
+    /// The payload's shared handle: a clone costs a reference count.
+    pub fn image(&self) -> &Image {
         &self.data
     }
 
-    /// Mutable view of the payload.
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+    /// Replaces the payload with `image` (an install of a committed
+    /// copy-on-write buffer, or a migrated page).
+    pub fn set_image(&mut self, image: Image) {
+        self.data = image;
     }
 
     /// Copies the payload into a fresh vector (for checkpoints and page
@@ -83,7 +117,7 @@ mod tests {
     fn image_roundtrip() {
         let mut img = vec![0u8; PAGE_SIZE];
         img[7] = 42;
-        let p = Page::from_image(9, img.clone());
+        let p = Page::from_image(9, &img);
         assert_eq!(p.version, 9);
         assert_eq!(p.to_image(), img);
     }
@@ -91,7 +125,19 @@ mod tests {
     #[test]
     #[should_panic]
     fn wrong_size_image_panics() {
-        let _ = Page::from_image(0, vec![0u8; 100]);
+        let _ = Page::from_image(0, &[0u8; 100]);
+    }
+
+    #[test]
+    fn a_shared_image_is_copied_before_a_write() {
+        let mut p = Page::new();
+        let base = Arc::clone(p.image());
+        p.data_mut()[0] = 1;
+        assert_eq!(base[0], 0, "the shared image must not change");
+        assert_eq!(p.data()[0], 1);
+        let before = Arc::as_ptr(p.image());
+        p.data_mut()[1] = 2;
+        assert_eq!(Arc::as_ptr(p.image()), before, "an unshared image is written in place");
     }
 
     #[test]

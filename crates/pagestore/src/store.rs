@@ -18,10 +18,14 @@ use crate::page::Page;
 use dmv_common::clock::SimClock;
 use dmv_common::ids::{PageId, PageSpace, TableId};
 use dmv_common::throttle::Throttle;
+// Shimmed primitives for the page table's publication protocol:
+// std/parking_lot in normal builds, model-checked under
+// `--cfg dmv_check` (see crates/check).
+use dmv_check::sync::atomic::AtomicU64 as PublishedCount;
+use dmv_check::sync::Mutex as GrowLock;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Store-wide residency accounting, shared into every [`PageCell`] so
@@ -109,9 +113,13 @@ impl PageCell {
         }
     }
 
-    /// Records a touch for the budget clock's second-chance pass.
+    /// Records a touch for the budget clock's second-chance pass. A page
+    /// already marked is only read, so threads touching one hot page do
+    /// not pass its line back and forth.
     pub fn mark_referenced(&self) {
-        self.referenced.store(true, Ordering::Release);
+        if !self.referenced.load(Ordering::Acquire) {
+            self.referenced.store(true, Ordering::Release);
+        }
     }
 
     /// Whether the page holds uncommitted modifications. Dirty pages are
@@ -167,7 +175,7 @@ impl Residency {
 }
 
 /// The budget clock's sweep state: every page id in insertion order
-/// plus the hand position. Ids are only ever appended (the page map
+/// plus the hand position. Ids are only ever appended (the page table
 /// never shrinks), so the ring needs no removal protocol.
 #[derive(Debug, Default)]
 struct ClockState {
@@ -175,11 +183,99 @@ struct ClockState {
     hand: usize,
 }
 
-/// Concurrent page map for one replica's database.
-#[derive(Debug)]
+/// Slots in a [`Dense`] table's first chunk, as a power of two.
+const FIRST_BITS: u32 = 4;
+
+/// Chunks of a [`Dense`] table: chunk `k` holds `2^(FIRST_BITS + k)`
+/// slots, so 29 chunks cover every `u32` index.
+const CHUNKS: usize = 29;
+
+/// An append-only table indexed by a dense number. Chunk `k` holds
+/// twice the slots of chunk `k - 1` and is allocated on the first fill
+/// of one of its slots, so memory grows with the highest index in use
+/// and a filled slot never moves: a lookup is two indexings and hands
+/// out a reference that lives as long as the table.
+struct Dense<T> {
+    chunks: [OnceLock<Box<[OnceLock<T>]>>; CHUNKS],
+}
+
+impl<T> Default for Dense<T> {
+    fn default() -> Self {
+        Dense { chunks: std::array::from_fn(|_| OnceLock::new()) }
+    }
+}
+
+impl<T> Dense<T> {
+    /// Chunk and offset of index `i`.
+    fn locate(i: u32) -> (usize, usize) {
+        let j = u64::from(i) + (1 << FIRST_BITS);
+        let k = 63 - j.leading_zeros() - FIRST_BITS;
+        (k as usize, (j - (1 << (FIRST_BITS + k))) as usize)
+    }
+
+    fn get(&self, i: u32) -> Option<&T> {
+        let (k, at) = Self::locate(i);
+        self.chunks[k].get()?[at].get()
+    }
+
+    /// The slot at `i`, filled with `init()` if it was empty.
+    fn get_or_init(&self, i: u32, init: impl FnOnce() -> T) -> &T {
+        let (k, at) = Self::locate(i);
+        let chunk = self.chunks[k].get_or_init(|| {
+            (0..1usize << (FIRST_BITS as usize + k)).map(|_| OnceLock::new()).collect()
+        });
+        chunk[at].get_or_init(init)
+    }
+
+    /// Every filled slot with its index, in index order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        self.chunks.iter().enumerate().filter_map(|(k, c)| c.get().map(|c| (k, c))).flat_map(
+            |(k, chunk)| {
+                let first = (1u64 << (FIRST_BITS as usize + k)) - (1 << FIRST_BITS);
+                chunk.iter().enumerate().filter_map(move |(at, slot)| {
+                    slot.get().map(|t| ((first + at as u64) as u32, t))
+                })
+            },
+        )
+    }
+}
+
+/// The pages of one `(table, space)`.
+struct Space {
+    pages: Dense<PageCell>,
+    /// Published allocation count: valid page numbers are below it.
+    /// Stored (Release) only after the slot of the page it newly covers
+    /// is filled, so a reader that loads it (Acquire) finds every page
+    /// that was allocated below it.
+    count: PublishedCount,
+}
+
+impl Default for Space {
+    fn default() -> Self {
+        Space { pages: Dense::default(), count: PublishedCount::new(0) }
+    }
+}
+
+/// Index of a page space within its table's [`Dense`] of spaces.
+fn space_no(space: PageSpace) -> u32 {
+    match space {
+        PageSpace::Heap => 0,
+        PageSpace::Index(n) => 1 + u32::from(n),
+    }
+}
+
+/// Concurrent page table for one replica's database: per table, per
+/// space, a [`Dense`] table of cells indexed by page number.
 pub struct PageStore {
-    pages: RwLock<HashMap<PageId, Arc<PageCell>>>,
-    next_page_no: Mutex<HashMap<(TableId, PageSpace), u32>>,
+    tables: Dense<Dense<Space>>,
+    /// Serializes the allocators and creators of pages; readers never
+    /// take it.
+    grow: GrowLock<()>,
+    /// Cells filled so far, counted as each is made, just before its
+    /// slot takes it.
+    filled: PublishedCount,
+    /// Test hook: publish a new page's count before filling its slot.
+    publish_before_fill: AtomicBool,
     residency: Residency,
     faults: AtomicU64,
     counters: Arc<ResidencyCounters>,
@@ -188,12 +284,23 @@ pub struct PageStore {
     clock_state: Mutex<ClockState>,
 }
 
+impl std::fmt::Debug for PageStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PageStore")
+            .field("pages", &self.len())
+            .field("resident", &self.resident_count())
+            .finish()
+    }
+}
+
 impl PageStore {
     /// Creates an empty store with the given residency model.
     pub fn new(residency: Residency) -> Self {
         PageStore {
-            pages: RwLock::new(HashMap::new()),
-            next_page_no: Mutex::new(HashMap::new()),
+            tables: Dense::default(),
+            grow: GrowLock::new(()),
+            filled: PublishedCount::new(0),
+            publish_before_fill: AtomicBool::new(false),
             residency,
             faults: AtomicU64::new(0),
             counters: Arc::new(ResidencyCounters::default()),
@@ -207,60 +314,82 @@ impl PageStore {
         Self::new(Residency::free())
     }
 
-    /// Allocates the next page in `(table, space)`. The fresh page is
-    /// zeroed, resident, at version 0.
-    pub fn allocate(&self, table: TableId, space: PageSpace) -> (PageId, Arc<PageCell>) {
-        let mut next = self.next_page_no.lock();
-        let counter = next.entry((table, space)).or_insert(0);
-        let id = PageId { table, space, page_no: *counter };
-        let cell = Arc::new(PageCell::new(Page::new(), true, Arc::clone(&self.counters)));
-        // Insert the cell before publishing the new count (and release
-        // `next_page_no` only afterwards): lock-free MVCC readers probe
-        // `allocated_count` and then `get` — a count covering a not-yet-
-        // inserted page would surface as a spurious missing-page error.
-        self.pages.write().insert(id, Arc::clone(&cell));
-        *counter += 1;
-        drop(next);
+    fn space(&self, table: TableId, space: PageSpace) -> Option<&Space> {
+        self.tables.get(u32::from(table.0))?.get(space_no(space))
+    }
+
+    fn space_or_init(&self, table: TableId, space: PageSpace) -> &Space {
+        self.tables
+            .get_or_init(u32::from(table.0), Dense::default)
+            .get_or_init(space_no(space), Space::default)
+    }
+
+    /// Fills the slot of `id` with a zeroed resident page and raises the
+    /// space's count to cover it, in that order unless the test hook
+    /// inverts it. The caller holds `grow`. Returns the cell and whether
+    /// this call created it.
+    fn fill<'s>(&self, space: &'s Space, id: PageId) -> (&'s PageCell, bool) {
+        let covers = u64::from(id.page_no) + 1;
+        let publish = || {
+            if space.count.load(Ordering::Acquire) < covers {
+                space.count.store(covers, Ordering::Release);
+            }
+        };
+        if self.publish_before_fill.load(Ordering::Acquire) {
+            publish();
+        }
+        let mut created = false;
+        let cell = space.pages.get_or_init(id.page_no, || {
+            created = true;
+            self.filled.fetch_add(1, Ordering::AcqRel);
+            PageCell::new(Page::new(), true, Arc::clone(&self.counters))
+        });
+        publish();
+        (cell, created)
+    }
+
+    /// Records a created page with the budget clock and enforces the
+    /// budget, after `grow` is released.
+    fn on_created(&self, id: PageId) {
         self.clock_state.lock().ring.push(id);
         self.enforce_budget();
+    }
+
+    /// Allocates the next page in `(table, space)`. The fresh page is
+    /// zeroed, resident, at version 0.
+    pub fn allocate(&self, table: TableId, space: PageSpace) -> (PageId, &PageCell) {
+        let sp = self.space_or_init(table, space);
+        let grow = self.grow.lock();
+        let page_no =
+            u32::try_from(sp.count.load(Ordering::Acquire)).expect("page numbers fit u32"); // unwrap-ok: a space of 2^32 pages is 16 TiB
+        let id = PageId { table, space, page_no };
+        let (cell, _) = self.fill(sp, id);
+        drop(grow);
+        self.on_created(id);
         (id, cell)
     }
 
-    /// Looks up a page.
-    pub fn get(&self, id: PageId) -> Option<Arc<PageCell>> {
-        self.pages.read().get(&id).cloned()
+    /// Looks up a page: two indexings per level, no lock, no hash.
+    pub fn get(&self, id: PageId) -> Option<&PageCell> {
+        self.space(id.table, id.space)?.pages.get(id.page_no)
     }
 
     /// Looks up a page, creating a zeroed resident page if absent.
     ///
     /// Slaves use this when a replicated write-set references a page the
-    /// master allocated; the local allocation counter is advanced so a
-    /// later promotion to master continues from the right page number.
-    pub fn get_or_create(&self, id: PageId) -> Arc<PageCell> {
+    /// master allocated; the space's count is raised past it so a later
+    /// promotion to master continues from the right page number. Pages
+    /// below it that this node never saw stay empty slots.
+    pub fn get_or_create(&self, id: PageId) -> &PageCell {
         if let Some(c) = self.get(id) {
             return c;
         }
-        let mut pages = self.pages.write();
-        let mut created = false;
-        let cell = pages
-            .entry(id)
-            .or_insert_with(|| {
-                created = true;
-                Arc::new(PageCell::new(Page::new(), true, Arc::clone(&self.counters)))
-            })
-            .clone();
-        drop(pages);
+        let sp = self.space_or_init(id.table, id.space);
+        let grow = self.grow.lock();
+        let (cell, created) = self.fill(sp, id);
+        drop(grow);
         if created {
-            self.clock_state.lock().ring.push(id);
-        }
-        let mut next = self.next_page_no.lock();
-        let counter = next.entry((id.table, id.space)).or_insert(0);
-        if *counter <= id.page_no {
-            *counter = id.page_no + 1;
-        }
-        drop(next);
-        if created {
-            self.enforce_budget();
+            self.on_created(id);
         }
         cell
     }
@@ -268,27 +397,46 @@ impl PageStore {
     /// Number of pages allocated (or mirrored) in `(table, space)` —
     /// i.e. valid page numbers are `0..allocated_count(..)`.
     pub fn allocated_count(&self, table: TableId, space: PageSpace) -> u32 {
-        *self.next_page_no.lock().get(&(table, space)).unwrap_or(&0)
+        self.space(table, space).map_or(0, |sp| sp.count.load(Ordering::Acquire) as u32)
     }
 
     /// True if the page exists.
     pub fn contains(&self, id: PageId) -> bool {
-        self.pages.read().contains_key(&id)
+        self.get(id).is_some()
     }
 
-    /// Snapshot of all page ids (unordered).
+    /// Every cell with its id, table by table and space by space in
+    /// page order.
+    fn cells(&self) -> impl Iterator<Item = (PageId, &PageCell)> {
+        self.tables.iter().flat_map(|(t, spaces)| {
+            spaces.iter().flat_map(move |(s, sp)| {
+                let table = TableId(t as u16);
+                let space = if s == 0 { PageSpace::Heap } else { PageSpace::Index((s - 1) as u8) };
+                sp.pages.iter().map(move |(page_no, c)| (PageId { table, space, page_no }, c))
+            })
+        })
+    }
+
+    /// Snapshot of all page ids, in (table, space, page) order.
     pub fn page_ids(&self) -> Vec<PageId> {
-        self.pages.read().keys().copied().collect()
+        self.cells().map(|(id, _)| id).collect()
     }
 
     /// Number of pages.
     pub fn len(&self) -> usize {
-        self.pages.read().len()
+        self.filled.load(Ordering::Acquire) as usize
     }
 
     /// True if the store holds no pages.
     pub fn is_empty(&self) -> bool {
-        self.pages.read().is_empty()
+        self.len() == 0
+    }
+
+    /// Test hook: publish a new page's count before filling its slot, so
+    /// a reader can see a count that covers an empty slot. A deliberate
+    /// bug — the dmv-check model suite must catch it.
+    pub fn set_publish_before_fill_for_test(&self, on: bool) {
+        self.publish_before_fill.store(on, Ordering::Release);
     }
 
     /// Ensures `cell` is resident, charging the page-in cost if it was
@@ -355,13 +503,12 @@ impl PageStore {
         if n == 0 {
             return;
         }
-        let pages = self.pages.read();
         let mut scanned = 0usize;
         while self.resident_bytes() > budget && scanned < 2 * n {
             let id = clock.ring[clock.hand];
             clock.hand = (clock.hand + 1) % n;
             scanned += 1;
-            let Some(cell) = pages.get(&id) else { continue };
+            let Some(cell) = self.get(id) else { continue };
             if !cell.is_resident() || cell.is_dirty() {
                 continue;
             }
@@ -377,7 +524,7 @@ impl PageStore {
     /// Marks every page non-resident (a completely cold cache, as on a
     /// just-booted or long-idle spare backup).
     pub fn evict_all(&self) {
-        for c in self.pages.read().values() {
+        for (_, c) in self.cells() {
             c.set_resident(false);
         }
     }
@@ -403,6 +550,27 @@ mod tests {
         assert_eq!(b.page_no, 1);
         assert_eq!(c.page_no, 0, "index space has its own counter");
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn dense_slots_cross_chunk_boundaries_in_order() {
+        let mut seen = std::collections::HashSet::new();
+        for i in (0..5000).chain([u32::MAX - 1, u32::MAX]) {
+            let (k, at) = Dense::<()>::locate(i);
+            assert!(at < 1 << (FIRST_BITS as usize + k), "index {i} past its chunk");
+            assert!(seen.insert((k, at)), "index {i} shares a slot");
+        }
+        let s = PageStore::new_free();
+        for _ in 0..200 {
+            s.allocate(TableId(2), PageSpace::Index(1));
+        }
+        let _ = s.get_or_create(PageId::heap(TableId(2), 40));
+        let ids = s.page_ids();
+        assert_eq!(ids.len(), 201);
+        assert_eq!(ids[0], PageId::heap(TableId(2), 40), "heap space comes first");
+        assert!(ids[1..].iter().zip(0..).all(|(id, n)| *id == PageId::index(TableId(2), 1, n)));
+        assert!(s.get(PageId::heap(TableId(2), 39)).is_none(), "a gap stays an empty slot");
+        assert_eq!(s.allocated_count(TableId(2), PageSpace::Heap), 41);
     }
 
     /// `allocated_count` must never cover a page that `get` cannot see:
@@ -455,7 +623,7 @@ mod tests {
         let id = PageId::heap(TableId(0), 0);
         let a = s.get_or_create(id);
         let b = s.get_or_create(id);
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(a, b));
         assert_eq!(s.len(), 1);
     }
 
@@ -463,10 +631,10 @@ mod tests {
     fn fault_in_charges_once() {
         let s = PageStore::new_free();
         let (_, cell) = s.allocate(TableId(0), PageSpace::Heap);
-        assert!(!s.fault_in(&cell), "fresh pages are resident");
+        assert!(!s.fault_in(cell), "fresh pages are resident");
         cell.set_resident(false);
-        assert!(s.fault_in(&cell));
-        assert!(!s.fault_in(&cell));
+        assert!(s.fault_in(cell));
+        assert!(!s.fault_in(cell));
         assert_eq!(s.fault_count(), 1);
     }
 
@@ -488,7 +656,7 @@ mod tests {
         let (_, cell) = s.allocate(TableId(0), PageSpace::Heap);
         cell.set_resident(false);
         let t0 = std::time::Instant::now();
-        s.fault_in(&cell);
+        s.fault_in(cell);
         assert!(t0.elapsed() >= Duration::from_millis(2));
     }
 
@@ -556,7 +724,7 @@ mod tests {
         assert_eq!(s.resident_count(), 2);
         // …then a touch re-arms the hot page: tightening the budget to
         // one page must evict some *other* resident page first.
-        s.fault_in(&hot);
+        s.fault_in(hot);
         s.set_budget_bytes(crate::PAGE_SIZE as u64);
         assert_eq!(s.resident_count(), 1);
         assert!(hot.is_resident(), "referenced page evicted before cold pages");
@@ -573,7 +741,7 @@ mod tests {
         // enforce_budget evicted the two oldest (first in the ring).
         assert!(!first.is_resident());
         let faults_before = s.fault_count();
-        assert!(s.fault_in(&first), "re-touch of an evicted page must fault");
+        assert!(s.fault_in(first), "re-touch of an evicted page must fault");
         assert_eq!(s.fault_count(), faults_before + 1);
         assert!(s.resident_count() <= 3);
     }
