@@ -647,12 +647,14 @@ fn saturation_holds(update_tps: &[f64]) -> bool {
 /// The saturation sweep: the ordering mix on 2 slaves at 25 ms think
 /// time and 16, 32 and 64 clients, each cell the median of
 /// `p.trials` runs by update count (the median discards a run that
-/// caught a scheduler stall). Both modes' sweeps are gated.
+/// caught a scheduler stall). Both modes' sweeps are gated: monotone
+/// update throughput and, when uncompressed, every cell's aborts under
+/// the paper's 2.5 %.
 fn saturation(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
     let mut f = Figure::new("saturation", "ordering at 25 ms think, rising offered load");
     for &mode in modes {
         let m = mode_name(mode);
-        let mut tps = Vec::new();
+        let (mut tps, mut aborts) = (Vec::new(), Vec::new());
         for clients in [16, 32, 64] {
             let cell =
                 Sweep { n_clients: clients, think_time: Duration::from_millis(25), ..p.clone() };
@@ -677,6 +679,7 @@ fn saturation(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
             f.row(format!("{c}.deadlock_pct"), deadlock_rate * 100.0, "%");
             f.row(format!("{c}.errors"), r.errors as f64, "count");
             tps.push(update_tps);
+            aborts.push(abort_rate);
         }
         let shape: Vec<String> = tps.iter().map(|t| format!("{t:.1}")).collect();
         f.check(
@@ -684,6 +687,19 @@ fn saturation(p: &Sweep, modes: &[ConcurrencyMode]) -> Figure {
             saturation_holds(&tps),
             format!("upd/s at 16/32/64 clients: {}", shape.join(", ")),
         );
+        // The paper's bound is a claim about the modeled system. A
+        // compressed sweep (the smoke's time scale 0.1) offers its load
+        // in a tenth of the wall time, saturates a small host's CPU and
+        // aborts well over 2.5 % with or without a conflict gate, so
+        // only an uncompressed sweep is held to it.
+        if p.time_scale >= 1.0 {
+            let pct: Vec<String> = aborts.iter().map(|a| format!("{:.2}%", a * 100.0)).collect();
+            f.check(
+                format!("{m}: aborts under 2.5% at every client count"),
+                aborts.iter().all(|&a| a < 0.025),
+                format!("aborts at 16/32/64 clients: {}", pct.join(", ")),
+            );
+        }
     }
     f
 }

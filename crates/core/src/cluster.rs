@@ -7,7 +7,6 @@
 //! scheduler's `latest`, slave failure, spare activation and joining as
 //! a slave. A scheduler takeover only rebuilds the new lead's `latest`.
 
-use crate::contention::ContentionManager;
 use crate::membership::{Membership, Topology};
 use crate::messages::{Msg, PageBatch};
 use crate::replica::{ReplicaConfig, ReplicaNode};
@@ -19,6 +18,7 @@ use dmv_common::clock::{sleep_wall, SimClock, TimeScale};
 use dmv_common::config::{BufferBudget, ConcurrencyMode, CpuProfile, DiskProfile, NetProfile};
 use dmv_common::error::{DmvError, DmvResult};
 use dmv_common::ids::{NodeId, TableId};
+use dmv_common::rng::Backoff;
 use dmv_common::stats::TxnStats;
 use dmv_common::version::VersionVector;
 use dmv_common::wire::Wire;
@@ -38,6 +38,12 @@ const MIGRATION_BATCH_PAGES: usize = 64;
 
 /// Buffer pool pages per on-disk backend.
 const BACKEND_BUFFER_PAGES: usize = 512;
+
+/// Bounds of every retry backoff delay (paper time).
+const BACKOFF_BASE: Duration = Duration::from_micros(300);
+const BACKOFF_CAP: Duration = Duration::from_millis(8);
+/// Seed of the backoff jitter stream.
+const BACKOFF_SEED: u64 = 0xB0FF;
 
 /// Cluster construction parameters. All durations are paper time.
 #[derive(Debug, Clone)]
@@ -167,9 +173,9 @@ pub struct DmvCluster {
     trace_tap: Mutex<Option<SharedTap>>,
     /// Cluster-wide epoch manager: reader pins → reclamation watermark.
     epoch: Arc<EpochManager>,
-    /// Cluster-wide contention manager: conflict heat, hot-class
-    /// serialization, deterministic retry backoff.
-    contention: Arc<ContentionManager>,
+    /// The seeded equal-jitter delay stream every session of this
+    /// cluster spaces its retries with: the only overload control.
+    backoff: Mutex<Backoff>,
 }
 
 impl DmvCluster {
@@ -229,8 +235,9 @@ impl DmvCluster {
             next_node_id: Mutex::new(80),
             trace_tap: Mutex::new(None),
             epoch: EpochManager::new(n_tables),
-            contention: ContentionManager::new(clock),
+            backoff: Mutex::new(Backoff::new(BACKOFF_BASE, BACKOFF_CAP, BACKOFF_SEED)),
         };
+        dmv_check::race::label(&cluster.backoff, "cluster.backoff");
         let spawn = |base: u32, n: usize| -> Vec<Arc<ReplicaNode>> {
             (0..n as u32).map(|i| cluster.spawn_replica(NodeId(base + i))).collect()
         };
@@ -257,7 +264,6 @@ impl DmvCluster {
                     Arc::clone(&cluster.net),
                     sched_cfg.clone(),
                     Arc::clone(&cluster.epoch),
-                    Arc::clone(&cluster.contention),
                 )
             })
             .collect();
@@ -265,7 +271,7 @@ impl DmvCluster {
     }
 
     /// Starts replica `id`, wired like every node of this cluster (cost
-    /// model, contention manager, history tap if one is installed), and
+    /// model, history tap if one is installed), and
     /// enters it in the replica table — replacing a dead incarnation of
     /// the same id. Its role is the membership list it is put on.
     fn spawn_replica(&self, id: NodeId) -> Arc<ReplicaNode> {
@@ -282,7 +288,6 @@ impl DmvCluster {
                 concurrency: self.spec.concurrency,
             },
         );
-        node.set_contention(Arc::clone(&self.contention));
         if let Some(tap) = self.trace_tap.lock().as_ref() {
             node.set_trace_tap(Arc::clone(tap));
         }
@@ -599,8 +604,10 @@ impl DmvCluster {
         if let Ok(s) = self.alive_scheduler() {
             s.stats.retries.inc();
         }
+        // Drawn first, so no session sleeps holding the stream's lock.
+        let delay = self.backoff.lock().delay(attempt);
         // wait-ok: the client's retry backoff
-        self.clock.sleep_paper(self.contention.backoff_delay(attempt));
+        self.clock.sleep_paper(delay);
     }
 
     /// Records one transaction giving up after its last retry.
@@ -893,52 +900,15 @@ impl std::fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmv_sql::query::{Access, Expr, SetExpr};
-    use dmv_sql::schema::{ColType, Column, IndexDef, TableSchema};
 
     #[test]
-    fn a_hot_class_turn_ends_when_the_master_answers() {
-        // The class guard serializes master executions. The §4.6 insert
-        // and the reply hop that follow conflict with nobody, so two
-        // writers of a hot table overlap them: ≈ 200 ms together. A turn
-        // that also covered the insert would take ≥ 400.
-        let schema = Schema::new(vec![TableSchema::new(
-            TableId(0),
-            "accounts",
-            vec![Column::new("id", ColType::Int), Column::new("balance", ColType::Int)],
-            vec![IndexDef::unique("pk", vec![0])],
-        )]);
-        let mut spec = ClusterSpec::fast_test(schema);
-        spec.log_latency = Duration::from_millis(200);
-        let cluster = DmvCluster::start(spec);
-        cluster.load_rows(TableId(0), (0..4).map(|i| vec![i.into(), 0.into()]).collect()).unwrap();
-        cluster.finish_load();
-        // Heat that stays past the threshold for seconds of decay.
-        for _ in 0..100 {
-            cluster.contention.record_table_conflict(TableId(0));
+    fn backoff_stream_is_deterministic_and_bounded() {
+        let stream = || Backoff::new(BACKOFF_BASE, BACKOFF_CAP, BACKOFF_SEED);
+        let (mut a, mut b) = (stream(), stream());
+        for attempt in 1..=10 {
+            let d = a.delay(attempt);
+            assert_eq!(d, b.delay(attempt), "same seed, same stream");
+            assert!((BACKOFF_BASE..=BACKOFF_CAP).contains(&d));
         }
-        assert!(cluster.contention.serialize_if_hot(&[TableId(0)]).is_some(), "table is hot");
-        let start = dmv_common::clock::wall_now();
-        let writers: Vec<_> = (0..2i64)
-            .map(|id| {
-                let c = Arc::clone(&cluster);
-                std::thread::spawn(move || {
-                    c.session()
-                        .update(&[Query::Update {
-                            table: TableId(0),
-                            access: Access::Auto,
-                            filter: Some(Expr::eq(0, id)),
-                            set: vec![(1, SetExpr::AddInt(1))],
-                        }])
-                        .unwrap();
-                })
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        let elapsed = start.elapsed();
-        assert!(elapsed < Duration::from_millis(350), "the turn covered the insert: {elapsed:?}");
-        cluster.shutdown();
     }
 }

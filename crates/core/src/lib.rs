@@ -50,7 +50,6 @@
 pub mod ack;
 pub mod applier;
 pub mod cluster;
-pub mod contention;
 pub mod membership;
 pub mod messages;
 pub mod replica;
@@ -61,7 +60,6 @@ pub mod trace;
 pub use ack::AckTracker;
 pub use applier::PendingApplier;
 pub use cluster::{ClusterSpec, DmvCluster, MigrationReport, Session};
-pub use contention::ContentionManager;
 pub use membership::{Membership, Topology};
 pub use messages::{Msg, PageBatch, WriteSet, WriteSetBatch};
 pub use replica::{ReplicaConfig, ReplicaNode};

@@ -7,7 +7,6 @@
 
 use crate::ack::AckTracker;
 use crate::applier::PendingApplier;
-use crate::contention::ContentionManager;
 use crate::messages::{Msg, PageBatch, WriteSet, WriteSetBatch};
 use crate::reuse::ResultStore;
 use crate::trace::{SharedTap, TraceEvent};
@@ -142,9 +141,6 @@ pub struct ReplicaNode {
     batch: Mutex<BatchState>,
     /// Per-peer cumulative ack watermarks (replaces per-txn ack sets).
     acks: AckTracker,
-    /// Cluster contention manager: master-side MVCC validation failures
-    /// deposit conflict heat here. `None` disables the feed.
-    contention: RwLock<Option<Arc<ContentionManager>>>,
     ack_timeout: Duration,
     // migration (joiner side)
     migration_done: Mutex<bool>,
@@ -207,7 +203,6 @@ impl ReplicaNode {
             targets: RwLock::new(Vec::new()),
             batch: Mutex::new(BatchState { queue: Vec::new(), in_flight: false, hold: false }),
             acks: AckTracker::new(),
-            contention: RwLock::new(None),
             ack_timeout: cfg.ack_timeout,
             migration_done: Mutex::new(false),
             migration_cv: Condvar::new(),
@@ -388,13 +383,6 @@ impl ReplicaNode {
         self.acks.remove(node);
     }
 
-    /// Installs the cluster's contention manager; MVCC commit-validation
-    /// failures then deposit conflict heat on the page's table. Until
-    /// this is called the heat feed is a no-op (standalone replicas).
-    pub fn set_contention(&self, contention: Arc<ContentionManager>) {
-        *self.contention.write() = Some(contention);
-    }
-
     /// Reclaims this node's pending queues up to `wm` (eager apply +
     /// reap), emitting the trace event. Idempotent and monotone-safe:
     /// a second pass at the same or an older watermark is a no-op.
@@ -498,13 +486,6 @@ impl ReplicaNode {
             drop(seq_guard);
             txn.abort();
             self.stats.version_aborts.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter, read only for reporting
-            if let DmvError::VersionConflict { page, .. } = &e {
-                // Feed the contention tier: this page's table is
-                // where first-committer-wins races are burning work.
-                if let Some(c) = self.contention.read().clone() {
-                    c.record_table_conflict(page.table);
-                }
-            }
             return Err(e);
         }
         // Test hook: die after validation/install, before any broadcast.

@@ -19,16 +19,11 @@
 //! master commits with no write (its all-zero version vector) has no
 //! committed query to log or feed: it replies after the reply hop alone.
 //!
-//! Updates additionally pass the contention tier before reaching their
-//! master: writers over a hot table set take turns (see
-//! [`crate::contention`]).
-//!
 //! Who is master, slave or spare is not the scheduler's to decide: every
 //! scheduler of a cluster reads the one [`Membership`] the cluster
 //! changes. A scheduler keeps only its own state — `latest`, routing
 //! loads, stats, the backend feed and the history tap.
 
-use crate::contention::ContentionManager;
 use crate::membership::Membership;
 use crate::messages::Msg;
 use crate::replica::ReplicaNode;
@@ -135,16 +130,12 @@ pub struct Scheduler {
     /// epoch for its whole execution, holding the reclamation
     /// watermark at or below its tag.
     epoch: Arc<EpochManager>,
-    /// Cluster contention manager: conflict-heat accounting and
-    /// hot-class update serialization.
-    contention: Arc<ContentionManager>,
 }
 
 impl Scheduler {
     /// Creates a scheduler routing by `membership`, feeding `backends`
-    /// asynchronously. `membership`, `epoch` (every scheduler) and
-    /// `contention` (every scheduler and replica) are what one cluster
-    /// shares.
+    /// asynchronously. `membership` and `epoch` are what every scheduler
+    /// of one cluster shares.
     pub fn new(
         id: NodeId,
         membership: Arc<Membership>,
@@ -152,7 +143,6 @@ impl Scheduler {
         net: DynTransport<Msg>,
         cfg: SchedulerConfig,
         epoch: Arc<EpochManager>,
-        contention: Arc<ContentionManager>,
     ) -> Arc<Self> {
         let sched = Arc::new(Scheduler {
             id,
@@ -169,7 +159,6 @@ impl Scheduler {
             alive: AtomicBool::new(true),
             tap: RwLock::new(None),
             epoch,
-            contention,
         });
         dmv_check::race::label(&sched.slave_loads, "slave_loads");
         if !backends.is_empty() {
@@ -270,11 +259,6 @@ impl Scheduler {
         f: &mut dyn FnMut(&mut dyn StatementRunner) -> DmvResult<()>,
     ) -> DmvResult<()> {
         let master = self.master_for_tables(tables)?;
-        // Contention tier: the class guard is held across the whole
-        // master execution, so hot-set writers take turns (which beats
-        // racing to first-committer-wins validation). It is dropped when
-        // the master answers: nothing after that can conflict.
-        let class_guard = self.contention.serialize_if_hot(tables);
         self.charge_hop(256); // client → scheduler → master request hop
         let scale = self.cfg.clock.scale();
         let mut writes: Vec<Query> = Vec::new();
@@ -289,7 +273,6 @@ impl Scheduler {
             insert_done = wall_deadline(scale.to_wall(self.cfg.log_latency));
             out
         });
-        drop(class_guard);
         match res {
             Ok(version) => {
                 self.latest.merge(&version);

@@ -442,7 +442,7 @@ impl Harness<'_> {
     }
 
     /// Burst of `n` conflicting counter updates under a small retry
-    /// budget, then the contention-tier oracle: no transaction may
+    /// budget, then the retry-budget oracle: no transaction may
     /// exceed its budget (the retry-exhausted counter must not move).
     fn surge(&mut self, ctr: i64, n: u32) -> String {
         const SURGE_RETRIES: usize = 5;

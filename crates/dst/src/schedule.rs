@@ -148,7 +148,7 @@ pub enum Event {
     /// GC-safety oracles after every event.
     MemPressure { pages: u32 },
     /// Burst of `n` conflicting counter updates from one client, each
-    /// run under a small retry budget, followed by the contention-tier
+    /// run under a small retry budget, followed by the retry-budget
     /// oracle: no transaction may exceed its retry budget (every burst
     /// update eventually commits). Hand-written schedules only (not
     /// generated), so adding it reshuffles no existing corpus seed.

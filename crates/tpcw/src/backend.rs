@@ -59,7 +59,7 @@ const RETRY_CAP: Duration = Duration::from_millis(8);
 const RETRY_SEED: u64 = 0xD15C;
 
 /// The on-disk baselines' jitter: one seeded stream shared by every
-/// client, as the DMV cluster's `ContentionManager` shares its own, so
+/// client, as the DMV cluster shares its own among its sessions, so
 /// two retriers that collided draw different delays.
 static RETRY_BACKOFF: LazyLock<Mutex<Backoff>> =
     LazyLock::new(|| Mutex::new(Backoff::new(RETRY_BASE, RETRY_CAP, RETRY_SEED)));

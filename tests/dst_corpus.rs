@@ -274,8 +274,8 @@ fn fixed_surge_respects_retry_budget_and_is_deterministic() {
                 .unwrap_or_else(|| panic!("trace records the {surge} surge"));
             assert!(line.contains(committed), "burst lost an update: {line}");
         }
-        // Determinism: backoff draws and hot-class decisions must leak
-        // no entropy into the trace.
+        // Determinism: the backoff draws must leak no entropy into the
+        // trace.
         let r2 = run_schedule_in_mode(&s, mode);
         assert_eq!(r.trace_text(), r2.trace_text(), "surge schedule is not deterministic");
     }

@@ -3,7 +3,13 @@
 //! appliers (sharded queues, Arc-shared write-sets) of a 4-slave
 //! cluster, then every replica must converge to the master's state and
 //! every committed write-set must have reached every slave.
+//!
+//! It runs under both concurrency modes. The accounts share one heap
+//! page, so MvccCow writers lose first-committer-wins validation to
+//! each other and get through on the seeded retry backoff alone; under
+//! 2PL they wait on the page lock instead.
 
+use dmv::common::config::ConcurrencyMode;
 use dmv::common::ids::TableId;
 use dmv::core::cluster::{ClusterSpec, DmvCluster};
 use dmv::sql::{
@@ -49,8 +55,18 @@ fn total_balance(rows: &[Vec<Value>]) -> i64 {
 
 #[test]
 fn concurrent_clients_converge_without_losing_writesets() {
+    for mode in [ConcurrencyMode::TwoPhase, ConcurrencyMode::MvccCow] {
+        converge_without_losing_writesets(mode);
+    }
+    // Under --cfg dmv_race this fails the test if the happens-before
+    // detector flagged any race during the run; a no-op otherwise.
+    dmv_check::race::assert_clean();
+}
+
+fn converge_without_losing_writesets(mode: ConcurrencyMode) {
     let mut spec = ClusterSpec::fast_test(bank_schema());
     spec.n_slaves = 4;
+    spec.concurrency = mode;
     let cluster = DmvCluster::start(spec);
     cluster
         .load_rows(TableId(0), (0..ACCOUNTS).map(|i| vec![i.into(), 100.into()]).collect())
@@ -102,6 +118,9 @@ fn concurrent_clients_converge_without_losing_writesets() {
         r.join().unwrap();
     }
     assert_eq!(committed, WRITERS * UPDATES_PER_WRITER as u64);
+    assert_eq!(cluster.retry_exhausted_total(), 0, "{mode:?}: a writer ran out of retries");
+    let conflicts: u64 = cluster.stats().iter().map(|s| s.update_version_aborts.get()).sum();
+    println!("{mode:?}: {committed} commits, {conflicts} update_version_aborts");
 
     // No lost write-sets: every commit was broadcast to every slave, so
     // each applier enqueued at least `committed` new write-sets (more
@@ -133,7 +152,4 @@ fn concurrent_clients_converge_without_losing_writesets() {
         assert_eq!(got[0].rows, expect[0].rows, "slave {id:?} diverged from master");
     }
     cluster.shutdown();
-    // Under --cfg dmv_race this fails the test if the happens-before
-    // detector flagged any race during the run; a no-op otherwise.
-    dmv_check::race::assert_clean();
 }
