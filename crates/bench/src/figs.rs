@@ -223,10 +223,9 @@ const BUCKET: Duration = Duration::from_secs(5);
 /// the phases and their ordering.
 fn fig4() -> Figure {
     let mut f = Figure::new("F4", "node reintegration under the shopping mix (master killed)");
-    // Long checkpoint period = the paper's worst case: every
-    // modification since the start of the run is transferred.
-    let checkpoint_period = Some(Duration::from_secs(2400));
-    let opts = DmvOptions { slaves: 4, checkpoint_period, ..Default::default() };
+    // The only checkpoint is the one taken at load: the paper's worst
+    // case, every modification since the start of the run is transferred.
+    let opts = DmvOptions { slaves: 4, ..Default::default() };
     let d = deploy_dmv(TpcwScale::small(), 0.25, opts);
     // The paper's 6-minute reboot, compressed to 30 s.
     let (kill, back, total) =

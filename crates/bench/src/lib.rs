@@ -59,12 +59,6 @@ pub struct DmvOptions {
     pub spares: usize,
     /// Spare warmup strategy.
     pub warmup: WarmupStrategy,
-    /// Fuzzy checkpoint period.
-    pub checkpoint_period: Option<Duration>,
-    /// Page-in latency for non-resident pages.
-    pub fault_latency: Duration,
-    /// On-disk persistence backends.
-    pub backends: usize,
     /// Per-node buffer budget (larger-than-memory runs); unbounded by
     /// default.
     pub buffer_budget: BufferBudget,
@@ -79,9 +73,6 @@ impl Default for DmvOptions {
             slaves: 2,
             spares: 0,
             warmup: WarmupStrategy::None,
-            checkpoint_period: None,
-            fault_latency: Duration::from_millis(8),
-            backends: 0,
             buffer_budget: BufferBudget::unbounded(),
             concurrency: ConcurrencyMode::TwoPhase,
         }
@@ -94,9 +85,6 @@ pub fn deploy_dmv(scale: TpcwScale, time_scale: f64, opts: DmvOptions) -> Deploy
     spec.n_slaves = opts.slaves;
     spec.n_spares = opts.spares;
     spec.warmup = opts.warmup;
-    spec.checkpoint_period = opts.checkpoint_period;
-    spec.fault_latency = opts.fault_latency;
-    spec.n_backends = opts.backends;
     spec.buffer_budget = opts.buffer_budget;
     spec.concurrency = opts.concurrency;
     deploy(scale, spec)

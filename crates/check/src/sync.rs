@@ -3,7 +3,7 @@
 //! Normal builds: literal re-exports of `parking_lot` and
 //! `std::sync::atomic` — zero cost, zero behavior change. Under
 //! `--cfg dmv_check`: wrappers that route every operation through the
-//! controlled scheduler in [`crate::sched`].
+//! controlled scheduler in `crate::sched`.
 //!
 //! Checked-mode semantics worth knowing:
 //!

@@ -32,7 +32,7 @@
 //!   bytes live once, in the write-set allocation shared with the
 //!   network layer, no matter how many pages or replicas are involved;
 //! * a page's pending queue and its chain sit together in one
-//!   [`PageSlot`], and the slot map is split into [`SHARD_COUNT`]
+//!   `PageSlot`, and the slot map is split into `SHARD_COUNT`
 //!   independently locked shards keyed by a page-id hash, so readers
 //!   materializing different pages don't contend on one map lock;
 //! * the received-version vector is an [`AtomicVersionVector`]: tag
@@ -49,7 +49,7 @@ use dmv_memdb::ReadGate;
 use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::store::{PageCell, PageStore};
 use dmv_pagestore::versions::VersionChain;
-use dmv_pagestore::Page;
+use dmv_pagestore::{Image, Page};
 // Shimmed primitives: parking_lot/std in normal builds, model-checked
 // under `--cfg dmv_check` (see crates/check).
 use dmv_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -472,12 +472,12 @@ impl ReadGate for PendingApplier {
     /// the page's reverse steps; `None` (the reader aborts) when they
     /// don't reach that far. A page at or below `want` is its own answer
     /// (raced with a rewind-free serve).
-    fn read_version_at(&self, id: PageId, cell: &PageCell, want: u64) -> Option<Vec<u8>> {
+    fn read_version_at(&self, id: PageId, cell: &PageCell, want: u64) -> Option<Image> {
         let shard = self.slots[id.shard(SHARD_COUNT)].lock();
         let page = cell.latch.read();
         let none = VersionChain::default();
         let past = shard.get(&id).map_or(&none, |slot| &slot.past);
-        past.image_at(page.data(), page.version, want)
+        past.image_at(page.image(), page.version, want)
     }
 
     fn prepare_read(&self, id: PageId, cell: &PageCell, tag: &VersionVector) -> DmvResult<()> {

@@ -78,8 +78,6 @@ pub struct ClusterSpec {
     pub ack_timeout: Duration,
     /// Spare warmup strategy.
     pub warmup: WarmupStrategy,
-    /// Fuzzy checkpoint period, if any.
-    pub checkpoint_period: Option<Duration>,
     /// Failure-detector poll interval.
     pub detect_interval: Duration,
     /// Commit-path query-logging cost (§4.6); runs alongside the
@@ -117,7 +115,6 @@ impl ClusterSpec {
             fault_latency: Duration::from_micros(8000),
             ack_timeout: Duration::from_secs(2),
             warmup: WarmupStrategy::None,
-            checkpoint_period: None,
             detect_interval: Duration::from_secs(1),
             log_latency: Duration::from_micros(500),
             same_version_routing: true,
@@ -341,7 +338,8 @@ impl DmvCluster {
 
     /// Finishes loading: copies the masters' pages onto every replica
     /// (the shared initial database image), wires replication targets,
-    /// and starts the failure monitor and checkpoint threads.
+    /// takes every node's baseline checkpoint, and starts the failure
+    /// monitor and GC sweeper threads.
     pub fn finish_load(self: &Arc<Self>) {
         let topo = self.membership.read().clone();
         for master in &topo.masters {
@@ -356,7 +354,8 @@ impl DmvCluster {
                 topo.all().iter().filter(|r| r.id() != master.id()).map(|r| r.id()).collect();
             master.set_targets(targets);
         }
-        // Baseline checkpoint so reintegration always has a floor.
+        // Baseline checkpoint so reintegration always has a floor. It
+        // shares the load's page images, so it costs no page copy.
         for r in topo.all() {
             r.take_checkpoint();
         }
@@ -367,16 +366,6 @@ impl DmvCluster {
         self.spawn_periodic("dmv-monitor", wall(self.spec.detect_interval, 5), |c| {
             c.detect_and_reconfigure();
         });
-        if let Some(period) = self.spec.checkpoint_period {
-            self.spawn_periodic("dmv-checkpoint", wall(period, 10), |c| {
-                let nodes = c.membership.read().all();
-                for r in nodes {
-                    if r.is_alive() {
-                        r.take_checkpoint();
-                    }
-                }
-            });
-        }
         if let Some(period) = self.spec.gc_interval {
             self.spawn_periodic("dmv-gc", wall(period, 10), |c| {
                 c.gc_sweep();
@@ -393,7 +382,7 @@ impl DmvCluster {
                 return true;
             }
             let step = left.min(Duration::from_millis(25));
-            // wait-ok: a background period (monitor, checkpoint, GC sweep), off every transaction's path
+            // wait-ok: a background period (monitor, GC sweep), off every transaction's path
             sleep_wall(step);
             left -= step;
         }
@@ -733,7 +722,7 @@ impl DmvCluster {
         Ok(MigrationReport { pages: total_pages, bytes: total_bytes, duration })
     }
 
-    /// Clean shutdown: stops monitor/checkpoint threads, receiver
+    /// Clean shutdown: stops the monitor and GC sweeper threads, receiver
     /// threads and scheduler feeds (draining queued backend batches).
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);

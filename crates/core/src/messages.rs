@@ -11,7 +11,8 @@ use dmv_common::version::VersionVector;
 use dmv_common::wire::{put_u32, put_u64, Reader, Wire};
 use dmv_common::{DmvError, DmvResult};
 use dmv_pagestore::diff::PageDiff;
-use dmv_pagestore::PAGE_SIZE;
+use dmv_pagestore::page::image_of;
+use dmv_pagestore::{Image, PAGE_SIZE};
 use std::sync::Arc;
 
 /// The write-set a master broadcasts at pre-commit (paper Figure 2): the
@@ -111,15 +112,16 @@ impl Wire for WriteSetBatch {
 /// only pages newer than the joining node's checkpointed versions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageBatch {
-    /// `(page, version, image)` triples.
-    pub pages: Vec<(PageId, u64, Vec<u8>)>,
+    /// `(page, version, image)` triples; each image is the sender's
+    /// page image, shared, not copied.
+    pub pages: Vec<(PageId, u64, Image)>,
     /// True on the final batch of a migration.
     pub done: bool,
 }
 
 impl Wire for PageBatch {
     fn encoded_len(&self) -> usize {
-        4 + self.pages.iter().map(|(_, _, img)| 8 + 8 + 4 + img.len()).sum::<usize>() + 1
+        4 + self.pages.len() * (8 + 8 + 4 + PAGE_SIZE) + 1
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -127,8 +129,8 @@ impl Wire for PageBatch {
         for (page, version, img) in &self.pages {
             page.encode_into(out);
             put_u64(out, *version);
-            put_u32(out, img.len() as u32);
-            out.extend_from_slice(img);
+            put_u32(out, PAGE_SIZE as u32);
+            out.extend_from_slice(&img[..]);
         }
         out.push(u8::from(self.done));
     }
@@ -141,14 +143,13 @@ impl Wire for PageBatch {
             let page = PageId::decode(r)?;
             let version = r.u64()?;
             let len = r.u32()? as usize;
-            // The migration applier copies images into page frames; any
-            // other length would panic there, so reject it here.
+            // An image is exactly one page; reject any other length.
             if len != PAGE_SIZE {
                 return Err(DmvError::Codec(format!(
                     "page image of {len} bytes, expected {PAGE_SIZE}"
                 )));
             }
-            pages.push((page, version, r.bytes(len)?.to_vec()));
+            pages.push((page, version, image_of(r.bytes(len)?)));
         }
         let done = match r.u8()? {
             0 => false,
@@ -296,7 +297,7 @@ mod tests {
             Msg::CumAck { seq: 42 },
             Msg::CumAck { seq: 0 },
             Msg::PageBatch(PageBatch {
-                pages: vec![(PageId::index(TableId(2), 1, 5), 9, vec![3u8; PAGE_SIZE])],
+                pages: vec![(PageId::index(TableId(2), 1, 5), 9, Arc::new([3u8; PAGE_SIZE]))],
                 done: true,
             }),
             Msg::PageBatch(PageBatch { pages: vec![], done: false }),
@@ -385,9 +386,17 @@ mod tests {
 
     #[test]
     fn wrong_page_image_size_rejected() {
-        let bad =
-            PageBatch { pages: vec![(PageId::heap(TableId(0), 0), 1, vec![0u8; 16])], done: false };
-        let bytes = bad.encode();
+        // The type holds only whole pages, so the 16-byte image a faulty
+        // peer might send is made by patching an encoded batch: its
+        // length field says 16 and 16 image bytes follow.
+        let page = PageId::heap(TableId(0), 0);
+        let good = PageBatch { pages: vec![(page, 1, Arc::new([0u8; PAGE_SIZE]))], done: false };
+        let mut bytes = good.encode();
+        assert!(decode_exact::<PageBatch>(&bytes).is_ok());
+        let len_at = 4 + page.encoded_len() + 8;
+        bytes[len_at..len_at + 4].copy_from_slice(&16u32.to_le_bytes());
+        bytes.truncate(len_at + 4 + 16);
+        bytes.push(0);
         assert!(matches!(decode_exact::<PageBatch>(&bytes), Err(DmvError::Codec(_))));
     }
 

@@ -19,6 +19,7 @@ use dmv_memdb::{MemDb, MemDbOptions};
 use dmv_net::{DynTransport, Endpoint};
 use dmv_pagestore::checkpoint::{fuzzy_checkpoint, CheckpointImage};
 use dmv_pagestore::store::Residency;
+use dmv_pagestore::Image;
 use dmv_sql::exec::{ResultSet, StatementRunner};
 use dmv_sql::query::Query;
 use dmv_sql::schema::Schema;
@@ -121,7 +122,6 @@ pub struct ReplicaNode {
     /// Stored answers to tagged selects (slave side).
     results: ResultStore,
     net: DynTransport<Msg>,
-    clock: SimClock,
     alive: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
     // master state
@@ -195,7 +195,6 @@ impl ReplicaNode {
             applier,
             results: ResultStore::new(),
             net: Arc::clone(&net),
-            clock: cfg.clock,
             alive: Arc::new(AtomicBool::new(true)),
             shutdown: Arc::new(AtomicBool::new(false)),
             dbversion: Mutex::new(VersionVector::new(schema.len())),
@@ -257,7 +256,9 @@ impl ReplicaNode {
                     self.acks.acked_by_all(live.unwrap_or(seq));
                 }
             }
-            Msg::PageBatch(batch) => {
+            Msg::PageBatch(batch)
+                if batch.pages.iter().all(|(id, ..)| usize::from(id.table.0) < tables) =>
+            {
                 self.apply_page_batch(&batch);
                 if batch.done {
                     *self.migration_done.lock() = true;
@@ -276,8 +277,10 @@ impl ReplicaNode {
             // A frame shaped for another schema is dropped unread: the
             // applier indexes vectors by table and merges only equal
             // lengths, and a panic here would leave the node alive but
-            // deaf, every commit then waiting out its ack timeout.
-            Msg::WriteSet(_) | Msg::WriteSetBatch(_) => {}
+            // deaf, every commit then waiting out its ack timeout. A page
+            // batch naming a table the schema lacks would plant pages
+            // that later checkpoints and migrations carry on.
+            Msg::WriteSet(_) | Msg::WriteSetBatch(_) | Msg::PageBatch(_) => {}
         }
     }
 
@@ -305,7 +308,7 @@ impl ReplicaNode {
             let cell = store.get_or_create(*id);
             let mut page = cell.latch.write();
             if absent || *version > page.version {
-                page.set_image(dmv_pagestore::page::image_of(image));
+                page.set_image(Arc::clone(image));
                 page.version = *version;
             }
             drop(page);
@@ -691,8 +694,7 @@ impl ReplicaNode {
     /// Takes a fuzzy checkpoint (kept as this node's "local stable
     /// storage" for reintegration after a crash).
     pub fn take_checkpoint(&self) {
-        let now = self.clock.now_paper();
-        let ck = fuzzy_checkpoint(self.db.store(), now);
+        let ck = fuzzy_checkpoint(self.db.store());
         *self.checkpoint.lock() = ck;
     }
 
@@ -713,7 +715,7 @@ impl ReplicaNode {
         &self,
         joiner_versions: &HashMap<PageId, u64>,
         target: &VersionVector,
-    ) -> DmvResult<Vec<(PageId, u64, Vec<u8>)>> {
+    ) -> DmvResult<Vec<(PageId, u64, Image)>> {
         // Migration tolerates a long wait: the replication stream may be
         // backlogged right after a failure.
         self.applier.wait_received_for(target, Duration::from_secs(30))?;
@@ -729,7 +731,7 @@ impl ReplicaNode {
                 Some(v) => page.version > v,
             };
             if newer {
-                out.push((id, page.version, page.to_image()));
+                out.push((id, page.version, Arc::clone(page.image())));
             }
         }
         Ok(out)

@@ -229,7 +229,6 @@ fn spare_auto_activates_on_slave_failure() {
 fn reintegration_catches_up_and_serves() {
     let mut spec = ClusterSpec::fast_test(schema());
     spec.n_slaves = 2;
-    spec.checkpoint_period = Some(Duration::from_secs(3600)); // manual checkpoints only
     let cluster = DmvCluster::start(spec);
     cluster
         .load_rows(TableId(0), (0..50).map(|i| vec![i.into(), "o".into(), 1000.into()]).collect())
@@ -255,6 +254,52 @@ fn reintegration_catches_up_and_serves() {
     let tag = cluster.master(0).dbversion();
     let rs = node.execute_read(&[read_balance(10)], &tag).unwrap();
     assert_eq!(rs[0].rows[0][0], Value::Int(1007));
+    cluster.shutdown();
+}
+
+/// Every page of `node`, fully applied, as bytes in page-id order.
+fn page_digest(node: &dmv_core::ReplicaNode) -> Vec<(dmv_common::ids::PageId, Vec<u8>)> {
+    node.applier().apply_all();
+    let store = node.db().store();
+    let mut ids = store.page_ids();
+    ids.sort();
+    ids.into_iter().map(|id| (id, store.get(id).unwrap().latch.read().data().to_vec())).collect()
+}
+
+/// The load-time checkpoint holds each page's shared image, not a copy:
+/// a committed update writes a fresh image and leaves the checkpoint's
+/// bytes as they were, and a node reintegrated from that checkpoint
+/// ends up with the master's pages.
+#[test]
+fn the_load_checkpoint_shares_page_images_and_reintegrates_to_the_masters_pages() {
+    let mut spec = ClusterSpec::fast_test(schema());
+    spec.n_slaves = 2;
+    let cluster = DmvCluster::start(spec);
+    cluster
+        .load_rows(TableId(0), (0..50).map(|i| vec![i.into(), "o".into(), 1000.into()]).collect())
+        .unwrap();
+    cluster.finish_load();
+    let session = cluster.session();
+    let victim = cluster.replica(cluster.slave_ids()[0]).unwrap();
+    let page = dmv_common::ids::PageId::heap(TableId(0), 0);
+    let live = || Arc::clone(victim.db().store().get(page).unwrap().latch.read().image());
+    let checkpointed = || Arc::clone(victim.checkpoint().page(page).unwrap().1);
+    assert!(Arc::ptr_eq(&checkpointed(), &live()), "the checkpoint copied the page");
+    let before = checkpointed().to_vec();
+
+    session.update_retry(&[deposit(0, 7)], 10).unwrap();
+    victim.applier().apply_all();
+    assert_ne!(live().to_vec(), before, "the update reached the victim's page");
+    assert_eq!(checkpointed().to_vec(), before, "the update changed the checkpoint");
+
+    cluster.kill_replica(victim.id());
+    cluster.detect_and_reconfigure();
+    for i in 1..10 {
+        session.update_retry(&[deposit(i, 7)], 10).unwrap();
+    }
+    cluster.reintegrate(victim.id()).unwrap();
+    let rejoined = cluster.replica(victim.id()).unwrap();
+    assert_eq!(page_digest(&rejoined), page_digest(&cluster.master(0)));
     cluster.shutdown();
 }
 
@@ -1255,5 +1300,53 @@ fn a_frame_shaped_for_another_schema_is_dropped_and_the_node_keeps_acking() {
     assert!(matches!(ack.msg, Msg::CumAck { seq: 2 }), "{:?}", ack.msg);
     assert_eq!(slave.applier().enqueued_count(), 1, "only the valid write-set is enqueued");
     assert_eq!(slave.applier().received(), VersionVector::from_entries(vec![1, 0]));
+    slave.shutdown();
+}
+
+/// A migration page batch naming a table the receiver's schema lacks is
+/// dropped like a misshapen write-set: no page is created, the node
+/// stays alive and acking, and no migration completion is signalled.
+#[test]
+fn a_page_batch_for_another_schema_is_dropped() {
+    use dmv_common::ids::{NodeId, PageId, TxnId};
+    use dmv_core::messages::{Msg, PageBatch, WriteSet};
+    use dmv_core::replica::{ReplicaConfig, ReplicaNode};
+    use dmv_net::{DynTransport, SimnetTransport};
+    use dmv_pagestore::diff::PageDiff;
+    use dmv_pagestore::PAGE_SIZE;
+
+    let net: DynTransport<Msg> = Arc::new(SimnetTransport::zero());
+    let (slave_id, master_id) = (NodeId(1), NodeId(0));
+    let slave = ReplicaNode::start(slave_id, schema(), Arc::clone(&net), ReplicaConfig::default());
+    let master = net.register(master_id);
+    // Write-sets around the batch: the ack of the second shows the
+    // batch was handled.
+    let write_set = |seq: u64| {
+        let diff = PageDiff::compute(&[0u8; PAGE_SIZE], &[seq as u8; PAGE_SIZE]);
+        Msg::WriteSet(Arc::new(WriteSet {
+            txn: TxnId::new(master_id, seq),
+            seq,
+            versions: VersionVector::from_entries(vec![seq, 0]),
+            pages: vec![(PageId::heap(TableId(0), 0), diff)],
+        }))
+    };
+    let acked = |seq: u64| {
+        let ack = master.recv_timeout(Duration::from_secs(5)).expect("the write-set is acked");
+        assert!(matches!(ack.msg, Msg::CumAck { seq: s } if s == seq), "{:?}", ack.msg);
+    };
+    master.send(slave_id, write_set(1), 0).unwrap();
+    acked(1);
+    let pages_before = slave.db().store().len();
+    let foreign = PageId::heap(TableId(schema().len() as u16), 0);
+    let batch = PageBatch { pages: vec![(foreign, 1, Arc::new([5u8; PAGE_SIZE]))], done: true };
+    master.send(slave_id, Msg::PageBatch(batch), 0).unwrap();
+    master.send(slave_id, write_set(2), 0).unwrap();
+    acked(2);
+    assert_eq!(slave.db().store().len(), pages_before, "the batch created pages");
+    assert!(slave.is_alive());
+    assert!(
+        slave.wait_migration_done(Duration::from_millis(50)).is_err(),
+        "the dropped batch signalled a migration's end"
+    );
     slave.shutdown();
 }

@@ -8,7 +8,7 @@ use dmv_common::version::VersionVector;
 use dmv_common::wire::{decode_exact, Wire};
 use dmv_core::messages::{Msg, PageBatch, WriteSet, WriteSetBatch};
 use dmv_pagestore::diff::{DiffRun, PageDiff};
-use dmv_pagestore::PAGE_SIZE;
+use dmv_pagestore::{Image, PAGE_SIZE};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -73,11 +73,11 @@ fn arb_write_set_batch() -> impl Strategy<Value = WriteSetBatch> {
         .prop_map(|sets| WriteSetBatch { sets })
 }
 
-fn arb_image() -> impl Strategy<Value = Vec<u8>> {
+fn arb_image() -> impl Strategy<Value = Image> {
     (any::<u8>(), any::<u8>()).prop_map(|(fill, first)| {
-        let mut img = vec![fill; PAGE_SIZE];
+        let mut img = [fill; PAGE_SIZE];
         img[0] = first;
-        img
+        Arc::new(img)
     })
 }
 

@@ -15,7 +15,7 @@
 //!   equality, stale readers abort rather than see the future);
 //! * [`history`] — the [`dmv_core::TraceTap`] recorder;
 //! * [`oracle`] — the exact bank model with per-version snapshots;
-//! * [`shrink`] — greedy delta-debugging by event deletion;
+//! * [`mod@shrink`] — greedy delta-debugging by event deletion;
 //! * [`repro`] — the text format for persisted failing schedules,
 //!   loadable via `cargo xtask dst --repro <file>`.
 

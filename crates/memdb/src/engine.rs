@@ -12,6 +12,7 @@ use dmv_common::ids::{NodeId, PageId, TableId, TxnId};
 use dmv_common::throttle::Throttle;
 use dmv_common::version::VersionVector;
 use dmv_pagestore::store::{PageCell, PageStore, Residency};
+use dmv_pagestore::Image;
 use dmv_sql::Schema;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -41,7 +42,7 @@ pub trait ReadGate: Send + Sync {
     /// Replication gates back this with a bounded per-page history of
     /// reverse steps (the multiversion read path); the default keeps no
     /// history, so such reads abort as [`Self::prepare_read`] reported.
-    fn read_version_at(&self, _id: PageId, _cell: &PageCell, _want: u64) -> Option<Vec<u8>> {
+    fn read_version_at(&self, _id: PageId, _cell: &PageCell, _want: u64) -> Option<Image> {
         None
     }
 }

@@ -8,7 +8,7 @@
 //! only through [`Txn`], so its writes land in the transaction's private
 //! copy-on-write buffers, after an exclusive lock under per-page 2PL.
 //! The free-space *peek* below reads no lock in either mode
-//! ([`Txn::peek_page`] checks the peeker's own COW copy first, so an
+//! (`Txn::peek_page` checks the peeker's own COW copy first, so an
 //! inserter sees space it has itself consumed); a stale peek costs only
 //! a retry against the next page.
 

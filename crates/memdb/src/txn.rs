@@ -41,7 +41,7 @@ use dmv_common::ids::{PageId, PageSpace, RowId, TableId, TxnId};
 use dmv_common::version::VersionVector;
 use dmv_pagestore::diff::PageDiff;
 use dmv_pagestore::store::PageCell;
-use dmv_pagestore::{page, Image};
+use dmv_pagestore::Image;
 use dmv_sql::exec::{ExecContext, Probed, RecordTest, Scanned};
 use dmv_sql::row::{Row, RowBatch};
 use dmv_sql::schema::Schema;
@@ -233,13 +233,10 @@ impl<'db> Txn<'db> {
                     // reader may still be servable from the gate's
                     // retained version history (multiversion slave);
                     // only an exhausted history aborts.
-                    match gate.read_version_at(id, cell, want) {
-                        Some(img) => {
-                            self.bases.insert(id, (want, page::image_of(&img)));
-                            Ok(())
-                        }
-                        None => Err(DmvError::VersionConflict { page: id, wanted: want, found }),
-                    }
+                    let conflict = DmvError::VersionConflict { page: id, wanted: want, found };
+                    let img = gate.read_version_at(id, cell, want).ok_or(conflict)?;
+                    self.bases.insert(id, (want, img));
+                    Ok(())
                 };
                 if let Err(e) = gate.prepare_read(id, cell, tag) {
                     if let DmvError::VersionConflict { found, .. } = e {

@@ -91,7 +91,7 @@ fn page_images(db: &MemDb) -> BTreeMap<PageId, Vec<u8>> {
     store
         .page_ids()
         .into_iter()
-        .map(|id| (id, store.get(id).unwrap().latch.read().to_image()))
+        .map(|id| (id, store.get(id).unwrap().latch.read().data().to_vec()))
         .collect()
 }
 
@@ -308,11 +308,11 @@ fn a_fuzzy_checkpoint_during_an_open_two_phase_write_captures_the_committed_imag
     };
     execute(&mut writer, &mutate).unwrap();
     assert!(writer.precommit().iter().any(|(id, _)| *id == page), "the writer writes the page");
-    let ck = fuzzy_checkpoint(db.store(), Duration::ZERO);
-    assert!(ck.version_of(page).is_some(), "the page was skipped as dirty");
+    let ck = fuzzy_checkpoint(db.store());
+    assert!(ck.page(page).is_some(), "the page was skipped as dirty");
     let restored = PageStore::new_free();
     ck.restore_into(&restored, true);
-    assert!(restored.get(page).unwrap().latch.read().to_image() == committed);
+    assert!(restored.get(page).unwrap().latch.read().data().to_vec() == committed);
     writer.abort();
 }
 
@@ -340,11 +340,11 @@ fn an_open_update_keeps_its_shared_base_across_a_rival_install() {
     t2.try_commit(None).unwrap();
     assert_eq!(lookup(&mut t1, 0, 1)[0].1, row("one"), "the open update's base changed");
     let committed = page_images(&db)[&page].clone();
-    let ck = fuzzy_checkpoint(db.store(), Duration::ZERO);
+    let ck = fuzzy_checkpoint(db.store());
     let restored = PageStore::new_free();
     ck.restore_into(&restored, true);
     assert!(
-        restored.get(page).unwrap().latch.read().to_image() == committed,
+        restored.get(page).unwrap().latch.read().data().to_vec() == committed,
         "the checkpoint missed the rival's install"
     );
     execute(&mut t1, &rename("three")).unwrap();

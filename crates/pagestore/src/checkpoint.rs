@@ -8,19 +8,22 @@
 //! hold pages at different versions, so a mixed-version snapshot is a
 //! perfectly valid starting point for reintegration. Dirty (uncommitted)
 //! pages are skipped.
+//!
+//! A checkpoint holds each page's shared [`Image`], not a copy of it:
+//! images are immutable while shared, and a later write to the page
+//! copies it first ([`crate::page::Page::data_mut`]), so the checkpoint
+//! keeps the bytes it captured at the cost of a reference count.
 
-use crate::page::Page;
+use crate::page::Image;
 use crate::store::PageStore;
 use dmv_common::ids::PageId;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::sync::Arc;
 
-/// A checkpoint: per-page (version, image) snapshots plus the paper time
-/// at which it was taken.
+/// A checkpoint: per-page (version, image) snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointImage {
-    pages: HashMap<PageId, (u64, Vec<u8>)>,
-    taken_at: Duration,
+    pages: HashMap<PageId, (u64, Image)>,
 }
 
 impl CheckpointImage {
@@ -30,57 +33,39 @@ impl CheckpointImage {
         Self::default()
     }
 
-    /// Paper time at which the checkpoint was taken.
-    pub fn taken_at(&self) -> Duration {
-        self.taken_at
-    }
-
-    /// Number of pages captured.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// True if no pages were captured.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
     /// Per-page versions — what a reintegrating node sends to its support
     /// slave so only newer pages are transferred back.
     pub fn page_versions(&self) -> HashMap<PageId, u64> {
         self.pages.iter().map(|(id, (v, _))| (*id, *v)).collect()
     }
 
-    /// Version recorded for one page, if captured.
-    pub fn version_of(&self, id: PageId) -> Option<u64> {
-        self.pages.get(&id).map(|(v, _)| *v)
+    /// Version and image recorded for one page, if captured.
+    pub fn page(&self, id: PageId) -> Option<(u64, &Image)> {
+        self.pages.get(&id).map(|(v, image)| (*v, image))
     }
 
-    /// Restores the checkpoint into `store`. Restored pages are marked
-    /// non-resident when `resident` is false (they live on the recovering
-    /// node's disk until first touch).
+    /// Restores the checkpoint into `store`, each page sharing the
+    /// checkpoint's image. Restored pages are marked non-resident when
+    /// `resident` is false (they live on the recovering node's disk
+    /// until first touch).
     pub fn restore_into(&self, store: &PageStore, resident: bool) {
         for (id, (version, image)) in &self.pages {
             let cell = store.get_or_create(*id);
             let mut page = cell.latch.write();
-            *page = Page::from_image(*version, image);
+            page.set_image(Arc::clone(image));
+            page.version = *version;
             drop(page);
             cell.set_resident(resident);
         }
     }
-
-    /// Total bytes of page images held.
-    pub fn byte_size(&self) -> usize {
-        self.pages.values().map(|(_, img)| img.len()).sum()
-    }
 }
 
-/// Takes a fuzzy checkpoint of `store` at paper time `now`.
+/// Takes a fuzzy checkpoint of `store`.
 ///
 /// Pages are captured one at a time under their read latch; dirty pages
 /// (uncommitted master-side modifications) are skipped. The system keeps
 /// running — no quiescence is required.
-pub fn fuzzy_checkpoint(store: &PageStore, now: Duration) -> CheckpointImage {
+pub fn fuzzy_checkpoint(store: &PageStore) -> CheckpointImage {
     let mut pages = HashMap::new();
     for id in store.page_ids() {
         let Some(cell) = store.get(id) else { continue };
@@ -88,9 +73,9 @@ pub fn fuzzy_checkpoint(store: &PageStore, now: Duration) -> CheckpointImage {
             continue;
         }
         let page = cell.latch.read();
-        pages.insert(id, (page.version, page.to_image()));
+        pages.insert(id, (page.version, Arc::clone(page.image())));
     }
-    CheckpointImage { pages, taken_at: now }
+    CheckpointImage { pages }
 }
 
 #[cfg(test)]
@@ -112,26 +97,41 @@ mod tests {
     #[test]
     fn checkpoint_captures_versions_and_images() {
         let s = store_with_pages(4);
-        let ck = fuzzy_checkpoint(&s, Duration::from_secs(10));
-        assert_eq!(ck.len(), 4);
-        assert_eq!(ck.taken_at(), Duration::from_secs(10));
-        assert_eq!(ck.version_of(PageId::heap(TableId(0), 2)), Some(3));
-        assert_eq!(ck.byte_size(), 4 * crate::PAGE_SIZE);
+        let ck = fuzzy_checkpoint(&s);
+        assert_eq!(ck.page_versions().len(), 4);
+        let id = PageId::heap(TableId(0), 2);
+        let (version, image) = ck.page(id).unwrap();
+        assert_eq!(version, 3);
+        assert_eq!(image[0], 2);
+    }
+
+    #[test]
+    fn a_checkpoint_shares_images_and_keeps_its_bytes_across_a_write() {
+        let s = store_with_pages(1);
+        let id = PageId::heap(TableId(0), 0);
+        let ck = fuzzy_checkpoint(&s);
+        let cell = s.get(id).unwrap();
+        assert!(Arc::ptr_eq(ck.page(id).unwrap().1, cell.latch.read().image()));
+        cell.latch.write().data_mut()[0] = 99;
+        assert_eq!(ck.page(id).unwrap().1[0], 0, "the write copied the page first");
+        let t = PageStore::new_free();
+        ck.restore_into(&t, true);
+        assert!(Arc::ptr_eq(ck.page(id).unwrap().1, t.get(id).unwrap().latch.read().image()));
     }
 
     #[test]
     fn dirty_pages_are_skipped() {
         let s = store_with_pages(3);
         s.get(PageId::heap(TableId(0), 1)).unwrap().set_dirty(true);
-        let ck = fuzzy_checkpoint(&s, Duration::ZERO);
-        assert_eq!(ck.len(), 2);
-        assert_eq!(ck.version_of(PageId::heap(TableId(0), 1)), None);
+        let ck = fuzzy_checkpoint(&s);
+        assert_eq!(ck.page_versions().len(), 2);
+        assert!(ck.page(PageId::heap(TableId(0), 1)).is_none());
     }
 
     #[test]
     fn restore_reproduces_state() {
         let s = store_with_pages(3);
-        let ck = fuzzy_checkpoint(&s, Duration::ZERO);
+        let ck = fuzzy_checkpoint(&s);
         let t = PageStore::new_free();
         ck.restore_into(&t, false);
         assert_eq!(t.len(), 3);
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn restore_resident_flag() {
         let s = store_with_pages(1);
-        let ck = fuzzy_checkpoint(&s, Duration::ZERO);
+        let ck = fuzzy_checkpoint(&s);
         let t = PageStore::new_free();
         ck.restore_into(&t, true);
         assert_eq!(t.resident_count(), 1);
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn page_versions_map() {
         let s = store_with_pages(2);
-        let ck = fuzzy_checkpoint(&s, Duration::ZERO);
+        let ck = fuzzy_checkpoint(&s);
         let vs = ck.page_versions();
         assert_eq!(vs.len(), 2);
         assert_eq!(vs[&PageId::heap(TableId(0), 0)], 1);
@@ -165,7 +165,6 @@ mod tests {
     #[test]
     fn empty_checkpoint() {
         let ck = CheckpointImage::empty();
-        assert!(ck.is_empty());
-        assert_eq!(ck.page_versions().len(), 0);
+        assert!(ck.page_versions().is_empty());
     }
 }

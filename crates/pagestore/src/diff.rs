@@ -3,7 +3,7 @@
 //!
 //! A master computes the diff between a page's before- and after-image at
 //! pre-commit; slaves apply the diff to their own copy of the page. Runs
-//! of changed bytes separated by fewer than [`MERGE_GAP`] unchanged bytes
+//! of changed bytes separated by fewer than `MERGE_GAP` unchanged bytes
 //! are coalesced to amortize per-run overhead.
 
 use crate::page::PAGE_SIZE;
@@ -54,7 +54,7 @@ pub struct PageDiff {
 impl PageDiff {
     /// Computes the diff turning `before` into `after`.
     ///
-    /// Scans the images [`WORD`] bytes at a time and descends to byte
+    /// Scans the images `WORD` bytes at a time and descends to byte
     /// granularity only inside words that differ, so the common case —
     /// pages that are mostly unchanged — costs one `u64` compare per
     /// eight bytes. Produces output identical to

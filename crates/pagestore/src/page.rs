@@ -19,7 +19,8 @@ fn zero_image() -> Image {
     Arc::clone(ZERO.get_or_init(|| Arc::new([0u8; PAGE_SIZE])))
 }
 
-/// Copies a full page image into a fresh [`Image`].
+/// Copies a full page image into a fresh [`Image`]: the one way bytes
+/// from outside the store (a decoded migration frame) become a page's.
 ///
 /// # Panics
 ///
@@ -48,15 +49,6 @@ impl Page {
         Page { version: 0, data: zero_image() }
     }
 
-    /// Creates a page from a full image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly [`PAGE_SIZE`] bytes.
-    pub fn from_image(version: u64, data: &[u8]) -> Self {
-        Page { version, data: image_of(data) }
-    }
-
     /// Read-only view of the payload.
     pub fn data(&self) -> &[u8] {
         &self.data[..]
@@ -73,15 +65,9 @@ impl Page {
     }
 
     /// Replaces the payload with `image` (an install of a committed
-    /// copy-on-write buffer, or a migrated page).
+    /// copy-on-write buffer, a migrated page or a checkpointed one).
     pub fn set_image(&mut self, image: Image) {
         self.data = image;
-    }
-
-    /// Copies the payload into a fresh vector (for checkpoints and page
-    /// transfer during data migration).
-    pub fn to_image(&self) -> Vec<u8> {
-        self.data.to_vec()
     }
 }
 
@@ -117,15 +103,15 @@ mod tests {
     fn image_roundtrip() {
         let mut img = vec![0u8; PAGE_SIZE];
         img[7] = 42;
-        let p = Page::from_image(9, &img);
-        assert_eq!(p.version, 9);
-        assert_eq!(p.to_image(), img);
+        let mut p = Page::new();
+        p.set_image(image_of(&img));
+        assert_eq!(p.data(), &img[..]);
     }
 
     #[test]
     #[should_panic]
     fn wrong_size_image_panics() {
-        let _ = Page::from_image(0, &[0u8; 100]);
+        let _ = image_of(&[0u8; 100]);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub fn init(d: &mut [u8]) {
 ///
 /// `cell_start == 0` uniquely identifies a virgin page: [`init`] sets it
 /// to `PAGE_SIZE`, and inserts only ever move it down to the end of the
-/// slot directory (≥ [`HDR`]), never to zero. Callers that allocate a
+/// slot directory (≥ `HDR`), never to zero. Callers that allocate a
 /// page which is *published* before they first write it (so a concurrent
 /// inserter may legitimately have used it already) must use this instead
 /// of [`init`] — re-initializing would wipe the rival's records.

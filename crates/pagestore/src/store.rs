@@ -265,7 +265,7 @@ fn space_no(space: PageSpace) -> u32 {
 }
 
 /// Concurrent page table for one replica's database: per table, per
-/// space, a [`Dense`] table of cells indexed by page number.
+/// space, a `Dense` table of cells indexed by page number.
 pub struct PageStore {
     tables: Dense<Dense<Space>>,
     /// Serializes the allocators and creators of pages; readers never

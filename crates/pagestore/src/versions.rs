@@ -16,7 +16,9 @@
 //! same lock that orders the page's moves.
 
 use crate::diff::PageDiff;
+use crate::page::Image;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Applying `rev` to the page's image at stamp `from` yields its image
 /// at stamp `to` (`to < from`).
@@ -50,9 +52,11 @@ impl VersionChain {
     /// exact. `None` when the retained steps do not reach `want`: capped
     /// or pruned away, or the page moved without a recorded step (a
     /// migration image), which shows as a break in the `from`/`to` links.
-    pub fn image_at(&self, current: &[u8], current_stamp: u64, want: u64) -> Option<Vec<u8>> {
+    /// A walk that applies no step returns `current` itself; one that
+    /// does copies it once, at the first step.
+    pub fn image_at(&self, current: &Image, current_stamp: u64, want: u64) -> Option<Image> {
         let mut stamp = current_stamp;
-        let mut image = current.to_vec();
+        let mut image = Arc::clone(current);
         for step in self.steps.iter().rev() {
             if stamp <= want {
                 break;
@@ -60,7 +64,7 @@ impl VersionChain {
             if step.from != stamp {
                 return None;
             }
-            step.rev.apply(&mut image);
+            step.rev.apply(&mut Arc::make_mut(&mut image)[..]);
             stamp = step.to;
         }
         (stamp <= want).then_some(image)
@@ -90,26 +94,38 @@ impl VersionChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PAGE_SIZE;
+    use crate::page::{image_of, PAGE_SIZE};
     use proptest::prelude::*;
 
-    fn page(byte0: u8) -> Vec<u8> {
-        let mut p = vec![0u8; PAGE_SIZE];
-        p[0] = byte0;
+    fn page(byte0: u8) -> Image {
+        let mut p = Arc::new([0u8; PAGE_SIZE]);
+        Arc::make_mut(&mut p)[0] = byte0;
         p
     }
 
     /// Chain over images `1, 2, .. n` at stamps `10, 20, .. 10n` above a
     /// zero page at stamp 0; returns it with the current image.
-    fn chain_of(n: u8, cap: usize) -> (VersionChain, Vec<u8>) {
+    fn chain_of(n: u8, cap: usize) -> (VersionChain, Image) {
         let mut chain = VersionChain::default();
         let mut cur = page(0);
         for v in 1..=n {
             let next = page(v);
-            chain.push(v as u64 * 10, (v as u64 - 1) * 10, PageDiff::compute(&next, &cur), cap);
+            let rev = PageDiff::compute(&next[..], &cur[..]);
+            chain.push(v as u64 * 10, (v as u64 - 1) * 10, rev, cap);
             cur = next;
         }
         (chain, cur)
+    }
+
+    #[test]
+    fn a_walk_that_applies_no_step_returns_the_current_image_itself() {
+        let (chain, cur) = chain_of(3, usize::MAX);
+        assert!(Arc::ptr_eq(&chain.image_at(&cur, 30, 30).unwrap(), &cur));
+        assert!(Arc::ptr_eq(&chain.image_at(&cur, 30, 99).unwrap(), &cur));
+        assert!(Arc::ptr_eq(&VersionChain::default().image_at(&cur, 30, 30).unwrap(), &cur));
+        let rewound = chain.image_at(&cur, 30, 10).unwrap();
+        assert!(!Arc::ptr_eq(&rewound, &cur));
+        assert_eq!(cur[0], 3, "a rewind leaves the current image alone");
     }
 
     #[test]
@@ -142,7 +158,7 @@ mod tests {
         // The page jumps 20 -> 35 with no step (a migration image), then
         // moves 35 -> 40 normally.
         let (at35, at40) = (page(35), page(40));
-        chain.push(40, 35, PageDiff::compute(&at40, &at35), usize::MAX);
+        chain.push(40, 35, PageDiff::compute(&at40[..], &at35[..]), usize::MAX);
         assert_eq!(chain.image_at(&at40, 40, 35).unwrap()[0], 35);
         assert!(chain.image_at(&at40, 40, 34).is_none(), "20 -> 35 was never recorded");
     }
@@ -213,11 +229,14 @@ mod tests {
                     }
                 }
                 let (stamp, current) = oracle.last().expect("never empty");
+                let current = image_of(current);
                 prop_assert!(chain.len() <= cap);
                 for want in 0..=stamp + 1 {
-                    let expect = oracle.iter().rev().find(|(s, _)| *s <= want).map(|(_, i)| i);
-                    let got = chain.image_at(current, *stamp, want);
-                    prop_assert_eq!(got.as_ref(), expect, "want {} at stamp {}", want, stamp);
+                    let expect =
+                        oracle.iter().rev().find(|(s, _)| *s <= want).map(|(_, i)| &i[..]);
+                    let got = chain.image_at(&current, *stamp, want);
+                    let got = got.as_ref().map(|i| &i[..]);
+                    prop_assert_eq!(got, expect, "want {} at stamp {}", want, stamp);
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! the on-disk baseline answer queries identically — a property the
 //! integration tests check directly.
 //!
-//! A select works a *set* at a time. The [`Layout`] derived from the
+//! A select works a *set* at a time. The `Layout` derived from the
 //! statement tells every table which columns to supply, and every read
 //! comes back as one [`RowBatch`]. A *block* of base rows — all of them
 //! when `GROUP BY` or `ORDER BY` consumes every tuple, only as many as
@@ -24,21 +24,21 @@
 //! and a rejected row is never decoded. Where a row number already
 //! identifies an answer it replaces hashing: a join key is looked up once
 //! per row of the source it lives in, a group once per row of the source
-//! the group columns come from ([`Pipeline::join`], [`Groups`]).
+//! the group columns come from (`Pipeline::join`, `Groups`).
 //!
 //! Three rules keep the path per tuple short; none is an option, each is
 //! chosen from the statement or the keys seen, and none changes a result,
 //! its order under ties, or what is asked of the engine.
 //!
-//! *Aggregate below the joins* ([`Pipeline::pre_aggregate`]). When every
+//! *Aggregate below the joins* (`Pipeline::pre_aggregate`). When every
 //! aggregate argument is a base column (or the aggregate is `Count`),
 //! every group column and every later join's key is read from a joined
 //! source, join 0 is keyed on a base column and no conjunct that waits for
 //! a joined source reads a base column, all base rows with one key of join
 //! 0 meet the same joined rows and fall into the same groups. They
 //! collapse, before the first probe, to one *representative* — the first
-//! of them — carrying one partial [`AggState`] per aggregate; the
-//! unchanged join stages run over the representatives, and [`Groups`]
+//! of them — carrying one partial `AggState` per aggregate; the
+//! unchanged join stages run over the representatives, and `Groups`
 //! merges a partial where it would have added a value. Aggregates over a
 //! `Float` column depend on the order of their inputs (a sum in its last
 //! bits; a `Min` in whether it keeps `Int(3)` or the equal `Float(3.0)`),
@@ -46,7 +46,7 @@
 //! exactly one partial: join 0's right column among the group columns and
 //! every join through a unique single-column index.
 //!
-//! *Number integer keys without hashing* ([`number_keys`]). Keys that are
+//! *Number integer keys without hashing* (`number_keys`). Keys that are
 //! all `Int` (or NULL) and span less than four times their count are
 //! numbered through a table indexed by `key − least key`; swept once, the
 //! table also yields the ascending order a probe wants. Any other key set
@@ -57,7 +57,7 @@
 //! unique index of the one table they are read from, a row of that table
 //! *is* a group and is found by number alone. `ORDER BY … LIMIT k`, over
 //! groups or tuples, selects the `k` first by the sort keys and then first
-//! appearance ([`top`]) — what a stable sort and a cut would leave — and
+//! appearance (`top`) — what a stable sort and a cut would leave — and
 //! only those are cloned into rows.
 
 use crate::query::{Access, AggFn, Expr, GroupBy, Query, Select, SetExpr};

@@ -220,7 +220,7 @@ pub fn decode_cols_into(bytes: &[u8], cols: &[usize], out: &mut [Value]) -> DmvR
 
 /// The rows of one read, stored as runs of values: a row is `width`
 /// consecutive values and came from the row id at its position. The runs
-/// are *chunks* of a fixed number of rows (a power of two, [`CHUNK`]
+/// are *chunks* of a fixed number of rows (a power of two, `CHUNK`
 /// values or fewer), so a read of any size costs an allocation per few
 /// thousand values where a `Vec<Row>` takes one per row, and most reads
 /// are one chunk. Chunks rather than one run, because a whole-table scan

@@ -15,7 +15,7 @@ use dmv_common::rng::seeded;
 use dmv_common::version::VersionVector;
 use dmv_memdb::{MemDb, MemDbOptions, ReadGate, Txn};
 use dmv_pagestore::store::PageCell;
-use dmv_pagestore::PAGE_SIZE;
+use dmv_pagestore::{Image, PAGE_SIZE};
 use dmv_sql::exec::{execute, ExecContext, Probed, RecordTest, Scanned};
 use dmv_sql::query::{Access, AggFn, CmpOp, Expr, Join, Query, Select, SetExpr};
 use dmv_sql::row::{Row, RowBatch};
@@ -573,7 +573,7 @@ fn assert_same_rows(selects: &[Select], got: &[Answer], want: &[Answer], what: &
 /// applier does from its reverse-diff history.
 #[derive(Default)]
 struct OneVersionBack {
-    images: Mutex<HashMap<PageId, Vec<u8>>>,
+    images: Mutex<HashMap<PageId, Image>>,
 }
 
 impl OneVersionBack {
@@ -582,7 +582,7 @@ impl OneVersionBack {
         *self.images.lock().unwrap() = store
             .page_ids()
             .into_iter()
-            .map(|id| (id, store.get(id).unwrap().latch.read().data().to_vec()))
+            .map(|id| (id, Arc::clone(store.get(id).unwrap().latch.read().image())))
             .collect();
     }
 }
@@ -592,8 +592,9 @@ impl ReadGate for OneVersionBack {
         Ok(())
     }
 
-    fn read_version_at(&self, id: PageId, _: &PageCell, _: u64) -> Option<Vec<u8>> {
-        Some(self.images.lock().unwrap().get(&id).cloned().unwrap_or_else(|| vec![0; PAGE_SIZE]))
+    fn read_version_at(&self, id: PageId, _: &PageCell, _: u64) -> Option<Image> {
+        let image = self.images.lock().unwrap().get(&id).cloned();
+        Some(image.unwrap_or_else(|| Arc::new([0; PAGE_SIZE])))
     }
 }
 
